@@ -11,18 +11,29 @@ use dais_soap::service::SoapDispatcher;
 use dais_soap::{Bus, Envelope};
 use dais_xml::{ns, XmlElement};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+// Per-thread meters: libtest runs this file's tests on parallel threads,
+// so a process-global counter would bill neighbours' allocations to each
+// other's windows. Const-initialised `Cell`s need no lazy init and no
+// destructor, so touching them inside the allocator cannot recurse.
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump(bytes: usize) {
+    // `try_with`: the allocator still runs while a thread tears down.
+    let _ = ALLOCS.try_with(|a| a.set(a.get() + 1));
+    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        bump(layout.size());
         System.alloc(layout)
     }
 
@@ -31,8 +42,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        bump(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,13 +50,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
-/// Allocations and heap bytes (incl. reallocs) performed by `f`, on this
-/// thread only in practice: the harness runs the closure with no other
-/// threads active.
+/// Allocations and heap bytes (incl. reallocs) performed by `f` on the
+/// calling thread.
 fn allocs_during(f: impl FnOnce()) -> (u64, u64) {
-    let (a0, b0) = (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    let (a0, b0) = (ALLOCS.get(), BYTES.get());
     f();
-    (ALLOCS.load(Ordering::Relaxed) - a0, BYTES.load(Ordering::Relaxed) - b0)
+    (ALLOCS.get() - a0, BYTES.get() - b0)
 }
 
 /// The echo round-trip allocation count measured on the pre-fast-lane
