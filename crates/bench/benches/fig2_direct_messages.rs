@@ -8,8 +8,8 @@ use dais_bench::{criterion_group, criterion_main};
 use dais_core::DaisClient;
 use dais_dair::{messages, RelationalService, SqlClient};
 use dais_soap::Bus;
-use dais_sql::{Database, Value};
-use dais_xml::{ns, parse, to_string};
+use dais_sql::{Database, Rowset, RowsetCursor, Value};
+use dais_xml::{ns, to_string, PullParser, XmlWriter};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig2_direct_messages");
@@ -34,11 +34,14 @@ fn bench(c: &mut Criterion) {
         let db = Database::new("fig2");
         populate_items(&db, rows, 32);
         let rowset = db.execute("SELECT * FROM item", &[]).unwrap().rowset().unwrap().clone();
-        let wire = to_string(&rowset.to_xml());
+        let mut wire = String::new();
+        let mut w = XmlWriter::new(&mut wire);
+        rowset.write_into(&mut w);
+        w.finish();
         group.bench_with_input(BenchmarkId::new("parse_webrowset", rows), &rows, |b, _| {
             b.iter(|| {
-                let doc = parse(&wire).unwrap();
-                dais_sql::Rowset::from_xml(&doc).unwrap()
+                let mut cursor = RowsetCursor::new(PullParser::new(&wire).unwrap()).unwrap();
+                Rowset::from_cursor(&mut cursor).unwrap()
             });
         });
     }

@@ -5,11 +5,8 @@
 //! per-connection threads together.
 //!
 //! The in-process echo is re-measured in the same run so the TCP column
-//! is read against a baseline from the same build and host. The runner
-//! persists `BENCH_PR6.json` at the repository root in the same
-//! `{bench, iters, ns_per_iter, bytes_per_iter}` shape as the `wire`
-//! group's baseline; CI's bench-smoke job runs this target with
-//! `DAIS_BENCH_QUICK=1` and validates the file.
+//! is read against a baseline from the same build and host. CI's
+//! bench-smoke job runs this target with `DAIS_BENCH_QUICK=1`.
 
 use dais_core::AbstractName;
 use dais_dair::messages;
@@ -134,25 +131,6 @@ fn tcp_echo_storm(out: &mut Vec<Row>, threads: usize) {
     );
 }
 
-fn write_baseline(rows: &[Row]) -> std::io::Result<()> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR6.json");
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"bench\": \"{}\", \"iters\": {}, \"ns_per_iter\": {:.1}, \"bytes_per_iter\": {}}}{}\n",
-            r.bench,
-            r.iters,
-            r.ns_per_iter,
-            r.bytes_per_iter,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(path, json)?;
-    println!("\nwrote {path}");
-    Ok(())
-}
-
 fn main() {
     let mut rows = Vec::new();
     println!("== wire/tcp_echo{}", if quick() { " (quick mode)" } else { "" });
@@ -190,5 +168,4 @@ fn main() {
         inproc.bytes_per_iter, tcp.bytes_per_iter,
         "stats billing must be transport-invariant"
     );
-    write_baseline(&rows).expect("failed to persist BENCH_PR6.json");
 }

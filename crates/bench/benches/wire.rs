@@ -1,15 +1,11 @@
-//! The `wire` benchmark group: the serialisation fast lane measured
-//! end to end — envelope round trips at three payload sizes, a full
-//! `Bus::call` echo, streaming WebRowSet materialisation and a
-//! `GetTuples` page of 1 000 rows.
+//! The `wire` benchmark group: the wire path measured end to end — a
+//! full `Bus::call` echo (plain, traced, and busy inline vs pipelined
+//! through the executor), WebRowSet encoding of 1 000 rows, and
+//! `GetTuples` pages with and without pushdown.
 //!
-//! Besides the human-readable table, the runner persists two
-//! machine-readable baselines at the repository root — `BENCH_PR3.json`
-//! (the original wire rows) and `BENCH_PR8.json` (the pushdown paging
-//! rows added with the zero-materialisation data plane) — each a JSON
-//! array of `{bench, iters, ns_per_iter, bytes_per_iter}` rows. CI's
-//! bench-smoke job runs this target with `DAIS_BENCH_QUICK=1` (fewer
-//! iterations, same benches) and checks both files are well formed.
+//! CI's bench-smoke job runs this target with `DAIS_BENCH_QUICK=1`
+//! (fewer iterations, same benches). The gated trajectory lives in
+//! `daisbench` (`benchmark/README.md`), not here.
 
 use dais_bench::workload::populate_items;
 use dais_core::{AbstractName, DaisClient};
@@ -19,7 +15,7 @@ use dais_soap::service::SoapDispatcher;
 use dais_soap::{Bus, ExecutorConfig, Pending};
 use dais_sql::{Database, Rowset, Value};
 use dais_util::PooledBuf;
-use dais_xml::ns;
+use dais_xml::{ns, XmlWriter};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -60,30 +56,6 @@ fn item_rowset(rows: usize) -> Rowset {
     let db = Database::new("wire");
     populate_items(&db, rows, 32);
     db.execute("SELECT * FROM item", &[]).unwrap().rowset().unwrap().clone()
-}
-
-/// Envelope serialise + parse round trip through a pooled buffer.
-fn envelope_roundtrip(out: &mut Vec<Row>, label: &str, rows: usize) {
-    let env = Envelope::with_body(item_rowset(rows).to_xml());
-    let mut buf = PooledBuf::take();
-    env.to_bytes_into(&mut buf);
-    let bytes_per_iter = buf.len() as u64;
-    let n = iters(match rows {
-        0..=49 => 2000,
-        50..=499 => 400,
-        _ => 60,
-    });
-    let ns_per_iter = time_iters(n, || {
-        buf.clear();
-        env.to_bytes_into(&mut buf);
-        black_box(Envelope::from_bytes(&buf).unwrap());
-    });
-    out.push(Row {
-        bench: format!("envelope_roundtrip/{label}"),
-        iters: n,
-        ns_per_iter,
-        bytes_per_iter,
-    });
 }
 
 /// End-to-end `Bus::call` echo: both legs serialised, routed and parsed.
@@ -245,16 +217,21 @@ fn bus_pipelined(out: &mut Vec<Row>) {
     });
 }
 
-/// Streaming WebRowSet materialisation into a pooled buffer.
+/// WebRowSet encoding of a held rowset into a pooled buffer.
 fn rowset_stream(out: &mut Vec<Row>, rows: usize) {
     let rowset = item_rowset(rows);
     let mut buf = PooledBuf::take();
-    rowset.to_wire_bytes_into(&mut buf);
+    let encode = |buf: &mut Vec<u8>| {
+        buf.clear();
+        let mut w = XmlWriter::new(buf);
+        rowset.write_into(&mut w);
+        w.finish();
+    };
+    encode(&mut buf);
     let bytes_per_iter = buf.len() as u64;
     let n = iters(200);
     let ns_per_iter = time_iters(n, || {
-        buf.clear();
-        rowset.to_wire_bytes_into(&mut buf);
+        encode(&mut buf);
         black_box(buf.len());
     });
     out.push(Row { bench: format!("rowset_stream/{rows}"), iters: n, ns_per_iter, bytes_per_iter });
@@ -320,30 +297,9 @@ fn get_tuples_pushdown(out: &mut Vec<Row>, bench: &str, rows: usize, sql: &str) 
     out.push(Row { bench: bench.into(), iters: n, ns_per_iter, bytes_per_iter: moved / (n + 2) });
 }
 
-fn write_baseline(path: &str, rows: &[&Row]) -> std::io::Result<()> {
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"bench\": \"{}\", \"iters\": {}, \"ns_per_iter\": {:.1}, \"bytes_per_iter\": {}}}{}\n",
-            r.bench,
-            r.iters,
-            r.ns_per_iter,
-            r.bytes_per_iter,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("]\n");
-    std::fs::write(path, json)?;
-    println!("\nwrote {path}");
-    Ok(())
-}
-
 fn main() {
     let mut rows = Vec::new();
     println!("== wire{}", if quick() { " (quick mode)" } else { "" });
-    envelope_roundtrip(&mut rows, "small", 10);
-    envelope_roundtrip(&mut rows, "medium", 100);
-    envelope_roundtrip(&mut rows, "large", 1000);
     bus_echo(&mut rows);
     bus_echo_traced(&mut rows);
     bus_echo_busy(&mut rows);
@@ -392,12 +348,4 @@ fn main() {
         "  get_tuples/1000 vs rowset_stream/1000: {:.2}x (streamed page over bare encoding)",
         page.ns_per_iter / stream.ns_per_iter
     );
-    // The pushdown paging rows ride in their own baseline so the PR 3
-    // file keeps its original row set.
-    let (pr8, pr3): (Vec<&Row>, Vec<&Row>) =
-        rows.iter().partition(|r| r.bench.starts_with("get_tuples_pushdown/"));
-    write_baseline(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR3.json"), &pr3)
-        .expect("failed to persist BENCH_PR3.json");
-    write_baseline(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR8.json"), &pr8)
-        .expect("failed to persist BENCH_PR8.json");
 }

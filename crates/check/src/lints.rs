@@ -507,35 +507,6 @@ pub fn run_lints<'a>(files: &'a [FileFacts], allowlist: &Allowlist) -> Vec<Viola
         );
     }
 
-    // The dair wire path streams pages and query results straight off
-    // the backing rowset/cursor (`Rowset::write_window_into`,
-    // `RowsetWriter` over a `RowStream`); materialising APIs —
-    // `.tuples()` page clones, `.to_wire_bytes()`, `.collect_rowset()` —
-    // reintroduce the per-request copy the zero-materialisation data
-    // plane removed. Intentional sites carry a
-    // `rowset-materialise-bypass:<file>` allowlist entry.
-    const MATERIALISE_LINT: &str = "rowset-materialise-bypass";
-    for f in files.iter().filter(|f| f.crate_name == "dair") {
-        let sites: Vec<RatchetSite> =
-            f.rowset_materialise_sites.iter().map(|l| (l.line, l.value.clone())).collect();
-        ratchet_file(
-            &mut out,
-            allowlist,
-            MATERIALISE_LINT,
-            "materialising rowset call(s)",
-            consumed.entry(MATERIALISE_LINT).or_default(),
-            f,
-            &sites,
-            &|actual, allowed, method| {
-                format!(
-                    "{actual} materialising rowset call(s) (`.{method}(`) on the dair wire \
-                     path (allowlist permits {allowed}); stream via `write_window_into` / \
-                     `RowsetWriter` or extend {allow_path}"
-                )
-            },
-        );
-    }
-
     // `SoapDispatcher::dispatch` is the raw handler-table lookup;
     // calling it directly from outside `crates/soap` skips the executor
     // (queueing, backpressure, stats, interceptors, tracing). Everything

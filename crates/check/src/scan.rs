@@ -108,11 +108,6 @@ pub struct FileFacts {
     /// qualified paths); raw primitives bypass the lock-order detector
     /// in `dais_util::sync`. `value` holds the primitive's name.
     pub raw_sync_sites: Vec<Literal>,
-    /// Materialising rowset calls (`.tuples(`, `.to_wire_bytes(`,
-    /// `.collect_rowset(`) — checked on the dair wire path, where pages
-    /// and query results stream straight off the backing rowset/cursor.
-    /// `value` holds the method name.
-    pub rowset_materialise_sites: Vec<Literal>,
 }
 
 /// Tokenise and strip `#[cfg(test)]` items, then extract facts.
@@ -267,19 +262,6 @@ pub fn scan_file(root: &Path, rel_path: &Path, src: &str) -> FileFacts {
                         && tokens.get(i + 2).is_some_and(|t| t.is_punct(')'))
                     {
                         facts.to_bytes_sites.push(tok.line);
-                    }
-                    // `.tuples(` / `.to_wire_bytes(` / `.collect_rowset(`
-                    // — APIs that materialise a rowset page or an owned
-                    // byte buffer where the streaming writers keep the
-                    // wire path copy-free.
-                    if (tok.is_ident("tuples")
-                        || tok.is_ident("to_wire_bytes")
-                        || tok.is_ident("collect_rowset"))
-                        && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-                    {
-                        facts
-                            .rowset_materialise_sites
-                            .push(Literal { value: tok.text.clone(), line: tok.line });
                     }
                     // `.dispatch(...)` — a direct exchange against the
                     // dispatcher, bypassing `Bus::call` (and with it the
@@ -775,20 +757,6 @@ mod tests {
         "#;
         let f = scan("crates/soap/src/x.rs", src);
         assert_eq!(f.to_bytes_sites.len(), 1);
-    }
-
-    #[test]
-    fn rowset_materialise_calls_are_recorded_but_definitions_are_not() {
-        let src = r#"
-            pub fn tuples(&self, start: usize, count: usize) -> Rowset { self.rowset.slice(start, count) }
-            fn page(r: &RowsetResource) { let p = r.tuples(0, 10); let _ = p.to_wire_bytes(); }
-            #[cfg(test)]
-            mod tests { fn t(r: &RowsetResource) { r.tuples(0, 1); } }
-        "#;
-        let f = scan("crates/dair/src/x.rs", src);
-        let names: Vec<&str> =
-            f.rowset_materialise_sites.iter().map(|l| l.value.as_str()).collect();
-        assert_eq!(names, ["tuples", "to_wire_bytes"]);
     }
 
     #[test]

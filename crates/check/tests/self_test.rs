@@ -101,16 +101,6 @@ fn trips_pooled_buffer_bypass() {
 }
 
 #[test]
-fn trips_rowset_materialise_bypass() {
-    let hits = assert_fires("rowset-materialise-bypass", "dair/src/service.rs");
-    assert!(hits[0].2.contains("`.tuples(`"), "{hits:?}");
-    assert!(hits[0].2.contains("write_window_into"), "{hits:?}");
-    // One violation per file: the `.to_wire_bytes()` on the next line is
-    // covered by the same ratchet count.
-    assert_eq!(hits.len(), 1, "{hits:?}");
-}
-
-#[test]
 fn trips_executor_bypass() {
     let hits = assert_fires("executor-bypass", "alpha/src/driver.rs");
     assert!(hits[0].2.contains("Bus::call"));

@@ -16,8 +16,7 @@
 //! ```
 //!
 //! The same shape works for `SqlClient`, `XmlClient` and `FileClient`
-//! (anything implementing [`DaisClient`]); the old constructors survive
-//! as deprecated shims that forward here.
+//! (anything implementing [`DaisClient`]).
 
 use crate::dais_client::DaisClient;
 use crate::resource_ref::ResourceRef;

@@ -33,32 +33,9 @@ pub struct CoreClient {
 }
 
 impl CoreClient {
-    /// Bind to a service address on the bus.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `CoreClient::builder().bus(..).address(..)` \
-                 (or `.resource(&ResourceRef)`) instead"
-    )]
-    pub fn new(bus: Bus, address: impl Into<String>) -> CoreClient {
-        CoreClient::from_service(ServiceClient::new(bus, address))
-    }
-
     /// Bind through an EPR obtained from a factory or `Resolve`.
     pub fn from_epr(bus: Bus, epr: Epr) -> CoreClient {
         CoreClient { inner: ServiceClient::from_epr(bus, epr) }
-    }
-
-    /// Bind to a service reached over `transport`.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `CoreClient::builder().bus(..).transport(..)` instead"
-    )]
-    pub fn with_transport(
-        bus: Bus,
-        transport: std::sync::Arc<dyn dais_soap::Transport>,
-        address: impl Into<String>,
-    ) -> CoreClient {
-        CoreClient::builder().bus(bus).transport(transport).address(address).build()
     }
 
     /// The raw SOAP client (realisations layer their own calls over it).

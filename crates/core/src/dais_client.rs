@@ -22,8 +22,7 @@ pub trait DaisClient: Sized {
 
     /// Wrap an already-configured raw client. This is the one true
     /// constructor — [`ClientBuilder`](crate::builder::ClientBuilder)
-    /// terminates here, and the deprecated per-client constructors
-    /// forward through it.
+    /// terminates here.
     fn from_service(service: ServiceClient) -> Self;
 
     /// Start assembling a client:

@@ -37,32 +37,9 @@ pub struct FileClient {
 }
 
 impl FileClient {
-    /// Bind to a service address on the bus.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `FileClient::builder().bus(..).address(..)` \
-                 (or `.resource(&ResourceRef)`) instead"
-    )]
-    pub fn new(bus: Bus, address: impl Into<String>) -> FileClient {
-        FileClient::from_service(ServiceClient::new(bus, address))
-    }
-
     /// Bind through an EPR from a factory response.
     pub fn from_epr(bus: Bus, epr: Epr) -> FileClient {
         FileClient { core: CoreClient::from_epr(bus, epr) }
-    }
-
-    /// Bind to a service reached over `transport`.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `FileClient::builder().bus(..).transport(..)` instead"
-    )]
-    pub fn with_transport(
-        bus: Bus,
-        transport: std::sync::Arc<dyn dais_soap::Transport>,
-        address: impl Into<String>,
-    ) -> FileClient {
-        FileClient::builder().bus(bus).transport(transport).address(address).build()
     }
 
     /// Layer retry over this client for the WS-DAIF read operations

@@ -59,32 +59,9 @@ pub struct SqlClient {
 }
 
 impl SqlClient {
-    /// Bind to a service address on the bus.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `SqlClient::builder().bus(..).address(..)` \
-                 (or `.resource(&ResourceRef)`) instead"
-    )]
-    pub fn new(bus: Bus, address: impl Into<String>) -> SqlClient {
-        SqlClient::from_service(ServiceClient::new(bus, address))
-    }
-
     /// Bind through an EPR from a factory response.
     pub fn from_epr(bus: Bus, epr: Epr) -> SqlClient {
         SqlClient { core: CoreClient::from_epr(bus, epr) }
-    }
-
-    /// Bind to a service reached over `transport`.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `SqlClient::builder().bus(..).transport(..)` instead"
-    )]
-    pub fn with_transport(
-        bus: Bus,
-        transport: std::sync::Arc<dyn dais_soap::Transport>,
-        address: impl Into<String>,
-    ) -> SqlClient {
-        SqlClient::builder().bus(bus).transport(transport).address(address).build()
     }
 
     /// Layer retry over this client for the WS-DAIR read operations
@@ -106,6 +83,34 @@ impl SqlClient {
         &self.core
     }
 
+    /// Send `req` and decode the serialised reply straight off its wire
+    /// bytes (one pooled buffer, no response element tree).
+    fn request_decoded<T>(
+        &self,
+        action: &str,
+        req: &XmlElement,
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
+    ) -> Result<T, CallError> {
+        let mut reply = PooledBuf::take();
+        self.core.soap().request_bytes_into(action, req, &mut reply)?;
+        decode(&reply).map_err(CallError::UnexpectedResponse)
+    }
+
+    /// Send one request per payload, keeping up to `window` in flight,
+    /// and decode each reply off its wire bytes. No retry layer applies
+    /// on the pipelined path.
+    fn pipelined_decoded<T>(
+        &self,
+        action: &str,
+        payloads: Vec<XmlElement>,
+        window: usize,
+        decode: impl Fn(&[u8]) -> Result<T, String>,
+    ) -> Vec<Result<T, CallError>> {
+        self.core.soap().request_pipelined_with(action, payloads, window, |reply| {
+            decode(&reply.wait_bytes()?).map_err(CallError::UnexpectedResponse)
+        })
+    }
+
     /// `SQLExecute` against many statements at once, keeping up to
     /// `window` requests in flight on the pipelined path; one result
     /// per statement, in input order. No retry layer applies on this
@@ -120,10 +125,12 @@ impl SqlClient {
             .iter()
             .map(|sql| messages::sql_execute_request(resource, ns::ROWSET, sql, &[]))
             .collect();
-        self.request_pipelined(actions::SQL_EXECUTE, payloads, window)
-            .into_iter()
-            .map(|result| parse_sql_response(result?))
-            .collect()
+        self.pipelined_decoded(
+            actions::SQL_EXECUTE,
+            payloads,
+            window,
+            SqlResponseData::from_reply_bytes,
+        )
     }
 
     /// `GetTuples` against many `(start, count)` pages at once, keeping
@@ -136,35 +143,16 @@ impl SqlClient {
         pages: &[(usize, usize)],
         window: usize,
     ) -> Vec<Result<Rowset, CallError>> {
-        // Without a queued executor the pipelined path degrades to
-        // sequential sends anyway, so take the raw lane instead: one
-        // pooled reply buffer reused across the whole batch, each page
-        // decoded with the pull parser.
-        if !self.core.soap().bus().has_queued_executor() {
-            let mut reply = PooledBuf::take();
-            return pages
-                .iter()
-                .map(|(start, count)| {
-                    let req = messages::get_tuples_request(resource, *start, *count);
-                    reply.clear();
-                    self.core.soap().request_bytes_into(actions::GET_TUPLES, &req, &mut reply)?;
-                    messages::rowset_from_reply_bytes(&reply).map_err(CallError::UnexpectedResponse)
-                })
-                .collect();
-        }
         let payloads = pages
             .iter()
             .map(|(start, count)| messages::get_tuples_request(resource, *start, *count))
             .collect();
-        self.request_pipelined(actions::GET_TUPLES, payloads, window)
-            .into_iter()
-            .map(|result| {
-                let data = parse_sql_response(result?)?;
-                data.rowsets.into_iter().next().ok_or_else(|| {
-                    CallError::UnexpectedResponse("GetTuples returned no rowset".into())
-                })
-            })
-            .collect()
+        self.pipelined_decoded(
+            actions::GET_TUPLES,
+            payloads,
+            window,
+            messages::rowset_from_reply_bytes,
+        )
     }
 
     /// `SQLExecute` — the direct access pattern (Figure 2).
@@ -177,7 +165,9 @@ impl SqlClient {
         self.execute_with_format(resource, ns::ROWSET, sql, params)
     }
 
-    /// `SQLExecute` requesting a specific dataset format URI.
+    /// `SQLExecute` requesting a specific dataset format URI. Whether
+    /// the request may be re-sent is decided per call, from the
+    /// statement it carries.
     pub fn execute_with_format(
         &self,
         resource: &AbstractName,
@@ -186,12 +176,14 @@ impl SqlClient {
         params: &[Value],
     ) -> Result<SqlResponseData, CallError> {
         let req = messages::sql_execute_request(resource, format_uri, sql, params);
-        let response = self.core.soap().request_with_idempotency(
+        let mut reply = PooledBuf::take();
+        self.core.soap().request_bytes_into_with_idempotency(
             actions::SQL_EXECUTE,
-            req,
+            &req,
             statement_is_read_only(sql),
+            &mut reply,
         )?;
-        parse_sql_response(response)
+        SqlResponseData::from_reply_bytes(&reply).map_err(CallError::UnexpectedResponse)
     }
 
     /// `GetSQLPropertyDocument`.
@@ -238,12 +230,10 @@ impl SqlClient {
     ) -> Result<Rowset, CallError> {
         let mut req = dais_core::messages::request("GetSQLRowsetRequest", resource);
         req.push(XmlElement::new(ns::WSDAIR, "wsdair", "Index").with_text(index.to_string()));
-        let response = self.core.soap().request(actions::GET_SQL_ROWSET, req)?;
-        let rowset = response
-            .child(ns::WSDAIR, "SQLRowset")
-            .and_then(|r| r.child(ns::ROWSET, "webRowSet"))
-            .ok_or_else(|| CallError::UnexpectedResponse("no SQLRowset".into()))?;
-        Rowset::from_xml(rowset).map_err(|e| CallError::UnexpectedResponse(e.to_string()))
+        self.request_decoded(actions::GET_SQL_ROWSET, &req, |bytes| {
+            let mut data = SqlResponseData::from_item_reply_bytes(bytes)?;
+            data.rowsets.pop().ok_or_else(|| "no SQLRowset".into())
+        })
     }
 
     /// `GetSQLUpdateCount` on a response resource.
@@ -299,23 +289,15 @@ impl SqlClient {
     ) -> Result<SqlResponseItem, CallError> {
         let mut req = dais_core::messages::request("GetSQLResponseItemRequest", resource);
         req.push(XmlElement::new(ns::WSDAIR, "wsdair", "Index").with_text(index.to_string()));
-        let response = self.core.soap().request(actions::GET_SQL_RESPONSE_ITEM, req)?;
-        if let Some(rowset) = response.child(ns::WSDAIR, "SQLRowset") {
-            let rowset = rowset
-                .child(ns::ROWSET, "webRowSet")
-                .ok_or_else(|| CallError::UnexpectedResponse("no webRowSet in SQLRowset".into()))?;
-            let rowset = Rowset::from_xml(rowset)
-                .map_err(|e| CallError::UnexpectedResponse(e.to_string()))?;
-            return Ok(SqlResponseItem::Rowset(rowset));
-        }
-        if let Some(count) = response.child_text(ns::WSDAIR, "SQLUpdateCount") {
-            let count = count
-                .trim()
-                .parse()
-                .map_err(|_| CallError::UnexpectedResponse("non-numeric SQLUpdateCount".into()))?;
-            return Ok(SqlResponseItem::UpdateCount(count));
-        }
-        Err(CallError::UnexpectedResponse("response item carried no rowset or count".into()))
+        self.request_decoded(actions::GET_SQL_RESPONSE_ITEM, &req, |bytes| {
+            let mut data = SqlResponseData::from_item_reply_bytes(bytes)?;
+            if let Some(rowset) = data.rowsets.pop() {
+                return Ok(SqlResponseItem::Rowset(rowset));
+            }
+            data.update_count()
+                .map(SqlResponseItem::UpdateCount)
+                .ok_or_else(|| "response item carried no rowset or count".into())
+        })
     }
 
     /// `GetSQLCommunicationArea` on a response resource.
@@ -324,11 +306,11 @@ impl SqlClient {
         resource: &AbstractName,
     ) -> Result<SqlCommunicationArea, CallError> {
         let req = dais_core::messages::request("GetSQLCommunicationAreaRequest", resource);
-        let response = self.core.soap().request(actions::GET_SQL_COMMUNICATION_AREA, req)?;
-        response
-            .child(ns::WSDAIR, "SQLCommunicationArea")
-            .and_then(SqlCommunicationArea::from_xml)
-            .ok_or_else(|| CallError::UnexpectedResponse("no SQLCommunicationArea".into()))
+        self.request_decoded(actions::GET_SQL_COMMUNICATION_AREA, &req, |bytes| {
+            let mut p = messages::open_reply(bytes)?;
+            messages::descend_to(&mut p, ns::WSDAIR, "SQLCommunicationArea")?;
+            SqlCommunicationArea::read_from(&mut p).map_err(|e| e.to_string())
+        })
     }
 
     /// `GetSQLResponsePropertyDocument`.
@@ -365,8 +347,6 @@ impl SqlClient {
     }
 
     /// `GetTuples` on a rowset resource (Figure 5): a page of rows.
-    /// The reply travels the raw lane and is decoded with the pull
-    /// parser, so the page never passes through a response element tree.
     pub fn get_tuples(
         &self,
         resource: &AbstractName,
@@ -374,9 +354,7 @@ impl SqlClient {
         count: usize,
     ) -> Result<Rowset, CallError> {
         let req = messages::get_tuples_request(resource, start, count);
-        let mut reply = PooledBuf::take();
-        self.core.soap().request_bytes_into(actions::GET_TUPLES, &req, &mut reply)?;
-        messages::rowset_from_reply_bytes(&reply).map_err(CallError::UnexpectedResponse)
+        self.request_decoded(actions::GET_TUPLES, &req, messages::rowset_from_reply_bytes)
     }
 
     /// `GetRowsetPropertyDocument`.
@@ -409,15 +387,6 @@ impl DaisClient for SqlClient {
     fn default_idempotent_actions() -> IdempotencySet {
         idempotent_actions()
     }
-}
-
-/// The `wsdair:SQLResponse` body shared by `SQLExecute` and `GetTuples`
-/// responses.
-fn parse_sql_response(response: XmlElement) -> Result<SqlResponseData, CallError> {
-    let inner = response
-        .child(ns::WSDAIR, "SQLResponse")
-        .ok_or_else(|| CallError::UnexpectedResponse("no SQLResponse in response".into()))?;
-    SqlResponseData::from_xml(inner).map_err(CallError::Fault)
 }
 
 #[cfg(test)]
@@ -652,46 +621,6 @@ mod tests {
         let ids: Vec<Value> = pages.into_iter().map(|p| p.unwrap().rows[0][0].clone()).collect();
         assert_eq!(ids, [Value::Int(1), Value::Int(2), Value::Int(3)]);
         bus.shutdown_executor();
-    }
-
-    #[test]
-    fn streamed_replies_are_byte_identical_to_the_tree_path() {
-        use dais_soap::envelope::Envelope;
-
-        let (_, client, db) = setup();
-        let epr =
-            client.execute_factory(&db, "SELECT * FROM item ORDER BY id", &[], None, None).unwrap();
-        let response_name = AbstractName::new(epr.resource_abstract_name().unwrap()).unwrap();
-        let rowset_epr = client.rowset_factory(&response_name, None, None).unwrap();
-        let rowset_name = AbstractName::new(rowset_epr.resource_abstract_name().unwrap()).unwrap();
-
-        // GetTuples: raw reply bytes == the materialised tree construction.
-        let req = messages::get_tuples_request(&rowset_name, 0, 2);
-        let mut raw = Vec::new();
-        client.core().soap().request_bytes_into(actions::GET_TUPLES, &req, &mut raw).unwrap();
-        let data = SqlResponseData {
-            rowsets: vec![client.get_tuples(&rowset_name, 0, 2).unwrap()],
-            communication_area: SqlCommunicationArea::success(),
-            ..Default::default()
-        };
-        let tree = Envelope::with_body(
-            XmlElement::new(ns::WSDAIR, "wsdair", "GetTuplesResponse").with_child(data.to_xml()),
-        );
-        assert_eq!(raw, tree.to_bytes());
-
-        // SQLExecute on a SELECT: ditto, including the 02000 comm area
-        // an empty result carries.
-        for sql in ["SELECT name FROM item ORDER BY id", "SELECT id FROM item WHERE id > 99"] {
-            let req = messages::sql_execute_request(&db, ns::ROWSET, sql, &[]);
-            let mut raw = Vec::new();
-            client.core().soap().request_bytes_into(actions::SQL_EXECUTE, &req, &mut raw).unwrap();
-            let data = client.execute(&db, sql, &[]).unwrap();
-            let tree = Envelope::with_body(
-                XmlElement::new(ns::WSDAIR, "wsdair", "SQLExecuteResponse")
-                    .with_child(data.to_xml()),
-            );
-            assert_eq!(raw, tree.to_bytes(), "{sql}");
-        }
     }
 
     #[test]

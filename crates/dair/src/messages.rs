@@ -173,61 +173,43 @@ impl SqlResponseData {
         data
     }
 
-    /// Serialise as a `wsdair:SQLResponse` element.
-    pub fn to_xml(&self) -> XmlElement {
-        let mut el = XmlElement::new(ns::WSDAIR, "wsdair", "SQLResponse");
+    /// Stream the reply frame `wrapper(SQLResponse(…))` carrying this
+    /// data: rowsets, update counts, procedure results, then the
+    /// communication area.
+    pub fn write_response<S: XmlSink>(&self, w: &mut XmlWriter<'_, S>, wrapper: &str) {
+        begin_sql_response(w, wrapper);
         for r in &self.rowsets {
-            el.push(XmlElement::new(ns::WSDAIR, "wsdair", "SQLRowset").with_child(r.to_xml()));
+            write_sql_rowset(w, |w| r.write_into(w));
         }
         for n in &self.update_counts {
-            el.push(
-                XmlElement::new(ns::WSDAIR, "wsdair", "SQLUpdateCount").with_text(n.to_string()),
-            );
+            write_update_count(w, *n);
         }
         if let Some(v) = &self.return_value {
-            el.push(
-                XmlElement::new(ns::WSDAIR, "wsdair", "SQLReturnValue")
-                    .with_text(v.to_display_string()),
-            );
+            w.start(&wsdair("SQLReturnValue"));
+            w.text(&v.to_display_string());
+            w.end();
         }
         for (name, v) in &self.output_parameters {
-            el.push(
-                XmlElement::new(ns::WSDAIR, "wsdair", "SQLOutputParameter")
-                    .with_attr("name", name)
-                    .with_text(v.to_display_string()),
-            );
+            w.start(&wsdair("SQLOutputParameter"));
+            w.attr("name", name);
+            w.text(&v.to_display_string());
+            w.end();
         }
-        el.push(self.communication_area.to_xml());
-        el
+        end_sql_response(w, &self.communication_area);
     }
 
-    /// Parse back from the message form.
-    pub fn from_xml(el: &XmlElement) -> Result<SqlResponseData, Fault> {
-        if !el.name.is(ns::WSDAIR, "SQLResponse") {
-            return Err(Fault::client(format!("expected wsdair:SQLResponse, found {}", el.name)));
-        }
-        let mut data = SqlResponseData::default();
-        for rs in el.children_named(ns::WSDAIR, "SQLRowset") {
-            let inner = rs
-                .child(ns::ROWSET, "webRowSet")
-                .ok_or_else(|| Fault::client("SQLRowset carries no webRowSet"))?;
-            data.rowsets.push(Rowset::from_xml(inner).map_err(|e| Fault::client(e.to_string()))?);
-        }
-        for n in el.children_named(ns::WSDAIR, "SQLUpdateCount") {
-            data.update_counts.push(n.text().trim().parse().unwrap_or(0));
-        }
-        if let Some(rv) = el.child(ns::WSDAIR, "SQLReturnValue") {
-            data.return_value = Some(Value::Str(rv.text()));
-        }
-        for p in el.children_named(ns::WSDAIR, "SQLOutputParameter") {
-            data.output_parameters
-                .push((p.attribute("name").unwrap_or_default().to_string(), Value::Str(p.text())));
-        }
-        data.communication_area = el
-            .child(ns::WSDAIR, "SQLCommunicationArea")
-            .and_then(SqlCommunicationArea::from_xml)
-            .unwrap_or_default();
-        Ok(data)
+    /// Decode a serialised `wrapper(SQLResponse(items…))` reply envelope
+    /// (`SQLExecute`, `GetTuples`) straight off its wire bytes.
+    pub fn from_reply_bytes(bytes: &[u8]) -> Result<SqlResponseData, String> {
+        let mut p = open_reply(bytes)?;
+        descend_to(&mut p, ns::WSDAIR, "SQLResponse")?;
+        read_response_items(p)
+    }
+
+    /// Decode a serialised reply envelope whose wrapper holds response
+    /// items directly (`GetSQLRowset`, `GetSQLResponseItem`).
+    pub fn from_item_reply_bytes(bytes: &[u8]) -> Result<SqlResponseData, String> {
+        read_response_items(open_reply(bytes)?)
     }
 
     /// The first rowset, if any.
@@ -241,70 +223,167 @@ impl SqlResponseData {
     }
 }
 
-/// Stream a `GetTuplesResponse` (Figure 5) for one page window:
-/// `GetTuplesResponse(SQLResponse(SQLRowset(webRowSet), SQLCommunicationArea))`
-/// with the page encoded straight out of the backing rowset — no page
-/// clone, no element tree. Byte-identical to serialising the
-/// materialised form (`SqlResponseData::to_xml` wrapped the same way).
+fn wsdair(local: &str) -> QName {
+    QName::new(ns::WSDAIR, "wsdair", local)
+}
+
+/// Open the relational reply frame, `wrapper(SQLResponse(`: the response
+/// items follow — each rowset through [`write_sql_rowset`] — and
+/// [`end_sql_response`] closes it. Together the one writer of the frame.
+pub fn begin_sql_response<S: XmlSink>(w: &mut XmlWriter<'_, S>, wrapper: &str) {
+    w.start(&wsdair(wrapper));
+    w.start(&wsdair("SQLResponse"));
+}
+
+/// Close the frame [`begin_sql_response`] opened. The communication
+/// area serialises last because a streamed rowset only knows its row
+/// count once drained.
+pub fn end_sql_response<S: XmlSink>(
+    w: &mut XmlWriter<'_, S>,
+    communication_area: &SqlCommunicationArea,
+) {
+    w.element(&communication_area.to_xml());
+    w.end();
+    w.end();
+}
+
+/// `SQLRowset(webRowSet)` around whatever streams the WebRowSet
+/// document — a held rowset's window, an engine cursor, a k-way merge.
+pub fn write_sql_rowset<S: XmlSink, T>(
+    w: &mut XmlWriter<'_, S>,
+    webrowset: impl FnOnce(&mut XmlWriter<'_, S>) -> T,
+) -> T {
+    w.start(&wsdair("SQLRowset"));
+    let out = webrowset(w);
+    w.end();
+    out
+}
+
+/// `wrapper(item)`: the reply shape of `GetSQLRowset` and
+/// `GetSQLResponseItem`, whose wrapper holds one response item directly.
+pub fn write_item_response<S: XmlSink>(
+    w: &mut XmlWriter<'_, S>,
+    wrapper: &str,
+    item: impl FnOnce(&mut XmlWriter<'_, S>),
+) {
+    w.start(&wsdair(wrapper));
+    item(w);
+    w.end();
+}
+
+/// One `SQLUpdateCount` response item.
+pub fn write_update_count<S: XmlSink>(w: &mut XmlWriter<'_, S>, count: u64) {
+    w.start(&wsdair("SQLUpdateCount"));
+    w.text(&count.to_string());
+    w.end();
+}
+
+/// Stream a `GetTuplesResponse` (Figure 5) for one page window, encoded
+/// straight out of the backing rowset — no page clone, no element tree.
 pub fn write_get_tuples_response<S: XmlSink>(
     w: &mut XmlWriter<'_, S>,
     rowset: &Rowset,
     start: usize,
     count: usize,
 ) {
-    w.start(&QName::new(ns::WSDAIR, "wsdair", "GetTuplesResponse"));
-    w.start(&QName::new(ns::WSDAIR, "wsdair", "SQLResponse"));
-    w.start(&QName::new(ns::WSDAIR, "wsdair", "SQLRowset"));
-    rowset.write_window_into(start, count, w);
-    w.end();
-    w.element(&SqlCommunicationArea::success().to_xml());
-    w.end();
-    w.end();
+    begin_sql_response(w, "GetTuplesResponse");
+    write_sql_rowset(w, |w| rowset.write_window_into(start, count, w));
+    end_sql_response(w, &SqlCommunicationArea::success());
 }
 
 /// Stream a query's `SQLExecuteResponse` from a cursor: rows are
-/// encoded as the scan yields them, and the communication area — which
-/// serialises last — is decided once the row count is known (SQLSTATE
-/// 02000 for an empty result, matching
-/// `StatementResult::communication_area`). On an evaluation error the
-/// sink holds a partial fragment; the caller must discard it.
+/// encoded as the scan yields them, and the communication area is
+/// decided once the row count is known (SQLSTATE 02000 for an empty
+/// result, matching `StatementResult::communication_area`). On an
+/// evaluation error the sink holds a partial fragment; the caller must
+/// discard it.
 pub fn write_sql_execute_query_response<S: XmlSink>(
     w: &mut XmlWriter<'_, S>,
     stream: &mut RowStream<'_>,
 ) -> Result<(), dais_sql::SqlError> {
-    w.start(&QName::new(ns::WSDAIR, "wsdair", "SQLExecuteResponse"));
-    w.start(&QName::new(ns::WSDAIR, "wsdair", "SQLResponse"));
-    w.start(&QName::new(ns::WSDAIR, "wsdair", "SQLRowset"));
-    let mut rw = RowsetWriter::new();
-    rw.begin(w, stream.columns());
-    let mut rows = 0u64;
-    while let Some(row) = stream.next()? {
-        rw.row(w, row.iter());
-        rows += 1;
-    }
-    rw.finish(w);
-    w.end();
-    let comm = if rows == 0 {
+    begin_sql_response(w, "SQLExecuteResponse");
+    let rows = write_sql_rowset(w, |w| {
+        let mut rw = RowsetWriter::new();
+        rw.begin(w, stream.columns());
+        let mut rows = 0u64;
+        while let Some(row) = stream.next()? {
+            rw.row(w, row.iter());
+            rows += 1;
+        }
+        rw.finish(w);
+        Ok::<u64, dais_sql::SqlError>(rows)
+    })?;
+    let communication_area = if rows == 0 {
         SqlCommunicationArea { sqlstate: "02000".into(), ..SqlCommunicationArea::success() }
     } else {
         SqlCommunicationArea::success()
     };
-    w.element(&comm.to_xml());
-    w.end();
-    w.end();
+    end_sql_response(w, &communication_area);
     Ok(())
+}
+
+fn describe(e: impl std::fmt::Display) -> String {
+    e.to_string()
+}
+
+/// Read response items up to the end tag of the element `p` is
+/// positioned inside. Each rowset is drained through a [`RowsetCursor`],
+/// which takes the parser for the embedded `webRowSet` document and
+/// hands it back positioned after it.
+fn read_response_items(mut p: PullParser<'_>) -> Result<SqlResponseData, String> {
+    let mut data = SqlResponseData::default();
+    let mut text = String::new();
+    loop {
+        let item = match p.next().map_err(describe)? {
+            Some(PullEvent::Start { local, .. }) => local,
+            Some(PullEvent::Text(_)) => continue,
+            Some(PullEvent::End) | None => return Ok(data),
+        };
+        text.clear();
+        match item {
+            "SQLRowset" => {
+                let mut cursor = RowsetCursor::new(p).map_err(describe)?;
+                data.rowsets.push(Rowset::from_cursor(&mut cursor).map_err(describe)?);
+                p = cursor.finish().map_err(describe)?;
+                p.skip_element().map_err(describe)?;
+            }
+            "SQLUpdateCount" => {
+                p.text_content_into(&mut text).map_err(describe)?;
+                let count = text.trim().parse().map_err(|_| "non-numeric SQLUpdateCount")?;
+                data.update_counts.push(count);
+            }
+            "SQLReturnValue" => {
+                p.text_content_into(&mut text).map_err(describe)?;
+                data.return_value = Some(Value::Str(text.clone()));
+            }
+            "SQLOutputParameter" => {
+                let name = p.attr("name").unwrap_or_default().to_string();
+                p.text_content_into(&mut text).map_err(describe)?;
+                data.output_parameters.push((name, Value::Str(text.clone())));
+            }
+            "SQLCommunicationArea" => {
+                data.communication_area =
+                    SqlCommunicationArea::read_from(&mut p).map_err(describe)?;
+            }
+            _ => p.skip_element().map_err(describe)?,
+        }
+    }
 }
 
 /// Advance past other children until a `Start` of `{namespace}local`,
 /// leaving the parser positioned just inside that element.
-fn descend_to(p: &mut PullParser<'_>, namespace: &str, local: &str) -> Result<(), String> {
+pub(crate) fn descend_to(
+    p: &mut PullParser<'_>,
+    namespace: &str,
+    local: &str,
+) -> Result<(), String> {
     loop {
-        match p.next().map_err(|e| e.to_string())? {
+        match p.next().map_err(describe)? {
             Some(PullEvent::Start { namespace: ns_, local: l }) => {
                 if ns_.as_str() == namespace && l == local {
                     return Ok(());
                 }
-                p.skip_element().map_err(|e| e.to_string())?;
+                p.skip_element().map_err(describe)?;
             }
             Some(PullEvent::Text(_)) => continue,
             Some(PullEvent::End) | None => return Err(format!("reply carries no {local} element")),
@@ -312,51 +391,39 @@ fn descend_to(p: &mut PullParser<'_>, namespace: &str, local: &str) -> Result<()
     }
 }
 
-/// Decode the first rowset out of a serialised reply envelope whose
-/// payload follows the shared `SQLResponse` shape (`GetTuples` and
-/// `SQLExecute` replies): Envelope → Body → payload wrapper →
-/// SQLResponse → SQLRowset → webRowSet, walked with the pull parser so
-/// the page decodes straight off the wire bytes with no element tree.
-pub fn rowset_from_reply_bytes(bytes: &[u8]) -> Result<Rowset, String> {
+/// The one walk into a serialised reply envelope: Envelope → Body →
+/// payload wrapper (`SQLExecuteResponse`, `GetTuplesResponse`, …),
+/// leaving the parser positioned just inside the wrapper.
+pub(crate) fn open_reply(bytes: &[u8]) -> Result<PullParser<'_>, String> {
     let text = std::str::from_utf8(bytes).map_err(|e| format!("reply is not UTF-8: {e}"))?;
-    let mut p = PullParser::new(text).map_err(|e| e.to_string())?;
-    match p.next().map_err(|e| e.to_string())? {
+    let mut p = PullParser::new(text).map_err(describe)?;
+    match p.next().map_err(describe)? {
         Some(PullEvent::Start { namespace, local })
             if namespace.as_str() == ns::SOAP_ENV && local == "Envelope" => {}
         _ => return Err("reply is not a SOAP envelope".into()),
     }
     descend_to(&mut p, ns::SOAP_ENV, "Body")?;
-    // The payload wrapper (GetTuplesResponse / SQLExecuteResponse /
-    // anything else with this response shape).
-    match p.next().map_err(|e| e.to_string())? {
-        Some(PullEvent::Start { .. }) => {}
-        _ => return Err("reply has an empty SOAP body".into()),
+    match p.next().map_err(describe)? {
+        Some(PullEvent::Start { .. }) => Ok(p),
+        _ => Err("reply has an empty SOAP body".into()),
     }
-    descend_to(&mut p, ns::WSDAIR, "SQLResponse")?;
-    descend_to(&mut p, ns::WSDAIR, "SQLRowset")?;
-    Rowset::read_from_pull(&mut p).map_err(|e| e.to_string())
 }
 
-/// Like [`rowset_from_reply_bytes`], but stop after the metadata block
-/// and hand back a [`RowsetCursor`] yielding rows on demand — the
-/// federation k-way merge holds one of these per shard and never
-/// materialises any shard's page.
+/// Decode the first rowset of a serialised `wrapper(SQLResponse(…))`
+/// reply: a [`rowset_cursor_from_reply_bytes`] cursor, drained.
+pub fn rowset_from_reply_bytes(bytes: &[u8]) -> Result<Rowset, String> {
+    Rowset::from_cursor(&mut rowset_cursor_from_reply_bytes(bytes)?).map_err(describe)
+}
+
+/// Walk a serialised reply to its first rowset and stop after the
+/// metadata block, handing back a [`RowsetCursor`] that yields rows on
+/// demand — the federation k-way merge holds one of these per shard and
+/// never materialises any shard's page.
 pub fn rowset_cursor_from_reply_bytes(bytes: &[u8]) -> Result<RowsetCursor<'_>, String> {
-    let text = std::str::from_utf8(bytes).map_err(|e| format!("reply is not UTF-8: {e}"))?;
-    let mut p = PullParser::new(text).map_err(|e| e.to_string())?;
-    match p.next().map_err(|e| e.to_string())? {
-        Some(PullEvent::Start { namespace, local })
-            if namespace.as_str() == ns::SOAP_ENV && local == "Envelope" => {}
-        _ => return Err("reply is not a SOAP envelope".into()),
-    }
-    descend_to(&mut p, ns::SOAP_ENV, "Body")?;
-    match p.next().map_err(|e| e.to_string())? {
-        Some(PullEvent::Start { .. }) => {}
-        _ => return Err("reply has an empty SOAP body".into()),
-    }
+    let mut p = open_reply(bytes)?;
     descend_to(&mut p, ns::WSDAIR, "SQLResponse")?;
     descend_to(&mut p, ns::WSDAIR, "SQLRowset")?;
-    RowsetCursor::new(p).map_err(|e| e.to_string())
+    RowsetCursor::new(p).map_err(describe)
 }
 
 /// Build a `GetTuplesRequest` (Figure 5): a rowset page by position.
@@ -442,22 +509,64 @@ mod tests {
         assert!(parse_sql_expression(&body).is_err());
     }
 
+    /// The reply envelope a service would send for `data`.
+    fn reply_bytes(data: &SqlResponseData, wrapper: &str) -> Vec<u8> {
+        let mut fragment = String::new();
+        let mut w = XmlWriter::new(&mut fragment);
+        data.write_response(&mut w, wrapper);
+        w.finish();
+        dais_soap::envelope::Envelope::with_raw_body(fragment).to_bytes()
+    }
+
     #[test]
     fn response_data_roundtrip() {
-        let mut rowset = Rowset::new(vec![RowsetColumn { name: "n".into(), ty: SqlType::Integer }]);
-        rowset.rows.push(vec![Value::Int(1)]);
-        rowset.rows.push(vec![Value::Int(2)]);
+        let mut counted =
+            Rowset::new(vec![RowsetColumn { name: "n".into(), ty: SqlType::Integer }]);
+        counted.rows.push(vec![Value::Int(1)]);
+        counted.rows.push(vec![Value::Int(2)]);
         let data = SqlResponseData {
-            rowsets: vec![rowset],
-            update_counts: vec![3],
-            return_value: None,
-            output_parameters: vec![],
-            communication_area: SqlCommunicationArea::with_update_count(3),
+            rowsets: vec![counted, awkward_rowset()],
+            update_counts: vec![3, 0],
+            return_value: Some(Value::Str("rv".into())),
+            output_parameters: vec![("p <1>".into(), Value::Str("out & about".into()))],
+            communication_area: SqlCommunicationArea {
+                messages: vec!["note".into()],
+                ..SqlCommunicationArea::with_update_count(3)
+            },
         };
-        let rt = SqlResponseData::from_xml(&data.to_xml()).unwrap();
-        assert_eq!(rt, data);
-        assert_eq!(rt.rowset().unwrap().row_count(), 2);
-        assert_eq!(rt.update_count(), Some(3));
+        let rt = SqlResponseData::from_reply_bytes(&reply_bytes(&data, "SQLExecuteResponse"));
+        assert_eq!(rt.unwrap(), data);
+        assert_eq!(data.rowset().unwrap().row_count(), 2);
+        assert_eq!(data.update_count(), Some(3));
+    }
+
+    #[test]
+    fn malformed_replies_are_reported_not_guessed() {
+        let data = SqlResponseData {
+            update_counts: vec![3],
+            communication_area: SqlCommunicationArea::with_update_count(3),
+            ..Default::default()
+        };
+        let text = String::from_utf8(reply_bytes(&data, "SQLExecuteResponse")).unwrap();
+        assert_eq!(SqlResponseData::from_reply_bytes(text.as_bytes()).unwrap(), data);
+        for (what, bad) in [
+            ("a non-numeric count", text.replacen(">3<", ">many<", 1)),
+            ("an SQLRowset without a webRowSet", text.replacen(">3<", "><wsdair:SQLRowset/><", 1)),
+            ("a truncated reply", text[..text.len() / 2].to_string()),
+            ("not an envelope", "<x/>".to_string()),
+        ] {
+            assert!(SqlResponseData::from_reply_bytes(bad.as_bytes()).is_err(), "accepted {what}");
+        }
+        // A wrapper with no `SQLResponse` is not an empty success; read
+        // as an item reply it simply holds no items.
+        let bare = dais_soap::envelope::Envelope::with_body(XmlElement::new(
+            ns::WSDAIR,
+            "wsdair",
+            "SQLExecuteResponse",
+        ))
+        .to_bytes();
+        assert!(SqlResponseData::from_reply_bytes(&bare).is_err());
+        assert_eq!(SqlResponseData::from_item_reply_bytes(&bare).unwrap(), Default::default());
     }
 
     #[test]
@@ -498,27 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_get_tuples_response_matches_tree_serialisation() {
-        let rowset = awkward_rowset();
-        for (start, count) in [(0, 10), (1, 3), (4, 5), (9, 2), (0, 0)] {
-            let mut streamed = String::new();
-            let mut w = XmlWriter::new(&mut streamed);
-            write_get_tuples_response(&mut w, &rowset, start, count);
-            w.finish();
-
-            let data = SqlResponseData {
-                rowsets: vec![rowset.slice(start, count)],
-                communication_area: SqlCommunicationArea::success(),
-                ..Default::default()
-            };
-            let tree = XmlElement::new(ns::WSDAIR, "wsdair", "GetTuplesResponse")
-                .with_child(data.to_xml());
-            assert_eq!(streamed, dais_xml::to_string(&tree), "window ({start}, {count})");
-        }
-    }
-
-    #[test]
-    fn streamed_execute_response_matches_tree_serialisation() {
+    fn cursor_fed_execute_response_matches_the_materialised_encoding() {
         let db = dais_sql::Database::new("m");
         db.execute_script(
             "CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR);
@@ -536,10 +625,14 @@ mod tests {
             })
             .unwrap();
 
+            // The same statement collected into a rowset first: same
+            // rows, same SQLSTATE (02000 when empty), same bytes.
             let result = db.execute(sql, &[]).unwrap();
-            let tree = XmlElement::new(ns::WSDAIR, "wsdair", "SQLExecuteResponse")
-                .with_child(SqlResponseData::from_result(&result).to_xml());
-            assert_eq!(streamed, dais_xml::to_string(&tree), "{sql}");
+            let mut materialised = String::new();
+            let mut w = XmlWriter::new(&mut materialised);
+            SqlResponseData::from_result(&result).write_response(&mut w, "SQLExecuteResponse");
+            w.finish();
+            assert_eq!(streamed, materialised, "{sql}");
         }
     }
 

@@ -68,9 +68,9 @@ impl SqlDataResource {
     }
 
     /// Stream a SELECT's `SQLExecuteResponse` fragment straight from
-    /// the engine cursor into `out` — the zero-materialisation
-    /// direct-access path (rows never collect into a rowset). On error
-    /// `out` may hold a partial fragment; callers must discard it.
+    /// the engine cursor into `out` (rows never collect into a rowset).
+    /// On error `out` may hold a partial fragment; callers must discard
+    /// it.
     pub fn execute_query_streamed(
         &self,
         sql: &str,
@@ -123,8 +123,22 @@ impl DataResource for SqlDataResource {
                 format!("language '{language}' is not supported; use {SQL_LANGUAGE_URI}"),
             ));
         }
+        // The core operation returns element trees, so one is derived
+        // here by parsing what the one `SQLResponse` encoder streams.
         let data = self.execute(expression, &[])?;
-        Ok(vec![data.to_xml()])
+        let mut fragment = String::new();
+        let mut w = XmlWriter::new(&mut fragment);
+        data.write_response(&mut w, "SQLExecuteResponse");
+        w.finish();
+        let wrapper = dais_xml::parse(&fragment).map_err(|e| Fault::server(e.to_string()))?;
+        Ok(wrapper
+            .children
+            .into_iter()
+            .filter_map(|node| match node {
+                dais_xml::XmlNode::Element(response) => Some(response),
+                _ => None,
+            })
+            .collect())
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -249,11 +263,6 @@ impl RowsetResource {
     pub fn rowset(&self) -> &Rowset {
         &self.rowset
     }
-
-    /// A page of tuples.
-    pub fn tuples(&self, start: usize, count: usize) -> Rowset {
-        self.rowset.slice(start, count)
-    }
 }
 
 impl DataResource for RowsetResource {
@@ -333,8 +342,12 @@ mod tests {
     fn generic_query_sql_language() {
         let r = SqlDataResource::new(name("urn:dais:s:db:0"), db());
         let out = r.generic_query(SQL_LANGUAGE_URI, "SELECT COUNT(*) FROM t").unwrap();
-        let resp = SqlResponseData::from_xml(&out[0]).unwrap();
-        assert_eq!(resp.rowset().unwrap().rows[0][0], Value::Int(3));
+        assert_eq!(out.len(), 1);
+        assert!(out[0].name.is(ns::WSDAIR, "SQLResponse"));
+        let cell = ["webRowSet", "data", "currentRow", "columnValue"]
+            .iter()
+            .fold(out[0].child(ns::WSDAIR, "SQLRowset"), |el, local| el?.child(ns::ROWSET, local));
+        assert_eq!(cell.unwrap().text(), "3");
         assert!(r.generic_query("urn:xquery", "x").unwrap_err().is(DaisFault::InvalidLanguage));
     }
 
@@ -407,9 +420,7 @@ mod tests {
         let props =
             CoreProperties::new(name("urn:dais:s:rs:0"), ResourceManagementKind::ServiceManaged);
         let r = RowsetResource::new(props, rowset);
-        assert_eq!(r.tuples(0, 2).row_count(), 2);
-        assert_eq!(r.tuples(2, 2).row_count(), 1);
-        assert_eq!(r.tuples(5, 2).row_count(), 0);
+        assert_eq!(r.rowset().row_count(), 3);
         let doc = r.property_document();
         assert_eq!(doc.child_text(ns::WSDAIR, "NumberOfRows").as_deref(), Some("3"));
         assert_eq!(doc.child(ns::WSDAIR, "RowSchema").unwrap().elements().count(), 2);

@@ -18,7 +18,7 @@ use dais_soap::bus::Bus;
 use dais_soap::envelope::Envelope;
 use dais_soap::fault::{DaisFault, Fault};
 use dais_soap::service::SoapDispatcher;
-use dais_sql::Database;
+use dais_sql::{Database, Rowset};
 use dais_wsrf::LifetimeRegistry;
 use dais_xml::{ns, QName, XmlElement, XmlWriter};
 use std::sync::Arc;
@@ -29,6 +29,16 @@ fn payload(request: &Envelope) -> Result<&XmlElement, Fault> {
 
 fn respond(element: XmlElement) -> Result<Envelope, Fault> {
     Ok(Envelope::with_body(element))
+}
+
+/// A reply that carries rows: its body is streamed once through `write`
+/// into a raw-body envelope, never built as a tree.
+fn respond_streamed(write: impl FnOnce(&mut XmlWriter<'_, String>)) -> Result<Envelope, Fault> {
+    let mut fragment = String::new();
+    let mut w = XmlWriter::new(&mut fragment);
+    write(&mut w);
+    w.finish();
+    Ok(Envelope::with_raw_body(fragment))
 }
 
 fn as_sql_resource(resource: &Arc<dyn dais_core::DataResource>) -> Result<&SqlDataResource, Fault> {
@@ -91,19 +101,16 @@ pub fn register_sql_access(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceCont
             None => (sql, params),
         };
 
-        // SELECTs stream: rows are encoded off the engine cursor into a
-        // raw-body reply (byte-identical to the tree path) without ever
-        // materialising a rowset. The post-rewrite text decides, since
-        // a rewriter may change the statement class.
+        // SELECTs encode rows off the engine cursor as the scan yields
+        // them, without ever materialising a rowset. The post-rewrite
+        // text decides, since a rewriter may change the statement class.
         if SqlDataResource::is_read_only_statement(&sql) {
             let mut fragment = String::new();
             sql_resource.execute_query_streamed(&sql, &params, &mut fragment)?;
             return Ok(Envelope::with_raw_body(fragment));
         }
         let data = sql_resource.execute(&sql, &params)?;
-        let mut response = XmlElement::new(ns::WSDAIR, "wsdair", "SQLExecuteResponse");
-        response.push(data.to_xml());
-        respond(response)
+        respond_streamed(|w| data.write_response(w, "SQLExecuteResponse"))
     });
 
     let c = ctx;
@@ -188,10 +195,11 @@ pub fn register_response_access(dispatcher: &mut SoapDispatcher, ctx: Arc<Servic
                 data.rowsets.len()
             ))
         })?;
-        let mut response = XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLRowsetResponse");
-        response
-            .push(XmlElement::new(ns::WSDAIR, "wsdair", "SQLRowset").with_child(rowset.to_xml()));
-        respond(response)
+        respond_streamed(|w| {
+            messages::write_item_response(w, "GetSQLRowsetResponse", |w| {
+                messages::write_sql_rowset(w, |w| rowset.write_into(w))
+            })
+        })
     });
 
     let c = ctx.clone();
@@ -268,19 +276,17 @@ pub fn register_response_access(dispatcher: &mut SoapDispatcher, ctx: Arc<Servic
                 "response has {total} item(s), index {i} requested"
             )));
         }
-        let mut response = XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLResponseItemResponse");
-        if i <= data.rowsets.len() {
-            response.push(
-                XmlElement::new(ns::WSDAIR, "wsdair", "SQLRowset")
-                    .with_child(data.rowsets[i - 1].to_xml()),
-            );
-        } else {
-            response.push(
-                XmlElement::new(ns::WSDAIR, "wsdair", "SQLUpdateCount")
-                    .with_text(data.update_counts[i - 1 - data.rowsets.len()].to_string()),
-            );
-        }
-        respond(response)
+        respond_streamed(|w| {
+            messages::write_item_response(w, "GetSQLResponseItemResponse", |w| {
+                match data.rowsets.get(i - 1) {
+                    Some(rowset) => messages::write_sql_rowset(w, |w| rowset.write_into(w)),
+                    None => messages::write_update_count(
+                        w,
+                        data.update_counts[i - 1 - data.rowsets.len()],
+                    ),
+                }
+            })
+        })
     });
 }
 
@@ -314,10 +320,13 @@ pub fn register_response_factory(
         })?;
         // Figure 5 shows a Count parameter: an optional cap on the rows
         // materialised into the derived rowset resource.
-        let rowset = match body.child_text(ns::WSDAIR, "Count").and_then(|t| t.trim().parse().ok())
-        {
-            Some(count) => rowset.slice(0, count),
-            None => rowset.clone(),
+        let cap = body
+            .child_text(ns::WSDAIR, "Count")
+            .and_then(|t| t.trim().parse().ok())
+            .unwrap_or(usize::MAX);
+        let rowset = Rowset {
+            columns: rowset.columns.clone(),
+            rows: rowset.rows.iter().take(cap).cloned().collect(),
         };
 
         let name = names.mint("rowset");
@@ -343,12 +352,10 @@ pub fn register_rowset_access(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceC
         let (start, count) = messages::parse_get_tuples(body)?;
         // Figure 5: GetTuplesResponse(SQLResponse(SQLRowset, SQLCommunicationArea)),
         // with the page window encoded straight out of the backing
-        // rowset into a raw-body reply — no page clone, no element tree.
-        let mut fragment = String::new();
-        let mut w = XmlWriter::new(&mut fragment);
-        messages::write_get_tuples_response(&mut w, rowset_resource.rowset(), start, count);
-        w.finish();
-        Ok(Envelope::with_raw_body(fragment))
+        // rowset — no page clone.
+        respond_streamed(|w| {
+            messages::write_get_tuples_response(w, rowset_resource.rowset(), start, count)
+        })
     });
 
     let c = ctx;

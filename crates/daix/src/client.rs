@@ -37,31 +37,8 @@ pub struct XmlClient {
 }
 
 impl XmlClient {
-    /// Bind to a service address on the bus.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `XmlClient::builder().bus(..).address(..)` \
-                 (or `.resource(&ResourceRef)`) instead"
-    )]
-    pub fn new(bus: Bus, address: impl Into<String>) -> XmlClient {
-        XmlClient::from_service(ServiceClient::new(bus, address))
-    }
-
     pub fn from_epr(bus: Bus, epr: Epr) -> XmlClient {
         XmlClient { core: CoreClient::from_epr(bus, epr) }
-    }
-
-    /// Bind to a service reached over `transport`.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `XmlClient::builder().bus(..).transport(..)` instead"
-    )]
-    pub fn with_transport(
-        bus: Bus,
-        transport: std::sync::Arc<dyn dais_soap::Transport>,
-        address: impl Into<String>,
-    ) -> XmlClient {
-        XmlClient::builder().bus(bus).transport(transport).address(address).build()
     }
 
     /// Layer retry over this client for the WS-DAIX read operations

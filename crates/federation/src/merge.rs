@@ -206,8 +206,8 @@ mod tests {
         let mut w = XmlWriter::new(&mut out);
         merge_cursors(&mut w, cursors, order, skip, take).unwrap();
         w.finish();
-        let mut p = PullParser::new(&out).unwrap();
-        Rowset::read_from_pull(&mut p).unwrap()
+        let mut merged = RowsetCursor::new(PullParser::new(&out).unwrap()).unwrap();
+        Rowset::from_cursor(&mut merged).unwrap()
     }
 
     fn ids(r: &Rowset) -> Vec<i64> {

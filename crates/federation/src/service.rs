@@ -237,10 +237,10 @@ impl DataResource for FederatedRowsetResource {
     }
 }
 
-/// Scatter one request per shard over the raw lane — concurrently, via
+/// Scatter one request per shard — concurrently, via
 /// [`scatter_shards`], so one slow or backing-off shard does not stall
-/// the gather of its siblings — and collect the reply pages in shard
-/// order. Each shard call runs through [`call_shard`], so replica
+/// the gather of its siblings — and collect the serialised reply pages
+/// in shard order. Each shard call runs through [`call_shard`], so replica
 /// failover and health marking apply per shard.
 fn scatter_pages(
     bus: &Bus,
@@ -262,9 +262,9 @@ fn scatter_pages(
     .collect()
 }
 
-/// Merge gathered pages into `wrapper(SQLResponse(SQLRowset(webRowSet),
-/// SQLCommunicationArea))` raw-body form, byte-compatible with the plain
-/// service's streamed replies. `comm_area` sees the merged row count.
+/// Merge gathered pages into the same `wrapper(SQLResponse(SQLRowset,
+/// SQLCommunicationArea))` reply frame the plain service writes.
+/// `comm_area` sees the merged row count.
 fn merged_response(
     wrapper: &str,
     pages: &[Vec<u8>],
@@ -279,16 +279,13 @@ fn merged_response(
     }
     let mut fragment = String::new();
     let mut w = XmlWriter::new(&mut fragment);
-    w.start(&QName::new(ns::WSDAIR, "wsdair", wrapper));
-    w.start(&QName::new(ns::WSDAIR, "wsdair", "SQLResponse"));
-    w.start(&QName::new(ns::WSDAIR, "wsdair", "SQLRowset"));
+    dair_messages::begin_sql_response(&mut w, wrapper);
     // A decode error here (a shard died mid-stream) abandons the whole
     // fragment: the consumer gets a fault envelope, never a torn rowset.
-    let rows = merge_cursors(&mut w, cursors, keys, skip, take).map_err(torn_page)?;
-    w.end();
-    w.element(&comm_area(rows).to_xml());
-    w.end();
-    w.end();
+    let rows =
+        dair_messages::write_sql_rowset(&mut w, |w| merge_cursors(w, cursors, keys, skip, take))
+            .map_err(torn_page)?;
+    dair_messages::end_sql_response(&mut w, &comm_area(rows));
     w.finish();
     Ok(Envelope::with_raw_body(fragment))
 }

@@ -1,10 +1,11 @@
 //! The in-process message bus — the transport substitute.
 //!
 //! Endpoints register under logical addresses (`bus://orders-service`).
-//! [`Bus::call`] serialises the request envelope to bytes, routes to the
-//! endpoint, parses the bytes back, invokes the service, and does the same
-//! on the way out. Faults become fault envelopes, exactly as an HTTP SOAP
-//! stack would put them in a 500 response body.
+//! One exchange serialises the request envelope to bytes, routes to the
+//! endpoint, parses the bytes back, invokes the service, and brings the
+//! reply back as bytes too; [`Bus::call`] parses them, bulk-data callers
+//! decode them as they are. Faults become fault envelopes, exactly as an
+//! HTTP SOAP stack would put them in a 500 response body.
 //!
 //! The bus meters traffic per endpoint and in total ([`BusStats`]); the
 //! paper-figure experiments (E1/E5) use those counters to show how the
@@ -12,7 +13,7 @@
 //! consumers.
 
 use crate::envelope::Envelope;
-use crate::executor::{self, BusExecutor, ExecMode, ExecutorConfig, Pending};
+use crate::executor::{self, BusExecutor, ExchangeOutcome, ExecMode, ExecutorConfig, Pending};
 use crate::fault::Fault;
 use crate::interceptor::{CallInfo, InjectorSnapshot, Intercept, Interceptor};
 use crate::service::SoapService;
@@ -319,20 +320,15 @@ impl Bus {
         }
     }
 
-    /// Send a request. Always serialises/parses both envelopes; a service
-    /// fault is returned as `Ok(Err(fault))` after travelling through a
-    /// fault envelope, mirroring SOAP-over-HTTP semantics.
+    /// Send a request and parse the reply. Both envelopes always cross
+    /// the wire as bytes; a service fault is returned as `Ok(Err(fault))`
+    /// after travelling through a fault envelope, mirroring
+    /// SOAP-over-HTTP semantics.
     ///
-    /// Wire bytes pass through the interceptor chain in both directions
-    /// (requests in order, responses reversed). An aborted or
-    /// unparseable call still bills the request leg it consumed.
-    ///
-    /// A thin wrapper over the execution mode: with no executor
-    /// installed ([`ExecMode::Inline`](crate::executor)) the exchange
-    /// runs on the caller's thread; with one installed the request is
-    /// queued and this call blocks on its [`Pending`] handle, so
-    /// admission control ([`BusError::Overloaded`]) applies. Either way
-    /// there is exactly one serialise→intercept→dispatch→parse path.
+    /// This is [`Bus::call_async`] plus [`Pending::wait`]: the one
+    /// exchange runs (inline, or on an executor worker behind admission
+    /// control) and the calling thread parses the reply bytes it
+    /// resolved to.
     #[allow(clippy::type_complexity)]
     pub fn call(
         &self,
@@ -340,27 +336,13 @@ impl Bus {
         action: &str,
         request: &Envelope,
     ) -> Result<Result<Envelope, Fault>, BusError> {
-        let (endpoint, chain) = self.resolve(to)?;
-        if let Some(exec) = self.queued_mode() {
-            return self.enqueue(&exec, endpoint, chain, to, action, request)?.wait();
-        }
-        self.call_inline(&endpoint, &chain, to, action, request)
+        self.call_async(to, action, request)?.wait()
     }
 
-    /// Like [`Bus::call`], but append the serialised response envelope
-    /// to `out` instead of parsing it into a tree — the raw-reply lane
-    /// for bulk-data consumers that decode with a streaming parser.
-    ///
-    /// Inline (no executor installed, or on an executor worker thread)
-    /// the reply bytes flow straight from the wire buffer to `out`; a
-    /// cheap sniff distinguishes canonical data envelopes from faults,
-    /// and anything it cannot vouch for falls back to the full parse, so
-    /// fault classification and billing match [`Bus::call`] exactly.
-    /// With a queued executor the request still goes through admission
-    /// control as a normal envelope call and the parsed reply is
-    /// re-serialised into `out` — correct, but without the zero-parse
-    /// benefit; callers chasing that should gate on
-    /// [`Bus::has_queued_executor`].
+    /// Like [`Bus::call`], but append the serialised reply envelope to
+    /// `out` instead of parsing it — for bulk-data consumers that decode
+    /// with a streaming parser. Same exchange, same fault classification
+    /// and billing; only the final step differs.
     #[allow(clippy::type_complexity)]
     pub fn call_bytes_into(
         &self,
@@ -369,75 +351,20 @@ impl Bus {
         request: &Envelope,
         out: &mut Vec<u8>,
     ) -> Result<Result<(), Fault>, BusError> {
-        let (endpoint, chain) = self.resolve(to)?;
-        if let Some(exec) = self.queued_mode() {
-            return Ok(self
-                .enqueue(&exec, endpoint, chain, to, action, request)?
-                .wait()?
-                .map(|env| env.to_bytes_into(out)));
-        }
-        let tracer = &self.inner.obs.tracer;
-        let mut call_span = if tracer.enabled() {
-            let parent = request
-                .header_block(ns::WSA, "MessageID")
-                .and_then(|h| TraceContext::decode(h.text().trim()));
-            let mut span = tracer.span(span_names::BUS_CALL, parent);
-            span.attr("to", to);
-            span.attr("action", action);
-            span
-        } else {
-            SpanHandle::inert()
-        };
-        let started = Instant::now();
-        let result =
-            self.dispatch_bytes(&endpoint, &chain, to, action, request, out, &mut call_span);
-        let nanos = started.elapsed().as_nanos() as u64;
-        endpoint.latency.record(nanos);
-        self.inner.obs.metrics.observe_action(action, nanos);
-        if call_span.is_recording() {
-            call_span.attr(
-                "outcome",
-                match &result {
-                    Ok(Ok(())) => "ok",
-                    Ok(Err(_)) => "fault",
-                    Err(_) => "transport-error",
-                },
-            );
-        }
-        match &result {
-            Ok(Ok(())) => {}
-            Ok(Err(_)) => self.inner.obs.journal.event_ctx(
-                event_names::REQ_FAULT,
-                call_span.ctx(),
-                crate::retry::CAUSE_FAULT,
-            ),
-            Err(e) => self.inner.obs.journal.event_ctx(
-                event_names::REQ_FAULT,
-                call_span.ctx(),
-                crate::retry::bus_error_code(e),
-            ),
-        }
-        result
+        let reply = self.call_async(to, action, request)?.wait_bytes()?;
+        Ok(reply.map(|bytes| out.extend_from_slice(&bytes)))
     }
 
-    /// Whether the next [`Bus::call`] from this thread would go through
-    /// the queued executor. `false` in inline mode *and* on executor
-    /// worker threads (where nested calls run inline) — exactly the
-    /// condition under which the raw-reply lane of
-    /// [`Bus::call_bytes_into`] skips the response tree parse.
-    pub fn has_queued_executor(&self) -> bool {
-        self.queued_mode().is_some()
-    }
-
-    /// Send a request without waiting for the response: the pipelined
-    /// path. Returns a [`Pending`] handle that resolves to exactly what
-    /// [`Bus::call`] would have returned.
+    /// Send a request without waiting for the reply: the one entry point
+    /// every call shape goes through. The returned [`Pending`] resolves
+    /// to the reply bytes of the exchange (or the fault they carried).
     ///
     /// With an executor installed the request is admitted to the
     /// endpoint's bounded work queue (or refused with
     /// [`BusError::Overloaded`]); without one — or when called from an
     /// executor worker, where queueing could starve the pool — the
-    /// exchange runs inline and the handle comes back already resolved.
+    /// exchange runs on the caller's thread and the handle comes back
+    /// already resolved.
     pub fn call_async(
         &self,
         to: &str,
@@ -494,7 +421,6 @@ impl Bus {
 
     /// The inline execution mode: open the `bus.call` span and run the
     /// exchange on the caller's thread.
-    #[allow(clippy::type_complexity)]
     fn call_inline(
         &self,
         endpoint: &Endpoint,
@@ -502,7 +428,7 @@ impl Bus {
         to: &str,
         action: &str,
         request: &Envelope,
-    ) -> Result<Result<Envelope, Fault>, BusError> {
+    ) -> ExchangeOutcome {
         // Tracing: one relaxed atomic load when disabled, nothing else.
         // The span's parent is the caller's `wsa:MessageID` header, so a
         // traced client call and its bus leg share one trace.
@@ -566,10 +492,9 @@ impl Bus {
     }
 
     /// One timed exchange plus its observability bookkeeping: latency
-    /// histograms and the outcome attribute on the carrying span. Both
-    /// execution modes (inline `bus.call`, worker `bus.execute`) funnel
-    /// through here.
-    #[allow(clippy::type_complexity)]
+    /// histograms, the outcome attribute on the carrying span, and the
+    /// flight recorder's fault record. Both execution modes (inline
+    /// `bus.call`, worker `bus.execute`) funnel through here.
     pub(crate) fn perform(
         &self,
         endpoint: &Endpoint,
@@ -578,9 +503,9 @@ impl Bus {
         action: &str,
         request: &Envelope,
         span: &mut SpanHandle,
-    ) -> Result<Result<Envelope, Fault>, BusError> {
+    ) -> ExchangeOutcome {
         let started = Instant::now();
-        let result = self.dispatch(endpoint, chain, to, action, request, span);
+        let result = self.exchange(endpoint, chain, to, action, request, span);
         let nanos = started.elapsed().as_nanos() as u64;
         // Latency metrics are always on: two lock-free histogram records.
         endpoint.latency.record(nanos);
@@ -614,13 +539,11 @@ impl Bus {
         result
     }
 
-    /// The wire exchange itself — the one serialise→intercept→dispatch
-    /// code path, shared by the envelope lane ([`Bus::dispatch`]) and the
-    /// raw-reply lane ([`Bus::dispatch_bytes`]). Leaves the response
-    /// bytes in `response_bytes` and returns the billed request length;
-    /// legs consumed by an early return are billed here, the completed
-    /// exchange by the caller once it has classified the outcome.
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
+    /// The exchange itself — the one serialise→intercept→route→classify
+    /// code path: the request envelope goes out as bytes, the reply
+    /// comes back as bytes, and the outcome says whether those bytes
+    /// carry data or a fault. Every leg consumed, by an early return or
+    /// the completed exchange, is billed here.
     fn exchange(
         &self,
         endpoint: &Endpoint,
@@ -628,9 +551,8 @@ impl Bus {
         to: &str,
         action: &str,
         request: &Envelope,
-        response_bytes: &mut PooledBuf,
         call_span: &mut SpanHandle,
-    ) -> Result<u64, BusError> {
+    ) -> ExchangeOutcome {
         let tracer = &self.inner.obs.tracer;
         let info = CallInfo { to, action };
         let record = |request: u64, response: u64, fault: bool| {
@@ -648,6 +570,10 @@ impl Bus {
         // chain the pooled bytes flow straight into the parser — no
         // extra copy. An interceptor swapping in owned bytes via
         // `Tamper`/`Reply` replaces the buffer contents outright.
+        // The reply buffer is taken first and outlives the call, so it is
+        // also the last one returned: the pool hands the same (already
+        // reply-sized) buffer to the next exchange's reply.
+        let mut response_bytes = PooledBuf::take();
         let mut request_span = tracer.child_span(span_names::BUS_REQUEST, call_span.ctx());
         let mut request_bytes = PooledBuf::take();
         request.to_bytes_into(&mut request_bytes);
@@ -695,7 +621,7 @@ impl Bus {
                     to,
                     action,
                     &request_bytes,
-                    response_bytes,
+                    &mut response_bytes,
                     call_span.ctx(),
                 ) {
                     record(request_bytes.len() as u64, 0, false);
@@ -707,7 +633,7 @@ impl Bus {
 
         let mut response_span = tracer.child_span(span_names::BUS_RESPONSE, call_span.ctx());
         for interceptor in chain[..response_chain_len].iter().rev() {
-            match interceptor.on_response(&info, response_bytes) {
+            match interceptor.on_response(&info, &response_bytes) {
                 Intercept::Pass => {}
                 Intercept::Tamper(bytes) => {
                     note_injected();
@@ -732,96 +658,28 @@ impl Bus {
         }
         response_span.attr("bytes", response_bytes.len());
         response_span.finish();
-        Ok(request_bytes.len() as u64)
-    }
 
-    /// The envelope lane: run the exchange, then parse the response
-    /// bytes back into an [`Envelope`]. Split from [`Bus::perform`] so
-    /// the observability bookkeeping there sees every early return.
-    #[allow(clippy::type_complexity)]
-    fn dispatch(
-        &self,
-        endpoint: &Endpoint,
-        chain: &[Arc<dyn Interceptor>],
-        to: &str,
-        action: &str,
-        request: &Envelope,
-        call_span: &mut SpanHandle,
-    ) -> Result<Result<Envelope, Fault>, BusError> {
-        let mut response_bytes = PooledBuf::take();
-        let request_len =
-            self.exchange(endpoint, chain, to, action, request, &mut response_bytes, call_span)?;
-        let record = |response: u64, fault: bool| {
-            self.inner.total.record(request_len, response, fault);
-            endpoint.stats.record(request_len, response, fault);
-        };
-
-        let parsed_response = match Envelope::from_bytes(&response_bytes) {
-            Ok(env) => env,
-            Err(e) => {
-                record(response_bytes.len() as u64, false);
-                return Err(BusError::MalformedEnvelope(e.to_string()));
+        // Classify the reply so the caller only ever sees an outcome
+        // that crossed the "wire". A recognisably canonical data
+        // envelope is vouched for by the sniff; anything else — a fault,
+        // a tampered frame, a foreign serialisation — takes a full parse.
+        let (request_len, response_len) = (request_bytes.len() as u64, response_bytes.len() as u64);
+        let fault = if sniff_canonical_data_reply(&response_bytes) {
+            None
+        } else {
+            match Envelope::from_bytes(&response_bytes) {
+                Ok(env) => env.payload().and_then(Fault::from_xml),
+                Err(e) => {
+                    record(request_len, response_len, false);
+                    return Err(BusError::MalformedEnvelope(e.to_string()));
+                }
             }
         };
-
-        // Reconstruct the outcome from the parsed response, so the caller
-        // only ever sees data that crossed the "wire". Fault accounting
-        // follows the same classification.
-        let fault = parsed_response.payload().and_then(Fault::from_xml);
-        record(response_bytes.len() as u64, fault.is_some());
-        match fault {
-            Some(f) => Ok(Err(f)),
-            None => Ok(Ok(parsed_response)),
-        }
-    }
-
-    /// The raw-reply lane: run the same exchange but hand back the
-    /// response **bytes**, skipping the tree parse when the reply is
-    /// recognisably a canonical data envelope. A reply the sniff cannot
-    /// vouch for — a fault, a tampered frame, a non-canonical prolog —
-    /// takes the full parse and classifies exactly like the envelope
-    /// lane, so fault accounting is identical on both.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_bytes(
-        &self,
-        endpoint: &Endpoint,
-        chain: &[Arc<dyn Interceptor>],
-        to: &str,
-        action: &str,
-        request: &Envelope,
-        out: &mut Vec<u8>,
-        call_span: &mut SpanHandle,
-    ) -> Result<Result<(), Fault>, BusError> {
-        let mut response_bytes = PooledBuf::take();
-        let request_len =
-            self.exchange(endpoint, chain, to, action, request, &mut response_bytes, call_span)?;
-        let record = |response: u64, fault: bool| {
-            self.inner.total.record(request_len, response, fault);
-            endpoint.stats.record(request_len, response, fault);
-        };
-
-        if sniff_canonical_data_reply(&response_bytes) {
-            record(response_bytes.len() as u64, false);
-            out.extend_from_slice(&response_bytes);
-            return Ok(Ok(()));
-        }
-
-        let parsed_response = match Envelope::from_bytes(&response_bytes) {
-            Ok(env) => env,
-            Err(e) => {
-                record(response_bytes.len() as u64, false);
-                return Err(BusError::MalformedEnvelope(e.to_string()));
-            }
-        };
-        let fault = parsed_response.payload().and_then(Fault::from_xml);
-        record(response_bytes.len() as u64, fault.is_some());
-        match fault {
-            Some(f) => Ok(Err(f)),
-            None => {
-                out.extend_from_slice(&response_bytes);
-                Ok(Ok(()))
-            }
-        }
+        record(request_len, response_len, fault.is_some());
+        Ok(match fault {
+            Some(f) => Err(f),
+            None => Ok(response_bytes),
+        })
     }
 
     /// Route serialised request bytes to whoever serves `to` and write
@@ -1077,7 +935,7 @@ impl Bus {
     }
 }
 
-/// Can `bytes` be handed to a raw-reply caller without a tree parse?
+/// Can `bytes` be classified as a data reply without a tree parse?
 /// True only for a reply that starts with the *canonical* envelope tag
 /// this stack serialises (the `soap` prefix provably bound to the SOAP
 /// 1.1 namespace before the first `>`) and whose first body child is an
@@ -1085,7 +943,7 @@ impl Bus {
 /// blocks are fine: escaping guarantees no raw `<soap:Body>` inside
 /// them, so the first occurrence is the real one. Everything else —
 /// faults, empty bodies, foreign serialisations — answers `false` and
-/// takes the full-parse lane.
+/// gets a full parse.
 fn sniff_canonical_data_reply(bytes: &[u8]) -> bool {
     const START: &[u8] = b"<soap:Envelope xmlns:soap=\"http://schemas.xmlsoap.org/soap/envelope/\"";
     const BODY: &[u8] = b"<soap:Body>";
@@ -1153,16 +1011,17 @@ mod tests {
     }
 
     #[test]
-    fn call_bytes_under_executor_reserialises() {
+    fn call_bytes_under_executor_matches_inline() {
         let bus = echo_bus();
-        bus.install_executor(ExecutorConfig { workers: 2, ..Default::default() });
-        assert!(bus.has_queued_executor());
         let env = Envelope::with_body(XmlElement::new_local("m").with_text("queued"));
-        let mut raw = Vec::new();
-        bus.call_bytes_into("bus://svc", "urn:echo", &env, &mut raw).unwrap().unwrap();
-        assert_eq!(Envelope::from_bytes(&raw).unwrap(), env);
+        let mut inline = Vec::new();
+        bus.call_bytes_into("bus://svc", "urn:echo", &env, &mut inline).unwrap().unwrap();
+        bus.install_executor(ExecutorConfig { workers: 2, ..Default::default() });
+        let mut queued = Vec::new();
+        bus.call_bytes_into("bus://svc", "urn:echo", &env, &mut queued).unwrap().unwrap();
         bus.shutdown_executor();
-        assert!(!bus.has_queued_executor());
+        assert_eq!(queued, inline);
+        assert_eq!(Envelope::from_bytes(&queued).unwrap(), env);
     }
 
     #[test]

@@ -9,6 +9,7 @@ use crate::fault::Fault;
 use crate::retry::{is_retryable, retry_after_hint, RetryConfig};
 use dais_obs::names::{event_names, span_names};
 use dais_obs::{SpanHandle, TraceContext};
+use dais_util::pool::PooledBuf;
 use dais_xml::{ns, XmlElement};
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -85,8 +86,8 @@ impl ServiceClient {
 
     /// Layer retry behaviour over this client. Only actions the config
     /// classifies as idempotent are ever re-sent (see
-    /// [`request_with_idempotency`](Self::request_with_idempotency) for
-    /// per-call overrides).
+    /// [`request_bytes_into_with_idempotency`](Self::request_bytes_into_with_idempotency)
+    /// for per-call overrides).
     pub fn with_retry(mut self, config: RetryConfig) -> Self {
         self.retry = Some(config);
         self
@@ -111,40 +112,39 @@ impl ServiceClient {
     /// payload element. Retries (if configured) apply when the action is
     /// in the config's idempotency set.
     pub fn request(&self, action: &str, payload: XmlElement) -> Result<XmlElement, CallError> {
-        let idempotent =
-            self.retry.as_ref().map(|c| c.idempotent.contains(action)).unwrap_or(false);
-        self.request_with_idempotency(action, payload, idempotent)
-    }
-
-    /// Like [`request`](Self::request) but with the idempotency verdict
-    /// supplied by the caller — for operations whose safety depends on
-    /// the payload (a `SQLExecute` carrying a SELECT re-sends safely; one
-    /// carrying an INSERT must not).
-    pub fn request_with_idempotency(
-        &self,
-        action: &str,
-        payload: XmlElement,
-        idempotent: bool,
-    ) -> Result<XmlElement, CallError> {
-        self.request_retrying(action, idempotent, |parent| {
-            self.request_once(action, &payload, parent)
+        self.request_retrying(action, self.action_is_idempotent(action), |parent| {
+            let env = self.build_envelope(action, &payload, parent);
+            extract_payload(self.bus.call(&self.epr.address, action, &env)??)
         })
     }
 
     /// Like [`request`](Self::request), but append the serialised
     /// response envelope to `out` instead of parsing a payload tree —
-    /// the raw-reply lane for bulk data (see [`Bus::call_bytes_into`]).
-    /// The caller decodes `out` with a streaming parser; faults and
-    /// retries behave exactly as on [`request`](Self::request), and a
-    /// retried attempt truncates `out` back to its entry length first.
+    /// for bulk data the caller decodes with a streaming parser (see
+    /// [`Bus::call_bytes_into`]). Faults and retries behave exactly as
+    /// on [`request`](Self::request), and a retried attempt truncates
+    /// `out` back to its entry length first.
     pub fn request_bytes_into(
         &self,
         action: &str,
         payload: &XmlElement,
         out: &mut Vec<u8>,
     ) -> Result<(), CallError> {
-        let idempotent =
-            self.retry.as_ref().map(|c| c.idempotent.contains(action)).unwrap_or(false);
+        let idempotent = self.action_is_idempotent(action);
+        self.request_bytes_into_with_idempotency(action, payload, idempotent, out)
+    }
+
+    /// Like [`request_bytes_into`](Self::request_bytes_into) but with
+    /// the idempotency verdict supplied by the caller — for operations
+    /// whose safety depends on the payload (a `SQLExecute` carrying a
+    /// SELECT re-sends safely; one carrying an INSERT must not).
+    pub fn request_bytes_into_with_idempotency(
+        &self,
+        action: &str,
+        payload: &XmlElement,
+        idempotent: bool,
+        out: &mut Vec<u8>,
+    ) -> Result<(), CallError> {
         let mark = out.len();
         self.request_retrying(action, idempotent, |parent| {
             let env = self.build_envelope(action, payload, parent);
@@ -152,6 +152,10 @@ impl ServiceClient {
             self.bus.call_bytes_into(&self.epr.address, action, &env, out)??;
             Ok(())
         })
+    }
+
+    fn action_is_idempotent(&self, action: &str) -> bool {
+        self.retry.as_ref().is_some_and(|c| c.idempotent.contains(action))
     }
 
     /// The root span plus the retry loop shared by every request shape.
@@ -235,24 +239,10 @@ impl ServiceClient {
         }
     }
 
-    /// One send, no retry. When `trace_parent` is set (only ever while
-    /// tracing), the request carries it as `wsa:MessageID` so the bus and
-    /// service join the caller's trace.
-    fn request_once(
-        &self,
-        action: &str,
-        payload: &XmlElement,
-        trace_parent: Option<TraceContext>,
-    ) -> Result<XmlElement, CallError> {
-        let env = self.build_envelope(action, payload, trace_parent);
-        let response = self.bus.call(&self.epr.address, action, &env)??;
-        extract_payload(response)
-    }
-
-    /// The one addressed envelope both execution paths send: payload in
+    /// The one addressed envelope every request shape sends: payload in
     /// the body, WS-Addressing headers (plus the EPR's reference
     /// parameters), and — only while tracing — the caller's context as
-    /// `wsa:MessageID`.
+    /// `wsa:MessageID`, so the bus and service join the caller's trace.
     fn build_envelope(
         &self,
         action: &str,
@@ -278,6 +268,10 @@ impl ServiceClient {
     /// immediately so the caller can pace the whole batch; that is what
     /// [`request_pipelined`](Self::request_pipelined) does.
     pub fn call_async(&self, action: &str, payload: XmlElement) -> Result<PendingReply, CallError> {
+        self.submit(action, &payload)
+    }
+
+    fn submit(&self, action: &str, payload: &XmlElement) -> Result<PendingReply, CallError> {
         let tracer = &self.bus.obs().tracer;
         let mut call_span = if tracer.enabled() {
             let mut span = tracer.span(span_names::CLIENT_CALL, None);
@@ -287,7 +281,7 @@ impl ServiceClient {
         } else {
             SpanHandle::inert()
         };
-        let env = self.build_envelope(action, &payload, call_span.ctx());
+        let env = self.build_envelope(action, payload, call_span.ctx());
         match self.bus.call_async(&self.epr.address, action, &env) {
             Ok(pending) => Ok(PendingReply { pending, span: call_span }),
             Err(e) => {
@@ -298,31 +292,52 @@ impl ServiceClient {
     }
 
     /// Send one action against many payloads, keeping up to `window`
-    /// requests in flight, and return one result per payload in input
-    /// order.
-    ///
-    /// Backpressure is cooperative: when the endpoint sheds a submit
-    /// ([`BusError::Overloaded`]), the oldest in-flight reply is drained
-    /// first (freeing queue space and pacing the producer); with nothing
-    /// left to drain the client sleeps the refusal's retry-after hint —
-    /// a bounded number of times — before giving up on that payload.
+    /// requests in flight, and return one response payload per request
+    /// in input order.
     pub fn request_pipelined(
         &self,
         action: &str,
         payloads: Vec<XmlElement>,
         window: usize,
     ) -> Vec<Result<XmlElement, CallError>> {
+        self.request_pipelined_with(action, payloads, window, PendingReply::wait)
+    }
+
+    /// [`request_pipelined`](Self::request_pipelined) with the caller
+    /// choosing how each reply resolves — `PendingReply::wait` for a
+    /// payload tree, or [`PendingReply::wait_bytes`] plus a streaming
+    /// decode for bulk data.
+    ///
+    /// Backpressure is cooperative: when the endpoint sheds a submit
+    /// ([`BusError::Overloaded`]), the oldest in-flight reply is drained
+    /// first (freeing queue space and pacing the producer); with nothing
+    /// left to drain the client sleeps the refusal's retry-after hint —
+    /// a bounded number of times — before giving up on that payload.
+    pub fn request_pipelined_with<T>(
+        &self,
+        action: &str,
+        payloads: Vec<XmlElement>,
+        window: usize,
+        mut resolve: impl FnMut(PendingReply) -> Result<T, CallError>,
+    ) -> Vec<Result<T, CallError>> {
         let window = window.max(1);
-        let mut results: Vec<Option<Result<XmlElement, CallError>>> =
+        let mut results: Vec<Option<Result<T, CallError>>> =
             (0..payloads.len()).map(|_| None).collect();
         let mut in_flight: VecDeque<(usize, PendingReply)> = VecDeque::new();
+        let mut drain_oldest =
+            |in_flight: &mut VecDeque<(usize, PendingReply)>,
+             results: &mut [Option<Result<T, CallError>>]| {
+                if let Some((idx, reply)) = in_flight.pop_front() {
+                    results[idx] = Some(resolve(reply));
+                }
+            };
         for (i, payload) in payloads.into_iter().enumerate() {
             if in_flight.len() >= window {
                 drain_oldest(&mut in_flight, &mut results);
             }
             let mut shed_waits: u32 = 0;
             let outcome = loop {
-                match self.call_async(action, payload.clone()) {
+                match self.submit(action, &payload) {
                     Ok(reply) => break Ok(reply),
                     Err(err) => {
                         let Some(hint) = retry_after_hint(&err) else { break Err(err) };
@@ -341,6 +356,12 @@ impl ServiceClient {
             match outcome {
                 Ok(reply) => in_flight.push_back((i, reply)),
                 Err(err) => results[i] = Some(Err(err)),
+            }
+            // Replies that are already there (every reply, when the bus
+            // executes inline) are taken at once, so their buffers go
+            // back to the pool instead of riding out the window.
+            while in_flight.front().is_some_and(|(_, reply)| reply.is_ready()) {
+                drain_oldest(&mut in_flight, &mut results);
             }
         }
         while !in_flight.is_empty() {
@@ -388,28 +409,26 @@ impl PendingReply {
     /// Block until the exchange finishes and extract the response
     /// payload.
     pub fn wait(self) -> Result<XmlElement, CallError> {
-        let PendingReply { pending, span } = self;
-        let result = match pending.wait() {
-            Ok(Ok(response)) => extract_payload(response),
-            Ok(Err(fault)) => Err(fault.into()),
-            Err(e) => Err(e.into()),
-        };
-        finish_call_span(span, result.is_ok(), 1);
+        self.resolve(|pending| extract_payload(pending.wait()??))
+    }
+
+    /// Block until the exchange finishes and take the serialised
+    /// response envelope.
+    pub fn wait_bytes(self) -> Result<PooledBuf, CallError> {
+        self.resolve(|pending| Ok(pending.wait_bytes()??))
+    }
+
+    fn resolve<T>(
+        self,
+        take: impl FnOnce(Pending) -> Result<T, CallError>,
+    ) -> Result<T, CallError> {
+        let result = take(self.pending);
+        finish_call_span(self.span, result.is_ok(), 1);
         result
     }
 }
 
-/// Resolve the oldest in-flight reply into its slot.
-fn drain_oldest(
-    in_flight: &mut VecDeque<(usize, PendingReply)>,
-    results: &mut [Option<Result<XmlElement, CallError>>],
-) {
-    if let Some((idx, reply)) = in_flight.pop_front() {
-        results[idx] = Some(reply.wait());
-    }
-}
-
-/// The response payload, or the error shared by both execution paths.
+/// The response payload, or the error every request shape shares.
 /// Consumes the envelope so the payload is moved out, never deep-cloned.
 fn extract_payload(response: Envelope) -> Result<XmlElement, CallError> {
     response
@@ -734,8 +753,15 @@ mod tests {
         let (client, _) = retrying_client(bus, 4);
         // `urn:write` is not in the set, but the caller vouches for this
         // particular payload.
-        let response =
-            client.request_with_idempotency("urn:write", XmlElement::new_local("q"), true).unwrap();
-        assert_eq!(response.name.local, "ok");
+        let mut reply = Vec::new();
+        client
+            .request_bytes_into_with_idempotency(
+                "urn:write",
+                &XmlElement::new_local("q"),
+                true,
+                &mut reply,
+            )
+            .unwrap();
+        assert_eq!(Envelope::from_bytes(&reply).unwrap().payload().unwrap().name.local, "ok");
     }
 }

@@ -35,6 +35,7 @@ use crate::fault::Fault;
 use crate::interceptor::Interceptor;
 use dais_obs::names::{event_names, span_names};
 use dais_obs::TraceContext;
+use dais_util::pool::PooledBuf;
 use dais_util::rng::{mix2, SplitMix64};
 use dais_util::sync::{Condvar, Mutex};
 use std::cell::Cell;
@@ -44,9 +45,9 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// What a completed exchange resolves to — exactly the return type of
-/// [`Bus::call`].
-pub type CallOutcome = Result<Result<Envelope, Fault>, BusError>;
+/// What a completed exchange resolves to: the serialised reply
+/// envelope, or the fault it carried.
+pub type ExchangeOutcome = Result<Result<PooledBuf, Fault>, BusError>;
 
 /// How a bus executes requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,22 +141,30 @@ impl ExecutorConfig {
 
 #[derive(Default)]
 struct Slot {
-    outcome: Mutex<Option<CallOutcome>>,
+    outcome: Mutex<Option<ExchangeOutcome>>,
     cv: Condvar,
 }
 
 impl Slot {
-    fn fulfil(&self, outcome: CallOutcome) {
+    fn fulfil(&self, outcome: ExchangeOutcome) {
         *self.outcome.lock() = Some(outcome);
         self.cv.notify_all();
     }
 }
 
-/// A request in flight on the pipelined path. Every admitted request's
-/// handle resolves eventually: executed by a worker, or failed with
-/// [`BusError::Timeout`] when the executor shuts down first.
-pub struct Pending {
-    slot: Arc<Slot>,
+/// A request in flight. Every admitted request's handle resolves
+/// eventually: executed by a worker, or failed with
+/// [`BusError::Timeout`] when the executor shuts down first. What it
+/// resolves to is the exchange's reply *bytes*: a waiter that wants a
+/// tree ([`wait`](Self::wait)) parses them on its own thread, so a
+/// worker never builds a tree its caller may not need and a pipelining
+/// caller's parse overlaps the workers' next exchanges.
+pub struct Pending(State);
+
+enum State {
+    /// Executed inline: resolved before the handle existed.
+    Ready(ExchangeOutcome),
+    Queued(Arc<Slot>),
 }
 
 impl std::fmt::Debug for Pending {
@@ -165,31 +174,47 @@ impl std::fmt::Debug for Pending {
 }
 
 impl Pending {
-    /// A handle that is already resolved (inline execution).
-    pub(crate) fn ready(outcome: CallOutcome) -> Pending {
-        let slot = Slot::default();
-        *slot.outcome.lock() = Some(outcome);
-        Pending { slot: Arc::new(slot) }
+    pub(crate) fn ready(outcome: ExchangeOutcome) -> Pending {
+        Pending(State::Ready(outcome))
     }
 
     fn unresolved() -> (Pending, Arc<Slot>) {
         let slot = Arc::new(Slot::default());
-        (Pending { slot: Arc::clone(&slot) }, slot)
+        (Pending(State::Queued(Arc::clone(&slot))), slot)
     }
 
     /// Has the exchange finished? Never blocks.
     pub fn is_ready(&self) -> bool {
-        self.slot.outcome.lock().is_some()
+        match &self.0 {
+            State::Ready(_) => true,
+            State::Queued(slot) => slot.outcome.lock().is_some(),
+        }
     }
 
-    /// Block until the exchange finishes and take its outcome.
-    pub fn wait(self) -> CallOutcome {
-        let mut guard = self.slot.outcome.lock();
+    /// Block until the exchange finishes and take the reply bytes.
+    pub fn wait_bytes(self) -> ExchangeOutcome {
+        let slot = match self.0 {
+            State::Ready(outcome) => return outcome,
+            State::Queued(slot) => slot,
+        };
+        let mut guard = slot.outcome.lock();
         loop {
             if let Some(outcome) = guard.take() {
                 return outcome;
             }
-            guard = self.slot.cv.wait(guard);
+            guard = slot.cv.wait(guard);
+        }
+    }
+
+    /// Block until the exchange finishes and parse the reply envelope —
+    /// exactly what [`Bus::call`] returns.
+    #[allow(clippy::type_complexity)]
+    pub fn wait(self) -> Result<Result<Envelope, Fault>, BusError> {
+        match self.wait_bytes()? {
+            Ok(bytes) => Envelope::from_bytes(&bytes)
+                .map(Ok)
+                .map_err(|e| BusError::MalformedEnvelope(e.to_string())),
+            Err(fault) => Ok(Err(fault)),
         }
     }
 }

@@ -36,7 +36,7 @@ pub use bus::Endpoint;
 pub use bus::{Bus, BusError, BusStats, StatsSnapshot};
 pub use client::{CallError, PendingReply, ServiceClient};
 pub use envelope::Envelope;
-pub use executor::{BusExecutor, CallOutcome, ExecMode, ExecutorConfig, Pending};
+pub use executor::{BusExecutor, ExchangeOutcome, ExecMode, ExecutorConfig, Pending};
 pub use fault::{DaisFault, Fault, FaultCode};
 pub use interceptor::{FaultInjector, FaultPolicy, Intercept, Interceptor};
 pub use retry::{IdempotencySet, RetryConfig, RetryPolicy};

@@ -7,7 +7,7 @@
 
 use crate::error::{SqlError, SqlErrorKind};
 use crate::value::{SqlType, Value};
-use dais_xml::{ns, PullEvent, PullParser, QName, XmlElement, XmlSink, XmlWriter};
+use dais_xml::{ns, PullEvent, PullParser, QName, XmlSink, XmlWriter};
 use std::fmt::Write as _;
 
 /// A column of a result set.
@@ -37,87 +37,15 @@ impl Rowset {
         self.columns.iter().position(|c| c.name.eq_ignore_ascii_case(name))
     }
 
-    /// A sub-range of rows (used by the WS-DAIR `GetTuples` operation).
-    pub fn slice(&self, start: usize, count: usize) -> Rowset {
-        let end = (start + count).min(self.rows.len());
-        let rows =
-            if start >= self.rows.len() { Vec::new() } else { self.rows[start..end].to_vec() };
-        Rowset { columns: self.columns.clone(), rows }
-    }
-
-    /// Encode as WebRowSet-style XML.
-    pub fn to_xml(&self) -> XmlElement {
-        let mut root = XmlElement::new(ns::ROWSET, "wrs", "webRowSet");
-        let mut metadata = XmlElement::new(ns::ROWSET, "wrs", "metadata");
-        metadata.push(
-            XmlElement::new(ns::ROWSET, "wrs", "column-count")
-                .with_text(self.columns.len().to_string()),
-        );
-        for (i, c) in self.columns.iter().enumerate() {
-            metadata.push(
-                XmlElement::new(ns::ROWSET, "wrs", "column-definition")
-                    .with_child(
-                        XmlElement::new(ns::ROWSET, "wrs", "column-index")
-                            .with_text((i + 1).to_string()),
-                    )
-                    .with_child(
-                        XmlElement::new(ns::ROWSET, "wrs", "column-name").with_text(&c.name),
-                    )
-                    .with_child(
-                        XmlElement::new(ns::ROWSET, "wrs", "column-type").with_text(c.ty.name()),
-                    ),
-            );
-        }
-        root.push(metadata);
-        let mut data = XmlElement::new(ns::ROWSET, "wrs", "data");
-        for row in &self.rows {
-            let mut current = XmlElement::new(ns::ROWSET, "wrs", "currentRow");
-            for value in row {
-                if value.is_null() {
-                    current.push(
-                        XmlElement::new(ns::ROWSET, "wrs", "columnValue").with_attr("null", "true"),
-                    );
-                } else {
-                    let text = value.to_display_string();
-                    // Values with leading/trailing whitespace (or that are
-                    // entirely whitespace) travel as an attribute, which
-                    // survives whitespace-stripping protocol parsers.
-                    if text.trim() != text || text.is_empty() {
-                        current.push(
-                            XmlElement::new(ns::ROWSET, "wrs", "columnValue")
-                                .with_attr("value", text),
-                        );
-                    } else {
-                        current.push(
-                            XmlElement::new(ns::ROWSET, "wrs", "columnValue").with_text(text),
-                        );
-                    }
-                }
-            }
-            data.push(current);
-        }
-        root.push(data);
-        root
-    }
-
-    /// Stream the WebRowSet encoding through an [`XmlWriter`] — the wire
-    /// fast lane for large `GetTuples` pages. Produces exactly the bytes
-    /// the tree path (`to_xml` + serialise) would, but never builds the
-    /// intermediate element tree. Implemented on the incremental
-    /// [`RowsetWriter`], so every cursor-fed encoder shares this byte
-    /// shape by construction.
+    /// Encode the whole rowset through an [`XmlWriter`]: a loop over
+    /// the one codec, [`RowsetWriter`].
     pub fn write_into<S: XmlSink>(&self, w: &mut XmlWriter<'_, S>) {
-        let mut rw = RowsetWriter::new();
-        rw.begin(w, &self.columns);
-        for row in &self.rows {
-            rw.row(w, row);
-        }
-        rw.finish(w);
+        self.write_window_into(0, self.rows.len(), w);
     }
 
-    /// Stream only the `[start, start + count)` row window — a
-    /// `GetTuples` page — without cloning a sub-rowset first. Bytes are
-    /// identical to `self.slice(start, count)` encoded whole.
+    /// Encode only the `[start, start + count)` row window — a
+    /// `GetTuples` page — without cloning a sub-rowset first. A window
+    /// reaching past the end is clipped; one starting there is empty.
     pub fn write_window_into<S: XmlSink>(
         &self,
         start: usize,
@@ -132,217 +60,26 @@ impl Rowset {
         rw.finish(w);
     }
 
-    /// Serialise the WebRowSet document straight to wire bytes, appended
-    /// to a caller-supplied (typically pooled) buffer, via
-    /// [`Rowset::write_into`].
-    pub fn to_wire_bytes_into(&self, out: &mut Vec<u8>) {
-        let mut w = XmlWriter::new(out);
-        self.write_into(&mut w);
-        w.finish();
-    }
-
-    /// Decode a WebRowSet document from a pull parser whose next event
-    /// is the `wrs:webRowSet` start tag — the zero-tree counterpart of
-    /// [`Rowset::from_xml`] for the client wire fast path. Consumes the
-    /// whole `webRowSet` subtree (including its end tag).
-    pub fn read_from_pull(p: &mut PullParser<'_>) -> Result<Rowset, SqlError> {
-        fn xml_err(e: dais_xml::XmlError) -> SqlError {
-            SqlError::new(SqlErrorKind::InvalidCast, format!("malformed webRowSet: {e}"))
-        }
-        match p.next().map_err(xml_err)? {
-            Some(PullEvent::Start { namespace, local })
-                if namespace.as_str() == ns::ROWSET && local == "webRowSet" => {}
-            other => {
-                return Err(SqlError::new(
-                    SqlErrorKind::InvalidCast,
-                    format!("expected wrs:webRowSet, found {other:?}"),
-                ))
-            }
-        }
-        let mut columns: Vec<RowsetColumn> = Vec::new();
-        let mut rows: Vec<Vec<Value>> = Vec::new();
-        let mut scratch = String::new();
-        loop {
-            match p.next().map_err(xml_err)? {
-                Some(PullEvent::End) => break,
-                Some(PullEvent::Start { local: "metadata", .. }) => loop {
-                    match p.next().map_err(xml_err)? {
-                        Some(PullEvent::End) => break,
-                        Some(PullEvent::Start { local: "column-definition", .. }) => {
-                            let mut name: Option<String> = None;
-                            let mut ty_name = String::new();
-                            loop {
-                                match p.next().map_err(xml_err)? {
-                                    Some(PullEvent::End) => break,
-                                    Some(PullEvent::Start { local: "column-name", .. }) => {
-                                        scratch.clear();
-                                        p.text_content_into(&mut scratch).map_err(xml_err)?;
-                                        name = Some(scratch.clone());
-                                    }
-                                    Some(PullEvent::Start { local: "column-type", .. }) => {
-                                        ty_name.clear();
-                                        p.text_content_into(&mut ty_name).map_err(xml_err)?;
-                                    }
-                                    Some(PullEvent::Start { .. }) => {
-                                        p.skip_element().map_err(xml_err)?
-                                    }
-                                    Some(PullEvent::Text(_)) => {}
-                                    None => {
-                                        return Err(SqlError::new(
-                                            SqlErrorKind::InvalidCast,
-                                            "truncated column-definition",
-                                        ))
-                                    }
-                                }
-                            }
-                            let name = name.ok_or_else(|| {
-                                SqlError::new(SqlErrorKind::InvalidCast, "column without a name")
-                            })?;
-                            let ty = SqlType::parse(&ty_name).ok_or_else(|| {
-                                SqlError::new(
-                                    SqlErrorKind::InvalidCast,
-                                    format!("unknown column type '{ty_name}'"),
-                                )
-                            })?;
-                            columns.push(RowsetColumn { name, ty });
-                        }
-                        Some(PullEvent::Start { .. }) => p.skip_element().map_err(xml_err)?,
-                        Some(PullEvent::Text(_)) => {}
-                        None => {
-                            return Err(SqlError::new(
-                                SqlErrorKind::InvalidCast,
-                                "truncated metadata",
-                            ))
-                        }
-                    }
-                },
-                Some(PullEvent::Start { local: "data", .. }) => loop {
-                    match p.next().map_err(xml_err)? {
-                        Some(PullEvent::End) => break,
-                        Some(PullEvent::Start { local: "currentRow", .. }) => {
-                            let mut row = Vec::with_capacity(columns.len());
-                            loop {
-                                match p.next().map_err(xml_err)? {
-                                    Some(PullEvent::End) => break,
-                                    Some(PullEvent::Start { local: "columnValue", .. }) => {
-                                        let column = columns.get(row.len()).ok_or_else(|| {
-                                            SqlError::new(
-                                                SqlErrorKind::InvalidCast,
-                                                "row wider than metadata",
-                                            )
-                                        })?;
-                                        if p.attr("null") == Some("true") {
-                                            p.skip_element().map_err(xml_err)?;
-                                            row.push(Value::Null);
-                                        } else if let Some(v) = p.attr("value") {
-                                            let v = Value::parse_typed(v, column.ty)?;
-                                            p.skip_element().map_err(xml_err)?;
-                                            row.push(v);
-                                        } else {
-                                            scratch.clear();
-                                            p.text_content_into(&mut scratch).map_err(xml_err)?;
-                                            row.push(Value::parse_typed(&scratch, column.ty)?);
-                                        }
-                                    }
-                                    Some(PullEvent::Start { .. }) => {
-                                        p.skip_element().map_err(xml_err)?
-                                    }
-                                    Some(PullEvent::Text(_)) => {}
-                                    None => {
-                                        return Err(SqlError::new(
-                                            SqlErrorKind::InvalidCast,
-                                            "truncated currentRow",
-                                        ))
-                                    }
-                                }
-                            }
-                            if row.len() != columns.len() {
-                                return Err(SqlError::new(
-                                    SqlErrorKind::InvalidCast,
-                                    "row narrower than metadata",
-                                ));
-                            }
-                            rows.push(row);
-                        }
-                        Some(PullEvent::Start { .. }) => p.skip_element().map_err(xml_err)?,
-                        Some(PullEvent::Text(_)) => {}
-                        None => {
-                            return Err(SqlError::new(SqlErrorKind::InvalidCast, "truncated data"))
-                        }
-                    }
-                },
-                Some(PullEvent::Start { .. }) => p.skip_element().map_err(xml_err)?,
-                Some(PullEvent::Text(_)) => {}
-                None => {
-                    return Err(SqlError::new(SqlErrorKind::InvalidCast, "truncated webRowSet"))
-                }
-            }
-        }
-        Ok(Rowset { columns, rows })
-    }
-
-    /// Decode a WebRowSet XML document.
-    pub fn from_xml(root: &XmlElement) -> Result<Rowset, SqlError> {
-        if !root.name.is(ns::ROWSET, "webRowSet") {
-            return Err(SqlError::new(
-                SqlErrorKind::InvalidCast,
-                format!("expected wrs:webRowSet, found {}", root.name),
-            ));
-        }
-        let metadata = root.child(ns::ROWSET, "metadata").ok_or_else(|| {
-            SqlError::new(SqlErrorKind::InvalidCast, "webRowSet missing metadata")
-        })?;
-        let mut columns = Vec::new();
-        for def in metadata.children_named(ns::ROWSET, "column-definition") {
-            let name = def
-                .child_text(ns::ROWSET, "column-name")
-                .ok_or_else(|| SqlError::new(SqlErrorKind::InvalidCast, "column without a name"))?;
-            let ty_name = def.child_text(ns::ROWSET, "column-type").unwrap_or_default();
-            let ty = SqlType::parse(&ty_name).ok_or_else(|| {
-                SqlError::new(SqlErrorKind::InvalidCast, format!("unknown column type '{ty_name}'"))
-            })?;
-            columns.push(RowsetColumn { name, ty });
-        }
-        let mut rowset = Rowset::new(columns);
-        if let Some(data) = root.child(ns::ROWSET, "data") {
-            for row_el in data.children_named(ns::ROWSET, "currentRow") {
-                let mut row = Vec::with_capacity(rowset.columns.len());
-                for (i, cell) in row_el.children_named(ns::ROWSET, "columnValue").enumerate() {
-                    let column = rowset.columns.get(i).ok_or_else(|| {
-                        SqlError::new(SqlErrorKind::InvalidCast, "row wider than metadata")
-                    })?;
-                    if cell.attribute("null") == Some("true") {
-                        row.push(Value::Null);
-                    } else if let Some(v) = cell.attribute("value") {
-                        row.push(Value::parse_typed(v, column.ty)?);
-                    } else {
-                        row.push(Value::parse_typed(&cell.text(), column.ty)?);
-                    }
-                }
-                if row.len() != rowset.columns.len() {
-                    return Err(SqlError::new(
-                        SqlErrorKind::InvalidCast,
-                        "row narrower than metadata",
-                    ));
-                }
-                rowset.rows.push(row);
-            }
+    /// Decode by draining a [`RowsetCursor`]: its metadata plus every
+    /// row it has not yet yielded.
+    pub fn from_cursor(cursor: &mut RowsetCursor<'_>) -> Result<Rowset, SqlError> {
+        let mut rowset = Rowset::new(cursor.columns().to_vec());
+        let width = rowset.columns.len();
+        let mut row = Vec::with_capacity(width);
+        while cursor.next_row_into(&mut row)? {
+            rowset.rows.push(std::mem::replace(&mut row, Vec::with_capacity(width)));
         }
         Ok(rowset)
     }
 }
 
-/// An incremental WebRowSet encoder: metadata up front, then one call
-/// per row, then the trailer. This is the zero-materialisation wire
-/// path — a cursor (or a page window over a held rowset) feeds cells
-/// straight into the sink without ever building `Vec<Vec<Value>>` or an
-/// element tree. Element names are interned once per writer and every
-/// numeric cell is formatted through one reusable scratch buffer, so
-/// the per-row cost is refcount bumps, not allocations.
-///
-/// [`Rowset::write_into`] is implemented on top of this type, which
-/// pins the byte shape: whatever a materialised rowset would serialise
-/// to, the incremental writer produces byte-for-byte.
+/// The WebRowSet encoder: metadata up front, then one call per row,
+/// then the trailer. An engine cursor, a page window over a held rowset
+/// or a k-way merge feeds cells straight into the sink without ever
+/// building `Vec<Vec<Value>>` or an element tree. Element names are
+/// interned once per writer and every numeric cell is formatted through
+/// one reusable scratch buffer, so the per-row cost is refcount bumps,
+/// not allocations. Every WebRowSet byte on the wire comes from here.
 pub struct RowsetWriter {
     n_root: QName,
     n_metadata: QName,
@@ -447,23 +184,31 @@ impl Default for RowsetWriter {
     }
 }
 
-fn cursor_xml_err(e: dais_xml::XmlError) -> SqlError {
-    SqlError::new(SqlErrorKind::InvalidCast, format!("malformed webRowSet: {e}"))
+fn malformed(e: dais_xml::XmlError) -> SqlError {
+    invalid(format!("malformed webRowSet: {e}"))
 }
 
-/// The pull-decoding counterpart of [`RowsetWriter`]: metadata is parsed
-/// eagerly, then rows are decoded one at a time on demand — the
-/// federation merge path consumes k of these at once without ever
-/// materialising any shard's rowset. The caller's row buffer is reused
-/// across [`next_row_into`](Self::next_row_into) calls, so steady-state
+fn invalid(message: impl Into<String>) -> SqlError {
+    SqlError::new(SqlErrorKind::InvalidCast, message)
+}
+
+/// The WebRowSet decoder, counterpart of [`RowsetWriter`]: metadata is
+/// parsed eagerly, then rows are decoded one at a time on demand — the
+/// federation merge holds k of these at once without materialising any
+/// shard's rowset, and [`Rowset::from_cursor`] drains one into plain
+/// data. The caller's row buffer is reused across
+/// [`next_row_into`](Self::next_row_into) calls, so steady-state
 /// decoding allocates only for string cells.
+///
+/// The cursor owns its parser while it decodes and hands it back from
+/// [`finish`](Self::finish), positioned just after `</wrs:webRowSet>`,
+/// so a decoder of the enclosing message carries on from there.
 pub struct RowsetCursor<'a> {
     parser: PullParser<'a>,
     columns: Vec<RowsetColumn>,
     scratch: String,
-    /// True once the `data` element (and the document) is exhausted.
-    done: bool,
-    /// True while positioned inside the `data` element.
+    /// Positioned inside the `data` element: rows may remain. False
+    /// once the `webRowSet` end tag has been consumed.
     in_data: bool,
 }
 
@@ -471,101 +216,79 @@ impl<'a> RowsetCursor<'a> {
     /// Start decoding from a parser whose next event is the
     /// `wrs:webRowSet` start tag. Consumes the metadata block.
     pub fn new(mut parser: PullParser<'a>) -> Result<RowsetCursor<'a>, SqlError> {
-        match parser.next().map_err(cursor_xml_err)? {
+        match parser.next().map_err(malformed)? {
             Some(PullEvent::Start { namespace, local })
                 if namespace.as_str() == ns::ROWSET && local == "webRowSet" => {}
-            other => {
-                return Err(SqlError::new(
-                    SqlErrorKind::InvalidCast,
-                    format!("expected wrs:webRowSet, found {other:?}"),
-                ))
+            other => return Err(invalid(format!("expected wrs:webRowSet, found {other:?}"))),
+        }
+        let mut cursor =
+            RowsetCursor { parser, columns: Vec::new(), scratch: String::new(), in_data: false };
+        // Metadata precedes data in the byte shape the writer produces,
+        // but tolerate reordering and unknown siblings.
+        while let Some(child) = cursor.next_child()? {
+            match child {
+                "metadata" => cursor.read_metadata()?,
+                "data" => {
+                    cursor.in_data = true;
+                    break;
+                }
+                _ => cursor.skip()?,
             }
         }
-        let mut cursor = RowsetCursor {
-            parser,
-            columns: Vec::new(),
-            scratch: String::new(),
-            done: false,
-            in_data: false,
-        };
-        // Consume children up to (and into) `data`; metadata precedes
-        // data in the pinned byte shape, but tolerate reordering.
+        Ok(cursor)
+    }
+
+    /// The local name of the current element's next child, positioned
+    /// just inside it; `None` once the current element's end tag has
+    /// been consumed.
+    fn next_child(&mut self) -> Result<Option<&'a str>, SqlError> {
         loop {
-            match cursor.parser.next().map_err(cursor_xml_err)? {
-                Some(PullEvent::End) => {
-                    // No data element at all: an empty rowset.
-                    cursor.done = true;
-                    return Ok(cursor);
-                }
-                Some(PullEvent::Start { local: "metadata", .. }) => cursor.read_metadata()?,
-                Some(PullEvent::Start { local: "data", .. }) => {
-                    cursor.in_data = true;
-                    return Ok(cursor);
-                }
-                Some(PullEvent::Start { .. }) => {
-                    cursor.parser.skip_element().map_err(cursor_xml_err)?
-                }
+            match self.parser.next().map_err(malformed)? {
+                Some(PullEvent::Start { local, .. }) => return Ok(Some(local)),
                 Some(PullEvent::Text(_)) => {}
-                None => {
-                    return Err(SqlError::new(SqlErrorKind::InvalidCast, "truncated webRowSet"))
-                }
+                Some(PullEvent::End) => return Ok(None),
+                None => return Err(invalid("truncated webRowSet")),
             }
         }
     }
 
+    fn skip(&mut self) -> Result<(), SqlError> {
+        self.parser.skip_element().map_err(malformed)
+    }
+
+    /// The current leaf element's text, valid until the next call.
+    fn text(&mut self) -> Result<&str, SqlError> {
+        self.scratch.clear();
+        self.parser.text_content_into(&mut self.scratch).map_err(malformed)?;
+        Ok(&self.scratch)
+    }
+
     fn read_metadata(&mut self) -> Result<(), SqlError> {
-        loop {
-            match self.parser.next().map_err(cursor_xml_err)? {
-                Some(PullEvent::End) => return Ok(()),
-                Some(PullEvent::Start { local: "column-definition", .. }) => {
-                    let mut name: Option<String> = None;
-                    let mut ty_name = String::new();
-                    loop {
-                        match self.parser.next().map_err(cursor_xml_err)? {
-                            Some(PullEvent::End) => break,
-                            Some(PullEvent::Start { local: "column-name", .. }) => {
-                                self.scratch.clear();
-                                self.parser
-                                    .text_content_into(&mut self.scratch)
-                                    .map_err(cursor_xml_err)?;
-                                name = Some(self.scratch.clone());
-                            }
-                            Some(PullEvent::Start { local: "column-type", .. }) => {
-                                ty_name.clear();
-                                self.parser
-                                    .text_content_into(&mut ty_name)
-                                    .map_err(cursor_xml_err)?;
-                            }
-                            Some(PullEvent::Start { .. }) => {
-                                self.parser.skip_element().map_err(cursor_xml_err)?
-                            }
-                            Some(PullEvent::Text(_)) => {}
-                            None => {
-                                return Err(SqlError::new(
-                                    SqlErrorKind::InvalidCast,
-                                    "truncated column-definition",
-                                ))
-                            }
-                        }
-                    }
-                    let name = name.ok_or_else(|| {
-                        SqlError::new(SqlErrorKind::InvalidCast, "column without a name")
-                    })?;
-                    let ty = SqlType::parse(&ty_name).ok_or_else(|| {
-                        SqlError::new(
-                            SqlErrorKind::InvalidCast,
-                            format!("unknown column type '{ty_name}'"),
-                        )
-                    })?;
-                    self.columns.push(RowsetColumn { name, ty });
-                }
-                Some(PullEvent::Start { .. }) => {
-                    self.parser.skip_element().map_err(cursor_xml_err)?
-                }
-                Some(PullEvent::Text(_)) => {}
-                None => return Err(SqlError::new(SqlErrorKind::InvalidCast, "truncated metadata")),
+        while let Some(child) = self.next_child()? {
+            if child != "column-definition" {
+                self.skip()?;
+                continue;
             }
+            let mut name = None;
+            let mut ty = None;
+            while let Some(field) = self.next_child()? {
+                match field {
+                    "column-name" => name = Some(self.text()?.to_string()),
+                    "column-type" => {
+                        let ty_name = self.text()?;
+                        ty =
+                            Some(SqlType::parse(ty_name).ok_or_else(|| {
+                                invalid(format!("unknown column type '{ty_name}'"))
+                            })?);
+                    }
+                    _ => self.skip()?,
+                }
+            }
+            let name = name.ok_or_else(|| invalid("column without a name"))?;
+            let ty = ty.ok_or_else(|| invalid(format!("column '{name}' without a type")))?;
+            self.columns.push(RowsetColumn { name, ty });
         }
+        Ok(())
     }
 
     /// The column definitions from the metadata block.
@@ -577,90 +300,64 @@ impl<'a> RowsetCursor<'a> {
     /// the rowset is exhausted; the buffer is reusable across calls.
     pub fn next_row_into(&mut self, row: &mut Vec<Value>) -> Result<bool, SqlError> {
         row.clear();
-        if self.done {
+        if !self.in_data {
             return Ok(false);
         }
-        loop {
-            match self.parser.next().map_err(cursor_xml_err)? {
-                Some(PullEvent::End) if self.in_data => {
-                    // `data` closed; drain to the end of the document.
-                    self.in_data = false;
-                    loop {
-                        match self.parser.next().map_err(cursor_xml_err)? {
-                            Some(PullEvent::End) => {
-                                self.done = true;
-                                return Ok(false);
-                            }
-                            Some(PullEvent::Start { .. }) => {
-                                self.parser.skip_element().map_err(cursor_xml_err)?
-                            }
-                            Some(PullEvent::Text(_)) => {}
-                            None => {
-                                return Err(SqlError::new(
-                                    SqlErrorKind::InvalidCast,
-                                    "truncated webRowSet",
-                                ))
-                            }
-                        }
-                    }
-                }
-                Some(PullEvent::Start { local: "currentRow", .. }) if self.in_data => {
-                    self.read_row(row)?;
-                    return Ok(true);
-                }
-                Some(PullEvent::Start { .. }) => {
-                    self.parser.skip_element().map_err(cursor_xml_err)?
-                }
-                Some(PullEvent::Text(_)) => {}
-                Some(PullEvent::End) => {
-                    self.done = true;
-                    return Ok(false);
-                }
-                None => return Err(SqlError::new(SqlErrorKind::InvalidCast, "truncated data")),
+        while let Some(child) = self.next_child()? {
+            if child == "currentRow" {
+                self.read_row(row)?;
+                return Ok(true);
             }
+            self.skip()?;
         }
+        // `data` closed: consume the rest of the document element.
+        self.in_data = false;
+        while self.next_child()?.is_some() {
+            self.skip()?;
+        }
+        Ok(false)
     }
 
     fn read_row(&mut self, row: &mut Vec<Value>) -> Result<(), SqlError> {
-        loop {
-            match self.parser.next().map_err(cursor_xml_err)? {
-                Some(PullEvent::End) => break,
-                Some(PullEvent::Start { local: "columnValue", .. }) => {
-                    let column = self.columns.get(row.len()).ok_or_else(|| {
-                        SqlError::new(SqlErrorKind::InvalidCast, "row wider than metadata")
-                    })?;
-                    if self.parser.attr("null") == Some("true") {
-                        self.parser.skip_element().map_err(cursor_xml_err)?;
-                        row.push(Value::Null);
-                    } else if let Some(v) = self.parser.attr("value") {
-                        let v = Value::parse_typed(v, column.ty)?;
-                        self.parser.skip_element().map_err(cursor_xml_err)?;
-                        row.push(v);
-                    } else {
-                        self.scratch.clear();
-                        self.parser.text_content_into(&mut self.scratch).map_err(cursor_xml_err)?;
-                        row.push(Value::parse_typed(&self.scratch, column.ty)?);
-                    }
-                }
-                Some(PullEvent::Start { .. }) => {
-                    self.parser.skip_element().map_err(cursor_xml_err)?
-                }
-                Some(PullEvent::Text(_)) => {}
-                None => {
-                    return Err(SqlError::new(SqlErrorKind::InvalidCast, "truncated currentRow"))
-                }
+        while let Some(child) = self.next_child()? {
+            if child != "columnValue" {
+                self.skip()?;
+                continue;
+            }
+            let ty = match self.columns.get(row.len()) {
+                Some(column) => column.ty,
+                None => return Err(invalid("row wider than metadata")),
+            };
+            if self.parser.attr("null") == Some("true") {
+                self.skip()?;
+                row.push(Value::Null);
+            } else if let Some(v) = self.parser.attr("value") {
+                let v = Value::parse_typed(v, ty)?;
+                self.skip()?;
+                row.push(v);
+            } else {
+                row.push(Value::parse_typed(self.text()?, ty)?);
             }
         }
         if row.len() != self.columns.len() {
-            return Err(SqlError::new(SqlErrorKind::InvalidCast, "row narrower than metadata"));
+            return Err(invalid("row narrower than metadata"));
         }
         Ok(())
+    }
+
+    /// Drain whatever rows remain and hand the parser back, positioned
+    /// just after `</wrs:webRowSet>`.
+    pub fn finish(mut self) -> Result<PullParser<'a>, SqlError> {
+        let mut row = Vec::new();
+        while self.next_row_into(&mut row)? {}
+        Ok(self.parser)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dais_util::prop::{run_cases, Gen};
 
     fn sample() -> Rowset {
         let mut rs = Rowset::new(vec![
@@ -676,66 +373,6 @@ mod tests {
             Value::Bool(true),
         ]);
         rs.rows.push(vec![Value::Int(2), Value::Null, Value::Double(4.0), Value::Bool(false)]);
-        rs
-    }
-
-    #[test]
-    fn xml_roundtrip() {
-        let rs = sample();
-        let xml = rs.to_xml();
-        let rt = Rowset::from_xml(&xml).unwrap();
-        assert_eq!(rt, rs);
-    }
-
-    #[test]
-    fn roundtrip_through_text() {
-        let rs = sample();
-        let text = dais_xml::to_string(&rs.to_xml());
-        let parsed = dais_xml::parse(&text).unwrap();
-        assert_eq!(Rowset::from_xml(&parsed).unwrap(), rs);
-    }
-
-    #[test]
-    fn nulls_marked_explicitly() {
-        let xml = sample().to_xml();
-        let text = dais_xml::to_string(&xml);
-        assert!(text.contains("null=\"true\""));
-    }
-
-    #[test]
-    fn slice_for_paging() {
-        let mut rs = Rowset::new(vec![RowsetColumn { name: "n".into(), ty: SqlType::Integer }]);
-        for i in 0..10 {
-            rs.rows.push(vec![Value::Int(i)]);
-        }
-        let page = rs.slice(3, 4);
-        assert_eq!(page.row_count(), 4);
-        assert_eq!(page.rows[0][0], Value::Int(3));
-        assert_eq!(rs.slice(8, 5).row_count(), 2);
-        assert_eq!(rs.slice(20, 5).row_count(), 0);
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        assert!(Rowset::from_xml(&XmlElement::new_local("x")).is_err());
-        // Row wider than metadata.
-        let mut xml = sample().to_xml();
-        // Append an extra cell to the first row.
-        let data = xml.children.iter_mut().find_map(|c| match c {
-            dais_xml::XmlNode::Element(e) if e.name.local == "data" => Some(e),
-            _ => None,
-        });
-        if let Some(data) = data {
-            if let Some(dais_xml::XmlNode::Element(row)) = data.children.first_mut() {
-                row.push(XmlElement::new(ns::ROWSET, "wrs", "columnValue").with_text("extra"));
-            }
-        }
-        assert!(Rowset::from_xml(&xml).is_err());
-    }
-
-    #[test]
-    fn streamed_bytes_match_tree_serialisation() {
-        let mut rs = sample();
         // Whitespace-edged and empty strings exercise the attribute form.
         rs.rows.push(vec![
             Value::Int(3),
@@ -744,93 +381,201 @@ mod tests {
             Value::Bool(true),
         ]);
         rs.rows.push(vec![Value::Int(4), Value::Str(String::new()), Value::Null, Value::Null]);
-        let tree = dais_xml::to_string(&rs.to_xml());
-        let mut streamed = String::new();
-        let mut w = dais_xml::XmlWriter::new(&mut streamed);
-        rs.write_into(&mut w);
+        rs
+    }
+
+    fn encode_window(rs: &Rowset, start: usize, count: usize) -> String {
+        let mut text = String::new();
+        let mut w = XmlWriter::new(&mut text);
+        rs.write_window_into(start, count, &mut w);
         w.finish();
-        assert_eq!(streamed, tree);
+        text
+    }
+
+    fn encode(rs: &Rowset) -> String {
+        encode_window(rs, 0, rs.row_count())
+    }
+
+    fn decode(text: &str) -> Result<Rowset, SqlError> {
+        let parser = PullParser::new(text).map_err(malformed)?;
+        Rowset::from_cursor(&mut RowsetCursor::new(parser)?)
+    }
+
+    /// The tree walk the cursor replaced, kept as the reference decoder
+    /// the cursor is held to: parse the whole document, then read
+    /// metadata and cells off the element tree.
+    fn reference_decode(text: &str) -> Result<Rowset, SqlError> {
+        let root = dais_xml::parse(text).map_err(malformed)?;
+        if !root.name.is(ns::ROWSET, "webRowSet") {
+            return Err(invalid(format!("expected wrs:webRowSet, found {}", root.name)));
+        }
+        let metadata = root
+            .child(ns::ROWSET, "metadata")
+            .ok_or_else(|| invalid("webRowSet missing metadata"))?;
+        let mut columns = Vec::new();
+        for def in metadata.children_named(ns::ROWSET, "column-definition") {
+            let name = def
+                .child_text(ns::ROWSET, "column-name")
+                .ok_or_else(|| invalid("column without a name"))?;
+            let ty_name = def.child_text(ns::ROWSET, "column-type").unwrap_or_default();
+            let ty = SqlType::parse(&ty_name)
+                .ok_or_else(|| invalid(format!("unknown column type '{ty_name}'")))?;
+            columns.push(RowsetColumn { name, ty });
+        }
+        let mut rowset = Rowset::new(columns);
+        if let Some(data) = root.child(ns::ROWSET, "data") {
+            for row_el in data.children_named(ns::ROWSET, "currentRow") {
+                let mut row = Vec::with_capacity(rowset.columns.len());
+                for (i, cell) in row_el.children_named(ns::ROWSET, "columnValue").enumerate() {
+                    let column =
+                        rowset.columns.get(i).ok_or_else(|| invalid("row wider than metadata"))?;
+                    if cell.attribute("null") == Some("true") {
+                        row.push(Value::Null);
+                    } else if let Some(v) = cell.attribute("value") {
+                        row.push(Value::parse_typed(v, column.ty)?);
+                    } else {
+                        row.push(Value::parse_typed(&cell.text(), column.ty)?);
+                    }
+                }
+                if row.len() != rowset.columns.len() {
+                    return Err(invalid("row narrower than metadata"));
+                }
+                rowset.rows.push(row);
+            }
+        }
+        Ok(rowset)
     }
 
     #[test]
-    fn empty_rowset_streams_identically() {
-        let rs = Rowset::new(vec![]);
-        let mut streamed = String::new();
-        let mut w = dais_xml::XmlWriter::new(&mut streamed);
-        rs.write_into(&mut w);
-        w.finish();
-        assert_eq!(streamed, dais_xml::to_string(&rs.to_xml()));
+    fn writer_to_cursor_roundtrip() {
+        let rs = sample();
+        let text = encode(&rs);
+        assert!(text.contains("null=\"true\""), "NULLs are marked explicitly");
+        assert_eq!(decode(&text).unwrap(), rs);
+        assert_eq!(reference_decode(&text).unwrap(), rs);
+        let empty = Rowset::new(vec![]);
+        assert_eq!(decode(&encode(&empty)).unwrap(), empty);
     }
 
     #[test]
-    fn window_writer_matches_sliced_rowset() {
+    fn window_writer_clips_to_the_rowset() {
         let mut rs = Rowset::new(vec![RowsetColumn { name: "n".into(), ty: SqlType::Integer }]);
         for i in 0..10 {
             rs.rows.push(vec![Value::Int(i)]);
         }
-        for (start, count) in [(0, 10), (3, 4), (8, 5), (20, 5), (0, 0)] {
-            let mut windowed = String::new();
-            let mut w = dais_xml::XmlWriter::new(&mut windowed);
-            rs.write_window_into(start, count, &mut w);
-            w.finish();
-            let mut sliced = String::new();
-            let mut w = dais_xml::XmlWriter::new(&mut sliced);
-            rs.slice(start, count).write_into(&mut w);
-            w.finish();
-            assert_eq!(windowed, sliced, "window ({start}, {count})");
+        for (start, count, expected) in
+            [(0, 10, 0..10), (3, 4, 3..7), (8, 5, 8..10), (20, 5, 0..0), (0, 0, 0..0)]
+        {
+            let page = decode(&encode_window(&rs, start, count)).unwrap();
+            assert_eq!(page.columns, rs.columns);
+            let expected: Vec<Vec<Value>> = expected.map(|i| vec![Value::Int(i)]).collect();
+            assert_eq!(page.rows, expected, "window ({start}, {count})");
+        }
+    }
+
+    const TEXT_ALPHABET: &str = " &<>\"'abcXYZ019.,:;!?#()*+-/=@[]_{}|~";
+
+    fn arb_cell(g: &mut Gen, ty: SqlType) -> Value {
+        if g.usize_in(0, 5) == 0 {
+            return Value::Null;
+        }
+        match ty {
+            SqlType::Boolean => Value::Bool(g.bool_any()),
+            SqlType::Integer => Value::Int(g.i64_any()),
+            SqlType::Double => Value::Double(g.f64_in(-1e12, 1e12)),
+            SqlType::Varchar => Value::Str(g.string_from(TEXT_ALPHABET, 0, 16)),
+        }
+    }
+
+    fn arb_rowset(g: &mut Gen) -> Rowset {
+        const TYPES: [SqlType; 4] =
+            [SqlType::Boolean, SqlType::Integer, SqlType::Double, SqlType::Varchar];
+        let columns: Vec<RowsetColumn> = (0..g.usize_in(0, 6))
+            .map(|i| RowsetColumn { name: format!("c{i}"), ty: *g.pick(&TYPES) })
+            .collect();
+        let mut rs = Rowset::new(columns);
+        for _ in 0..g.usize_in(0, 12) {
+            let row = rs.columns.iter().map(|c| arb_cell(g, c.ty)).collect();
+            rs.rows.push(row);
+        }
+        rs
+    }
+
+    #[test]
+    fn cursor_agrees_with_the_tree_reference_on_generated_rowsets() {
+        run_cases("cursor_vs_tree_reference", 128, 0xC0DEC, |g| {
+            let rs = arb_rowset(g);
+            let text = encode(&rs);
+            let decoded = decode(&text).unwrap();
+            assert_eq!(decoded, reference_decode(&text).unwrap());
+            // Doubles travel as decimal text; compare displayed forms.
+            assert_eq!(decoded.columns, rs.columns);
+            assert_eq!(encode(&decoded), text);
+        });
+    }
+
+    #[test]
+    fn cursor_and_reference_reject_the_same_malformed_documents() {
+        const WRS: &str = "xmlns:wrs='http://java.sun.com/xml/ns/jdbc'";
+        let int_column = "<wrs:column-definition><wrs:column-name>n</wrs:column-name>\
+                          <wrs:column-type>INTEGER</wrs:column-type></wrs:column-definition>";
+        let doc = |metadata: &str, rows: &str| {
+            format!(
+                "<wrs:webRowSet {WRS}><wrs:metadata>{metadata}</wrs:metadata>\
+                 <wrs:data>{rows}</wrs:data></wrs:webRowSet>"
+            )
+        };
+        let whole = encode(&sample());
+        let cut = |marker: &str| whole[..whole.find(marker).unwrap() + marker.len()].to_string();
+        let cases = [
+            ("not a webRowSet", "<x/>".to_string()),
+            (
+                "row wider than metadata",
+                doc(
+                    int_column,
+                    "<wrs:currentRow><wrs:columnValue>1</wrs:columnValue>\
+                     <wrs:columnValue>2</wrs:columnValue></wrs:currentRow>",
+                ),
+            ),
+            ("row narrower than metadata", doc(int_column, "<wrs:currentRow/>")),
+            (
+                "unknown column type",
+                doc(
+                    "<wrs:column-definition><wrs:column-name>n</wrs:column-name>\
+                     <wrs:column-type>BLOB</wrs:column-type></wrs:column-definition>",
+                    "",
+                ),
+            ),
+            (
+                "column without a name",
+                doc(
+                    "<wrs:column-definition><wrs:column-type>INTEGER</wrs:column-type>\
+                     </wrs:column-definition>",
+                    "",
+                ),
+            ),
+            (
+                "cell of the wrong type",
+                doc(
+                    int_column,
+                    "<wrs:currentRow><wrs:columnValue>x</wrs:columnValue></wrs:currentRow>",
+                ),
+            ),
+            ("truncated in metadata", cut("<wrs:column-name>id")),
+            ("truncated in a row", cut("<wrs:columnValue>widget")),
+            ("truncated between rows", cut("</wrs:currentRow>")),
+        ];
+        for (what, text) in cases {
+            assert!(decode(&text).is_err(), "cursor accepted: {what}");
+            assert!(reference_decode(&text).is_err(), "reference accepted: {what}");
         }
     }
 
     #[test]
-    fn pull_decode_roundtrips_wire_bytes() {
-        let mut rs = sample();
-        // Attribute-form and NULL-dense rows exercise every cell shape.
-        rs.rows.push(vec![
-            Value::Int(3),
-            Value::Str("  padded  ".into()),
-            Value::Double(0.25),
-            Value::Bool(true),
-        ]);
-        rs.rows.push(vec![Value::Int(4), Value::Str(String::new()), Value::Null, Value::Null]);
-        let mut bytes = Vec::new();
-        rs.to_wire_bytes_into(&mut bytes);
-        let text = std::str::from_utf8(&bytes).unwrap();
-        let mut p = PullParser::new(text).unwrap();
-        assert_eq!(Rowset::read_from_pull(&mut p).unwrap(), rs);
-        // And it agrees with the tree decoder.
-        let mut p = PullParser::new(text).unwrap();
-        let pulled = Rowset::read_from_pull(&mut p).unwrap();
-        assert_eq!(pulled, Rowset::from_xml(&dais_xml::parse(text).unwrap()).unwrap());
-    }
-
-    #[test]
-    fn pull_decode_rejects_malformed_documents() {
-        for bad in [
-            "<x/>",
-            "<wrs:webRowSet xmlns:wrs='http://java.sun.com/xml/ns/jdbc'>\
-             <wrs:metadata><wrs:column-definition><wrs:column-type>INTEGER\
-             </wrs:column-type></wrs:column-definition></wrs:metadata></wrs:webRowSet>",
-        ] {
-            let mut p = PullParser::new(bad).unwrap();
-            assert!(Rowset::read_from_pull(&mut p).is_err(), "accepted {bad}");
-        }
-    }
-
-    #[test]
-    fn cursor_agrees_with_batch_pull_decode() {
-        let mut rs = sample();
-        rs.rows.push(vec![
-            Value::Int(3),
-            Value::Str("  padded  ".into()),
-            Value::Double(0.25),
-            Value::Bool(true),
-        ]);
-        rs.rows.push(vec![Value::Int(4), Value::Str(String::new()), Value::Null, Value::Null]);
-        let mut bytes = Vec::new();
-        rs.to_wire_bytes_into(&mut bytes);
-        let text = std::str::from_utf8(&bytes).unwrap();
-
-        let mut cursor = RowsetCursor::new(PullParser::new(text).unwrap()).unwrap();
+    fn cursor_streams_rows_and_stays_exhausted() {
+        let rs = sample();
+        let text = encode(&rs);
+        let mut cursor = RowsetCursor::new(PullParser::new(&text).unwrap()).unwrap();
         assert_eq!(cursor.columns(), rs.columns.as_slice());
         let mut row = Vec::new();
         let mut seen = Vec::new();
@@ -838,42 +583,26 @@ mod tests {
             seen.push(row.clone());
         }
         assert_eq!(seen, rs.rows);
-        // Exhausted cursors stay exhausted.
         assert!(!cursor.next_row_into(&mut row).unwrap());
+
+        // No rows, and no `data` element at all, are both empty rowsets.
+        let empty = Rowset::new(vec![RowsetColumn { name: "n".into(), ty: SqlType::Integer }]);
+        assert_eq!(decode(&encode(&empty)).unwrap(), empty);
+        let bare = "<wrs:webRowSet xmlns:wrs='http://java.sun.com/xml/ns/jdbc'/>";
+        assert_eq!(decode(bare).unwrap(), Rowset::new(vec![]));
     }
 
     #[test]
-    fn cursor_on_empty_rowset() {
-        let rs = Rowset::new(vec![RowsetColumn { name: "n".into(), ty: SqlType::Integer }]);
-        let mut bytes = Vec::new();
-        rs.to_wire_bytes_into(&mut bytes);
-        let text = std::str::from_utf8(&bytes).unwrap();
-        let mut cursor = RowsetCursor::new(PullParser::new(text).unwrap()).unwrap();
-        assert_eq!(cursor.columns().len(), 1);
-        let mut row = Vec::new();
-        assert!(!cursor.next_row_into(&mut row).unwrap());
-    }
-
-    #[test]
-    fn cursor_rejects_truncated_documents() {
-        let mut rs = sample();
-        rs.rows.push(vec![Value::Int(9), Value::Str("x".into()), Value::Null, Value::Null]);
-        let mut bytes = Vec::new();
-        rs.to_wire_bytes_into(&mut bytes);
-        // Chop the document mid-data: decoding must surface an error,
-        // never a silently shorter rowset.
-        let cut = bytes.len() - 40;
-        let text = std::str::from_utf8(&bytes[..cut]).unwrap();
-        let mut cursor = match RowsetCursor::new(PullParser::new(text).unwrap()) {
-            Ok(c) => c,
-            Err(_) => return, // truncation already caught at metadata
-        };
-        let mut row = Vec::new();
-        let mut result = Ok(true);
-        while matches!(result, Ok(true)) {
-            result = cursor.next_row_into(&mut row);
-        }
-        assert!(result.is_err(), "truncated rowset decoded cleanly");
+    fn finish_hands_the_parser_back_after_the_embedded_document() {
+        let rs = sample();
+        let text = format!("<outer>{}<after/></outer>", encode(&rs));
+        let mut parser = PullParser::new(&text).unwrap();
+        assert!(matches!(parser.next().unwrap(), Some(PullEvent::Start { local: "outer", .. })));
+        // Abandoned after one row: `finish` drains the rest.
+        let mut cursor = RowsetCursor::new(parser).unwrap();
+        assert!(cursor.next_row_into(&mut Vec::new()).unwrap());
+        let mut parser = cursor.finish().unwrap();
+        assert!(matches!(parser.next().unwrap(), Some(PullEvent::Start { local: "after", .. })));
     }
 
     #[test]
@@ -881,11 +610,5 @@ mod tests {
         let rs = sample();
         assert_eq!(rs.column_index("PRICE"), Some(2));
         assert_eq!(rs.column_index("none"), None);
-    }
-
-    #[test]
-    fn empty_rowset_roundtrip() {
-        let rs = Rowset::new(vec![]);
-        assert_eq!(Rowset::from_xml(&rs.to_xml()).unwrap(), rs);
     }
 }

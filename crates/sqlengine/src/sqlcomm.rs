@@ -5,7 +5,8 @@
 //! area" — the SQLSTATE, update count and diagnostic messages of the
 //! statement just executed. WS-DAIR responses embed this structure.
 
-use dais_xml::{ns, XmlElement};
+use crate::error::{SqlError, SqlErrorKind};
+use dais_xml::{ns, PullEvent, PullParser, XmlElement};
 
 /// Diagnostics describing the outcome of one statement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,19 +70,41 @@ impl SqlCommunicationArea {
         el
     }
 
-    /// Decode from the message form.
-    pub fn from_xml(el: &XmlElement) -> Option<SqlCommunicationArea> {
-        if !el.name.is(ns::WSDAIR, "SQLCommunicationArea") {
-            return None;
+    /// Decode from a pull parser positioned just inside the
+    /// `SQLCommunicationArea` element; consumes through its end tag.
+    pub fn read_from(p: &mut PullParser<'_>) -> Result<SqlCommunicationArea, SqlError> {
+        let malformed = |e: dais_xml::XmlError| {
+            SqlError::new(SqlErrorKind::InvalidCast, format!("malformed SQLCommunicationArea: {e}"))
+        };
+        let mut sqlstate = None;
+        let mut area = SqlCommunicationArea::success();
+        let mut text = String::new();
+        loop {
+            let field = match p.next().map_err(malformed)? {
+                Some(PullEvent::Start { local, .. }) => local,
+                Some(PullEvent::Text(_)) => continue,
+                Some(PullEvent::End) | None => break,
+            };
+            if !matches!(field, "SQLState" | "SQLUpdateCount" | "SQLMessage") {
+                p.skip_element().map_err(malformed)?;
+                continue;
+            }
+            text.clear();
+            p.text_content_into(&mut text).map_err(malformed)?;
+            match field {
+                "SQLState" => sqlstate = Some(text.clone()),
+                "SQLUpdateCount" => {
+                    area.update_count = text.trim().parse().map_err(|_| {
+                        SqlError::new(SqlErrorKind::InvalidCast, "non-numeric SQLUpdateCount")
+                    })?
+                }
+                _ => area.messages.push(text.clone()),
+            }
         }
-        Some(SqlCommunicationArea {
-            sqlstate: el.child_text(ns::WSDAIR, "SQLState")?,
-            update_count: el
-                .child_text(ns::WSDAIR, "SQLUpdateCount")
-                .and_then(|t| t.parse().ok())
-                .unwrap_or(0),
-            messages: el.children_named(ns::WSDAIR, "SQLMessage").map(|m| m.text()).collect(),
-        })
+        area.sqlstate = sqlstate.ok_or_else(|| {
+            SqlError::new(SqlErrorKind::InvalidCast, "SQLCommunicationArea without an SQLState")
+        })?;
+        Ok(area)
     }
 }
 
@@ -105,12 +128,16 @@ mod tests {
             update_count: 0,
             messages: vec!["duplicate key".into(), "second note".into()],
         };
-        let rt = SqlCommunicationArea::from_xml(&c.to_xml()).unwrap();
-        assert_eq!(rt, c);
+        let text = dais_xml::to_string(&c.to_xml());
+        let mut p = PullParser::new(&text).unwrap();
+        p.next().unwrap(); // the SQLCommunicationArea start tag
+        assert_eq!(SqlCommunicationArea::read_from(&mut p).unwrap(), c);
     }
 
     #[test]
-    fn from_xml_rejects_other_elements() {
-        assert!(SqlCommunicationArea::from_xml(&XmlElement::new_local("x")).is_none());
+    fn an_area_without_a_state_is_rejected() {
+        let mut p = PullParser::new("<a><SQLUpdateCount>3</SQLUpdateCount></a>").unwrap();
+        p.next().unwrap();
+        assert!(SqlCommunicationArea::read_from(&mut p).is_err());
     }
 }

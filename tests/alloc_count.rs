@@ -164,10 +164,12 @@ fn streamed_page_encoding_allocates_constant_not_per_row() {
     );
 }
 
-/// `get_tuples_many` without an executor drains the batch through one
-/// pooled reply buffer (`PooledBuf`), so paging N windows must not
-/// re-allocate N reply buffers: the marginal heap bytes per page stay
-/// well under one reply's size once decode output is accounted for.
+/// `get_tuples_many` takes every reply that is already there at once,
+/// so with the bus executing inline the batch keeps handing the same
+/// pooled reply buffer (`PooledBuf`) back and forth: paging N windows
+/// must not re-allocate N reply buffers, and the marginal heap bytes per
+/// page stay well under one reply's size once decode output is
+/// accounted for.
 #[test]
 fn get_tuples_many_reuses_its_reply_buffer() {
     use dais_core::{AbstractName, DaisClient};
@@ -236,7 +238,7 @@ fn get_tuples_many_reuses_its_reply_buffer() {
          reply {reply_bytes} B"
     );
     // Measured on this implementation with this exact payload: a
-    // marginal page costs ~914 allocations / ~163.7 KB — request build,
+    // marginal page costs ~916 allocations / ~163.9 KB — request build,
     // service-side streamed encode, client pull decode — with the pooled
     // reply buffer contributing nothing after warm-up. The budgets below
     // leave ~10% headroom. Dropping the pooled buffer (a fresh `Vec` per

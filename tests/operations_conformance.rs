@@ -231,3 +231,35 @@ fn property_document_field_sets() {
     let probe = core_messages::request("x", &svc.db_resource);
     assert_eq!(core_messages::extract_resource_name(&probe).unwrap(), svc.db_resource);
 }
+
+/// The batch operations answer the same with and without an installed
+/// executor: the execution mode decides which thread runs an exchange,
+/// never what a reply decodes to — faults included.
+#[test]
+fn batch_operations_agree_with_and_without_an_executor() {
+    let (bus, svc) = relational_bus();
+    let client = SqlClient::builder().bus(bus.clone()).address("bus://conf").build();
+    let db = &svc.db_resource;
+    let epr = client.execute_factory(db, "SELECT a FROM t ORDER BY a", &[], None, None).unwrap();
+    let response = AbstractName::new(epr.resource_abstract_name().unwrap()).unwrap();
+    let epr = client.rowset_factory(&response, None, None).unwrap();
+    let rowset = AbstractName::new(epr.resource_abstract_name().unwrap()).unwrap();
+
+    let statements =
+        ["SELECT a FROM t ORDER BY a", "SELECT a FROM t WHERE a > 9", "SELECT nope FROM t"];
+    let pages = [(0, 1), (1, 5), (0, 0), (7, 2)];
+    let run =
+        || (client.execute_many(db, &statements, 2), client.get_tuples_many(&rowset, &pages, 3));
+
+    let inline = run();
+    bus.install_executor(dais::soap::ExecutorConfig::new(2).seed(6));
+    let queued = run();
+    bus.shutdown_executor();
+
+    assert_eq!(inline, queued);
+    assert_eq!(inline.0[0].as_ref().unwrap().rowset().unwrap().row_count(), 2);
+    assert_eq!(inline.0[1].as_ref().unwrap().communication_area.sqlstate, "02000");
+    assert_eq!(inline.0[2].as_ref().unwrap_err().dais_fault(), Some(DaisFault::InvalidExpression));
+    let page_rows: Vec<usize> = inline.1.iter().map(|p| p.as_ref().unwrap().row_count()).collect();
+    assert_eq!(page_rows, [1, 1, 0, 0]);
+}

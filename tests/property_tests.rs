@@ -6,8 +6,8 @@
 //! failing cases print a replay seed.
 
 use dais::prelude::*;
-use dais::sql::{Rowset, RowsetColumn, SqlType};
-use dais::xml::{parse, to_string, XmlElement};
+use dais::sql::{Rowset, RowsetColumn, RowsetCursor, SqlType};
+use dais::xml::{parse, to_string, PullParser, XmlElement, XmlWriter};
 use dais_util::prop::{run_cases, Gen};
 
 // ---------------------------------------------------------------------------
@@ -107,7 +107,8 @@ fn envelope_roundtrip() {
     });
 }
 
-/// WebRowSet encoding round-trips arbitrary typed tables.
+/// WebRowSet encoding (writer → cursor) round-trips arbitrary typed
+/// tables.
 #[test]
 fn rowset_roundtrip() {
     run_cases("rowset_roundtrip", 64, 0x5E7, |g| {
@@ -129,8 +130,12 @@ fn rowset_roundtrip() {
             let b = b.coerce_to(col_types[1]).unwrap_or(Value::Null);
             rs.rows.push(vec![a, b, Value::Str(c)]);
         }
-        let text = to_string(&rs.to_xml());
-        let rt = Rowset::from_xml(&parse(&text).unwrap()).unwrap();
+        let mut text = String::new();
+        let mut w = XmlWriter::new(&mut text);
+        rs.write_into(&mut w);
+        w.finish();
+        let mut cursor = RowsetCursor::new(PullParser::new(&text).unwrap()).unwrap();
+        let rt = Rowset::from_cursor(&mut cursor).unwrap();
         assert_eq!(rt.columns, rs.columns);
         assert_eq!(rt.rows.len(), rs.rows.len());
         for (x, y) in rt.rows.iter().zip(&rs.rows) {
