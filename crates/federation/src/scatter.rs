@@ -6,7 +6,7 @@
 //! idle sibling answers now — and only backs off between sweeps, by the
 //! max of the server's `retry_after` hint and the policy's own
 //! exponential schedule. Replica health feeds back into the
-//! [`ShardRouter`](crate::router::ShardRouter) so later calls skip known-bad
+//! [`ShardRouter`] so later calls skip known-bad
 //! replicas until their half-open probe budget elapses.
 //!
 //! [`scatter_shards`] runs one such call per shard *concurrently* on

@@ -61,8 +61,9 @@ pub trait Interceptor: Send + Sync {
 
     /// What this stage has injected so far — for the whole bus
     /// (`None`) or one endpoint address. The bus folds every stage's
-    /// ledger into [`StatsSnapshot::fault_injection`]
-    /// (`crate::bus::StatsSnapshot`), so one snapshot tells the whole
+    /// ledger into
+    /// [`StatsSnapshot::fault_injection`](crate::bus::StatsSnapshot::fault_injection),
+    /// so one snapshot tells the whole
     /// story. Passive interceptors keep the default empty ledger.
     fn injection_ledger(&self, _endpoint: Option<&str>) -> InjectorSnapshot {
         InjectorSnapshot::default()

@@ -14,7 +14,7 @@
 //!   runs are reproducible from a seed.
 //! - [`prop`] — a miniature property-testing harness in place of
 //!   `proptest`: seeded case generation with per-case replay seeds.
-//! - [`intern`] — a global lock-free-read string interner ([`IStr`])
+//! - [`intern`](mod@intern) — a global lock-free-read string interner ([`IStr`])
 //!   for the recurring wire vocabulary, in place of `string_cache`.
 //! - [`pool`] — thread-local reusable byte buffers ([`PooledBuf`]) for
 //!   the serialise/parse hot path, in place of `bytes`-style pooling.
