@@ -1,13 +1,13 @@
 //! # dais-bench
 //!
 //! Workload generators and measurement helpers for the paper-figure
-//! experiments (see `DESIGN.md` §3 for the experiment index E1–E10 and
-//! `EXPERIMENTS.md` for recorded results).
+//! experiments binary (`src/bin/experiments.rs`; recorded results in
+//! `EXPERIMENTS.md`). Performance is measured by the standalone
+//! `daisbench` package under `benchmark/`, not here.
 //!
 //! Everything here is deterministic: workloads are generated from seeded
 //! RNGs so experiment output is reproducible run-to-run.
 
-pub mod crit;
 pub mod harness;
 pub mod workload;
 

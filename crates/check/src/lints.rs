@@ -507,38 +507,12 @@ pub fn run_lints<'a>(files: &'a [FileFacts], allowlist: &Allowlist) -> Vec<Viola
         );
     }
 
-    // `SoapDispatcher::dispatch` is the raw handler-table lookup;
-    // calling it directly from outside `crates/soap` skips the executor
-    // (queueing, backpressure, stats, interceptors, tracing). Everything
-    // goes through `Bus::call` / `call_async`; intentional direct
-    // exchanges carry an `executor-bypass:<file>` allowlist entry.
-    const EXECUTOR_LINT: &str = "executor-bypass";
-    for f in files.iter().filter(|f| f.crate_name != "soap") {
-        let sites: Vec<RatchetSite> =
-            f.dispatch_sites.iter().map(|&l| (l, String::new())).collect();
-        ratchet_file(
-            &mut out,
-            allowlist,
-            EXECUTOR_LINT,
-            "direct dispatch() call(s)",
-            consumed.entry(EXECUTOR_LINT).or_default(),
-            f,
-            &sites,
-            &|actual, allowed, _| {
-                format!(
-                    "{actual} direct dispatch() call(s) outside crates/soap (allowlist permits \
-                     {allowed}); route the exchange through `Bus::call` or extend {allow_path}"
-                )
-            },
-        );
-    }
-
     // `TcpStream`/`TcpListener` outside `crates/soap/src/tcp.rs` opens a
     // side channel around the Transport seam — no length-prefixed
     // framing, no pooled reconnects, no timeout→`BusError` mapping, and
     // none of the interceptor/tracing/stats layers that sit above the
-    // trait. (Integration tests and benches are outside the scan and may
-    // play raw peers.) Exceptions carry `transport-bypass:<file>`.
+    // trait. (Integration tests are outside the scan and may play raw
+    // peers.) Exceptions carry `transport-bypass:<file>`.
     const TRANSPORT_LINT: &str = "transport-bypass";
     for f in files.iter().filter(|f| !norm(&f.path).ends_with("soap/src/tcp.rs")) {
         let sites: Vec<RatchetSite> =
@@ -561,59 +535,7 @@ pub fn run_lints<'a>(files: &'a [FileFacts], allowlist: &Allowlist) -> Vec<Viola
         );
     }
 
-    // `Tracer::span`/`child_span` take `&'static str` names so traces
-    // render against a closed vocabulary (`dais_obs::names::span_names`);
-    // a literal at the call site bypasses the inventory and silently
-    // forks the name space. `span-name-literal:<file>` entries ratchet
-    // intentional exceptions.
-    const SPAN_LINT: &str = "span-name-literal";
-    for f in files {
-        let sites: Vec<RatchetSite> =
-            f.span_literal_sites.iter().map(|l| (l.line, l.value.clone())).collect();
-        ratchet_file(
-            &mut out,
-            allowlist,
-            SPAN_LINT,
-            "literal span name(s)",
-            consumed.entry(SPAN_LINT).or_default(),
-            f,
-            &sites,
-            &|_, _, name| {
-                format!(
-                    "span name `{name}` written as a literal at the call site; add it to \
-                     `dais_obs::names::span_names` and pass the constant"
-                )
-            },
-        );
-    }
-
-    // `Journal::event`/`event_ctx` take `&'static str` names so the
-    // flight recorder's journal renders against the same closed
-    // vocabulary (`dais_obs::names::event_names`); a literal at the call
-    // site bypasses the inventory exactly like a literal span name.
-    // `event-name-literal:<file>` entries ratchet intentional exceptions.
-    const EVENT_LINT: &str = "event-name-literal";
-    for f in files {
-        let sites: Vec<RatchetSite> =
-            f.event_literal_sites.iter().map(|l| (l.line, l.value.clone())).collect();
-        ratchet_file(
-            &mut out,
-            allowlist,
-            EVENT_LINT,
-            "literal event name(s)",
-            consumed.entry(EVENT_LINT).or_default(),
-            f,
-            &sites,
-            &|_, _, name| {
-                format!(
-                    "journal event name `{name}` written as a literal at the call site; add it \
-                     to `dais_obs::names::event_names` and pass the constant"
-                )
-            },
-        );
-    }
-
-    // A lock guard live across a `Bus::call`/`dispatch`/transport call
+    // A lock guard live across a `Bus::call`/`call_async`/transport call
     // or socket I/O: the callee can block on a timeout, a full queue, or
     // a remote peer while every other contender of that lock waits — the
     // deadlock-by-blocking shape the dynamic lock-order detector cannot

@@ -85,20 +85,11 @@ pub struct FileFacts {
     /// Lines of `.to_bytes()` calls (checked on the soap wire path,
     /// where the pooled `to_bytes_into` variant avoids the allocation).
     pub to_bytes_sites: Vec<usize>,
-    /// `.span("...")` / `.child_span("...")` calls whose name argument is
-    /// a string literal instead of a `span_names::` inventory constant.
-    pub span_literal_sites: Vec<Literal>,
-    /// `.event("...")` / `.event_ctx("...")` calls whose name argument is
-    /// a string literal instead of an `event_names::` inventory constant.
-    pub event_literal_sites: Vec<Literal>,
-    /// Lines of `.dispatch(` calls (checked outside `crates/soap`, where
-    /// every exchange must go through `Bus::call` and the executor path).
-    pub dispatch_sites: Vec<usize>,
     /// Lines mentioning `TcpStream`/`TcpListener` (raw sockets are
     /// confined to `crates/soap/src/tcp.rs`, behind the Transport seam).
     pub tcp_stream_sites: Vec<usize>,
-    /// Lock guards live across a dispatch/transport call (`.call(`,
-    /// `.dispatch(`, socket I/O, …): the deadlock-by-blocking shape the
+    /// Lock guards live across a bus/transport call (`.call(`,
+    /// `.call_async(`, socket I/O, …): the deadlock-by-blocking shape the
     /// dynamic lock-order detector cannot see.
     pub guard_dispatch_sites: Vec<GuardCrossing>,
     /// Lock guards live across a sleep (`thread::sleep`, `recv_timeout`,
@@ -263,38 +254,6 @@ pub fn scan_file(root: &Path, rel_path: &Path, src: &str) -> FileFacts {
                     {
                         facts.to_bytes_sites.push(tok.line);
                     }
-                    // `.dispatch(...)` — a direct exchange against the
-                    // dispatcher, bypassing `Bus::call` (and with it the
-                    // executor, interceptors, stats, and tracing).
-                    if tok.is_ident("dispatch")
-                        && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-                    {
-                        facts.dispatch_sites.push(tok.line);
-                    }
-                    // `.span("...")` / `.child_span("...")` — a tracing
-                    // span named by a literal instead of an inventory
-                    // constant from `span_names::`.
-                    if (tok.is_ident("span") || tok.is_ident("child_span"))
-                        && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-                        && tokens.get(i + 2).is_some_and(|t| t.kind == TokenKind::Str)
-                    {
-                        let name_tok = &tokens[i + 2];
-                        facts
-                            .span_literal_sites
-                            .push(Literal { value: name_tok.text.clone(), line: name_tok.line });
-                    }
-                    // `.event("...")` / `.event_ctx("...")` — a journal
-                    // event named by a literal instead of an inventory
-                    // constant from `event_names::`.
-                    if (tok.is_ident("event") || tok.is_ident("event_ctx"))
-                        && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-                        && tokens.get(i + 2).is_some_and(|t| t.kind == TokenKind::Str)
-                    {
-                        let name_tok = &tokens[i + 2];
-                        facts
-                            .event_literal_sites
-                            .push(Literal { value: name_tok.text.clone(), line: name_tok.line });
-                    }
                 }
                 // `...actions::NAME` path references outside the mod.
                 if !in_range(&actions_mod, i)
@@ -339,14 +298,11 @@ fn is_raw_sync_primitive(name: &str) -> bool {
     matches!(name, "Mutex" | "RwLock" | "Condvar")
 }
 
-/// Calls that block on another party while a guard is live: bus/dispatch
+/// Calls that block on another party while a guard is live: bus
 /// exchanges and socket I/O. `wait`/`wait_timeout` are deliberately
 /// absent — a condvar wait *must* hold its own mutex's guard.
 fn dispatch_trigger(name: &str) -> bool {
-    matches!(
-        name,
-        "call" | "call_async" | "dispatch" | "serve_wire" | "write_all" | "read_exact" | "flush"
-    )
+    matches!(name, "call" | "call_async" | "serve_wire" | "write_all" | "read_exact" | "flush")
 }
 
 /// Recognise `let [mut] NAME = <expr>.lock()/.read()/.write()[.unwrap()
@@ -757,53 +713,6 @@ mod tests {
         "#;
         let f = scan("crates/soap/src/x.rs", src);
         assert_eq!(f.to_bytes_sites.len(), 1);
-    }
-
-    #[test]
-    fn dispatch_calls_are_recorded_but_definitions_and_tests_are_not() {
-        let src = r#"
-            pub fn dispatch(&self, env: &Envelope) -> Result<Envelope, Fault> { todo!() }
-            fn shortcut(d: &SoapDispatcher, env: &Envelope) { let _ = d.dispatch(env); }
-            fn named(r: &Registry) { r.dispatch_table(); }
-            #[cfg(test)]
-            mod tests { fn t(d: &D, e: &E) { d.dispatch(e); } }
-        "#;
-        let f = scan("crates/alpha/src/driver.rs", src);
-        assert_eq!(f.dispatch_sites.len(), 1);
-    }
-
-    #[test]
-    fn span_literals_are_recorded_but_inventory_constants_are_not() {
-        let src = r#"
-            fn traced(t: &Tracer, parent: Option<TraceContext>) {
-                let a = t.span("rogue.span", None);
-                let b = t.child_span("rogue.child", parent);
-                let c = t.span(span_names::CLIENT_CALL, None);
-                let d = t.child_span(span_names::BUS_DISPATCH, parent);
-            }
-            #[cfg(test)]
-            mod tests { fn t(tr: &Tracer) { tr.span("test.only", None); } }
-        "#;
-        let f = scan("crates/alpha/src/tracing.rs", src);
-        let names: Vec<&str> = f.span_literal_sites.iter().map(|l| l.value.as_str()).collect();
-        assert_eq!(names, ["rogue.span", "rogue.child"]);
-    }
-
-    #[test]
-    fn event_literals_are_recorded_but_inventory_constants_are_not() {
-        let src = r#"
-            fn journaled(j: &Journal, ctx: Option<TraceContext>) {
-                j.event("rogue.event", 1, 2, 0);
-                j.event_ctx("rogue.ctx", ctx, 0);
-                j.event(event_names::REQ_ADMIT, 1, 2, 0);
-                j.event_ctx(event_names::REQ_DISPATCH, ctx, 0);
-            }
-            #[cfg(test)]
-            mod tests { fn t(j: &Journal) { j.event("test.only", 0, 0, 0); } }
-        "#;
-        let f = scan("crates/alpha/src/journal.rs", src);
-        let names: Vec<&str> = f.event_literal_sites.iter().map(|l| l.value.as_str()).collect();
-        assert_eq!(names, ["rogue.event", "rogue.ctx"]);
     }
 
     #[test]

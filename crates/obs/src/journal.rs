@@ -40,7 +40,7 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
-use crate::names::event_names;
+use crate::names::{event_names, EventName};
 use crate::span::TraceContext;
 
 /// Default per-thread ring capacity (events, not bytes).
@@ -176,13 +176,13 @@ impl Journal {
     /// atomic load; an enabled one pushes a fixed-size record into the
     /// calling thread's ring (allocating only the first time a thread
     /// meets this journal).
-    pub fn event(&self, name: &'static str, trace_id: u64, span_id: u64, arg: u64) {
+    pub fn event(&self, name: EventName, trace_id: u64, span_id: u64, arg: u64) {
         if !self.inner.enabled.load(Ordering::Relaxed) {
             return;
         }
         let event = Event {
             seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
-            name,
+            name: name.as_str(),
             trace_id,
             span_id,
             arg,
@@ -209,7 +209,7 @@ impl Journal {
 
     /// Record one event under an optional trace context (the common
     /// call shape next to a span site).
-    pub fn event_ctx(&self, name: &'static str, ctx: Option<TraceContext>, arg: u64) {
+    pub fn event_ctx(&self, name: EventName, ctx: Option<TraceContext>, arg: u64) {
         if !self.inner.enabled.load(Ordering::Relaxed) {
             return;
         }

@@ -34,9 +34,10 @@
 //!   golden assertions, plus a raw JSON renderer for machine use.
 //!
 //! Span names come from the central inventory in [`names::span_names`]
-//! and journal event names from [`names::event_names`]; the `dais-check`
-//! lints `span-name-literal` and `event-name-literal` reject ad-hoc
-//! literals at the call sites.
+//! and journal event names from [`names::event_names`]. The emitters take
+//! a [`names::SpanName`] / [`names::EventName`], which only those
+//! inventories can build, so an ad-hoc literal at a call site does not
+//! compile.
 
 pub mod hist;
 pub mod journal;

@@ -4,8 +4,8 @@
 //! start-order sequence number, trace and span ids are replaced by
 //! per-sink ordinals (`t0`, `s3`), and durations are elided — so the
 //! same seeded run renders the same bytes every time, which is what the
-//! E13 experiment and the propagation tests pin. The JSON renderer keeps
-//! the raw ids and durations for machine consumers.
+//! propagation tests pin. The JSON renderer keeps the raw ids and
+//! durations for machine consumers.
 
 use crate::span::Span;
 

@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use crate::names::SpanName;
 use crate::render::TraceSink;
 
 /// The on-wire identity of a span: enough for the receiving side to
@@ -192,7 +193,7 @@ impl Tracer {
 
     /// Open a span: a child of `parent` when given, otherwise the root
     /// of a fresh trace. Inert when tracing is disabled.
-    pub fn span(&self, name: &'static str, parent: Option<TraceContext>) -> SpanHandle {
+    pub fn span(&self, name: SpanName, parent: Option<TraceContext>) -> SpanHandle {
         if !self.enabled() {
             return SpanHandle { live: None };
         }
@@ -212,7 +213,7 @@ impl Tracer {
                     trace_id,
                     span_id,
                     parent_id: parent.map(|p| p.span_id),
-                    name,
+                    name: name.as_str(),
                     attrs: Vec::new(),
                     duration_ns: 0,
                 },
@@ -224,7 +225,7 @@ impl Tracer {
     /// Open a span only if there is a parent to join — the propagation
     /// sites use this so a message that carried no (or a mangled) trace
     /// context produces no orphan root.
-    pub fn child_span(&self, name: &'static str, parent: Option<TraceContext>) -> SpanHandle {
+    pub fn child_span(&self, name: SpanName, parent: Option<TraceContext>) -> SpanHandle {
         match parent {
             Some(_) => self.span(name, parent),
             None => SpanHandle { live: None },

@@ -3,11 +3,12 @@
 //! `ConcurrentAccess=true` promise across realisations and the bus's
 //! thread-safety under mixed load.
 
+use dais::dair::{actions, messages};
 use dais::obs::Span;
 use dais::prelude::*;
 use dais::soap::bus::{BusError, StatsSnapshot};
 use dais::soap::interceptor::{CallInfo, Intercept, Interceptor};
-use dais::soap::{Envelope, ServiceClient, SoapDispatcher};
+use dais::soap::{CallError, Envelope, ServiceClient, SoapDispatcher};
 use dais::xml::parse;
 use dais::xml::XmlElement;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -326,6 +327,109 @@ fn overloaded_is_returned_exactly_when_the_queue_is_at_capacity() {
         assert_eq!(bus.endpoint_stats("bus://gate").queue_depth, 0);
         bus.shutdown_executor();
     }
+}
+
+/// Holds every request leg until the gate opens, parking whichever
+/// executor worker runs it — without touching the service's handlers.
+struct HoldRequests {
+    gate: Arc<(Mutex<bool>, Condvar)>,
+    entered: Arc<AtomicU32>,
+}
+
+impl Interceptor for HoldRequests {
+    fn on_request(&self, _call: &CallInfo<'_>, _bytes: &[u8]) -> Intercept {
+        self.entered.fetch_add(1, Ordering::SeqCst);
+        let (flag, cvar) = &*self.gate;
+        let mut open = flag.lock().unwrap();
+        while !*open {
+            open = cvar.wait(open).unwrap();
+        }
+        Intercept::Pass
+    }
+}
+
+#[test]
+fn queued_get_tuples_pages_resolve_to_their_rows_or_overloaded() {
+    // `GetTuples` replies take the raw-body lane; under the queued
+    // executor a worker produces the bytes and the submitting thread
+    // decodes them. Fired without waiting at a small queue, every
+    // submission must resolve to exactly the page it asked for or be
+    // refused at admission — none lost, none decoded wrong.
+    const ADDR: &str = "bus://paged";
+    const ROWS: usize = 200;
+    const PAGE: usize = 20;
+    let bus = Bus::new();
+    let db = Database::new("paged");
+    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR)", &[]).unwrap();
+    let values: Vec<String> = (0..ROWS).map(|id| format!("({id}, 'r{id}')")).collect();
+    db.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")), &[]).unwrap();
+    let svc = RelationalService::launch(&bus, ADDR, db, Default::default());
+    let sql = SqlClient::builder().bus(bus.clone()).address(ADDR).build();
+    let derived = |epr: Epr| AbstractName::new(epr.resource_abstract_name().unwrap()).unwrap();
+    let response = derived(
+        sql.execute_factory(&svc.db_resource, "SELECT id, v FROM t ORDER BY id", &[], None, None)
+            .unwrap(),
+    );
+    let rowset = derived(sql.rowset_factory(&response, None, None).unwrap());
+
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let entered = Arc::new(AtomicU32::new(0));
+    bus.add_interceptor(Arc::new(HoldRequests {
+        gate: Arc::clone(&gate),
+        entered: Arc::clone(&entered),
+    }));
+    let capacity = 4;
+    bus.install_executor(ExecutorConfig::new(2).shards(1).queue_capacity(capacity).seed(0x9A6E));
+
+    let client = ServiceClient::new(bus.clone(), ADDR);
+    // One submission: the reply with the page start it asked for, or
+    // `None` when admission refused it.
+    let submit = |n: usize| {
+        let start = (n * PAGE) % ROWS;
+        let request = messages::get_tuples_request(&rowset, start, PAGE);
+        match client.call_async(actions::GET_TUPLES, request) {
+            Ok(reply) => Some((start, reply)),
+            Err(CallError::Transport(BusError::Overloaded { .. })) => None,
+            Err(other) => panic!("unexpected admission error: {other:?}"),
+        }
+    };
+    let shed = |outcomes: &[Option<(usize, PendingReply)>]| {
+        outcomes.iter().filter(|o| o.is_none()).count()
+    };
+
+    // Phase 1, gate shut: park both workers on a page each, then burst.
+    // The queue takes exactly `capacity` more; everything else sheds.
+    let mut outcomes = Vec::new();
+    for n in 0..2 {
+        outcomes.push(submit(n));
+        while entered.load(Ordering::SeqCst) <= n as u32 {
+            std::thread::yield_now();
+        }
+    }
+    let burst = 40;
+    outcomes.extend((2..burst).map(submit));
+    assert_eq!(shed(&outcomes), burst - 2 - capacity, "a full queue refuses, a free slot admits");
+    *gate.0.lock().unwrap() = true;
+    gate.1.notify_all();
+
+    // Phase 2, gate open: a second burst races the workers.
+    let submitted = 2 * burst;
+    outcomes.extend((burst..submitted).map(submit));
+
+    let shed = shed(&outcomes);
+    let mut completed = 0usize;
+    for (start, reply) in outcomes.into_iter().flatten() {
+        let bytes = reply.wait_bytes().expect("an admitted page resolves");
+        let page = messages::rowset_from_reply_bytes(&bytes).expect("the page decodes");
+        let expected: Vec<Vec<Value>> = (start..start + PAGE)
+            .map(|id| vec![Value::Int(id as i64), Value::Str(format!("r{id}"))])
+            .collect();
+        assert_eq!(page.rows, expected, "page at {start}");
+        completed += 1;
+    }
+    assert_eq!(completed + shed, submitted, "every submission is a page or a refusal");
+    assert_eq!(bus.endpoint_stats(ADDR).shed, shed as u64);
+    bus.shutdown_executor();
 }
 
 /// Rejects every response on its way back to the caller.

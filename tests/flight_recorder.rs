@@ -76,11 +76,11 @@ fn retained_trace_joins_its_journal_slice() {
         let slice = journal.for_trace(*tid);
         let names: BTreeSet<&str> = slice.iter().map(|e| e.name).collect();
         assert!(
-            names.contains(event_names::REQ_ADMIT),
+            names.contains(event_names::REQ_ADMIT.as_str()),
             "trace {tid:#x} has no admission event: {names:?}"
         );
         assert!(
-            names.contains(event_names::REQ_DISPATCH),
+            names.contains(event_names::REQ_DISPATCH.as_str()),
             "trace {tid:#x} has no dispatch event: {names:?}"
         );
     }
@@ -95,7 +95,7 @@ fn retained_trace_joins_its_journal_slice() {
     let faults: Vec<_> = journal
         .for_trace(failed.trace_id)
         .into_iter()
-        .filter(|e| e.name == event_names::REQ_FAULT)
+        .filter(|e| e.name == event_names::REQ_FAULT.as_str())
         .cloned()
         .collect();
     assert_eq!(faults.len(), 1, "exactly one fault event for the failed request");
@@ -104,7 +104,7 @@ fn retained_trace_joins_its_journal_slice() {
     // And the dropped trace's journal events are still there (the
     // journal is always-on history, not tail-sampled): three admissions
     // for three requests.
-    assert_eq!(journal.events_named(event_names::REQ_ADMIT).len(), 3);
+    assert_eq!(journal.events_named(event_names::REQ_ADMIT.as_str()).len(), 3);
 }
 
 // ---------------------------------------------------------------------------
