@@ -71,32 +71,6 @@ impl Envelope {
         self.header.iter().find(|h| h.name.is(namespace, local))
     }
 
-    /// Serialise to the wire form.
-    pub fn to_xml(&self) -> XmlElement {
-        let mut env = XmlElement::new(ns::SOAP_ENV, "soap", "Envelope");
-        if !self.header.is_empty() {
-            let mut header = XmlElement::new(ns::SOAP_ENV, "soap", "Header");
-            for h in &self.header {
-                header.push(h.clone());
-            }
-            env.push(header);
-        }
-        let mut body = XmlElement::new(ns::SOAP_ENV, "soap", "Body");
-        for b in &self.body {
-            body.push(b.clone());
-        }
-        if let Some(raw) = &self.raw_body {
-            // The raw fragment is writer-produced and re-parses cleanly;
-            // a hand-built malformed fragment degrades to an empty body
-            // here (the wire path never takes this branch — it splices).
-            if let Ok(el) = parse(raw) {
-                body.push(el);
-            }
-        }
-        env.push(body);
-        env
-    }
-
     /// Serialise to bytes (what the bus transports).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -106,8 +80,7 @@ impl Envelope {
 
     /// Serialise to bytes, appending to a caller-supplied (typically
     /// pooled) buffer. Streams the envelope frame and writes header/body
-    /// blocks directly — no intermediate [`Envelope::to_xml`] deep clone —
-    /// yet produces exactly the bytes of [`Envelope::to_bytes`].
+    /// blocks directly, with no intermediate envelope tree.
     pub fn to_bytes_into(&self, out: &mut Vec<u8>) {
         let content: usize =
             self.header.iter().chain(&self.body).map(estimated_size).sum::<usize>()
@@ -136,22 +109,6 @@ impl Envelope {
         w.end();
         w.end();
         w.finish();
-    }
-
-    /// Parse an envelope from a wire element.
-    pub fn from_xml(root: &XmlElement) -> Result<Envelope, EnvelopeError> {
-        if !root.name.is(ns::SOAP_ENV, "Envelope") {
-            return Err(EnvelopeError::new(format!("expected soap:Envelope, found {}", root.name)));
-        }
-        let header = root
-            .child(ns::SOAP_ENV, "Header")
-            .map(|h| h.elements().cloned().collect())
-            .unwrap_or_default();
-        let body_el = root
-            .child(ns::SOAP_ENV, "Body")
-            .ok_or_else(|| EnvelopeError::new("envelope has no soap:Body"))?;
-        let body = body_el.elements().cloned().collect();
-        Ok(Envelope { header, body, raw_body: None })
     }
 
     /// Parse an envelope from a wire element, consuming it. The header
@@ -245,8 +202,7 @@ mod tests {
     #[test]
     fn headerless_envelope_omits_header_element() {
         let env = Envelope::with_body(payload());
-        let xml = to_string(&env.to_xml());
-        assert!(!xml.contains("Header"));
+        assert!(!String::from_utf8(env.to_bytes()).unwrap().contains("Header"));
         assert_eq!(Envelope::from_bytes(&env.to_bytes()).unwrap(), env);
     }
 
@@ -276,11 +232,21 @@ mod tests {
 
     #[test]
     fn streamed_bytes_match_tree_serialisation() {
-        let with_header = Envelope::with_body(payload())
-            .with_header(XmlElement::new(ns::WSA, "wsa", "Action").with_text("urn:op"));
+        let action = XmlElement::new(ns::WSA, "wsa", "Action").with_text("urn:op");
+        let frame = |header: &str| {
+            format!(
+                "<soap:Envelope xmlns:soap=\"{}\">{header}<soap:Body>{}</soap:Body></soap:Envelope>",
+                ns::SOAP_ENV,
+                to_string(&payload())
+            )
+        };
+        let with_header = Envelope::with_body(payload()).with_header(action.clone());
         let headerless = Envelope::with_body(payload());
-        for env in [with_header, headerless] {
-            assert_eq!(env.to_bytes(), to_string(&env.to_xml()).into_bytes());
+        for (env, header) in [
+            (with_header, format!("<soap:Header>{}</soap:Header>", to_string(&action))),
+            (headerless, String::new()),
+        ] {
+            assert_eq!(env.to_bytes(), frame(&header).into_bytes());
             let mut appended = b"x".to_vec();
             env.to_bytes_into(&mut appended);
             assert_eq!(&appended[1..], &env.to_bytes()[..]);
@@ -300,16 +266,8 @@ mod tests {
         let raw = Envelope::with_raw_body(to_string(&payload())).with_header(hdr.clone());
         let tree = Envelope::with_body(payload()).with_header(hdr);
         assert_eq!(raw.to_bytes(), tree.to_bytes());
-        // And to_xml() on the raw form re-parses the fragment.
-        assert_eq!(raw.to_xml(), tree.to_xml());
-    }
-
-    #[test]
-    fn from_xml_owned_matches_borrowing_parse() {
-        let env = Envelope::with_body(payload())
-            .with_header(XmlElement::new(ns::WSA, "wsa", "Action").with_text("urn:op"));
-        let root = dais_xml::parse(std::str::from_utf8(&env.to_bytes()).unwrap()).unwrap();
-        assert_eq!(Envelope::from_xml(&root).unwrap(), Envelope::from_xml_owned(root).unwrap());
+        // And the raw form reads back as the tree form.
+        assert_eq!(Envelope::from_bytes(&raw.to_bytes()).unwrap(), tree);
     }
 
     #[test]

@@ -561,6 +561,14 @@ mod tests {
                     "<wrs:currentRow><wrs:columnValue>x</wrs:columnValue></wrs:currentRow>",
                 ),
             ),
+            (
+                "cell with an unbound attribute prefix",
+                doc(
+                    int_column,
+                    "<wrs:currentRow><wrs:columnValue q:x='1'>1</wrs:columnValue>\
+                     </wrs:currentRow>",
+                ),
+            ),
             ("truncated in metadata", cut("<wrs:column-name>id")),
             ("truncated in a row", cut("<wrs:columnValue>widget")),
             ("truncated between rows", cut("</wrs:currentRow>")),

@@ -19,6 +19,10 @@
 //! entities — none of which appear in DAIS messages (and external
 //! entities are a well-known security hazard for service endpoints).
 //!
+//! One lexer reads every document: [`PullParser`] streams events to the
+//! reply decoders, and [`parse`] builds an [`XmlElement`] tree from the
+//! same lexer's tokens, so the two accept and reject the same inputs.
+//!
 //! The [`xpath`] module implements the XPath 1.0 subset used by
 //! WS-ResourceProperties `QueryResourceProperties` and by the WS-DAIX
 //! `XPathExecute` operation.
@@ -48,7 +52,7 @@ pub use name::QName;
 pub use node::{Attribute, XmlElement, XmlNode};
 pub use parser::{parse, parse_preserving, XmlError};
 pub use pull::{PullEvent, PullParser};
-pub use writer::{estimated_size, to_bytes_into, to_pretty_string, to_string, XmlSink, XmlWriter};
+pub use writer::{estimated_size, to_bytes_into, to_string, XmlSink, XmlWriter};
 pub use xpath::{XPathContext, XPathError, XPathExpr, XPathValue};
 
 /// Well-known namespace URIs used throughout the DAIS stack.

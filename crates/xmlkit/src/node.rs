@@ -152,12 +152,6 @@ impl XmlElement {
         self.elements().filter(move |e| e.name.is(namespace, local))
     }
 
-    /// First child element with the given local name, ignoring namespace.
-    /// Useful for lax protocol parsing.
-    pub fn child_local(&self, local: &str) -> Option<&XmlElement> {
-        self.elements().find(|e| e.name.local == local)
-    }
-
     /// The *string value* of this element per XPath: the concatenation of
     /// all descendant text, in document order.
     pub fn text(&self) -> String {

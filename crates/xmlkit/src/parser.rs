@@ -1,29 +1,18 @@
-//! A namespace-aware recursive-descent XML parser.
+//! The tree reader: [`parse`] and [`parse_preserving`] build an
+//! [`XmlElement`] from the tokens of the crate's one lexer,
+//! [`PullParser`].
 //!
-//! The parser resolves namespace prefixes to URIs as it goes, so the
+//! The lexer resolves namespace prefixes to URIs as it goes, so the
 //! resulting tree carries expanded [`QName`]s and no longer depends on the
 //! particular prefixes used on the wire. Namespace *declarations* are not
 //! kept in the tree; the serialiser re-derives them (see [`crate::writer`]).
-//!
-//! ## The fast lane
-//!
-//! The inner loop lexes over `&[u8]` and borrows from the input wherever
-//! the bytes can be used verbatim:
-//!
-//! - name tokens are `&str` slices of the input, interned into [`IStr`]s
-//!   only at the point a [`QName`] is built — recurring protocol names
-//!   resolve to `Arc`-shared strings without allocating;
-//! - text segments and attribute values lex to [`Cow::Borrowed`] unless
-//!   they contain an entity reference (the only case that needs rewriting);
-//! - namespace scopes are a flat vector of `(prefix, uri)` bindings with
-//!   per-element truncation marks instead of a stack of hash maps;
-//! - line/column positions are computed lazily, only when an error is
-//!   actually reported, so the hot path never counts newlines.
+//! Names are interned into [`IStr`]s as the tree is built, so recurring
+//! protocol names resolve to `Arc`-shared strings without allocating.
 
 use crate::name::QName;
 use crate::node::{Attribute, XmlElement, XmlNode};
+use crate::pull::{PullParser, Token};
 use dais_util::intern::{intern, IStr};
-use std::borrow::Cow;
 use std::fmt;
 
 /// An XML well-formedness or namespace error, with 1-based position.
@@ -45,484 +34,73 @@ impl std::error::Error for XmlError {}
 /// Parse a document, dropping whitespace-only text nodes that sit between
 /// elements (the right default for protocol messages).
 pub fn parse(input: &str) -> Result<XmlElement, XmlError> {
-    Parser::new(input, true).parse_document()
+    build(input, true)
 }
 
 /// Parse a document preserving all character data exactly.
 pub fn parse_preserving(input: &str) -> Result<XmlElement, XmlError> {
-    Parser::new(input, false).parse_document()
+    build(input, false)
 }
 
 /// Maximum element nesting depth. DAIS protocol messages are shallow;
 /// the cap turns stack-exhaustion attacks from hostile documents into
-/// clean parse errors (the parser, XPath arena and serialiser all recurse
-/// over element depth).
+/// clean parse errors (the XPath arena and serialiser recurse over
+/// element depth).
 pub const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    text: &'a str,
-    bytes: &'a [u8],
-    pos: usize,
+fn qname(namespace: IStr, prefix: &str, local: &str) -> QName {
+    QName { namespace, local: intern(local), prefix: intern(prefix) }
+}
+
+/// Build the tree from the lexer's tokens. Before the document element
+/// the lexer yields only its start tag; after it, only the end of input.
+fn build(input: &str, strip_ws: bool) -> Result<XmlElement, XmlError> {
+    let mut lexer = PullParser::new(input)?;
+    let mut root = None;
+    while let Some(token) = lexer.step()? {
+        if let Token::Start { namespace, prefix, local } = token {
+            root = Some(read_element(&mut lexer, qname(namespace, prefix, local), strip_ws)?);
+        }
+    }
+    root.map_or_else(|| lexer.err("no document element"), Ok)
+}
+
+/// The element whose start tag the lexer just read, through its end tag.
+/// Recursion is bounded by the lexer's [`MAX_DEPTH`] check.
+fn read_element(
+    lexer: &mut PullParser<'_>,
+    name: QName,
     strip_ws: bool,
-    depth: usize,
-}
-
-/// Namespace scope: a flat list of `(prefix, uri)` bindings with marks
-/// recording where each element's declarations start. Lookup walks the
-/// list backwards, so inner declarations shadow outer ones; popping an
-/// element truncates back to its mark. No per-element map allocation.
-struct NsScope<'a> {
-    bindings: Vec<(&'a str, IStr)>,
-    marks: Vec<usize>,
-}
-
-impl<'a> NsScope<'a> {
-    fn new() -> Self {
-        NsScope {
-            bindings: vec![
-                // The xml prefix is implicitly bound per the namespaces rec.
-                ("xml", intern("http://www.w3.org/XML/1998/namespace")),
-                // Default namespace: none.
-                ("", IStr::default()),
-            ],
-            marks: Vec::new(),
-        }
-    }
-
-    fn push(&mut self) {
-        self.marks.push(self.bindings.len());
-    }
-
-    fn pop(&mut self) {
-        // The base scope (xml prefix, empty default) must survive, so an
-        // unbalanced pop is a no-op rather than an empty list.
-        if let Some(mark) = self.marks.pop() {
-            self.bindings.truncate(mark);
-        }
-    }
-
-    fn declare(&mut self, prefix: &'a str, uri: IStr) {
-        self.bindings.push((prefix, uri));
-    }
-
-    fn resolve(&self, prefix: &str) -> Option<&IStr> {
-        self.bindings.iter().rev().find(|(p, _)| *p == prefix).map(|(_, u)| u)
-    }
-}
-
-impl<'a> Parser<'a> {
-    fn new(input: &'a str, strip_ws: bool) -> Self {
-        Parser { text: input, bytes: input.as_bytes(), pos: 0, strip_ws, depth: 0 }
-    }
-
-    /// Report an error at the current position. Line/column are derived
-    /// here, on the cold path, by one scan of the consumed prefix.
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T, XmlError> {
-        let upto = &self.bytes[..self.pos];
-        let line = 1 + upto.iter().filter(|&&b| b == b'\n').count();
-        let column = match upto.iter().rposition(|&b| b == b'\n') {
-            Some(nl) => self.pos - nl,
-            None => self.pos + 1,
+) -> Result<XmlElement, XmlError> {
+    let attributes = lexer
+        .attrs
+        .drain(..)
+        .map(|a| Attribute {
+            name: qname(a.namespace, a.prefix, a.local),
+            value: a.value.into_owned(),
+        })
+        .collect();
+    let mut element = XmlElement { name, attributes, children: Vec::new() };
+    loop {
+        let child = match lexer.step()? {
+            Some(Token::Start { namespace, prefix, local }) => {
+                XmlNode::Element(read_element(lexer, qname(namespace, prefix, local), strip_ws)?)
+            }
+            Some(Token::End) | None => return Ok(element),
+            Some(Token::Text(t)) if strip_ws && t.trim().is_empty() => continue,
+            Some(Token::Text(t)) => XmlNode::Text(t.into_owned()),
+            Some(Token::CData(t)) => XmlNode::CData(t.to_owned()),
+            Some(Token::Comment(t)) => XmlNode::Comment(t.to_owned()),
         };
-        Err(XmlError { message: msg.into(), line, column })
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn starts_with(&self, s: &str) -> bool {
-        self.bytes[self.pos..].starts_with(s.as_bytes())
-    }
-
-    fn advance(&mut self, n: usize) {
-        self.pos += n;
-    }
-
-    /// Byte offset of the next occurrence of `delim` at or after the
-    /// current position, if any.
-    fn find(&self, delim: &str) -> Option<usize> {
-        let d = delim.as_bytes();
-        self.bytes[self.pos..].windows(d.len()).position(|w| w == d).map(|i| self.pos + i)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), XmlError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            self.err(format!("expected '{}'", b as char))
-        }
-    }
-
-    fn parse_document(&mut self) -> Result<XmlElement, XmlError> {
-        self.skip_prolog()?;
-        let mut scope = NsScope::new();
-        let root = self.parse_element(&mut scope)?;
-        // Trailing misc: whitespace and comments only.
-        loop {
-            self.skip_ws();
-            if self.starts_with("<!--") {
-                self.parse_comment()?;
-            } else {
-                break;
-            }
-        }
-        if self.pos != self.bytes.len() {
-            return self.err("content after document element");
-        }
-        Ok(root)
-    }
-
-    fn skip_prolog(&mut self) -> Result<(), XmlError> {
-        loop {
-            self.skip_ws();
-            if self.starts_with("<?xml") {
-                match self.find("?>") {
-                    Some(end) => self.pos = end + 2,
-                    None => {
-                        self.pos = self.bytes.len();
-                        return self.err("unterminated XML declaration");
-                    }
-                }
-            } else if self.starts_with("<!--") {
-                self.parse_comment()?;
-            } else if self.starts_with("<!DOCTYPE") {
-                return self.err("DOCTYPE is not supported");
-            } else {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Parse a name token (possibly prefixed), borrowed from the input.
-    /// Names end at an ASCII delimiter, so the slice boundaries always
-    /// fall on character boundaries.
-    fn parse_name(&mut self) -> Result<&'a str, XmlError> {
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            let ok = if self.pos == start {
-                b.is_ascii_alphabetic() || b == b'_' || b >= 0x80
-            } else {
-                b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') || b >= 0x80
-            };
-            if ok {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
-            return self.err("expected a name");
-        }
-        Ok(&self.text[start..self.pos])
-    }
-
-    fn split_name(&self, raw: &'a str) -> Result<(&'a str, &'a str), XmlError> {
-        match raw.split_once(':') {
-            None => Ok(("", raw)),
-            Some((p, l)) if !p.is_empty() && !l.is_empty() && !l.contains(':') => Ok((p, l)),
-            _ => self.err(format!("malformed qualified name '{raw}'")),
-        }
-    }
-
-    fn parse_element(&mut self, scope: &mut NsScope<'a>) -> Result<XmlElement, XmlError> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return self.err(format!("element nesting exceeds the maximum depth of {MAX_DEPTH}"));
-        }
-        let result = self.parse_element_inner(scope);
-        self.depth -= 1;
-        result
-    }
-
-    fn parse_element_inner(&mut self, scope: &mut NsScope<'a>) -> Result<XmlElement, XmlError> {
-        self.expect(b'<')?;
-        let raw_name = self.parse_name()?;
-        scope.push();
-
-        // First pass: collect raw attributes, registering xmlns decls.
-        let mut raw_attrs: Vec<(&'a str, Cow<'a, str>)> = Vec::new();
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'>') | Some(b'/') => break,
-                Some(_) => {
-                    let an = self.parse_name()?;
-                    self.skip_ws();
-                    self.expect(b'=')?;
-                    self.skip_ws();
-                    let av = self.parse_attr_value()?;
-                    if an == "xmlns" {
-                        scope.declare("", intern(&av));
-                    } else if let Some(p) = an.strip_prefix("xmlns:") {
-                        if p.is_empty() {
-                            return self.err("empty namespace prefix declaration");
-                        }
-                        if av.is_empty() {
-                            return self.err("cannot bind a prefix to the empty namespace");
-                        }
-                        scope.declare(p, intern(&av));
-                    } else {
-                        if raw_attrs.iter().any(|(n, _)| *n == an) {
-                            return self.err(format!("duplicate attribute '{an}'"));
-                        }
-                        raw_attrs.push((an, av));
-                    }
-                }
-                None => return self.err("unexpected end of input in tag"),
-            }
-        }
-
-        // Resolve element name.
-        let (prefix, local) = self.split_name(raw_name)?;
-        let namespace = match scope.resolve(prefix) {
-            Some(u) => u.clone(),
-            None => return self.err(format!("undeclared namespace prefix '{prefix}'")),
-        };
-        let mut element = XmlElement {
-            name: QName { namespace, local: intern(local), prefix: intern(prefix) },
-            attributes: Vec::with_capacity(raw_attrs.len()),
-            children: Vec::new(),
-        };
-
-        // Resolve attribute names (unprefixed attrs are in no namespace).
-        for (an, av) in raw_attrs {
-            let (prefix, local) = self.split_name(an)?;
-            let namespace = if prefix.is_empty() {
-                IStr::default()
-            } else {
-                match scope.resolve(prefix) {
-                    Some(u) => u.clone(),
-                    None => return self.err(format!("undeclared namespace prefix '{prefix}'")),
-                }
-            };
-            element.attributes.push(Attribute {
-                name: QName { namespace, local: intern(local), prefix: intern(prefix) },
-                value: av.into_owned(),
-            });
-        }
-
-        // Empty element?
-        if self.peek() == Some(b'/') {
-            self.pos += 1;
-            self.expect(b'>')?;
-            scope.pop();
-            return Ok(element);
-        }
-        self.expect(b'>')?;
-
-        // Content.
-        loop {
-            if self.starts_with("</") {
-                self.advance(2);
-                let close = self.parse_name()?;
-                if close != raw_name {
-                    return self.err(format!("mismatched close tag </{close}> for <{raw_name}>"));
-                }
-                self.skip_ws();
-                self.expect(b'>')?;
-                scope.pop();
-                self.coalesce_text(&mut element);
-                return Ok(element);
-            } else if self.starts_with("<!--") {
-                let c = self.parse_comment()?;
-                element.children.push(XmlNode::Comment(c));
-            } else if self.starts_with("<![CDATA[") {
-                self.advance(9);
-                let start = self.pos;
-                match self.find("]]>") {
-                    Some(end) => {
-                        let text = self.text[start..end].to_string();
-                        self.pos = end + 3;
-                        element.children.push(XmlNode::CData(text));
-                    }
-                    None => {
-                        self.pos = self.bytes.len();
-                        return self.err("unterminated CDATA section");
-                    }
-                }
-            } else if self.peek() == Some(b'<') {
-                let child = self.parse_element(scope)?;
-                element.children.push(XmlNode::Element(child));
-            } else if self.peek().is_none() {
-                return self.err(format!("unexpected end of input inside <{raw_name}>"));
-            } else {
-                let text = self.parse_text()?;
-                if !(self.strip_ws && text.trim().is_empty()) {
-                    element.children.push(XmlNode::Text(text.into_owned()));
-                }
-            }
-        }
-    }
-
-    /// Merge adjacent text nodes produced by entity splitting.
-    fn coalesce_text(&self, element: &mut XmlElement) {
-        if element.children.windows(2).all(|w| !matches!(w, [XmlNode::Text(_), XmlNode::Text(_)])) {
-            return;
-        }
-        let mut out: Vec<XmlNode> = Vec::with_capacity(element.children.len());
-        for node in element.children.drain(..) {
-            match (&mut out.last_mut(), node) {
-                (Some(XmlNode::Text(prev)), XmlNode::Text(next)) => prev.push_str(&next),
-                (_, node) => out.push(node),
-            }
-        }
-        element.children = out;
-    }
-
-    fn parse_comment(&mut self) -> Result<String, XmlError> {
-        self.advance(4); // <!--
-        let start = self.pos;
-        match self.find("-->") {
-            Some(end) => {
-                let text = self.text[start..end].to_string();
-                self.pos = end + 3;
-                Ok(text)
-            }
-            None => {
-                self.pos = self.bytes.len();
-                self.err("unterminated comment")
-            }
-        }
-    }
-
-    /// Character data up to the next `<`. Escape-free segments borrow
-    /// straight from the input; only entity references force a rebuild.
-    fn parse_text(&mut self) -> Result<Cow<'a, str>, XmlError> {
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'<' => return Ok(Cow::Borrowed(&self.text[start..self.pos])),
-                b'&' => break,
-                _ => self.pos += 1,
-            }
-        }
-        if self.pos >= self.bytes.len() {
-            return Ok(Cow::Borrowed(&self.text[start..self.pos]));
-        }
-        // Slow path: an entity reference appeared.
-        let mut out = String::with_capacity(self.pos - start + 16);
-        out.push_str(&self.text[start..self.pos]);
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'<' => break,
-                b'&' => out.push(self.parse_entity()?),
-                _ => {
-                    let run = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'<' || b == b'&' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(&self.text[run..self.pos]);
-                }
-            }
-        }
-        Ok(Cow::Owned(out))
-    }
-
-    /// A quoted attribute value. Escape-free values borrow straight from
-    /// the input; only entity references force a rebuild.
-    fn parse_attr_value(&mut self) -> Result<Cow<'a, str>, XmlError> {
-        let quote = match self.peek() {
-            Some(q @ (b'"' | b'\'')) => {
-                self.pos += 1;
-                q
-            }
-            _ => return self.err("expected quoted attribute value"),
-        };
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == quote {
-                let v = &self.text[start..self.pos];
-                self.pos += 1;
-                return Ok(Cow::Borrowed(v));
-            }
-            match b {
-                b'&' => break,
-                b'<' => return self.err("'<' is not allowed in attribute values"),
-                _ => self.pos += 1,
-            }
-        }
-        if self.pos >= self.bytes.len() {
-            return self.err("unterminated attribute value");
-        }
-        // Slow path: an entity reference appeared.
-        let mut out = String::with_capacity(self.pos - start + 16);
-        out.push_str(&self.text[start..self.pos]);
-        loop {
-            match self.peek() {
-                Some(b) if b == quote => {
-                    self.pos += 1;
-                    return Ok(Cow::Owned(out));
-                }
-                Some(b'&') => out.push(self.parse_entity()?),
-                Some(b'<') => return self.err("'<' is not allowed in attribute values"),
-                Some(_) => {
-                    let run = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == quote || b == b'&' || b == b'<' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(&self.text[run..self.pos]);
-                }
-                None => return self.err("unterminated attribute value"),
-            }
-        }
-    }
-
-    fn parse_entity(&mut self) -> Result<char, XmlError> {
-        self.expect(b'&')?;
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b == b';' {
-                break;
-            }
-            if self.pos - start > 10 {
-                return self.err("unterminated entity reference");
-            }
-            self.pos += 1;
-        }
-        let name = &self.text[start..self.pos];
-        self.expect(b';')?;
-        match name {
-            "amp" => Ok('&'),
-            "lt" => Ok('<'),
-            "gt" => Ok('>'),
-            "quot" => Ok('"'),
-            "apos" => Ok('\''),
-            _ if name.starts_with("#x") || name.starts_with("#X") => {
-                u32::from_str_radix(&name[2..], 16)
-                    .ok()
-                    .and_then(char::from_u32)
-                    .ok_or(())
-                    .or_else(|_| self.err(format!("invalid character reference &{name};")))
-            }
-            _ if name.starts_with('#') => name[1..]
-                .parse::<u32>()
-                .ok()
-                .and_then(char::from_u32)
-                .ok_or(())
-                .or_else(|_| self.err(format!("invalid character reference &{name};"))),
-            _ => self.err(format!("unknown entity &{name};")),
-        }
+        element.children.push(child);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::XmlNode;
+    use crate::pull::PullEvent;
+    use std::borrow::Cow;
 
     #[test]
     fn parses_simple_document() {
@@ -538,6 +116,10 @@ mod tests {
         assert!(e.name.is("urn:a", "r"));
         assert!(e.child("urn:d", "c").is_some());
         assert!(e.child("urn:a", "c").is_some());
+        // An attribute prefix may be declared after its use in the tag.
+        let e = parse("<r q:a='1' xmlns:q='urn:q'/>").unwrap();
+        assert_eq!(e.attribute_ns("urn:q", "a"), Some("1"));
+        assert_eq!(e.attributes[0].name.prefix, "q");
     }
 
     #[test]
@@ -641,20 +223,27 @@ mod tests {
         assert_eq!(e.text(), "a&b");
     }
 
+    /// A lexer positioned just after the document element's start tag.
+    fn lexer_in_root(doc: &str) -> PullParser<'_> {
+        let mut p = PullParser::new(doc).unwrap();
+        assert!(matches!(p.next().unwrap(), Some(PullEvent::Start { .. })));
+        p
+    }
+
     #[test]
     fn escape_free_text_lexes_borrowed() {
-        let mut p = Parser::new("plain segment<", false);
-        assert!(matches!(p.parse_text().unwrap(), Cow::Borrowed("plain segment")));
-        let mut p = Parser::new("a&amp;b<", false);
-        assert!(matches!(p.parse_text().unwrap(), Cow::Owned(_)));
+        let mut p = lexer_in_root("<r>plain segment</r>");
+        assert!(matches!(p.next().unwrap(), Some(PullEvent::Text(Cow::Borrowed("plain segment")))));
+        let mut p = lexer_in_root("<r>a&amp;b</r>");
+        assert!(matches!(p.next().unwrap(), Some(PullEvent::Text(Cow::Owned(_)))));
     }
 
     #[test]
     fn escape_free_attr_values_lex_borrowed() {
-        let mut p = Parser::new("'no escapes here'", false);
-        assert!(matches!(p.parse_attr_value().unwrap(), Cow::Borrowed("no escapes here")));
-        let mut p = Parser::new("'one &lt; two'", false);
-        assert!(matches!(p.parse_attr_value().unwrap(), Cow::Owned(_)));
+        let p = lexer_in_root("<r a='no escapes here'/>");
+        assert!(matches!(p.attrs[0].value, Cow::Borrowed("no escapes here")));
+        let p = lexer_in_root("<r a='one &lt; two'/>");
+        assert!(matches!(p.attrs[0].value, Cow::Owned(_)));
     }
 
     #[test]

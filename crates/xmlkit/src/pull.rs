@@ -1,19 +1,29 @@
-//! A namespace-aware pull (event) parser.
+//! The XML reader: a namespace-aware pull (event) parser.
 //!
-//! The tree parser in [`crate::parser`] materialises every element,
-//! attribute and text node before the caller sees any of them — the
-//! right shape for small protocol messages, and exactly the wrong shape
-//! for a 200 KB WebRowSet page whose cells are consumed once and
-//! discarded. [`PullParser`] walks the same grammar with the same
-//! lexing rules (borrowed names and text, entity rewriting only when an
-//! escape actually appears, flat namespace scope with truncation marks,
-//! [`crate::parser::MAX_DEPTH`] nesting cap) but yields a stream of
-//! [`PullEvent`]s instead of a tree: the caller decodes rows as the
-//! bytes stream past and nothing outlives its event.
+//! [`PullParser`] is the crate's one lexer. It yields a stream of
+//! [`PullEvent`]s, so a reply decoder reads a 200 KB WebRowSet page cell
+//! by cell as the bytes stream past and nothing outlives its event;
+//! [`crate::parse`] builds its element tree from the same stream.
 //!
-//! Whitespace-only text between elements is skipped, matching
-//! [`crate::parse`]; meaningful whitespace travels in attributes on the
-//! DAIS wire, so nothing is lost.
+//! The inner loop lexes over `&[u8]` and borrows from the input wherever
+//! the bytes can be used verbatim:
+//!
+//! - name tokens are `&str` slices of the input;
+//! - text segments and attribute values lex to [`Cow::Borrowed`] unless
+//!   they contain an entity reference (the only case that needs rewriting);
+//! - namespace scopes are a flat vector of `(prefix, uri)` bindings with
+//!   per-element truncation marks instead of a stack of hash maps;
+//! - line/column positions are computed lazily, only when an error is
+//!   actually reported, so the hot path never counts newlines.
+//!
+//! Element and attribute names are resolved against the scope at their
+//! start tag: an undeclared prefix or a malformed qualified name is an
+//! error whoever reads the document. Nesting is capped at
+//! [`crate::parser::MAX_DEPTH`].
+//!
+//! Whitespace-only text and comments are skipped and CDATA arrives as
+//! text; meaningful whitespace travels in attributes on the DAIS wire, so
+//! nothing is lost. The tree builder reads the unfiltered tokens instead.
 
 use crate::parser::{XmlError, MAX_DEPTH};
 use dais_util::intern::{intern, IStr};
@@ -33,30 +43,64 @@ pub enum PullEvent<'a> {
     End,
 }
 
-/// Namespace scope: flat `(prefix, uri)` bindings with per-element
-/// truncation marks — the same shape the tree parser uses.
+/// One lexical item before [`PullParser::next`] filters it: the tree
+/// builder keeps the prefix, comments, CDATA sections and whitespace-only
+/// text that the public event stream drops or folds into text.
+pub(crate) enum Token<'a> {
+    Start { namespace: IStr, prefix: &'a str, local: &'a str },
+    Text(Cow<'a, str>),
+    CData(&'a str),
+    Comment(&'a str),
+    End,
+}
+
+/// An attribute of the most recent start tag, its name resolved.
+pub(crate) struct Attr<'a> {
+    /// The name as written, for [`PullParser::attr`].
+    pub(crate) raw: &'a str,
+    pub(crate) namespace: IStr,
+    pub(crate) prefix: &'a str,
+    pub(crate) local: &'a str,
+    pub(crate) value: Cow<'a, str>,
+}
+
+/// Namespace scope: a flat list of `(prefix, uri)` bindings beside the
+/// stack of open elements, each recording where its declarations start.
+/// Lookup walks the list backwards, so inner declarations shadow outer
+/// ones; popping an element truncates back to its mark. No per-element
+/// map allocation.
 struct NsScope<'a> {
     bindings: Vec<(&'a str, IStr)>,
-    marks: Vec<usize>,
+    /// Raw (prefixed) name of each open element, for close-tag checks,
+    /// and its mark in `bindings`.
+    open: Vec<(&'a str, usize)>,
+    /// The empty namespace of unprefixed attributes.
+    none: IStr,
 }
 
 impl<'a> NsScope<'a> {
     fn new() -> Self {
+        let none = IStr::default();
         NsScope {
             bindings: vec![
+                // The xml prefix is implicitly bound per the namespaces rec.
                 ("xml", intern("http://www.w3.org/XML/1998/namespace")),
-                ("", IStr::default()),
+                // Default namespace: none.
+                ("", none.clone()),
             ],
-            marks: Vec::new(),
+            open: Vec::new(),
+            none,
         }
     }
 
-    fn push(&mut self) {
-        self.marks.push(self.bindings.len());
+    fn push(&mut self, name: &'a str) {
+        self.open.push((name, self.bindings.len()));
     }
 
     fn pop(&mut self) {
-        if let Some(mark) = self.marks.pop() {
+        // The base scope (xml prefix, empty default) must survive, so an
+        // unbalanced pop is a no-op rather than an empty list.
+        if let Some((_, mark)) = self.open.pop() {
             self.bindings.truncate(mark);
         }
     }
@@ -65,8 +109,22 @@ impl<'a> NsScope<'a> {
         self.bindings.push((prefix, uri));
     }
 
-    fn resolve(&self, prefix: &str) -> Option<&IStr> {
-        self.bindings.iter().rev().find(|(p, _)| *p == prefix).map(|(_, u)| u)
+    /// Split a raw name into `(namespace, prefix, local)`. An unprefixed
+    /// element takes the default namespace; an unprefixed attribute is in
+    /// no namespace.
+    fn resolve(&self, raw: &'a str, attribute: bool) -> Result<(IStr, &'a str, &'a str), String> {
+        let (prefix, local) = match raw.split_once(':') {
+            None => ("", raw),
+            Some((p, l)) if !p.is_empty() && !l.is_empty() && !l.contains(':') => (p, l),
+            _ => return Err(format!("malformed qualified name '{raw}'")),
+        };
+        if attribute && prefix.is_empty() {
+            return Ok((self.none.clone(), prefix, local));
+        }
+        match self.bindings.iter().rev().find(|(p, _)| *p == prefix) {
+            Some((_, uri)) => Ok((uri.clone(), prefix, local)),
+            None => Err(format!("undeclared namespace prefix '{prefix}'")),
+        }
     }
 }
 
@@ -77,15 +135,13 @@ pub struct PullParser<'a> {
     bytes: &'a [u8],
     pos: usize,
     scope: NsScope<'a>,
-    /// Raw (prefixed) names of the open elements, for close-tag checks.
-    open: Vec<&'a str>,
     /// The just-started element self-closed: deliver `End` next.
     pending_end: bool,
     /// The root element has closed; only trailing misc may remain.
     done: bool,
-    /// Attributes of the most recent `Start`, raw names as written
-    /// (xmlns declarations excluded — they go into the scope).
-    attrs: Vec<(&'a str, Cow<'a, str>)>,
+    /// Attributes of the most recent `Start` (xmlns declarations
+    /// excluded — they go into the scope).
+    pub(crate) attrs: Vec<Attr<'a>>,
 }
 
 impl<'a> PullParser<'a> {
@@ -96,7 +152,6 @@ impl<'a> PullParser<'a> {
             bytes: input.as_bytes(),
             pos: 0,
             scope: NsScope::new(),
-            open: Vec::new(),
             pending_end: false,
             done: false,
             attrs: Vec::new(),
@@ -110,90 +165,25 @@ impl<'a> PullParser<'a> {
     /// surface per call, which the trait's signature cannot express.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<PullEvent<'a>>, XmlError> {
-        if self.pending_end {
-            self.pending_end = false;
-            self.scope.pop();
-            self.open.pop();
-            if self.open.is_empty() {
-                self.done = true;
-            }
-            return Ok(Some(PullEvent::End));
-        }
         loop {
-            if self.done {
-                // Trailing misc: whitespace and comments only.
-                self.skip_ws();
-                if self.starts_with("<!--") {
-                    self.skip_comment()?;
-                    continue;
+            let event = match self.lex::<true>()? {
+                None => return Ok(None),
+                Some(Token::Start { namespace, local, .. }) => {
+                    PullEvent::Start { namespace, local }
                 }
-                if self.pos != self.bytes.len() {
-                    return self.err("content after document element");
-                }
-                return Ok(None);
-            }
-            if self.starts_with("</") {
-                self.advance(2);
-                let close = self.parse_name()?;
-                let Some(expected) = self.open.pop() else {
-                    return self.err(format!("unmatched close tag </{close}>"));
-                };
-                if close != expected {
-                    return self.err(format!("mismatched close tag </{close}> for <{expected}>"));
-                }
-                self.skip_ws();
-                self.expect(b'>')?;
-                self.scope.pop();
-                if self.open.is_empty() {
-                    self.done = true;
-                }
-                return Ok(Some(PullEvent::End));
-            }
-            if self.starts_with("<!--") {
-                self.skip_comment()?;
-                continue;
-            }
-            if self.starts_with("<![CDATA[") {
-                self.advance(9);
-                let start = self.pos;
-                let Some(end) = self.find("]]>") else {
-                    self.pos = self.bytes.len();
-                    return self.err("unterminated CDATA section");
-                };
-                let text = &self.text[start..end];
-                self.pos = end + 3;
-                if self.open.is_empty() {
-                    return self.err("character data outside the document element");
-                }
-                return Ok(Some(PullEvent::Text(Cow::Borrowed(text))));
-            }
-            if self.peek() == Some(b'<') {
-                return self.parse_start_tag().map(Some);
-            }
-            if self.peek().is_none() {
-                return match self.open.last() {
-                    Some(name) => self.err(format!("unexpected end of input inside <{name}>")),
-                    None => self.err("unexpected end of input"),
-                };
-            }
-            let text = self.parse_text()?;
-            if self.open.is_empty() {
-                if text.trim().is_empty() {
-                    continue;
-                }
-                return self.err("character data outside the document element");
-            }
-            if text.trim().is_empty() {
-                continue;
-            }
-            return Ok(Some(PullEvent::Text(text)));
+                Some(Token::Text(t)) => PullEvent::Text(t),
+                Some(Token::CData(t)) => PullEvent::Text(Cow::Borrowed(t)),
+                Some(Token::Comment(_)) => continue,
+                Some(Token::End) => PullEvent::End,
+            };
+            return Ok(Some(event));
         }
     }
 
     /// Look up an attribute of the most recent `Start` event by its raw
     /// (as-written) name. Valid until the next call to `next`.
     pub fn attr(&self, name: &str) -> Option<&str> {
-        self.attrs.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_ref())
+        self.attrs.iter().find(|a| a.raw == name).map(|a| a.value.as_ref())
     }
 
     /// Skip the rest of the current element: consumes events until the
@@ -201,10 +191,10 @@ impl<'a> PullParser<'a> {
     pub fn skip_element(&mut self) -> Result<(), XmlError> {
         let mut depth = 1usize;
         while depth > 0 {
-            match self.next()? {
-                Some(PullEvent::Start { .. }) => depth += 1,
-                Some(PullEvent::End) => depth -= 1,
-                Some(PullEvent::Text(_)) => {}
+            match self.lex::<true>()? {
+                Some(Token::Start { .. }) => depth += 1,
+                Some(Token::End) => depth -= 1,
+                Some(_) => {}
                 None => return self.err("unexpected end of input while skipping an element"),
             }
         }
@@ -216,10 +206,12 @@ impl<'a> PullParser<'a> {
     /// cells whose content is text only.
     pub fn text_content_into(&mut self, out: &mut String) -> Result<(), XmlError> {
         loop {
-            match self.next()? {
-                Some(PullEvent::Text(t)) => out.push_str(&t),
-                Some(PullEvent::End) => return Ok(()),
-                Some(PullEvent::Start { local, .. }) => {
+            match self.lex::<true>()? {
+                Some(Token::Text(t)) => out.push_str(&t),
+                Some(Token::CData(t)) => out.push_str(t),
+                Some(Token::Comment(_)) => {}
+                Some(Token::End) => return Ok(()),
+                Some(Token::Start { local, .. }) => {
                     return self.err(format!("unexpected child element <{local}> in a text cell"))
                 }
                 None => return self.err("unexpected end of input in a text cell"),
@@ -227,9 +219,90 @@ impl<'a> PullParser<'a> {
         }
     }
 
-    // ---- Lexing (mirrors crate::parser's rules). ------------------------
+    /// The next token, unfiltered, or `None` once the document element
+    /// has closed and only whitespace and comments followed it.
+    pub(crate) fn step(&mut self) -> Result<Option<Token<'a>>, XmlError> {
+        self.lex::<false>()
+    }
 
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T, XmlError> {
+    /// [`step`](Self::step); with `FILTER`, comments and whitespace-only
+    /// text are consumed here instead of handed back, so each
+    /// [`next`](Self::next) on the reply decoders' hot path is one pass.
+    fn lex<const FILTER: bool>(&mut self) -> Result<Option<Token<'a>>, XmlError> {
+        if self.pending_end {
+            self.pending_end = false;
+            return Ok(Some(self.close()));
+        }
+        if self.done {
+            // Trailing misc: whitespace and comments only.
+            loop {
+                self.skip_ws();
+                if !self.starts_with("<!--") {
+                    break;
+                }
+                self.parse_comment()?;
+            }
+            if self.pos != self.bytes.len() {
+                return self.err("content after document element");
+            }
+            return Ok(None);
+        }
+        loop {
+            // After the prolog, only the document element's start tag may come.
+            let Some(&(name, _)) = self.scope.open.last() else {
+                return self.parse_start_tag().map(Some);
+            };
+            if self.starts_with("</") {
+                self.advance(2);
+                let close = self.parse_name()?;
+                if close != name {
+                    return self.err(format!("mismatched close tag </{close}> for <{name}>"));
+                }
+                self.skip_ws();
+                self.expect(b'>')?;
+                return Ok(Some(self.close()));
+            }
+            if self.starts_with("<!--") {
+                let comment = self.parse_comment()?;
+                if FILTER {
+                    continue;
+                }
+                return Ok(Some(Token::Comment(comment)));
+            }
+            if self.starts_with("<![CDATA[") {
+                self.advance(9);
+                let start = self.pos;
+                let Some(end) = self.find("]]>") else {
+                    self.pos = self.bytes.len();
+                    return self.err("unterminated CDATA section");
+                };
+                self.pos = end + 3;
+                return Ok(Some(Token::CData(&self.text[start..end])));
+            }
+            return match self.peek() {
+                Some(b'<') => self.parse_start_tag().map(Some),
+                Some(_) => {
+                    let text = self.parse_text()?;
+                    if FILTER && text.trim().is_empty() {
+                        continue;
+                    }
+                    Ok(Some(Token::Text(text)))
+                }
+                None => self.err(format!("unexpected end of input inside <{name}>")),
+            };
+        }
+    }
+
+    /// Pop the innermost open element.
+    fn close(&mut self) -> Token<'a> {
+        self.scope.pop();
+        self.done = self.scope.open.is_empty();
+        Token::End
+    }
+
+    /// Report an error at the current position. Line/column are derived
+    /// here, on the cold path, by one scan of the consumed prefix.
+    pub(crate) fn err<T>(&self, msg: impl Into<String>) -> Result<T, XmlError> {
         let upto = &self.bytes[..self.pos];
         let line = 1 + upto.iter().filter(|&&b| b == b'\n').count();
         let column = match upto.iter().rposition(|&b| b == b'\n') {
@@ -251,6 +324,8 @@ impl<'a> PullParser<'a> {
         self.pos += n;
     }
 
+    /// Byte offset of the next occurrence of `delim` at or after the
+    /// current position, if any.
     fn find(&self, delim: &str) -> Option<usize> {
         let d = delim.as_bytes();
         self.bytes[self.pos..].windows(d.len()).position(|w| w == d).map(|i| self.pos + i)
@@ -283,7 +358,7 @@ impl<'a> PullParser<'a> {
                     }
                 }
             } else if self.starts_with("<!--") {
-                self.skip_comment()?;
+                self.parse_comment()?;
             } else if self.starts_with("<!DOCTYPE") {
                 return self.err("DOCTYPE is not supported");
             } else {
@@ -292,12 +367,13 @@ impl<'a> PullParser<'a> {
         }
     }
 
-    fn skip_comment(&mut self) -> Result<(), XmlError> {
+    fn parse_comment(&mut self) -> Result<&'a str, XmlError> {
         self.advance(4); // <!--
+        let start = self.pos;
         match self.find("-->") {
             Some(end) => {
                 self.pos = end + 3;
-                Ok(())
+                Ok(&self.text[start..end])
             }
             None => {
                 self.pos = self.bytes.len();
@@ -306,6 +382,9 @@ impl<'a> PullParser<'a> {
         }
     }
 
+    /// Parse a name token (possibly prefixed), borrowed from the input.
+    /// Names end at an ASCII delimiter, so the slice boundaries always
+    /// fall on character boundaries.
     fn parse_name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
         while let Some(&b) = self.bytes.get(self.pos) {
@@ -326,22 +405,16 @@ impl<'a> PullParser<'a> {
         Ok(&self.text[start..self.pos])
     }
 
-    fn split_name(&self, raw: &'a str) -> Result<(&'a str, &'a str), XmlError> {
-        match raw.split_once(':') {
-            None => Ok(("", raw)),
-            Some((p, l)) if !p.is_empty() && !l.is_empty() && !l.contains(':') => Ok((p, l)),
-            _ => self.err(format!("malformed qualified name '{raw}'")),
-        }
-    }
-
-    fn parse_start_tag(&mut self) -> Result<PullEvent<'a>, XmlError> {
-        if self.open.len() >= MAX_DEPTH {
+    fn parse_start_tag(&mut self) -> Result<Token<'a>, XmlError> {
+        if self.scope.open.len() >= MAX_DEPTH {
             return self.err(format!("element nesting exceeds the maximum depth of {MAX_DEPTH}"));
         }
         self.expect(b'<')?;
         let raw_name = self.parse_name()?;
-        self.scope.push();
+        self.scope.push(raw_name);
         self.attrs.clear();
+        // Collect attributes as written, registering xmlns declarations;
+        // names resolve once the whole tag's declarations are in scope.
         loop {
             self.skip_ws();
             match self.peek() {
@@ -363,21 +436,34 @@ impl<'a> PullParser<'a> {
                         }
                         self.scope.declare(p, intern(&av));
                     } else {
-                        if self.attrs.iter().any(|(n, _)| *n == an) {
+                        if self.attrs.iter().any(|a| a.raw == an) {
                             return self.err(format!("duplicate attribute '{an}'"));
                         }
-                        self.attrs.push((an, av));
+                        let namespace = self.scope.none.clone();
+                        self.attrs.push(Attr {
+                            raw: an,
+                            namespace,
+                            prefix: "",
+                            local: an,
+                            value: av,
+                        });
                     }
                 }
                 None => return self.err("unexpected end of input in tag"),
             }
         }
-        let (prefix, local) = self.split_name(raw_name)?;
-        let namespace = match self.scope.resolve(prefix) {
-            Some(u) => u.clone(),
-            None => return self.err(format!("undeclared namespace prefix '{prefix}'")),
+        let (namespace, prefix, local) = match self.scope.resolve(raw_name, false) {
+            Ok(name) => name,
+            Err(msg) => return self.err(msg),
         };
-        self.open.push(raw_name);
+        let scope = &self.scope;
+        let resolved = self.attrs.iter_mut().try_for_each(|a| {
+            (a.namespace, a.prefix, a.local) = scope.resolve(a.raw, true)?;
+            Ok::<(), String>(())
+        });
+        if let Err(msg) = resolved {
+            return self.err(msg);
+        }
         if self.peek() == Some(b'/') {
             self.pos += 1;
             self.expect(b'>')?;
@@ -385,9 +471,11 @@ impl<'a> PullParser<'a> {
         } else {
             self.expect(b'>')?;
         }
-        Ok(PullEvent::Start { namespace, local })
+        Ok(Token::Start { namespace, prefix, local })
     }
 
+    /// Character data up to the next `<`. Escape-free segments borrow
+    /// straight from the input; only entity references force a rebuild.
     fn parse_text(&mut self) -> Result<Cow<'a, str>, XmlError> {
         let start = self.pos;
         while let Some(&b) = self.bytes.get(self.pos) {
@@ -421,6 +509,8 @@ impl<'a> PullParser<'a> {
         Ok(Cow::Owned(out))
     }
 
+    /// A quoted attribute value. Escape-free values borrow straight from
+    /// the input; only entity references force a rebuild.
     fn parse_attr_value(&mut self) -> Result<Cow<'a, str>, XmlError> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => {
@@ -600,6 +690,10 @@ mod tests {
             "<r/><r/>",
             "<!DOCTYPE r><r/>",
             "<r",
+            "<r p:a='1'/>",
+            "<r a:='1'/>",
+            "<r a:b:c='1'/>",
+            "<r xmlns:p='urn:p' p:a='1' q:b='2'/>",
         ] {
             let mut p = match PullParser::new(bad) {
                 Ok(p) => p,

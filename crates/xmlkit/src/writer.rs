@@ -8,7 +8,7 @@
 //! URI in scope) are resolved by generating `ns1`, `ns2`, ….
 //!
 //! Serialisation targets any [`XmlSink`] — `String` for the classic
-//! [`to_string`]/[`to_pretty_string`] API, `Vec<u8>` for the wire path's
+//! [`to_string`] API, `Vec<u8>` for the wire path's
 //! [`to_bytes_into`], which appends into a caller-supplied (typically
 //! pooled) buffer after one [`estimated_size`] reservation so steady-state
 //! traffic serialises without regrowth. [`XmlWriter`] streams a document
@@ -24,17 +24,7 @@ use dais_util::intern::{intern, IStr};
 /// Serialise compactly (no added whitespace).
 pub fn to_string(element: &XmlElement) -> String {
     let mut out = String::with_capacity(estimated_size(element));
-    let mut w = TreeWriter { out: &mut out, indent: None };
-    w.write_element(element, &mut base_scope(), 0);
-    out
-}
-
-/// Serialise with two-space indentation, for human consumption.
-pub fn to_pretty_string(element: &XmlElement) -> String {
-    let mut out = String::new();
-    let mut w = TreeWriter { out: &mut out, indent: Some(2) };
-    w.write_element(element, &mut base_scope(), 0);
-    out.push('\n');
+    write_element(&mut out, element, &mut base_scope());
     out
 }
 
@@ -44,8 +34,7 @@ pub fn to_pretty_string(element: &XmlElement) -> String {
 /// with no reallocation.
 pub fn to_bytes_into(element: &XmlElement, out: &mut Vec<u8>) {
     out.reserve(estimated_size(element));
-    let mut w = TreeWriter { out, indent: None };
-    w.write_element(element, &mut base_scope(), 0);
+    write_element(out, element, &mut base_scope());
 }
 
 /// Estimate the compact serialised size of `element` in bytes: exact for
@@ -188,104 +177,56 @@ fn write_decls<S: XmlSink>(out: &mut S, decls: &[(IStr, IStr)]) {
     }
 }
 
-struct TreeWriter<'s, S: XmlSink> {
-    out: &'s mut S,
-    indent: Option<usize>,
-}
+fn write_element<S: XmlSink>(out: &mut S, element: &XmlElement, scope: &mut Scope) {
+    let scope_mark = scope.len();
+    let mut decls: Vec<(IStr, IStr)> = Vec::new();
 
-impl<S: XmlSink> TreeWriter<'_, S> {
-    fn write_element(&mut self, element: &XmlElement, scope: &mut Scope, depth: usize) {
-        let scope_mark = scope.len();
-        let mut decls: Vec<(IStr, IStr)> = Vec::new();
+    // Resolve element prefix.
+    let elem_prefix = assign_prefix(&element.name, false, scope, &mut decls);
+    // Resolve attribute prefixes (attributes may not use the default ns).
+    let attr_prefixes: Vec<IStr> = element
+        .attributes
+        .iter()
+        .map(|a| assign_prefix(&a.name, true, scope, &mut decls))
+        .collect();
 
-        // Resolve element prefix.
-        let elem_prefix = assign_prefix(&element.name, false, scope, &mut decls);
-        // Resolve attribute prefixes (attributes may not use the default ns).
-        let attr_prefixes: Vec<IStr> = element
-            .attributes
-            .iter()
-            .map(|a| assign_prefix(&a.name, true, scope, &mut decls))
-            .collect();
+    out.push('<');
+    push_name(out, &elem_prefix, &element.name.local);
+    write_decls(out, &decls);
+    for (attr, prefix) in element.attributes.iter().zip(&attr_prefixes) {
+        out.push(' ');
+        push_name(out, prefix, &attr.name.local);
+        out.push_str("=\"");
+        escape_into(&attr.value, true, out);
+        out.push('"');
+    }
 
-        self.write_indent(depth);
-        self.out.push('<');
-        push_name(self.out, &elem_prefix, &element.name.local);
-        write_decls(self.out, &decls);
-        for (attr, prefix) in element.attributes.iter().zip(&attr_prefixes) {
-            self.out.push(' ');
-            push_name(self.out, prefix, &attr.name.local);
-            self.out.push_str("=\"");
-            escape_into(&attr.value, true, self.out);
-            self.out.push('"');
-        }
-
-        if element.children.is_empty() {
-            self.out.push_str("/>");
-            self.newline();
-            scope.truncate(scope_mark);
-            return;
-        }
-        self.out.push('>');
-
-        let text_only = element.children.iter().all(|c| !matches!(c, XmlNode::Element(_)));
-        if !text_only {
-            self.newline();
-        }
-        for child in &element.children {
-            match child {
-                XmlNode::Element(e) => self.write_element(e, scope, depth + 1),
-                XmlNode::Text(t) => {
-                    if !text_only {
-                        self.write_indent(depth + 1);
-                    }
-                    escape_into(t, false, self.out);
-                    if !text_only {
-                        self.newline();
-                    }
-                }
-                XmlNode::CData(t) => {
-                    if !text_only {
-                        self.write_indent(depth + 1);
-                    }
-                    self.out.push_str("<![CDATA[");
-                    self.out.push_str(t);
-                    self.out.push_str("]]>");
-                    if !text_only {
-                        self.newline();
-                    }
-                }
-                XmlNode::Comment(t) => {
-                    self.write_indent(depth + 1);
-                    self.out.push_str("<!--");
-                    self.out.push_str(t);
-                    self.out.push_str("-->");
-                    self.newline();
-                }
-            }
-        }
-        if !text_only {
-            self.write_indent(depth);
-        }
-        self.out.push_str("</");
-        push_name(self.out, &elem_prefix, &element.name.local);
-        self.out.push('>');
-        self.newline();
+    if element.children.is_empty() {
+        out.push_str("/>");
         scope.truncate(scope_mark);
+        return;
     }
-
-    fn write_indent(&mut self, depth: usize) {
-        if let Some(n) = self.indent {
-            for _ in 0..depth * n {
-                self.out.push(' ');
+    out.push('>');
+    for child in &element.children {
+        match child {
+            XmlNode::Element(e) => write_element(out, e, scope),
+            XmlNode::Text(t) => escape_into(t, false, out),
+            XmlNode::CData(t) => {
+                out.push_str("<![CDATA[");
+                out.push_str(t);
+                out.push_str("]]>");
+            }
+            XmlNode::Comment(t) => {
+                out.push_str("<!--");
+                out.push_str(t);
+                out.push_str("-->");
             }
         }
     }
-
-    fn newline(&mut self) {
-        if self.indent.is_some() {
-            self.out.push('\n');
-        }
-    }
+    out.push_str("</");
+    push_name(out, &elem_prefix, &element.name.local);
+    out.push('>');
+    scope.truncate(scope_mark);
 }
 
 /// A streaming, compact XML writer: open elements, write attributes and
@@ -370,8 +311,7 @@ impl<'s, S: XmlSink> XmlWriter<'s, S> {
     /// Write a whole tree fragment as a child, in the streamed scope.
     pub fn element(&mut self, element: &XmlElement) {
         self.seal_tag();
-        let mut w = TreeWriter { out: &mut *self.out, indent: None };
-        w.write_element(element, &mut self.scope, 0);
+        write_element(self.out, element, &mut self.scope);
     }
 
     /// Splice pre-serialised markup into the stream verbatim (no
@@ -509,16 +449,6 @@ mod tests {
         e.set_attr_ns(crate::QName::new("urn:a", "", "attr"), "v");
         let rt = roundtrip(&e);
         assert_eq!(rt.attribute_ns("urn:a", "attr"), Some("v"));
-    }
-
-    #[test]
-    fn pretty_print_is_reparseable() {
-        let e = XmlElement::new_local("r")
-            .with_child(XmlElement::new_local("a").with_text("1"))
-            .with_child(XmlElement::new_local("b"));
-        let pretty = to_pretty_string(&e);
-        assert!(pretty.contains('\n'));
-        assert_eq!(parse(&pretty).unwrap(), e);
     }
 
     #[test]
