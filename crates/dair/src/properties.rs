@@ -45,6 +45,7 @@ mod tests {
     use crate::resources::{RowsetResource, SqlDataResource, SqlResponseResource};
     use dais_core::properties::ResourceManagementKind;
     use dais_core::{AbstractName, CoreProperties, DataResource};
+    use dais_sql::parser::parse_statement;
     use dais_sql::Database;
     use dais_xml::ns;
 
@@ -72,7 +73,13 @@ mod tests {
             AbstractName::new("urn:d:r:0").unwrap(),
             ResourceManagementKind::ServiceManaged,
         );
-        let r = SqlResponseResource::create(props, &db(), "SELECT * FROM t", &[]).unwrap();
+        let r = SqlResponseResource::create(
+            props,
+            &db(),
+            &parse_statement("SELECT * FROM t").unwrap(),
+            &[],
+        )
+        .unwrap();
         let doc = r.property_document();
         for p in SQL_RESPONSE_PROPERTIES {
             assert!(doc.child(ns::WSDAIR, p).is_some(), "missing response property {p}");

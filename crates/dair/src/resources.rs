@@ -8,6 +8,8 @@ use dais_core::{
     DatasetMap, Sensitivity,
 };
 use dais_soap::fault::{DaisFault, Fault};
+use dais_sql::ast::{Select, Stmt};
+use dais_sql::parser::parse_statement;
 use dais_sql::{Database, Rowset, SqlErrorKind, Value};
 use dais_xml::{ns, QName, XmlElement, XmlWriter};
 use std::any::Any;
@@ -63,7 +65,12 @@ impl SqlDataResource {
 
     /// Execute a statement against the wrapped database.
     pub fn execute(&self, sql: &str, params: &[Value]) -> Result<SqlResponseData, Fault> {
-        let result = self.db.execute(sql, params).map_err(sql_fault)?;
+        self.execute_stmt(&parse_statement(sql).map_err(sql_fault)?, params)
+    }
+
+    /// Execute a parsed statement against the wrapped database.
+    pub fn execute_stmt(&self, stmt: &Stmt, params: &[Value]) -> Result<SqlResponseData, Fault> {
+        let result = self.db.connect().execute_stmt(stmt, params).map_err(sql_fault)?;
         Ok(SqlResponseData::from_result(&result))
     }
 
@@ -73,12 +80,12 @@ impl SqlDataResource {
     /// it.
     pub fn execute_query_streamed(
         &self,
-        sql: &str,
+        select: &Select,
         params: &[Value],
         out: &mut String,
     ) -> Result<(), Fault> {
         self.db
-            .stream_query(sql, params, |stream| {
+            .stream_select(select, params, |stream| {
                 let mut w = XmlWriter::new(out);
                 crate::messages::write_sql_execute_query_response(&mut w, stream)?;
                 w.finish();
@@ -86,11 +93,6 @@ impl SqlDataResource {
             })
             .and_then(|encoded: Result<(), dais_sql::SqlError>| encoded)
             .map_err(sql_fault)
-    }
-
-    /// Is the statement a read (query) or a write?
-    pub fn is_read_only_statement(sql: &str) -> bool {
-        matches!(dais_sql::parser::parse_statement(sql), Ok(dais_sql::ast::Stmt::Select(_)))
     }
 }
 
@@ -153,7 +155,7 @@ enum ResponseBacking {
     Materialised(SqlResponseData),
     /// `Sensitive`: re-evaluated against the parent database on access,
     /// so parent changes are reflected.
-    Sensitive { db: Database, sql: String, params: Vec<Value> },
+    Sensitive { db: Database, stmt: Box<Stmt>, params: Vec<Value> },
 }
 
 /// A service-managed SQL response resource created by `SQLExecuteFactory`.
@@ -163,11 +165,12 @@ pub struct SqlResponseResource {
 }
 
 impl SqlResponseResource {
-    /// Create the resource. The backing follows `properties.sensitivity`.
+    /// Create the resource over a parsed statement. The backing follows
+    /// `properties.sensitivity`.
     pub fn create(
         properties: CoreProperties,
         db: &Database,
-        sql: &str,
+        stmt: &Stmt,
         params: &[Value],
     ) -> Result<SqlResponseResource, Fault> {
         let mut properties = properties;
@@ -181,17 +184,17 @@ impl SqlResponseResource {
                 ..Default::default()
             },
         });
+        let run = || db.connect().execute_stmt(stmt, params).map_err(sql_fault);
         let backing = match properties.sensitivity {
             Sensitivity::Insensitive => {
-                let result = db.execute(sql, params).map_err(sql_fault)?;
-                ResponseBacking::Materialised(SqlResponseData::from_result(&result))
+                ResponseBacking::Materialised(SqlResponseData::from_result(&run()?))
             }
             Sensitivity::Sensitive => {
                 // Validate eagerly so a bad statement faults at factory time.
-                db.execute(sql, params).map_err(sql_fault)?;
+                run()?;
                 ResponseBacking::Sensitive {
                     db: db.clone(),
-                    sql: sql.to_string(),
+                    stmt: Box::new(stmt.clone()),
                     params: params.to_vec(),
                 }
             }
@@ -203,8 +206,8 @@ impl SqlResponseResource {
     pub fn response(&self) -> Result<SqlResponseData, Fault> {
         match &self.backing {
             ResponseBacking::Materialised(data) => Ok(data.clone()),
-            ResponseBacking::Sensitive { db, sql, params } => {
-                let result = db.execute(sql, params).map_err(sql_fault)?;
+            ResponseBacking::Sensitive { db, stmt, params } => {
+                let result = db.connect().execute_stmt(stmt, params).map_err(sql_fault)?;
                 Ok(SqlResponseData::from_result(&result))
             }
         }
@@ -351,12 +354,8 @@ mod tests {
         assert!(r.generic_query("urn:xquery", "x").unwrap_err().is(DaisFault::InvalidLanguage));
     }
 
-    #[test]
-    fn read_only_detection() {
-        assert!(SqlDataResource::is_read_only_statement("SELECT 1"));
-        assert!(!SqlDataResource::is_read_only_statement("DELETE FROM t"));
-        assert!(!SqlDataResource::is_read_only_statement("CREATE TABLE x (a INT)"));
-        assert!(!SqlDataResource::is_read_only_statement("not sql at all"));
+    fn stmt(sql: &str) -> Stmt {
+        parse_statement(sql).unwrap()
     }
 
     #[test]
@@ -366,7 +365,8 @@ mod tests {
             CoreProperties::new(name("urn:dais:s:resp:0"), ResourceManagementKind::ServiceManaged);
         props.sensitivity = Sensitivity::Insensitive;
         let resp =
-            SqlResponseResource::create(props, &database, "SELECT COUNT(*) FROM t", &[]).unwrap();
+            SqlResponseResource::create(props, &database, &stmt("SELECT COUNT(*) FROM t"), &[])
+                .unwrap();
         assert_eq!(resp.response().unwrap().rowset().unwrap().rows[0][0], Value::Int(3));
         database.execute("DELETE FROM t WHERE id = 1", &[]).unwrap();
         // Still 3 — materialised.
@@ -380,7 +380,8 @@ mod tests {
             CoreProperties::new(name("urn:dais:s:resp:1"), ResourceManagementKind::ServiceManaged);
         props.sensitivity = Sensitivity::Sensitive;
         let resp =
-            SqlResponseResource::create(props, &database, "SELECT COUNT(*) FROM t", &[]).unwrap();
+            SqlResponseResource::create(props, &database, &stmt("SELECT COUNT(*) FROM t"), &[])
+                .unwrap();
         assert_eq!(resp.response().unwrap().rowset().unwrap().rows[0][0], Value::Int(3));
         database.execute("DELETE FROM t WHERE id = 1", &[]).unwrap();
         // Re-evaluated — sees the delete.
@@ -392,7 +393,8 @@ mod tests {
         let database = db();
         let props =
             CoreProperties::new(name("urn:dais:s:resp:2"), ResourceManagementKind::ServiceManaged);
-        assert!(SqlResponseResource::create(props, &database, "SELEKT", &[]).is_err());
+        let missing = stmt("SELECT * FROM nowhere");
+        assert!(SqlResponseResource::create(props, &database, &missing, &[]).is_err());
     }
 
     #[test]
@@ -400,7 +402,8 @@ mod tests {
         let database = db();
         let props =
             CoreProperties::new(name("urn:dais:s:resp:3"), ResourceManagementKind::ServiceManaged);
-        let resp = SqlResponseResource::create(props, &database, "SELECT * FROM t", &[]).unwrap();
+        let resp =
+            SqlResponseResource::create(props, &database, &stmt("SELECT * FROM t"), &[]).unwrap();
         let doc = resp.property_document();
         assert_eq!(doc.child_text(ns::WSDAIR, "NumberOfSQLRowsets").as_deref(), Some("1"));
         assert_eq!(doc.child_text(ns::WSDAIR, "NumberOfSQLUpdateCounts").as_deref(), Some("0"));

@@ -8,7 +8,7 @@
 //! ([`RelationalService::launch`]).
 
 use crate::messages::{self, actions};
-use crate::resources::{RowsetResource, SqlDataResource, SqlResponseResource};
+use crate::resources::{sql_fault, RowsetResource, SqlDataResource, SqlResponseResource};
 use dais_core::factory::{factory_response, mint_resource_epr, DerivedResourceConfig};
 use dais_core::service::QueryRewriter;
 use dais_core::{
@@ -18,6 +18,8 @@ use dais_soap::bus::Bus;
 use dais_soap::envelope::Envelope;
 use dais_soap::fault::{DaisFault, Fault};
 use dais_soap::service::SoapDispatcher;
+use dais_sql::ast::Stmt;
+use dais_sql::parser::parse_statement;
 use dais_sql::{Database, Rowset};
 use dais_wsrf::LifetimeRegistry;
 use dais_xml::{ns, QName, XmlElement, XmlWriter};
@@ -85,31 +87,32 @@ pub fn register_sql_access(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceCont
             }
         }
 
+        // Parsed once; an unparseable statement counts as a write.
         let (sql, params) = messages::parse_sql_expression(body)?;
-        let read_only = SqlDataResource::is_read_only_statement(&sql);
+        let stmt = parse_statement(&sql);
+        let read_only = matches!(stmt, Ok(Stmt::Select(_)));
         if read_only && !props.readable {
             return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
         }
         if !read_only && !props.writeable {
             return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not writeable"));
         }
-        let (sql, params) = match &c.query_rewriter {
-            Some(rw) => {
-                let (_, rewritten) = rw("sql", &sql);
-                (rewritten, params)
-            }
-            None => (sql, params),
-        };
+        // A rewriter may change the statement class, so its output is
+        // parsed again and decides.
+        let stmt = match &c.query_rewriter {
+            Some(rw) => parse_statement(&rw("sql", &sql).1),
+            None => stmt,
+        }
+        .map_err(sql_fault)?;
 
         // SELECTs encode rows off the engine cursor as the scan yields
-        // them, without ever materialising a rowset. The post-rewrite
-        // text decides, since a rewriter may change the statement class.
-        if SqlDataResource::is_read_only_statement(&sql) {
+        // them, without ever materialising a rowset.
+        if let Stmt::Select(select) = &stmt {
             let mut fragment = String::new();
-            sql_resource.execute_query_streamed(&sql, &params, &mut fragment)?;
+            sql_resource.execute_query_streamed(select, &params, &mut fragment)?;
             return Ok(Envelope::with_raw_body(fragment));
         }
-        let data = sql_resource.execute(&sql, &params)?;
+        let data = sql_resource.execute_stmt(&stmt, &params)?;
         respond_streamed(|w| data.write_response(w, "SQLExecuteResponse"))
     });
 
@@ -148,17 +151,17 @@ pub fn register_sql_factory(
         let (_port, effective) = config.resolve_against(&props.configuration_maps, &message)?;
 
         let (sql, params) = messages::parse_sql_expression(body)?;
-        if !SqlDataResource::is_read_only_statement(&sql) {
+        let Ok(stmt @ Stmt::Select(_)) = parse_statement(&sql) else {
             return Err(Fault::dais(
                 DaisFault::InvalidExpression,
                 "SQLExecuteFactory only accepts query statements",
             ));
-        }
+        };
 
         let name = names.mint("sql-response");
         let derived_props = config.derived_properties(name.clone(), &effective);
         let response_resource =
-            SqlResponseResource::create(derived_props, sql_resource.database(), &sql, &params)?;
+            SqlResponseResource::create(derived_props, sql_resource.database(), &stmt, &params)?;
         target.add_resource(Arc::new(response_resource));
 
         let epr = mint_resource_epr(&target.address, &name);

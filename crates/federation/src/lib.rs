@@ -33,7 +33,7 @@ pub mod service;
 pub mod statement;
 
 pub use fleet::{shard_address, FleetOptions, RelationalFleet, XmlFleet};
-pub use merge::{compare_values, merge_cursors, MergeKey, SortKey};
+pub use merge::{merge_cursors, MergeKey, SortKey};
 pub use router::{ShardRouter, ShardScheme};
 pub use scatter::{call_replica, call_shard, scatter_shards, FailoverPolicy};
 pub use service::{FederationOptions, FederationService};

@@ -12,57 +12,6 @@ use std::cmp::Ordering;
 use dais_sql::{RowsetColumn, RowsetCursor, RowsetWriter, SqlError, Value};
 use dais_xml::{XmlSink, XmlWriter};
 
-/// A total order over [`Value`]s for merging: `NULL < booleans < numbers
-/// < strings`, numbers compared exactly across `Int`/`Double` (no lossy
-/// promotion — a shard sorting `i64`s past 2^53 must merge in the same
-/// order it sorted). `Value` deliberately carries no `PartialOrd` — SQL
-/// comparison is three-valued — so the merge defines its own.
-pub fn compare_values(a: &Value, b: &Value) -> Ordering {
-    fn rank(v: &Value) -> u8 {
-        match v {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::Double(_) => 2,
-            Value::Str(_) => 3,
-        }
-    }
-    match (a, b) {
-        (Value::Null, Value::Null) => Ordering::Equal,
-        (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
-        (Value::Int(x), Value::Int(y)) => x.cmp(y),
-        (Value::Int(x), Value::Double(y)) => cmp_int_double(*x, *y),
-        (Value::Double(x), Value::Int(y)) => cmp_int_double(*y, *x).reverse(),
-        (Value::Double(x), Value::Double(y)) => x.total_cmp(y),
-        (Value::Str(x), Value::Str(y)) => x.cmp(y),
-        _ => rank(a).cmp(&rank(b)),
-    }
-}
-
-/// Exact `i64` vs `f64` ordering. `i as f64` rounds for |i| > 2^53 and
-/// would disagree with the shard-local integer sort; instead the double
-/// is decomposed: its integer part compares exactly against `i`, and a
-/// fractional remainder breaks the tie. NaN sorts above every integer
-/// (matching `total_cmp` against positive NaN); negative NaN below.
-fn cmp_int_double(i: i64, d: f64) -> Ordering {
-    if d.is_nan() {
-        return if d.is_sign_negative() { Ordering::Greater } else { Ordering::Less };
-    }
-    let floor = d.floor();
-    // i64::MAX as f64 rounds up to 2^63, so `floor >= 2^63` exactly
-    // captures "integer part above every i64"; -2^63 is representable.
-    if floor >= i64::MAX as f64 {
-        return Ordering::Less;
-    }
-    if floor < i64::MIN as f64 {
-        return Ordering::Greater;
-    }
-    match i.cmp(&(floor as i64)) {
-        // Equal integer parts: a fractional remainder pushes d above i.
-        Ordering::Equal if d > floor => Ordering::Less,
-        ord => ord,
-    }
-}
-
 /// The column an `ORDER BY` term sorts on, as far as the merge needs to
 /// know.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -124,9 +73,11 @@ pub fn merge_cursors<S: XmlSink>(
     // as before.
     let keys: Vec<(usize, bool)> =
         order.iter().map_while(|k| k.index_in(&columns).map(|i| (i, k.descending))).collect();
+    // Shards sort with `Value::total_cmp` (exact across Int/Double), so
+    // the merge compares with it too.
     let compare_rows = |a: &[Value], b: &[Value]| -> Ordering {
         for &(index, descending) in &keys {
-            let ord = compare_values(a.get(index).unwrap_or(&NULL), b.get(index).unwrap_or(&NULL));
+            let ord = a.get(index).unwrap_or(&NULL).total_cmp(b.get(index).unwrap_or(&NULL));
             let ord = if descending { ord.reverse() } else { ord };
             if ord != Ordering::Equal {
                 return ord;
@@ -287,39 +238,5 @@ mod tests {
         let r = merged(&pages, &[asc("id")], 0, usize::MAX);
         assert_eq!(r.rows[0][1], Value::Str("from-s0".into()));
         assert_eq!(r.rows[1][1], Value::Str("from-s1".into()));
-    }
-
-    #[test]
-    fn value_order_ranks_types_then_compares_within() {
-        use Ordering::*;
-        assert_eq!(compare_values(&Value::Null, &Value::Bool(false)), Less);
-        assert_eq!(compare_values(&Value::Bool(true), &Value::Int(0)), Less);
-        assert_eq!(compare_values(&Value::Int(2), &Value::Double(1.5)), Greater);
-        assert_eq!(compare_values(&Value::Double(2.0), &Value::Str("a".into())), Less);
-        assert_eq!(compare_values(&Value::Str("a".into()), &Value::Str("b".into())), Less);
-    }
-
-    /// Int/Double comparison is exact past 2^53, where `as f64` rounds:
-    /// 2^53 + 1 renders as exactly 2^53 after promotion and would
-    /// compare Equal, mis-ordering the merge against the shard's own
-    /// integer sort.
-    #[test]
-    fn int_double_comparison_is_exact_beyond_f64_precision() {
-        use Ordering::*;
-        let big = (1_i64 << 53) + 1;
-        assert_eq!(compare_values(&Value::Int(big), &Value::Double((1_i64 << 53) as f64)), Greater);
-        assert_eq!(compare_values(&Value::Double((1_i64 << 53) as f64), &Value::Int(big)), Less);
-        assert_eq!(compare_values(&Value::Int(big), &Value::Double(big as f64 + 2.0)), Less);
-        assert_eq!(compare_values(&Value::Int(3), &Value::Double(3.0)), Equal);
-        assert_eq!(compare_values(&Value::Int(3), &Value::Double(3.5)), Less);
-        assert_eq!(compare_values(&Value::Int(4), &Value::Double(3.5)), Greater);
-        assert_eq!(compare_values(&Value::Int(-4), &Value::Double(-3.5)), Less);
-        assert_eq!(compare_values(&Value::Int(i64::MAX), &Value::Double(f64::INFINITY)), Less);
-        assert_eq!(
-            compare_values(&Value::Int(i64::MIN), &Value::Double(f64::NEG_INFINITY)),
-            Greater
-        );
-        assert_eq!(compare_values(&Value::Int(0), &Value::Double(f64::NAN)), Less);
-        assert_eq!(compare_values(&Value::Int(0), &Value::Double(-f64::NAN)), Greater);
     }
 }

@@ -1,6 +1,6 @@
 //! The database façade: connections, transactions and statement results.
 
-use crate::ast::Stmt;
+use crate::ast::{Select, Stmt};
 use crate::error::{SqlError, SqlErrorKind};
 use crate::exec::{self, UndoEntry};
 use crate::parser::parse_statement;
@@ -101,27 +101,33 @@ impl Database {
         Ok(())
     }
 
-    /// Run a SELECT and hand the callback a pull cursor over its rows.
-    ///
-    /// The callback runs under the storage read lock. Pushdown-eligible
-    /// statements lend rows straight off the table pages — selection,
-    /// projection and the LIMIT/OFFSET window applied during the scan,
-    /// never collected into an intermediate `Vec<Vec<Value>>`; anything
-    /// else materialises once and iterates. Non-SELECT statements are
-    /// rejected (a cursor over an update count is meaningless).
+    /// Parse a SELECT and stream it ([`Database::stream_select`]).
+    /// Non-SELECT statements are rejected (a cursor over an update count
+    /// is meaningless).
     pub fn stream_query<R>(
         &self,
         sql: &str,
         params: &[Value],
         f: impl FnOnce(&mut RowStream<'_>) -> R,
     ) -> Result<R, SqlError> {
-        let stmt = parse_statement(sql)?;
-        let Stmt::Select(select) = &stmt else {
+        let Stmt::Select(select) = parse_statement(sql)? else {
             return Err(SqlError::new(
                 SqlErrorKind::NotSupported,
                 "stream_query supports SELECT statements only",
             ));
         };
+        self.stream_select(&select, params, f)
+    }
+
+    /// Run a parsed SELECT and hand the callback, under the storage read
+    /// lock, a pull cursor over its rows ([`RowStream`]: lent straight
+    /// off the access path when the statement is pushdown-eligible).
+    pub fn stream_select<R>(
+        &self,
+        select: &Select,
+        params: &[Value],
+        f: impl FnOnce(&mut RowStream<'_>) -> R,
+    ) -> Result<R, SqlError> {
         let storage = self.storage.read();
         let mut stream = open_stream(select, &storage, params)?;
         Ok(f(&mut stream))
@@ -456,6 +462,22 @@ mod tests {
         assert_eq!(r.rowset().unwrap().rows.len(), 2); // ada (100) and bob (80)
         let err = db.execute("SELECT * FROM emp WHERE id = ?", &[]).unwrap_err();
         assert_eq!(err.kind, SqlErrorKind::InvalidParameter);
+    }
+
+    /// Integer keys stay exact past 2^53, where an `f64` holds only
+    /// every other integer: 2^53 and 2^53 + 1 are distinct keys, an
+    /// equality finds one of them, and ORDER BY keeps them in order.
+    #[test]
+    fn integer_keys_are_exact_past_2_pow_53() {
+        let db = Database::new("big");
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)", &[]).unwrap();
+        let (two53, next) = (1_i64 << 53, (1_i64 << 53) + 1);
+        db.execute("INSERT INTO t VALUES (?), (?)", &[Value::Int(next), Value::Int(two53)])
+            .unwrap();
+        let r = q(&db, "SELECT id FROM t WHERE id = 9007199254740993");
+        assert_eq!(r.rows, vec![vec![Value::Int(next)]]);
+        let r = q(&db, "SELECT id FROM t ORDER BY id");
+        assert_eq!(r.rows, vec![vec![Value::Int(two53)], vec![Value::Int(next)]]);
     }
 
     #[test]

@@ -1,19 +1,25 @@
 //! Statement execution: SELECT pipelines and DML/DDL with undo logging.
 //!
-//! Queries run as a materialising operator pipeline
-//! (scan → join → filter → aggregate → having → project → distinct →
-//! sort → limit); each stage consumes and produces row vectors. DML
-//! appends inverse operations to an undo log so the session layer can
-//! provide statement- and transaction-level atomicity.
+//! A single-table SELECT of plain columns is a *pushdown plan*: its
+//! `AccessPath` (scan, index probe or primary-key walk) feeds rows to
+//! the streaming [`RowStream`](crate::stream::RowStream); a walk in key
+//! order satisfies the ORDER BY, so LIMIT stops it. UPDATE and DELETE
+//! choose victims through the same path. Everything else runs a
+//! materialising pipeline (scan → join → filter → aggregate → having →
+//! project → distinct → sort → limit). DML appends inverse operations
+//! to an undo log for statement- and transaction-level atomicity.
 
 use crate::ast::*;
 use crate::catalog::{ColumnMeta, IndexMeta, TableSchema};
 use crate::error::{SqlError, SqlErrorKind};
 use crate::expr::{eval, EvalContext, ExecColumn, ExecSchema};
 use crate::rowset::{Rowset, RowsetColumn};
-use crate::storage::{RowId, Storage, Table};
+use crate::storage::{IndexRows, RowId, Storage, Table};
+use crate::stream::open_pushdown;
 use crate::value::{GroupKey, SqlType, Value};
+use std::cmp::Reverse;
 use std::collections::HashMap;
+use std::ops::Bound;
 
 /// One inverse operation, applied in reverse order on rollback.
 #[derive(Debug, Clone)]
@@ -142,18 +148,9 @@ pub fn run_select(
                     ))
                 }
             };
-            key_ordinals.push(ordinal);
+            key_ordinals.push((ordinal, item.ascending));
         }
-        result.rows.sort_by(|a, b| {
-            for (&ordinal, item) in key_ordinals.iter().zip(&select.order_by) {
-                let ord = a[ordinal].total_cmp(&b[ordinal]);
-                let ord = if item.ascending { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        result.rows.sort_by(|a, b| compare_rows(a, b, &key_ordinals));
     }
 
     let offset = select.offset.unwrap_or(0) as usize;
@@ -162,26 +159,47 @@ pub fn run_select(
     Ok(result)
 }
 
-/// Run one core select (no UNION arms): the scan-level pushdown fast
-/// path when the statement qualifies, the generic materialising
-/// pipeline otherwise.
+/// Order two rows by `keys` — (cell index, ascending) pairs, compared
+/// lexicographically with [`Value::total_cmp`].
+pub(crate) fn compare_rows(a: &[Value], b: &[Value], keys: &[(usize, bool)]) -> std::cmp::Ordering {
+    let key = |&(i, ascending): &(usize, bool)| {
+        if ascending {
+            a[i].total_cmp(&b[i])
+        } else {
+            b[i].total_cmp(&a[i])
+        }
+    };
+    keys.iter().map(key).find(|ord| ord.is_ne()).unwrap_or(std::cmp::Ordering::Equal)
+}
+
+/// Run one core select (no UNION arms): the pushdown plan when the
+/// statement qualifies, the generic materialising pipeline otherwise.
 fn run_single_select(
     select: &Select,
     storage: &Storage,
     params: &[Value],
 ) -> Result<Rowset, SqlError> {
     if let Some(plan) = plan_pushdown(select, storage) {
-        return run_pushdown(&plan, select.where_clause.as_ref(), storage, params);
+        let table = storage.table(&plan.table)?;
+        return open_pushdown(plan, select.where_clause.as_ref(), table, params)?.collect_rowset();
     }
     run_select_generic(select, storage, params)
 }
 
+/// The execution schema of a table's rows, every column qualified by
+/// `binding` (the table's name or alias).
+fn row_schema(table: &TableSchema, binding: &str) -> ExecSchema {
+    let column =
+        |c: &ColumnMeta| ExecColumn { qualifier: Some(binding.into()), name: c.name.clone() };
+    ExecSchema::new(table.columns.iter().map(column).collect())
+}
+
 // ---- projection/selection pushdown ----------------------------------------
 
-/// A resolved scan-level plan for a single-table SELECT whose projection
-/// is plain columns and whose ORDER BY (if any) refers to output columns.
-/// Selection and projection are applied *during* the scan, so rejected
-/// rows and non-projected cells are never cloned.
+/// A resolved plan for a single-table SELECT whose projection is plain
+/// columns and whose ORDER BY (if any) refers to output columns. Rows
+/// come through `access`; rejected rows and non-projected cells are
+/// never cloned.
 pub(crate) struct PushdownPlan {
     /// Source table (storage lookup key).
     pub(crate) table: String,
@@ -195,6 +213,189 @@ pub(crate) struct PushdownPlan {
     pub(crate) order: Vec<(usize, bool)>,
     pub(crate) offset: usize,
     pub(crate) limit: usize,
+    pub(crate) access: AccessPath,
+}
+
+/// How a statement reaches its candidate rows: always a superset of the
+/// rows its WHERE clause (still evaluated on each) accepts.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum AccessPath {
+    /// Every row, in rowid order.
+    Scan,
+    /// `column = key` through the index on `column`; rows in rowid order.
+    Probe { column: usize, key: Expr },
+    /// The single-column primary key between its `key op bound`
+    /// conjuncts. `key_order: Some(ascending)` streams rows in key
+    /// order, satisfying an ORDER BY that leads with the (unique) key;
+    /// `None` visits them in rowid order.
+    Walk { bounds: Vec<(BinaryOp, Expr)>, key_order: Option<bool> },
+}
+
+/// Choose the access path for `predicate` over `table` (rows named by
+/// `schema`), given the source column and direction of the first ORDER
+/// BY term. No cost model: an equality on an indexed column probes (on
+/// the primary key if there is one, else the first); else key range
+/// conjuncts, or an ORDER BY leading with the key, walk the primary key.
+fn choose_access(
+    predicate: Option<&Expr>,
+    schema: &ExecSchema,
+    table: &Table,
+    leading_order: Option<(usize, bool)>,
+) -> AccessPath {
+    let mut conjuncts = Vec::new();
+    if let Some(p) = predicate {
+        sargable_conjuncts(p, schema, &mut conjuncts);
+    }
+    let meta = &table.schema;
+    let pk = match meta.primary_key[..] {
+        [c] => Some(c),
+        _ => None,
+    };
+    let indexed = |c: usize| {
+        pk == Some(c) || meta.columns[c].unique || meta.indexes.iter().any(|i| i.column == c)
+    };
+    let probe = conjuncts
+        .iter()
+        .filter(|(c, op, _)| *op == BinaryOp::Eq && indexed(*c))
+        .min_by_key(|(c, ..)| pk != Some(*c));
+    if let Some((column, _, key)) = probe {
+        return AccessPath::Probe { column: *column, key: key.clone() };
+    }
+    let Some(pk) = pk else { return AccessPath::Scan };
+    let bounds: Vec<(BinaryOp, Expr)> =
+        conjuncts.into_iter().filter(|(c, ..)| *c == pk).map(|(_, op, b)| (op, b)).collect();
+    let key_order = leading_order.filter(|(c, _)| *c == pk).map(|(_, ascending)| ascending);
+    if bounds.is_empty() && key_order.is_none() {
+        return AccessPath::Scan;
+    }
+    AccessPath::Walk { bounds, key_order }
+}
+
+/// The top-level `AND` conjuncts of the form `col op b` or `b op col`
+/// (`op` one of `= < <= > >=`, `b` a literal or `?`), as `(col, op, b)`
+/// with `op` read from the column's side.
+fn sargable_conjuncts(e: &Expr, schema: &ExecSchema, out: &mut Vec<(usize, BinaryOp, Expr)>) {
+    let Expr::Binary { op, lhs, rhs } = e else { return };
+    let flipped = match op {
+        BinaryOp::And => {
+            sargable_conjuncts(lhs, schema, out);
+            return sargable_conjuncts(rhs, schema, out);
+        }
+        BinaryOp::Eq => BinaryOp::Eq,
+        BinaryOp::Lt => BinaryOp::Gt,
+        BinaryOp::Le => BinaryOp::Ge,
+        BinaryOp::Gt => BinaryOp::Lt,
+        BinaryOp::Ge => BinaryOp::Le,
+        _ => return,
+    };
+    let column = |e: &Expr| match e {
+        Expr::Column { qualifier, name } => schema.resolve(qualifier.as_deref(), name).ok(),
+        _ => None,
+    };
+    let bound = |e: &Expr| matches!(e, Expr::Literal(_) | Expr::Param(_));
+    if let (Some(c), true) = (column(lhs), bound(rhs)) {
+        out.push((c, *op, (**rhs).clone()));
+    } else if let (Some(c), true) = (column(rhs), bound(lhs)) {
+        out.push((c, flipped, (**lhs).clone()));
+    }
+}
+
+/// The index key of a bound on a column of type `ty`, or `None` when
+/// `sql_cmp` could not compare the bound with the column's values (a
+/// missing parameter, NULL, NaN, another type) — the statement then
+/// scans, so it raises exactly what a scan raises.
+fn bound_key(bound: &Expr, ty: SqlType, params: &[Value]) -> Option<GroupKey> {
+    let v = match bound {
+        Expr::Literal(v) => v,
+        Expr::Param(i) => params.get(*i)?,
+        _ => return None,
+    };
+    let of_type = match ty {
+        SqlType::Boolean => Value::Bool(false),
+        SqlType::Integer | SqlType::Double => Value::Int(0),
+        SqlType::Varchar => Value::Str(String::new()),
+    };
+    v.sql_cmp(&of_type).map(|_| v.group_key())
+}
+
+/// Does every `?` in `e` have a value, and every column name resolve?
+/// A scan would raise the failure on its first row, so a path that
+/// might visit no row must not be taken.
+fn leaves_resolve(e: &Expr, schema: &ExecSchema, params: &[Value]) -> bool {
+    match e {
+        Expr::Param(i) => *i < params.len(),
+        Expr::Column { qualifier, name } => schema.resolve(qualifier.as_deref(), name).is_ok(),
+        _ => e.children().into_iter().all(|c| leaves_resolve(c, schema, params)),
+    }
+}
+
+/// Rows in the order an access path visits them.
+pub(crate) type Candidates<'a> = Box<dyn Iterator<Item = (RowId, &'a Vec<Value>)> + 'a>;
+
+/// The one row source of every pushdown read and every UPDATE / DELETE:
+/// `table`'s candidate rows for `access`, in visiting order, and whether
+/// they arrive in key order (which satisfies the ORDER BY). When a bound
+/// ([`bound_key`]) or the predicate ([`leaves_resolve`]) does not
+/// resolve, it scans, exactly as a table with no index would.
+pub(crate) fn candidate_rows<'a>(
+    access: &AccessPath,
+    predicate: Option<&Expr>,
+    schema: &ExecSchema,
+    table: &'a Table,
+    params: &[Value],
+) -> (Candidates<'a>, bool) {
+    use Bound::{Excluded, Included, Unbounded};
+    let resolved = || -> Option<(IndexRows<'a>, Option<bool>)> {
+        if !predicate.is_none_or(|p| leaves_resolve(p, schema, params)) {
+            return None;
+        }
+        let ty = |c: usize| table.schema.columns[c].ty;
+        match access {
+            AccessPath::Scan => None,
+            AccessPath::Probe { column, key } => {
+                let key = bound_key(key, ty(*column), params)?;
+                Some((table.index_rows(*column, Included(key.clone()), Included(key))?, None))
+            }
+            AccessPath::Walk { bounds, key_order } => {
+                // The tightest bounds: the greatest lower and the least
+                // upper key, the exclusive one where two keys tie.
+                let pk = table.schema.primary_key[0];
+                let (mut lower, mut upper) = (None, None);
+                for (op, bound) in bounds {
+                    let key = bound_key(bound, ty(pk), params)?;
+                    match op {
+                        BinaryOp::Gt | BinaryOp::Ge => {
+                            lower = lower.max(Some((key, *op == BinaryOp::Gt)))
+                        }
+                        _ => upper = upper.max(Some(Reverse((key, *op == BinaryOp::Le)))),
+                    }
+                }
+                let lower = match lower {
+                    Some((key, true)) => Excluded(key),
+                    Some((key, false)) => Included(key),
+                    None => Unbounded,
+                };
+                let upper = match upper {
+                    Some(Reverse((key, true))) => Included(key),
+                    Some(Reverse((key, false))) => Excluded(key),
+                    None => Unbounded,
+                };
+                Some((table.index_rows(pk, lower, upper)?, *key_order))
+            }
+        }
+    };
+    let Some((ids, key_order)) = resolved() else { return (Box::new(table.scan()), false) };
+    let row = move |id: RowId| table.get(id).map(|r| (id, r));
+    let rows: Candidates<'a> = match key_order {
+        Some(true) => Box::new(ids.filter_map(row)),
+        Some(false) => Box::new(ids.rev().filter_map(row)),
+        None => {
+            let mut ids: Vec<RowId> = ids.collect();
+            ids.sort_unstable();
+            Box::new(ids.into_iter().filter_map(row))
+        }
+    };
+    (rows, key_order.is_some())
 }
 
 /// Try to build a [`PushdownPlan`]. `None` means the statement takes the
@@ -212,14 +413,7 @@ pub(crate) fn plan_pushdown(select: &Select, storage: &Storage) -> Option<Pushdo
     let table_ref = select.from.as_ref()?;
     let table = storage.table(&table_ref.name).ok()?;
     let binding = table_ref.binding_name();
-    let schema = ExecSchema::new(
-        table
-            .schema
-            .columns
-            .iter()
-            .map(|c| ExecColumn { qualifier: Some(binding.to_string()), name: c.name.clone() })
-            .collect(),
-    );
+    let schema = row_schema(&table.schema, binding);
 
     // Projection: wildcards and plain column references only. Anything
     // computed (expressions, aggregates, functions) goes generic.
@@ -275,6 +469,9 @@ pub(crate) fn plan_pushdown(select: &Select, storage: &Storage) -> Option<Pushdo
         order.push((ix, item.ascending));
     }
 
+    let leading = order.first().map(|&(ix, ascending)| (projection[ix], ascending));
+    let access = choose_access(select.where_clause.as_ref(), &schema, table, leading);
+
     Some(PushdownPlan {
         table: table_ref.name.clone(),
         schema,
@@ -283,64 +480,8 @@ pub(crate) fn plan_pushdown(select: &Select, storage: &Storage) -> Option<Pushdo
         order,
         offset: select.offset.unwrap_or(0) as usize,
         limit: select.limit.map(|l| l as usize).unwrap_or(usize::MAX),
+        access,
     })
-}
-
-/// Execute a [`PushdownPlan`]. The WHERE predicate is evaluated through
-/// the same [`eval`] the generic path uses, against borrowed scan rows.
-pub(crate) fn run_pushdown(
-    plan: &PushdownPlan,
-    predicate: Option<&Expr>,
-    storage: &Storage,
-    params: &[Value],
-) -> Result<Rowset, SqlError> {
-    let table = storage.table(&plan.table)?;
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    if plan.order.is_empty() {
-        // Unordered: the OFFSET/LIMIT window applies during the scan, so
-        // the scan stops as soon as the window is full.
-        let mut to_skip = plan.offset;
-        for (_, row) in table.scan() {
-            if rows.len() == plan.limit {
-                break;
-            }
-            if let Some(p) = predicate {
-                let ctx = EvalContext::new(&plan.schema, row, params);
-                if !matches!(eval(p, &ctx)?, Value::Bool(true)) {
-                    continue;
-                }
-            }
-            if to_skip > 0 {
-                to_skip -= 1;
-                continue;
-            }
-            rows.push(plan.projection.iter().map(|&i| row[i].clone()).collect());
-        }
-    } else {
-        // Ordered: materialise the projected survivors, stable-sort on
-        // the projected key cells, then window.
-        for (_, row) in table.scan() {
-            if let Some(p) = predicate {
-                let ctx = EvalContext::new(&plan.schema, row, params);
-                if !matches!(eval(p, &ctx)?, Value::Bool(true)) {
-                    continue;
-                }
-            }
-            rows.push(plan.projection.iter().map(|&i| row[i].clone()).collect());
-        }
-        rows.sort_by(|a, b| {
-            for &(ix, ascending) in &plan.order {
-                let ord = a[ix].total_cmp(&b[ix]);
-                let ord = if ascending { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        rows = rows.into_iter().skip(plan.offset).take(plan.limit).collect();
-    }
-    Ok(Rowset { columns: plan.columns.clone(), rows })
 }
 
 /// The generic materialising pipeline (scan → filter → project → …).
@@ -524,16 +665,9 @@ fn run_select_generic(
             }
             keyed.push((keys, (out, src)));
         }
-        keyed.sort_by(|(a, _), (b, _)| {
-            for (i, item) in select.order_by.iter().enumerate() {
-                let ord = a[i].total_cmp(&b[i]);
-                let ord = if item.ascending { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
+        let keys: Vec<(usize, bool)> =
+            select.order_by.iter().map(|o| o.ascending).enumerate().collect();
+        keyed.sort_by(|(a, _), (b, _)| compare_rows(a, b, &keys));
         projected = keyed.into_iter().map(|(_, p)| p).collect();
     }
 
@@ -588,15 +722,7 @@ fn default_name(expr: &Expr, ordinal: usize) -> String {
 
 fn scan_table(storage: &Storage, table_ref: &TableRef) -> Result<ScannedTable, SqlError> {
     let table = storage.table(&table_ref.name)?;
-    let binding = table_ref.binding_name().to_string();
-    let schema = ExecSchema::new(
-        table
-            .schema
-            .columns
-            .iter()
-            .map(|c| ExecColumn { qualifier: Some(binding.clone()), name: c.name.clone() })
-            .collect(),
-    );
+    let schema = row_schema(&table.schema, table_ref.binding_name());
     let types = table.schema.columns.iter().map(|c| Some(c.ty)).collect();
     let rows = table.scan().map(|(_, r)| r.clone()).collect();
     Ok((schema, rows, types))
@@ -1057,13 +1183,7 @@ fn finalize_row(
     }
     // CHECK constraints: pass unless the predicate is definitely false.
     if !schema.checks.is_empty() {
-        let exec_schema = ExecSchema::new(
-            schema
-                .columns
-                .iter()
-                .map(|c| ExecColumn { qualifier: Some(schema.name.clone()), name: c.name.clone() })
-                .collect(),
-        );
+        let exec_schema = row_schema(schema, &schema.name);
         let ctx = EvalContext::new(&exec_schema, &out, &[]);
         for check in &schema.checks {
             if matches!(eval(check, &ctx)?, Value::Bool(false)) {
@@ -1100,6 +1220,27 @@ fn finalize_row(
     Ok(out)
 }
 
+/// Ids of the rows of `table` that `predicate` accepts, in rowid order,
+/// found through the statement's access path.
+fn matching_rowids(
+    table: &Table,
+    schema: &ExecSchema,
+    predicate: Option<&Expr>,
+    params: &[Value],
+) -> Result<Vec<RowId>, SqlError> {
+    let access = choose_access(predicate, schema, table, None);
+    let mut ids = Vec::new();
+    for (rowid, row) in candidate_rows(&access, predicate, schema, table, params).0 {
+        if let Some(p) = predicate {
+            if !matches!(eval(p, &EvalContext::new(schema, row, params))?, Value::Bool(true)) {
+                continue;
+            }
+        }
+        ids.push(rowid);
+    }
+    Ok(ids)
+}
+
 /// Execute UPDATE; returns the number of rows changed.
 pub fn run_update(
     update: &Update,
@@ -1108,13 +1249,7 @@ pub fn run_update(
     undo: &mut Vec<UndoEntry>,
 ) -> Result<u64, SqlError> {
     let schema = storage.table(&update.table)?.schema.clone();
-    let exec_schema = ExecSchema::new(
-        schema
-            .columns
-            .iter()
-            .map(|c| ExecColumn { qualifier: Some(schema.name.clone()), name: c.name.clone() })
-            .collect(),
-    );
+    let exec_schema = row_schema(&schema, &schema.name);
     let assignments: Vec<(usize, &Expr)> = update
         .assignments
         .iter()
@@ -1131,20 +1266,8 @@ pub fn run_update(
     // Materialise the victim set first (stable against our own writes).
     let victims: Vec<(RowId, Vec<Value>)> = {
         let table = storage.table(&update.table)?;
-        let mut v = Vec::new();
-        for (rowid, row) in table.scan() {
-            let keep = match &update.where_clause {
-                None => true,
-                Some(w) => {
-                    let ctx = EvalContext::new(&exec_schema, row, params);
-                    matches!(eval(w, &ctx)?, Value::Bool(true))
-                }
-            };
-            if keep {
-                v.push((rowid, row.clone()));
-            }
-        }
-        v
+        let ids = matching_rowids(table, &exec_schema, update.where_clause.as_ref(), params)?;
+        ids.into_iter().filter_map(|id| Some((id, table.get(id)?.clone()))).collect()
     };
 
     let mut changed = 0u64;
@@ -1173,30 +1296,13 @@ pub fn run_delete(
     undo: &mut Vec<UndoEntry>,
 ) -> Result<u64, SqlError> {
     let schema = storage.table(&delete.table)?.schema.clone();
-    let exec_schema = ExecSchema::new(
-        schema
-            .columns
-            .iter()
-            .map(|c| ExecColumn { qualifier: Some(schema.name.clone()), name: c.name.clone() })
-            .collect(),
-    );
-    let victims: Vec<RowId> = {
-        let table = storage.table(&delete.table)?;
-        let mut v = Vec::new();
-        for (rowid, row) in table.scan() {
-            let keep = match &delete.where_clause {
-                None => true,
-                Some(w) => {
-                    let ctx = EvalContext::new(&exec_schema, row, params);
-                    matches!(eval(w, &ctx)?, Value::Bool(true))
-                }
-            };
-            if keep {
-                v.push(rowid);
-            }
-        }
-        v
-    };
+    let exec_schema = row_schema(&schema, &schema.name);
+    let victims = matching_rowids(
+        storage.table(&delete.table)?,
+        &exec_schema,
+        delete.where_clause.as_ref(),
+        params,
+    )?;
 
     let mut deleted_rows: Vec<Vec<Value>> = Vec::with_capacity(victims.len());
     for rowid in &victims {
@@ -1571,5 +1677,131 @@ mod tests {
             let err = run_select(&select, storage, &[]).unwrap_err();
             assert!(err.message.contains("out of range"));
         });
+    }
+
+    /// The access path `sql` takes: a SELECT's plan, or the victim path
+    /// of an UPDATE / DELETE.
+    fn access_of(db: &Database, sql: &str) -> AccessPath {
+        db.with_storage(|storage| match parse_statement(sql).unwrap() {
+            Stmt::Select(s) => plan_pushdown(&s, storage).expect("pushdown-eligible").access,
+            Stmt::Update(Update { table, where_clause, .. })
+            | Stmt::Delete(Delete { table, where_clause }) => {
+                let t = storage.table(&table).unwrap();
+                choose_access(where_clause.as_ref(), &row_schema(&t.schema, &table), t, None)
+            }
+            other => panic!("no access path for {other:?}"),
+        })
+    }
+
+    /// The path each benchmarked statement shape takes.
+    #[test]
+    fn benchmarked_shapes_take_index_paths() {
+        use AccessPath::{Probe, Scan, Walk};
+        let item = seeded_db(0xDA15_000B, 20);
+        let shard = Database::new("shard");
+        shard
+            .execute(
+                "CREATE TABLE t (k INTEGER PRIMARY KEY, category INTEGER NOT NULL, v VARCHAR)",
+                &[],
+            )
+            .unwrap();
+        let probe = Probe { column: 0, key: Expr::Param(0) };
+        assert_eq!(access_of(&item, "SELECT id, category FROM item WHERE id = ?"), probe);
+        assert_eq!(
+            access_of(&item, "SELECT * FROM item WHERE id >= ? AND id < ? ORDER BY id"),
+            Walk {
+                bounds: vec![(BinaryOp::Ge, Expr::Param(0)), (BinaryOp::Lt, Expr::Param(1))],
+                key_order: Some(true)
+            }
+        );
+        assert_eq!(access_of(&shard, "SELECT k, category, v FROM t WHERE k = ?"), probe);
+        assert_eq!(
+            access_of(&shard, "SELECT k, v FROM t WHERE category = ? ORDER BY k LIMIT 100"),
+            Walk { bounds: vec![], key_order: Some(true) }
+        );
+        assert_eq!(access_of(&item, "DELETE FROM item WHERE id = ?"), probe);
+        // `item` declares no index on `category`, so this UPDATE scans.
+        assert_eq!(access_of(&item, "UPDATE item SET price = price + 1 WHERE category = ?"), Scan);
+    }
+
+    /// How the chooser ranks indexes and reads conjuncts.
+    #[test]
+    fn access_path_rules() {
+        use AccessPath::{Probe, Scan, Walk};
+        let db = seeded_db(0xDA15_000C, 0);
+        db.execute_script(
+            "CREATE INDEX i_cat ON item (category); CREATE UNIQUE INDEX u_l ON item (label)",
+        )
+        .unwrap();
+        let lit = |i: i64| Expr::Literal(Value::Int(i));
+        let walk = |bounds, key_order| Walk { bounds, key_order };
+        let cases = [
+            // The primary key, else the first indexed equality, probes.
+            ("category = 3", Probe { column: 1, key: lit(3) }),
+            (
+                "price = 1 AND label = 'x' AND category = 3",
+                Probe { column: 3, key: Expr::lit(Value::Str("x".into())) },
+            ),
+            ("label = 'x' AND 7 = id", Probe { column: 0, key: lit(7) }),
+            ("id >= 2 AND category = 3 ORDER BY id", Probe { column: 1, key: lit(3) }),
+            // Operand on the left reads from the column's side.
+            (
+                "5 < id AND id <= 9",
+                walk(vec![(BinaryOp::Gt, lit(5)), (BinaryOp::Le, lit(9))], None),
+            ),
+            ("id > 5 OR id < 2", Scan),
+            ("id <> 5", Scan),
+            ("price > 5", Scan),
+            ("id > -5", Scan),
+        ];
+        for (predicate, expected) in cases {
+            let sql = format!("SELECT id FROM item WHERE {predicate}");
+            assert_eq!(access_of(&db, &sql), expected, "{sql}");
+        }
+        assert_eq!(access_of(&db, "SELECT * FROM item ORDER BY 1 DESC"), walk(vec![], Some(false)));
+        assert_eq!(
+            access_of(&db, "SELECT label, id FROM item ORDER BY 2, 1"),
+            walk(vec![], Some(true))
+        );
+        assert_eq!(access_of(&db, "SELECT * FROM item ORDER BY price, id"), Scan);
+    }
+
+    /// Bounds that do not resolve — a missing `?`, a string against the
+    /// INTEGER key, NULL, NaN — scan, so a statement answers and fails
+    /// exactly as a scan does, on an empty and a non-empty table,
+    /// ordered or not, even when a LIMIT 0 would stop a walk at once.
+    #[test]
+    fn unresolvable_bounds_fall_back_to_a_scan() {
+        let full = seeded_db(0xDA15_000D, 5);
+        let empty = seeded_db(0xDA15_000D, 0);
+        let nan = vec![Value::Double(f64::NAN)];
+        let missing = (SqlErrorKind::InvalidParameter, "no value bound for parameter ?1");
+        let cases = [
+            ("id = ?", vec![], Some(missing)),
+            ("id >= ? AND id < 3", vec![], Some(missing)),
+            ("id = 'x'", vec![], Some((SqlErrorKind::InvalidCast, "cannot compare 0 with x"))),
+            ("id = NULL", vec![], None),
+            (
+                "nope = 1 AND id = 3",
+                vec![],
+                Some((SqlErrorKind::UndefinedColumn, "no such column 'nope'")),
+            ),
+            ("id = ?", nan.clone(), Some((SqlErrorKind::InvalidCast, "cannot compare 0 with NaN"))),
+            ("id > ?", nan, Some((SqlErrorKind::InvalidCast, "cannot compare 0 with NaN"))),
+        ];
+        for order in ["", " ORDER BY id", " ORDER BY id DESC LIMIT 0"] {
+            for (predicate, params, error) in &cases {
+                let sql = format!("SELECT * FROM item WHERE {predicate}{order}");
+                let got = full.execute(&sql, params).map_err(|e| (e.kind, e.message));
+                match error {
+                    Some((kind, message)) => {
+                        assert_eq!(got.unwrap_err(), (*kind, message.to_string()), "{sql}")
+                    }
+                    None => assert!(got.unwrap().rowset().unwrap().rows.is_empty(), "{sql}"),
+                }
+                let rows = empty.execute(&sql, params).unwrap();
+                assert!(rows.rowset().unwrap().rows.is_empty(), "{sql}");
+            }
+        }
     }
 }

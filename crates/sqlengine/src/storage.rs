@@ -4,10 +4,14 @@ use crate::catalog::{IndexMeta, TableSchema};
 use crate::error::{SqlError, SqlErrorKind};
 use crate::value::{GroupKey, Value};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 
 /// A stored row id. Monotonic per table; row ids are stable across updates
 /// and reused only when a transaction rollback reinstates a deleted row.
 pub type RowId = u64;
+
+/// Row ids read off an index, in key order.
+pub type IndexRows<'a> = Box<dyn DoubleEndedIterator<Item = RowId> + 'a>;
 
 /// One table: schema, rows and index structures.
 #[derive(Debug, Clone)]
@@ -15,8 +19,9 @@ pub struct Table {
     pub schema: TableSchema,
     rows: BTreeMap<RowId, Vec<Value>>,
     next_rowid: RowId,
-    /// Primary key index (composite keys supported). Absent if no PK.
-    pk_index: HashMap<Vec<GroupKey>, RowId>,
+    /// Primary key index (composite keys supported), ordered as
+    /// `Value::total_cmp` orders the key values. Empty if no PK.
+    pk_index: BTreeMap<Vec<GroupKey>, RowId>,
     /// Unique single-column indexes: ordinal → value-key → rowid.
     /// NULLs are not indexed (SQL: NULLs never conflict).
     unique_indexes: HashMap<usize, HashMap<GroupKey, RowId>>,
@@ -44,7 +49,7 @@ impl Table {
             schema,
             rows: BTreeMap::new(),
             next_rowid: 1,
-            pk_index: HashMap::new(),
+            pk_index: BTreeMap::new(),
             unique_indexes,
             secondary_indexes,
         }
@@ -63,37 +68,38 @@ impl Table {
         self.rows.get(&rowid)
     }
 
-    /// Fast path: look up by full primary key.
-    pub fn get_by_pk(&self, key: &[Value]) -> Option<(RowId, &Vec<Value>)> {
-        let gk: Vec<GroupKey> = key.iter().map(Value::group_key).collect();
-        let rowid = *self.pk_index.get(&gk)?;
-        self.rows.get(&rowid).map(|r| (rowid, r))
-    }
-
-    /// Look up rowids through a secondary or unique index on `ordinal`.
-    /// Returns `None` when no index exists on that column.
-    pub fn index_lookup(&self, ordinal: usize, value: &Value) -> Option<Vec<RowId>> {
-        if value.is_null() {
-            return Some(Vec::new()); // indexed NULLs are unreachable by equality
-        }
-        let key = value.group_key();
+    /// The one index lookup: ids of the rows whose key in column
+    /// `ordinal` lies between `lower` and `upper`. A single-column
+    /// primary key answers any range, in key order; a unique or
+    /// secondary index answers one key (`lower` and `upper` the same
+    /// included key). `None` when no index on the column can answer.
+    /// NULLs are never indexed, so never found.
+    pub fn index_rows(
+        &self,
+        ordinal: usize,
+        lower: Bound<GroupKey>,
+        upper: Bound<GroupKey>,
+    ) -> Option<IndexRows<'_>> {
+        use Bound::{Excluded, Included};
         if self.schema.primary_key == [ordinal] {
-            return Some(self.pk_index.get(&vec![key]).copied().into_iter().collect());
+            // `BTreeMap::range` panics on an inverted range.
+            if let (Included(lo) | Excluded(lo), Included(hi) | Excluded(hi)) = (&lower, &upper) {
+                if lo > hi || (lo == hi && matches!((&lower, &upper), (Excluded(_), Excluded(_)))) {
+                    return Some(Box::new(std::iter::empty()));
+                }
+            }
+            let range = (lower.map(|k| vec![k]), upper.map(|k| vec![k]));
+            return Some(Box::new(self.pk_index.range(range).map(|(_, &id)| id)));
+        }
+        let (Included(key), Included(same)) = (&lower, &upper) else { return None };
+        if key != same {
+            return None;
         }
         if let Some(m) = self.unique_indexes.get(&ordinal) {
-            return Some(m.get(&key).copied().into_iter().collect());
+            return Some(Box::new(m.get(key).copied().into_iter()));
         }
-        if let Some(m) = self.secondary_indexes.get(&ordinal) {
-            return Some(m.get(&key).cloned().unwrap_or_default());
-        }
-        None
-    }
-
-    /// True when equality lookups on `ordinal` can use an index.
-    pub fn has_index_on(&self, ordinal: usize) -> bool {
-        self.schema.primary_key == [ordinal]
-            || self.unique_indexes.contains_key(&ordinal)
-            || self.secondary_indexes.contains_key(&ordinal)
+        let ids = self.secondary_indexes.get(&ordinal)?.get(key);
+        Some(Box::new(ids.into_iter().flatten().copied()))
     }
 
     /// Does any row hold `value` in column `ordinal`? (FK existence check.)
@@ -101,10 +107,11 @@ impl Table {
         if value.is_null() {
             return false;
         }
-        if let Some(ids) = self.index_lookup(ordinal, value) {
-            return !ids.is_empty();
+        let key = value.group_key();
+        match self.index_rows(ordinal, Bound::Included(key.clone()), Bound::Included(key)) {
+            Some(mut ids) => ids.next().is_some(),
+            None => self.rows.values().any(|r| r[ordinal] == *value),
         }
-        self.rows.values().any(|r| r[ordinal] == *value)
     }
 
     fn pk_key(&self, row: &[Value]) -> Option<Vec<GroupKey>> {
@@ -370,6 +377,16 @@ mod tests {
         vec![Value::Int(id), email.map(|e| Value::Str(e.into())).unwrap_or(Value::Null)]
     }
 
+    /// Equality through [`Table::index_rows`].
+    fn lookup(t: &Table, ordinal: usize, value: Value) -> Option<Vec<RowId>> {
+        let key = value.group_key();
+        Some(t.index_rows(ordinal, Bound::Included(key.clone()), Bound::Included(key))?.collect())
+    }
+
+    fn pk(t: &Table, id: i64) -> Option<RowId> {
+        lookup(t, 0, Value::Int(id)).unwrap().first().copied()
+    }
+
     #[test]
     fn insert_scan_get() {
         let mut t = Table::new(schema());
@@ -406,11 +423,37 @@ mod tests {
     fn pk_lookup() {
         let mut t = Table::new(schema());
         t.insert(row(7, None)).unwrap();
-        let (rid, r) = t.get_by_pk(&[Value::Int(7)]).unwrap();
-        assert_eq!(r[0], Value::Int(7));
-        assert!(t.get_by_pk(&[Value::Int(8)]).is_none());
+        let rid = pk(&t, 7).unwrap();
+        assert_eq!(t.get(rid).unwrap()[0], Value::Int(7));
+        assert_eq!(lookup(&t, 0, Value::Double(7.0)), Some(vec![rid]));
+        assert!(pk(&t, 8).is_none());
         t.delete(rid).unwrap();
-        assert!(t.get_by_pk(&[Value::Int(7)]).is_none());
+        assert!(pk(&t, 7).is_none());
+    }
+
+    /// The primary key walks in key order — exactly, past 2^53 — over
+    /// any range, and an inverted or empty range is empty, not a panic.
+    #[test]
+    fn pk_range_walks_in_key_order() {
+        use Bound::{Excluded, Included, Unbounded};
+        let mut t = Table::new(schema());
+        let two53 = 1_i64 << 53;
+        for id in [two53 + 1, 5, -3, two53, 9] {
+            t.insert(row(id, None)).unwrap();
+        }
+        let ids = |lo: Bound<GroupKey>, hi: Bound<GroupKey>| -> Vec<Value> {
+            let walk = t.index_rows(0, lo, hi).unwrap();
+            walk.map(|id| t.get(id).unwrap()[0].clone()).collect()
+        };
+        let k = |v: Value| v.group_key();
+        let all: Vec<Value> = [-3, 5, 9, two53, two53 + 1].map(Value::Int).into();
+        assert_eq!(ids(Unbounded, Unbounded), all);
+        assert_eq!(ids(Excluded(k(Value::Double(4.5))), Included(k(Value::Int(9)))), all[1..3]);
+        assert_eq!(ids(Included(k(Value::Int(two53 + 1))), Unbounded), all[4..]);
+        assert_eq!(ids(Excluded(k(Value::Int(9))), Excluded(k(Value::Int(9)))), []);
+        assert_eq!(ids(Included(k(Value::Int(10))), Included(k(Value::Int(2)))), []);
+        // Hash indexes answer equality only.
+        assert!(t.index_rows(1, Unbounded, Unbounded).is_none());
     }
 
     #[test]
@@ -425,7 +468,7 @@ mod tests {
         // but the new one conflicts
         assert!(t.insert(row(4, Some("new@x"))).is_err());
         // updating into an existing unique value fails
-        let rid2 = t.get_by_pk(&[Value::Int(2)]).unwrap().0;
+        let rid2 = pk(&t, 2).unwrap();
         assert!(t.update(rid2, row(2, Some("new@x"))).is_err());
         // updating a row to keep its own value is fine
         t.update(rid, row(1, Some("new@x"))).unwrap();
@@ -439,7 +482,8 @@ mod tests {
         assert_eq!(t.row_count(), 0);
         t.reinsert(rid, removed);
         assert_eq!(t.row_count(), 1);
-        assert!(t.get_by_pk(&[Value::Int(1)]).is_some());
+        assert_eq!(pk(&t, 1), Some(rid));
+        assert_eq!(lookup(&t, 1, Value::Str("a@x".into())), Some(vec![rid]));
         assert!(t.delete(999).is_none());
     }
 
@@ -451,11 +495,11 @@ mod tests {
         for i in 0..10 {
             t.insert(row(i, Some(&format!("u{}@x", i % 3)))).unwrap();
         }
+        assert!(lookup(&t, 1, Value::Str("u0@x".into())).is_none());
         t.create_index(IndexMeta { name: "i_email".into(), column: 1, unique: false }).unwrap();
-        assert!(t.has_index_on(1));
-        let hits = t.index_lookup(1, &Value::Str("u0@x".into())).unwrap();
+        let hits = lookup(&t, 1, Value::Str("u0@x".into())).unwrap();
         assert_eq!(hits.len(), 4); // 0,3,6,9
-        assert_eq!(t.index_lookup(1, &Value::Str("nope".into())).unwrap().len(), 0);
+        assert_eq!(lookup(&t, 1, Value::Str("nope".into())), Some(vec![]));
     }
 
     #[test]

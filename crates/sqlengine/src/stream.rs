@@ -2,18 +2,20 @@
 //!
 //! [`RowStream`] is the zero-materialisation read path: when a statement
 //! is pushdown-eligible (see the planner in [`crate::exec`]) the cursor
-//! lends rows straight off the table pages — selection and projection
+//! lends rows straight off its access path (scan, index probe or
+//! primary-key walk) — selection, projection and the LIMIT/OFFSET window
 //! applied on the fly, nothing collected into `Vec<Vec<Value>>` — and
-//! falls back to iterating a materialised rowset otherwise. Either way
-//! the caller sees the same [`RowRef`] lending interface, so encoders
-//! (the WebRowSet streaming writer in particular) are written once.
+//! iterates a materialised rowset only after a sort or for a statement
+//! the planner refuses. Either way the caller sees the same [`RowRef`]
+//! lending interface, so encoders (the WebRowSet streaming writer in
+//! particular) are written once.
 
 use crate::ast::{Expr, Select};
 use crate::error::SqlError;
 use crate::exec::{self, PushdownPlan};
 use crate::expr::{eval, EvalContext, ExecSchema};
 use crate::rowset::{Rowset, RowsetColumn};
-use crate::storage::Storage;
+use crate::storage::{RowId, Storage, Table};
 use crate::value::Value;
 
 /// One result row, lent by [`RowStream::next`]. Cells are views into
@@ -46,10 +48,11 @@ impl<'a> RowRef<'a> {
 }
 
 enum Source<'a> {
-    /// Pushdown: borrowed table scan with on-the-fly selection,
-    /// projection and windowing. Only surviving cells are ever touched.
+    /// Pushdown: borrowed rows off the access path with on-the-fly
+    /// selection, projection and windowing. Only surviving cells are
+    /// ever touched.
     Scan {
-        rows: Box<dyn Iterator<Item = &'a Vec<Value>> + 'a>,
+        rows: Box<dyn Iterator<Item = (RowId, &'a Vec<Value>)> + 'a>,
         schema: ExecSchema,
         predicate: Option<&'a Expr>,
         params: &'a [Value],
@@ -93,7 +96,7 @@ impl<'a> RowStream<'a> {
                 if *remaining == 0 {
                     return Ok(None);
                 }
-                for row in rows.by_ref() {
+                for (_, row) in rows.by_ref() {
                     if let Some(p) = predicate {
                         let ctx = EvalContext::new(schema, row, params);
                         if !matches!(eval(p, &ctx)?, Value::Bool(true)) {
@@ -120,8 +123,13 @@ impl<'a> RowStream<'a> {
     }
 
     /// Drain the remainder into a materialised rowset (tests, adapters).
+    /// A materialised source hands its rows over without cloning them.
     pub fn collect_rowset(&mut self) -> Result<Rowset, SqlError> {
         let mut out = Rowset::new(self.columns.clone());
+        if let Source::Owned { rowset, pos, .. } = &mut self.source {
+            out.rows.extend(rowset.rows.drain(*pos..));
+            return Ok(out);
+        }
         while let Some(row) = self.next()? {
             out.rows.push(row.iter().cloned().collect());
         }
@@ -129,38 +137,52 @@ impl<'a> RowStream<'a> {
     }
 }
 
-/// Open a cursor over a parsed SELECT. Pushdown-eligible, unordered
-/// statements stream borrowed rows straight off the scan; ordered
-/// pushdowns and everything else materialise first (a sort needs all
-/// rows anyway), then iterate.
+/// Open a cursor over a parsed SELECT: pushdown plans through
+/// `open_pushdown`, everything else materialised, then iterated.
 pub fn open_stream<'a>(
     select: &'a Select,
     storage: &'a Storage,
     params: &'a [Value],
 ) -> Result<RowStream<'a>, SqlError> {
-    if select.unions.is_empty() {
-        if let Some(plan) = exec::plan_pushdown(select, storage) {
-            if plan.order.is_empty() {
-                let table = storage.table(&plan.table)?;
-                let PushdownPlan { schema, projection, columns, offset, limit, .. } = plan;
-                return Ok(RowStream {
-                    columns,
-                    source: Source::Scan {
-                        rows: Box::new(table.scan().map(|(_, r)| r)),
-                        schema,
-                        predicate: select.where_clause.as_ref(),
-                        params,
-                        projection,
-                        to_skip: offset,
-                        remaining: limit,
-                    },
-                });
-            }
-            let rowset = exec::run_pushdown(&plan, select.where_clause.as_ref(), storage, params)?;
-            return Ok(RowStream::from_rowset(rowset));
-        }
+    if let Some(plan) = exec::plan_pushdown(select, storage) {
+        let table = storage.table(&plan.table)?;
+        return open_pushdown(plan, select.where_clause.as_ref(), table, params);
     }
     Ok(RowStream::from_rowset(exec::run_select(select, storage, params)?))
+}
+
+/// Open a cursor over a pushdown plan: rows off its access path, through
+/// the predicate and window. An ORDER BY the path does not satisfy runs
+/// the stream unwindowed, stable-sorts the survivors, then windows.
+pub(crate) fn open_pushdown<'a>(
+    plan: PushdownPlan,
+    predicate: Option<&'a Expr>,
+    table: &'a Table,
+    params: &'a [Value],
+) -> Result<RowStream<'a>, SqlError> {
+    let (rows, key_ordered) =
+        exec::candidate_rows(&plan.access, predicate, &plan.schema, table, params);
+    let PushdownPlan { schema, projection, columns, order, offset, limit, .. } = plan;
+    let sorted = !order.is_empty() && !key_ordered;
+    let mut stream = RowStream {
+        columns,
+        source: Source::Scan {
+            rows,
+            schema,
+            predicate,
+            params,
+            projection,
+            to_skip: if sorted { 0 } else { offset },
+            remaining: if sorted { usize::MAX } else { limit },
+        },
+    };
+    if !sorted {
+        return Ok(stream);
+    }
+    let mut rowset = stream.collect_rowset()?;
+    rowset.rows.sort_by(|a, b| exec::compare_rows(a, b, &order));
+    rowset.rows = rowset.rows.into_iter().skip(offset).take(limit).collect();
+    Ok(RowStream::from_rowset(rowset))
 }
 
 #[cfg(test)]

@@ -103,22 +103,24 @@ impl Value {
     }
 
     /// SQL comparison: `None` when either side is NULL (three-valued
-    /// logic) or the types are incomparable.
+    /// logic) or NaN, or the types are incomparable. Otherwise the exact
+    /// order of [`Value::total_cmp`].
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
-        match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-            (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
-            (a, b) => {
-                let (x, y) = (a.as_f64()?, b.as_f64()?);
-                x.partial_cmp(&y)
-            }
-        }
+        // Numbers are one family; NULL and NaN compare with nothing.
+        let family = |v: &Value| match v {
+            Value::Int(_) => Some(SqlType::Double),
+            Value::Double(d) if d.is_nan() => None,
+            v => v.sql_type(),
+        };
+        (family(self)? == family(other)?).then(|| self.total_cmp(other))
     }
 
-    /// Total ordering for ORDER BY / DISTINCT / grouping: NULL sorts first,
-    /// then booleans, numbers, strings. Unlike [`Value::sql_cmp`] this is
-    /// total, so it can drive sorting.
+    /// The engine's one total order, for ORDER BY, index keys and the
+    /// federation merge: `NULL < booleans < numbers < strings`. Numbers
+    /// compare exactly across `Int`/`Double` — no promotion to `f64`,
+    /// which rounds past 2^53 — and `-0.0` equals `0`; NaN sorts above
+    /// every number (below, if negative). Unlike [`Value::sql_cmp`] this
+    /// is total, so it can drive sorting.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         fn rank(v: &Value) -> u8 {
             match v {
@@ -131,26 +133,32 @@ impl Value {
         match (self, other) {
             (Value::Null, Value::Null) => Ordering::Equal,
             (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
+            (Value::Int(a), Value::Double(b)) => cmp_int_double(*a, *b),
+            (Value::Double(a), Value::Int(b)) => cmp_int_double(*b, *a).reverse(),
+            (Value::Double(a), Value::Double(b)) if *a == 0.0 && *b == 0.0 => Ordering::Equal,
+            (Value::Double(a), Value::Double(b)) => a.total_cmp(b),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (a, b) if rank(a) == 2 && rank(b) == 2 => {
-                let x = a.as_f64().unwrap_or(f64::NAN);
-                let y = b.as_f64().unwrap_or(f64::NAN);
-                x.total_cmp(&y)
-            }
             (a, b) => rank(a).cmp(&rank(b)),
         }
     }
 
-    /// Grouping/DISTINCT equality key: NULLs group together, and `1` and
-    /// `1.0` are the same key.
+    /// Grouping, DISTINCT and index key: NULLs group together, `1` and
+    /// `1.0` are the same key, and keys order as [`Value::total_cmp`]
+    /// orders the values.
     pub fn group_key(&self) -> GroupKey {
         match self {
             Value::Null => GroupKey::Null,
             Value::Bool(b) => GroupKey::Bool(*b),
-            Value::Int(i) => GroupKey::Num((*i as f64).to_bits()),
-            Value::Double(d) => {
-                GroupKey::Num(if *d == 0.0 { 0.0f64.to_bits() } else { d.to_bits() })
+            Value::Int(i) => GroupKey::Int(*i),
+            // Integral doubles in i64 range (so -0.0 too) share the
+            // integer's key; `i64::MAX as f64` is 2^63, outside the range.
+            Value::Double(d)
+                if d.fract() == 0.0 && *d >= i64::MIN as f64 && *d < i64::MAX as f64 =>
+            {
+                GroupKey::Int(*d as i64)
             }
+            Value::Double(d) => GroupKey::Double(d.to_bits()),
             Value::Str(s) => GroupKey::Str(s.clone()),
         }
     }
@@ -203,29 +211,70 @@ impl Value {
     }
 }
 
-/// Hashable key for grouping and duplicate elimination.
+/// Exact `i64` vs `f64` order (`i as f64` rounds past 2^53): the
+/// double's integer part compares exactly with `i`, a fractional
+/// remainder breaks a tie. NaN sorts above every integer, -NaN below.
+fn cmp_int_double(i: i64, d: f64) -> Ordering {
+    if d.is_nan() {
+        return if d.is_sign_negative() { Ordering::Greater } else { Ordering::Less };
+    }
+    let floor = d.floor();
+    // i64::MAX as f64 rounds up to 2^63, so `floor >= 2^63` exactly
+    // captures "integer part above every i64"; -2^63 is representable.
+    if floor >= i64::MAX as f64 {
+        return Ordering::Less;
+    }
+    if floor < i64::MIN as f64 {
+        return Ordering::Greater;
+    }
+    match i.cmp(&(floor as i64)) {
+        Ordering::Equal if d > floor => Ordering::Less,
+        ord => ord,
+    }
+}
+
+/// Hashable, ordered key for grouping, duplicate elimination and
+/// indexes. A double that is not an integer in `i64` range keeps its
+/// bits; every other number is an `Int`, so equal numbers share a key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum GroupKey {
     Null,
     Bool(bool),
-    Num(u64),
+    Int(i64),
+    Double(u64),
     Str(String),
 }
 
-/// Equality for tests and materialised comparisons: numeric values compare
-/// across Int/Double; NULL equals NULL (this is *not* SQL semantics, which
-/// live in [`Value::sql_cmp`] — it is structural equality for rowsets).
+/// The order of [`Value::total_cmp`] on the values the keys came from.
+impl Ord for GroupKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Strings aside, a key's value is cheap to rebuild.
+        let value = |k: &GroupKey| match k {
+            GroupKey::Null => Value::Null,
+            GroupKey::Bool(b) => Value::Bool(*b),
+            GroupKey::Int(i) => Value::Int(*i),
+            GroupKey::Double(bits) => Value::Double(f64::from_bits(*bits)),
+            GroupKey::Str(_) => Value::Str(String::new()),
+        };
+        match (self, other) {
+            (GroupKey::Str(a), GroupKey::Str(b)) => a.cmp(b),
+            (a, b) => value(a).total_cmp(&value(b)),
+        }
+    }
+}
+
+impl PartialOrd for GroupKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Structural equality for rowsets and tests: [`Value::sql_cmp`]
+/// equality, except that NULL equals NULL (not SQL semantics).
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Value::Null, Value::Null) => true,
-            (Value::Bool(a), Value::Bool(b)) => a == b,
-            (Value::Str(a), Value::Str(b)) => a == b,
-            (a, b) => match (a.as_f64(), b.as_f64()) {
-                (Some(x), Some(y)) => x == y,
-                _ => false,
-            },
-        }
+        matches!((self, other), (Value::Null, Value::Null))
+            || self.sql_cmp(other) == Some(Ordering::Equal)
     }
 }
 
@@ -278,6 +327,50 @@ mod tests {
         assert_eq!(Value::Int(1).group_key(), Value::Double(1.0).group_key());
         assert_eq!(Value::Double(0.0).group_key(), Value::Double(-0.0).group_key());
         assert_ne!(Value::Int(1).group_key(), Value::Str("1".into()).group_key());
+    }
+
+    #[test]
+    fn value_order_ranks_types_then_compares_within() {
+        use Ordering::*;
+        assert_eq!(Value::Null.total_cmp(&Value::Bool(false)), Less);
+        assert_eq!(Value::Bool(true).total_cmp(&Value::Int(0)), Less);
+        assert_eq!(Value::Int(2).total_cmp(&Value::Double(1.5)), Greater);
+        assert_eq!(Value::Double(2.0).total_cmp(&Value::Str("a".into())), Less);
+        assert_eq!(Value::Str("a".into()).total_cmp(&Value::Str("b".into())), Less);
+        assert_eq!(Value::Double(-0.0).total_cmp(&Value::Double(0.0)), Equal);
+    }
+
+    /// Int/Double comparison is exact past 2^53, where `as f64` rounds:
+    /// 2^53 + 1 becomes exactly 2^53 after promotion and would compare
+    /// Equal. The keys order as the values do.
+    #[test]
+    fn int_double_comparison_is_exact_beyond_f64_precision() {
+        use Ordering::*;
+        let two53 = 1_i64 << 53;
+        let big = two53 + 1;
+        let cases = [
+            (Value::Int(big), Value::Double(two53 as f64), Greater),
+            (Value::Double(two53 as f64), Value::Int(big), Less),
+            (Value::Int(big), Value::Double(big as f64 + 2.0), Less),
+            (Value::Int(big), Value::Int(two53), Greater),
+            (Value::Int(3), Value::Double(3.0), Equal),
+            (Value::Int(3), Value::Double(3.5), Less),
+            (Value::Int(4), Value::Double(3.5), Greater),
+            (Value::Int(-4), Value::Double(-3.5), Less),
+            (Value::Int(i64::MAX), Value::Double(f64::INFINITY), Less),
+            (Value::Int(i64::MAX), Value::Double(i64::MAX as f64), Less),
+            (Value::Int(i64::MIN), Value::Double(f64::NEG_INFINITY), Greater),
+            (Value::Int(i64::MIN), Value::Double(i64::MIN as f64), Equal),
+            (Value::Int(0), Value::Double(f64::NAN), Less),
+            (Value::Int(0), Value::Double(-f64::NAN), Greater),
+        ];
+        for (a, b, ord) in cases {
+            assert_eq!(a.total_cmp(&b), ord, "{a:?} vs {b:?}");
+            assert_eq!(a.group_key().cmp(&b.group_key()), ord, "keys of {a:?} vs {b:?}");
+            assert_eq!(a == b, ord == Equal, "{a:?} == {b:?}");
+        }
+        assert_eq!(Value::Int(big).sql_cmp(&Value::Int(two53)), Some(Greater));
+        assert_eq!(Value::Int(0).sql_cmp(&Value::Double(f64::NAN)), None);
     }
 
     #[test]

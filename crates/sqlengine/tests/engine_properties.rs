@@ -33,12 +33,29 @@ fn reference_like(text: &str, pattern: &str) -> bool {
 }
 
 fn arb_value(g: &mut Gen) -> Value {
-    match g.usize_in(0, 5) {
+    match g.usize_in(0, 7) {
         0 => Value::Null,
         1 => Value::Bool(g.bool_any()),
         2 => Value::Int(g.u64_in(0, 200) as i64 - 100),
         3 => Value::Double(g.f64_in(-100.0, 100.0)),
+        4 => Value::Int(near_2_pow_53(g)),
+        // Int/double pairs: a double on, or just off, an integer the
+        // Int arms also produce.
+        5 => {
+            let i = if g.bool_any() { near_2_pow_53(g) } else { g.u64_in(0, 200) as i64 - 100 };
+            Value::Double(i as f64 + *g.pick(&[0.0, 0.0, 0.5, -0.5]))
+        }
         _ => Value::Str(g.string_from("abc", 0, 3)),
+    }
+}
+
+/// An integer within a few of ±2^53, where `i as f64` starts to round.
+fn near_2_pow_53(g: &mut Gen) -> i64 {
+    let i = (1_i64 << 53) + g.u64_in(0, 5) as i64 - 2;
+    if g.bool_any() {
+        -i
+    } else {
+        i
     }
 }
 
