@@ -123,10 +123,10 @@ pub fn parse_sql_expression(body: &XmlElement) -> Result<(String, Vec<Value>), F
                 Fault::dais(DaisFault::InvalidExpression, "SQLParameter missing type")
             })?;
             let text = match p.attribute("value") {
-                Some(v) => v.to_string(),
-                None => p.text(),
+                Some(v) => v.into(),
+                None => p.text().into(),
             };
-            Value::parse_typed(&text, ty)
+            Value::parse_typed(text, ty)
                 .map_err(|e| Fault::dais(DaisFault::InvalidExpression, e.to_string()))?
         };
         params.push((index - 1, value));
@@ -274,7 +274,7 @@ pub fn write_item_response<S: XmlSink>(
 /// One `SQLUpdateCount` response item.
 pub fn write_update_count<S: XmlSink>(w: &mut XmlWriter<'_, S>, count: u64) {
     w.start(&wsdair("SQLUpdateCount"));
-    w.text(&count.to_string());
+    w.text(dais_sql::value::decimal_digits(count, &mut [0; 20]));
     w.end();
 }
 
@@ -332,14 +332,12 @@ fn describe(e: impl std::fmt::Display) -> String {
 /// hands it back positioned after it.
 fn read_response_items(mut p: PullParser<'_>) -> Result<SqlResponseData, String> {
     let mut data = SqlResponseData::default();
-    let mut text = String::new();
     loop {
         let item = match p.next().map_err(describe)? {
             Some(PullEvent::Start { local, .. }) => local,
             Some(PullEvent::Text(_)) => continue,
             Some(PullEvent::End) | None => return Ok(data),
         };
-        text.clear();
         match item {
             "SQLRowset" => {
                 let mut cursor = RowsetCursor::new(p).map_err(describe)?;
@@ -348,18 +346,18 @@ fn read_response_items(mut p: PullParser<'_>) -> Result<SqlResponseData, String>
                 p.skip_element().map_err(describe)?;
             }
             "SQLUpdateCount" => {
-                p.text_content_into(&mut text).map_err(describe)?;
+                let text = p.text_content().map_err(describe)?;
                 let count = text.trim().parse().map_err(|_| "non-numeric SQLUpdateCount")?;
                 data.update_counts.push(count);
             }
             "SQLReturnValue" => {
-                p.text_content_into(&mut text).map_err(describe)?;
-                data.return_value = Some(Value::Str(text.clone()));
+                let text = p.text_content().map_err(describe)?;
+                data.return_value = Some(Value::Str(text.into_owned()));
             }
             "SQLOutputParameter" => {
                 let name = p.attr("name").unwrap_or_default().to_string();
-                p.text_content_into(&mut text).map_err(describe)?;
-                data.output_parameters.push((name, Value::Str(text.clone())));
+                let text = p.text_content().map_err(describe)?;
+                data.output_parameters.push((name, Value::Str(text.into_owned())));
             }
             "SQLCommunicationArea" => {
                 data.communication_area =

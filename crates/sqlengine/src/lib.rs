@@ -49,6 +49,8 @@
 //! assert_eq!(result.rowset().unwrap().rows[0][0], Value::Str("two".into()));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod catalog;
 pub mod db;

@@ -6,9 +6,10 @@
 //! resource which uses a web row set format").
 
 use crate::error::{SqlError, SqlErrorKind};
-use crate::value::{SqlType, Value};
+use crate::value::{decimal_digits, SqlType, Value};
 use dais_xml::{ns, PullEvent, PullParser, QName, XmlSink, XmlWriter};
-use std::fmt::Write as _;
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// A column of a result set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,10 +77,15 @@ impl Rowset {
 /// The WebRowSet encoder: metadata up front, then one call per row,
 /// then the trailer. An engine cursor, a page window over a held rowset
 /// or a k-way merge feeds cells straight into the sink without ever
-/// building `Vec<Vec<Value>>` or an element tree. Element names are
-/// interned once per writer and every numeric cell is formatted through
-/// one reusable scratch buffer, so the per-row cost is refcount bumps,
-/// not allocations. Every WebRowSet byte on the wire comes from here.
+/// building `Vec<Vec<Value>>` or an element tree. Every WebRowSet byte on
+/// the wire comes from here.
+///
+/// The document element and metadata go through the [`XmlWriter`]'s
+/// namespace bookkeeping. Rows do not: [`begin`](Self::begin) asks the
+/// writer which prefix it bound to the WebRowSet namespace and spells
+/// the row and cell tags out once, and each cell is then spliced as
+/// markup around text the writer escapes — the bytes the element calls
+/// would produce, without resolving a name per element.
 pub struct RowsetWriter {
     n_root: QName,
     n_metadata: QName,
@@ -89,9 +95,15 @@ pub struct RowsetWriter {
     n_name: QName,
     n_type: QName,
     n_data: QName,
-    n_row: QName,
-    n_cell: QName,
-    scratch: String,
+    /// `<p:currentRow>`, `</p:currentRow>`, `<p:columnValue>` and
+    /// `</p:columnValue>` for the bound prefix `p`, at the ranges below,
+    /// followed by scratch space for one formatted number. One buffer,
+    /// so a rowset costs the single allocation the number scratch did.
+    markup: String,
+    row_open: Range<usize>,
+    row_close: Range<usize>,
+    cell_open: Range<usize>,
+    cell_close: Range<usize>,
 }
 
 impl RowsetWriter {
@@ -105,28 +117,27 @@ impl RowsetWriter {
             n_name: QName::new(ns::ROWSET, "wrs", "column-name"),
             n_type: QName::new(ns::ROWSET, "wrs", "column-type"),
             n_data: QName::new(ns::ROWSET, "wrs", "data"),
-            n_row: QName::new(ns::ROWSET, "wrs", "currentRow"),
-            n_cell: QName::new(ns::ROWSET, "wrs", "columnValue"),
-            scratch: String::new(),
+            markup: String::new(),
+            row_open: 0..0,
+            row_close: 0..0,
+            cell_open: 0..0,
+            cell_close: 0..0,
         }
     }
 
     /// Open the document: root, the full metadata block, and the `data`
     /// element, left open for [`row`](Self::row) calls.
     pub fn begin<S: XmlSink>(&mut self, w: &mut XmlWriter<'_, S>, columns: &[RowsetColumn]) {
+        let mut digits = [0; 20];
         w.start(&self.n_root);
         w.start(&self.n_metadata);
         w.start(&self.n_count);
-        self.scratch.clear();
-        let _ = write!(self.scratch, "{}", columns.len());
-        w.text(&self.scratch);
+        w.text(decimal_digits(columns.len() as u64, &mut digits));
         w.end();
         for (i, c) in columns.iter().enumerate() {
             w.start(&self.n_def);
             w.start(&self.n_index);
-            self.scratch.clear();
-            let _ = write!(self.scratch, "{}", i + 1);
-            w.text(&self.scratch);
+            w.text(decimal_digits(i as u64 + 1, &mut digits));
             w.end();
             w.start(&self.n_name);
             w.text(&c.name);
@@ -138,6 +149,22 @@ impl RowsetWriter {
         }
         w.end();
         w.start(&self.n_data);
+        let prefix = w.prefix();
+        let colon = if prefix.is_empty() { "" } else { ":" };
+        let markup = &mut self.markup;
+        markup.clear();
+        // The four tags, and room for any number short of a fallback
+        // double's long positional form.
+        markup.reserve(4 * prefix.len() + 128);
+        let mut tag = |parts: [&str; 4]| {
+            let start = markup.len();
+            parts.iter().for_each(|part| markup.push_str(part));
+            start..markup.len()
+        };
+        self.row_open = tag(["<", prefix, colon, "currentRow>"]);
+        self.row_close = tag(["</", prefix, colon, "currentRow>"]);
+        self.cell_open = tag(["<", prefix, colon, "columnValue>"]);
+        self.cell_close = tag(["</", prefix, colon, "columnValue>"]);
     }
 
     /// Encode one `currentRow` from any cell iterator — borrowed cursor
@@ -147,28 +174,51 @@ impl RowsetWriter {
         w: &mut XmlWriter<'_, S>,
         cells: impl IntoIterator<Item = &'v Value>,
     ) {
-        w.start(&self.n_row);
+        let scratch = self.cell_close.end;
+        // A start tag without its `>`, for the attribute and
+        // self-closing forms.
+        let unclosed = |tag: &Range<usize>| tag.start..tag.end - 1;
+        let mut empty = true;
         for value in cells {
-            w.start(&self.n_cell);
-            if value.is_null() {
-                w.attr("null", "true");
-            } else if let Value::Str(s) = value {
+            if empty {
+                w.raw(&self.markup[self.row_open.clone()]);
+                empty = false;
+            }
+            match value {
+                Value::Null => {
+                    w.raw(&self.markup[unclosed(&self.cell_open)]);
+                    w.raw(" null=\"true\"/>");
+                }
                 // Values with leading/trailing whitespace (or that are
                 // entirely whitespace) travel as an attribute, which
                 // survives whitespace-stripping protocol parsers.
-                if s.trim() != s || s.is_empty() {
-                    w.attr("value", s);
-                } else {
-                    w.text(s);
+                Value::Str(s) if s.trim() != s || s.is_empty() => {
+                    w.raw(&self.markup[unclosed(&self.cell_open)]);
+                    w.raw(" value=\"");
+                    w.attr_text(s);
+                    w.raw("\"/>");
                 }
-            } else {
-                self.scratch.clear();
-                value.write_display_into(&mut self.scratch);
-                w.text(&self.scratch);
+                Value::Str(s) => {
+                    w.raw(&self.markup[self.cell_open.clone()]);
+                    w.text(s);
+                    w.raw(&self.markup[self.cell_close.clone()]);
+                }
+                // Numbers and booleans format to text that needs no escaping.
+                _ => {
+                    self.markup.truncate(scratch);
+                    value.write_display_into(&mut self.markup);
+                    w.raw(&self.markup[self.cell_open.clone()]);
+                    w.raw(&self.markup[scratch..]);
+                    w.raw(&self.markup[self.cell_close.clone()]);
+                }
             }
-            w.end();
         }
-        w.end();
+        if empty {
+            w.raw(&self.markup[unclosed(&self.row_open)]);
+            w.raw("/>");
+        } else {
+            w.raw(&self.markup[self.row_close.clone()]);
+        }
     }
 
     /// Close the `data` element and the document root.
@@ -197,8 +247,9 @@ fn invalid(message: impl Into<String>) -> SqlError {
 /// federation merge holds k of these at once without materialising any
 /// shard's rowset, and [`Rowset::from_cursor`] drains one into plain
 /// data. The caller's row buffer is reused across
-/// [`next_row_into`](Self::next_row_into) calls, so steady-state
-/// decoding allocates only for string cells.
+/// [`next_row_into`](Self::next_row_into) calls, and cell text is read
+/// borrowed from the input, so steady-state decoding allocates once per
+/// string cell: for the `Str`, into which an entity-decoded text moves.
 ///
 /// The cursor owns its parser while it decodes and hands it back from
 /// [`finish`](Self::finish), positioned just after `</wrs:webRowSet>`,
@@ -206,7 +257,6 @@ fn invalid(message: impl Into<String>) -> SqlError {
 pub struct RowsetCursor<'a> {
     parser: PullParser<'a>,
     columns: Vec<RowsetColumn>,
-    scratch: String,
     /// Positioned inside the `data` element: rows may remain. False
     /// once the `webRowSet` end tag has been consumed.
     in_data: bool,
@@ -221,8 +271,7 @@ impl<'a> RowsetCursor<'a> {
                 if namespace.as_str() == ns::ROWSET && local == "webRowSet" => {}
             other => return Err(invalid(format!("expected wrs:webRowSet, found {other:?}"))),
         }
-        let mut cursor =
-            RowsetCursor { parser, columns: Vec::new(), scratch: String::new(), in_data: false };
+        let mut cursor = RowsetCursor { parser, columns: Vec::new(), in_data: false };
         // Metadata precedes data in the byte shape the writer produces,
         // but tolerate reordering and unknown siblings.
         while let Some(child) = cursor.next_child()? {
@@ -256,11 +305,10 @@ impl<'a> RowsetCursor<'a> {
         self.parser.skip_element().map_err(malformed)
     }
 
-    /// The current leaf element's text, valid until the next call.
-    fn text(&mut self) -> Result<&str, SqlError> {
-        self.scratch.clear();
-        self.parser.text_content_into(&mut self.scratch).map_err(malformed)?;
-        Ok(&self.scratch)
+    /// The current leaf element's text, borrowed from the input when it
+    /// is one escape-free segment.
+    fn text(&mut self) -> Result<Cow<'a, str>, SqlError> {
+        self.parser.text_content().map_err(malformed)
     }
 
     fn read_metadata(&mut self) -> Result<(), SqlError> {
@@ -273,11 +321,11 @@ impl<'a> RowsetCursor<'a> {
             let mut ty = None;
             while let Some(field) = self.next_child()? {
                 match field {
-                    "column-name" => name = Some(self.text()?.to_string()),
+                    "column-name" => name = Some(self.text()?.into_owned()),
                     "column-type" => {
                         let ty_name = self.text()?;
                         ty =
-                            Some(SqlType::parse(ty_name).ok_or_else(|| {
+                            Some(SqlType::parse(&ty_name).ok_or_else(|| {
                                 invalid(format!("unknown column type '{ty_name}'"))
                             })?);
                     }
@@ -332,7 +380,7 @@ impl<'a> RowsetCursor<'a> {
                 self.skip()?;
                 row.push(Value::Null);
             } else if let Some(v) = self.parser.attr("value") {
-                let v = Value::parse_typed(v, ty)?;
+                let v = Value::parse_typed(Cow::Borrowed(v), ty)?;
                 self.skip()?;
                 row.push(v);
             } else {
@@ -358,6 +406,7 @@ impl<'a> RowsetCursor<'a> {
 mod tests {
     use super::*;
     use dais_util::prop::{run_cases, Gen};
+    use dais_xml::XmlElement;
 
     fn sample() -> Rowset {
         let mut rs = Rowset::new(vec![
@@ -432,9 +481,9 @@ mod tests {
                     if cell.attribute("null") == Some("true") {
                         row.push(Value::Null);
                     } else if let Some(v) = cell.attribute("value") {
-                        row.push(Value::parse_typed(v, column.ty)?);
+                        row.push(Value::parse_typed(v.into(), column.ty)?);
                     } else {
-                        row.push(Value::parse_typed(&cell.text(), column.ty)?);
+                        row.push(Value::parse_typed(cell.text().into(), column.ty)?);
                     }
                 }
                 if row.len() != rowset.columns.len() {
@@ -444,6 +493,98 @@ mod tests {
             }
         }
         Ok(rowset)
+    }
+
+    /// The element tree of a rowset, as the tree encoder the writer
+    /// replaced built it: what the writer's bytes are held to, once
+    /// serialised by the tree writer.
+    fn reference_tree(rs: &Rowset) -> XmlElement {
+        let el = |local: &str| XmlElement::new(ns::ROWSET, "wrs", local);
+        let mut metadata =
+            el("metadata").with_child(el("column-count").with_text(rs.columns.len().to_string()));
+        for (i, c) in rs.columns.iter().enumerate() {
+            metadata.push(
+                el("column-definition")
+                    .with_child(el("column-index").with_text((i + 1).to_string()))
+                    .with_child(el("column-name").with_text(c.name.as_str()))
+                    .with_child(el("column-type").with_text(c.ty.name())),
+            );
+        }
+        let mut data = el("data");
+        for row in &rs.rows {
+            let mut current = el("currentRow");
+            for value in row {
+                current.push(match value {
+                    Value::Null => el("columnValue").with_attr("null", "true"),
+                    Value::Str(s) if s.trim() != s || s.is_empty() => {
+                        el("columnValue").with_attr("value", s.as_str())
+                    }
+                    v => el("columnValue").with_text(v.to_display_string()),
+                });
+            }
+            data.push(current);
+        }
+        el("webRowSet").with_child(metadata).with_child(data)
+    }
+
+    /// Enclosing elements the writer must pick its row and cell prefix
+    /// under: none; one binding `wrs` to another namespace (the writer
+    /// takes `wrs1`); one binding the WebRowSet namespace to `r`; one
+    /// making it the default namespace.
+    const SCOPES: [Option<(&str, &str)>; 4] =
+        [None, Some(("urn:other", "wrs")), Some((ns::ROWSET, "r")), Some((ns::ROWSET, ""))];
+
+    /// `rs` written by the writer and by the tree serialiser, inside the
+    /// enclosing element `scope` names.
+    fn streamed_and_reference(rs: &Rowset, scope: Option<(&str, &str)>) -> (String, String) {
+        let mut streamed = String::new();
+        let mut w = XmlWriter::new(&mut streamed);
+        let tree = match scope {
+            None => {
+                rs.write_into(&mut w);
+                reference_tree(rs)
+            }
+            Some((uri, prefix)) => {
+                let outer = QName::new(uri, prefix, "outer");
+                w.start(&outer);
+                rs.write_into(&mut w);
+                w.end();
+                XmlElement::new(uri, prefix, "outer").with_child(reference_tree(rs))
+            }
+        };
+        w.finish();
+        (streamed, dais_xml::to_string(&tree))
+    }
+
+    #[test]
+    fn writer_matches_the_tree_serialiser_in_every_scope() {
+        let zero_columns = Rowset { columns: Vec::new(), rows: vec![Vec::new(); 3] };
+        for (scope, tags) in SCOPES.into_iter().zip([
+            ["<wrs:currentRow>", "<wrs:columnValue null=\"true\"/>"],
+            ["<wrs1:currentRow>", "<wrs1:columnValue value=\"  padded  \"/>"],
+            ["<r:currentRow>", "</r:columnValue>"],
+            ["<currentRow>", "<columnValue>2.5</columnValue>"],
+        ]) {
+            let (streamed, reference) = streamed_and_reference(&sample(), scope);
+            assert_eq!(streamed, reference);
+            for tag in tags {
+                assert!(streamed.contains(tag), "{tag} missing from {streamed}");
+            }
+            let (streamed, reference) = streamed_and_reference(&zero_columns, scope);
+            assert_eq!(streamed, reference);
+            assert_eq!(streamed.matches("currentRow/>").count(), 3, "{streamed}");
+        }
+        assert_eq!(decode(&encode(&zero_columns)).unwrap(), zero_columns);
+    }
+
+    #[test]
+    fn writer_matches_the_tree_serialiser_on_generated_rowsets() {
+        run_cases("writer_vs_tree_serialiser", 128, 0x5E71A, |g| {
+            let rs = arb_rowset(g);
+            let scope = *g.pick(&SCOPES);
+            let (streamed, reference) = streamed_and_reference(&rs, scope);
+            assert_eq!(streamed, reference);
+        });
     }
 
     #[test]
@@ -473,7 +614,9 @@ mod tests {
         }
     }
 
-    const TEXT_ALPHABET: &str = " &<>\"'abcXYZ019.,:;!?#()*+-/=@[]_{}|~";
+    /// Entities, whitespace (so edged and whitespace-only strings, which
+    /// take the attribute form), and multibyte characters.
+    const TEXT_ALPHABET: &str = " \t\n&<>\"'abcXYZ019.,:;!?#()*+-/=@[]_{}|~é€☃𝄞";
 
     fn arb_cell(g: &mut Gen, ty: SqlType) -> Value {
         if g.usize_in(0, 5) == 0 {
@@ -482,7 +625,7 @@ mod tests {
         match ty {
             SqlType::Boolean => Value::Bool(g.bool_any()),
             SqlType::Integer => Value::Int(g.i64_any()),
-            SqlType::Double => Value::Double(g.f64_in(-1e12, 1e12)),
+            SqlType::Double => Value::Double(crate::value::tests::arb_double(g)),
             SqlType::Varchar => Value::Str(g.string_from(TEXT_ALPHABET, 0, 16)),
         }
     }
@@ -507,7 +650,10 @@ mod tests {
             let rs = arb_rowset(g);
             let text = encode(&rs);
             let decoded = decode(&text).unwrap();
-            assert_eq!(decoded, reference_decode(&text).unwrap());
+            // By `Debug`: `Value`'s `==` is SQL equality, under which NaN
+            // equals nothing.
+            let reference = reference_decode(&text).unwrap();
+            assert_eq!(format!("{decoded:?}"), format!("{reference:?}"), "{text}");
             // Doubles travel as decimal text; compare displayed forms.
             assert_eq!(decoded.columns, rs.columns);
             assert_eq!(encode(&decoded), text);

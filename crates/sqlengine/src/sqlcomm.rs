@@ -78,7 +78,6 @@ impl SqlCommunicationArea {
         };
         let mut sqlstate = None;
         let mut area = SqlCommunicationArea::success();
-        let mut text = String::new();
         loop {
             let field = match p.next().map_err(malformed)? {
                 Some(PullEvent::Start { local, .. }) => local,
@@ -89,16 +88,15 @@ impl SqlCommunicationArea {
                 p.skip_element().map_err(malformed)?;
                 continue;
             }
-            text.clear();
-            p.text_content_into(&mut text).map_err(malformed)?;
+            let text = p.text_content().map_err(malformed)?;
             match field {
-                "SQLState" => sqlstate = Some(text.clone()),
+                "SQLState" => sqlstate = Some(text.into_owned()),
                 "SQLUpdateCount" => {
                     area.update_count = text.trim().parse().map_err(|_| {
                         SqlError::new(SqlErrorKind::InvalidCast, "non-numeric SQLUpdateCount")
                     })?
                 }
-                _ => area.messages.push(text.clone()),
+                _ => area.messages.push(text.into_owned()),
             }
         }
         area.sqlstate = sqlstate.ok_or_else(|| {

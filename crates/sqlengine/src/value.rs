@@ -1,6 +1,7 @@
 //! SQL values and types.
 
 use crate::error::{SqlError, SqlErrorKind};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -173,41 +174,120 @@ impl Value {
     /// Append the display text to a reusable buffer — same output as
     /// [`Value::to_display_string`] without the per-value allocation.
     /// The streaming rowset writer formats every cell through one
-    /// scratch buffer this way.
+    /// scratch buffer this way. Integers and short decimals are formatted
+    /// without `format!`; the bytes are exactly those of the `{}` form
+    /// (`{:.1}` for an integral double below 1e15).
     pub fn write_display_into(&self, out: &mut String) {
-        use std::fmt::Write as _;
         match self {
             Value::Null => out.push_str("NULL"),
             Value::Bool(b) => out.push_str(if *b { "TRUE" } else { "FALSE" }),
             Value::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
-            Value::Double(d) => {
-                if d.fract() == 0.0 && d.abs() < 1e15 {
-                    let _ = write!(out, "{:.1}", d);
-                } else {
-                    let _ = write!(out, "{d}");
+                if *i < 0 {
+                    out.push('-');
                 }
+                out.push_str(decimal_digits(i.unsigned_abs(), &mut [0; 20]));
             }
+            Value::Double(d) => write_double(*d, out),
             Value::Str(s) => out.push_str(s),
         }
     }
 
     /// Parse a value of a known type from its display text (WebRowSet
-    /// decoding).
-    pub fn parse_typed(text: &str, ty: SqlType) -> Result<Value, SqlError> {
+    /// decoding). Takes the cell text as the decoder holds it, so an
+    /// owned (entity-decoded) string becomes a `Str` without a copy.
+    pub fn parse_typed(text: Cow<'_, str>, ty: SqlType) -> Result<Value, SqlError> {
         let bad =
             || SqlError::new(SqlErrorKind::InvalidCast, format!("'{text}' is not a valid {ty}"));
+        let is_any = |spellings: [&str; 3]| spellings.iter().any(|s| text.eq_ignore_ascii_case(s));
         Ok(match ty {
-            SqlType::Boolean => match text.to_ascii_uppercase().as_str() {
-                "TRUE" | "T" | "1" => Value::Bool(true),
-                "FALSE" | "F" | "0" => Value::Bool(false),
-                _ => return Err(bad()),
-            },
+            SqlType::Boolean if is_any(["TRUE", "T", "1"]) => Value::Bool(true),
+            SqlType::Boolean if is_any(["FALSE", "F", "0"]) => Value::Bool(false),
+            SqlType::Boolean => return Err(bad()),
             SqlType::Integer => Value::Int(text.parse().map_err(|_| bad())?),
             SqlType::Double => Value::Double(text.parse().map_err(|_| bad())?),
-            SqlType::Varchar => Value::Str(text.to_string()),
+            SqlType::Varchar => Value::Str(text.into_owned()),
         })
+    }
+}
+
+/// The decimal digits of `n`, written right-aligned into `buf` (20
+/// bytes hold `u64::MAX`). This is the integer formatting of
+/// [`Value::write_display_into`], for callers that need a `&str` without
+/// a `format!` allocation.
+pub fn decimal_digits(mut n: u64, buf: &mut [u8; 20]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    // Every byte written is an ASCII digit: the conversion cannot fail.
+    std::str::from_utf8(&buf[at..]).unwrap_or_default()
+}
+
+/// `10^k` for the scales [`write_double`] tries; each is exact in `f64`.
+const DECIMAL_SCALES: [f64; 5] = [1.0, 10.0, 100.0, 1e3, 1e4];
+
+/// Append `d` exactly as `{d}` (or `{d:.1}` when integral and below
+/// 1e15) would, without `format!` for short decimals.
+///
+/// If `d·10^k` is an integer `m` with `|m| < 10^15` for some `k ≤ 4`, and
+/// `m / 10^k` rounds back to `d` bit for bit, then the decimal `m·10^-k`
+/// has at most 15 significant digits and round-trips. Distinct decimals
+/// of at most 15 digits never round to the same double, so it is the
+/// shortest round-tripping decimal, which is what `Display` prints.
+/// Every other value — NaN, ±inf, -0.0 (its bits differ from `0 / 1`),
+/// magnitudes from 1e15 up, long mantissas, subnormals — takes the
+/// `format!` forms.
+fn write_double(d: f64, out: &mut String) {
+    for (k, scale) in DECIMAL_SCALES.iter().enumerate() {
+        let scaled = d * scale;
+        if scaled.fract() == 0.0 && scaled.abs() < 1e15 {
+            let m = scaled as i64;
+            if (m as f64 / scale).to_bits() == d.to_bits() {
+                write_scaled_decimal(m, k, out);
+                return;
+            }
+        }
+    }
+    use std::fmt::Write as _;
+    if d.fract() == 0.0 && d.abs() < 1e15 {
+        let _ = write!(out, "{d:.1}");
+    } else {
+        let _ = write!(out, "{d}");
+    }
+}
+
+/// Append `m·10^-k` in positional notation: `m.0` when `k = 0`, and
+/// otherwise without trailing zeros (a scaled product can land on an
+/// integer only at a larger `k` than the decimal needs, `0.29·1000`).
+fn write_scaled_decimal(mut m: i64, mut k: usize, out: &mut String) {
+    while k > 0 && m % 10 == 0 {
+        m /= 10;
+        k -= 1;
+    }
+    if m < 0 {
+        out.push('-');
+    }
+    let mut buf = [0; 20];
+    let digits = decimal_digits(m.unsigned_abs(), &mut buf);
+    if k == 0 {
+        out.push_str(digits);
+        out.push_str(".0");
+    } else if digits.len() > k {
+        let (whole, fraction) = digits.split_at(digits.len() - k);
+        out.push_str(whole);
+        out.push('.');
+        out.push_str(fraction);
+    } else {
+        out.push_str("0.");
+        for _ in digits.len()..k {
+            out.push('0');
+        }
+        out.push_str(digits);
     }
 }
 
@@ -285,8 +365,9 @@ impl fmt::Display for Value {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use dais_util::prop::{run_cases, Gen};
 
     #[test]
     fn type_parsing_and_names() {
@@ -382,14 +463,89 @@ mod tests {
             (Value::Str("hi".into()), SqlType::Varchar),
         ] {
             let text = v.to_display_string();
-            assert_eq!(Value::parse_typed(&text, t).unwrap(), v);
+            assert_eq!(Value::parse_typed(text.into(), t).unwrap(), v);
         }
-        assert!(Value::parse_typed("xyz", SqlType::Integer).is_err());
+        assert!(Value::parse_typed("xyz".into(), SqlType::Integer).is_err());
+        for (text, b) in [("true", true), ("T", true), ("1", true), ("False", false), ("f", false)]
+        {
+            assert_eq!(Value::parse_typed(text.into(), SqlType::Boolean).unwrap(), Value::Bool(b));
+        }
+        assert!(Value::parse_typed("yes".into(), SqlType::Boolean).is_err());
     }
 
     #[test]
     fn double_display_keeps_decimal_point() {
         assert_eq!(Value::Double(3.0).to_display_string(), "3.0");
         assert_eq!(Value::Double(3.25).to_display_string(), "3.25");
+    }
+
+    /// The `format!` forms `write_display_into` replaced, kept as the
+    /// reference it is held to.
+    fn reference_display(v: &Value) -> String {
+        match v {
+            Value::Int(i) => format!("{i}"),
+            Value::Double(d) if d.fract() == 0.0 && d.abs() < 1e15 => format!("{d:.1}"),
+            Value::Double(d) => format!("{d}"),
+            other => other.to_display_string(),
+        }
+    }
+
+    /// Doubles from the families where short-decimal formatting can go
+    /// wrong: quarters, cents and ten-thousandths (products that land on
+    /// an integer only at a larger scale), integers either side of 1e15,
+    /// 17-digit values whose scaled product rounds to an integer, and
+    /// arbitrary bit patterns (subnormals, NaNs and infinities included).
+    pub(crate) fn arb_double(g: &mut Gen) -> f64 {
+        let k = g.i64_any() % 4_000_000;
+        match g.usize_in(0, 7) {
+            0 => k as f64 / 4.0,
+            1 => k as f64 / 100.0,
+            2 => k as f64 / 1e4,
+            3 => (1e15 + (k % 2048) as f64) * if g.bool_any() { 1.0 } else { -1.0 },
+            4 => g.f64_in(-1e11, 1e11),
+            5 => f64::from_bits(g.u64_in(0, u64::MAX)),
+            _ => *g.pick(&LISTED_DOUBLES),
+        }
+    }
+
+    const TWO_53: f64 = 9_007_199_254_740_992.0;
+
+    const LISTED_DOUBLES: [f64; 16] = [
+        0.0,
+        -0.0,
+        1.0,
+        -1.0,
+        0.29,
+        0.1 + 0.2,
+        999_999_999_999_999.0,
+        1e15,
+        TWO_53,
+        -TWO_53,
+        TWO_53 + 2.0,
+        -(TWO_53 + 2.0),
+        f64::from_bits(1),
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    #[test]
+    fn number_formatting_is_byte_identical_to_format() {
+        let listed_ints = [i64::MIN, i64::MAX, 0, 1, -1, 9, 10, -10];
+        let listed =
+            listed_ints.map(Value::Int).into_iter().chain(LISTED_DOUBLES.map(Value::Double));
+        for v in listed {
+            assert_eq!(v.to_display_string(), reference_display(&v), "{v:?}");
+        }
+        // 2^53 + 1 is not a double; as an integer it must still print exactly.
+        let odd = Value::Int((1 << 53) + 1);
+        assert_eq!(odd.to_display_string(), "9007199254740993");
+        run_cases("number_formatting", 4096, 0x1E15, |g| {
+            let v =
+                if g.bool_any() { Value::Int(g.i64_any()) } else { Value::Double(arb_double(g)) };
+            let mut out = String::from("prefix:");
+            v.write_display_into(&mut out);
+            assert_eq!(out, format!("prefix:{}", reference_display(&v)), "{v:?}");
+        });
     }
 }

@@ -40,6 +40,8 @@
 //! assert_eq!(b.text(), "hi");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod name;
 pub mod node;
 pub mod parser;

@@ -128,6 +128,53 @@ impl<'a> NsScope<'a> {
     }
 }
 
+/// A byte that may start a name (and continue one).
+const NAME_START: u8 = 1;
+/// A byte that may continue a name but not start one.
+const NAME_CHAR: u8 = 2;
+
+/// How each byte may appear in a name; 0 ends one. Bytes of multibyte
+/// characters (`>= 0x80`) are name bytes, so a name never ends inside
+/// a character.
+static NAME_BYTE: [u8; 256] = {
+    let mut table = [0; 256];
+    let mut b = 0;
+    while b < 256 {
+        let c = b as u8;
+        table[b] = if c.is_ascii_alphabetic() || c == b'_' || c >= 0x80 {
+            NAME_START
+        } else if c.is_ascii_digit() || matches!(c, b'-' | b'.' | b':') {
+            NAME_CHAR
+        } else {
+            0
+        };
+        b += 1;
+    }
+    table
+};
+
+/// The index of the first byte of `bytes` that is one of `needles`,
+/// scanning a word at a time: a byte equal to `n` is a zero byte of
+/// `word ^ n·0x0101…`, and the lowest zero byte of `x` is the lowest set
+/// bit of `(x - 0x0101…) & !x & 0x8080…` (a borrow can only mark bytes
+/// above a true zero). The lexer's text and attribute scans and the
+/// writer's escaping share it.
+pub(crate) fn find_any<const N: usize>(bytes: &[u8], needles: [u8; N]) -> Option<usize> {
+    const ONES: u64 = u64::from_le_bytes([1; 8]);
+    let (words, tail) = bytes.as_chunks::<8>();
+    for (i, word) in words.iter().enumerate() {
+        let word = u64::from_le_bytes(*word);
+        let hits = needles.iter().fold(0, |hits, &n| {
+            let x = word ^ (ONES * u64::from(n));
+            hits | (x.wrapping_sub(ONES) & !x & (ONES << 7))
+        });
+        if hits != 0 {
+            return Some(i * 8 + hits.trailing_zeros() as usize / 8);
+        }
+    }
+    tail.iter().position(|b| needles.contains(b)).map(|i| words.len() * 8 + i)
+}
+
 /// The pull parser. Create with [`PullParser::new`], then drive with
 /// [`next`](Self::next) until it returns `Ok(None)` (document done).
 pub struct PullParser<'a> {
@@ -201,20 +248,28 @@ impl<'a> PullParser<'a> {
         Ok(())
     }
 
-    /// Accumulate the current element's character data into `out` and
-    /// consume its `End`. Child elements are rejected — this is for leaf
-    /// cells whose content is text only.
-    pub fn text_content_into(&mut self, out: &mut String) -> Result<(), XmlError> {
+    /// The current element's character data, consuming its `End`:
+    /// borrowed from the input when it is a single segment, accumulated
+    /// across segments (entities, CDATA, comments) otherwise. Child
+    /// elements are rejected — this is for leaf cells whose content is
+    /// text only.
+    pub fn text_content(&mut self) -> Result<Cow<'a, str>, XmlError> {
+        let mut text = Cow::Borrowed("");
         loop {
-            match self.lex::<true>()? {
-                Some(Token::Text(t)) => out.push_str(&t),
-                Some(Token::CData(t)) => out.push_str(t),
-                Some(Token::Comment(_)) => {}
-                Some(Token::End) => return Ok(()),
+            let segment = match self.lex::<true>()? {
+                Some(Token::Text(t)) => t,
+                Some(Token::CData(t)) => Cow::Borrowed(t),
+                Some(Token::Comment(_)) => continue,
+                Some(Token::End) => return Ok(text),
                 Some(Token::Start { local, .. }) => {
                     return self.err(format!("unexpected child element <{local}> in a text cell"))
                 }
                 None => return self.err("unexpected end of input in a text cell"),
+            };
+            if text.is_empty() {
+                text = segment;
+            } else {
+                text.to_mut().push_str(&segment);
             }
         }
     }
@@ -252,35 +307,34 @@ impl<'a> PullParser<'a> {
             let Some(&(name, _)) = self.scope.open.last() else {
                 return self.parse_start_tag().map(Some);
             };
-            if self.starts_with("</") {
-                self.advance(2);
-                let close = self.parse_name()?;
-                if close != name {
-                    return self.err(format!("mismatched close tag </{close}> for <{name}>"));
-                }
-                self.skip_ws();
-                self.expect(b'>')?;
-                return Ok(Some(self.close()));
-            }
-            if self.starts_with("<!--") {
-                let comment = self.parse_comment()?;
-                if FILTER {
-                    continue;
-                }
-                return Ok(Some(Token::Comment(comment)));
-            }
-            if self.starts_with("<![CDATA[") {
-                self.advance(9);
-                let start = self.pos;
-                let Some(end) = self.find("]]>") else {
-                    self.pos = self.bytes.len();
-                    return self.err("unterminated CDATA section");
-                };
-                self.pos = end + 3;
-                return Ok(Some(Token::CData(&self.text[start..end])));
-            }
             return match self.peek() {
-                Some(b'<') => self.parse_start_tag().map(Some),
+                Some(b'<') => match self.bytes.get(self.pos + 1) {
+                    Some(b'/') => {
+                        self.advance(2);
+                        self.close_tag_name(name)?;
+                        self.skip_ws();
+                        self.expect(b'>')?;
+                        Ok(Some(self.close()))
+                    }
+                    Some(b'!') if self.starts_with("<!--") => {
+                        let comment = self.parse_comment()?;
+                        if FILTER {
+                            continue;
+                        }
+                        Ok(Some(Token::Comment(comment)))
+                    }
+                    Some(b'!') if self.starts_with("<![CDATA[") => {
+                        self.advance(9);
+                        let start = self.pos;
+                        let Some(end) = self.find("]]>") else {
+                            self.pos = self.bytes.len();
+                            return self.err("unterminated CDATA section");
+                        };
+                        self.pos = end + 3;
+                        Ok(Some(Token::CData(&self.text[start..end])))
+                    }
+                    _ => self.parse_start_tag().map(Some),
+                },
                 Some(_) => {
                     let text = self.parse_text()?;
                     if FILTER && text.trim().is_empty() {
@@ -387,22 +441,32 @@ impl<'a> PullParser<'a> {
     /// fall on character boundaries.
     fn parse_name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            let ok = if self.pos == start {
-                b.is_ascii_alphabetic() || b == b'_' || b >= 0x80
-            } else {
-                b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':') || b >= 0x80
-            };
-            if ok {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if self.pos == start {
+        if self.bytes.get(start).is_none_or(|&b| NAME_BYTE[b as usize] != NAME_START) {
             return self.err("expected a name");
         }
+        let rest = &self.bytes[start + 1..];
+        let len = rest.iter().position(|&b| NAME_BYTE[b as usize] == 0).unwrap_or(rest.len());
+        self.pos = start + 1 + len;
         Ok(&self.text[start..self.pos])
+    }
+
+    /// Consume the name of a close tag, which must be `open`, the raw
+    /// name of the innermost open element. The common case is one slice
+    /// compare; anything else is lexed as a name, so a mismatch reports
+    /// what [`parse_name`](Self::parse_name) would have read.
+    fn close_tag_name(&mut self, open: &str) -> Result<(), XmlError> {
+        let end = self.pos + open.len();
+        if self.bytes.get(self.pos..end) == Some(open.as_bytes())
+            && self.bytes.get(end).is_none_or(|&b| NAME_BYTE[b as usize] == 0)
+        {
+            self.pos = end;
+            return Ok(());
+        }
+        let close = self.parse_name()?;
+        if close != open {
+            return self.err(format!("mismatched close tag </{close}> for <{open}>"));
+        }
+        Ok(())
     }
 
     fn parse_start_tag(&mut self) -> Result<Token<'a>, XmlError> {
@@ -478,35 +542,27 @@ impl<'a> PullParser<'a> {
     /// straight from the input; only entity references force a rebuild.
     fn parse_text(&mut self) -> Result<Cow<'a, str>, XmlError> {
         let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'<' => return Ok(Cow::Borrowed(&self.text[start..self.pos])),
-                b'&' => break,
-                _ => self.pos += 1,
-            }
-        }
-        if self.pos >= self.bytes.len() {
+        self.pos = self.scan_to([b'<', b'&']);
+        if self.peek() != Some(b'&') {
             return Ok(Cow::Borrowed(&self.text[start..self.pos]));
         }
-        let mut out = String::with_capacity(self.pos - start + 16);
+        // A reference is never shorter than the character it stands
+        // for, so the raw segment bounds the decoded one.
+        let mut out = String::with_capacity(self.scan_to([b'<']) - start);
         out.push_str(&self.text[start..self.pos]);
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'<' => break,
-                b'&' => out.push(self.parse_entity()?),
-                _ => {
-                    let run = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'<' || b == b'&' {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    out.push_str(&self.text[run..self.pos]);
-                }
-            }
+        while self.peek() == Some(b'&') {
+            out.push(self.parse_entity()?);
+            let run = self.pos;
+            self.pos = self.scan_to([b'<', b'&']);
+            out.push_str(&self.text[run..self.pos]);
         }
         Ok(Cow::Owned(out))
+    }
+
+    /// The offset of the first of `needles` at or after the current
+    /// position, or the end of input.
+    fn scan_to<const N: usize>(&self, needles: [u8; N]) -> usize {
+        find_any(&self.bytes[self.pos..], needles).map_or(self.bytes.len(), |i| self.pos + i)
     }
 
     /// A quoted attribute value. Escape-free values borrow straight from
@@ -520,40 +576,27 @@ impl<'a> PullParser<'a> {
             _ => return self.err("expected quoted attribute value"),
         };
         let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == quote {
-                let v = &self.text[start..self.pos];
-                self.pos += 1;
-                return Ok(Cow::Borrowed(v));
-            }
-            match b {
-                b'&' => break,
-                b'<' => return self.err("'<' is not allowed in attribute values"),
-                _ => self.pos += 1,
-            }
-        }
-        if self.pos >= self.bytes.len() {
-            return self.err("unterminated attribute value");
-        }
-        let mut out = String::with_capacity(self.pos - start + 16);
-        out.push_str(&self.text[start..self.pos]);
+        let mut decoded: Option<String> = None;
         loop {
+            let run = self.pos;
+            self.pos = self.scan_to([quote, b'&', b'<']);
             match self.peek() {
-                Some(b) if b == quote => {
-                    self.pos += 1;
-                    return Ok(Cow::Owned(out));
+                Some(b'&') => {
+                    let out = decoded.get_or_insert_with(String::new);
+                    out.push_str(&self.text[run..self.pos]);
+                    out.push(self.parse_entity()?);
                 }
-                Some(b'&') => out.push(self.parse_entity()?),
                 Some(b'<') => return self.err("'<' is not allowed in attribute values"),
                 Some(_) => {
-                    let run = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == quote || b == b'&' || b == b'<' {
-                            break;
+                    let value = match decoded {
+                        None => Cow::Borrowed(&self.text[start..self.pos]),
+                        Some(mut out) => {
+                            out.push_str(&self.text[run..self.pos]);
+                            Cow::Owned(out)
                         }
-                        self.pos += 1;
-                    }
-                    out.push_str(&self.text[run..self.pos]);
+                    };
+                    self.pos += 1;
+                    return Ok(value);
                 }
                 None => return self.err("unterminated attribute value"),
             }
@@ -669,15 +712,71 @@ mod tests {
     }
 
     #[test]
-    fn text_content_into_accumulates_across_entities() {
-        let mut p = PullParser::new("<r><c>a&amp;b</c></r>").unwrap();
+    fn text_content_borrows_one_segment_and_accumulates_several() {
+        let mut p = PullParser::new(
+            "<r><c>plain</c><c>a&amp;b</c><c>x<!-- c --><![CDATA[<y>]]>z</c><c/></r>",
+        )
+        .unwrap();
         p.next().unwrap(); // <r
-        p.next().unwrap(); // <c
-        let mut s = String::new();
-        p.text_content_into(&mut s).unwrap();
-        assert_eq!(s, "a&b");
-        assert!(matches!(p.next().unwrap(), Some(PullEvent::End))); // </r>
-        assert!(p.next().unwrap().is_none());
+        let mut cells = Vec::new();
+        while let Some(PullEvent::Start { .. }) = p.next().unwrap() {
+            cells.push(p.text_content().unwrap());
+        }
+        assert!(matches!(cells[0], Cow::Borrowed("plain")));
+        assert_eq!(cells, ["plain", "a&b", "x<y>z", ""]);
+        assert!(p.next().unwrap().is_none()); // </r> came as the loop's End
+        let mut p = PullParser::new("<r><c>t<d/></c></r>").unwrap();
+        p.next().unwrap();
+        p.next().unwrap();
+        assert!(p.text_content().unwrap_err().message.contains("child element <d>"));
+    }
+
+    /// The result of reading `doc` to its end: `Ok` or the error message.
+    fn verdict(doc: &str) -> Result<(), String> {
+        let mut p = PullParser::new(doc).map_err(|e| e.message)?;
+        while p.next().map_err(|e| e.message)?.is_some() {}
+        Ok(())
+    }
+
+    #[test]
+    fn close_tags_match_whole_names() {
+        for (doc, expected) in [
+            ("<a></a>", Ok(())),
+            ("<a></a \n>", Ok(())),
+            ("<a></ab>", Err("mismatched close tag </ab> for <a>")),
+            ("<ab></a>", Err("mismatched close tag </a> for <ab>")),
+            ("<a></a.b>", Err("mismatched close tag </a.b> for <a>")),
+            ("<a></a:b>", Err("mismatched close tag </a:b> for <a>")),
+            ("<a></é>", Err("mismatched close tag </é> for <a>")),
+            ("<a></aé>", Err("mismatched close tag </aé> for <a>")),
+            ("<a></>", Err("expected a name")),
+            ("<a></a", Err("expected '>'")),
+            ("<a></a/>", Err("expected '>'")),
+        ] {
+            assert_eq!(verdict(doc), expected.map_err(String::from), "{doc}");
+        }
+    }
+
+    #[test]
+    fn word_scans_find_delimiters_at_every_offset() {
+        for len in 0..20 {
+            for at in 0..=len {
+                let expected = format!("{}&{}", "x".repeat(at), "y".repeat(len - at));
+                let raw = expected.replace('&', "&amp;");
+                let doc = format!("<r a='{raw}' b=\"{}\">{raw}</r>", "z".repeat(len));
+                let mut p = PullParser::new(&doc).unwrap();
+                p.next().unwrap();
+                assert_eq!(p.attr("a"), Some(expected.as_str()));
+                assert_eq!(p.attr("b"), Some("z".repeat(len).as_str()));
+                assert_eq!(p.next().unwrap(), Some(PullEvent::Text(Cow::Owned(expected))));
+                let bad = format!("<r a='{}<'/>", "x".repeat(at));
+                let err = PullParser::new(&bad).unwrap().next().unwrap_err();
+                assert_eq!(
+                    (err.message.as_str(), err.column),
+                    ("'<' is not allowed in attribute values", at + 7)
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 
 use crate::name::QName;
 use crate::node::{XmlElement, XmlNode};
+use crate::pull::find_any;
 use dais_util::intern::{intern, IStr};
 
 /// Serialise compactly (no added whitespace).
@@ -328,6 +329,22 @@ impl<'s, S: XmlSink> XmlWriter<'s, S> {
         self.out.push_str(fragment);
     }
 
+    /// Write `value` escaped as attribute text: the value of an attribute
+    /// whose name and opening quote were spliced with [`raw`](Self::raw),
+    /// escaped exactly as [`attr`](Self::attr) escapes it.
+    pub fn attr_text(&mut self, value: &str) {
+        escape_into(value, true, self.out);
+    }
+
+    /// The prefix the innermost open element was written with: the one
+    /// actually bound to its namespace in this scope, which is not the
+    /// preferred prefix when that was taken (`wrs` → `wrs1`) or the
+    /// namespace was already bound to another prefix. Empty for an
+    /// unprefixed element, or when no element is open.
+    pub fn prefix(&self) -> &str {
+        self.frames.last().map_or("", |frame| &frame.prefix)
+    }
+
     /// Close the current element: `/>` if it had no content, `</name>`
     /// otherwise. Bindings it declared go out of scope.
     pub fn end(&mut self) {
@@ -357,25 +374,30 @@ impl<'s, S: XmlSink> XmlWriter<'s, S> {
 }
 
 /// Escape text for element content or attribute values. Escape-free runs
-/// are copied as whole slices; only the escaped byte itself is rewritten.
+/// are found a word at a time and copied as whole slices; only the
+/// escaped byte itself is rewritten.
 fn escape_into<S: XmlSink>(s: &str, in_attribute: bool, out: &mut S) {
     let bytes = s.as_bytes();
     let mut start = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        let replacement = match b {
+    loop {
+        let rest = &bytes[start..];
+        let found = if in_attribute {
+            find_any(rest, [b'&', b'<', b'>', b'"', b'\n', b'\t'])
+        } else {
+            find_any(rest, [b'&', b'<', b'>'])
+        };
+        let Some(i) = found else { break };
+        let at = start + i;
+        out.push_str(&s[start..at]);
+        out.push_str(match bytes[at] {
             b'&' => "&amp;",
             b'<' => "&lt;",
             b'>' => "&gt;",
-            b'"' if in_attribute => "&quot;",
-            b'\n' if in_attribute => "&#10;",
-            b'\t' if in_attribute => "&#9;",
-            _ => continue,
-        };
-        if start < i {
-            out.push_str(&s[start..i]);
-        }
-        out.push_str(replacement);
-        start = i + 1;
+            b'"' => "&quot;",
+            b'\n' => "&#10;",
+            _ => "&#9;", // the last attribute needle
+        });
+        start = at + 1;
     }
     if start < s.len() {
         out.push_str(&s[start..]);
@@ -491,6 +513,37 @@ mod tests {
         let estimate = estimated_size(&e);
         assert!(estimate >= actual, "estimate {estimate} below actual {actual}");
         assert!(estimate <= actual + 16, "estimate {estimate} far above actual {actual}");
+    }
+
+    #[test]
+    fn escaping_rewrites_each_special_byte_at_every_offset() {
+        let reference = |s: &str, in_attribute: bool| -> String {
+            s.chars()
+                .map(|c| match c {
+                    '&' => "&amp;".to_string(),
+                    '<' => "&lt;".to_string(),
+                    '>' => "&gt;".to_string(),
+                    '"' if in_attribute => "&quot;".to_string(),
+                    '\n' if in_attribute => "&#10;".to_string(),
+                    '\t' if in_attribute => "&#9;".to_string(),
+                    c => c.to_string(),
+                })
+                .collect()
+        };
+        for len in 1..20 {
+            for at in 0..len {
+                for special in ['&', '<', '>', '"', '\n', '\t', 'é'] {
+                    let s: String = (0..len)
+                        .map(|i| if i == at || i == len - 1 { special } else { 'x' })
+                        .collect();
+                    for in_attribute in [false, true] {
+                        let mut out = String::new();
+                        escape_into(&s, in_attribute, &mut out);
+                        assert_eq!(out, reference(&s, in_attribute), "{s:?} {in_attribute}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

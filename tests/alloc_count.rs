@@ -238,14 +238,17 @@ fn get_tuples_many_reuses_its_reply_buffer() {
          reply {reply_bytes} B"
     );
     // Measured on this implementation with this exact payload: a
-    // marginal page costs ~916 allocations / ~163.9 KB — request build,
-    // service-side streamed encode, client pull decode — with the pooled
-    // reply buffer contributing nothing after warm-up. The budgets below
-    // leave ~10% headroom. Dropping the pooled buffer (a fresh `Vec` per
-    // page) adds ~2x the ~34.5 KB reply in growth-doubling writes;
-    // rematerialising the page server-side adds the page clone on top:
-    // either regression blows the byte budget.
-    const MARGINAL_PAGE_ALLOCS: u64 = 1_000;
+    // marginal page costs ~510 allocations / ~150.7 KB — request build,
+    // service-side streamed encode, client pull decode, which allocates
+    // twice for each of the 200 rows: the row's `Vec` and its string
+    // cell, the entity-decoded text moved in rather than copied — with the pooled
+    // reply buffer contributing nothing after warm-up. The allocation
+    // budget leaves ~10% headroom, so a third allocation per row fails
+    // it. Dropping the pooled buffer (a fresh `Vec` per page) adds ~2x
+    // the ~34.5 KB reply in growth-doubling writes; rematerialising the
+    // page server-side adds the page clone on top: either regression
+    // blows the byte budget.
+    const MARGINAL_PAGE_ALLOCS: u64 = 560;
     const MARGINAL_PAGE_BYTES: u64 = 180_000;
     assert!(reply_bytes > 30_000, "fixture shrank; re-measure the budgets ({reply_bytes} B reply)");
     assert!(

@@ -7,15 +7,18 @@
 //! tree builder in both modes, the pull parser, the envelope reader and,
 //! for rowset-bearing goldens, the WebRowSet cursor and the `SQLResponse`
 //! decoders. Each must return a value or an error, never panic, and the
-//! tree builder and the pull parser must agree on which.
+//! tree builder and the pull parser must agree on which. The WebRowSet
+//! cursor must also decode a mutant's rowset exactly as a tree walk of
+//! it does: the same rowset, or a refusal from both.
 
 use dais::dair::messages::rowset_cursor_from_reply_bytes;
 use dais::dair::SqlResponseData;
 use dais::soap::Envelope;
-use dais::sql::{Rowset, RowsetCursor};
+use dais::sql::{Rowset, RowsetColumn, RowsetCursor, SqlType, Value};
 use dais::xml::parser::MAX_DEPTH;
-use dais::xml::{parse, parse_preserving, to_bytes_into, PullParser, XmlError};
+use dais::xml::{ns, parse, parse_preserving, to_bytes_into, PullParser, XmlElement, XmlError};
 use dais_util::prop::{run_cases, Gen};
+use std::cell::Cell;
 use std::path::PathBuf;
 
 /// Every `tests/golden/*.xml` document, by file name, in name order.
@@ -46,9 +49,102 @@ fn drain(text: &str) -> Result<(), XmlError> {
     Ok(())
 }
 
+/// The tree walk `RowsetCursor` replaced (`dais-sql` keeps it in its
+/// unit tests), held to one more rule of the cursor's: a text cell holds
+/// text only. Reads metadata and cells off a `webRowSet` element.
+fn reference_decode(root: &XmlElement) -> Result<Rowset, String> {
+    if !root.name.is(ns::ROWSET, "webRowSet") {
+        return Err(format!("expected wrs:webRowSet, found {}", root.name));
+    }
+    let text_only = |el: &XmlElement| match el.elements().next() {
+        Some(child) => Err(format!("unexpected child element <{}> in a text cell", child.name)),
+        None => Ok(el.text()),
+    };
+    let text_of = |el: &XmlElement, local: &str| el.child(ns::ROWSET, local).map(text_only);
+    let metadata = root.child(ns::ROWSET, "metadata").ok_or("webRowSet missing metadata")?;
+    let mut columns = Vec::new();
+    for def in metadata.children_named(ns::ROWSET, "column-definition") {
+        let name = text_of(def, "column-name").ok_or("column without a name")??;
+        let ty_name = text_of(def, "column-type").unwrap_or(Ok(String::new()))?;
+        let ty = SqlType::parse(&ty_name).ok_or(format!("unknown column type '{ty_name}'"))?;
+        columns.push(RowsetColumn { name, ty });
+    }
+    let mut rowset = Rowset::new(columns);
+    if let Some(data) = root.child(ns::ROWSET, "data") {
+        for row_el in data.children_named(ns::ROWSET, "currentRow") {
+            let mut row = Vec::with_capacity(rowset.columns.len());
+            for (i, cell) in row_el.children_named(ns::ROWSET, "columnValue").enumerate() {
+                let column = rowset.columns.get(i).ok_or("row wider than metadata")?;
+                if cell.attribute("null") == Some("true") {
+                    row.push(Value::Null);
+                    continue;
+                }
+                let text = match cell.attribute("value") {
+                    Some(v) => v.to_string(),
+                    None => text_only(cell)?,
+                };
+                row.push(Value::parse_typed(text.into(), column.ty).map_err(|e| e.to_string())?);
+            }
+            if row.len() != rowset.columns.len() {
+                return Err("row narrower than metadata".into());
+            }
+            rowset.rows.push(row);
+        }
+    }
+    Ok(rowset)
+}
+
+/// The `webRowSet` element a rowset-bearing document carries, as a
+/// document of its own: the bytes from its start tag through the first
+/// `webRowSet` end tag after it (to the end of input if there is none),
+/// inside an element that binds the prefixes the goldens declare above
+/// the rowset.
+fn rowset_document(text: &str) -> Option<String> {
+    const END: &str = "</wrs:webRowSet>";
+    let start = text.find("<wrs:webRowSet")?;
+    let end = text[start..].find(END).map_or(text.len(), |i| start + i + END.len());
+    Some(format!(
+        "<w xmlns:soap='{}' xmlns:wsdair='{}'>{}</w>",
+        ns::SOAP_ENV,
+        ns::WSDAIR,
+        &text[start..end]
+    ))
+}
+
+thread_local! {
+    /// Rowsets compared between the two decoders: (read, refused).
+    static COMPARED: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+/// Decode the rowset in `text` with the cursor and with the tree walk:
+/// both must refuse it, or both must yield the same rowset (compared by
+/// `Debug`, where NaN equals itself and `Int(1)` differs from
+/// `Double(1.0)`).
+fn assert_decoders_agree(text: &str) {
+    let Some(doc) = rowset_document(text) else { return };
+    let cursor = PullParser::new(&doc)
+        .and_then(|mut p| p.next().map(|_| p)) // the wrapper's start tag
+        .map_err(|e| e.to_string())
+        .and_then(|p| RowsetCursor::new(p).map_err(|e| e.to_string()))
+        .and_then(|mut c| Rowset::from_cursor(&mut c).map_err(|e| e.to_string()));
+    let reference = parse(&doc).map_err(|e| e.to_string()).and_then(|wrapper| {
+        reference_decode(wrapper.elements().next().expect("the rowset document has a child"))
+    });
+    match (&cursor, &reference) {
+        (Ok(c), Ok(r)) => assert_eq!(format!("{c:?}"), format!("{r:?}"), "cursor vs tree walk"),
+        (Err(_), Err(_)) => {}
+        _ => panic!("cursor read {cursor:?}, tree walk read {reference:?}"),
+    }
+    COMPARED.with(|n| {
+        let (read, refused) = n.get();
+        n.set(if cursor.is_ok() { (read + 1, refused) } else { (read, refused + 1) });
+    });
+}
+
 /// Run every reader of wire XML over `doc`; a panic in any of them fails
 /// the case. Returns the tree builder's verdict, after checking that the
-/// preserving builder and the pull parser reach the same one.
+/// preserving builder and the pull parser reach the same one, and that
+/// the cursor and the tree walk decode its rowset alike.
 fn read_everywhere(doc: &[u8], rowsets: bool) -> Result<(), XmlError> {
     let _ = Envelope::from_bytes(doc);
     if rowsets {
@@ -64,6 +160,7 @@ fn read_everywhere(doc: &[u8], rowsets: bool) -> Result<(), XmlError> {
         if let Ok(Ok(mut cursor)) = PullParser::new(text).map(RowsetCursor::new) {
             let _ = Rowset::from_cursor(&mut cursor);
         }
+        assert_decoders_agree(text);
     }
     let tree = parse(text).map(drop);
     assert_eq!(tree.is_ok(), parse_preserving(text).is_ok(), "parse vs parse_preserving");
@@ -99,6 +196,7 @@ fn start_tag_name_ends(doc: &[u8]) -> Vec<usize> {
 #[test]
 fn mutants_are_read_or_refused_alike_and_never_panic() {
     let docs = goldens();
+    COMPARED.set((0, 0));
     run_cases("xml_reader_mutations", 1000, 0x2005_0830, |g: &mut Gen| {
         let (name, doc) = g.pick(&docs);
         let mut m = doc.clone();
@@ -140,4 +238,10 @@ fn mutants_are_read_or_refused_alike_and_never_panic() {
             _ => {}
         }
     });
+    let (read, refused) = COMPARED.get();
+    println!("cursor vs tree walk: {read} rowsets read alike, {refused} refused alike");
+    assert!(
+        read >= 100 && refused >= 100,
+        "too few rowsets compared: {read} read, {refused} refused"
+    );
 }
