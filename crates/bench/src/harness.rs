@@ -84,11 +84,17 @@ mod tests {
     use dais_xml::XmlElement;
     use std::sync::Arc;
 
+    mod actions {
+        dais_soap::actions! {
+            ECHO = "urn:echo", Read;
+        }
+    }
+
     #[test]
     fn measures_traffic_delta() {
         let bus = Bus::new();
         let mut d = SoapDispatcher::new();
-        d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+        d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
         bus.register("bus://svc", Arc::new(d));
         // Pre-existing traffic is excluded from the measurement.
         bus.call("bus://svc", "urn:echo", &Envelope::with_body(XmlElement::new_local("x")))
@@ -114,7 +120,7 @@ mod tests {
 
         let bus = Bus::new();
         let mut d = SoapDispatcher::new();
-        d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+        d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
         bus.register("bus://chaos", Arc::new(d));
         let injector = FaultInjector::new(7);
         injector.set_policy("bus://chaos", FaultPolicy::default().drop(1.0));

@@ -1,24 +1,6 @@
-//! Fixture client seeding send-side and idempotency lints.
-
-use crate::actions;
-
-pub fn idempotent_actions() -> IdempotencySet {
-    IdempotencySet::new([
-        actions::GET_THING,
-        // A write declared idempotent: non-idempotent-marked.
-        actions::DELETE_THING,
-        // Not a defined constant: unknown-idempotency-action.
-        actions::NOT_A_CONST,
-    ])
-}
+//! Fixture client seeding the unwrap ratchet.
 
 pub fn exercise(c: &Client) {
-    // Sent but never registered: unregistered-send.
-    c.request(actions::GET_THING, body());
-    // A known URI as a raw literal: raw-action-literal.
-    c.request("http://www.ggf.org/namespaces/2005/12/WS-DAIT/GetThing", body());
-    // Action-shaped but matching no constant: action-uri-mismatch.
-    c.request("http://www.ggf.org/namespaces/2005/12/WS-DAIT/GetThingg", body());
     // Library-code unwrap with no allowlist entry: unwrap-in-library.
     c.last_response().unwrap();
 }

@@ -1,14 +1,15 @@
 //! # dais-check
 //!
-//! Static analysis over this workspace's own source. The DAIS stack is
-//! stringly-typed at its edges — SOAP action URIs select dispatch
-//! handlers, fault names classify errors, property QNames address
-//! document fragments — so the compiler cannot tell when a client sends
-//! an action no dispatcher registered, or when a retry layer declares a
-//! write idempotent. This crate closes that gap with a self-contained
-//! token scanner (no syn, no external deps: the workspace builds
-//! offline) and a set of cross-checks; see DESIGN.md §9 for the lint
-//! catalogue.
+//! Static analysis over this workspace's own source, for the rules the
+//! type system does not carry. SOAP actions and DAIS faults are typed
+//! values (`dais_soap::Action`, `dais_soap::DaisFault`), so the compiler
+//! already refuses an unknown action or fault name. What is left is
+//! checked here with a self-contained token scanner (no syn, no external
+//! deps: the workspace builds offline): property QNames that address
+//! document fragments, lock guards held across blocking calls, raw
+//! `std::sync` and socket use, owned-buffer serialisation on the wire
+//! path, literal shard paths, and the unwrap ratchet. See DESIGN.md §9
+//! for the lint catalogue.
 //!
 //! Run it with `cargo run -p dais-check`. Exit status is non-zero when
 //! any violation is found; `crates/check/dais-check.allow` holds the
@@ -160,7 +161,7 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<FileFacts>) -> io::Re
         } else if path.extension().is_some_and(|e| e == "rs") {
             let src = fs::read_to_string(&path)?;
             let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
-            out.push(scan::scan_file(root, &rel, &src));
+            out.push(scan::scan_file(&rel, &src));
         }
     }
     Ok(())

@@ -3,9 +3,7 @@
 //! Each lint has a stable kebab-case name used in diagnostics and in the
 //! self-test fixtures. See DESIGN.md §9 for the catalogue.
 
-use crate::scan::{
-    is_upper_camel, looks_like_action_uri, looks_like_fault_name, ActionConst, FileFacts, SiteKind,
-};
+use crate::scan::{is_upper_camel, FileFacts};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::PathBuf;
@@ -35,32 +33,6 @@ pub struct Violation {
     pub file: PathBuf,
     pub line: usize,
     pub message: String,
-}
-
-/// How an operation treats resource state, inferred from its const name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteClass {
-    Read,
-    Write,
-    /// `SQLExecute` — depends on the statement carried in the payload;
-    /// retry safety is decided at runtime, not declared statically.
-    PayloadDependent,
-}
-
-/// Classify a SCREAMING_SNAKE action const name.
-pub fn classify_action(name: &str) -> WriteClass {
-    if name == "SQL_EXECUTE" {
-        return WriteClass::PayloadDependent;
-    }
-    if name == "DESTROY" || name.ends_with("_FACTORY") {
-        return WriteClass::Write;
-    }
-    const WRITE_PREFIXES: &[&str] =
-        &["ADD_", "REMOVE_", "DELETE_", "DESTROY_", "WRITE_", "CREATE_", "SET_", "XUPDATE_"];
-    if WRITE_PREFIXES.iter().any(|p| name.starts_with(p)) {
-        return WriteClass::Write;
-    }
-    WriteClass::Read
 }
 
 /// The property vocabulary from the paper's WS-DAI property tables
@@ -212,202 +184,8 @@ fn ratchet_file(
 }
 
 /// Run every lint over the extracted facts.
-pub fn run_lints<'a>(files: &'a [FileFacts], allowlist: &Allowlist) -> Vec<Violation> {
+pub fn run_lints(files: &[FileFacts], allowlist: &Allowlist) -> Vec<Violation> {
     let mut out = Vec::new();
-
-    // ---- Build the global action tables. -------------------------------
-    // Helper namespace constants (`BASE`) live in the same mods; only
-    // constants bound to a full action URI participate in cross-checks.
-    let action_consts = |f: &'a FileFacts| -> Vec<&'a ActionConst> {
-        f.consts.iter().filter(|c| looks_like_action_uri(&c.uri)).collect()
-    };
-    // name → [(crate, uri)]
-    let mut const_table: BTreeMap<&str, Vec<(&str, &str)>> = BTreeMap::new();
-    for f in files {
-        for c in action_consts(f) {
-            const_table.entry(&c.name).or_default().push((&f.crate_name, &c.uri));
-        }
-    }
-    let resolve = |hint: Option<&str>, current: &str, name: &str| -> Option<String> {
-        let candidates = const_table.get(name)?;
-        if candidates.len() == 1 {
-            return Some(candidates[0].1.to_string());
-        }
-        let pick = |k: &str| candidates.iter().find(|(c, _)| *c == k).map(|(_, u)| u.to_string());
-        hint.and_then(pick).or_else(|| pick(current)).or_else(|| Some(candidates[0].1.to_string()))
-    };
-    let known_uris: BTreeSet<&str> = files
-        .iter()
-        .flat_map(|f| f.consts.iter())
-        .filter(|c| looks_like_action_uri(&c.uri))
-        .map(|c| c.uri.as_str())
-        .collect();
-
-    // URI → set of site kinds observed, with one representative site each.
-    let mut sent: BTreeMap<String, (PathBuf, usize)> = BTreeMap::new();
-    let mut registered: BTreeMap<String, (PathBuf, usize)> = BTreeMap::new();
-    for f in files {
-        for s in &f.sites {
-            let Some(uri) = resolve(s.crate_hint.as_deref(), &f.crate_name, &s.const_name) else {
-                if s.kind == SiteKind::IdempotencyDecl {
-                    out.push(Violation {
-                        lint: "unknown-idempotency-action",
-                        severity: Severity::Error,
-                        file: f.path.clone(),
-                        line: s.line,
-                        message: format!(
-                            "idempotency declaration names `{}`, which is not a defined action constant",
-                            s.const_name
-                        ),
-                    });
-                }
-                continue;
-            };
-            match s.kind {
-                SiteKind::Send => {
-                    sent.entry(uri).or_insert_with(|| (f.path.clone(), s.line));
-                }
-                SiteKind::Register => {
-                    registered.entry(uri).or_insert_with(|| (f.path.clone(), s.line));
-                }
-                SiteKind::IdempotencyDecl => {
-                    if classify_action(&s.const_name) == WriteClass::Write {
-                        out.push(Violation {
-                            lint: "non-idempotent-marked",
-                            severity: Severity::Error,
-                            file: f.path.clone(),
-                            line: s.line,
-                            message: format!(
-                                "`{}` mutates resource state but is declared idempotent; \
-                                 retrying it can repeat the write",
-                                s.const_name
-                            ),
-                        });
-                    }
-                }
-                SiteKind::Other => {}
-            }
-        }
-    }
-
-    // ---- unregistered-send / unreachable-registration. -----------------
-    for (uri, (file, line)) in &sent {
-        if !registered.contains_key(uri) {
-            out.push(Violation {
-                lint: "unregistered-send",
-                severity: Severity::Error,
-                file: file.clone(),
-                line: *line,
-                message: format!(
-                    "client sends action `{uri}` but no dispatcher registers a handler for it"
-                ),
-            });
-        }
-    }
-    for (uri, (file, line)) in &registered {
-        if !sent.contains_key(uri) {
-            out.push(Violation {
-                lint: "unreachable-registration",
-                severity: Severity::Error,
-                file: file.clone(),
-                line: *line,
-                message: format!("dispatcher registers action `{uri}` but no client ever sends it"),
-            });
-        }
-    }
-
-    // ---- Per-mod inventory and URI uniqueness. --------------------------
-    for f in files {
-        if let Some(all) = &f.all_members {
-            for c in action_consts(f) {
-                if !all.contains(&c.name) {
-                    out.push(Violation {
-                        lint: "inventory-missing",
-                        severity: Severity::Error,
-                        file: f.path.clone(),
-                        line: f.all_line,
-                        message: format!(
-                            "action constant `{}` is not listed in the mod's `ALL` inventory",
-                            c.name
-                        ),
-                    });
-                }
-            }
-        }
-        let mut seen: BTreeMap<&str, &str> = BTreeMap::new();
-        for c in action_consts(f) {
-            if let Some(first) = seen.insert(&c.uri, &c.name) {
-                out.push(Violation {
-                    lint: "duplicate-action-uri",
-                    severity: Severity::Error,
-                    file: f.path.clone(),
-                    line: c.line,
-                    message: format!(
-                        "`{}` and `{first}` are bound to the same action URI `{}`",
-                        c.name, c.uri
-                    ),
-                });
-            }
-        }
-    }
-
-    // ---- Raw literals outside `mod actions`. ----------------------------
-    for f in files {
-        for lit in &f.string_literals {
-            if known_uris.contains(lit.value.as_str()) {
-                out.push(Violation {
-                    lint: "raw-action-literal",
-                    severity: Severity::Warning,
-                    file: f.path.clone(),
-                    line: lit.line,
-                    message: format!(
-                        "action URI `{}` written as a raw literal; use the `actions::` constant",
-                        lit.value
-                    ),
-                });
-            } else if looks_like_action_uri(&lit.value) {
-                out.push(Violation {
-                    lint: "action-uri-mismatch",
-                    severity: Severity::Error,
-                    file: f.path.clone(),
-                    line: lit.line,
-                    message: format!(
-                        "`{}` looks like a SOAP action URI but matches no defined action constant \
-                         (typo?)",
-                        lit.value
-                    ),
-                });
-            }
-        }
-    }
-
-    // ---- Fault vocabulary. ----------------------------------------------
-    // The taxonomy is whatever fault.rs itself declares.
-    let taxonomy: BTreeSet<&str> = files
-        .iter()
-        .filter(|f| norm(&f.path).ends_with("soap/src/fault.rs"))
-        .flat_map(|f| f.fault_literals.iter().map(|l| l.value.as_str()))
-        .collect();
-    for f in files {
-        if norm(&f.path).ends_with("soap/src/fault.rs") {
-            continue;
-        }
-        for lit in &f.fault_literals {
-            debug_assert!(looks_like_fault_name(&lit.value));
-            if !taxonomy.contains(lit.value.as_str()) {
-                out.push(Violation {
-                    lint: "unknown-fault-name",
-                    severity: Severity::Error,
-                    file: f.path.clone(),
-                    line: lit.line,
-                    message: format!(
-                        "fault name `{}` is not part of the taxonomy declared in soap/src/fault.rs",
-                        lit.value
-                    ),
-                });
-            }
-        }
-    }
 
     // ---- Property vocabulary. -------------------------------------------
     for f in files {
@@ -695,28 +473,6 @@ pub fn run_lints<'a>(files: &'a [FileFacts], allowlist: &Allowlist) -> Vec<Viola
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn write_classification() {
-        assert_eq!(classify_action("GET_SQL_ROWSET"), WriteClass::Read);
-        assert_eq!(classify_action("GENERIC_QUERY"), WriteClass::Read);
-        assert_eq!(classify_action("SQL_EXECUTE_FACTORY"), WriteClass::Write);
-        assert_eq!(classify_action("ADD_DOCUMENTS"), WriteClass::Write);
-        assert_eq!(classify_action("XUPDATE_EXECUTE"), WriteClass::Write);
-        assert_eq!(classify_action("DESTROY"), WriteClass::Write);
-        assert_eq!(classify_action("SET_TERMINATION_TIME"), WriteClass::Write);
-        assert_eq!(classify_action("SQL_EXECUTE"), WriteClass::PayloadDependent);
-        assert_eq!(classify_action("READ_FILE"), WriteClass::Read);
-    }
-
-    #[test]
-    fn action_uri_shapes() {
-        assert!(looks_like_action_uri("http://www.ggf.org/namespaces/2005/12/WS-DAIR/SQLExecute"));
-        assert!(!looks_like_action_uri("http://www.ggf.org/namespaces/2005/12/WS-DAIR"));
-        assert!(looks_like_action_uri("http://docs.oasis-open.org/wsrf/rpw-2/GetResourceProperty"));
-        assert!(!looks_like_action_uri("http://docs.oasis-open.org/wsrf/rpw-2"));
-        assert!(!looks_like_action_uri("http://example.org/other"));
-    }
 
     #[test]
     fn allowlist_parsing() {

@@ -1,44 +1,12 @@
 //! Per-file fact extraction.
 //!
 //! Walks a token stream (with `#[cfg(test)]` items stripped) and pulls
-//! out the facts the lints cross-check: SOAP action constants and their
-//! use sites, fault-name and property-name literals, and
-//! `unwrap()`/`expect()` calls.
+//! out the facts the lints check: string and property-name literals,
+//! `unwrap()`/`expect()` and `to_bytes()` calls, raw socket and
+//! `std::sync` uses, and lock guards live across blocking calls.
 
 use crate::lexer::{tokenize, Token, TokenKind};
 use std::path::{Path, PathBuf};
-
-/// Where an action reference appears, which determines what the
-/// cross-checks expect of it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteKind {
-    /// A client sends this action (`*client.rs` outside special fns).
-    Send,
-    /// A dispatcher registers a handler for it (`*service.rs`).
-    Register,
-    /// Listed in an `idempotent_actions()` declaration.
-    IdempotencyDecl,
-    /// Anything else (re-exports, docs-adjacent helpers).
-    Other,
-}
-
-/// A `pub const NAME: &str = "uri"` inside a `pub mod actions` block.
-#[derive(Debug, Clone)]
-pub struct ActionConst {
-    pub name: String,
-    pub uri: String,
-    pub line: usize,
-}
-
-/// A path reference ending in `actions::NAME` outside the defining mod.
-#[derive(Debug, Clone)]
-pub struct ActionSite {
-    /// `dais_<crate>` qualifier if the path named one explicitly.
-    pub crate_hint: Option<String>,
-    pub const_name: String,
-    pub kind: SiteKind,
-    pub line: usize,
-}
 
 /// A string literal with its line.
 #[derive(Debug, Clone)]
@@ -68,17 +36,9 @@ pub struct FileFacts {
     pub path: PathBuf,
     /// The crate directory name under `crates/`.
     pub crate_name: String,
-    pub consts: Vec<ActionConst>,
-    /// Const names listed in the mod's `ALL` inventory, if it has one.
-    pub all_members: Option<Vec<String>>,
-    /// Line of the `ALL` inventory declaration.
-    pub all_line: usize,
-    pub sites: Vec<ActionSite>,
-    /// Literals shaped like DAIS fault names (`UpperCamelFault`).
-    pub fault_literals: Vec<Literal>,
     /// Upper-camel literals in `properties.rs` files (property QNames).
     pub property_literals: Vec<Literal>,
-    /// String literals outside `mod actions` (checked against action URIs).
+    /// Every string literal (checked for the `/shard/` path convention).
     pub string_literals: Vec<Literal>,
     /// Lines of `.unwrap()` / `.expect("...")` calls in library code.
     pub unwrap_sites: Vec<usize>,
@@ -102,57 +62,25 @@ pub struct FileFacts {
 }
 
 /// Tokenise and strip `#[cfg(test)]` items, then extract facts.
-pub fn scan_file(root: &Path, rel_path: &Path, src: &str) -> FileFacts {
+pub fn scan_file(rel_path: &Path, src: &str) -> FileFacts {
     let tokens = strip_cfg_test(tokenize(src));
     let crate_name = rel_path
         .components()
         .nth(1)
         .map(|c| c.as_os_str().to_string_lossy().into_owned())
         .unwrap_or_default();
-    let _ = root;
-    let file_name = rel_path.file_name().map(|f| f.to_string_lossy().into_owned());
-    let file_name = file_name.unwrap_or_default();
-    let default_kind = if file_name.ends_with("client.rs") {
-        SiteKind::Send
-    } else if file_name.ends_with("service.rs") {
-        SiteKind::Register
-    } else {
-        SiteKind::Other
-    };
+    let is_properties_file = rel_path.file_name().is_some_and(|f| f == "properties.rs");
 
     let mut facts = FileFacts { path: rel_path.to_path_buf(), crate_name, ..FileFacts::default() };
 
-    // Byte-offset-free context tracking: ranges are token indexes.
-    let actions_mod = find_block(&tokens, |w| {
-        w.len() >= 3 && w[0].is_ident("pub") && w[1].is_ident("mod") && w[2].is_ident("actions")
-    });
-    let idem_fn = find_block(&tokens, |w| {
-        w.len() >= 2 && w[0].is_ident("fn") && w[1].is_ident("idempotent_actions")
-    });
-
-    let in_range = |r: &Option<(usize, usize)>, i: usize| r.is_some_and(|(a, b)| i >= a && i < b);
-
-    let is_properties_file = file_name == "properties.rs";
-
-    let mut i = 0;
-    while i < tokens.len() {
-        let tok = &tokens[i];
+    for (i, tok) in tokens.iter().enumerate() {
         match tok.kind {
             TokenKind::Str => {
-                if in_range(&actions_mod, i) {
-                    // Const definitions are handled below; skip literals here.
-                } else {
-                    facts.string_literals.push(Literal { value: tok.text.clone(), line: tok.line });
-                    if looks_like_fault_name(&tok.text) {
-                        facts
-                            .fault_literals
-                            .push(Literal { value: tok.text.clone(), line: tok.line });
-                    }
-                    if is_properties_file && is_upper_camel(&tok.text) {
-                        facts
-                            .property_literals
-                            .push(Literal { value: tok.text.clone(), line: tok.line });
-                    }
+                facts.string_literals.push(Literal { value: tok.text.clone(), line: tok.line });
+                if is_properties_file && is_upper_camel(&tok.text) {
+                    facts
+                        .property_literals
+                        .push(Literal { value: tok.text.clone(), line: tok.line });
                 }
             }
             TokenKind::Ident => {
@@ -203,33 +131,6 @@ pub fn scan_file(root: &Path, rel_path: &Path, src: &str) -> FileFacts {
                         _ => {}
                     }
                 }
-                // `pub const NAME: ... = "uri";` inside the actions mod.
-                if in_range(&actions_mod, i) && tok.is_ident("const") {
-                    if let Some(name_tok) = tokens.get(i + 1) {
-                        if name_tok.kind == TokenKind::Ident {
-                            if name_tok.text == "ALL" {
-                                let (members, end) = scan_all_inventory(&tokens, i + 2);
-                                facts.all_members = Some(members);
-                                facts.all_line = name_tok.line;
-                                i = end;
-                                continue;
-                            }
-                            // Find the value literal before the `;`.
-                            let mut j = i + 2;
-                            while j < tokens.len() && !tokens[j].is_punct(';') {
-                                if tokens[j].kind == TokenKind::Str {
-                                    facts.consts.push(ActionConst {
-                                        name: name_tok.text.clone(),
-                                        uri: tokens[j].text.clone(),
-                                        line: name_tok.line,
-                                    });
-                                    break;
-                                }
-                                j += 1;
-                            }
-                        }
-                    }
-                }
                 // `.unwrap()` / `.expect("...")` — only the argument-free
                 // Option/Result forms, not `unwrap_or`, not parser methods
                 // taking non-string arguments.
@@ -255,35 +156,9 @@ pub fn scan_file(root: &Path, rel_path: &Path, src: &str) -> FileFacts {
                         facts.to_bytes_sites.push(tok.line);
                     }
                 }
-                // `...actions::NAME` path references outside the mod.
-                if !in_range(&actions_mod, i)
-                    && (tok.text == "actions" || tok.text.ends_with("_actions"))
-                    && tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-                    && tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                    && tokens.get(i + 3).is_some_and(|t| {
-                        t.kind == TokenKind::Ident
-                            && t.text.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-                    })
-                {
-                    let name_tok = &tokens[i + 3];
-                    let kind = if in_range(&idem_fn, i) {
-                        SiteKind::IdempotencyDecl
-                    } else {
-                        default_kind
-                    };
-                    facts.sites.push(ActionSite {
-                        crate_hint: crate_hint(&tokens, i),
-                        const_name: name_tok.text.clone(),
-                        kind,
-                        line: name_tok.line,
-                    });
-                    i += 4;
-                    continue;
-                }
             }
             TokenKind::Punct => {}
         }
-        i += 1;
     }
     scan_guard_bindings(&tokens, &mut facts);
     facts
@@ -448,75 +323,6 @@ fn scan_guard_bindings(tokens: &[Token], facts: &mut FileFacts) {
     }
 }
 
-/// `dais_core::messages::actions::X` → Some("core"); also resolves
-/// `wsrf_actions` aliases (`use dais_wsrf::actions as wsrf_actions`).
-fn crate_hint(tokens: &[Token], actions_idx: usize) -> Option<String> {
-    let seg = &tokens[actions_idx].text;
-    if let Some(prefix) = seg.strip_suffix("_actions") {
-        if !prefix.is_empty() {
-            return Some(prefix.to_string());
-        }
-    }
-    // Walk leading `ident ::` segments backwards looking for `dais_<x>`.
-    let mut i = actions_idx;
-    while i >= 3
-        && tokens[i - 1].is_punct(':')
-        && tokens[i - 2].is_punct(':')
-        && tokens[i - 3].kind == TokenKind::Ident
-    {
-        i -= 3;
-        if let Some(c) = tokens[i].text.strip_prefix("dais_") {
-            return Some(c.to_string());
-        }
-    }
-    None
-}
-
-/// `pub const ALL: &[&str] = &[A, B, ...];` — collect the member idents.
-fn scan_all_inventory(tokens: &[Token], mut i: usize) -> (Vec<String>, usize) {
-    let mut members = Vec::new();
-    // Skip to the `=`, then collect idents until the closing `;`.
-    while i < tokens.len() && !tokens[i].is_punct('=') {
-        i += 1;
-    }
-    while i < tokens.len() && !tokens[i].is_punct(';') {
-        if tokens[i].kind == TokenKind::Ident {
-            members.push(tokens[i].text.clone());
-        }
-        i += 1;
-    }
-    (members, i)
-}
-
-/// Find the token-index range `(start_of_block, past_close)` of the first
-/// item whose header matches `pred` (a window starting at each token).
-fn find_block(tokens: &[Token], pred: impl Fn(&[Token]) -> bool) -> Option<(usize, usize)> {
-    for i in 0..tokens.len() {
-        if pred(&tokens[i..]) {
-            // Find the opening brace of the item body.
-            let mut j = i;
-            while j < tokens.len() && !tokens[j].is_punct('{') {
-                j += 1;
-            }
-            let mut depth = 0usize;
-            let start = j;
-            while j < tokens.len() {
-                if tokens[j].is_punct('{') {
-                    depth += 1;
-                } else if tokens[j].is_punct('}') {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some((start, j + 1));
-                    }
-                }
-                j += 1;
-            }
-            return Some((start, tokens.len()));
-        }
-    }
-    None
-}
-
 /// Remove every item annotated `#[cfg(test)]` (or any `cfg(...)` whose
 /// predicate mentions `test` without a `not`). Items end at a matching
 /// closing brace or, for brace-less items like `use`, at a `;`.
@@ -584,34 +390,6 @@ pub fn strip_cfg_test(tokens: Vec<Token>) -> Vec<Token> {
     out
 }
 
-/// Does a literal look like a SOAP action URI (namespace plus an
-/// operation segment), as opposed to a bare namespace? Namespace
-/// constants (`BASE`, `ns::WSDAIR`) share the prefix but stop at the
-/// spec segment.
-pub fn looks_like_action_uri(s: &str) -> bool {
-    if let Some(rest) = s.strip_prefix("http://www.ggf.org/namespaces/") {
-        // `<date>/WS-DAIx` is a namespace; an action has a further segment.
-        if let Some(pos) = rest.find("/WS-DAI") {
-            let after = &rest[pos + 1..];
-            return after.contains('/') && !after.ends_with('/');
-        }
-        return false;
-    }
-    if let Some(rest) = s.strip_prefix("http://docs.oasis-open.org/wsrf/") {
-        // `rpw-2` alone is a namespace; `rpw-2/GetResourceProperty` acts.
-        return rest.contains('/') && !rest.ends_with('/');
-    }
-    false
-}
-
-/// `InvalidResourceNameFault` — upper-camel, alphanumeric, `Fault` suffix.
-pub fn looks_like_fault_name(s: &str) -> bool {
-    s.len() > "Fault".len()
-        && s.ends_with("Fault")
-        && s.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-        && s.chars().all(|c| c.is_ascii_alphanumeric())
-}
-
 /// `DataResourceAbstractName` — an upper-camel alphanumeric word.
 pub fn is_upper_camel(s: &str) -> bool {
     s.chars().next().is_some_and(|c| c.is_ascii_uppercase())
@@ -625,51 +403,7 @@ mod tests {
     use super::*;
 
     fn scan(name: &str, src: &str) -> FileFacts {
-        scan_file(Path::new("."), Path::new(name), src)
-    }
-
-    #[test]
-    fn extracts_consts_and_inventory() {
-        let src = r#"
-            pub mod actions {
-                pub const GET_X: &str = "http://example.org/ns/GetX";
-                pub const PUT_X: &str = "http://example.org/ns/PutX";
-                pub const ALL: &[&str] = &[GET_X, PUT_X];
-            }
-        "#;
-        let f = scan("crates/alpha/src/messages.rs", src);
-        assert_eq!(f.consts.len(), 2);
-        assert_eq!(f.consts[0].name, "GET_X");
-        assert_eq!(f.consts[0].uri, "http://example.org/ns/GetX");
-        assert_eq!(f.all_members.as_deref(), Some(&["GET_X".to_string(), "PUT_X".to_string()][..]));
-        assert!(f.sites.is_empty(), "ALL members are not use sites");
-    }
-
-    #[test]
-    fn classifies_sites_by_context() {
-        let src = r#"
-            pub fn idempotent_actions() -> IdempotencySet {
-                IdempotencySet::new([actions::GET_X, dais_core::messages::actions::RESOLVE])
-            }
-            pub fn send(c: &Client) {
-                c.request(actions::GET_X, body);
-            }
-        "#;
-        let f = scan("crates/alpha/src/client.rs", src);
-        assert_eq!(f.sites.len(), 3);
-        assert_eq!(f.sites[0].kind, SiteKind::IdempotencyDecl);
-        assert_eq!(f.sites[1].kind, SiteKind::IdempotencyDecl);
-        assert_eq!(f.sites[1].crate_hint.as_deref(), Some("core"));
-        assert_eq!(f.sites[2].kind, SiteKind::Send);
-    }
-
-    #[test]
-    fn service_files_register_and_aliases_resolve() {
-        let src = "fn reg(d: &mut D) { d.register(wsrf_actions::DESTROY, h); }";
-        let f = scan("crates/alpha/src/service.rs", src);
-        assert_eq!(f.sites.len(), 1);
-        assert_eq!(f.sites[0].kind, SiteKind::Register);
-        assert_eq!(f.sites[0].crate_hint.as_deref(), Some("wsrf"));
+        scan_file(Path::new(name), src)
     }
 
     #[test]
@@ -733,11 +467,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_and_property_literal_shapes() {
-        assert!(looks_like_fault_name("ServiceBusyFault"));
-        assert!(!looks_like_fault_name("Fault"));
-        assert!(!looks_like_fault_name("fault"));
-        assert!(!looks_like_fault_name("Not A Fault"));
+    fn property_literal_shape() {
         assert!(is_upper_camel("DataResourceAbstractName"));
         assert!(!is_upper_camel("SCREAMING"));
         assert!(!is_upper_camel("lower"));

@@ -97,15 +97,14 @@ impl<C: DaisClient> ClientBuilder<C> {
         self
     }
 
-    /// Layer retry for the client's protocol-level read operations
-    /// ([`DaisClient::default_idempotent_actions`]).
+    /// Layer retry over the client's read operations.
     pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(RetryConfig::new(policy, C::default_idempotent_actions()));
+        self.retry = Some(RetryConfig::new(policy));
         self
     }
 
-    /// Layer retry with a caller-assembled configuration (custom
-    /// idempotency set or sleep function). Overrides [`retry`](Self::retry).
+    /// Layer retry with a caller-assembled configuration (custom sleep
+    /// function). Overrides [`retry`](Self::retry).
     pub fn retry_config(mut self, config: RetryConfig) -> Self {
         self.retry = Some(config);
         self

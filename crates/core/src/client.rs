@@ -7,23 +7,8 @@ use crate::properties::CoreProperties;
 use dais_soap::addressing::Epr;
 use dais_soap::bus::Bus;
 use dais_soap::client::{CallError, ServiceClient};
-use dais_soap::retry::{IdempotencySet, RetryConfig, RetryPolicy};
+use dais_soap::retry::{RetryConfig, RetryPolicy};
 use dais_xml::{ns, XmlElement};
-
-/// The WS-DAI core operations a consumer may safely re-send: reads and
-/// resolves only. `DestroyDataResource`, WSRF `Destroy` and
-/// `SetTerminationTime` mutate service state and are excluded.
-pub fn idempotent_actions() -> IdempotencySet {
-    IdempotencySet::new([
-        actions::GET_DATA_RESOURCE_PROPERTY_DOCUMENT,
-        actions::GENERIC_QUERY,
-        actions::GET_RESOURCE_LIST,
-        actions::RESOLVE,
-        dais_wsrf::actions::GET_RESOURCE_PROPERTY,
-        dais_wsrf::actions::GET_MULTIPLE_RESOURCE_PROPERTIES,
-        dais_wsrf::actions::QUERY_RESOURCE_PROPERTIES,
-    ])
-}
 
 /// A consumer of a DAIS data service ("an application that exploits a
 /// data service to access a data resource", §3).
@@ -43,16 +28,15 @@ impl CoreClient {
         &self.inner
     }
 
-    /// Layer retry over this client for the core read operations
-    /// ([`idempotent_actions`]). Destructive operations are never
-    /// re-sent. (Thin wrapper over [`DaisClient::with_retry`].)
+    /// Layer retry over this client for the core read operations.
+    /// Destructive operations are never re-sent. (Thin wrapper over
+    /// [`DaisClient::with_retry`].)
     pub fn with_retry(self, policy: RetryPolicy) -> CoreClient {
         DaisClient::with_retry(self, policy)
     }
 
-    /// Layer retry with a caller-assembled configuration (custom
-    /// idempotency set or sleep function). (Thin wrapper over
-    /// [`DaisClient::with_retry_config`].)
+    /// Layer retry with a caller-assembled configuration (custom sleep
+    /// function). (Thin wrapper over [`DaisClient::with_retry_config`].)
     pub fn with_retry_config(self, config: RetryConfig) -> CoreClient {
         DaisClient::with_retry_config(self, config)
     }
@@ -270,10 +254,6 @@ impl DaisClient for CoreClient {
 
     fn service_mut(&mut self) -> &mut ServiceClient {
         &mut self.inner
-    }
-
-    fn default_idempotent_actions() -> IdempotencySet {
-        idempotent_actions()
     }
 }
 

@@ -3,16 +3,18 @@
 //! `CoreClient`, `SqlClient`, `XmlClient` and `FileClient` all wrap the
 //! same [`ServiceClient`] and used to copy-paste the retry/EPR/bus
 //! accessors four times. [`DaisClient`] hoists that plumbing into one
-//! trait: a typed client only names its raw client and its protocol
-//! layer's idempotent action set, and inherits retry layering plus the
-//! pipelined batch entry points. The old inherent methods survive as
-//! thin wrappers over these defaults, so existing call sites compile
-//! unchanged.
+//! trait: a typed client only names its raw client, and inherits retry
+//! layering plus the pipelined batch entry points. Which operations
+//! retry is not the client's business: each [`Action`] carries its own
+//! access class, and only reads are re-sent. The old inherent methods
+//! survive as thin wrappers over these defaults, so existing call sites
+//! compile unchanged.
 
 use dais_soap::addressing::Epr;
 use dais_soap::bus::Bus;
 use dais_soap::client::{CallError, PendingReply, ServiceClient};
-use dais_soap::retry::{IdempotencySet, RetryConfig, RetryPolicy};
+use dais_soap::retry::{RetryConfig, RetryPolicy};
+use dais_soap::Action;
 use dais_xml::XmlElement;
 
 /// The shared shape of a typed DAIS consumer.
@@ -34,17 +36,13 @@ pub trait DaisClient: Sized {
     /// Mutable access to the raw client, for layering retry.
     fn service_mut(&mut self) -> &mut ServiceClient;
 
-    /// The actions this client's protocol layer may safely re-send.
-    fn default_idempotent_actions() -> IdempotencySet;
-
-    /// Layer retry over this client for its protocol layer's read
-    /// operations ([`Self::default_idempotent_actions`]).
+    /// Layer retry over this client. Only read actions are re-sent.
     fn with_retry(self, policy: RetryPolicy) -> Self {
-        self.with_retry_config(RetryConfig::new(policy, Self::default_idempotent_actions()))
+        self.with_retry_config(RetryConfig::new(policy))
     }
 
-    /// Layer retry with a caller-assembled configuration (custom
-    /// idempotency set or sleep function).
+    /// Layer retry with a caller-assembled configuration (custom sleep
+    /// function).
     fn with_retry_config(mut self, config: RetryConfig) -> Self {
         let inner = self.service().clone().with_retry(config);
         *self.service_mut() = inner;
@@ -63,7 +61,7 @@ pub trait DaisClient: Sized {
 
     /// Send one request without waiting for its reply (the pipelined
     /// path; see [`ServiceClient::call_async`]).
-    fn call_async(&self, action: &str, payload: XmlElement) -> Result<PendingReply, CallError> {
+    fn call_async(&self, action: Action, payload: XmlElement) -> Result<PendingReply, CallError> {
         self.service().call_async(action, payload)
     }
 
@@ -73,7 +71,7 @@ pub trait DaisClient: Sized {
     /// points (`execute_many`, `read_files`, …) are wrappers over this.
     fn request_pipelined(
         &self,
-        action: &str,
+        action: Action,
         payloads: Vec<XmlElement>,
         window: usize,
     ) -> Vec<Result<XmlElement, CallError>> {

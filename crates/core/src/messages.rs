@@ -12,23 +12,15 @@ use dais_xml::{ns, XmlElement};
 
 /// SOAP action URIs for the WS-DAI core operations (Figure 6).
 pub mod actions {
-    pub const GET_DATA_RESOURCE_PROPERTY_DOCUMENT: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAI/GetDataResourcePropertyDocument";
-    pub const DESTROY_DATA_RESOURCE: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAI/DestroyDataResource";
-    pub const GENERIC_QUERY: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAI/GenericQuery";
-    pub const GET_RESOURCE_LIST: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAI/GetResourceList";
-    pub const RESOLVE: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAI/Resolve";
-
-    /// The complete WS-DAI core inventory, for conformance tests.
-    pub const ALL: &[&str] = &[
-        GET_DATA_RESOURCE_PROPERTY_DOCUMENT,
-        DESTROY_DATA_RESOURCE,
-        GENERIC_QUERY,
-        GET_RESOURCE_LIST,
-        RESOLVE,
-    ];
+    dais_soap::actions! {
+        GET_DATA_RESOURCE_PROPERTY_DOCUMENT =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAI/GetDataResourcePropertyDocument", Read;
+        DESTROY_DATA_RESOURCE =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAI/DestroyDataResource", Write;
+        GENERIC_QUERY = "http://www.ggf.org/namespaces/2005/12/WS-DAI/GenericQuery", Read;
+        GET_RESOURCE_LIST = "http://www.ggf.org/namespaces/2005/12/WS-DAI/GetResourceList", Read;
+        RESOLVE = "http://www.ggf.org/namespaces/2005/12/WS-DAI/Resolve", Read;
+    }
 }
 
 /// Build a request element carrying the mandatory abstract name.

@@ -187,10 +187,16 @@ mod tests {
     use dais_soap::service::SoapDispatcher;
     use std::sync::Arc;
 
+    mod actions {
+        dais_soap::actions! {
+            ECHO = "urn:echo", Read;
+        }
+    }
+
     fn traffic_bus() -> Bus {
         let bus = Bus::new();
         let mut d = SoapDispatcher::new();
-        d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+        d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
         bus.register("bus://svc", Arc::new(d));
         for _ in 0..3 {
             bus.call("bus://svc", "urn:echo", &Envelope::default()).unwrap().unwrap();

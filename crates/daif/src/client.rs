@@ -6,28 +6,8 @@ use dais_core::{AbstractName, CoreClient, DaisClient};
 use dais_soap::addressing::Epr;
 use dais_soap::bus::Bus;
 use dais_soap::client::{CallError, ServiceClient};
-use dais_soap::retry::{IdempotencySet, RetryConfig, RetryPolicy};
+use dais_soap::retry::{RetryConfig, RetryPolicy};
 use dais_xml::XmlElement;
-
-/// WS-DAIF operations a consumer may safely re-send: reads, listings
-/// and property documents, plus the core read set. `WriteFile` and
-/// `DeleteFile` mutate the store and `FileSelectFactory` mints a new
-/// derived resource per call — none of those are ever retried.
-pub fn idempotent_actions() -> IdempotencySet {
-    IdempotencySet::new([
-        dais_core::messages::actions::GET_DATA_RESOURCE_PROPERTY_DOCUMENT,
-        dais_core::messages::actions::GENERIC_QUERY,
-        dais_core::messages::actions::GET_RESOURCE_LIST,
-        dais_core::messages::actions::RESOLVE,
-        dais_wsrf::actions::GET_RESOURCE_PROPERTY,
-        dais_wsrf::actions::GET_MULTIPLE_RESOURCE_PROPERTIES,
-        dais_wsrf::actions::QUERY_RESOURCE_PROPERTIES,
-        actions::READ_FILE,
-        actions::LIST_FILES,
-        actions::GET_FILE_PROPERTY_DOCUMENT,
-        actions::GET_FILE_SET_MEMBERS,
-    ])
-}
 
 /// A typed consumer of WS-DAIF services. Wraps [`CoreClient`] (all the
 /// WS-DAI core operations remain available through [`FileClient::core`]).
@@ -42,8 +22,8 @@ impl FileClient {
         FileClient { core: CoreClient::from_epr(bus, epr) }
     }
 
-    /// Layer retry over this client for the WS-DAIF read operations
-    /// ([`idempotent_actions`]). Writes and deletes are never re-sent.
+    /// Layer retry over this client for the WS-DAIF read operations.
+    /// Writes and deletes are never re-sent.
     /// (Thin wrapper over [`DaisClient::with_retry`].)
     pub fn with_retry(self, policy: RetryPolicy) -> FileClient {
         DaisClient::with_retry(self, policy)
@@ -200,10 +180,6 @@ impl DaisClient for FileClient {
 
     fn service_mut(&mut self) -> &mut ServiceClient {
         self.core.service_mut()
-    }
-
-    fn default_idempotent_actions() -> IdempotencySet {
-        idempotent_actions()
     }
 }
 

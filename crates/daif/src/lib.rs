@@ -37,26 +37,18 @@ pub use store::{FileStore, FileStoreError};
 
 /// SOAP action URIs for the WS-DAIF operations.
 pub mod actions {
-    pub const READ_FILE: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAIF/ReadFile";
-    pub const WRITE_FILE: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAIF/WriteFile";
-    pub const DELETE_FILE: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAIF/DeleteFile";
-    pub const LIST_FILES: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAIF/ListFiles";
-    pub const GET_FILE_PROPERTY_DOCUMENT: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIF/GetFilePropertyDocument";
-    pub const FILE_SELECT_FACTORY: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIF/FileSelectFactory";
-    pub const GET_FILE_SET_MEMBERS: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIF/GetFileSetMembers";
-
-    pub const ALL: &[&str] = &[
-        READ_FILE,
-        WRITE_FILE,
-        DELETE_FILE,
-        LIST_FILES,
-        GET_FILE_PROPERTY_DOCUMENT,
-        FILE_SELECT_FACTORY,
-        GET_FILE_SET_MEMBERS,
-    ];
+    dais_soap::actions! {
+        READ_FILE = "http://www.ggf.org/namespaces/2005/12/WS-DAIF/ReadFile", Read;
+        WRITE_FILE = "http://www.ggf.org/namespaces/2005/12/WS-DAIF/WriteFile", Write;
+        DELETE_FILE = "http://www.ggf.org/namespaces/2005/12/WS-DAIF/DeleteFile", Write;
+        LIST_FILES = "http://www.ggf.org/namespaces/2005/12/WS-DAIF/ListFiles", Read;
+        GET_FILE_PROPERTY_DOCUMENT =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIF/GetFilePropertyDocument", Read;
+        FILE_SELECT_FACTORY =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIF/FileSelectFactory", Write;
+        GET_FILE_SET_MEMBERS =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIF/GetFileSetMembers", Read;
+    }
 }
 
 /// The WS-DAIF namespace (following the family's naming pattern).

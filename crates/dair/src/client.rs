@@ -5,37 +5,11 @@ use dais_core::{AbstractName, CoreClient, DaisClient};
 use dais_soap::addressing::Epr;
 use dais_soap::bus::Bus;
 use dais_soap::client::{CallError, ServiceClient};
-use dais_soap::retry::{IdempotencySet, RetryConfig, RetryPolicy};
+use dais_soap::retry::{RetryConfig, RetryPolicy};
+use dais_soap::Action;
 use dais_sql::{Rowset, SqlCommunicationArea, Value};
 use dais_util::pool::PooledBuf;
 use dais_xml::{ns, XmlElement};
-
-/// WS-DAIR operations a consumer may safely re-send: property and
-/// response-resource reads, plus the core read set. `SQLExecute` is
-/// deliberately absent — whether it re-sends safely depends on the
-/// statement it carries, which [`SqlClient::execute`] decides per call.
-/// Factories mint new derived resources and are never retried.
-pub fn idempotent_actions() -> IdempotencySet {
-    IdempotencySet::new([
-        dais_core::messages::actions::GET_DATA_RESOURCE_PROPERTY_DOCUMENT,
-        dais_core::messages::actions::GENERIC_QUERY,
-        dais_core::messages::actions::GET_RESOURCE_LIST,
-        dais_core::messages::actions::RESOLVE,
-        dais_wsrf::actions::GET_RESOURCE_PROPERTY,
-        dais_wsrf::actions::GET_MULTIPLE_RESOURCE_PROPERTIES,
-        dais_wsrf::actions::QUERY_RESOURCE_PROPERTIES,
-        actions::GET_SQL_PROPERTY_DOCUMENT,
-        actions::GET_SQL_RESPONSE_PROPERTY_DOCUMENT,
-        actions::GET_SQL_ROWSET,
-        actions::GET_SQL_UPDATE_COUNT,
-        actions::GET_SQL_RETURN_VALUE,
-        actions::GET_SQL_OUTPUT_PARAMETER,
-        actions::GET_SQL_COMMUNICATION_AREA,
-        actions::GET_SQL_RESPONSE_ITEM,
-        actions::GET_TUPLES,
-        actions::GET_ROWSET_PROPERTY_DOCUMENT,
-    ])
-}
 
 /// True when a statement only reads — the one class of `SQLExecute`
 /// payload that re-sends safely after an ambiguous failure.
@@ -64,10 +38,9 @@ impl SqlClient {
         SqlClient { core: CoreClient::from_epr(bus, epr) }
     }
 
-    /// Layer retry over this client for the WS-DAIR read operations
-    /// ([`idempotent_actions`]); `SQLExecute` retries only when the
-    /// statement is a SELECT. (Thin wrapper over
-    /// [`DaisClient::with_retry`].)
+    /// Layer retry over this client for the WS-DAIR read operations;
+    /// `SQLExecute` retries only when the statement is a SELECT. (Thin
+    /// wrapper over [`DaisClient::with_retry`].)
     pub fn with_retry(self, policy: RetryPolicy) -> SqlClient {
         DaisClient::with_retry(self, policy)
     }
@@ -87,7 +60,7 @@ impl SqlClient {
     /// bytes (one pooled buffer, no response element tree).
     fn request_decoded<T>(
         &self,
-        action: &str,
+        action: Action,
         req: &XmlElement,
         decode: impl FnOnce(&[u8]) -> Result<T, String>,
     ) -> Result<T, CallError> {
@@ -101,7 +74,7 @@ impl SqlClient {
     /// on the pipelined path.
     fn pipelined_decoded<T>(
         &self,
-        action: &str,
+        action: Action,
         payloads: Vec<XmlElement>,
         window: usize,
         decode: impl Fn(&[u8]) -> Result<T, String>,
@@ -382,10 +355,6 @@ impl DaisClient for SqlClient {
 
     fn service_mut(&mut self) -> &mut ServiceClient {
         self.core.service_mut()
-    }
-
-    fn default_idempotent_actions() -> IdempotencySet {
-        idempotent_actions()
     }
 }
 

@@ -11,52 +11,30 @@ use dais_xml::{ns, PullEvent, PullParser, QName, XmlElement, XmlSink, XmlWriter}
 
 /// SOAP action URIs for the WS-DAIR operations (Figure 6).
 pub mod actions {
-    const BASE: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAIR";
-
-    pub const SQL_EXECUTE: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAIR/SQLExecute";
-    pub const GET_SQL_PROPERTY_DOCUMENT: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLPropertyDocument";
-    pub const SQL_EXECUTE_FACTORY: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIR/SQLExecuteFactory";
-    pub const GET_SQL_RESPONSE_PROPERTY_DOCUMENT: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLResponsePropertyDocument";
-    pub const GET_SQL_ROWSET: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLRowset";
-    pub const GET_SQL_UPDATE_COUNT: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLUpdateCount";
-    pub const GET_SQL_RETURN_VALUE: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLReturnValue";
-    pub const GET_SQL_OUTPUT_PARAMETER: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLOutputParameter";
-    pub const GET_SQL_COMMUNICATION_AREA: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLCommunicationArea";
-    pub const GET_SQL_RESPONSE_ITEM: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLResponseItem";
-    pub const SQL_ROWSET_FACTORY: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIR/SQLRowsetFactory";
-    pub const GET_TUPLES: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetTuples";
-    pub const GET_ROWSET_PROPERTY_DOCUMENT: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetRowsetPropertyDocument";
-
-    /// All WS-DAIR actions (the Figure 6 inventory), for conformance tests.
-    pub const ALL: &[&str] = &[
-        SQL_EXECUTE,
-        GET_SQL_PROPERTY_DOCUMENT,
-        SQL_EXECUTE_FACTORY,
-        GET_SQL_RESPONSE_PROPERTY_DOCUMENT,
-        GET_SQL_ROWSET,
-        GET_SQL_UPDATE_COUNT,
-        GET_SQL_RETURN_VALUE,
-        GET_SQL_OUTPUT_PARAMETER,
-        GET_SQL_COMMUNICATION_AREA,
-        GET_SQL_RESPONSE_ITEM,
-        SQL_ROWSET_FACTORY,
-        GET_TUPLES,
-        GET_ROWSET_PROPERTY_DOCUMENT,
-    ];
-
-    /// The namespace all the actions live under.
-    pub fn base() -> &'static str {
-        BASE
+    dais_soap::actions! {
+        SQL_EXECUTE = "http://www.ggf.org/namespaces/2005/12/WS-DAIR/SQLExecute", Statement;
+        GET_SQL_PROPERTY_DOCUMENT =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLPropertyDocument", Read;
+        SQL_EXECUTE_FACTORY =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIR/SQLExecuteFactory", Write;
+        GET_SQL_RESPONSE_PROPERTY_DOCUMENT =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLResponsePropertyDocument", Read;
+        GET_SQL_ROWSET = "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLRowset", Read;
+        GET_SQL_UPDATE_COUNT =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLUpdateCount", Read;
+        GET_SQL_RETURN_VALUE =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLReturnValue", Read;
+        GET_SQL_OUTPUT_PARAMETER =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLOutputParameter", Read;
+        GET_SQL_COMMUNICATION_AREA =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLCommunicationArea", Read;
+        GET_SQL_RESPONSE_ITEM =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetSQLResponseItem", Read;
+        SQL_ROWSET_FACTORY =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIR/SQLRowsetFactory", Write;
+        GET_TUPLES = "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetTuples", Read;
+        GET_ROWSET_PROPERTY_DOCUMENT =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIR/GetRowsetPropertyDocument", Read;
     }
 }
 

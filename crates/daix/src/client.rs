@@ -5,30 +5,8 @@ use dais_core::{AbstractName, CoreClient, DaisClient};
 use dais_soap::addressing::Epr;
 use dais_soap::bus::Bus;
 use dais_soap::client::{CallError, ServiceClient};
-use dais_soap::retry::{IdempotencySet, RetryConfig, RetryPolicy};
+use dais_soap::retry::{RetryConfig, RetryPolicy};
 use dais_xml::{ns, XmlElement};
-
-/// WS-DAIX operations a consumer may safely re-send: document and
-/// property reads plus the read-only query languages. `AddDocuments`,
-/// `RemoveDocuments`, `XUpdateExecute`, subcollection mutations and the
-/// factories all change service state and are never retried.
-pub fn idempotent_actions() -> IdempotencySet {
-    IdempotencySet::new([
-        dais_core::messages::actions::GET_DATA_RESOURCE_PROPERTY_DOCUMENT,
-        dais_core::messages::actions::GENERIC_QUERY,
-        dais_core::messages::actions::GET_RESOURCE_LIST,
-        dais_core::messages::actions::RESOLVE,
-        dais_wsrf::actions::GET_RESOURCE_PROPERTY,
-        dais_wsrf::actions::GET_MULTIPLE_RESOURCE_PROPERTIES,
-        dais_wsrf::actions::QUERY_RESOURCE_PROPERTIES,
-        actions::GET_DOCUMENTS,
-        actions::GET_COLLECTION_PROPERTY_DOCUMENT,
-        actions::XPATH_EXECUTE,
-        actions::XQUERY_EXECUTE,
-        actions::GET_ITEMS,
-        actions::GET_SEQUENCE_PROPERTY_DOCUMENT,
-    ])
-}
 
 /// A typed consumer of WS-DAIX services.
 #[derive(Clone)]
@@ -41,9 +19,8 @@ impl XmlClient {
         XmlClient { core: CoreClient::from_epr(bus, epr) }
     }
 
-    /// Layer retry over this client for the WS-DAIX read operations
-    /// ([`idempotent_actions`]). (Thin wrapper over
-    /// [`DaisClient::with_retry`].)
+    /// Layer retry over this client for the WS-DAIX read operations.
+    /// (Thin wrapper over [`DaisClient::with_retry`].)
     pub fn with_retry(self, policy: RetryPolicy) -> XmlClient {
         DaisClient::with_retry(self, policy)
     }
@@ -291,10 +268,6 @@ impl DaisClient for XmlClient {
 
     fn service_mut(&mut self) -> &mut ServiceClient {
         self.core.service_mut()
-    }
-
-    fn default_idempotent_actions() -> IdempotencySet {
-        idempotent_actions()
     }
 }
 

@@ -7,44 +7,27 @@ use dais_xml::{ns, XmlElement};
 
 /// SOAP action URIs for the WS-DAIX operations.
 pub mod actions {
-    pub const ADD_DOCUMENTS: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAIX/AddDocuments";
-    pub const GET_DOCUMENTS: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAIX/GetDocuments";
-    pub const REMOVE_DOCUMENTS: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIX/RemoveDocuments";
-    pub const CREATE_SUBCOLLECTION: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIX/CreateSubcollection";
-    pub const REMOVE_SUBCOLLECTION: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIX/RemoveSubcollection";
-    pub const GET_COLLECTION_PROPERTY_DOCUMENT: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIX/GetCollectionPropertyDocument";
-    pub const XPATH_EXECUTE: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAIX/XPathExecute";
-    pub const XQUERY_EXECUTE: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAIX/XQueryExecute";
-    pub const XUPDATE_EXECUTE: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIX/XUpdateExecute";
-    pub const XPATH_EXECUTE_FACTORY: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIX/XPathExecuteFactory";
-    pub const XQUERY_EXECUTE_FACTORY: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIX/XQueryExecuteFactory";
-    pub const GET_ITEMS: &str = "http://www.ggf.org/namespaces/2005/12/WS-DAIX/GetItems";
-    pub const GET_SEQUENCE_PROPERTY_DOCUMENT: &str =
-        "http://www.ggf.org/namespaces/2005/12/WS-DAIX/GetSequencePropertyDocument";
-
-    /// The complete WS-DAIX inventory, for conformance tests.
-    pub const ALL: &[&str] = &[
-        ADD_DOCUMENTS,
-        GET_DOCUMENTS,
-        REMOVE_DOCUMENTS,
-        CREATE_SUBCOLLECTION,
-        REMOVE_SUBCOLLECTION,
-        GET_COLLECTION_PROPERTY_DOCUMENT,
-        XPATH_EXECUTE,
-        XQUERY_EXECUTE,
-        XUPDATE_EXECUTE,
-        XPATH_EXECUTE_FACTORY,
-        XQUERY_EXECUTE_FACTORY,
-        GET_ITEMS,
-        GET_SEQUENCE_PROPERTY_DOCUMENT,
-    ];
+    dais_soap::actions! {
+        ADD_DOCUMENTS = "http://www.ggf.org/namespaces/2005/12/WS-DAIX/AddDocuments", Write;
+        GET_DOCUMENTS = "http://www.ggf.org/namespaces/2005/12/WS-DAIX/GetDocuments", Read;
+        REMOVE_DOCUMENTS = "http://www.ggf.org/namespaces/2005/12/WS-DAIX/RemoveDocuments", Write;
+        CREATE_SUBCOLLECTION =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIX/CreateSubcollection", Write;
+        REMOVE_SUBCOLLECTION =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIX/RemoveSubcollection", Write;
+        GET_COLLECTION_PROPERTY_DOCUMENT =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIX/GetCollectionPropertyDocument", Read;
+        XPATH_EXECUTE = "http://www.ggf.org/namespaces/2005/12/WS-DAIX/XPathExecute", Read;
+        XQUERY_EXECUTE = "http://www.ggf.org/namespaces/2005/12/WS-DAIX/XQueryExecute", Read;
+        XUPDATE_EXECUTE = "http://www.ggf.org/namespaces/2005/12/WS-DAIX/XUpdateExecute", Write;
+        XPATH_EXECUTE_FACTORY =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIX/XPathExecuteFactory", Write;
+        XQUERY_EXECUTE_FACTORY =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIX/XQueryExecuteFactory", Write;
+        GET_ITEMS = "http://www.ggf.org/namespaces/2005/12/WS-DAIX/GetItems", Read;
+        GET_SEQUENCE_PROPERTY_DOCUMENT =
+            "http://www.ggf.org/namespaces/2005/12/WS-DAIX/GetSequencePropertyDocument", Read;
+    }
 }
 
 /// Build an `AddDocumentsRequest` with `(name, document)` pairs.

@@ -216,7 +216,9 @@ mod tests {
     use dais_util::sync::Mutex;
     use dais_xml::XmlElement;
 
-    const ECHO: &str = "urn:test:echo";
+    dais_soap::actions! {
+        ECHO = "urn:test:echo", Read;
+    }
     const TEST_NS: &str = "urn:test:ns";
 
     fn echo_service(bus: &Bus, address: &str, tag: &str) {

@@ -28,7 +28,7 @@ use dais_soap::bus::Bus;
 use dais_soap::envelope::Envelope;
 use dais_soap::fault::{DaisFault, Fault};
 use dais_soap::service::SoapDispatcher;
-use dais_soap::CallError;
+use dais_soap::{Action, CallError};
 use dais_sql::SqlCommunicationArea;
 use dais_xml::{ns, QName, XmlElement, XmlWriter};
 
@@ -246,7 +246,7 @@ fn scatter_pages(
     bus: &Bus,
     router: &ShardRouter,
     policy: &FailoverPolicy,
-    action: &'static str,
+    action: Action,
     request_for: impl Fn(usize, usize) -> Result<XmlElement, CallError> + Sync,
 ) -> Result<Vec<Vec<u8>>, Fault> {
     scatter_shards(router.shards(), |s| {
@@ -302,7 +302,7 @@ fn fan_out_factory(
     bus: &Bus,
     router: &ShardRouter,
     policy: &FailoverPolicy,
-    action: &'static str,
+    action: Action,
     request_for: impl Fn(usize, usize) -> XmlElement + Sync,
 ) -> Result<Vec<Vec<Option<AbstractName>>>, Fault> {
     scatter_shards(router.shards(), |s| {

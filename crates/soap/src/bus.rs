@@ -963,11 +963,18 @@ mod tests {
     use crate::service::SoapDispatcher;
     use dais_xml::XmlElement;
 
+    mod actions {
+        crate::actions! {
+            ECHO = "urn:echo", Read;
+            FAIL = "urn:fail", Write;
+        }
+    }
+
     fn echo_bus() -> Bus {
         let bus = Bus::new();
         let mut d = SoapDispatcher::new();
-        d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
-        d.register("urn:fail", |_: &Envelope| Err(Fault::server("boom")));
+        d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
+        d.register(actions::FAIL, |_: &Envelope| Err(Fault::server("boom")));
         bus.register("bus://svc", Arc::new(d));
         bus
     }

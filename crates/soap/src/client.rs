@@ -1,6 +1,7 @@
 //! Consumer-side helper: address a service (optionally via an EPR with
 //! reference parameters) and exchange request/response payloads.
 
+use crate::action::{Access, Action};
 use crate::addressing::{message_headers, Epr};
 use crate::bus::{Bus, BusError};
 use crate::envelope::Envelope;
@@ -84,10 +85,10 @@ impl ServiceClient {
         ServiceClient { bus, epr, retry: None }
     }
 
-    /// Layer retry behaviour over this client. Only actions the config
-    /// classifies as idempotent are ever re-sent (see
+    /// Layer retry behaviour over this client. Only [`Access::Read`]
+    /// actions are ever re-sent (see
     /// [`request_bytes_into_with_idempotency`](Self::request_bytes_into_with_idempotency)
-    /// for per-call overrides).
+    /// for per-call verdicts on [`Access::Statement`] actions).
     pub fn with_retry(mut self, config: RetryConfig) -> Self {
         self.retry = Some(config);
         self
@@ -110,11 +111,11 @@ impl ServiceClient {
 
     /// Send `payload` with the given SOAP action and return the response
     /// payload element. Retries (if configured) apply when the action is
-    /// in the config's idempotency set.
-    pub fn request(&self, action: &str, payload: XmlElement) -> Result<XmlElement, CallError> {
-        self.request_retrying(action, self.action_is_idempotent(action), |parent| {
+    /// an [`Access::Read`].
+    pub fn request(&self, action: Action, payload: XmlElement) -> Result<XmlElement, CallError> {
+        self.request_retrying(action, action.access() == Access::Read, |parent| {
             let env = self.build_envelope(action, &payload, parent);
-            extract_payload(self.bus.call(&self.epr.address, action, &env)??)
+            extract_payload(self.bus.call(&self.epr.address, action.uri(), &env)??)
         })
     }
 
@@ -126,11 +127,11 @@ impl ServiceClient {
     /// `out` back to its entry length first.
     pub fn request_bytes_into(
         &self,
-        action: &str,
+        action: Action,
         payload: &XmlElement,
         out: &mut Vec<u8>,
     ) -> Result<(), CallError> {
-        let idempotent = self.action_is_idempotent(action);
+        let idempotent = action.access() == Access::Read;
         self.request_bytes_into_with_idempotency(action, payload, idempotent, out)
     }
 
@@ -140,7 +141,7 @@ impl ServiceClient {
     /// SELECT re-sends safely; one carrying an INSERT must not).
     pub fn request_bytes_into_with_idempotency(
         &self,
-        action: &str,
+        action: Action,
         payload: &XmlElement,
         idempotent: bool,
         out: &mut Vec<u8>,
@@ -149,13 +150,9 @@ impl ServiceClient {
         self.request_retrying(action, idempotent, |parent| {
             let env = self.build_envelope(action, payload, parent);
             out.truncate(mark);
-            self.bus.call_bytes_into(&self.epr.address, action, &env, out)??;
+            self.bus.call_bytes_into(&self.epr.address, action.uri(), &env, out)??;
             Ok(())
         })
-    }
-
-    fn action_is_idempotent(&self, action: &str) -> bool {
-        self.retry.as_ref().is_some_and(|c| c.idempotent.contains(action))
     }
 
     /// The root span plus the retry loop shared by every request shape.
@@ -165,7 +162,7 @@ impl ServiceClient {
     /// off.
     fn request_retrying<T>(
         &self,
-        action: &str,
+        action: Action,
         idempotent: bool,
         mut once: impl FnMut(Option<TraceContext>) -> Result<T, CallError>,
     ) -> Result<T, CallError> {
@@ -173,7 +170,7 @@ impl ServiceClient {
         let call_span = if tracer.enabled() {
             let mut span = tracer.span(span_names::CLIENT_CALL, None);
             span.attr("to", &self.epr.address);
-            span.attr("action", action);
+            span.attr("action", action.uri());
             span
         } else {
             SpanHandle::inert()
@@ -245,12 +242,12 @@ impl ServiceClient {
     /// `wsa:MessageID`, so the bus and service join the caller's trace.
     fn build_envelope(
         &self,
-        action: &str,
+        action: Action,
         payload: &XmlElement,
         trace_parent: Option<TraceContext>,
     ) -> Envelope {
         let mut env = Envelope::with_body(payload.clone());
-        for h in message_headers(&self.epr.address, action, &self.epr.reference_parameters) {
+        for h in message_headers(&self.epr.address, action.uri(), &self.epr.reference_parameters) {
             env.add_header(h);
         }
         if let Some(ctx) = trace_parent {
@@ -267,22 +264,26 @@ impl ServiceClient {
     /// ([`BusError::Overloaded`], with its retry-after hint) surfaces
     /// immediately so the caller can pace the whole batch; that is what
     /// [`request_pipelined`](Self::request_pipelined) does.
-    pub fn call_async(&self, action: &str, payload: XmlElement) -> Result<PendingReply, CallError> {
+    pub fn call_async(
+        &self,
+        action: Action,
+        payload: XmlElement,
+    ) -> Result<PendingReply, CallError> {
         self.submit(action, &payload)
     }
 
-    fn submit(&self, action: &str, payload: &XmlElement) -> Result<PendingReply, CallError> {
+    fn submit(&self, action: Action, payload: &XmlElement) -> Result<PendingReply, CallError> {
         let tracer = &self.bus.obs().tracer;
         let mut call_span = if tracer.enabled() {
             let mut span = tracer.span(span_names::CLIENT_CALL, None);
             span.attr("to", &self.epr.address);
-            span.attr("action", action);
+            span.attr("action", action.uri());
             span
         } else {
             SpanHandle::inert()
         };
         let env = self.build_envelope(action, payload, call_span.ctx());
-        match self.bus.call_async(&self.epr.address, action, &env) {
+        match self.bus.call_async(&self.epr.address, action.uri(), &env) {
             Ok(pending) => Ok(PendingReply { pending, span: call_span }),
             Err(e) => {
                 call_span.attr("outcome", "error");
@@ -296,7 +297,7 @@ impl ServiceClient {
     /// in input order.
     pub fn request_pipelined(
         &self,
-        action: &str,
+        action: Action,
         payloads: Vec<XmlElement>,
         window: usize,
     ) -> Vec<Result<XmlElement, CallError>> {
@@ -315,7 +316,7 @@ impl ServiceClient {
     /// a bounded number of times — before giving up on that payload.
     pub fn request_pipelined_with<T>(
         &self,
-        action: &str,
+        action: Action,
         payloads: Vec<XmlElement>,
         window: usize,
         mut resolve: impl FnMut(PendingReply) -> Result<T, CallError>,
@@ -466,11 +467,22 @@ mod tests {
     use dais_xml::ns;
     use std::sync::Arc;
 
+    mod actions {
+        crate::actions! {
+            PROBE = "urn:probe", Read;
+            FAIL = "urn:f", Read;
+            MISSING = "urn:x", Read;
+            READ = "urn:read", Read;
+            WRITE = "urn:write", Write;
+            ECHO = "urn:echo", Read;
+        }
+    }
+
     #[test]
     fn client_attaches_addressing_headers() {
         let bus = Bus::new();
         let mut d = SoapDispatcher::new();
-        d.register("urn:probe", |req: &Envelope| {
+        d.register(actions::PROBE, |req: &Envelope| {
             // Echo back what headers we saw.
             let mut out = XmlElement::new_local("seen");
             if req.header_block(ns::WSA, "To").is_some() {
@@ -487,7 +499,7 @@ mod tests {
         bus.register("bus://svc", Arc::new(d));
 
         let client = ServiceClient::from_epr(bus, Epr::for_resource("bus://svc", "urn:r1"));
-        let resp = client.request("urn:probe", XmlElement::new_local("q")).unwrap();
+        let resp = client.request(actions::PROBE, XmlElement::new_local("q")).unwrap();
         assert_eq!(resp.attribute("to"), Some("1"));
         assert_eq!(resp.attribute("action"), Some("1"));
         assert_eq!(resp.attribute("refparam"), Some("1"));
@@ -497,24 +509,24 @@ mod tests {
     fn faults_surface_as_call_errors() {
         let bus = Bus::new();
         let mut d = SoapDispatcher::new();
-        d.register("urn:f", |_: &Envelope| {
+        d.register(actions::FAIL, |_: &Envelope| {
             Err(Fault::dais(crate::fault::DaisFault::InvalidResourceName, "nope"))
         });
         bus.register("bus://svc", Arc::new(d));
         let client = ServiceClient::new(bus, "bus://svc");
-        let err = client.request("urn:f", XmlElement::new_local("q")).unwrap_err();
+        let err = client.request(actions::FAIL, XmlElement::new_local("q")).unwrap_err();
         assert_eq!(err.dais_fault(), Some(crate::fault::DaisFault::InvalidResourceName));
     }
 
     #[test]
     fn transport_error_for_missing_service() {
         let client = ServiceClient::new(Bus::new(), "bus://ghost");
-        let err = client.request("urn:x", XmlElement::new_local("q")).unwrap_err();
+        let err = client.request(actions::MISSING, XmlElement::new_local("q")).unwrap_err();
         assert!(matches!(err, CallError::Transport(BusError::NoSuchEndpoint(_))));
     }
 
     use crate::fault::DaisFault;
-    use crate::retry::{IdempotencySet, RetryConfig, RetryPolicy};
+    use crate::retry::{RetryConfig, RetryPolicy};
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::time::Duration;
 
@@ -523,7 +535,7 @@ mod tests {
         let bus = Bus::new();
         let mut d = SoapDispatcher::new();
         let remaining = Arc::new(AtomicU32::new(failures));
-        for action in ["urn:read", "urn:write"] {
+        for action in [actions::READ, actions::WRITE] {
             let remaining = remaining.clone();
             d.register(action, move |_: &Envelope| {
                 if remaining
@@ -546,11 +558,9 @@ mod tests {
     ) -> (ServiceClient, Arc<std::sync::Mutex<Vec<Duration>>>) {
         let sleeps: Arc<std::sync::Mutex<Vec<Duration>>> = Arc::default();
         let recorder = sleeps.clone();
-        let config = RetryConfig::new(
-            RetryPolicy::new(attempts).base_delay(Duration::from_nanos(1)),
-            IdempotencySet::new(["urn:read"]),
-        )
-        .with_sleep(Arc::new(move |d| recorder.lock().unwrap().push(d)));
+        let config =
+            RetryConfig::new(RetryPolicy::new(attempts).base_delay(Duration::from_nanos(1)))
+                .with_sleep(Arc::new(move |d| recorder.lock().unwrap().push(d)));
         (ServiceClient::new(bus, "bus://flaky").with_retry(config), sleeps)
     }
 
@@ -558,7 +568,7 @@ mod tests {
     fn idempotent_actions_retry_until_success() {
         let bus = flaky_bus(2);
         let (client, sleeps) = retrying_client(bus.clone(), 4);
-        let response = client.request("urn:read", XmlElement::new_local("q")).unwrap();
+        let response = client.request(actions::READ, XmlElement::new_local("q")).unwrap();
         assert_eq!(response.name.local, "ok");
         assert_eq!(sleeps.lock().unwrap().len(), 2);
         let s = bus.stats();
@@ -571,19 +581,19 @@ mod tests {
     fn non_idempotent_actions_fail_fast() {
         let bus = flaky_bus(1);
         let (client, sleeps) = retrying_client(bus.clone(), 4);
-        let err = client.request("urn:write", XmlElement::new_local("q")).unwrap_err();
+        let err = client.request(actions::WRITE, XmlElement::new_local("q")).unwrap_err();
         assert_eq!(err.dais_fault(), Some(DaisFault::ServiceBusy));
         assert!(sleeps.lock().unwrap().is_empty());
         assert_eq!(bus.stats().retries, 0);
         // The very next read succeeds — the failure budget was not spent.
-        assert!(client.request("urn:read", XmlElement::new_local("q")).is_ok());
+        assert!(client.request(actions::READ, XmlElement::new_local("q")).is_ok());
     }
 
     #[test]
     fn attempts_stop_at_the_policy_maximum() {
         let bus = flaky_bus(u32::MAX);
         let (client, sleeps) = retrying_client(bus.clone(), 3);
-        let err = client.request("urn:read", XmlElement::new_local("q")).unwrap_err();
+        let err = client.request(actions::READ, XmlElement::new_local("q")).unwrap_err();
         assert_eq!(err.dais_fault(), Some(DaisFault::ServiceBusy));
         assert_eq!(sleeps.lock().unwrap().len(), 2); // 3 attempts, 2 pauses
         assert_eq!(bus.stats().messages, 3);
@@ -598,11 +608,10 @@ mod tests {
             RetryPolicy::new(100)
                 .base_delay(Duration::from_millis(10))
                 .deadline(Duration::from_millis(25)),
-            IdempotencySet::new(["urn:read"]),
         )
         .with_sleep(Arc::new(move |d| recorder.lock().unwrap().push(d)));
         let client = ServiceClient::new(bus, "bus://flaky").with_retry(config);
-        client.request("urn:read", XmlElement::new_local("q")).unwrap_err();
+        client.request(actions::READ, XmlElement::new_local("q")).unwrap_err();
         let total: Duration = sleeps.lock().unwrap().iter().sum();
         assert!(total <= Duration::from_millis(25), "slept {total:?}");
         assert!(!sleeps.lock().unwrap().is_empty());
@@ -613,7 +622,7 @@ mod tests {
         let bus = flaky_bus(1);
         bus.enable_tracing(0xAB);
         let (client, _) = retrying_client(bus.clone(), 4);
-        client.request("urn:read", XmlElement::new_local("q")).unwrap();
+        client.request(actions::READ, XmlElement::new_local("q")).unwrap();
         let sink = bus.obs().tracer.take();
 
         let root = sink.first("client.call").expect("root span");
@@ -636,13 +645,13 @@ mod tests {
     fn pipelined_requests_preserve_input_order() {
         let bus = Bus::new();
         let mut d = SoapDispatcher::new();
-        d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+        d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
         bus.register("bus://svc", Arc::new(d));
         bus.install_executor(ExecutorConfig::new(4).seed(11));
         let client = ServiceClient::new(bus.clone(), "bus://svc");
         let payloads: Vec<XmlElement> =
             (0..24).map(|i| XmlElement::new_local("q").with_text(format!("{i}"))).collect();
-        let results = client.request_pipelined("urn:echo", payloads.clone(), 8);
+        let results = client.request_pipelined(actions::ECHO, payloads.clone(), 8);
         assert_eq!(results.len(), 24);
         for (i, r) in results.into_iter().enumerate() {
             assert_eq!(r.unwrap().text(), format!("{i}"));
@@ -657,7 +666,7 @@ mod tests {
         // paces instead of failing, and every payload still answers.
         let bus = Bus::new();
         let mut d = SoapDispatcher::new();
-        d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+        d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
         bus.register("bus://svc", Arc::new(d));
         bus.install_executor(
             ExecutorConfig::new(1)
@@ -669,7 +678,7 @@ mod tests {
         let client = ServiceClient::new(bus.clone(), "bus://svc");
         let payloads: Vec<XmlElement> =
             (0..40).map(|i| XmlElement::new_local("q").with_text(format!("{i}"))).collect();
-        let results = client.request_pipelined("urn:echo", payloads, 8);
+        let results = client.request_pipelined(actions::ECHO, payloads, 8);
         for (i, r) in results.into_iter().enumerate() {
             assert_eq!(r.unwrap().text(), format!("{i}"));
         }
@@ -685,7 +694,7 @@ mod tests {
         {
             let gate = gate.clone();
             let entered = entered.clone();
-            d.register("urn:read", move |req: &Envelope| {
+            d.register(actions::READ, move |req: &Envelope| {
                 entered.fetch_add(1, Ordering::SeqCst);
                 let mut open = gate.0.lock().unwrap_or_else(|e| e.into_inner());
                 while !*open {
@@ -718,7 +727,6 @@ mod tests {
         let config = RetryConfig::new(
             // Policy backoff is 1ns — far below the hint, which must win.
             RetryPolicy::new(4).base_delay(Duration::from_nanos(1)),
-            IdempotencySet::new(["urn:read"]),
         )
         .with_sleep(Arc::new({
             let sleeps = sleeps.clone();
@@ -733,7 +741,7 @@ mod tests {
             }
         }));
         let client = ServiceClient::new(bus.clone(), "bus://svc").with_retry(config);
-        let response = client.request("urn:read", XmlElement::new_local("q")).unwrap();
+        let response = client.request(actions::READ, XmlElement::new_local("q")).unwrap();
         assert_eq!(response.name.local, "q");
         {
             let sleeps = sleeps.lock().unwrap_or_else(|e| e.into_inner());
@@ -751,12 +759,12 @@ mod tests {
     fn per_call_idempotency_override_retries() {
         let bus = flaky_bus(1);
         let (client, _) = retrying_client(bus, 4);
-        // `urn:write` is not in the set, but the caller vouches for this
+        // `urn:write` is a write, but the caller vouches for this
         // particular payload.
         let mut reply = Vec::new();
         client
             .request_bytes_into_with_idempotency(
-                "urn:write",
+                actions::WRITE,
                 &XmlElement::new_local("q"),
                 true,
                 &mut reply,

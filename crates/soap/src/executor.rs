@@ -521,10 +521,18 @@ mod tests {
     use dais_xml::XmlElement;
     use std::sync::atomic::AtomicU32;
 
+    mod actions {
+        crate::actions! {
+            ECHO = "urn:echo", Read;
+            BLOCK = "urn:block", Read;
+            RELAY = "urn:relay", Read;
+        }
+    }
+
     fn echo_bus() -> Bus {
         let bus = Bus::new();
         let mut d = SoapDispatcher::new();
-        d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+        d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
         bus.register("bus://svc", Arc::new(d));
         bus
     }
@@ -581,7 +589,7 @@ mod tests {
         {
             let gate = Arc::clone(&gate);
             let entered = Arc::clone(&entered);
-            d.register("urn:block", move |req: &Envelope| {
+            d.register(actions::BLOCK, move |req: &Envelope| {
                 entered.fetch_add(1, Ordering::SeqCst);
                 let mut open = gate.0.lock();
                 while !*open {
@@ -630,7 +638,7 @@ mod tests {
         {
             let gate = Arc::clone(&gate);
             let entered = Arc::clone(&entered);
-            d.register("urn:block", move |req: &Envelope| {
+            d.register(actions::BLOCK, move |req: &Envelope| {
                 entered.fetch_add(1, Ordering::SeqCst);
                 let mut open = gate.0.lock();
                 while !*open {
@@ -666,12 +674,12 @@ mod tests {
     fn nested_calls_from_a_handler_run_inline_and_do_not_deadlock() {
         let bus = Bus::new();
         let mut backend = SoapDispatcher::new();
-        backend.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+        backend.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
         bus.register("bus://backend", Arc::new(backend));
         let mut front = SoapDispatcher::new();
         {
             let bus = bus.clone();
-            front.register("urn:relay", move |req: &Envelope| {
+            front.register(actions::RELAY, move |req: &Envelope| {
                 // Runs on the (single) worker; a queued nested call
                 // would wait on ourselves forever.
                 bus.call("bus://backend", "urn:echo", req)
@@ -694,7 +702,7 @@ mod tests {
         let run = |seed: u64| -> Vec<String> {
             let bus = Bus::new();
             let mut d = SoapDispatcher::new();
-            d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+            d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
             let svc = Arc::new(d);
             for addr in ["bus://a", "bus://b"] {
                 bus.register(addr, svc.clone());

@@ -52,6 +52,20 @@ pub enum DaisFault {
 }
 
 impl DaisFault {
+    /// Every variant, in declaration order.
+    pub const ALL: &'static [DaisFault] = &[
+        DaisFault::InvalidResourceName,
+        DaisFault::DataResourceUnavailable,
+        DaisFault::InvalidLanguage,
+        DaisFault::InvalidExpression,
+        DaisFault::InvalidDatasetFormat,
+        DaisFault::InvalidPortType,
+        DaisFault::InvalidConfigurationDocument,
+        DaisFault::NotAuthorized,
+        DaisFault::ServiceBusy,
+        DaisFault::ServiceError,
+    ];
+
     pub fn name(self) -> &'static str {
         match self {
             DaisFault::InvalidResourceName => "InvalidResourceNameFault",
@@ -201,21 +215,40 @@ mod tests {
         assert!(Fault::from_xml(&XmlElement::new_local("NotAFault")).is_none());
     }
 
+    /// Lists every variant through an exhaustive `match`: a variant added
+    /// to the enum fails to compile here until it is listed, and
+    /// `all_fault_names_roundtrip` then fails until `DaisFault::ALL`
+    /// lists it too.
+    macro_rules! every_variant {
+        ($($variant:ident),+ $(,)?) => {{
+            fn _exhaustive(kind: DaisFault) {
+                match kind {
+                    $(DaisFault::$variant => {})+
+                }
+            }
+            [$(DaisFault::$variant),+]
+        }};
+    }
+
     #[test]
     fn all_fault_names_roundtrip() {
-        for kind in [
-            DaisFault::InvalidResourceName,
-            DaisFault::DataResourceUnavailable,
-            DaisFault::InvalidLanguage,
-            DaisFault::InvalidExpression,
-            DaisFault::InvalidDatasetFormat,
-            DaisFault::InvalidPortType,
-            DaisFault::InvalidConfigurationDocument,
-            DaisFault::NotAuthorized,
-            DaisFault::ServiceBusy,
-            DaisFault::ServiceError,
-        ] {
+        let every = every_variant![
+            InvalidResourceName,
+            DataResourceUnavailable,
+            InvalidLanguage,
+            InvalidExpression,
+            InvalidDatasetFormat,
+            InvalidPortType,
+            InvalidConfigurationDocument,
+            NotAuthorized,
+            ServiceBusy,
+            ServiceError,
+        ];
+        assert_eq!(DaisFault::ALL, every);
+        let mut names = std::collections::BTreeSet::new();
+        for &kind in DaisFault::ALL {
             assert_eq!(DaisFault::from_name(kind.name()), Some(kind));
+            assert!(names.insert(kind.name()), "{kind:?} reuses the name {}", kind.name());
         }
     }
 }

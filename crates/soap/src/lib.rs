@@ -19,6 +19,7 @@
 //! meters bytes in both directions ([`BusStats`]) which the paper-figure
 //! experiments use to quantify data movement.
 
+pub mod action;
 pub mod addressing;
 pub mod bus;
 pub mod client;
@@ -31,6 +32,7 @@ pub mod service;
 pub mod tcp;
 pub mod transport;
 
+pub use action::{Access, Action};
 pub use addressing::Epr;
 pub use bus::Endpoint;
 pub use bus::{Bus, BusError, BusStats, StatsSnapshot};
@@ -39,7 +41,7 @@ pub use envelope::Envelope;
 pub use executor::{BusExecutor, ExchangeOutcome, ExecMode, ExecutorConfig, Pending};
 pub use fault::{DaisFault, Fault, FaultCode};
 pub use interceptor::{FaultInjector, FaultPolicy, Intercept, Interceptor};
-pub use retry::{IdempotencySet, RetryConfig, RetryPolicy};
+pub use retry::{RetryConfig, RetryPolicy};
 pub use service::{SoapDispatcher, SoapService};
 pub use tcp::{TcpConfig, TcpServer, TcpServerConfig, TcpTransport};
 pub use transport::{InProcessTransport, Transport};

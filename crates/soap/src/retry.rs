@@ -5,16 +5,15 @@
 //! pauses between them (with deterministic jitter, so a seeded run
 //! replays exactly), and a hard ceiling on the *total* time spent
 //! sleeping. The [`ServiceClient`](crate::client::ServiceClient) applies
-//! the policy only to operations named idempotent by an
-//! [`IdempotencySet`] — re-sending a property read is safe, re-sending
-//! an insert is not — and bills every re-send to
+//! the policy only to actions whose [`Access`](crate::action::Access) is
+//! `Read` — re-sending a property read is safe, re-sending an insert is
+//! not — and bills every re-send to
 //! [`BusStats::retries`](crate::bus::BusStats).
 
 use crate::bus::BusError;
 use crate::client::CallError;
 use crate::fault::DaisFault;
 use dais_util::rng::mix2;
-use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -94,45 +93,20 @@ impl RetryPolicy {
     }
 }
 
-/// The set of SOAP actions a client may safely re-send.
-#[derive(Debug, Clone, Default)]
-pub struct IdempotencySet {
-    actions: Arc<HashSet<String>>,
-}
-
-impl IdempotencySet {
-    pub fn new<I, S>(actions: I) -> IdempotencySet
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        IdempotencySet { actions: Arc::new(actions.into_iter().map(Into::into).collect()) }
-    }
-
-    pub fn contains(&self, action: &str) -> bool {
-        self.actions.contains(action)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
-    }
-}
-
 /// How the client sleeps between attempts — injectable so tests retry
 /// without wall-clock cost.
 pub type SleepFn = Arc<dyn Fn(Duration) + Send + Sync>;
 
-/// A policy plus the action classification and sleep mechanism.
+/// A policy plus the sleep mechanism.
 #[derive(Clone)]
 pub struct RetryConfig {
     pub policy: RetryPolicy,
-    pub idempotent: IdempotencySet,
     sleep: SleepFn,
 }
 
 impl RetryConfig {
-    pub fn new(policy: RetryPolicy, idempotent: IdempotencySet) -> RetryConfig {
-        RetryConfig { policy, idempotent, sleep: Arc::new(std::thread::sleep) }
+    pub fn new(policy: RetryPolicy) -> RetryConfig {
+        RetryConfig { policy, sleep: Arc::new(std::thread::sleep) }
     }
 
     /// Replace the sleeper (tests pass a recorder; the default blocks
@@ -356,13 +330,5 @@ mod tests {
             None
         );
         assert_eq!(overload_origin(&CallError::Fault(Fault::client("c")), "bus://x"), None);
-    }
-
-    #[test]
-    fn idempotency_set_membership() {
-        let set = IdempotencySet::new(["urn:a", "urn:b"]);
-        assert!(set.contains("urn:a"));
-        assert!(!set.contains("urn:c"));
-        assert!(IdempotencySet::default().is_empty());
     }
 }

@@ -91,10 +91,16 @@ mod tests {
     use dais_xml::XmlElement;
     use std::sync::Arc;
 
+    mod actions {
+        crate::actions! {
+            ECHO = "urn:echo", Read;
+        }
+    }
+
     fn echo_bus() -> Bus {
         let bus = Bus::new();
         let mut d = SoapDispatcher::new();
-        d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+        d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
         bus.register("bus://svc", Arc::new(d));
         bus
     }

@@ -11,10 +11,17 @@ use dais_xml::XmlElement;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+mod actions {
+    dais_soap::actions! {
+        ECHO = "urn:echo", Read;
+        FAIL = "urn:fail", Write;
+    }
+}
+
 fn echo_dispatcher() -> Arc<SoapDispatcher> {
     let mut d = SoapDispatcher::new();
-    d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
-    d.register("urn:fail", |_: &Envelope| Err(Fault::server("nope")));
+    d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
+    d.register(actions::FAIL, |_: &Envelope| Err(Fault::server("nope")));
     Arc::new(d)
 }
 

@@ -9,7 +9,7 @@
 
 use dais_soap::envelope::Envelope;
 use dais_soap::fault::{DaisFault, Fault};
-use dais_soap::retry::{IdempotencySet, RetryConfig, RetryPolicy};
+use dais_soap::retry::{RetryConfig, RetryPolicy};
 use dais_soap::service::SoapDispatcher;
 use dais_soap::{Bus, ServiceClient};
 use dais_util::prop::{run_cases, Gen};
@@ -17,6 +17,12 @@ use dais_xml::XmlElement;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+mod actions {
+    dais_soap::actions! {
+        READ = "urn:read", Read;
+    }
+}
 
 fn arb_policy(g: &mut Gen) -> RetryPolicy {
     RetryPolicy::new(g.u64_in(1, 12) as u32)
@@ -32,7 +38,7 @@ fn busy_bus() -> (Bus, Arc<AtomicU32>) {
     let hits = Arc::new(AtomicU32::new(0));
     let mut d = SoapDispatcher::new();
     let h = hits.clone();
-    d.register("urn:read", move |_: &Envelope| {
+    d.register(actions::READ, move |_: &Envelope| {
         h.fetch_add(1, Ordering::SeqCst);
         Err(Fault::dais(DaisFault::ServiceBusy, "always busy"))
     });
@@ -44,8 +50,8 @@ fn busy_bus() -> (Bus, Arc<AtomicU32>) {
 fn recording_client(bus: Bus, policy: RetryPolicy) -> (ServiceClient, Arc<Mutex<Vec<Duration>>>) {
     let sleeps: Arc<Mutex<Vec<Duration>>> = Arc::default();
     let recorder = sleeps.clone();
-    let config = RetryConfig::new(policy, IdempotencySet::new(["urn:read"]))
-        .with_sleep(Arc::new(move |d| recorder.lock().unwrap().push(d)));
+    let config =
+        RetryConfig::new(policy).with_sleep(Arc::new(move |d| recorder.lock().unwrap().push(d)));
     (ServiceClient::new(bus, "bus://busy").with_retry(config), sleeps)
 }
 
@@ -91,7 +97,7 @@ fn attempts_never_exceed_the_policy_maximum() {
         let policy = arb_policy(g);
         let (bus, hits) = busy_bus();
         let (client, sleeps) = recording_client(bus.clone(), policy);
-        client.request("urn:read", XmlElement::new_local("q")).unwrap_err();
+        client.request(actions::READ, XmlElement::new_local("q")).unwrap_err();
         let attempts = hits.load(Ordering::SeqCst);
         assert!(attempts >= 1);
         assert!(attempts <= policy.max_attempts, "{policy:?}: {attempts} attempts");
@@ -107,7 +113,7 @@ fn total_sleep_stays_within_the_deadline() {
         let policy = arb_policy(g);
         let (bus, _) = busy_bus();
         let (client, sleeps) = recording_client(bus, policy);
-        client.request("urn:read", XmlElement::new_local("q")).unwrap_err();
+        client.request(actions::READ, XmlElement::new_local("q")).unwrap_err();
         let total: Duration = sleeps.lock().unwrap().iter().sum();
         assert!(total <= policy.deadline, "{policy:?}: slept {total:?}");
     });
@@ -120,7 +126,7 @@ fn equal_policies_sleep_identically() {
         let observe = || {
             let (bus, _) = busy_bus();
             let (client, sleeps) = recording_client(bus, policy);
-            client.request("urn:read", XmlElement::new_local("q")).unwrap_err();
+            client.request(actions::READ, XmlElement::new_local("q")).unwrap_err();
             let v = sleeps.lock().unwrap().clone();
             v
         };

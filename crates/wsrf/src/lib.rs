@@ -28,26 +28,18 @@ pub use properties::{
 /// SOAP action URIs for the WSRF operations, as registered on a
 /// WSRF-enabled data service.
 pub mod actions {
-    pub const GET_RESOURCE_PROPERTY: &str =
-        "http://docs.oasis-open.org/wsrf/rpw-2/GetResourceProperty";
-    pub const GET_MULTIPLE_RESOURCE_PROPERTIES: &str =
-        "http://docs.oasis-open.org/wsrf/rpw-2/GetMultipleResourceProperties";
-    pub const QUERY_RESOURCE_PROPERTIES: &str =
-        "http://docs.oasis-open.org/wsrf/rpw-2/QueryResourceProperties";
-    pub const SET_RESOURCE_PROPERTIES: &str =
-        "http://docs.oasis-open.org/wsrf/rpw-2/SetResourceProperties";
-    pub const DESTROY: &str =
-        "http://docs.oasis-open.org/wsrf/rlw-2/ImmediateResourceTermination/Destroy";
-    pub const SET_TERMINATION_TIME: &str =
-        "http://docs.oasis-open.org/wsrf/rlw-2/ScheduledResourceTermination/SetTerminationTime";
-
-    /// The complete WSRF layer inventory, for conformance tests.
-    pub const ALL: &[&str] = &[
-        GET_RESOURCE_PROPERTY,
-        GET_MULTIPLE_RESOURCE_PROPERTIES,
-        QUERY_RESOURCE_PROPERTIES,
-        SET_RESOURCE_PROPERTIES,
-        DESTROY,
-        SET_TERMINATION_TIME,
-    ];
+    dais_soap::actions! {
+        GET_RESOURCE_PROPERTY = "http://docs.oasis-open.org/wsrf/rpw-2/GetResourceProperty", Read;
+        GET_MULTIPLE_RESOURCE_PROPERTIES =
+            "http://docs.oasis-open.org/wsrf/rpw-2/GetMultipleResourceProperties", Read;
+        QUERY_RESOURCE_PROPERTIES =
+            "http://docs.oasis-open.org/wsrf/rpw-2/QueryResourceProperties", Read;
+        SET_RESOURCE_PROPERTIES =
+            "http://docs.oasis-open.org/wsrf/rpw-2/SetResourceProperties", Write;
+        DESTROY =
+            "http://docs.oasis-open.org/wsrf/rlw-2/ImmediateResourceTermination/Destroy", Write;
+        SET_TERMINATION_TIME =
+            "http://docs.oasis-open.org/wsrf/rlw-2/ScheduledResourceTermination/SetTerminationTime",
+            Write;
+    }
 }

@@ -27,10 +27,7 @@ fn main() {
     // 2. Same policy, retrying client: exhausts its budget, then errors.
     let retrying =
         SqlClient::builder().bus(bus.clone()).address("bus://probe").build().with_retry_config(
-            RetryConfig::new(
-                RetryPolicy::new(4).base_delay(std::time::Duration::from_micros(5)),
-                dais::dair::client::idempotent_actions(),
-            ),
+            RetryConfig::new(RetryPolicy::new(4).base_delay(std::time::Duration::from_micros(5))),
         );
     let err = retrying.execute(&svc.db_resource, "SELECT * FROM t", &[]).unwrap_err();
     println!("2. corrupt(1.0), retry x4  -> {err} (bus retries: {})", bus.stats().retries);
@@ -45,10 +42,7 @@ fn main() {
     injector.set_default_policy(FaultPolicy::default().corrupt(0.3).drop(0.15));
     let deep =
         SqlClient::builder().bus(bus.clone()).address("bus://probe").build().with_retry_config(
-            RetryConfig::new(
-                RetryPolicy::new(20).base_delay(std::time::Duration::from_micros(5)),
-                dais::dair::client::idempotent_actions(),
-            ),
+            RetryConfig::new(RetryPolicy::new(20).base_delay(std::time::Duration::from_micros(5))),
         );
     let mut ok = 0;
     for _ in 0..50 {

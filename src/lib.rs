@@ -75,3 +75,31 @@ pub mod prelude {
     pub use dais_wsrf::{LifetimeRegistry, ManualClock, SystemClock};
     pub use dais_xmldb::XmlDatabase;
 }
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    /// No two actions anywhere share a URI: the dispatcher keys handlers
+    /// by URI, so a duplicate would silently route one operation to the
+    /// other's handler.
+    #[test]
+    fn action_uris_are_distinct_across_every_inventory() {
+        let inventories = [
+            ("core", crate::core::messages::actions::ALL),
+            ("wsrf", crate::wsrf::actions::ALL),
+            ("dair", crate::dair::actions::ALL),
+            ("daix", crate::daix::actions::ALL),
+            ("daif", crate::daif::actions::ALL),
+        ];
+        let mut seen = BTreeMap::new();
+        for (family, inventory) in inventories {
+            for action in inventory {
+                if let Some(first) = seen.insert(action.uri(), family) {
+                    panic!("`{action}` is declared by both {first} and {family}");
+                }
+            }
+        }
+        assert_eq!(seen.len(), 44);
+    }
+}

@@ -14,6 +14,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+mod actions {
+    dais::soap::actions! {
+        ECHO = "urn:echo", Read;
+    }
+}
+
 struct Counting;
 
 // Per-thread meters: libtest runs this file's tests on parallel threads,
@@ -90,7 +96,7 @@ const PRE_OBS_ALLOCS: u64 = 96;
 fn echo_bus() -> Bus {
     let bus = Bus::new();
     let mut d = SoapDispatcher::new();
-    d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+    d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
     bus.register("bus://alloc", Arc::new(d));
     bus
 }

@@ -15,7 +15,7 @@ use dais::prelude::*;
 use dais::soap::bus::{BusError, StatsSnapshot};
 use dais::soap::fault::DaisFault;
 use dais::soap::interceptor::{CallInfo, InjectorSnapshot, Intercept, Interceptor};
-use dais::soap::retry::{IdempotencySet, RetryConfig, RetryPolicy, SleepFn};
+use dais::soap::retry::{RetryConfig, RetryPolicy, SleepFn};
 use dais::xml::parse;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -38,14 +38,14 @@ struct Stack {
 
 /// Retry hard enough that a sweep policy cannot exhaust the budget, and
 /// never actually sleep — pacing is property-tested separately.
-fn sweep_retry(seed: u64, actions: IdempotencySet) -> RetryConfig {
+fn sweep_retry(seed: u64) -> RetryConfig {
     let no_sleep: SleepFn = Arc::new(|_| {});
     let policy = RetryPolicy::new(30)
         .base_delay(Duration::from_micros(1))
         .max_delay(Duration::from_millis(1))
         .deadline(Duration::from_secs(1))
         .jitter_seed(seed);
-    RetryConfig::new(policy, actions).with_sleep(no_sleep)
+    RetryConfig::new(policy).with_sleep(no_sleep)
 }
 
 /// Launch all three realisations with fixed seed data. No chaos yet —
@@ -84,17 +84,17 @@ fn build_stack(retry_seed: Option<u64>) -> Stack {
                 .bus(bus.clone())
                 .address(SQL_ADDR)
                 .build()
-                .with_retry_config(sweep_retry(seed, dais::dair::client::idempotent_actions())),
+                .with_retry_config(sweep_retry(seed)),
             XmlClient::builder()
                 .bus(bus.clone())
                 .address(XML_ADDR)
                 .build()
-                .with_retry_config(sweep_retry(seed, dais::daix::client::idempotent_actions())),
+                .with_retry_config(sweep_retry(seed)),
             FileClient::builder()
                 .bus(bus.clone())
                 .address(FILE_ADDR)
                 .build()
-                .with_retry_config(sweep_retry(seed, dais::daif::client::idempotent_actions())),
+                .with_retry_config(sweep_retry(seed)),
         ),
         None => (
             SqlClient::builder().bus(bus.clone()).address(SQL_ADDR).build(),

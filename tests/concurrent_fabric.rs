@@ -15,6 +15,13 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+mod test_actions {
+    dais::soap::actions! {
+        ECHO = "urn:echo", Read;
+        BLOCK = "urn:block", Read;
+    }
+}
+
 #[test]
 fn mixed_fabric_under_concurrency() {
     let bus = Bus::new();
@@ -191,7 +198,7 @@ fn gated_echo(gate: &Arc<(Mutex<bool>, Condvar)>, entered: &Arc<AtomicU32>) -> S
     let mut d = SoapDispatcher::new();
     let gate = Arc::clone(gate);
     let entered = Arc::clone(entered);
-    d.register("urn:block", move |req: &Envelope| {
+    d.register(test_actions::BLOCK, move |req: &Envelope| {
         entered.fetch_add(1, Ordering::SeqCst);
         let (flag, cvar) = &*gate;
         let mut open = flag.lock().unwrap();
@@ -208,7 +215,7 @@ fn seeded_stress_run_loses_no_replies_and_keeps_trace_trees() {
     let bus = Bus::new();
     for i in 0..4 {
         let mut d = SoapDispatcher::new();
-        d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+        d.register(test_actions::ECHO, |req: &Envelope| Ok(req.clone()));
         bus.register(format!("bus://stress/{i}"), Arc::new(d));
     }
     bus.enable_tracing(0xFAB);
@@ -225,7 +232,7 @@ fn seeded_stress_run_loses_no_replies_and_keeps_trace_trees() {
         (0..4).map(|i| ServiceClient::new(bus.clone(), format!("bus://stress/{i}"))).collect();
     let total = 160usize;
     let replies: Vec<_> = (0..total)
-        .map(|n| clients[n % 4].call_async("urn:echo", message(&n.to_string())).unwrap())
+        .map(|n| clients[n % 4].call_async(test_actions::ECHO, message(&n.to_string())).unwrap())
         .collect();
 
     // No lost replies: every handle resolves, to the echo or to the
@@ -444,7 +451,7 @@ impl Interceptor for AbortReplies {
 fn response_abort_run(queued: bool) -> StatsSnapshot {
     let bus = Bus::new();
     let mut d = SoapDispatcher::new();
-    d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+    d.register(test_actions::ECHO, |req: &Envelope| Ok(req.clone()));
     bus.register("bus://bill", Arc::new(d));
     bus.add_interceptor(Arc::new(AbortReplies));
     if queued {

@@ -83,7 +83,11 @@ fn invalid_configuration_document_fault() {
         ),
     );
     let out = bus
-        .call("bus://faults", dais::dair::actions::SQL_EXECUTE_FACTORY, &Envelope::with_body(body))
+        .call(
+            "bus://faults",
+            dais::dair::actions::SQL_EXECUTE_FACTORY.uri(),
+            &Envelope::with_body(body),
+        )
         .unwrap();
     let fault = out.unwrap_err();
     assert!(fault.is(DaisFault::InvalidConfigurationDocument));

@@ -9,7 +9,7 @@ use dais::soap::bus::BusError;
 use dais::soap::client::ServiceClient;
 use dais::soap::fault::Fault;
 use dais::soap::interceptor::{CallInfo, Intercept, Interceptor};
-use dais::soap::retry::{IdempotencySet, RetryConfig, RetryPolicy, SleepFn, CAUSE_FAULT};
+use dais::soap::retry::{RetryConfig, RetryPolicy, SleepFn, CAUSE_FAULT};
 use dais::soap::tcp::{TcpServer, TcpTransport};
 use dais::soap::{Bus, Envelope, InProcessTransport, SoapDispatcher};
 use dais::xml::XmlElement;
@@ -17,17 +17,25 @@ use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+mod actions {
+    dais::soap::actions! {
+        ECHO = "urn:echo", Read;
+        SLOW = "urn:slow", Write;
+        FAIL = "urn:fail", Write;
+    }
+}
+
 const ADDR: &str = "bus://flight";
 
 fn flight_bus() -> Bus {
     let bus = Bus::new();
     let mut d = SoapDispatcher::new();
-    d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
-    d.register("urn:slow", |req: &Envelope| {
+    d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
+    d.register(actions::SLOW, |req: &Envelope| {
         std::thread::sleep(Duration::from_millis(10));
         Ok(req.clone())
     });
-    d.register("urn:fail", |_req: &Envelope| Err(Fault::client("scripted failure")));
+    d.register(actions::FAIL, |_req: &Envelope| Err(Fault::client("scripted failure")));
     bus.register(ADDR, Arc::new(d));
     bus
 }
@@ -58,9 +66,9 @@ fn retained_trace_joins_its_journal_slice() {
         },
     );
 
-    client.request("urn:echo", payload()).unwrap();
-    client.request("urn:slow", payload()).unwrap();
-    client.request("urn:fail", payload()).unwrap_err();
+    client.request(actions::ECHO, payload()).unwrap();
+    client.request(actions::SLOW, payload()).unwrap();
+    client.request(actions::FAIL, payload()).unwrap_err();
 
     let traces = bus.obs().tracer.take();
     let journal = bus.obs().journal.take();
@@ -141,7 +149,7 @@ fn fast_retry(seed: u64) -> RetryConfig {
         .max_delay(Duration::from_millis(1))
         .deadline(Duration::from_secs(5))
         .jitter_seed(seed);
-    RetryConfig::new(policy, IdempotencySet::new(["urn:echo"])).with_sleep(no_sleep)
+    RetryConfig::new(policy).with_sleep(no_sleep)
 }
 
 /// Applies a scripted sequence of request-phase faults — the "chaos
@@ -188,7 +196,7 @@ fn chaos_flight_run(kind: Kind, seed: u64) -> (BTreeSet<u64>, String, String) {
     ])));
 
     for _ in 0..10 {
-        client.request("urn:echo", payload()).unwrap();
+        client.request(actions::ECHO, payload()).unwrap();
     }
 
     let traces = bus.obs().tracer.take();

@@ -17,7 +17,7 @@
 #![cfg(debug_assertions)]
 
 use dais::soap::interceptor::{FaultInjector, FaultPolicy};
-use dais::soap::retry::{IdempotencySet, RetryConfig, RetryPolicy};
+use dais::soap::retry::{RetryConfig, RetryPolicy};
 use dais::soap::tcp::{TcpConfig, TcpServer, TcpServerConfig, TcpTransport};
 use dais::soap::{Bus, Envelope, ExecutorConfig, ServiceClient, SoapDispatcher};
 use dais::xml::XmlElement;
@@ -27,7 +27,13 @@ use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 
-const ECHO: &str = "urn:atlas:echo";
+mod actions {
+    dais::soap::actions! {
+        ECHO = "urn:atlas:echo", Read;
+    }
+}
+
+use actions::ECHO;
 
 fn payload(n: u64) -> XmlElement {
     XmlElement::new_local("m").with_text(n.to_string())
@@ -47,11 +53,13 @@ fn executor_workload() {
     let bus = echo_bus();
     bus.install_executor(ExecutorConfig::default());
     for n in 0..4 {
-        let reply = bus.call("bus://atlas", ECHO, &Envelope::with_body(payload(n))).unwrap();
+        let reply = bus.call("bus://atlas", ECHO.uri(), &Envelope::with_body(payload(n))).unwrap();
         assert!(reply.is_ok());
     }
     let pending: Vec<_> = (0..8)
-        .map(|n| bus.call_async("bus://atlas", ECHO, &Envelope::with_body(payload(n))).unwrap())
+        .map(|n| {
+            bus.call_async("bus://atlas", ECHO.uri(), &Envelope::with_body(payload(n))).unwrap()
+        })
         .collect();
     for p in pending {
         assert!(p.wait().unwrap().is_ok());
@@ -67,11 +75,9 @@ fn interceptor_workload() {
     injector
         .set_policy("bus://atlas", FaultPolicy { busy_probability: 1.0, ..FaultPolicy::default() });
     bus.add_interceptor(Arc::new(injector.clone()));
-    let retry = RetryConfig::new(
-        RetryPolicy::new(2).base_delay(std::time::Duration::from_nanos(1)),
-        IdempotencySet::new([ECHO]),
-    )
-    .with_sleep(Arc::new(|_| {}));
+    let retry =
+        RetryConfig::new(RetryPolicy::new(2).base_delay(std::time::Duration::from_nanos(1)))
+            .with_sleep(Arc::new(|_| {}));
     let client = ServiceClient::new(bus.clone(), "bus://atlas").with_retry(retry);
     // Every attempt is answered with an injected ServiceBusy fault; the
     // point is the lock traffic, not the outcome.
@@ -95,7 +101,8 @@ fn tcp_workload() {
     transport.set_default_route(server.local_addr());
     client_bus.set_transport(transport);
     for n in 0..3 {
-        let reply = client_bus.call("bus://atlas", ECHO, &Envelope::with_body(payload(n))).unwrap();
+        let reply =
+            client_bus.call("bus://atlas", ECHO.uri(), &Envelope::with_body(payload(n))).unwrap();
         assert!(reply.is_ok());
     }
     server.shutdown();

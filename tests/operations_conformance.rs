@@ -54,7 +54,7 @@ fn dair_action_inventory_registered() {
         let out = bus
             .call(
                 "bus://conf",
-                action,
+                action.uri(),
                 &dais::soap::Envelope::with_body(XmlElement::new_local("probe")),
             )
             .unwrap();
@@ -75,7 +75,7 @@ fn daix_action_inventory_registered() {
         let out = bus
             .call(
                 "bus://xconf",
-                action,
+                action.uri(),
                 &dais::soap::Envelope::with_body(XmlElement::new_local("probe")),
             )
             .unwrap();
@@ -125,7 +125,7 @@ fn direct_access_message_pattern_conformance() {
     let response = bus
         .call(
             "bus://conf",
-            dais::dair::actions::SQL_EXECUTE,
+            dais::dair::actions::SQL_EXECUTE.uri(),
             &dais::soap::Envelope::with_body(request),
         )
         .unwrap()

@@ -6,7 +6,7 @@
 //! Proves three things:
 //! * a retrying client survives the churn — idempotent reads reconnect
 //!   lazily and complete;
-//! * `IdempotencySet` semantics hold across reconnects — a
+//! * access-class semantics hold across reconnects — a
 //!   non-idempotent write whose reply is lost surfaces
 //!   [`BusError::ConnectionLost`] *without* a re-send, so the service
 //!   dispatches it exactly once;
@@ -14,7 +14,7 @@
 //!   `Overloaded` + retry-after taxonomy the executor uses.
 
 use dais::soap::bus::BusError;
-use dais::soap::retry::{IdempotencySet, RetryConfig, SleepFn};
+use dais::soap::retry::{RetryConfig, SleepFn};
 use dais::soap::tcp::{TcpConfig, TcpServer, TcpServerConfig, TcpTransport};
 use dais::soap::{
     Bus, CallError, Envelope, Fault, RetryPolicy, ServiceClient, SoapDispatcher, Transport,
@@ -25,8 +25,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 const ADDR: &str = "bus://churn";
-const READ: &str = "urn:read";
-const WRITE: &str = "urn:write";
+mod actions {
+    dais::soap::actions! {
+        READ = "urn:read", Read;
+        WRITE = "urn:write", Write;
+    }
+}
+
+use actions::{READ, WRITE};
 
 /// A service counting how many times each action was really dispatched.
 fn counting_bus() -> (Bus, Arc<AtomicU64>, Arc<AtomicU64>) {
@@ -56,15 +62,14 @@ fn serial_transport(server: &TcpServer) -> Arc<TcpTransport> {
     transport
 }
 
-fn retry_client(bus: Bus, idempotent: IdempotencySet) -> ServiceClient {
+fn retry_client(bus: Bus) -> ServiceClient {
     let no_sleep: SleepFn = Arc::new(|_| {});
     let policy = RetryPolicy::new(10)
         .base_delay(Duration::from_micros(1))
         .max_delay(Duration::from_millis(1))
         .deadline(Duration::from_secs(5))
         .jitter_seed(0xC0FF);
-    ServiceClient::new(bus, ADDR)
-        .with_retry(RetryConfig::new(policy, idempotent).with_sleep(no_sleep))
+    ServiceClient::new(bus, ADDR).with_retry(RetryConfig::new(policy).with_sleep(no_sleep))
 }
 
 fn payload(n: u64) -> XmlElement {
@@ -81,7 +86,7 @@ fn retrying_reads_survive_the_server_dropping_every_third_connection() {
     )
     .unwrap();
     bus.set_transport(serial_transport(&server));
-    let client = retry_client(bus.clone(), IdempotencySet::new([READ]));
+    let client = retry_client(bus.clone());
 
     for n in 0..30u64 {
         let echoed = client.request(READ, payload(n)).unwrap_or_else(|e| {
@@ -115,8 +120,8 @@ fn lost_replies_never_double_dispatch_non_idempotent_writes() {
     )
     .unwrap();
     bus.set_transport(serial_transport(&server));
-    // The idempotency set covers only reads: WRITE must never re-send.
-    let client = retry_client(bus.clone(), IdempotencySet::new([READ]));
+    // Only read actions retry: WRITE must never re-send.
+    let client = retry_client(bus.clone());
 
     let mut ok = 0u64;
     let mut lost = 0u64;
@@ -150,7 +155,7 @@ fn pool_reconnects_lazily_after_total_connection_loss() {
     )
     .unwrap();
     bus.set_transport(serial_transport(&server));
-    let client = retry_client(bus.clone(), IdempotencySet::new([READ]));
+    let client = retry_client(bus.clone());
 
     // Every reply is dropped: reads exhaust their attempt budget.
     let err = client.request(READ, payload(0)).unwrap_err();
@@ -227,7 +232,7 @@ fn server_past_its_in_flight_cap_refuses_with_overloaded() {
         std::thread::spawn(move || {
             let request = Envelope::with_body(payload(1)).to_bytes();
             let mut response = Vec::new();
-            transport.call(ADDR, READ, &request, &mut response)
+            transport.call(ADDR, READ.uri(), &request, &mut response)
         })
     };
     parked.wait_arrival();
@@ -236,7 +241,7 @@ fn server_past_its_in_flight_cap_refuses_with_overloaded() {
     // executor's own taxonomy, hint included.
     let request = Envelope::with_body(payload(2)).to_bytes();
     let mut response = Vec::new();
-    match transport.call(ADDR, READ, &request, &mut response) {
+    match transport.call(ADDR, READ.uri(), &request, &mut response) {
         Err(BusError::Overloaded { endpoint, retry_after }) => {
             assert_eq!(endpoint, ADDR);
             assert_eq!(retry_after, hint);
@@ -249,7 +254,7 @@ fn server_past_its_in_flight_cap_refuses_with_overloaded() {
 
     // With the cap free again, the same request is served.
     let mut response = Vec::new();
-    transport.call(ADDR, READ, &request, &mut response).unwrap();
+    transport.call(ADDR, READ.uri(), &request, &mut response).unwrap();
     let env = Envelope::from_bytes(&response).unwrap();
     assert!(env.payload().and_then(Fault::from_xml).is_none());
 }

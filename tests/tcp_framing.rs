@@ -17,10 +17,16 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
+mod actions {
+    dais::soap::actions! {
+        ECHO = "urn:echo", Read;
+    }
+}
+
 fn echo_bus() -> Bus {
     let bus = Bus::new();
     let mut d = SoapDispatcher::new();
-    d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+    d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
     bus.register("bus://svc", Arc::new(d));
     bus
 }

@@ -20,6 +20,13 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+mod actions {
+    dais::soap::actions! {
+        ECHO = "urn:echo", Read;
+        BLOCK = "urn:block", Read;
+    }
+}
+
 const SQL_ADDR: &str = "bus://conf/sql";
 
 /// The two transports under test.
@@ -57,7 +64,7 @@ fn sweep_retry(seed: u64) -> RetryConfig {
         .max_delay(Duration::from_millis(1))
         .deadline(Duration::from_secs(5))
         .jitter_seed(seed);
-    RetryConfig::new(policy, dais::dair::client::idempotent_actions()).with_sleep(no_sleep)
+    RetryConfig::new(policy).with_sleep(no_sleep)
 }
 
 /// One relational service with fixed seed data; the client retries.
@@ -266,7 +273,7 @@ fn overload_run(kind: Kind) -> (String, StatsSnapshot, StatsSnapshot) {
     let gate = Gate::new();
     let handler_gate = Arc::clone(&gate);
     let mut d = SoapDispatcher::new();
-    d.register("urn:block", move |req: &Envelope| {
+    d.register(actions::BLOCK, move |req: &Envelope| {
         handler_gate.enter();
         Ok(req.clone())
     });
@@ -387,7 +394,7 @@ impl Interceptor for AbortReplies {
 fn response_abort_run(kind: Option<Kind>, queued: bool) -> StatsSnapshot {
     let bus = Bus::new();
     let mut d = SoapDispatcher::new();
-    d.register("urn:echo", |req: &Envelope| Ok(req.clone()));
+    d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
     bus.register("bus://bill", Arc::new(d));
     let _server = kind.and_then(|kind| install(&bus, kind));
     bus.add_interceptor(Arc::new(AbortReplies));
