@@ -2,8 +2,8 @@
 //!
 //! The checks in this crate only need four token classes — identifiers,
 //! string literals, punctuation and everything-else — but they need them
-//! *correctly*: a `/shard/` path inside a doc comment must not count as
-//! a literal, a brace inside a string must not unbalance `#[cfg(test)]`
+//! *correctly*: an `.unwrap()` inside a comment or a string must not
+//! count as a call, a brace inside a string must not unbalance `#[cfg(test)]`
 //! stripping, and `'a'` (a char) must not be confused with `'a` (a
 //! lifetime). This scanner handles exactly those cases and nothing more;
 //! it is not a general Rust lexer.

@@ -1,15 +1,16 @@
 //! # dais-check
 //!
 //! Static analysis over this workspace's own source, for the rules the
-//! type system does not carry. SOAP actions and DAIS faults are typed
-//! values (`dais_soap::Action`, `dais_soap::DaisFault`), so the compiler
-//! already refuses an unknown action or fault name. What is left is
-//! checked here with a self-contained token scanner (no syn, no external
-//! deps: the workspace builds offline): property QNames that address
-//! document fragments, lock guards held across blocking calls, raw
-//! `std::sync` and socket use, owned-buffer serialisation on the wire
-//! path, literal shard paths, and the unwrap ratchet. See DESIGN.md §9
-//! for the lint catalogue.
+//! type system does not carry. SOAP actions, DAIS faults, property names
+//! and shard addresses are typed values (`dais_soap::Action`,
+//! `dais_soap::DaisFault`, `dais_core::PropertyName`,
+//! `dais_federation::ShardAddress`), and `Envelope` has no owned-bytes
+//! serialiser, so the compiler already refuses what the retired
+//! convention lints used to police. What is left are facts about call
+//! sites, checked here with a self-contained token scanner (no syn, no
+//! external deps: the workspace builds offline): lock guards held across
+//! blocking calls, raw `std::sync` and socket use, and the unwrap
+//! ratchet. See DESIGN.md §9 for the lint catalogue.
 //!
 //! Run it with `cargo run -p dais-check`. Exit status is non-zero when
 //! any violation is found; `crates/check/dais-check.allow` holds the

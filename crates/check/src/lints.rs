@@ -3,7 +3,7 @@
 //! Each lint has a stable kebab-case name used in diagnostics and in the
 //! self-test fixtures. See DESIGN.md §9 for the catalogue.
 
-use crate::scan::{is_upper_camel, FileFacts};
+use crate::scan::FileFacts;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::PathBuf;
@@ -34,53 +34,6 @@ pub struct Violation {
     pub line: usize,
     pub message: String,
 }
-
-/// The property vocabulary from the paper's WS-DAI property tables
-/// (Figure 4) plus the WS-DAIR extension groupings, enum value spaces,
-/// and the structural element names the documents are built from.
-pub const CANONICAL_PROPERTY_NAMES: &[&str] = &[
-    // WS-DAI core properties.
-    "DataResourceAbstractName",
-    "ParentDataResource",
-    "DataResourceManagement",
-    "ConcurrentAccess",
-    "DatasetMap",
-    "ConfigurationMap",
-    "GenericQueryLanguage",
-    "DataResourceDescription",
-    "Readable",
-    "Writeable",
-    "TransactionInitiation",
-    "TransactionIsolation",
-    "Sensitivity",
-    // Structural elements of property/configuration documents.
-    "PropertyDocument",
-    "ConfigurationDocument",
-    "MessageName",
-    "DatasetFormatURI",
-    "PortTypeQName",
-    // Enum value spaces.
-    "ExternallyManaged",
-    "ServiceManaged",
-    "NotSupported",
-    "TransactionalPerMessage",
-    "TransactionalFromContext",
-    "ReadUncommitted",
-    "ReadCommitted",
-    "RepeatableRead",
-    "Serializable",
-    "Insensitive",
-    "Sensitive",
-    // WS-DAIR extension groupings.
-    "CIMDescription",
-    "NumberOfTables",
-    "NumberOfSQLRowsets",
-    "NumberOfSQLUpdateCounts",
-    "NumberOfSQLReturnValues",
-    "NumberOfSQLOutputParameters",
-    "NumberOfRows",
-    "RowSchema",
-];
 
 /// The parsed `dais-check.allow` ratchet file.
 #[derive(Debug, Default)]
@@ -187,25 +140,6 @@ fn ratchet_file(
 pub fn run_lints(files: &[FileFacts], allowlist: &Allowlist) -> Vec<Violation> {
     let mut out = Vec::new();
 
-    // ---- Property vocabulary. -------------------------------------------
-    for f in files {
-        for lit in &f.property_literals {
-            debug_assert!(is_upper_camel(&lit.value));
-            if !CANONICAL_PROPERTY_NAMES.contains(&lit.value.as_str()) {
-                out.push(Violation {
-                    lint: "unknown-property-name",
-                    severity: Severity::Error,
-                    file: f.path.clone(),
-                    line: lit.line,
-                    message: format!(
-                        "property name `{}` is not in the paper's WS-DAI/WS-DAIR property tables",
-                        lit.value
-                    ),
-                });
-            }
-        }
-    }
-
     // ---- unwrap ratchet. -------------------------------------------------
     let mut counted: BTreeSet<&str> = BTreeSet::new();
     for f in files {
@@ -258,33 +192,7 @@ pub fn run_lints(files: &[FileFacts], allowlist: &Allowlist) -> Vec<Violation> {
     // allowlist entries, all driven by the shared `ratchet_file` engine.
     let mut consumed: BTreeMap<&'static str, BTreeSet<String>> = BTreeMap::new();
 
-    // `to_bytes()` allocates a fresh owned buffer per call; everything on
-    // the bus's serialise path has a pooled `to_bytes_into` counterpart
-    // that reuses thread-local buffers. Intentional owned-bytes sites
-    // (e.g. bytes that escape into an `Intercept::Reply`) carry a
-    // `pooled-buffer-bypass:<file>` allowlist entry.
-    const POOLED_LINT: &str = "pooled-buffer-bypass";
     let allow_path = allowlist.path.display().to_string();
-    for f in files.iter().filter(|f| f.crate_name == "soap") {
-        let sites: Vec<RatchetSite> =
-            f.to_bytes_sites.iter().map(|&l| (l, String::new())).collect();
-        ratchet_file(
-            &mut out,
-            allowlist,
-            POOLED_LINT,
-            "to_bytes() call(s)",
-            consumed.entry(POOLED_LINT).or_default(),
-            f,
-            &sites,
-            &|actual, allowed, _| {
-                format!(
-                    "{actual} to_bytes() call(s) on the soap wire path (allowlist permits \
-                     {allowed}); use the pooled `to_bytes_into` variant or extend {allow_path}"
-                )
-            },
-        );
-    }
-
     // `TcpStream`/`TcpListener` outside `crates/soap/src/tcp.rs` opens a
     // side channel around the Transport seam — no length-prefixed
     // framing, no pooled reconnects, no timeout→`BusError` mapping, and
@@ -420,36 +328,6 @@ pub fn run_lints(files: &[FileFacts], allowlist: &Allowlist) -> Vec<Violation> {
         );
     }
 
-    // The `/shard/` bus-path convention is how a fleet lays out its
-    // backing replica services; it is spelled out exactly once, in
-    // `dais_federation::fleet::shard_address`. Any other crate writing a
-    // literal shard path is addressing a backing replica directly —
-    // bypassing the router's health tracking and failover, and coupling
-    // itself to a topology the federation is free to change.
-    // (The federation crate owns the convention; this crate spells it
-    // out in the pattern and diagnostic below.)
-    for f in files {
-        if f.crate_name == "federation" || f.crate_name == "check" {
-            continue;
-        }
-        for lit in &f.string_literals {
-            if lit.value.contains("/shard/") {
-                out.push(Violation {
-                    lint: "federation-bypass",
-                    severity: Severity::Error,
-                    file: f.path.clone(),
-                    line: lit.line,
-                    message: format!(
-                        "shard endpoint path `{}` addressed directly; resolve replicas through \
-                         `dais_federation::ShardRouter` — the `/shard/` path convention is \
-                         federation-internal",
-                        lit.value
-                    ),
-                });
-            }
-        }
-    }
-
     // ---- Staleness sweep over every `<lint>:<file>` entry: an entry
     // whose lint never consumed it names a file outside the lint's scope
     // (or a lint that does not exist) and must go.
@@ -479,13 +357,13 @@ mod tests {
         let a = Allowlist::parse(
             PathBuf::from("x.allow"),
             "# comment\ncrates/a/src/b.rs 3\n\ncrates/c/src/d.rs 1 # trailing\n\
-             pooled-buffer-bypass:crates/soap/src/e.rs 2\n",
+             transport-bypass:crates/soap/src/e.rs 2\n",
         );
         assert_eq!(a.entries.len(), 2);
         assert_eq!(a.entries["crates/a/src/b.rs"], (3, 2));
         assert_eq!(a.entries["crates/c/src/d.rs"], (1, 4));
         assert_eq!(a.lint_entries.len(), 1);
-        assert_eq!(a.allowed_for("pooled-buffer-bypass", "crates/soap/src/e.rs"), 2);
-        assert_eq!(a.allowed_for("pooled-buffer-bypass", "crates/soap/src/f.rs"), 0);
+        assert_eq!(a.allowed_for("transport-bypass", "crates/soap/src/e.rs"), 2);
+        assert_eq!(a.allowed_for("transport-bypass", "crates/soap/src/f.rs"), 0);
     }
 }

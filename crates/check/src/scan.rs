@@ -1,14 +1,14 @@
 //! Per-file fact extraction.
 //!
 //! Walks a token stream (with `#[cfg(test)]` items stripped) and pulls
-//! out the facts the lints check: string and property-name literals,
-//! `unwrap()`/`expect()` and `to_bytes()` calls, raw socket and
-//! `std::sync` uses, and lock guards live across blocking calls.
+//! out the facts the lints check: `unwrap()`/`expect()` calls, raw
+//! socket and `std::sync` uses, and lock guards live across blocking
+//! calls.
 
 use crate::lexer::{tokenize, Token, TokenKind};
 use std::path::{Path, PathBuf};
 
-/// A string literal with its line.
+/// A named site with its line.
 #[derive(Debug, Clone)]
 pub struct Literal {
     pub value: String,
@@ -34,17 +34,8 @@ pub struct GuardCrossing {
 pub struct FileFacts {
     /// Path relative to the scan root.
     pub path: PathBuf,
-    /// The crate directory name under `crates/`.
-    pub crate_name: String,
-    /// Upper-camel literals in `properties.rs` files (property QNames).
-    pub property_literals: Vec<Literal>,
-    /// Every string literal (checked for the `/shard/` path convention).
-    pub string_literals: Vec<Literal>,
     /// Lines of `.unwrap()` / `.expect("...")` calls in library code.
     pub unwrap_sites: Vec<usize>,
-    /// Lines of `.to_bytes()` calls (checked on the soap wire path,
-    /// where the pooled `to_bytes_into` variant avoids the allocation).
-    pub to_bytes_sites: Vec<usize>,
     /// Lines mentioning `TcpStream`/`TcpListener` (raw sockets are
     /// confined to `crates/soap/src/tcp.rs`, behind the Transport seam).
     pub tcp_stream_sites: Vec<usize>,
@@ -64,25 +55,11 @@ pub struct FileFacts {
 /// Tokenise and strip `#[cfg(test)]` items, then extract facts.
 pub fn scan_file(rel_path: &Path, src: &str) -> FileFacts {
     let tokens = strip_cfg_test(tokenize(src));
-    let crate_name = rel_path
-        .components()
-        .nth(1)
-        .map(|c| c.as_os_str().to_string_lossy().into_owned())
-        .unwrap_or_default();
-    let is_properties_file = rel_path.file_name().is_some_and(|f| f == "properties.rs");
-
-    let mut facts = FileFacts { path: rel_path.to_path_buf(), crate_name, ..FileFacts::default() };
+    let mut facts = FileFacts { path: rel_path.to_path_buf(), ..FileFacts::default() };
 
     for (i, tok) in tokens.iter().enumerate() {
         match tok.kind {
-            TokenKind::Str => {
-                facts.string_literals.push(Literal { value: tok.text.clone(), line: tok.line });
-                if is_properties_file && is_upper_camel(&tok.text) {
-                    facts
-                        .property_literals
-                        .push(Literal { value: tok.text.clone(), line: tok.line });
-                }
-            }
+            TokenKind::Str | TokenKind::Punct => {}
             TokenKind::Ident => {
                 // Raw socket types anywhere in library code: `use`
                 // imports, type positions, and `TcpStream::connect`
@@ -147,17 +124,8 @@ pub fn scan_file(rel_path: &Path, src: &str) -> FileFacts {
                     {
                         facts.unwrap_sites.push(tok.line);
                     }
-                    // `.to_bytes()` — the argument-free serialise-to-owned
-                    // form with a pooled `to_bytes_into` counterpart.
-                    if tok.is_ident("to_bytes")
-                        && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-                        && tokens.get(i + 2).is_some_and(|t| t.is_punct(')'))
-                    {
-                        facts.to_bytes_sites.push(tok.line);
-                    }
                 }
             }
-            TokenKind::Punct => {}
         }
     }
     scan_guard_bindings(&tokens, &mut facts);
@@ -390,14 +358,6 @@ pub fn strip_cfg_test(tokens: Vec<Token>) -> Vec<Token> {
     out
 }
 
-/// `DataResourceAbstractName` — an upper-camel alphanumeric word.
-pub fn is_upper_camel(s: &str) -> bool {
-    s.chars().next().is_some_and(|c| c.is_ascii_uppercase())
-        && s.len() > 1
-        && s.chars().all(|c| c.is_ascii_alphanumeric())
-        && s.chars().any(|c| c.is_ascii_lowercase())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,18 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn to_bytes_calls_are_recorded_but_definitions_are_not() {
-        let src = r#"
-            pub fn to_bytes(&self) -> Vec<u8> { self.to_bytes_into(&mut v) }
-            fn hot(env: &Envelope) { let b = env.to_bytes(); send(b); }
-            #[cfg(test)]
-            mod tests { fn t(e: &Envelope) { e.to_bytes(); } }
-        "#;
-        let f = scan("crates/soap/src/x.rs", src);
-        assert_eq!(f.to_bytes_sites.len(), 1);
-    }
-
-    #[test]
     fn raw_socket_idents_are_recorded_outside_tests() {
         let src = r#"
             use std::net::{TcpListener, TcpStream};
@@ -464,14 +412,6 @@ mod tests {
         // Import (both idents), return type, and call path — tests and
         // lookalike identifiers stay silent.
         assert_eq!(f.tcp_stream_sites.len(), 4);
-    }
-
-    #[test]
-    fn property_literal_shape() {
-        assert!(is_upper_camel("DataResourceAbstractName"));
-        assert!(!is_upper_camel("SCREAMING"));
-        assert!(!is_upper_camel("lower"));
-        assert!(!is_upper_camel("Has Space"));
     }
 
     #[test]
@@ -567,14 +507,5 @@ mod tests {
         let f = scan("crates/alpha/src/driver.rs", src);
         let names: Vec<&str> = f.raw_sync_sites.iter().map(|l| l.value.as_str()).collect();
         assert_eq!(names, ["Condvar", "Mutex", "RwLock", "Mutex", "Mutex"]);
-    }
-
-    #[test]
-    fn property_literals_only_in_properties_files() {
-        let src = r#"fn f() { doc.child(ns::WSDAI, "Readable"); }"#;
-        let f = scan("crates/alpha/src/properties.rs", src);
-        assert_eq!(f.property_literals.len(), 1);
-        let f = scan("crates/alpha/src/resource.rs", src);
-        assert!(f.property_literals.is_empty());
     }
 }

@@ -3,7 +3,7 @@
 use crate::dais_client::DaisClient;
 use crate::messages::{self, actions};
 use crate::name::AbstractName;
-use crate::properties::CoreProperties;
+use crate::properties::{names, CoreProperties};
 use dais_soap::addressing::Epr;
 use dais_soap::bus::Bus;
 use dais_soap::client::{CallError, ServiceClient};
@@ -57,9 +57,7 @@ impl CoreClient {
             .into_iter()
             .map(|result| {
                 let response = result?;
-                let doc = response.child(ns::WSDAI, "PropertyDocument").ok_or_else(|| {
-                    CallError::UnexpectedResponse("no PropertyDocument in response".into())
-                })?;
+                let doc = messages::property_document(&response)?;
                 CoreProperties::from_xml(doc).map_err(CallError::UnexpectedResponse)
             })
             .collect()
@@ -74,9 +72,7 @@ impl CoreClient {
             actions::GET_DATA_RESOURCE_PROPERTY_DOCUMENT,
             messages::request("GetDataResourcePropertyDocumentRequest", resource),
         )?;
-        let doc = response.child(ns::WSDAI, "PropertyDocument").ok_or_else(|| {
-            CallError::UnexpectedResponse("no PropertyDocument in response".into())
-        })?;
+        let doc = messages::property_document(&response)?;
         CoreProperties::from_xml(doc).map_err(CallError::UnexpectedResponse)
     }
 
@@ -90,10 +86,7 @@ impl CoreClient {
             actions::GET_DATA_RESOURCE_PROPERTY_DOCUMENT,
             messages::request("GetDataResourcePropertyDocumentRequest", resource),
         )?;
-        response
-            .child(ns::WSDAI, "PropertyDocument")
-            .cloned()
-            .ok_or_else(|| CallError::UnexpectedResponse("no PropertyDocument in response".into()))
+        messages::property_document(&response).cloned()
     }
 
     /// `DestroyDataResource`.
@@ -126,8 +119,8 @@ impl CoreClient {
             actions::GET_RESOURCE_LIST,
             XmlElement::new(ns::WSDAI, "wsdai", "GetResourceListRequest"),
         )?;
-        response
-            .children_named(ns::WSDAI, "DataResourceAbstractName")
+        names::DATA_RESOURCE_ABSTRACT_NAME
+            .all_in(&response)
             .map(|e| {
                 AbstractName::new(e.text())
                     .map_err(|err| CallError::UnexpectedResponse(err.to_string()))

@@ -4,7 +4,7 @@
 
 use crate::messages;
 use crate::name::AbstractName;
-use crate::properties::{ConfigurationDocument, ConfigurationMap, CoreProperties};
+use crate::properties::{names, ConfigurationDocument, ConfigurationMap, CoreProperties};
 use dais_soap::addressing::Epr;
 use dais_soap::fault::{DaisFault, Fault};
 use dais_xml::{ns, QName, XmlElement};
@@ -25,7 +25,7 @@ impl DerivedResourceConfig {
     pub fn from_request(body: &XmlElement) -> Result<DerivedResourceConfig, Fault> {
         let parent = messages::extract_resource_name(body)?;
         let requested_port_type = messages::extract_port_type(body);
-        let configuration = match body.child(ns::WSDAI, "ConfigurationDocument") {
+        let configuration = match names::CONFIGURATION_DOCUMENT.find_in(body) {
             Some(el) => ConfigurationDocument::from_xml(el)
                 .map_err(|e| Fault::dais(DaisFault::InvalidConfigurationDocument, e))?,
             None => ConfigurationDocument::default(),

@@ -53,7 +53,7 @@ pub use factory::{mint_resource_epr, DerivedResourceConfig};
 pub use monitoring::MonitoringResource;
 pub use name::{AbstractName, NameGenerator};
 pub use properties::{
-    ConfigurationDocument, ConfigurationMap, CoreProperties, DatasetMap, Sensitivity,
+    ConfigurationDocument, ConfigurationMap, CoreProperties, DatasetMap, PropertyName, Sensitivity,
     TransactionInitiation, TransactionIsolation,
 };
 pub use registry::ResourceRegistry;

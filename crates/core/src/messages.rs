@@ -7,6 +7,8 @@
 //! realisations share one implementation of the pattern in Figure 2.
 
 use crate::name::AbstractName;
+use crate::properties::names;
+use dais_soap::client::CallError;
 use dais_soap::fault::{DaisFault, Fault};
 use dais_xml::{ns, XmlElement};
 
@@ -25,16 +27,14 @@ pub mod actions {
 
 /// Build a request element carrying the mandatory abstract name.
 pub fn request(local: &str, resource: &AbstractName) -> XmlElement {
-    XmlElement::new(ns::WSDAI, "wsdai", local).with_child(
-        XmlElement::new(ns::WSDAI, "wsdai", "DataResourceAbstractName")
-            .with_text(resource.as_str()),
-    )
+    XmlElement::new(ns::WSDAI, "wsdai", local)
+        .with_child(names::DATA_RESOURCE_ABSTRACT_NAME.element().with_text(resource.as_str()))
 }
 
 /// Extract the mandatory abstract name from a request body, faulting with
 /// `InvalidResourceName` when absent or malformed.
 pub fn extract_resource_name(body: &XmlElement) -> Result<AbstractName, Fault> {
-    let text = body.child_text(ns::WSDAI, "DataResourceAbstractName").ok_or_else(|| {
+    let text = names::DATA_RESOURCE_ABSTRACT_NAME.text_in(body).ok_or_else(|| {
         Fault::dais(
             DaisFault::InvalidResourceName,
             "request body carries no wsdai:DataResourceAbstractName",
@@ -51,7 +51,15 @@ pub fn extract_format_uri(body: &XmlElement) -> Option<String> {
 
 /// Extract the `PortTypeQName` of an indirect-access (factory) request.
 pub fn extract_port_type(body: &XmlElement) -> Option<String> {
-    body.child_text(ns::WSDAI, "PortTypeQName").map(|t| t.trim().to_string())
+    names::PORT_TYPE_QNAME.text_in(body).map(|t| t.trim().to_string())
+}
+
+/// The `wsdai:PropertyDocument` a `Get…PropertyDocument` response
+/// carries.
+pub fn property_document(response: &XmlElement) -> Result<&XmlElement, CallError> {
+    names::PROPERTY_DOCUMENT
+        .find_in(response)
+        .ok_or_else(|| CallError::UnexpectedResponse("no PropertyDocument in response".into()))
 }
 
 /// Build a `GenericQueryRequest`.
@@ -61,14 +69,14 @@ pub fn generic_query_request(
     expression: &str,
 ) -> XmlElement {
     request("GenericQueryRequest", resource)
-        .with_child(XmlElement::new(ns::WSDAI, "wsdai", "GenericQueryLanguage").with_text(language))
+        .with_child(names::GENERIC_QUERY_LANGUAGE.element().with_text(language))
         .with_child(XmlElement::new(ns::WSDAI, "wsdai", "GenericExpression").with_text(expression))
 }
 
 /// Parse the language/expression pair from a `GenericQueryRequest`.
 pub fn parse_generic_query(body: &XmlElement) -> Result<(String, String), Fault> {
-    let language = body
-        .child_text(ns::WSDAI, "GenericQueryLanguage")
+    let language = names::GENERIC_QUERY_LANGUAGE
+        .text_in(body)
         .ok_or_else(|| Fault::dais(DaisFault::InvalidLanguage, "missing GenericQueryLanguage"))?;
     let expression = body
         .child_text(ns::WSDAI, "GenericExpression")

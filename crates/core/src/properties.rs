@@ -1,7 +1,136 @@
-//! The WS-DAI core property document (paper §4.2, Figure 4).
+//! The WS-DAI core property document (paper §4.2, Figure 4), and the
+//! inventory of property names every DAIS property document is built
+//! from.
 
 use crate::name::AbstractName;
 use dais_xml::{ns, QName, XmlElement};
+
+/// The expanded name of one property: a line of the paper's property
+/// tables. Only the [`names`] inventory builds one, so a property
+/// document can hold no name the tables do not list. A made-up name
+/// does not compile:
+///
+/// ```compile_fail
+/// use dais_core::properties::PropertyName;
+/// let made_up =
+///     PropertyName { namespace: "urn:x", prefix: "x", local: "MadeUpProperty" };
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PropertyName {
+    namespace: &'static str,
+    prefix: &'static str,
+    local: &'static str,
+}
+
+impl PropertyName {
+    /// A new, empty element of this name.
+    pub fn element(self) -> XmlElement {
+        XmlElement::new(self.namespace, self.prefix, self.local)
+    }
+
+    /// The first child of `parent` with this name.
+    pub fn find_in(self, parent: &XmlElement) -> Option<&XmlElement> {
+        parent.child(self.namespace, self.local)
+    }
+
+    /// The text of the first child of `parent` with this name.
+    pub fn text_in(self, parent: &XmlElement) -> Option<String> {
+        parent.child_text(self.namespace, self.local)
+    }
+
+    /// Every child of `parent` with this name, in document order.
+    pub fn all_in(self, parent: &XmlElement) -> impl Iterator<Item = &XmlElement> {
+        parent.children_named(self.namespace, self.local)
+    }
+
+    /// The inventory entry `name` spells, if any.
+    pub fn of(name: &QName) -> Option<PropertyName> {
+        names::ALL.iter().copied().find(|p| name.is(p.namespace, p.local))
+    }
+}
+
+/// The property inventory: Figure 4's WS-DAI core properties, the
+/// WS-DAIR extension groupings, the WS-DAIX collection and sequence
+/// properties, and the structural elements property and configuration
+/// documents are built from. Each line is `CONST = prefix:LocalName`.
+pub mod names {
+    use super::PropertyName;
+    use dais_xml::ns;
+
+    macro_rules! inventory {
+        ($($name:ident = $prefix:ident : $local:ident;)*) => {
+            $(
+                #[doc = concat!("`", stringify!($prefix), ":", stringify!($local), "`")]
+                pub const $name: PropertyName = PropertyName {
+                    namespace: inventory!(@ns $prefix),
+                    prefix: stringify!($prefix),
+                    local: stringify!($local),
+                };
+            )*
+            /// Every name above, in declaration order.
+            pub const ALL: &[PropertyName] = &[$($name),*];
+        };
+        (@ns wsdai) => { ns::WSDAI };
+        (@ns wsdair) => { ns::WSDAIR };
+        (@ns wsdaix) => { ns::WSDAIX };
+    }
+
+    inventory! {
+        // WS-DAI core properties, static then configurable.
+        DATA_RESOURCE_ABSTRACT_NAME = wsdai:DataResourceAbstractName;
+        PARENT_DATA_RESOURCE = wsdai:ParentDataResource;
+        DATA_RESOURCE_MANAGEMENT = wsdai:DataResourceManagement;
+        CONCURRENT_ACCESS = wsdai:ConcurrentAccess;
+        DATASET_MAP = wsdai:DatasetMap;
+        CONFIGURATION_MAP = wsdai:ConfigurationMap;
+        GENERIC_QUERY_LANGUAGE = wsdai:GenericQueryLanguage;
+        DATA_RESOURCE_DESCRIPTION = wsdai:DataResourceDescription;
+        READABLE = wsdai:Readable;
+        WRITEABLE = wsdai:Writeable;
+        TRANSACTION_INITIATION = wsdai:TransactionInitiation;
+        TRANSACTION_ISOLATION = wsdai:TransactionIsolation;
+        SENSITIVITY = wsdai:Sensitivity;
+        // Structural elements of property and configuration documents.
+        PROPERTY_DOCUMENT = wsdai:PropertyDocument;
+        CONFIGURATION_DOCUMENT = wsdai:ConfigurationDocument;
+        MESSAGE_NAME = wsdai:MessageName;
+        DATASET_FORMAT_URI = wsdai:DatasetFormatURI;
+        PORT_TYPE_QNAME = wsdai:PortTypeQName;
+        // WS-DAIR SQLAccessDescription.
+        CIM_DESCRIPTION = wsdair:CIMDescription;
+        NUMBER_OF_TABLES = wsdair:NumberOfTables;
+        // WS-DAIR SQLResponseDescription.
+        NUMBER_OF_SQL_ROWSETS = wsdair:NumberOfSQLRowsets;
+        NUMBER_OF_SQL_UPDATE_COUNTS = wsdair:NumberOfSQLUpdateCounts;
+        NUMBER_OF_SQL_RETURN_VALUES = wsdair:NumberOfSQLReturnValues;
+        NUMBER_OF_SQL_OUTPUT_PARAMETERS = wsdair:NumberOfSQLOutputParameters;
+        // WS-DAIR SQLRowsetDescription.
+        NUMBER_OF_ROWS = wsdair:NumberOfRows;
+        ROW_SCHEMA = wsdair:RowSchema;
+        // WS-DAIX collection and sequence properties.
+        NUMBER_OF_DOCUMENTS = wsdaix:NumberOfDocuments;
+        NUMBER_OF_SUBCOLLECTIONS = wsdaix:NumberOfSubcollections;
+        COLLECTION_PATH = wsdaix:CollectionPath;
+        NUMBER_OF_ITEMS = wsdaix:NumberOfItems;
+    }
+
+    /// Figure 4's WS-DAI core properties, in property-document order.
+    pub const CORE: &[PropertyName] = &[
+        DATA_RESOURCE_ABSTRACT_NAME,
+        PARENT_DATA_RESOURCE,
+        DATA_RESOURCE_MANAGEMENT,
+        CONCURRENT_ACCESS,
+        DATASET_MAP,
+        CONFIGURATION_MAP,
+        GENERIC_QUERY_LANGUAGE,
+        DATA_RESOURCE_DESCRIPTION,
+        READABLE,
+        WRITEABLE,
+        TRANSACTION_INITIATION,
+        TRANSACTION_ISOLATION,
+        SENSITIVITY,
+    ];
+}
 
 /// Whether the resource's lifetime is controlled by the service (§3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,28 +298,24 @@ impl ConfigurationDocument {
 
     /// Serialise as a `wsdai:ConfigurationDocument` element.
     pub fn to_xml(&self) -> XmlElement {
-        let mut el = XmlElement::new(ns::WSDAI, "wsdai", "ConfigurationDocument");
+        let mut el = names::CONFIGURATION_DOCUMENT.element();
         if let Some(d) = &self.description {
-            el.push(XmlElement::new(ns::WSDAI, "wsdai", "DataResourceDescription").with_text(d));
+            el.push(names::DATA_RESOURCE_DESCRIPTION.element().with_text(d));
         }
         if let Some(r) = self.readable {
-            el.push(XmlElement::new(ns::WSDAI, "wsdai", "Readable").with_text(r.to_string()));
+            el.push(names::READABLE.element().with_text(r.to_string()));
         }
         if let Some(w) = self.writeable {
-            el.push(XmlElement::new(ns::WSDAI, "wsdai", "Writeable").with_text(w.to_string()));
+            el.push(names::WRITEABLE.element().with_text(w.to_string()));
         }
         if let Some(t) = self.transaction_initiation {
-            el.push(
-                XmlElement::new(ns::WSDAI, "wsdai", "TransactionInitiation").with_text(t.as_str()),
-            );
+            el.push(names::TRANSACTION_INITIATION.element().with_text(t.as_str()));
         }
         if let Some(t) = self.transaction_isolation {
-            el.push(
-                XmlElement::new(ns::WSDAI, "wsdai", "TransactionIsolation").with_text(t.as_str()),
-            );
+            el.push(names::TRANSACTION_ISOLATION.element().with_text(t.as_str()));
         }
         if let Some(s) = self.sensitivity {
-            el.push(XmlElement::new(ns::WSDAI, "wsdai", "Sensitivity").with_text(s.as_str()));
+            el.push(names::SENSITIVITY.element().with_text(s.as_str()));
         }
         el
     }
@@ -199,29 +324,29 @@ impl ConfigurationDocument {
     /// `InvalidConfigurationDocument` fault at the service boundary).
     pub fn from_xml(el: &XmlElement) -> Result<ConfigurationDocument, String> {
         let mut doc = ConfigurationDocument {
-            description: el.child_text(ns::WSDAI, "DataResourceDescription"),
+            description: names::DATA_RESOURCE_DESCRIPTION.text_in(el),
             ..Default::default()
         };
-        if let Some(t) = el.child_text(ns::WSDAI, "Readable") {
+        if let Some(t) = names::READABLE.text_in(el) {
             doc.readable = Some(t.trim().parse().map_err(|_| format!("bad Readable value '{t}'"))?);
         }
-        if let Some(t) = el.child_text(ns::WSDAI, "Writeable") {
+        if let Some(t) = names::WRITEABLE.text_in(el) {
             doc.writeable =
                 Some(t.trim().parse().map_err(|_| format!("bad Writeable value '{t}'"))?);
         }
-        if let Some(t) = el.child_text(ns::WSDAI, "TransactionInitiation") {
+        if let Some(t) = names::TRANSACTION_INITIATION.text_in(el) {
             doc.transaction_initiation = Some(
                 TransactionInitiation::parse(t.trim())
                     .ok_or_else(|| format!("bad TransactionInitiation value '{t}'"))?,
             );
         }
-        if let Some(t) = el.child_text(ns::WSDAI, "TransactionIsolation") {
+        if let Some(t) = names::TRANSACTION_ISOLATION.text_in(el) {
             doc.transaction_isolation = Some(
                 TransactionIsolation::parse(t.trim())
                     .ok_or_else(|| format!("bad TransactionIsolation value '{t}'"))?,
             );
         }
-        if let Some(t) = el.child_text(ns::WSDAI, "Sensitivity") {
+        if let Some(t) = names::SENSITIVITY.text_in(el) {
             doc.sensitivity = Some(
                 Sensitivity::parse(t.trim())
                     .ok_or_else(|| format!("bad Sensitivity value '{t}'"))?,
@@ -301,142 +426,105 @@ impl CoreProperties {
     /// Serialise the property document: a `wsdai:PropertyDocument` whose
     /// children are the individual properties (ready for WSRF layering).
     pub fn to_xml(&self) -> XmlElement {
-        let mut doc = XmlElement::new(ns::WSDAI, "wsdai", "PropertyDocument");
+        let mut doc = names::PROPERTY_DOCUMENT.element();
         doc.push(
-            XmlElement::new(ns::WSDAI, "wsdai", "DataResourceAbstractName")
-                .with_text(self.abstract_name.as_str()),
+            names::DATA_RESOURCE_ABSTRACT_NAME.element().with_text(self.abstract_name.as_str()),
         );
-        let parent = XmlElement::new(ns::WSDAI, "wsdai", "ParentDataResource");
+        let parent = names::PARENT_DATA_RESOURCE.element();
         doc.push(match &self.parent {
             Some(p) => parent.with_text(p.as_str()),
             None => parent,
         });
-        doc.push(
-            XmlElement::new(ns::WSDAI, "wsdai", "DataResourceManagement")
-                .with_text(self.management.as_str()),
-        );
-        doc.push(
-            XmlElement::new(ns::WSDAI, "wsdai", "ConcurrentAccess")
-                .with_text(self.concurrent_access.to_string()),
-        );
+        doc.push(names::DATA_RESOURCE_MANAGEMENT.element().with_text(self.management.as_str()));
+        doc.push(names::CONCURRENT_ACCESS.element().with_text(self.concurrent_access.to_string()));
         for m in &self.dataset_maps {
             doc.push(
-                XmlElement::new(ns::WSDAI, "wsdai", "DatasetMap")
-                    .with_child(
-                        XmlElement::new(ns::WSDAI, "wsdai", "MessageName")
-                            .with_text(m.message.lexical()),
-                    )
-                    .with_child(
-                        XmlElement::new(ns::WSDAI, "wsdai", "DatasetFormatURI")
-                            .with_text(&m.dataset_format),
-                    ),
+                names::DATASET_MAP
+                    .element()
+                    .with_child(names::MESSAGE_NAME.element().with_text(m.message.lexical()))
+                    .with_child(names::DATASET_FORMAT_URI.element().with_text(&m.dataset_format)),
             );
         }
         for m in &self.configuration_maps {
             doc.push(
-                XmlElement::new(ns::WSDAI, "wsdai", "ConfigurationMap")
-                    .with_child(
-                        XmlElement::new(ns::WSDAI, "wsdai", "MessageName")
-                            .with_text(m.message.lexical()),
-                    )
-                    .with_child(
-                        XmlElement::new(ns::WSDAI, "wsdai", "PortTypeQName")
-                            .with_text(m.port_type.lexical()),
-                    )
+                names::CONFIGURATION_MAP
+                    .element()
+                    .with_child(names::MESSAGE_NAME.element().with_text(m.message.lexical()))
+                    .with_child(names::PORT_TYPE_QNAME.element().with_text(m.port_type.lexical()))
                     .with_child(m.defaults.to_xml()),
             );
         }
         for l in &self.generic_query_languages {
-            doc.push(XmlElement::new(ns::WSDAI, "wsdai", "GenericQueryLanguage").with_text(l));
+            doc.push(names::GENERIC_QUERY_LANGUAGE.element().with_text(l));
         }
+        doc.push(names::DATA_RESOURCE_DESCRIPTION.element().with_text(&self.description));
+        doc.push(names::READABLE.element().with_text(self.readable.to_string()));
+        doc.push(names::WRITEABLE.element().with_text(self.writeable.to_string()));
         doc.push(
-            XmlElement::new(ns::WSDAI, "wsdai", "DataResourceDescription")
-                .with_text(&self.description),
+            names::TRANSACTION_INITIATION.element().with_text(self.transaction_initiation.as_str()),
         );
         doc.push(
-            XmlElement::new(ns::WSDAI, "wsdai", "Readable").with_text(self.readable.to_string()),
+            names::TRANSACTION_ISOLATION.element().with_text(self.transaction_isolation.as_str()),
         );
-        doc.push(
-            XmlElement::new(ns::WSDAI, "wsdai", "Writeable").with_text(self.writeable.to_string()),
-        );
-        doc.push(
-            XmlElement::new(ns::WSDAI, "wsdai", "TransactionInitiation")
-                .with_text(self.transaction_initiation.as_str()),
-        );
-        doc.push(
-            XmlElement::new(ns::WSDAI, "wsdai", "TransactionIsolation")
-                .with_text(self.transaction_isolation.as_str()),
-        );
-        doc.push(
-            XmlElement::new(ns::WSDAI, "wsdai", "Sensitivity").with_text(self.sensitivity.as_str()),
-        );
+        doc.push(names::SENSITIVITY.element().with_text(self.sensitivity.as_str()));
         doc
     }
 
     /// Parse a property document back into the typed form.
     pub fn from_xml(doc: &XmlElement) -> Result<CoreProperties, String> {
-        let name_text = doc
-            .child_text(ns::WSDAI, "DataResourceAbstractName")
+        let name_text = names::DATA_RESOURCE_ABSTRACT_NAME
+            .text_in(doc)
             .ok_or("missing DataResourceAbstractName")?;
         let abstract_name = AbstractName::new(name_text).map_err(|e| e.to_string())?;
-        let parent = match doc.child_text(ns::WSDAI, "ParentDataResource") {
+        let parent = match names::PARENT_DATA_RESOURCE.text_in(doc) {
             Some(t) if !t.is_empty() => Some(AbstractName::new(t).map_err(|e| e.to_string())?),
             _ => None,
         };
-        let management = doc
-            .child_text(ns::WSDAI, "DataResourceManagement")
+        let management = names::DATA_RESOURCE_MANAGEMENT
+            .text_in(doc)
             .and_then(|t| ResourceManagementKind::parse(t.trim()))
             .ok_or("missing or invalid DataResourceManagement")?;
         let mut props = CoreProperties::new(abstract_name, management);
         props.parent = parent;
-        props.concurrent_access = doc
-            .child_text(ns::WSDAI, "ConcurrentAccess")
+        props.concurrent_access = names::CONCURRENT_ACCESS
+            .text_in(doc)
             .and_then(|t| t.trim().parse().ok())
             .unwrap_or(true);
-        for m in doc.children_named(ns::WSDAI, "DatasetMap") {
+        for m in names::DATASET_MAP.all_in(doc) {
             props.dataset_maps.push(DatasetMap {
-                message: parse_lexical_qname(
-                    &m.child_text(ns::WSDAI, "MessageName").unwrap_or_default(),
-                ),
-                dataset_format: m.child_text(ns::WSDAI, "DatasetFormatURI").unwrap_or_default(),
+                message: parse_lexical_qname(&names::MESSAGE_NAME.text_in(m).unwrap_or_default()),
+                dataset_format: names::DATASET_FORMAT_URI.text_in(m).unwrap_or_default(),
             });
         }
-        for m in doc.children_named(ns::WSDAI, "ConfigurationMap") {
+        for m in names::CONFIGURATION_MAP.all_in(doc) {
             props.configuration_maps.push(ConfigurationMap {
-                message: parse_lexical_qname(
-                    &m.child_text(ns::WSDAI, "MessageName").unwrap_or_default(),
-                ),
+                message: parse_lexical_qname(&names::MESSAGE_NAME.text_in(m).unwrap_or_default()),
                 port_type: parse_lexical_qname(
-                    &m.child_text(ns::WSDAI, "PortTypeQName").unwrap_or_default(),
+                    &names::PORT_TYPE_QNAME.text_in(m).unwrap_or_default(),
                 ),
-                defaults: m
-                    .child(ns::WSDAI, "ConfigurationDocument")
+                defaults: names::CONFIGURATION_DOCUMENT
+                    .find_in(m)
                     .map(ConfigurationDocument::from_xml)
                     .transpose()?
                     .unwrap_or_default(),
             });
         }
         props.generic_query_languages =
-            doc.children_named(ns::WSDAI, "GenericQueryLanguage").map(|e| e.text()).collect();
-        props.description =
-            doc.child_text(ns::WSDAI, "DataResourceDescription").unwrap_or_default();
-        props.readable = doc
-            .child_text(ns::WSDAI, "Readable")
-            .and_then(|t| t.trim().parse().ok())
-            .unwrap_or(true);
-        props.writeable = doc
-            .child_text(ns::WSDAI, "Writeable")
-            .and_then(|t| t.trim().parse().ok())
-            .unwrap_or(false);
-        if let Some(t) = doc.child_text(ns::WSDAI, "TransactionInitiation") {
+            names::GENERIC_QUERY_LANGUAGE.all_in(doc).map(|e| e.text()).collect();
+        props.description = names::DATA_RESOURCE_DESCRIPTION.text_in(doc).unwrap_or_default();
+        props.readable =
+            names::READABLE.text_in(doc).and_then(|t| t.trim().parse().ok()).unwrap_or(true);
+        props.writeable =
+            names::WRITEABLE.text_in(doc).and_then(|t| t.trim().parse().ok()).unwrap_or(false);
+        if let Some(t) = names::TRANSACTION_INITIATION.text_in(doc) {
             props.transaction_initiation =
                 TransactionInitiation::parse(t.trim()).ok_or("invalid TransactionInitiation")?;
         }
-        if let Some(t) = doc.child_text(ns::WSDAI, "TransactionIsolation") {
+        if let Some(t) = names::TRANSACTION_ISOLATION.text_in(doc) {
             props.transaction_isolation =
                 TransactionIsolation::parse(t.trim()).ok_or("invalid TransactionIsolation")?;
         }
-        if let Some(t) = doc.child_text(ns::WSDAI, "Sensitivity") {
+        if let Some(t) = names::SENSITIVITY.text_in(doc) {
             props.sensitivity = Sensitivity::parse(t.trim()).ok_or("invalid Sensitivity")?;
         }
         Ok(props)
@@ -597,21 +685,116 @@ mod tests {
         assert!(!p.supports_format(&QName::local("Other"), ns::ROWSET));
     }
 
+    /// The inventory spells exactly the property vocabulary the retired
+    /// `unknown-property-name` lint held `properties.rs` files to, plus
+    /// the WS-DAIX properties it never saw. Every local name is an
+    /// upper-camel NCName and every expanded name is distinct.
+    #[test]
+    fn inventory_reproduces_the_retired_canonical_list() {
+        let retired = [
+            "DataResourceAbstractName",
+            "ParentDataResource",
+            "DataResourceManagement",
+            "ConcurrentAccess",
+            "DatasetMap",
+            "ConfigurationMap",
+            "GenericQueryLanguage",
+            "DataResourceDescription",
+            "Readable",
+            "Writeable",
+            "TransactionInitiation",
+            "TransactionIsolation",
+            "Sensitivity",
+            "PropertyDocument",
+            "ConfigurationDocument",
+            "MessageName",
+            "DatasetFormatURI",
+            "PortTypeQName",
+            "CIMDescription",
+            "NumberOfTables",
+            "NumberOfSQLRowsets",
+            "NumberOfSQLUpdateCounts",
+            "NumberOfSQLReturnValues",
+            "NumberOfSQLOutputParameters",
+            "NumberOfRows",
+            "RowSchema",
+        ];
+        let daix =
+            ["NumberOfDocuments", "NumberOfSubcollections", "CollectionPath", "NumberOfItems"];
+        let locals: Vec<&str> = names::ALL.iter().map(|p| p.local).collect();
+        assert_eq!(locals, retired.iter().chain(&daix).copied().collect::<Vec<_>>());
+        for p in names::ALL {
+            let first = p.local.chars().next().unwrap();
+            assert!(first.is_ascii_uppercase() && dais_xml::name::is_ncname(p.local), "{p:?}");
+            assert_eq!(PropertyName::of(&p.element().name), Some(*p));
+        }
+        let expanded: std::collections::HashSet<_> =
+            names::ALL.iter().map(|p| (p.namespace, p.local)).collect();
+        assert_eq!(expanded.len(), names::ALL.len(), "duplicate inventory line");
+        assert_eq!(PropertyName::of(&QName::new(ns::WSDAIR, "wsdair", "Readable")), None);
+    }
+
+    /// Each enum variant spells one value of its space and parses back to
+    /// itself; the spellings are the value spaces of the paper's property
+    /// tables. The matches are exhaustive, so a new variant must be added
+    /// here to compile.
     #[test]
     fn enum_parsing() {
+        use ResourceManagementKind as M;
+        use Sensitivity as S;
+        use TransactionInitiation as I;
+        use TransactionIsolation as L;
+        let management = [M::ExternallyManaged, M::ServiceManaged].map(|v| match v {
+            M::ExternallyManaged | M::ServiceManaged => {
+                (v.as_str(), M::parse(v.as_str()).map(M::as_str))
+            }
+        });
+        let initiation = [I::NotSupported, I::TransactionalPerMessage, I::TransactionalFromContext]
+            .map(|v| match v {
+                I::NotSupported | I::TransactionalPerMessage | I::TransactionalFromContext => {
+                    (v.as_str(), I::parse(v.as_str()).map(I::as_str))
+                }
+            });
+        let isolation = [
+            L::NotSupported,
+            L::ReadUncommitted,
+            L::ReadCommitted,
+            L::RepeatableRead,
+            L::Serializable,
+        ]
+        .map(|v| match v {
+            L::NotSupported
+            | L::ReadUncommitted
+            | L::ReadCommitted
+            | L::RepeatableRead
+            | L::Serializable => (v.as_str(), L::parse(v.as_str()).map(L::as_str)),
+        });
+        let sensitivity = [S::Insensitive, S::Sensitive].map(|v| match v {
+            S::Insensitive | S::Sensitive => (v.as_str(), S::parse(v.as_str()).map(S::as_str)),
+        });
+        let spelled: Vec<(&str, Option<&str>)> =
+            management.into_iter().chain(initiation).chain(isolation).chain(sensitivity).collect();
+        for (s, back) in &spelled {
+            assert_eq!(*back, Some(*s), "{s} does not parse back to itself");
+        }
+        let values: Vec<&str> = spelled.iter().map(|(s, _)| *s).collect();
         assert_eq!(
-            TransactionIsolation::parse("Serializable"),
-            Some(TransactionIsolation::Serializable)
+            values,
+            [
+                "ExternallyManaged",
+                "ServiceManaged",
+                "NotSupported",
+                "TransactionalPerMessage",
+                "TransactionalFromContext",
+                "NotSupported",
+                "ReadUncommitted",
+                "ReadCommitted",
+                "RepeatableRead",
+                "Serializable",
+                "Insensitive",
+                "Sensitive",
+            ]
         );
         assert_eq!(TransactionIsolation::parse("nope"), None);
-        assert_eq!(Sensitivity::parse("Sensitive"), Some(Sensitivity::Sensitive));
-        assert_eq!(
-            TransactionInitiation::parse("TransactionalPerMessage"),
-            Some(TransactionInitiation::TransactionalPerMessage)
-        );
-        assert_eq!(
-            ResourceManagementKind::parse("ServiceManaged"),
-            Some(ResourceManagementKind::ServiceManaged)
-        );
     }
 }

@@ -1,7 +1,7 @@
 //! The data resource abstraction (paper §3).
 
 use crate::name::AbstractName;
-use crate::properties::CoreProperties;
+use crate::properties::{names, CoreProperties, PropertyName};
 use dais_soap::fault::{DaisFault, Fault};
 use dais_xml::XmlElement;
 use std::any::Any;
@@ -94,21 +94,17 @@ impl DataResource for StaticResource {
                 format!("'{other}' is not a boolean for {}", p.name.local),
             )),
         };
-        if !property.name.is(dais_xml::ns::WSDAI, &property.name.local) {
-            return Err(Fault::dais(
-                DaisFault::NotAuthorized,
-                format!("property '{}' is read-only on this resource", property.name.local),
-            ));
-        }
         let mut props = self.properties.write();
-        match property.name.local.as_str() {
-            "DataResourceDescription" => props.description = property.text().trim().to_string(),
-            "Readable" => props.readable = parse_flag(property)?,
-            "Writeable" => props.writeable = parse_flag(property)?,
-            other => {
+        match PropertyName::of(&property.name) {
+            Some(names::DATA_RESOURCE_DESCRIPTION) => {
+                props.description = property.text().trim().to_string()
+            }
+            Some(names::READABLE) => props.readable = parse_flag(property)?,
+            Some(names::WRITEABLE) => props.writeable = parse_flag(property)?,
+            _ => {
                 return Err(Fault::dais(
                     DaisFault::NotAuthorized,
-                    format!("property '{other}' is read-only on this resource"),
+                    format!("property '{}' is read-only on this resource", property.name.local),
                 ))
             }
         }

@@ -10,6 +10,7 @@
 
 use crate::messages::{self, actions};
 use crate::name::AbstractName;
+use crate::properties::names;
 use crate::registry::ResourceRegistry;
 use crate::resource::DataResource;
 use dais_soap::addressing::Epr;
@@ -178,10 +179,7 @@ pub fn register_core_ops(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContex
     dispatcher.register(actions::GET_RESOURCE_LIST, move |_req: &Envelope| {
         let mut response = XmlElement::new(ns::WSDAI, "wsdai", "GetResourceListResponse");
         for name in c.registry.names() {
-            response.push(
-                XmlElement::new(ns::WSDAI, "wsdai", "DataResourceAbstractName")
-                    .with_text(name.as_str()),
-            );
+            response.push(names::DATA_RESOURCE_ABSTRACT_NAME.element().with_text(name.as_str()));
         }
         respond(response)
     });

@@ -133,10 +133,7 @@ impl FileClient {
     ) -> Result<XmlElement, CallError> {
         let req = core_messages::request("GetFilePropertyDocumentRequest", resource);
         let response = self.core.soap().request(actions::GET_FILE_PROPERTY_DOCUMENT, req)?;
-        response
-            .child(dais_xml::ns::WSDAI, "PropertyDocument")
-            .cloned()
-            .ok_or_else(|| CallError::UnexpectedResponse("no PropertyDocument in response".into()))
+        core_messages::property_document(&response).cloned()
     }
 
     /// `FileSelectFactory`: derive a file-set resource from a selection

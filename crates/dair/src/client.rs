@@ -1,6 +1,7 @@
 //! Consumer-side typed client for WS-DAIR services.
 
 use crate::messages::{self, actions, SqlResponseData};
+use dais_core::properties::names;
 use dais_core::{AbstractName, CoreClient, DaisClient};
 use dais_soap::addressing::Epr;
 use dais_soap::bus::Bus;
@@ -166,10 +167,7 @@ impl SqlClient {
     ) -> Result<XmlElement, CallError> {
         let req = dais_core::messages::request("GetSQLPropertyDocumentRequest", resource);
         let response = self.core.soap().request(actions::GET_SQL_PROPERTY_DOCUMENT, req)?;
-        response
-            .child(ns::WSDAI, "PropertyDocument")
-            .cloned()
-            .ok_or_else(|| CallError::UnexpectedResponse("no PropertyDocument".into()))
+        dais_core::messages::property_document(&response).cloned()
     }
 
     /// `SQLExecuteFactory` — the indirect access pattern (Figure 3).
@@ -186,7 +184,7 @@ impl SqlClient {
         // Rename the wrapper to the factory request message.
         req.name = dais_xml::QName::new(ns::WSDAIR, "wsdair", "SQLExecuteFactoryRequest");
         if let Some(p) = port_type {
-            req.push(XmlElement::new(ns::WSDAI, "wsdai", "PortTypeQName").with_text(p));
+            req.push(names::PORT_TYPE_QNAME.element().with_text(p));
         }
         if let Some(c) = configuration {
             req.push(c.to_xml());
@@ -294,10 +292,7 @@ impl SqlClient {
         let req = dais_core::messages::request("GetSQLResponsePropertyDocumentRequest", resource);
         let response =
             self.core.soap().request(actions::GET_SQL_RESPONSE_PROPERTY_DOCUMENT, req)?;
-        response
-            .child(ns::WSDAI, "PropertyDocument")
-            .cloned()
-            .ok_or_else(|| CallError::UnexpectedResponse("no PropertyDocument".into()))
+        dais_core::messages::property_document(&response).cloned()
     }
 
     /// `SQLRowsetFactory` on a response resource: derive a rowset
@@ -310,7 +305,7 @@ impl SqlClient {
     ) -> Result<Epr, CallError> {
         let mut req = dais_core::messages::request("SQLRowsetFactoryRequest", resource);
         if let Some(p) = port_type {
-            req.push(XmlElement::new(ns::WSDAI, "wsdai", "PortTypeQName").with_text(p));
+            req.push(names::PORT_TYPE_QNAME.element().with_text(p));
         }
         if let Some(n) = count {
             req.push(XmlElement::new(ns::WSDAIR, "wsdair", "Count").with_text(n.to_string()));
@@ -337,10 +332,7 @@ impl SqlClient {
     ) -> Result<XmlElement, CallError> {
         let req = dais_core::messages::request("GetRowsetPropertyDocumentRequest", resource);
         let response = self.core.soap().request(actions::GET_ROWSET_PROPERTY_DOCUMENT, req)?;
-        response
-            .child(ns::WSDAI, "PropertyDocument")
-            .cloned()
-            .ok_or_else(|| CallError::UnexpectedResponse("no PropertyDocument".into()))
+        dais_core::messages::property_document(&response).cloned()
     }
 }
 

@@ -491,7 +491,13 @@ mod tests {
         let mut w = XmlWriter::new(&mut fragment);
         data.write_response(&mut w, wrapper);
         w.finish();
-        dais_soap::envelope::Envelope::with_raw_body(fragment).to_bytes()
+        envelope_bytes(dais_soap::envelope::Envelope::with_raw_body(fragment))
+    }
+
+    fn envelope_bytes(env: dais_soap::envelope::Envelope) -> Vec<u8> {
+        let mut out = Vec::new();
+        env.to_bytes_into(&mut out);
+        out
     }
 
     #[test]
@@ -535,12 +541,11 @@ mod tests {
         }
         // A wrapper with no `SQLResponse` is not an empty success; read
         // as an item reply it simply holds no items.
-        let bare = dais_soap::envelope::Envelope::with_body(XmlElement::new(
+        let bare = envelope_bytes(dais_soap::envelope::Envelope::with_body(XmlElement::new(
             ns::WSDAIR,
             "wsdair",
             "SQLExecuteResponse",
-        ))
-        .to_bytes();
+        )));
         assert!(SqlResponseData::from_reply_bytes(&bare).is_err());
         assert_eq!(SqlResponseData::from_item_reply_bytes(&bare).unwrap(), Default::default());
     }
@@ -619,11 +624,11 @@ mod tests {
         let mut w = XmlWriter::new(&mut fragment);
         write_get_tuples_response(&mut w, &rowset, 0, 10);
         w.finish();
-        let bytes = dais_soap::envelope::Envelope::with_raw_body(fragment).to_bytes();
+        let bytes = envelope_bytes(dais_soap::envelope::Envelope::with_raw_body(fragment));
         assert_eq!(rowset_from_reply_bytes(&bytes).unwrap(), rowset);
         // Malformed replies report instead of panicking.
         assert!(rowset_from_reply_bytes(b"<x/>").is_err());
-        let empty = dais_soap::envelope::Envelope::with_raw_body(String::new()).to_bytes();
+        let empty = envelope_bytes(dais_soap::envelope::Envelope::with_raw_body(String::new()));
         assert!(rowset_from_reply_bytes(&empty).is_err());
     }
 }

@@ -5,39 +5,29 @@
 //! that can be used to access different types of relational data". This
 //! module records that inventory so conformance tests (experiment E4) can
 //! check every advertised property actually appears in the documents the
-//! services serve.
+//! services serve. The names themselves are lines of the one inventory,
+//! [`dais_core::properties::names`].
 
-/// The WS-DAI core property local names (all in the WS-DAI namespace).
-pub const CORE_PROPERTIES: &[&str] = &[
-    "DataResourceAbstractName",
-    "ParentDataResource",
-    "DataResourceManagement",
-    "ConcurrentAccess",
-    "DatasetMap",
-    "ConfigurationMap",
-    "GenericQueryLanguage",
-    "DataResourceDescription",
-    "Readable",
-    "Writeable",
-    "TransactionInitiation",
-    "TransactionIsolation",
-    "Sensitivity",
-];
+use dais_core::properties::names::*;
+use dais_core::PropertyName;
+
+/// The WS-DAI core properties.
+pub const CORE_PROPERTIES: &[PropertyName] = CORE;
 
 /// Extension properties of the SQLAccessDescription grouping (served with
 /// the database resource's property document).
-pub const SQL_ACCESS_PROPERTIES: &[&str] = &["CIMDescription", "NumberOfTables"];
+pub const SQL_ACCESS_PROPERTIES: &[PropertyName] = &[CIM_DESCRIPTION, NUMBER_OF_TABLES];
 
 /// Extension properties of the SQLResponseDescription grouping.
-pub const SQL_RESPONSE_PROPERTIES: &[&str] = &[
-    "NumberOfSQLRowsets",
-    "NumberOfSQLUpdateCounts",
-    "NumberOfSQLReturnValues",
-    "NumberOfSQLOutputParameters",
+pub const SQL_RESPONSE_PROPERTIES: &[PropertyName] = &[
+    NUMBER_OF_SQL_ROWSETS,
+    NUMBER_OF_SQL_UPDATE_COUNTS,
+    NUMBER_OF_SQL_RETURN_VALUES,
+    NUMBER_OF_SQL_OUTPUT_PARAMETERS,
 ];
 
 /// Extension properties of the SQLRowsetDescription grouping.
-pub const SQL_ROWSET_PROPERTIES: &[&str] = &["NumberOfRows", "RowSchema"];
+pub const SQL_ROWSET_PROPERTIES: &[PropertyName] = &[NUMBER_OF_ROWS, ROW_SCHEMA];
 
 #[cfg(test)]
 mod tests {
@@ -47,7 +37,6 @@ mod tests {
     use dais_core::{AbstractName, CoreProperties, DataResource};
     use dais_sql::parser::parse_statement;
     use dais_sql::Database;
-    use dais_xml::ns;
 
     fn db() -> Database {
         let db = Database::new("x");
@@ -55,15 +44,57 @@ mod tests {
         db
     }
 
+    /// Every property the three WS-DAIR documents serve is a line of the
+    /// inventory, from the core group or the document's own grouping.
+    #[test]
+    fn served_documents_hold_only_inventory_names() {
+        let db = db();
+        let props = |n: &str| {
+            CoreProperties::new(
+                AbstractName::new(n).unwrap(),
+                ResourceManagementKind::ServiceManaged,
+            )
+        };
+        let stmt = parse_statement("SELECT * FROM t").unwrap();
+        let rowset = db.execute("SELECT * FROM t", &[]).unwrap().rowset().unwrap().clone();
+        let documents = [
+            (
+                SqlDataResource::new(AbstractName::new("urn:d:db:0").unwrap(), db.clone())
+                    .property_document(),
+                SQL_ACCESS_PROPERTIES,
+            ),
+            (
+                SqlResponseResource::create(props("urn:d:r:0"), &db, &stmt, &[])
+                    .unwrap()
+                    .property_document(),
+                SQL_RESPONSE_PROPERTIES,
+            ),
+            (
+                RowsetResource::new(props("urn:d:rs:0"), rowset).property_document(),
+                SQL_ROWSET_PROPERTIES,
+            ),
+        ];
+        for (doc, group) in documents {
+            for child in doc.elements() {
+                let name = PropertyName::of(&child.name)
+                    .unwrap_or_else(|| panic!("{} is not in the inventory", child.name));
+                assert!(
+                    CORE_PROPERTIES.contains(&name) || group.contains(&name),
+                    "{name:?} is outside this document's groups"
+                );
+            }
+        }
+    }
+
     #[test]
     fn database_document_carries_core_and_access_groups() {
         let r = SqlDataResource::new(AbstractName::new("urn:d:db:0").unwrap(), db());
         let doc = r.property_document();
         for p in CORE_PROPERTIES {
-            assert!(doc.child(ns::WSDAI, p).is_some(), "missing core property {p}");
+            assert!(p.find_in(&doc).is_some(), "missing core property {p:?}");
         }
         for p in SQL_ACCESS_PROPERTIES {
-            assert!(doc.child(ns::WSDAIR, p).is_some(), "missing SQL access property {p}");
+            assert!(p.find_in(&doc).is_some(), "missing SQL access property {p:?}");
         }
     }
 
@@ -82,7 +113,7 @@ mod tests {
         .unwrap();
         let doc = r.property_document();
         for p in SQL_RESPONSE_PROPERTIES {
-            assert!(doc.child(ns::WSDAIR, p).is_some(), "missing response property {p}");
+            assert!(p.find_in(&doc).is_some(), "missing response property {p:?}");
         }
     }
 
@@ -96,7 +127,7 @@ mod tests {
         let r = RowsetResource::new(props, rowset);
         let doc = r.property_document();
         for p in SQL_ROWSET_PROPERTIES {
-            assert!(doc.child(ns::WSDAIR, p).is_some(), "missing rowset property {p}");
+            assert!(p.find_in(&doc).is_some(), "missing rowset property {p:?}");
         }
     }
 }

@@ -2,7 +2,7 @@
 //! the database itself, derived SQL responses, and derived rowsets.
 
 use crate::messages::SqlResponseData;
-use dais_core::properties::ResourceManagementKind;
+use dais_core::properties::{names, ResourceManagementKind};
 use dais_core::{
     AbstractName, ConfigurationDocument, ConfigurationMap, CoreProperties, DataResource,
     DatasetMap, Sensitivity,
@@ -108,12 +108,11 @@ impl DataResource for SqlDataResource {
     fn property_document(&self) -> XmlElement {
         let mut doc = self.properties.to_xml();
         // The WS-DAIR extension group (Figure 4): CIM metadata.
-        let mut cim = XmlElement::new(ns::WSDAIR, "wsdair", "CIMDescription");
+        let mut cim = names::CIM_DESCRIPTION.element();
         cim.push(dais_cim::cim_description(&self.db));
         doc.push(cim);
         doc.push(
-            XmlElement::new(ns::WSDAIR, "wsdair", "NumberOfTables")
-                .with_text(self.db.table_names().len().to_string()),
+            names::NUMBER_OF_TABLES.element().with_text(self.db.table_names().len().to_string()),
         );
         doc
     }
@@ -227,19 +226,21 @@ impl DataResource for SqlResponseResource {
         let mut doc = self.properties.to_xml();
         if let Ok(data) = self.response() {
             doc.push(
-                XmlElement::new(ns::WSDAIR, "wsdair", "NumberOfSQLRowsets")
-                    .with_text(data.rowsets.len().to_string()),
+                names::NUMBER_OF_SQL_ROWSETS.element().with_text(data.rowsets.len().to_string()),
             );
             doc.push(
-                XmlElement::new(ns::WSDAIR, "wsdair", "NumberOfSQLUpdateCounts")
+                names::NUMBER_OF_SQL_UPDATE_COUNTS
+                    .element()
                     .with_text(data.update_counts.len().to_string()),
             );
             doc.push(
-                XmlElement::new(ns::WSDAIR, "wsdair", "NumberOfSQLReturnValues")
+                names::NUMBER_OF_SQL_RETURN_VALUES
+                    .element()
                     .with_text(data.return_value.iter().count().to_string()),
             );
             doc.push(
-                XmlElement::new(ns::WSDAIR, "wsdair", "NumberOfSQLOutputParameters")
+                names::NUMBER_OF_SQL_OUTPUT_PARAMETERS
+                    .element()
                     .with_text(data.output_parameters.len().to_string()),
             );
         }
@@ -279,11 +280,8 @@ impl DataResource for RowsetResource {
 
     fn property_document(&self) -> XmlElement {
         let mut doc = self.properties.to_xml();
-        doc.push(
-            XmlElement::new(ns::WSDAIR, "wsdair", "NumberOfRows")
-                .with_text(self.rowset.row_count().to_string()),
-        );
-        let mut meta = XmlElement::new(ns::WSDAIR, "wsdair", "RowSchema");
+        doc.push(names::NUMBER_OF_ROWS.element().with_text(self.rowset.row_count().to_string()));
+        let mut meta = names::ROW_SCHEMA.element();
         for c in &self.rowset.columns {
             meta.push(
                 XmlElement::new(ns::WSDAIR, "wsdair", "Column")

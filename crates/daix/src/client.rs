@@ -1,6 +1,7 @@
 //! Consumer-side typed client for WS-DAIX services.
 
 use crate::messages::{self, actions};
+use dais_core::properties::names;
 use dais_core::{AbstractName, CoreClient, DaisClient};
 use dais_soap::addressing::Epr;
 use dais_soap::bus::Bus;
@@ -135,8 +136,8 @@ impl XmlClient {
         let req = dais_core::messages::request("CreateSubcollectionRequest", collection)
             .with_child(XmlElement::new(ns::WSDAIX, "wsdaix", "CollectionName").with_text(name));
         let response = self.core.soap().request(actions::CREATE_SUBCOLLECTION, req)?;
-        let text = response
-            .child_text(ns::WSDAI, "DataResourceAbstractName")
+        let text = names::DATA_RESOURCE_ABSTRACT_NAME
+            .text_in(&response)
             .ok_or_else(|| CallError::UnexpectedResponse("no abstract name in response".into()))?;
         AbstractName::new(text).map_err(|e| CallError::UnexpectedResponse(e.to_string()))
     }
@@ -159,10 +160,7 @@ impl XmlClient {
     ) -> Result<XmlElement, CallError> {
         let req = dais_core::messages::request("GetCollectionPropertyDocumentRequest", collection);
         let response = self.core.soap().request(actions::GET_COLLECTION_PROPERTY_DOCUMENT, req)?;
-        response
-            .child(ns::WSDAI, "PropertyDocument")
-            .cloned()
-            .ok_or_else(|| CallError::UnexpectedResponse("no PropertyDocument".into()))
+        dais_core::messages::property_document(&response).cloned()
     }
 
     fn items_of(response: &XmlElement) -> Vec<XmlElement> {
@@ -250,10 +248,7 @@ impl XmlClient {
     ) -> Result<XmlElement, CallError> {
         let req = dais_core::messages::request("GetSequencePropertyDocumentRequest", sequence);
         let response = self.core.soap().request(actions::GET_SEQUENCE_PROPERTY_DOCUMENT, req)?;
-        response
-            .child(ns::WSDAI, "PropertyDocument")
-            .cloned()
-            .ok_or_else(|| CallError::UnexpectedResponse("no PropertyDocument".into()))
+        dais_core::messages::property_document(&response).cloned()
     }
 }
 

@@ -2,7 +2,7 @@
 //! sequences (service managed).
 
 use crate::languages;
-use dais_core::properties::ResourceManagementKind;
+use dais_core::properties::{names, ResourceManagementKind};
 use dais_core::{
     AbstractName, ConfigurationDocument, ConfigurationMap, CoreProperties, DataResource,
     DatasetMap, Sensitivity,
@@ -125,18 +125,12 @@ impl DataResource for XmlCollectionResource {
     fn property_document(&self) -> XmlElement {
         let mut doc = self.properties.to_xml();
         if let Ok(docs) = self.db.list_documents(&self.path) {
-            doc.push(
-                XmlElement::new(ns::WSDAIX, "wsdaix", "NumberOfDocuments")
-                    .with_text(docs.len().to_string()),
-            );
+            doc.push(names::NUMBER_OF_DOCUMENTS.element().with_text(docs.len().to_string()));
         }
         if let Ok(subs) = self.db.list_collections(&self.path) {
-            doc.push(
-                XmlElement::new(ns::WSDAIX, "wsdaix", "NumberOfSubcollections")
-                    .with_text(subs.len().to_string()),
-            );
+            doc.push(names::NUMBER_OF_SUBCOLLECTIONS.element().with_text(subs.len().to_string()));
         }
-        doc.push(XmlElement::new(ns::WSDAIX, "wsdaix", "CollectionPath").with_text(&self.path));
+        doc.push(names::COLLECTION_PATH.element().with_text(&self.path));
         doc
     }
 
@@ -200,10 +194,7 @@ impl DataResource for SequenceResource {
 
     fn property_document(&self) -> XmlElement {
         let mut doc = self.properties.to_xml();
-        doc.push(
-            XmlElement::new(ns::WSDAIX, "wsdaix", "NumberOfItems")
-                .with_text(self.items.len().to_string()),
-        );
+        doc.push(names::NUMBER_OF_ITEMS.element().with_text(self.items.len().to_string()));
         doc
     }
 

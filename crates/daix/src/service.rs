@@ -3,6 +3,7 @@
 use crate::messages::{self, actions};
 use crate::resources::{xmldb_fault, SequenceResource, XmlCollectionResource};
 use dais_core::factory::{factory_response, mint_resource_epr, DerivedResourceConfig};
+use dais_core::properties::names;
 use dais_core::{
     register_core_ops, register_wsrf_ops, NameGenerator, ResourceRegistry, ServiceContext,
 };
@@ -148,12 +149,9 @@ pub fn register_collection_access(
         let sub =
             XmlCollectionResource::new(abstract_name.clone(), collection.database().clone(), path);
         c.add_resource(Arc::new(sub));
-        respond(
-            XmlElement::new(ns::WSDAIX, "wsdaix", "CreateSubcollectionResponse").with_child(
-                XmlElement::new(ns::WSDAI, "wsdai", "DataResourceAbstractName")
-                    .with_text(abstract_name.as_str()),
-            ),
-        )
+        respond(XmlElement::new(ns::WSDAIX, "wsdaix", "CreateSubcollectionResponse").with_child(
+            names::DATA_RESOURCE_ABSTRACT_NAME.element().with_text(abstract_name.as_str()),
+        ))
     });
 
     let c = ctx.clone();

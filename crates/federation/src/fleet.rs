@@ -20,7 +20,7 @@ use dais_sql::{Database, Value};
 use dais_xml::{ns, XmlElement};
 use dais_xmldb::XmlDatabase;
 
-use crate::router::{ShardRouter, ShardScheme};
+use crate::router::{ShardAddress, ShardRouter, ShardScheme};
 use crate::scatter::FailoverPolicy;
 use crate::service::{FederationOptions, FederationService};
 
@@ -61,15 +61,6 @@ impl FleetOptions {
     }
 }
 
-/// The bus address of replica `replica` of shard `shard` under
-/// `authority`. This is the only place the `/shard/` path convention is
-/// spelled out — everything else resolves endpoints through the router,
-/// and the `federation-bypass` lint holds the rest of the workspace to
-/// that.
-pub fn shard_address(authority: &str, shard: usize, replica: usize) -> String {
-    format!("bus://{authority}/shard/{shard}/r{replica}")
-}
-
 /// A relational shard × replica grid with its federation endpoint.
 pub struct RelationalFleet {
     pub bus: Bus,
@@ -96,17 +87,17 @@ impl RelationalFleet {
             let mut row = Vec::with_capacity(options.replicas);
             let mut refs = Vec::with_capacity(options.replicas);
             for r in 0..options.replicas {
-                let address = shard_address(authority, s, r);
+                let address = ShardAddress::new(authority, s, r);
                 let db = Database::new(format!("shard{s}"));
                 db.execute_script(schema).expect("fleet schema script must apply");
                 let svc = RelationalService::launch(
                     bus,
-                    &address,
+                    address.as_str(),
                     db,
                     RelationalServiceOptions::default(),
                 );
                 refs.push(
-                    ResourceRef::from_parts(&address, &svc.db_resource)
+                    ResourceRef::from_parts(address.as_str(), &svc.db_resource)
                         .expect("shard address must form a resource ref"),
                 );
                 row.push(svc);
@@ -166,11 +157,12 @@ impl XmlFleet {
             let mut row = Vec::with_capacity(options.replicas);
             let mut refs = Vec::with_capacity(options.replicas);
             for r in 0..options.replicas {
-                let address = shard_address(authority, s, r);
+                let address = ShardAddress::new(authority, s, r);
                 let db = XmlDatabase::new(format!("shard{s}"));
-                let svc = XmlService::launch(bus, &address, db, XmlServiceOptions::default());
+                let svc =
+                    XmlService::launch(bus, address.as_str(), db, XmlServiceOptions::default());
                 refs.push(
-                    ResourceRef::from_parts(&address, &svc.root_collection)
+                    ResourceRef::from_parts(address.as_str(), &svc.root_collection)
                         .expect("shard address must form a resource ref"),
                 );
                 row.push(svc);

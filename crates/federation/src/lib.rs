@@ -32,9 +32,9 @@ pub mod scatter;
 pub mod service;
 pub mod statement;
 
-pub use fleet::{shard_address, FleetOptions, RelationalFleet, XmlFleet};
+pub use fleet::{FleetOptions, RelationalFleet, XmlFleet};
 pub use merge::{merge_cursors, MergeKey, SortKey};
-pub use router::{ShardRouter, ShardScheme};
+pub use router::{ShardAddress, ShardRouter, ShardScheme};
 pub use scatter::{call_replica, call_shard, scatter_shards, FailoverPolicy};
 pub use service::{FederationOptions, FederationService};
 pub use statement::{analyze, AdmissionError, DistributedStatement};

@@ -85,6 +85,35 @@ struct RouterState {
     rotation: u64,
 }
 
+/// The bus address of one replica of one shard.
+///
+/// Only this crate builds one: a fleet lays its replicas out as
+/// `bus://<authority>/shard/<s>/r<r>`, and consumers ask the router
+/// ([`ShardRouter::replica_address`]) rather than spelling that path out,
+/// which does not compile:
+///
+/// ```compile_fail
+/// let endpoint = dais_federation::ShardAddress::new("fleet", 0, 1);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardAddress(String);
+
+impl ShardAddress {
+    pub(crate) fn new(authority: &str, shard: usize, replica: usize) -> ShardAddress {
+        ShardAddress(format!("bus://{authority}/shard/{shard}/r{replica}"))
+    }
+
+    pub(crate) fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<ShardAddress> for String {
+    fn from(address: ShardAddress) -> String {
+        address.0
+    }
+}
+
 /// Maps a logical [`ResourceRef`] onto its backing shard/replica grid and
 /// tracks per-replica health.
 ///
@@ -145,6 +174,12 @@ impl ShardRouter {
     /// The backing resource behind `(shard, replica)`.
     pub fn replica(&self, shard: usize, replica: usize) -> &ResourceRef {
         &self.replicas[shard][replica]
+    }
+
+    /// The bus address of `(shard, replica)`, e.g. for a fault policy
+    /// aimed at one replica.
+    pub fn replica_address(&self, shard: usize, replica: usize) -> ShardAddress {
+        ShardAddress(self.replicas[shard][replica].endpoint_address())
     }
 
     /// Route a key value to its owning shard.

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use dais_core::factory::{factory_response, mint_resource_epr, DerivedResourceConfig};
 use dais_core::monitoring::MON_NS;
-use dais_core::properties::ResourceManagementKind;
+use dais_core::properties::{names, ResourceManagementKind};
 use dais_core::{
     register_core_ops, AbstractName, ConfigurationDocument, ConfigurationMap, CoreProperties,
     DataResource, DatasetMap, NameGenerator, ResourceRef, ResourceRegistry, Sensitivity,
@@ -607,7 +607,7 @@ fn register_federated_sql_ops(
         })?;
         let shard_sql = stmt.shard_statement();
 
-        let forwarded_config = body.child(ns::WSDAI, "ConfigurationDocument").cloned();
+        let forwarded_config = names::CONFIGURATION_DOCUMENT.find_in(body).cloned();
         let per_shard =
             fan_out_factory(&b, &rt, &fo, dair_actions::SQL_EXECUTE_FACTORY, |s, r| {
                 let mut shard_req = dair_messages::sql_execute_request(

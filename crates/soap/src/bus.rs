@@ -1216,7 +1216,8 @@ mod tests {
     #[test]
     fn reply_short_circuits_the_service() {
         let bus = echo_bus();
-        let canned = Envelope::with_body(Fault::server("synthetic").to_xml()).to_bytes();
+        let mut canned = Vec::new();
+        Envelope::with_body(Fault::server("synthetic").to_xml()).to_bytes_into(&mut canned);
         bus.add_interceptor(Arc::new(ReplyCanned(canned)));
         // The echo service never runs; the canned fault comes back.
         let fault = bus.call("bus://svc", "urn:echo", &Envelope::default()).unwrap().unwrap_err();

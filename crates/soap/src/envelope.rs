@@ -71,16 +71,15 @@ impl Envelope {
         self.header.iter().find(|h| h.name.is(namespace, local))
     }
 
-    /// Serialise to bytes (what the bus transports).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.to_bytes_into(&mut out);
-        out
-    }
-
-    /// Serialise to bytes, appending to a caller-supplied (typically
-    /// pooled) buffer. Streams the envelope frame and writes header/body
-    /// blocks directly, with no intermediate envelope tree.
+    /// Serialise to bytes (what the bus transports), appending to a
+    /// caller-supplied, typically pooled, buffer. Streams the envelope
+    /// frame and writes header/body blocks directly, with no intermediate
+    /// envelope tree. This is the only serialiser; there is no owned-bytes
+    /// twin to call on the wire path by mistake:
+    ///
+    /// ```compile_fail
+    /// let bytes = dais_soap::Envelope::default().to_bytes();
+    /// ```
     pub fn to_bytes_into(&self, out: &mut Vec<u8>) {
         let content: usize =
             self.header.iter().chain(&self.body).map(estimated_size).sum::<usize>()
@@ -185,6 +184,12 @@ mod tests {
     use super::*;
     use dais_xml::to_string;
 
+    fn bytes(env: &Envelope) -> Vec<u8> {
+        let mut out = Vec::new();
+        env.to_bytes_into(&mut out);
+        out
+    }
+
     fn payload() -> XmlElement {
         XmlElement::new(ns::WSDAI, "wsdai", "GetDataResourcePropertyDocumentRequest").with_child(
             XmlElement::new(ns::WSDAI, "wsdai", "DataResourceAbstractName").with_text("urn:r1"),
@@ -195,15 +200,31 @@ mod tests {
     fn roundtrip_through_bytes() {
         let env = Envelope::with_body(payload())
             .with_header(XmlElement::new(ns::WSA, "wsa", "Action").with_text("urn:op"));
-        let rt = Envelope::from_bytes(&env.to_bytes()).unwrap();
+        let rt = Envelope::from_bytes(&bytes(&env)).unwrap();
         assert_eq!(rt, env);
     }
 
     #[test]
     fn headerless_envelope_omits_header_element() {
         let env = Envelope::with_body(payload());
-        assert!(!String::from_utf8(env.to_bytes()).unwrap().contains("Header"));
-        assert_eq!(Envelope::from_bytes(&env.to_bytes()).unwrap(), env);
+        assert!(!String::from_utf8(bytes(&env)).unwrap().contains("Header"));
+        assert_eq!(Envelope::from_bytes(&bytes(&env)).unwrap(), env);
+    }
+
+    /// The one serialiser appends: a caller's prefix survives, and a
+    /// cleared, reused buffer serialises again without growing.
+    #[test]
+    fn serialisation_appends_to_the_callers_buffer() {
+        let env = Envelope::with_body(payload());
+        let mut buf = b"prefix".to_vec();
+        env.to_bytes_into(&mut buf);
+        assert!(buf.starts_with(b"prefix"));
+        assert_eq!(&buf[6..], &bytes(&env)[..]);
+        buf.clear();
+        let capacity = buf.capacity();
+        env.to_bytes_into(&mut buf);
+        assert_eq!(buf.capacity(), capacity);
+        assert_eq!(buf, bytes(&env));
     }
 
     #[test]
@@ -246,10 +267,10 @@ mod tests {
             (with_header, format!("<soap:Header>{}</soap:Header>", to_string(&action))),
             (headerless, String::new()),
         ] {
-            assert_eq!(env.to_bytes(), frame(&header).into_bytes());
+            assert_eq!(bytes(&env), frame(&header).into_bytes());
             let mut appended = b"x".to_vec();
             env.to_bytes_into(&mut appended);
-            assert_eq!(&appended[1..], &env.to_bytes()[..]);
+            assert_eq!(&appended[1..], &bytes(&env)[..]);
         }
     }
 
@@ -260,14 +281,14 @@ mod tests {
         let fragment_el = payload();
         let raw = Envelope::with_raw_body(to_string(&fragment_el));
         let tree = Envelope::with_body(fragment_el);
-        assert_eq!(raw.to_bytes(), tree.to_bytes());
+        assert_eq!(bytes(&raw), bytes(&tree));
         // With a header on both (the tracing RelatesTo shape).
         let hdr = XmlElement::new(ns::WSA, "wsa", "RelatesTo").with_text("urn:msg");
         let raw = Envelope::with_raw_body(to_string(&payload())).with_header(hdr.clone());
         let tree = Envelope::with_body(payload()).with_header(hdr);
-        assert_eq!(raw.to_bytes(), tree.to_bytes());
+        assert_eq!(bytes(&raw), bytes(&tree));
         // And the raw form reads back as the tree form.
-        assert_eq!(Envelope::from_bytes(&raw.to_bytes()).unwrap(), tree);
+        assert_eq!(Envelope::from_bytes(&bytes(&raw)).unwrap(), tree);
     }
 
     #[test]

@@ -253,7 +253,9 @@ impl FaultInjector {
     /// Serialised fault envelope for a synthetic service answer.
     fn synthetic_fault(kind: DaisFault, endpoint: &str) -> Vec<u8> {
         let fault = Fault::dais(kind, format!("injected by chaos policy for '{endpoint}'"));
-        Envelope::with_body(fault.to_xml()).to_bytes()
+        let mut out = Vec::new();
+        Envelope::with_body(fault.to_xml()).to_bytes_into(&mut out);
+        out
     }
 
     /// Mangle wire bytes so they are guaranteed not to parse: truncate
@@ -374,7 +376,8 @@ mod tests {
     fn corruption_defeats_the_parser() {
         let inj = FaultInjector::new(1);
         inj.set_policy("bus://x", always(|p| p.corrupt(1.0)));
-        let original = Envelope::default().to_bytes();
+        let mut original = Vec::new();
+        Envelope::default().to_bytes_into(&mut original);
         match inj.on_request(&info("bus://x"), &original) {
             Intercept::Tamper(bytes) => {
                 assert!(Envelope::from_bytes(&bytes).is_err());

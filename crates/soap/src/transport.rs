@@ -114,7 +114,8 @@ mod tests {
         assert!(!t.routes("bus://nope"));
 
         let env = Envelope::with_body(XmlElement::new_local("m").with_text("x"));
-        let request = env.to_bytes();
+        let mut request = Vec::new();
+        env.to_bytes_into(&mut request);
         let mut response = Vec::new();
         t.call("bus://svc", "urn:echo", &request, &mut response).unwrap();
         assert_eq!(Envelope::from_bytes(&response).unwrap(), env);

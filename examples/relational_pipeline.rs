@@ -14,6 +14,7 @@
 //!
 //! Run with: `cargo run --example relational_pipeline`
 
+use dais::core::properties::names;
 use dais::core::{register_core_ops, NameGenerator, ResourceRegistry, ServiceContext};
 use dais::dair::resources::SqlDataResource;
 use dais::dair::service as dair_service;
@@ -103,7 +104,7 @@ fn main() {
     let props = consumer2.get_response_property_document(&response_name).unwrap();
     println!(
         "consumer 2: response has {} rowset(s)",
-        props.child_text(dais::xml::ns::WSDAIR, "NumberOfSQLRowsets").unwrap()
+        names::NUMBER_OF_SQL_ROWSETS.text_in(&props).unwrap()
     );
     let rowset_epr = consumer2
         .rowset_factory(&response_name, Some(100), Some("wsdair:SQLRowsetAccessPT"))

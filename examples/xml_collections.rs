@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --example xml_collections`
 
+use dais::core::properties::names;
 use dais::prelude::*;
 use dais::xml::parse;
 
@@ -39,8 +40,8 @@ fn main() {
     let props = client.get_collection_property_document(&root).unwrap();
     println!(
         "root collection: {} documents, {} subcollections",
-        props.child_text(dais::xml::ns::WSDAIX, "NumberOfDocuments").unwrap(),
-        props.child_text(dais::xml::ns::WSDAIX, "NumberOfSubcollections").unwrap(),
+        names::NUMBER_OF_DOCUMENTS.text_in(&props).unwrap(),
+        names::NUMBER_OF_SUBCOLLECTIONS.text_in(&props).unwrap(),
     );
 
     // ---- Direct access: XPathExecute -------------------------------------
@@ -89,10 +90,7 @@ fn main() {
         println!("  {}", item.text());
     }
     let doc = consumer2.get_sequence_property_document(&seq).unwrap();
-    println!(
-        "sequence holds {} items in total",
-        doc.child_text(dais::xml::ns::WSDAIX, "NumberOfItems").unwrap()
-    );
+    println!("sequence holds {} items in total", names::NUMBER_OF_ITEMS.text_in(&doc).unwrap());
     consumer2.core().destroy(&seq).unwrap();
     println!("sequence destroyed");
 }

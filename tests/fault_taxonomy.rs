@@ -99,7 +99,9 @@ fn fault_envelopes_parse_like_any_message() {
     // recover the classification — the consumer-side dispatch path.
     let fault = dais::soap::Fault::dais(DaisFault::DataResourceUnavailable, "expired");
     let env = Envelope::with_body(fault.to_xml());
-    let rt = Envelope::from_bytes(&env.to_bytes()).unwrap();
+    let mut bytes = Vec::new();
+    env.to_bytes_into(&mut bytes);
+    let rt = Envelope::from_bytes(&bytes).unwrap();
     let parsed = dais::soap::Fault::from_xml(rt.payload().unwrap()).unwrap();
     assert_eq!(parsed, fault);
     assert_eq!(parsed.code, FaultCode::Server);

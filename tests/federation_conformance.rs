@@ -17,9 +17,7 @@ use std::sync::Arc;
 use dais::core::{AbstractName, DaisClient, ResourceRef};
 use dais::dair::{SqlClient, SqlResponseData};
 use dais::daix::XmlClient;
-use dais::federation::{
-    shard_address, FailoverPolicy, FleetOptions, RelationalFleet, ShardScheme, XmlFleet,
-};
+use dais::federation::{FailoverPolicy, FleetOptions, RelationalFleet, ShardScheme, XmlFleet};
 use dais::soap::fault::DaisFault;
 use dais::soap::retry::SleepFn;
 use dais::soap::tcp::{TcpServer, TcpTransport};
@@ -368,7 +366,7 @@ fn factory_fanout_retries_transient_replica_failures() {
     // Replica 0 of shard 1 drops exactly one request: the factory
     // fan-out's first attempt at it.
     bus.add_interceptor(Arc::new(FailFirst {
-        endpoint: shard_address("fedconf", 1, 0),
+        endpoint: fleet.router.replica_address(1, 0).into(),
         remaining: std::sync::Mutex::new(1),
     }));
     let response_epr = client
@@ -388,7 +386,7 @@ fn factory_fanout_retries_transient_replica_failures() {
     // permanent miss for replica 0, shard 1 would have no copy left and
     // the page would fault; the retried fan-out kept both.
     let injector = FaultInjector::new(7);
-    injector.set_policy(shard_address("fedconf", 1, 1), FaultPolicy::default().drop(1.0));
+    injector.set_policy(fleet.router.replica_address(1, 1), FaultPolicy::default().drop(1.0));
     bus.add_interceptor(Arc::new(injector));
     let page = client
         .get_tuples(&rowset, 0, ROWS as usize)
@@ -446,7 +444,7 @@ fn killed_replica_is_invisible_to_the_consumer() {
 
         let injector = FaultInjector::new(seed);
         // Shard 2 loses replica 0: every call to it now times out.
-        injector.set_policy(shard_address("fedconf", 2, 0), FaultPolicy::default().drop(1.0));
+        injector.set_policy(fleet.router.replica_address(2, 0), FaultPolicy::default().drop(1.0));
         bus.add_interceptor(Arc::new(injector));
 
         // Rotation decides which replica answers first, so a single
@@ -481,7 +479,8 @@ fn killed_shard_surfaces_service_busy_never_a_torn_rowset() {
 
         let injector = FaultInjector::new(seed);
         for r in 0..2 {
-            injector.set_policy(shard_address("fedconf", 1, r), FaultPolicy::default().drop(1.0));
+            injector
+                .set_policy(fleet.router.replica_address(1, r), FaultPolicy::default().drop(1.0));
         }
         bus.add_interceptor(Arc::new(injector));
 
@@ -523,7 +522,7 @@ fn killing_a_shard_mid_stream_faults_the_page_then_heals() {
     // The stream breaks: shard 3 goes away entirely.
     let injector = FaultInjector::new(0xDEAD);
     for r in 0..2 {
-        injector.set_policy(shard_address("fedconf", 3, r), FaultPolicy::default().drop(1.0));
+        injector.set_policy(fleet.router.replica_address(3, r), FaultPolicy::default().drop(1.0));
     }
     bus.add_interceptor(Arc::new(injector.clone()));
     let err = client.get_tuples(&rowset, 10, 10).expect_err("dead shard must fault the page");
@@ -535,7 +534,7 @@ fn killing_a_shard_mid_stream_faults_the_page_then_heals() {
     // Heal and the very same window streams complete — the fault tore
     // nothing down.
     for r in 0..2 {
-        injector.set_policy(shard_address("fedconf", 3, r), FaultPolicy::default());
+        injector.set_policy(fleet.router.replica_address(3, r), FaultPolicy::default());
     }
     let page = client.get_tuples(&rowset, 10, 10).expect("healed fleet pages again");
     assert_eq!(page.row_count(), 10);

@@ -230,7 +230,8 @@ fn server_past_its_in_flight_cap_refuses_with_overloaded() {
     let occupier = {
         let transport = Arc::clone(&transport);
         std::thread::spawn(move || {
-            let request = Envelope::with_body(payload(1)).to_bytes();
+            let mut request = Vec::new();
+            Envelope::with_body(payload(1)).to_bytes_into(&mut request);
             let mut response = Vec::new();
             transport.call(ADDR, READ.uri(), &request, &mut response)
         })
@@ -239,7 +240,8 @@ fn server_past_its_in_flight_cap_refuses_with_overloaded() {
 
     // The cap is occupied: the concurrent request is refused with the
     // executor's own taxonomy, hint included.
-    let request = Envelope::with_body(payload(2)).to_bytes();
+    let mut request = Vec::new();
+    Envelope::with_body(payload(2)).to_bytes_into(&mut request);
     let mut response = Vec::new();
     match transport.call(ADDR, READ.uri(), &request, &mut response) {
         Err(BusError::Overloaded { endpoint, retry_after }) => {
