@@ -3,11 +3,15 @@
 //! addressed by an EPR whose reference parameters carry the abstract name.
 
 use crate::messages;
-use crate::name::AbstractName;
+use crate::name::{AbstractName, NameGenerator};
 use crate::properties::{names, ConfigurationDocument, ConfigurationMap, CoreProperties};
+use crate::resource::DataResource;
+use crate::service::ServiceContext;
 use dais_soap::addressing::Epr;
+use dais_soap::envelope::Envelope;
 use dais_soap::fault::{DaisFault, Fault};
 use dais_xml::{ns, QName, XmlElement};
+use std::sync::Arc;
 
 /// What a factory request asked for: the port type the consumer wants the
 /// derived resource served through, and configurable property overrides.
@@ -75,6 +79,52 @@ impl DerivedResourceConfig {
         props.parent = Some(self.parent.clone());
         props.apply_configuration(effective);
         props
+    }
+}
+
+/// A factory request (Figure 3) negotiated against its target: parsed,
+/// and its configuration resolved against the target's
+/// `ConfigurationMap` for `message`. The realisation does its
+/// model-specific work, then [`finish`](Self::finish)es.
+pub struct FactoryRequest {
+    config: DerivedResourceConfig,
+    effective: ConfigurationDocument,
+    message: QName,
+}
+
+impl FactoryRequest {
+    pub fn negotiate(
+        body: &XmlElement,
+        target: &dyn DataResource,
+        message: QName,
+    ) -> Result<FactoryRequest, Fault> {
+        let config = DerivedResourceConfig::from_request(body)?;
+        let maps = &target.core_properties().configuration_maps;
+        let (_port, effective) = config.resolve_against(maps, &message)?;
+        Ok(FactoryRequest { config, effective, message })
+    }
+
+    /// Mint a `kind` name on `names`, let `build` make the derived
+    /// resource from its properties, register it on `on`, and answer
+    /// with its EPR in the message's `…Response` element.
+    pub fn finish<R: DataResource>(
+        self,
+        on: &ServiceContext,
+        names: &NameGenerator,
+        kind: &str,
+        build: impl FnOnce(CoreProperties) -> Result<R, Fault>,
+    ) -> Result<Envelope, Fault> {
+        let name = names.mint(kind);
+        on.add_resource(Arc::new(build(
+            self.config.derived_properties(name.clone(), &self.effective),
+        )?));
+        let local = self.message.local.trim_end_matches("Request");
+        Ok(Envelope::with_body(factory_response(
+            &format!("{local}Response"),
+            &self.message.namespace,
+            &self.message.prefix,
+            &mint_resource_epr(&on.address, &name),
+        )))
     }
 }
 

@@ -49,7 +49,7 @@ pub mod service;
 pub use builder::ClientBuilder;
 pub use client::CoreClient;
 pub use dais_client::DaisClient;
-pub use factory::{mint_resource_epr, DerivedResourceConfig};
+pub use factory::{mint_resource_epr, DerivedResourceConfig, FactoryRequest};
 pub use monitoring::MonitoringResource;
 pub use name::{AbstractName, NameGenerator};
 pub use properties::{
@@ -57,6 +57,9 @@ pub use properties::{
     TransactionInitiation, TransactionIsolation,
 };
 pub use registry::ResourceRegistry;
-pub use resource::{DataResource, ResourceManagement};
+pub use resource::{DataResource, ResourceManagement, Target};
 pub use resource_ref::{InvalidRef, ResourceRef};
-pub use service::{register_core_ops, register_wsrf_ops, ServiceContext};
+pub use service::{
+    register_core_ops, register_op, register_property_document, register_wsrf_ops, Requires,
+    ServiceContext, ServiceSkeleton,
+};

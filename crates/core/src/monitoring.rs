@@ -17,7 +17,7 @@ use dais_obs::slo::SloReport;
 use dais_obs::{HistogramSnapshot, SloSample};
 use dais_soap::bus::Bus;
 use dais_xml::XmlElement;
-use std::any::Any;
+use std::sync::Arc;
 
 /// Namespace for the monitoring extension properties.
 pub const MON_NS: &str = "urn:dais:obs";
@@ -29,14 +29,18 @@ fn mon(local: &str) -> XmlElement {
 /// A service-managed resource whose property document is the live
 /// monitoring view of one bus endpoint.
 pub struct MonitoringResource {
-    name: AbstractName,
+    properties: Arc<CoreProperties>,
     bus: Bus,
     address: String,
 }
 
 impl MonitoringResource {
     pub fn new(name: AbstractName, bus: Bus, address: impl Into<String>) -> MonitoringResource {
-        MonitoringResource { name, bus, address: address.into() }
+        let address = address.into();
+        let mut properties = CoreProperties::new(name, ResourceManagementKind::ServiceManaged);
+        properties.description =
+            format!("live observability document for bus endpoint '{address}'");
+        MonitoringResource { properties: Arc::new(properties), bus, address }
     }
 
     /// The `mon:BusMonitoring` element: endpoint traffic, the whole-bus
@@ -156,27 +160,19 @@ fn histogram_element(key: &str, snapshot: &HistogramSnapshot) -> XmlElement {
 
 impl DataResource for MonitoringResource {
     fn abstract_name(&self) -> &AbstractName {
-        &self.name
+        &self.properties.abstract_name
     }
 
-    fn core_properties(&self) -> CoreProperties {
-        let mut props =
-            CoreProperties::new(self.name.clone(), ResourceManagementKind::ServiceManaged);
-        props.description =
-            format!("live observability document for bus endpoint '{}'", self.address);
-        props
+    fn core_properties(&self) -> Arc<CoreProperties> {
+        self.properties.clone()
     }
 
     fn property_document(&self) -> XmlElement {
         // The core document plus one extension property, mirroring how
         // realisations extend it with their model-specific properties.
-        let mut doc = self.core_properties().to_xml();
+        let mut doc = self.properties.to_xml();
         doc.push(self.monitoring_element());
         doc
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -185,7 +181,6 @@ mod tests {
     use super::*;
     use dais_soap::envelope::Envelope;
     use dais_soap::service::SoapDispatcher;
-    use std::sync::Arc;
 
     mod actions {
         dais_soap::actions! {

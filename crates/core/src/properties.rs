@@ -271,6 +271,21 @@ pub struct ConfigurationMap {
     pub defaults: ConfigurationDocument,
 }
 
+impl ConfigurationMap {
+    /// The map every factory in the family advertises: the derived
+    /// resource is served through `port_type`, and defaults to Readable,
+    /// not Writeable, and an Insensitive snapshot.
+    pub fn snapshot(message: QName, port_type: QName) -> ConfigurationMap {
+        let defaults = ConfigurationDocument {
+            readable: Some(true),
+            writeable: Some(false),
+            sensitivity: Some(Sensitivity::Insensitive),
+            ..Default::default()
+        };
+        ConfigurationMap { message, port_type, defaults }
+    }
+}
+
 /// The configurable property values a consumer may set when creating a
 /// derived resource through the indirect access pattern (§4.2).
 #[derive(Debug, Clone, PartialEq, Default)]

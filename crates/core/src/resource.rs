@@ -5,19 +5,22 @@ use crate::properties::{names, CoreProperties, PropertyName};
 use dais_soap::fault::{DaisFault, Fault};
 use dais_xml::XmlElement;
 use std::any::Any;
+use std::sync::Arc;
 
 pub use crate::properties::ResourceManagementKind as ResourceManagement;
 
 /// Anything a data service can represent: "any entity that can act as a
 /// source or sink of data". Realisations implement this for their
 /// resource kinds (relational databases, SQL responses, rowsets, XML
-/// collections, query sequences…).
-pub trait DataResource: Send + Sync {
+/// collections, query sequences…). The `Any` supertrait lets a handler
+/// recover the concrete kind it serves ([`Target`]).
+pub trait DataResource: Any + Send + Sync {
     /// The unique, persistent abstract name.
     fn abstract_name(&self) -> &AbstractName;
 
-    /// The WS-DAI core properties (a snapshot).
-    fn core_properties(&self) -> CoreProperties;
+    /// The WS-DAI core properties: a shared snapshot, so reading one flag
+    /// copies nothing.
+    fn core_properties(&self) -> Arc<CoreProperties>;
 
     /// The full property document: the core properties plus any
     /// realisation-specific extension properties.
@@ -45,10 +48,25 @@ pub trait DataResource: Send + Sync {
             format!("property '{}' is read-only on this resource", property.name.local),
         ))
     }
+}
 
-    /// Downcast hook so realisations can recover their concrete types
-    /// from the shared registry.
-    fn as_any(&self) -> &dyn Any;
+/// What an operation can ask resolution for: one concrete resource kind,
+/// or `dyn DataResource` for an operation that serves every kind.
+pub trait Target: DataResource {
+    /// `resource` as this kind, or `None` when it is another kind.
+    fn narrow(resource: Arc<dyn DataResource>) -> Option<Arc<Self>>;
+}
+
+impl<T: DataResource> Target for T {
+    fn narrow(resource: Arc<dyn DataResource>) -> Option<Arc<T>> {
+        (resource as Arc<dyn Any + Send + Sync>).downcast().ok()
+    }
+}
+
+impl Target for dyn DataResource {
+    fn narrow(resource: Arc<dyn DataResource>) -> Option<Arc<Self>> {
+        Some(resource)
+    }
 }
 
 /// A trivial in-memory resource used by tests and the thin examples: it
@@ -59,7 +77,7 @@ pub struct StaticResource {
     /// The abstract name is immutable for the resource's lifetime, so it
     /// is kept outside the lock and served without synchronisation.
     name: AbstractName,
-    properties: dais_util::sync::RwLock<CoreProperties>,
+    properties: dais_util::sync::RwLock<Arc<CoreProperties>>,
     payload: Vec<XmlElement>,
 }
 
@@ -70,7 +88,7 @@ impl StaticResource {
         }
         StaticResource {
             name: properties.abstract_name.clone(),
-            properties: dais_util::sync::RwLock::new(properties),
+            properties: dais_util::sync::RwLock::new(Arc::new(properties)),
             payload,
         }
     }
@@ -81,7 +99,7 @@ impl DataResource for StaticResource {
         &self.name
     }
 
-    fn core_properties(&self) -> CoreProperties {
+    fn core_properties(&self) -> Arc<CoreProperties> {
         self.properties.read().clone()
     }
 
@@ -94,7 +112,8 @@ impl DataResource for StaticResource {
                 format!("'{other}' is not a boolean for {}", p.name.local),
             )),
         };
-        let mut props = self.properties.write();
+        let mut guard = self.properties.write();
+        let props = Arc::make_mut(&mut guard);
         match PropertyName::of(&property.name) {
             Some(names::DATA_RESOURCE_DESCRIPTION) => {
                 props.description = property.text().trim().to_string()
@@ -120,10 +139,6 @@ impl DataResource for StaticResource {
                 format!("query language '{language}' is not supported by this resource"),
             ))
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -164,7 +179,9 @@ mod tests {
 
     #[test]
     fn downcasting_works() {
-        let r: Box<dyn DataResource> = Box::new(make());
-        assert!(r.as_any().downcast_ref::<StaticResource>().is_some());
+        let r: Arc<dyn DataResource> = Arc::new(make());
+        assert!(<dyn DataResource>::narrow(r.clone()).is_some());
+        assert!(StaticResource::narrow(r.clone()).is_some());
+        assert!(crate::monitoring::MonitoringResource::narrow(r).is_none());
     }
 }

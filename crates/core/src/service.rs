@@ -1,4 +1,5 @@
-//! Service-side assembly: core WS-DAI operations and the optional WSRF
+//! Service-side assembly: the realisation skeleton every DAIS data
+//! service shares, the core WS-DAI operations and the optional WSRF
 //! layer, registered onto a SOAP dispatcher.
 //!
 //! DAIS does not prescribe how interfaces combine into services (§4.3:
@@ -6,17 +7,23 @@
 //! with others"), so this module exposes *registrars*: a realisation
 //! builds a [`dais_soap::SoapDispatcher`], calls [`register_core_ops`]
 //! (and optionally [`register_wsrf_ops`], Figure 7) and then registers
-//! its own realisation-specific operations.
+//! its own realisation-specific operations — each through
+//! [`register_op`], which resolves the target, checks its kind and
+//! enforces the access the operation declares ([`Requires`]).
+//! [`ServiceSkeleton`] is the launch they all share.
 
 use crate::messages::{self, actions};
-use crate::name::AbstractName;
-use crate::properties::names;
+use crate::monitoring::MonitoringResource;
+use crate::name::{AbstractName, NameGenerator};
+use crate::properties::{names, CoreProperties};
 use crate::registry::ResourceRegistry;
-use crate::resource::DataResource;
+use crate::resource::{DataResource, Target};
 use dais_soap::addressing::Epr;
+use dais_soap::bus::Bus;
 use dais_soap::envelope::Envelope;
 use dais_soap::fault::{DaisFault, Fault};
 use dais_soap::service::SoapDispatcher;
+use dais_soap::Action;
 use dais_wsrf::{lifetime, properties as wsrf_props, LifetimeRegistry};
 use dais_xml::{ns, QName, XPathContext, XPathValue, XmlElement};
 use std::sync::Arc;
@@ -26,6 +33,44 @@ use std::sync::Arc;
 /// translate or redirect such language statements"). `None` is the thin
 /// wrapper: statements pass through untouched.
 pub type QueryRewriter = Arc<dyn Fn(&str, &str) -> (String, String) + Send + Sync>;
+
+/// The access an operation needs from its target: the WS-DAI `Readable`
+/// and `Writeable` properties (§4.2), enforced here and nowhere else.
+/// DESIGN.md §5 maps every action to its requirement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Requires {
+    /// Metadata and lifetime operations: property documents, resolution.
+    Nothing,
+    /// Operations that serve data from the target.
+    Readable,
+    /// Operations that change the target's data.
+    Writeable,
+}
+
+impl Requires {
+    /// `Ok` when `properties` grant this access, else [`refusal`](Self::refusal).
+    pub fn check(self, properties: &CoreProperties) -> Result<(), Fault> {
+        let granted = match self {
+            Requires::Nothing => true,
+            Requires::Readable => properties.readable,
+            Requires::Writeable => properties.writeable,
+        };
+        if granted {
+            Ok(())
+        } else {
+            Err(self.refusal())
+        }
+    }
+
+    /// The `NotAuthorizedFault` a target lacking this access raises.
+    pub fn refusal(self) -> Fault {
+        let reason = match self {
+            Requires::Writeable => "resource is not writeable",
+            _ => "resource is not readable",
+        };
+        Fault::dais(DaisFault::NotAuthorized, reason)
+    }
+}
 
 /// Everything the operation handlers need about their data service.
 pub struct ServiceContext {
@@ -61,14 +106,8 @@ impl ServiceContext {
         })
     }
 
-    /// Resolve the resource a request body targets, honouring soft-state
-    /// expiry when the WSRF layer is active.
-    pub fn resolve_resource(&self, body: &XmlElement) -> Result<Arc<dyn DataResource>, Fault> {
-        let name = messages::extract_resource_name(body)?;
-        self.resolve_by_name(&name)
-    }
-
-    /// Resolve by abstract name, faulting appropriately.
+    /// Resolve by abstract name, honouring soft-state expiry when the
+    /// WSRF layer is active.
     pub fn resolve_by_name(&self, name: &AbstractName) -> Result<Arc<dyn DataResource>, Fault> {
         if let Some(lifetime) = &self.lifetime {
             // Expired soft-state resources are unavailable and reaped.
@@ -85,6 +124,22 @@ impl ServiceContext {
         self.registry.get(name).ok_or_else(|| {
             Fault::dais(DaisFault::InvalidResourceName, format!("no resource named {name}"))
         })
+    }
+
+    /// Resolve `name` as a resource of kind `T` that grants `requires`:
+    /// another kind is an `InvalidResourceNameFault`, missing access a
+    /// `NotAuthorizedFault`.
+    pub fn resolve_as<T: Target + ?Sized>(
+        &self,
+        name: &AbstractName,
+        requires: Requires,
+    ) -> Result<Arc<T>, Fault> {
+        let resource = T::narrow(self.resolve_by_name(name)?).ok_or_else(|| {
+            let kind = std::any::type_name::<T>().rsplit("::").next().unwrap_or_default();
+            Fault::dais(DaisFault::InvalidResourceName, format!("resource {name} is not a {kind}"))
+        })?;
+        requires.check(&resource.core_properties())?;
+        Ok(resource)
     }
 
     /// Register a resource, also tracking its lifetime when WSRF is on.
@@ -120,43 +175,117 @@ impl ServiceContext {
     }
 }
 
-fn payload(request: &Envelope) -> Result<&XmlElement, Fault> {
+fn body_of(request: &Envelope) -> Result<&XmlElement, Fault> {
     request.payload().ok_or_else(|| Fault::client("request has an empty SOAP body"))
 }
 
-fn respond(element: XmlElement) -> Result<Envelope, Fault> {
-    Ok(Envelope::with_body(element))
+/// Register `handler` for `action`. Each request's target is resolved
+/// through [`ServiceContext::resolve_as`] — kind `T`, access `requires` —
+/// before the handler sees the request body and the typed target.
+pub fn register_op<T, H>(
+    dispatcher: &mut SoapDispatcher,
+    ctx: &Arc<ServiceContext>,
+    action: Action,
+    requires: Requires,
+    handler: H,
+) where
+    T: Target + ?Sized,
+    H: Fn(&XmlElement, &T) -> Result<Envelope, Fault> + Send + Sync + 'static,
+{
+    let c = ctx.clone();
+    dispatcher.register(action, move |req: &Envelope| {
+        let body = body_of(req)?;
+        let resource = c.resolve_as::<T>(&messages::extract_resource_name(body)?, requires)?;
+        handler(body, &resource)
+    });
+}
+
+/// Register a `Get…PropertyDocument` operation for targets of kind `T`:
+/// the reply is `response` holding the target's property document.
+pub fn register_property_document<T: Target + ?Sized>(
+    dispatcher: &mut SoapDispatcher,
+    ctx: &Arc<ServiceContext>,
+    action: Action,
+    response: XmlElement,
+) {
+    register_op(dispatcher, ctx, action, Requires::Nothing, move |_, resource: &T| {
+        let mut reply = response.clone();
+        reply.push(resource.property_document());
+        Ok(Envelope::with_body(reply))
+    });
+}
+
+/// The launch every single-address data service shares: its context,
+/// the name generator derived from its address, and a dispatcher already
+/// holding the core operations (plus the WSRF layer when a lifetime
+/// registry is given). The realisation registers its own operations on
+/// `dispatcher`, then [`serve`](Self::serve)s.
+pub struct ServiceSkeleton {
+    pub ctx: Arc<ServiceContext>,
+    pub names: Arc<NameGenerator>,
+    pub dispatcher: SoapDispatcher,
+}
+
+impl ServiceSkeleton {
+    pub fn new(
+        address: &str,
+        lifetime: Option<Arc<LifetimeRegistry>>,
+        query_rewriter: Option<QueryRewriter>,
+    ) -> ServiceSkeleton {
+        let ctx = Arc::new(ServiceContext {
+            address: address.to_string(),
+            registry: ResourceRegistry::new(),
+            lifetime,
+            query_rewriter,
+        });
+        let names =
+            Arc::new(NameGenerator::new(address.trim_start_matches("bus://").replace('/', "-")));
+        let mut dispatcher = SoapDispatcher::new();
+        register_core_ops(&mut dispatcher, ctx.clone());
+        if ctx.lifetime.is_some() {
+            register_wsrf_ops(&mut dispatcher, ctx.clone());
+        }
+        ServiceSkeleton { ctx, names, dispatcher }
+    }
+
+    /// Put the dispatcher on `bus`, add the data resource, then mint and
+    /// add the monitoring resource — minted after the data resource so
+    /// existing names stay stable. Returns the monitoring resource's name.
+    pub fn serve(self, bus: &Bus, data: Arc<dyn DataResource>) -> AbstractName {
+        let ServiceSkeleton { ctx, names, dispatcher } = self;
+        bus.register(ctx.address.as_str(), Arc::new(dispatcher));
+        ctx.add_resource(data);
+        let monitoring = names.mint("monitoring");
+        ctx.add_resource(Arc::new(MonitoringResource::new(
+            monitoring.clone(),
+            bus.clone(),
+            ctx.address.as_str(),
+        )));
+        monitoring
+    }
 }
 
 /// Register the CoreDataAccess and CoreResourceList operations (Figure 6).
 pub fn register_core_ops(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContext>) {
-    let c = ctx.clone();
-    dispatcher.register(actions::GET_DATA_RESOURCE_PROPERTY_DOCUMENT, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let mut response =
-            XmlElement::new(ns::WSDAI, "wsdai", "GetDataResourcePropertyDocumentResponse");
-        response.push(resource.property_document());
-        respond(response)
-    });
+    register_property_document::<dyn DataResource>(
+        dispatcher,
+        &ctx,
+        actions::GET_DATA_RESOURCE_PROPERTY_DOCUMENT,
+        XmlElement::new(ns::WSDAI, "wsdai", "GetDataResourcePropertyDocumentResponse"),
+    );
 
     let c = ctx.clone();
     dispatcher.register(actions::DESTROY_DATA_RESOURCE, move |req: &Envelope| {
-        let body = payload(req)?;
-        let name = messages::extract_resource_name(body)?;
+        let name = messages::extract_resource_name(body_of(req)?)?;
         c.destroy_resource(&name)?;
-        respond(XmlElement::new(ns::WSDAI, "wsdai", "DestroyDataResourceResponse"))
+        Ok(Envelope::with_body(XmlElement::new(ns::WSDAI, "wsdai", "DestroyDataResourceResponse")))
     });
 
     let c = ctx.clone();
-    dispatcher.register(actions::GENERIC_QUERY, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
+    let op = move |body: &XmlElement, resource: &dyn DataResource| {
         let (language, expression) = messages::parse_generic_query(body)?;
         let props = resource.core_properties();
-        if !props.readable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
-        }
+        Requires::Readable.check(&props)?;
         if !props.generic_query_languages.iter().any(|l| l == &language) {
             return Err(Fault::dais(
                 DaisFault::InvalidLanguage,
@@ -172,8 +301,9 @@ pub fn register_core_ops(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContex
         for r in results {
             response.push(r);
         }
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, actions::GENERIC_QUERY, Requires::Nothing, op);
 
     let c = ctx.clone();
     dispatcher.register(actions::GET_RESOURCE_LIST, move |_req: &Envelope| {
@@ -181,20 +311,18 @@ pub fn register_core_ops(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContex
         for name in c.registry.names() {
             response.push(names::DATA_RESOURCE_ABSTRACT_NAME.element().with_text(name.as_str()));
         }
-        respond(response)
+        Ok(Envelope::with_body(response))
     });
 
-    let c = ctx;
-    dispatcher.register(actions::RESOLVE, move |req: &Envelope| {
-        let body = payload(req)?;
-        let name = messages::extract_resource_name(body)?;
-        // Resolve() maps a known abstract name to an EPR.
-        c.resolve_by_name(&name)?;
-        let epr = Epr::for_resource(&c.address, name.as_str());
+    // Resolve() maps a known abstract name to an EPR.
+    let address = ctx.address.clone();
+    let op = move |_: &XmlElement, resource: &dyn DataResource| {
+        let epr = Epr::for_resource(&address, resource.abstract_name().as_str());
         let mut response = XmlElement::new(ns::WSDAI, "wsdai", "ResolveResponse");
         response.push(epr.to_xml_named(XmlElement::new(ns::WSDAI, "wsdai", "DataResourceAddress")));
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, actions::RESOLVE, Requires::Nothing, op);
 }
 
 /// Resolve a lexical property QName using the canonical DAIS prefixes.
@@ -223,10 +351,7 @@ fn property_query_context() -> XPathContext {
 pub fn register_wsrf_ops(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContext>) {
     use dais_wsrf::actions as wsrf_actions;
 
-    let c = ctx.clone();
-    dispatcher.register(wsrf_actions::GET_RESOURCE_PROPERTY, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
+    let op = |body: &XmlElement, resource: &dyn DataResource| {
         let lexical = body
             .child_text(ns::WSRF_RP, "ResourceProperty")
             .ok_or_else(|| Fault::client("missing wsrf-rp:ResourceProperty"))?;
@@ -240,13 +365,11 @@ pub fn register_wsrf_ops(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContex
         for f in found {
             response.push(f);
         }
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, wsrf_actions::GET_RESOURCE_PROPERTY, Requires::Nothing, op);
 
-    let c = ctx.clone();
-    dispatcher.register(wsrf_actions::GET_MULTIPLE_RESOURCE_PROPERTIES, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
+    let op = |body: &XmlElement, resource: &dyn DataResource| {
         let document = resource.property_document();
         let mut response =
             XmlElement::new(ns::WSRF_RP, "wsrf-rp", "GetMultipleResourcePropertiesResponse");
@@ -256,13 +379,12 @@ pub fn register_wsrf_ops(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContex
                 response.push(f);
             }
         }
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    let action = wsrf_actions::GET_MULTIPLE_RESOURCE_PROPERTIES;
+    register_op(dispatcher, &ctx, action, Requires::Nothing, op);
 
-    let c = ctx.clone();
-    dispatcher.register(wsrf_actions::QUERY_RESOURCE_PROPERTIES, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
+    let op = |body: &XmlElement, resource: &dyn DataResource| {
         let query = body
             .child_text(ns::WSRF_RP, "QueryExpression")
             .ok_or_else(|| Fault::client("missing wsrf-rp:QueryExpression"))?;
@@ -287,13 +409,11 @@ pub fn register_wsrf_ops(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContex
             }
             other => response.push_text(other.to_xpath_string()),
         }
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, wsrf_actions::QUERY_RESOURCE_PROPERTIES, Requires::Nothing, op);
 
-    let c = ctx.clone();
-    dispatcher.register(wsrf_actions::SET_RESOURCE_PROPERTIES, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
+    let op = |body: &XmlElement, resource: &dyn DataResource| {
         let mut touched = 0usize;
         for update in body.children_named(ns::WSRF_RP, "Update") {
             for property in update.elements() {
@@ -312,14 +432,17 @@ pub fn register_wsrf_ops(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContex
         if touched == 0 {
             return Err(Fault::client("SetResourceProperties carried no wsrf-rp:Update entries"));
         }
-        respond(XmlElement::new(ns::WSRF_RP, "wsrf-rp", "SetResourcePropertiesResponse"))
-    });
+        Ok(Envelope::with_body(XmlElement::new(
+            ns::WSRF_RP,
+            "wsrf-rp",
+            "SetResourcePropertiesResponse",
+        )))
+    };
+    register_op(dispatcher, &ctx, wsrf_actions::SET_RESOURCE_PROPERTIES, Requires::Nothing, op);
 
     let c = ctx.clone();
-    dispatcher.register(wsrf_actions::SET_TERMINATION_TIME, move |req: &Envelope| {
-        let body = payload(req)?;
-        let name = messages::extract_resource_name(body)?;
-        c.resolve_by_name(&name)?;
+    let op = move |body: &XmlElement, resource: &dyn DataResource| {
+        let name = resource.abstract_name().as_str();
         let lifetime = c
             .lifetime
             .as_ref()
@@ -328,24 +451,24 @@ pub fn register_wsrf_ops(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContex
             Fault::client("missing RequestedLifetimeDuration or nil RequestedTerminationTime")
         })?;
         let new_time = lifetime
-            .set_termination_in(name.as_str(), requested)
+            .set_termination_in(name, requested)
             .map_err(|e| Fault::dais(DaisFault::InvalidResourceName, e.to_string()))?;
-        respond(lifetime::set_termination_time_response(new_time, lifetime.now()))
-    });
+        Ok(Envelope::with_body(lifetime::set_termination_time_response(new_time, lifetime.now())))
+    };
+    register_op(dispatcher, &ctx, wsrf_actions::SET_TERMINATION_TIME, Requires::Nothing, op);
 
     let c = ctx;
     dispatcher.register(wsrf_actions::DESTROY, move |req: &Envelope| {
-        let body = payload(req)?;
-        let name = messages::extract_resource_name(body)?;
+        let name = messages::extract_resource_name(body_of(req)?)?;
         c.destroy_resource(&name)?;
-        respond(XmlElement::new(ns::WSRF_RL, "wsrf-rl", "DestroyResponse"))
+        Ok(Envelope::with_body(XmlElement::new(ns::WSRF_RL, "wsrf-rl", "DestroyResponse")))
     });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::properties::{CoreProperties, ResourceManagementKind};
+    use crate::properties::ResourceManagementKind;
     use crate::resource::StaticResource;
     use dais_soap::bus::Bus;
     use dais_soap::client::ServiceClient;
@@ -636,14 +759,11 @@ mod tests {
             fn abstract_name(&self) -> &AbstractName {
                 &self.0.abstract_name
             }
-            fn core_properties(&self) -> CoreProperties {
-                self.0.clone()
+            fn core_properties(&self) -> Arc<CoreProperties> {
+                Arc::new(self.0.clone())
             }
             fn generic_query(&self, _l: &str, e: &str) -> Result<Vec<XmlElement>, Fault> {
                 Ok(vec![XmlElement::new_local("expr").with_text(e)])
-            }
-            fn as_any(&self) -> &dyn std::any::Any {
-                self
             }
         }
         let mut props = CoreProperties::new(

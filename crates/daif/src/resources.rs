@@ -6,14 +6,13 @@ use crate::WSDAIF_NS;
 use dais_core::properties::ResourceManagementKind;
 use dais_core::{
     AbstractName, ConfigurationDocument, ConfigurationMap, CoreProperties, DataResource,
-    Sensitivity,
 };
 use dais_xml::{QName, XmlElement};
-use std::any::Any;
+use std::sync::Arc;
 
 /// A directory (glob scope) in a file store, exposed as a data resource.
 pub struct DirectoryResource {
-    properties: CoreProperties,
+    properties: Arc<CoreProperties>,
     store: FileStore,
     /// Paths served by this resource must match `scope` (empty = all).
     scope: String,
@@ -33,17 +32,18 @@ impl DirectoryResource {
             format!("file store scope '{scope}'")
         };
         properties.writeable = true;
-        properties.configuration_maps.push(ConfigurationMap {
-            message: QName::new(WSDAIF_NS, "wsdaif", "FileSelectFactoryRequest"),
-            port_type: QName::new(WSDAIF_NS, "wsdaif", "FileSetAccessPT"),
-            defaults: ConfigurationDocument {
-                readable: Some(true),
-                writeable: Some(false),
-                sensitivity: Some(Sensitivity::Insensitive),
-                ..Default::default()
-            },
-        });
-        DirectoryResource { properties, store, scope }
+        properties.configuration_maps.push(ConfigurationMap::snapshot(
+            QName::new(WSDAIF_NS, "wsdaif", "FileSelectFactoryRequest"),
+            QName::new(WSDAIF_NS, "wsdaif", "FileSetAccessPT"),
+        ));
+        DirectoryResource { properties: Arc::new(properties), store, scope }
+    }
+
+    /// Apply `configuration` to the resource's configurable properties —
+    /// e.g. `Writeable=false` publishes it read-only.
+    pub fn configured(mut self, configuration: &ConfigurationDocument) -> Self {
+        Arc::make_mut(&mut self.properties).apply_configuration(configuration);
+        self
     }
 
     pub fn store(&self) -> &FileStore {
@@ -66,7 +66,7 @@ impl DataResource for DirectoryResource {
         &self.properties.abstract_name
     }
 
-    fn core_properties(&self) -> CoreProperties {
+    fn core_properties(&self) -> Arc<CoreProperties> {
         self.properties.clone()
     }
 
@@ -84,22 +84,18 @@ impl DataResource for DirectoryResource {
         doc.push(XmlElement::new(WSDAIF_NS, "wsdaif", "Scope").with_text(&self.scope));
         doc
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// A derived, service-managed set of file references (path + size),
 /// created by `FileSelectFactory` and paged with `GetFileSetMembers`.
 pub struct FileSetResource {
-    properties: CoreProperties,
+    properties: Arc<CoreProperties>,
     members: Vec<(String, usize)>,
 }
 
 impl FileSetResource {
     pub fn new(properties: CoreProperties, members: Vec<(String, usize)>) -> FileSetResource {
-        FileSetResource { properties, members }
+        FileSetResource { properties: Arc::new(properties), members }
     }
 
     pub fn len(&self) -> usize {
@@ -125,7 +121,7 @@ impl DataResource for FileSetResource {
         &self.properties.abstract_name
     }
 
-    fn core_properties(&self) -> CoreProperties {
+    fn core_properties(&self) -> Arc<CoreProperties> {
         self.properties.clone()
     }
 
@@ -136,10 +132,6 @@ impl DataResource for FileSetResource {
                 .with_text(self.members.len().to_string()),
         );
         doc
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -6,9 +6,9 @@ use crate::base64;
 use crate::resources::{DirectoryResource, FileSetResource};
 use crate::store::FileStore;
 use crate::WSDAIF_NS;
-use dais_core::factory::{factory_response, mint_resource_epr, DerivedResourceConfig};
 use dais_core::{
-    register_core_ops, register_wsrf_ops, NameGenerator, ResourceRegistry, ServiceContext,
+    register_op, register_property_document, FactoryRequest, NameGenerator, Requires,
+    ServiceContext, ServiceSkeleton,
 };
 use dais_soap::bus::Bus;
 use dais_soap::envelope::Envelope;
@@ -18,77 +18,51 @@ use dais_wsrf::LifetimeRegistry;
 use dais_xml::{QName, XmlElement};
 use std::sync::Arc;
 
-fn payload(request: &Envelope) -> Result<&XmlElement, Fault> {
-    request.payload().ok_or_else(|| Fault::client("request has an empty SOAP body"))
-}
-
-fn respond(element: XmlElement) -> Result<Envelope, Fault> {
-    Ok(Envelope::with_body(element))
-}
-
-fn as_directory(resource: &Arc<dyn dais_core::DataResource>) -> Result<&DirectoryResource, Fault> {
-    resource.as_any().downcast_ref::<DirectoryResource>().ok_or_else(|| {
-        Fault::dais(DaisFault::InvalidResourceName, "resource is not a file directory")
-    })
-}
-
-fn as_file_set(resource: &Arc<dyn dais_core::DataResource>) -> Result<&FileSetResource, Fault> {
-    resource
-        .as_any()
-        .downcast_ref::<FileSetResource>()
-        .ok_or_else(|| Fault::dais(DaisFault::InvalidResourceName, "resource is not a file set"))
-}
-
 fn path_of(body: &XmlElement) -> Result<String, Fault> {
     body.child_text(WSDAIF_NS, "Path").ok_or_else(|| Fault::client("missing wsdaif:Path"))
 }
 
+/// The request's path, refused when it lies outside `dir`'s scope.
+fn scoped_path(body: &XmlElement, dir: &DirectoryResource) -> Result<String, Fault> {
+    let path = path_of(body)?;
+    if !dir.in_scope(&path) {
+        return Err(Fault::dais(DaisFault::NotAuthorized, "path is outside this resource's scope"));
+    }
+    Ok(path)
+}
+
+/// `File` elements listing `(path, size)` pairs.
+fn push_files<'a>(response: &mut XmlElement, files: impl IntoIterator<Item = &'a (String, usize)>) {
+    for (path, size) in files {
+        response.push(
+            XmlElement::new(WSDAIF_NS, "wsdaif", "File")
+                .with_attr("size", size.to_string())
+                .with_text(path.clone()),
+        );
+    }
+}
+
 /// Register the **FileAccess** interface.
 pub fn register_file_access(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContext>) {
-    let c = ctx.clone();
-    dispatcher.register(actions::READ_FILE, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let dir = as_directory(&resource)?;
-        if !resource.core_properties().readable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
-        }
-        let path = path_of(body)?;
-        if !dir.in_scope(&path) {
-            return Err(Fault::dais(
-                DaisFault::NotAuthorized,
-                "path is outside this resource's scope",
-            ));
-        }
+    let op = |body: &XmlElement, dir: &DirectoryResource| {
+        let path = scoped_path(body, dir)?;
         let contents = dir
             .store()
             .read(&path)
             .map_err(|e| Fault::dais(DaisFault::InvalidExpression, e.to_string()))?;
-        respond(
+        Ok(Envelope::with_body(
             XmlElement::new(WSDAIF_NS, "wsdaif", "ReadFileResponse")
                 .with_child(XmlElement::new(WSDAIF_NS, "wsdaif", "Path").with_text(path))
                 .with_child(
                     XmlElement::new(WSDAIF_NS, "wsdaif", "Contents")
                         .with_text(base64::encode(&contents)),
                 ),
-        )
-    });
+        ))
+    };
+    register_op(dispatcher, &ctx, actions::READ_FILE, Requires::Readable, op);
 
-    let c = ctx.clone();
-    dispatcher.register(actions::WRITE_FILE, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let dir = as_directory(&resource)?;
-        if !resource.core_properties().writeable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not writeable"));
-        }
-        let path = path_of(body)?;
-        if !dir.in_scope(&path) {
-            return Err(Fault::dais(
-                DaisFault::NotAuthorized,
-                "path is outside this resource's scope",
-            ));
-        }
+    let op = |body: &XmlElement, dir: &DirectoryResource| {
+        let path = scoped_path(body, dir)?;
         let contents = body
             .child_text(WSDAIF_NS, "Contents")
             .ok_or_else(|| Fault::client("missing wsdaif:Contents"))?;
@@ -98,54 +72,37 @@ pub fn register_file_access(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceCon
             .store()
             .write(&path, bytes)
             .map_err(|e| Fault::dais(DaisFault::InvalidExpression, e.to_string()))?;
-        respond(
+        Ok(Envelope::with_body(
             XmlElement::new(WSDAIF_NS, "wsdaif", "WriteFileResponse").with_child(
                 XmlElement::new(WSDAIF_NS, "wsdaif", "Size").with_text(size.to_string()),
             ),
-        )
-    });
+        ))
+    };
+    register_op(dispatcher, &ctx, actions::WRITE_FILE, Requires::Writeable, op);
 
-    let c = ctx.clone();
-    dispatcher.register(actions::DELETE_FILE, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let dir = as_directory(&resource)?;
-        if !resource.core_properties().writeable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not writeable"));
-        }
+    let op = |body: &XmlElement, dir: &DirectoryResource| {
         let path = path_of(body)?;
         dir.store()
             .delete(&path)
             .map_err(|e| Fault::dais(DaisFault::InvalidExpression, e.to_string()))?;
-        respond(XmlElement::new(WSDAIF_NS, "wsdaif", "DeleteFileResponse"))
-    });
+        Ok(Envelope::with_body(XmlElement::new(WSDAIF_NS, "wsdaif", "DeleteFileResponse")))
+    };
+    register_op(dispatcher, &ctx, actions::DELETE_FILE, Requires::Writeable, op);
 
-    let c = ctx.clone();
-    dispatcher.register(actions::LIST_FILES, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let dir = as_directory(&resource)?;
+    let op = |body: &XmlElement, dir: &DirectoryResource| {
         let pattern = body.child_text(WSDAIF_NS, "Pattern").unwrap_or_default();
         let mut response = XmlElement::new(WSDAIF_NS, "wsdaif", "ListFilesResponse");
-        for (path, size) in dir.select(&pattern) {
-            response.push(
-                XmlElement::new(WSDAIF_NS, "wsdaif", "File")
-                    .with_attr("size", size.to_string())
-                    .with_text(path),
-            );
-        }
-        respond(response)
-    });
+        push_files(&mut response, &dir.select(&pattern));
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, actions::LIST_FILES, Requires::Readable, op);
 
-    let c = ctx;
-    dispatcher.register(actions::GET_FILE_PROPERTY_DOCUMENT, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        as_directory(&resource)?;
-        let mut response = XmlElement::new(WSDAIF_NS, "wsdaif", "GetFilePropertyDocumentResponse");
-        response.push(resource.property_document());
-        respond(response)
-    });
+    register_property_document::<DirectoryResource>(
+        dispatcher,
+        &ctx,
+        actions::GET_FILE_PROPERTY_DOCUMENT,
+        XmlElement::new(WSDAIF_NS, "wsdaif", "GetFilePropertyDocumentResponse"),
+    );
 }
 
 /// Register the **FileFactory** + **FileSetAccess** interfaces.
@@ -155,30 +112,18 @@ pub fn register_file_factory(
     target: Arc<ServiceContext>,
     names: Arc<NameGenerator>,
 ) {
-    let c = ctx.clone();
-    dispatcher.register(actions::FILE_SELECT_FACTORY, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let dir = as_directory(&resource)?;
-        let props = resource.core_properties();
-        let config = DerivedResourceConfig::from_request(body)?;
+    let op = move |body: &XmlElement, dir: &DirectoryResource| {
         let message = QName::new(WSDAIF_NS, "wsdaif", "FileSelectFactoryRequest");
-        let (_port, effective) = config.resolve_against(&props.configuration_maps, &message)?;
+        let factory = FactoryRequest::negotiate(body, dir, message)?;
         let pattern = body.child_text(WSDAIF_NS, "Pattern").unwrap_or_default();
         let members = dir.select(&pattern);
+        factory.finish(&target, &names, "file-set", |properties| {
+            Ok(FileSetResource::new(properties, members))
+        })
+    };
+    register_op(dispatcher, &ctx, actions::FILE_SELECT_FACTORY, Requires::Readable, op);
 
-        let name = names.mint("file-set");
-        let derived = config.derived_properties(name.clone(), &effective);
-        target.add_resource(Arc::new(FileSetResource::new(derived, members)));
-        let epr = mint_resource_epr(&target.address, &name);
-        respond(factory_response("FileSelectFactoryResponse", WSDAIF_NS, "wsdaif", &epr))
-    });
-
-    let c = ctx;
-    dispatcher.register(actions::GET_FILE_SET_MEMBERS, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let set = as_file_set(&resource)?;
+    let op = |body: &XmlElement, set: &FileSetResource| {
         let start = body
             .child_text(WSDAIF_NS, "StartPosition")
             .and_then(|t| t.trim().parse().ok())
@@ -188,15 +133,10 @@ pub fn register_file_factory(
             .and_then(|t| t.trim().parse().ok())
             .unwrap_or(usize::MAX);
         let mut response = XmlElement::new(WSDAIF_NS, "wsdaif", "GetFileSetMembersResponse");
-        for (path, size) in set.members(start, count) {
-            response.push(
-                XmlElement::new(WSDAIF_NS, "wsdaif", "File")
-                    .with_attr("size", size.to_string())
-                    .with_text(path.clone()),
-            );
-        }
-        respond(response)
-    });
+        push_files(&mut response, set.members(start, count));
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, actions::GET_FILE_SET_MEMBERS, Requires::Readable, op);
 }
 
 /// Options for assembling a file data service.
@@ -223,33 +163,12 @@ impl FileService {
         store: FileStore,
         options: FileServiceOptions,
     ) -> FileService {
-        let ctx = Arc::new(ServiceContext {
-            address: address.to_string(),
-            registry: ResourceRegistry::new(),
-            lifetime: options.wsrf,
-            query_rewriter: None,
-        });
-        let names =
-            Arc::new(NameGenerator::new(address.trim_start_matches("bus://").replace('/', "-")));
-        let mut dispatcher = SoapDispatcher::new();
-        register_core_ops(&mut dispatcher, ctx.clone());
-        if ctx.lifetime.is_some() {
-            register_wsrf_ops(&mut dispatcher, ctx.clone());
-        }
-        register_file_access(&mut dispatcher, ctx.clone());
-        register_file_factory(&mut dispatcher, ctx.clone(), ctx.clone(), names.clone());
-        bus.register(address, Arc::new(dispatcher));
-
+        let mut s = ServiceSkeleton::new(address, options.wsrf, None);
+        let (ctx, names) = (s.ctx.clone(), s.names.clone());
+        register_file_access(&mut s.dispatcher, ctx.clone());
+        register_file_factory(&mut s.dispatcher, ctx.clone(), ctx.clone(), names.clone());
         let root = names.mint("directory");
-        ctx.add_resource(Arc::new(DirectoryResource::new(root.clone(), store, "")));
-
-        // Minted after the data resource so existing names are stable.
-        let monitoring = names.mint("monitoring");
-        ctx.add_resource(Arc::new(dais_core::MonitoringResource::new(
-            monitoring.clone(),
-            bus.clone(),
-            address,
-        )));
+        let monitoring = s.serve(bus, Arc::new(DirectoryResource::new(root.clone(), store, "")));
         FileService { ctx, names, root, monitoring }
     }
 }

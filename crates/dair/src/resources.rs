@@ -12,7 +12,7 @@ use dais_sql::ast::{Select, Stmt};
 use dais_sql::parser::parse_statement;
 use dais_sql::{Database, Rowset, SqlErrorKind, Value};
 use dais_xml::{ns, QName, XmlElement, XmlWriter};
-use std::any::Any;
+use std::sync::Arc;
 
 /// The generic-query language URI advertised for SQL.
 pub const SQL_LANGUAGE_URI: &str = "http://www.sql.org/sql-92";
@@ -26,11 +26,38 @@ pub fn sql_fault(e: dais_sql::SqlError) -> Fault {
     Fault::dais(kind, format!("[SQLSTATE {}] {}", e.sqlstate(), e.message))
 }
 
+/// The properties every relational resource advertises, the federated
+/// one included: the SQL query language, the WebRowSet dataset format and
+/// the `SQLExecuteFactory` configuration map. Not Writeable: a wrapper
+/// that accepts writes says so.
+pub fn relational_properties(name: AbstractName, description: String) -> CoreProperties {
+    let mut properties = CoreProperties::new(name, ResourceManagementKind::ExternallyManaged);
+    properties.description = description;
+    properties.generic_query_languages.push(SQL_LANGUAGE_URI.to_string());
+    properties.dataset_maps.push(DatasetMap {
+        message: QName::new(ns::WSDAIR, "wsdair", "SQLExecuteRequest"),
+        dataset_format: ns::ROWSET.to_string(),
+    });
+    properties.configuration_maps.push(ConfigurationMap::snapshot(
+        QName::new(ns::WSDAIR, "wsdair", "SQLExecuteFactoryRequest"),
+        QName::new(ns::WSDAIR, "wsdair", "SQLResponseAccessPT"),
+    ));
+    properties
+}
+
+/// The map a derived SQL response advertises for `SQLRowsetFactory`.
+pub fn rowset_factory_map() -> ConfigurationMap {
+    ConfigurationMap::snapshot(
+        QName::new(ns::WSDAIR, "wsdair", "SQLRowsetFactoryRequest"),
+        QName::new(ns::WSDAIR, "wsdair", "SQLRowsetAccessPT"),
+    )
+}
+
 /// An externally managed relational data resource: a wrapper around a
 /// `dais_sql::Database` (paper §2.1: DAIS services are "web service
 /// wrappers for databases").
 pub struct SqlDataResource {
-    properties: CoreProperties,
+    properties: Arc<CoreProperties>,
     db: Database,
 }
 
@@ -38,25 +65,17 @@ impl SqlDataResource {
     /// Wrap a database under the given abstract name, advertising the
     /// WebRowSet dataset format and the factory configuration maps.
     pub fn new(name: AbstractName, db: Database) -> SqlDataResource {
-        let mut properties = CoreProperties::new(name, ResourceManagementKind::ExternallyManaged);
-        properties.description = format!("relational database '{}'", db.name());
+        let description = format!("relational database '{}'", db.name());
+        let mut properties = relational_properties(name, description);
         properties.writeable = true;
-        properties.generic_query_languages.push(SQL_LANGUAGE_URI.to_string());
-        properties.dataset_maps.push(DatasetMap {
-            message: QName::new(ns::WSDAIR, "wsdair", "SQLExecuteRequest"),
-            dataset_format: ns::ROWSET.to_string(),
-        });
-        properties.configuration_maps.push(ConfigurationMap {
-            message: QName::new(ns::WSDAIR, "wsdair", "SQLExecuteFactoryRequest"),
-            port_type: QName::new(ns::WSDAIR, "wsdair", "SQLResponseAccessPT"),
-            defaults: ConfigurationDocument {
-                readable: Some(true),
-                writeable: Some(false),
-                sensitivity: Some(Sensitivity::Insensitive),
-                ..Default::default()
-            },
-        });
-        SqlDataResource { properties, db }
+        SqlDataResource { properties: Arc::new(properties), db }
+    }
+
+    /// Apply `configuration` to the resource's configurable properties —
+    /// e.g. `Writeable=false` publishes it read-only.
+    pub fn configured(mut self, configuration: &ConfigurationDocument) -> Self {
+        Arc::make_mut(&mut self.properties).apply_configuration(configuration);
+        self
     }
 
     pub fn database(&self) -> &Database {
@@ -101,7 +120,7 @@ impl DataResource for SqlDataResource {
         &self.properties.abstract_name
     }
 
-    fn core_properties(&self) -> CoreProperties {
+    fn core_properties(&self) -> Arc<CoreProperties> {
         self.properties.clone()
     }
 
@@ -141,17 +160,13 @@ impl DataResource for SqlDataResource {
             })
             .collect())
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// How a derived SQL response resource is backed — the `Sensitivity`
 /// semantics of §4.2.
 enum ResponseBacking {
-    /// `Insensitive`: materialised once at creation.
-    Materialised(SqlResponseData),
+    /// `Insensitive`: materialised once at creation, shared by every read.
+    Materialised(Arc<SqlResponseData>),
     /// `Sensitive`: re-evaluated against the parent database on access,
     /// so parent changes are reflected.
     Sensitive { db: Database, stmt: Box<Stmt>, params: Vec<Value> },
@@ -159,7 +174,7 @@ enum ResponseBacking {
 
 /// A service-managed SQL response resource created by `SQLExecuteFactory`.
 pub struct SqlResponseResource {
-    properties: CoreProperties,
+    properties: Arc<CoreProperties>,
     backing: ResponseBacking,
 }
 
@@ -173,20 +188,11 @@ impl SqlResponseResource {
         params: &[Value],
     ) -> Result<SqlResponseResource, Fault> {
         let mut properties = properties;
-        properties.configuration_maps.push(ConfigurationMap {
-            message: QName::new(ns::WSDAIR, "wsdair", "SQLRowsetFactoryRequest"),
-            port_type: QName::new(ns::WSDAIR, "wsdair", "SQLRowsetAccessPT"),
-            defaults: ConfigurationDocument {
-                readable: Some(true),
-                writeable: Some(false),
-                sensitivity: Some(Sensitivity::Insensitive),
-                ..Default::default()
-            },
-        });
+        properties.configuration_maps.push(rowset_factory_map());
         let run = || db.connect().execute_stmt(stmt, params).map_err(sql_fault);
         let backing = match properties.sensitivity {
             Sensitivity::Insensitive => {
-                ResponseBacking::Materialised(SqlResponseData::from_result(&run()?))
+                ResponseBacking::Materialised(Arc::new(SqlResponseData::from_result(&run()?)))
             }
             Sensitivity::Sensitive => {
                 // Validate eagerly so a bad statement faults at factory time.
@@ -198,16 +204,17 @@ impl SqlResponseResource {
                 }
             }
         };
-        Ok(SqlResponseResource { properties, backing })
+        Ok(SqlResponseResource { properties: Arc::new(properties), backing })
     }
 
-    /// The current response data (re-evaluated when sensitive).
-    pub fn response(&self) -> Result<SqlResponseData, Fault> {
+    /// The current response data: the shared snapshot when insensitive,
+    /// re-evaluated when sensitive.
+    pub fn response(&self) -> Result<Arc<SqlResponseData>, Fault> {
         match &self.backing {
             ResponseBacking::Materialised(data) => Ok(data.clone()),
             ResponseBacking::Sensitive { db, stmt, params } => {
                 let result = db.connect().execute_stmt(stmt, params).map_err(sql_fault)?;
-                Ok(SqlResponseData::from_result(&result))
+                Ok(Arc::new(SqlResponseData::from_result(&result)))
             }
         }
     }
@@ -218,7 +225,7 @@ impl DataResource for SqlResponseResource {
         &self.properties.abstract_name
     }
 
-    fn core_properties(&self) -> CoreProperties {
+    fn core_properties(&self) -> Arc<CoreProperties> {
         self.properties.clone()
     }
 
@@ -246,22 +253,18 @@ impl DataResource for SqlResponseResource {
         }
         doc
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// A service-managed rowset resource created by `SQLRowsetFactory`,
 /// accessed page-by-page through `GetTuples` (Figure 5).
 pub struct RowsetResource {
-    properties: CoreProperties,
+    properties: Arc<CoreProperties>,
     rowset: Rowset,
 }
 
 impl RowsetResource {
     pub fn new(properties: CoreProperties, rowset: Rowset) -> RowsetResource {
-        RowsetResource { properties, rowset }
+        RowsetResource { properties: Arc::new(properties), rowset }
     }
 
     pub fn rowset(&self) -> &Rowset {
@@ -274,7 +277,7 @@ impl DataResource for RowsetResource {
         &self.properties.abstract_name
     }
 
-    fn core_properties(&self) -> CoreProperties {
+    fn core_properties(&self) -> Arc<CoreProperties> {
         self.properties.clone()
     }
 
@@ -291,10 +294,6 @@ impl DataResource for RowsetResource {
         }
         doc.push(meta);
         doc
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

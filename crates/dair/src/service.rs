@@ -9,10 +9,10 @@
 
 use crate::messages::{self, actions};
 use crate::resources::{sql_fault, RowsetResource, SqlDataResource, SqlResponseResource};
-use dais_core::factory::{factory_response, mint_resource_epr, DerivedResourceConfig};
 use dais_core::service::QueryRewriter;
 use dais_core::{
-    register_core_ops, register_wsrf_ops, NameGenerator, ResourceRegistry, ServiceContext,
+    register_op, register_property_document, DataResource, FactoryRequest, NameGenerator, Requires,
+    ServiceContext, ServiceSkeleton,
 };
 use dais_soap::bus::Bus;
 use dais_soap::envelope::Envelope;
@@ -25,14 +25,6 @@ use dais_wsrf::LifetimeRegistry;
 use dais_xml::{ns, QName, XmlElement, XmlWriter};
 use std::sync::Arc;
 
-fn payload(request: &Envelope) -> Result<&XmlElement, Fault> {
-    request.payload().ok_or_else(|| Fault::client("request has an empty SOAP body"))
-}
-
-fn respond(element: XmlElement) -> Result<Envelope, Fault> {
-    Ok(Envelope::with_body(element))
-}
-
 /// A reply that carries rows: its body is streamed once through `write`
 /// into a raw-body envelope, never built as a tree.
 fn respond_streamed(write: impl FnOnce(&mut XmlWriter<'_, String>)) -> Result<Envelope, Fault> {
@@ -43,37 +35,14 @@ fn respond_streamed(write: impl FnOnce(&mut XmlWriter<'_, String>)) -> Result<En
     Ok(Envelope::with_raw_body(fragment))
 }
 
-fn as_sql_resource(resource: &Arc<dyn dais_core::DataResource>) -> Result<&SqlDataResource, Fault> {
-    resource.as_any().downcast_ref::<SqlDataResource>().ok_or_else(|| {
-        Fault::dais(DaisFault::InvalidResourceName, "resource is not a relational data resource")
-    })
-}
-
-fn as_response_resource(
-    resource: &Arc<dyn dais_core::DataResource>,
-) -> Result<&SqlResponseResource, Fault> {
-    resource.as_any().downcast_ref::<SqlResponseResource>().ok_or_else(|| {
-        Fault::dais(DaisFault::InvalidResourceName, "resource is not an SQL response resource")
-    })
-}
-
-fn as_rowset_resource(
-    resource: &Arc<dyn dais_core::DataResource>,
-) -> Result<&RowsetResource, Fault> {
-    resource.as_any().downcast_ref::<RowsetResource>().ok_or_else(|| {
-        Fault::dais(DaisFault::InvalidResourceName, "resource is not a rowset resource")
-    })
-}
-
 /// Register the **SQLAccess** interface (`SQLExecute`,
 /// `GetSQLPropertyDocument`) for resources held by `ctx`.
 pub fn register_sql_access(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContext>) {
+    // The statement decides the access SQLExecute needs, so the check
+    // follows the parse.
     let c = ctx.clone();
-    dispatcher.register(actions::SQL_EXECUTE, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let sql_resource = as_sql_resource(&resource)?;
-        let props = resource.core_properties();
+    let op = move |body: &XmlElement, sql_resource: &SqlDataResource| {
+        let props = sql_resource.core_properties();
 
         // DatasetMap check (§4.2: valid return formats are specified in
         // DatasetMap properties).
@@ -91,12 +60,8 @@ pub fn register_sql_access(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceCont
         let (sql, params) = messages::parse_sql_expression(body)?;
         let stmt = parse_statement(&sql);
         let read_only = matches!(stmt, Ok(Stmt::Select(_)));
-        if read_only && !props.readable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
-        }
-        if !read_only && !props.writeable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not writeable"));
-        }
+        let requires = if read_only { Requires::Readable } else { Requires::Writeable };
+        requires.check(&props)?;
         // A rewriter may change the statement class, so its output is
         // parsed again and decides.
         let stmt = match &c.query_rewriter {
@@ -114,17 +79,15 @@ pub fn register_sql_access(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceCont
         }
         let data = sql_resource.execute_stmt(&stmt, &params)?;
         respond_streamed(|w| data.write_response(w, "SQLExecuteResponse"))
-    });
+    };
+    register_op(dispatcher, &ctx, actions::SQL_EXECUTE, Requires::Nothing, op);
 
-    let c = ctx;
-    dispatcher.register(actions::GET_SQL_PROPERTY_DOCUMENT, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        as_sql_resource(&resource)?;
-        let mut response = XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLPropertyDocumentResponse");
-        response.push(resource.property_document());
-        respond(response)
-    });
+    register_property_document::<SqlDataResource>(
+        dispatcher,
+        &ctx,
+        actions::GET_SQL_PROPERTY_DOCUMENT,
+        XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLPropertyDocumentResponse"),
+    );
 }
 
 /// Register the **SQLFactory** interface (`SQLExecuteFactory`). Derived
@@ -137,19 +100,9 @@ pub fn register_sql_factory(
     target: Arc<ServiceContext>,
     names: Arc<NameGenerator>,
 ) {
-    dispatcher.register(actions::SQL_EXECUTE_FACTORY, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = ctx.resolve_resource(body)?;
-        let sql_resource = as_sql_resource(&resource)?;
-        let props = resource.core_properties();
-        if !props.readable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
-        }
-
-        let config = DerivedResourceConfig::from_request(body)?;
+    let op = move |body: &XmlElement, sql_resource: &SqlDataResource| {
         let message = QName::new(ns::WSDAIR, "wsdair", "SQLExecuteFactoryRequest");
-        let (_port, effective) = config.resolve_against(&props.configuration_maps, &message)?;
-
+        let factory = FactoryRequest::negotiate(body, sql_resource, message)?;
         let (sql, params) = messages::parse_sql_expression(body)?;
         let Ok(stmt @ Stmt::Select(_)) = parse_statement(&sql) else {
             return Err(Fault::dais(
@@ -157,40 +110,28 @@ pub fn register_sql_factory(
                 "SQLExecuteFactory only accepts query statements",
             ));
         };
-
-        let name = names.mint("sql-response");
-        let derived_props = config.derived_properties(name.clone(), &effective);
-        let response_resource =
-            SqlResponseResource::create(derived_props, sql_resource.database(), &stmt, &params)?;
-        target.add_resource(Arc::new(response_resource));
-
-        let epr = mint_resource_epr(&target.address, &name);
-        respond(factory_response("SQLExecuteFactoryResponse", ns::WSDAIR, "wsdair", &epr))
-    });
+        factory.finish(&target, &names, "sql-response", |properties| {
+            SqlResponseResource::create(properties, sql_resource.database(), &stmt, &params)
+        })
+    };
+    register_op(dispatcher, &ctx, actions::SQL_EXECUTE_FACTORY, Requires::Readable, op);
 }
 
 /// Register the **ResponseAccess** interface over `ctx`'s resources.
 pub fn register_response_access(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContext>) {
-    let index_of = |body: &XmlElement| -> usize {
+    fn index_of(body: &XmlElement) -> usize {
         body.child_text(ns::WSDAIR, "Index").and_then(|t| t.trim().parse().ok()).unwrap_or(1)
-    };
+    }
 
-    let c = ctx.clone();
-    dispatcher.register(actions::GET_SQL_RESPONSE_PROPERTY_DOCUMENT, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        as_response_resource(&resource)?;
-        let mut response =
-            XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLResponsePropertyDocumentResponse");
-        response.push(resource.property_document());
-        respond(response)
-    });
+    register_property_document::<SqlResponseResource>(
+        dispatcher,
+        &ctx,
+        actions::GET_SQL_RESPONSE_PROPERTY_DOCUMENT,
+        XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLResponsePropertyDocumentResponse"),
+    );
 
-    let c = ctx.clone();
-    dispatcher.register(actions::GET_SQL_ROWSET, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let data = as_response_resource(&resource)?.response()?;
+    let op = |body: &XmlElement, resource: &SqlResponseResource| {
+        let data = resource.response()?;
         let i = index_of(body);
         let rowset = data.rowsets.get(i - 1).ok_or_else(|| {
             Fault::client(format!(
@@ -203,13 +144,11 @@ pub fn register_response_access(dispatcher: &mut SoapDispatcher, ctx: Arc<Servic
                 messages::write_sql_rowset(w, |w| rowset.write_into(w))
             })
         })
-    });
+    };
+    register_op(dispatcher, &ctx, actions::GET_SQL_ROWSET, Requires::Readable, op);
 
-    let c = ctx.clone();
-    dispatcher.register(actions::GET_SQL_UPDATE_COUNT, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let data = as_response_resource(&resource)?.response()?;
+    let op = |body: &XmlElement, resource: &SqlResponseResource| {
+        let data = resource.response()?;
         let i = index_of(body);
         let count = data.update_counts.get(i - 1).ok_or_else(|| {
             Fault::client(format!(
@@ -217,16 +156,17 @@ pub fn register_response_access(dispatcher: &mut SoapDispatcher, ctx: Arc<Servic
                 data.update_counts.len()
             ))
         })?;
-        respond(XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLUpdateCountResponse").with_child(
-            XmlElement::new(ns::WSDAIR, "wsdair", "SQLUpdateCount").with_text(count.to_string()),
+        Ok(Envelope::with_body(
+            XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLUpdateCountResponse").with_child(
+                XmlElement::new(ns::WSDAIR, "wsdair", "SQLUpdateCount")
+                    .with_text(count.to_string()),
+            ),
         ))
-    });
+    };
+    register_op(dispatcher, &ctx, actions::GET_SQL_UPDATE_COUNT, Requires::Readable, op);
 
-    let c = ctx.clone();
-    dispatcher.register(actions::GET_SQL_RETURN_VALUE, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let data = as_response_resource(&resource)?.response()?;
+    let op = |_: &XmlElement, resource: &SqlResponseResource| {
+        let data = resource.response()?;
         let mut response = XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLReturnValueResponse");
         if let Some(v) = &data.return_value {
             response.push(
@@ -234,14 +174,12 @@ pub fn register_response_access(dispatcher: &mut SoapDispatcher, ctx: Arc<Servic
                     .with_text(v.to_display_string()),
             );
         }
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, actions::GET_SQL_RETURN_VALUE, Requires::Readable, op);
 
-    let c = ctx.clone();
-    dispatcher.register(actions::GET_SQL_OUTPUT_PARAMETER, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let data = as_response_resource(&resource)?.response()?;
+    let op = |body: &XmlElement, resource: &SqlResponseResource| {
+        let data = resource.response()?;
         let requested = body.child_text(ns::WSDAIR, "ParameterName");
         let mut response = XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLOutputParameterResponse");
         for (name, v) in &data.output_parameters {
@@ -253,24 +191,20 @@ pub fn register_response_access(dispatcher: &mut SoapDispatcher, ctx: Arc<Servic
                 );
             }
         }
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, actions::GET_SQL_OUTPUT_PARAMETER, Requires::Readable, op);
 
-    let c = ctx.clone();
-    dispatcher.register(actions::GET_SQL_COMMUNICATION_AREA, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let data = as_response_resource(&resource)?.response()?;
+    let op = |_: &XmlElement, resource: &SqlResponseResource| {
+        let data = resource.response()?;
         let mut response = XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLCommunicationAreaResponse");
         response.push(data.communication_area.to_xml());
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, actions::GET_SQL_COMMUNICATION_AREA, Requires::Readable, op);
 
-    let c = ctx;
-    dispatcher.register(actions::GET_SQL_RESPONSE_ITEM, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let data = as_response_resource(&resource)?.response()?;
+    let op = |body: &XmlElement, resource: &SqlResponseResource| {
+        let data = resource.response()?;
         let i = index_of(body);
         // Items are numbered across rowsets then update counts.
         let total = data.rowsets.len() + data.update_counts.len();
@@ -290,7 +224,8 @@ pub fn register_response_access(dispatcher: &mut SoapDispatcher, ctx: Arc<Servic
                 }
             })
         })
-    });
+    };
+    register_op(dispatcher, &ctx, actions::GET_SQL_RESPONSE_ITEM, Requires::Readable, op);
 }
 
 /// Register the **ResponseFactory** interface (`SQLRowsetFactory`): derive
@@ -301,15 +236,10 @@ pub fn register_response_factory(
     target: Arc<ServiceContext>,
     names: Arc<NameGenerator>,
 ) {
-    dispatcher.register(actions::SQL_ROWSET_FACTORY, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = ctx.resolve_resource(body)?;
-        let data = as_response_resource(&resource)?.response()?;
-        let props = resource.core_properties();
-
-        let config = DerivedResourceConfig::from_request(body)?;
+    let op = move |body: &XmlElement, resource: &SqlResponseResource| {
+        let data = resource.response()?;
         let message = QName::new(ns::WSDAIR, "wsdair", "SQLRowsetFactoryRequest");
-        let (_port, effective) = config.resolve_against(&props.configuration_maps, &message)?;
+        let factory = FactoryRequest::negotiate(body, resource, message)?;
 
         let index: usize = body
             .child_text(ns::WSDAIR, "RowsetIndex")
@@ -331,27 +261,17 @@ pub fn register_response_factory(
             columns: rowset.columns.clone(),
             rows: rowset.rows.iter().take(cap).cloned().collect(),
         };
-
-        let name = names.mint("rowset");
-        let derived_props = config.derived_properties(name.clone(), &effective);
-        target.add_resource(Arc::new(RowsetResource::new(derived_props, rowset)));
-
-        let epr = mint_resource_epr(&target.address, &name);
-        respond(factory_response("SQLRowsetFactoryResponse", ns::WSDAIR, "wsdair", &epr))
-    });
+        factory.finish(&target, &names, "rowset", |properties| {
+            Ok(RowsetResource::new(properties, rowset))
+        })
+    };
+    register_op(dispatcher, &ctx, actions::SQL_ROWSET_FACTORY, Requires::Readable, op);
 }
 
 /// Register the **RowsetAccess** interface (`GetTuples`,
 /// `GetRowsetPropertyDocument`).
 pub fn register_rowset_access(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContext>) {
-    let c = ctx.clone();
-    dispatcher.register(actions::GET_TUPLES, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let rowset_resource = as_rowset_resource(&resource)?;
-        if !resource.core_properties().readable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
-        }
+    let op = |body: &XmlElement, rowset_resource: &RowsetResource| {
         let (start, count) = messages::parse_get_tuples(body)?;
         // Figure 5: GetTuplesResponse(SQLResponse(SQLRowset, SQLCommunicationArea)),
         // with the page window encoded straight out of the backing
@@ -359,18 +279,15 @@ pub fn register_rowset_access(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceC
         respond_streamed(|w| {
             messages::write_get_tuples_response(w, rowset_resource.rowset(), start, count)
         })
-    });
+    };
+    register_op(dispatcher, &ctx, actions::GET_TUPLES, Requires::Readable, op);
 
-    let c = ctx;
-    dispatcher.register(actions::GET_ROWSET_PROPERTY_DOCUMENT, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        as_rowset_resource(&resource)?;
-        let mut response =
-            XmlElement::new(ns::WSDAIR, "wsdair", "GetRowsetPropertyDocumentResponse");
-        response.push(resource.property_document());
-        respond(response)
-    });
+    register_property_document::<RowsetResource>(
+        dispatcher,
+        &ctx,
+        actions::GET_ROWSET_PROPERTY_DOCUMENT,
+        XmlElement::new(ns::WSDAIR, "wsdair", "GetRowsetPropertyDocumentResponse"),
+    );
 }
 
 /// Options for assembling a relational data service.
@@ -404,39 +321,15 @@ impl RelationalService {
         db: Database,
         options: RelationalServiceOptions,
     ) -> RelationalService {
-        let registry = ResourceRegistry::new();
-        let ctx = Arc::new(ServiceContext {
-            address: address.to_string(),
-            registry,
-            lifetime: options.wsrf,
-            query_rewriter: options.query_rewriter,
-        });
-        let names =
-            Arc::new(NameGenerator::new(address.trim_start_matches("bus://").replace('/', "-")));
-
-        let mut dispatcher = SoapDispatcher::new();
-        register_core_ops(&mut dispatcher, ctx.clone());
-        if ctx.lifetime.is_some() {
-            register_wsrf_ops(&mut dispatcher, ctx.clone());
-        }
-        register_sql_access(&mut dispatcher, ctx.clone());
-        register_sql_factory(&mut dispatcher, ctx.clone(), ctx.clone(), names.clone());
-        register_response_access(&mut dispatcher, ctx.clone());
-        register_response_factory(&mut dispatcher, ctx.clone(), ctx.clone(), names.clone());
-        register_rowset_access(&mut dispatcher, ctx.clone());
-        bus.register(address, Arc::new(dispatcher));
-
+        let mut s = ServiceSkeleton::new(address, options.wsrf, options.query_rewriter);
+        let (ctx, names) = (s.ctx.clone(), s.names.clone());
+        register_sql_access(&mut s.dispatcher, ctx.clone());
+        register_sql_factory(&mut s.dispatcher, ctx.clone(), ctx.clone(), names.clone());
+        register_response_access(&mut s.dispatcher, ctx.clone());
+        register_response_factory(&mut s.dispatcher, ctx.clone(), ctx.clone(), names.clone());
+        register_rowset_access(&mut s.dispatcher, ctx.clone());
         let db_resource = names.mint("db");
-        ctx.add_resource(Arc::new(SqlDataResource::new(db_resource.clone(), db)));
-
-        // Minted after the data resource so existing names are stable.
-        let monitoring = names.mint("monitoring");
-        ctx.add_resource(Arc::new(dais_core::MonitoringResource::new(
-            monitoring.clone(),
-            bus.clone(),
-            address,
-        )));
-
+        let monitoring = s.serve(bus, Arc::new(SqlDataResource::new(db_resource.clone(), db)));
         RelationalService { ctx, names, db_resource, monitoring }
     }
 }

@@ -4,13 +4,12 @@
 use crate::languages;
 use dais_core::properties::{names, ResourceManagementKind};
 use dais_core::{
-    AbstractName, ConfigurationDocument, ConfigurationMap, CoreProperties, DataResource,
-    DatasetMap, Sensitivity,
+    AbstractName, ConfigurationDocument, ConfigurationMap, CoreProperties, DataResource, DatasetMap,
 };
 use dais_soap::fault::{DaisFault, Fault};
 use dais_xml::{ns, QName, XmlElement};
 use dais_xmldb::{XQuery, XQueryItem, XmlDatabase, XmlDbError};
-use std::any::Any;
+use std::sync::Arc;
 
 /// Map a store error to the DAIS fault taxonomy.
 pub fn xmldb_fault(e: XmlDbError) -> Fault {
@@ -27,7 +26,7 @@ pub fn xmldb_fault(e: XmlDbError) -> Fault {
 /// the wrapped [`XmlDatabase`]; destroying the resource severs the
 /// service relationship without deleting the data (externally managed).
 pub struct XmlCollectionResource {
-    properties: CoreProperties,
+    properties: Arc<CoreProperties>,
     db: XmlDatabase,
     path: String,
 }
@@ -49,18 +48,19 @@ impl XmlCollectionResource {
             dataset_format: "http://www.w3.org/TR/xpath#node-sequence".to_string(),
         });
         for message in ["XPathExecuteFactoryRequest", "XQueryExecuteFactoryRequest"] {
-            properties.configuration_maps.push(ConfigurationMap {
-                message: QName::new(ns::WSDAIX, "wsdaix", message),
-                port_type: QName::new(ns::WSDAIX, "wsdaix", "SequenceAccessPT"),
-                defaults: ConfigurationDocument {
-                    readable: Some(true),
-                    writeable: Some(false),
-                    sensitivity: Some(Sensitivity::Insensitive),
-                    ..Default::default()
-                },
-            });
+            properties.configuration_maps.push(ConfigurationMap::snapshot(
+                QName::new(ns::WSDAIX, "wsdaix", message),
+                QName::new(ns::WSDAIX, "wsdaix", "SequenceAccessPT"),
+            ));
         }
-        XmlCollectionResource { properties, db, path }
+        XmlCollectionResource { properties: Arc::new(properties), db, path }
+    }
+
+    /// Apply `configuration` to the resource's configurable properties —
+    /// e.g. `Writeable=false` publishes it read-only.
+    pub fn configured(mut self, configuration: &ConfigurationDocument) -> Self {
+        Arc::make_mut(&mut self.properties).apply_configuration(configuration);
+        self
     }
 
     pub fn database(&self) -> &XmlDatabase {
@@ -118,7 +118,7 @@ impl DataResource for XmlCollectionResource {
         &self.properties.abstract_name
     }
 
-    fn core_properties(&self) -> CoreProperties {
+    fn core_properties(&self) -> Arc<CoreProperties> {
         self.properties.clone()
     }
 
@@ -146,22 +146,18 @@ impl DataResource for XmlCollectionResource {
             )),
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// A derived, service-managed sequence of query result items, created by
 /// the XPath/XQuery factories and consumed through `GetItems`.
 pub struct SequenceResource {
-    properties: CoreProperties,
+    properties: Arc<CoreProperties>,
     items: Vec<XmlElement>,
 }
 
 impl SequenceResource {
     pub fn new(properties: CoreProperties, items: Vec<XmlElement>) -> SequenceResource {
-        SequenceResource { properties, items }
+        SequenceResource { properties: Arc::new(properties), items }
     }
 
     pub fn len(&self) -> usize {
@@ -188,7 +184,7 @@ impl DataResource for SequenceResource {
         &self.properties.abstract_name
     }
 
-    fn core_properties(&self) -> CoreProperties {
+    fn core_properties(&self) -> Arc<CoreProperties> {
         self.properties.clone()
     }
 
@@ -196,10 +192,6 @@ impl DataResource for SequenceResource {
         let mut doc = self.properties.to_xml();
         doc.push(names::NUMBER_OF_ITEMS.element().with_text(self.items.len().to_string()));
         doc
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

@@ -2,10 +2,10 @@
 
 use crate::messages::{self, actions};
 use crate::resources::{xmldb_fault, SequenceResource, XmlCollectionResource};
-use dais_core::factory::{factory_response, mint_resource_epr, DerivedResourceConfig};
-use dais_core::properties::names;
+use dais_core::properties::names::DATA_RESOURCE_ABSTRACT_NAME;
 use dais_core::{
-    register_core_ops, register_wsrf_ops, NameGenerator, ResourceRegistry, ServiceContext,
+    register_op, register_property_document, FactoryRequest, NameGenerator, Requires,
+    ServiceContext, ServiceSkeleton,
 };
 use dais_soap::bus::Bus;
 use dais_soap::envelope::Envelope;
@@ -16,33 +16,15 @@ use dais_xml::{ns, QName, XmlElement};
 use dais_xmldb::XmlDatabase;
 use std::sync::Arc;
 
-fn payload(request: &Envelope) -> Result<&XmlElement, Fault> {
-    request.payload().ok_or_else(|| Fault::client("request has an empty SOAP body"))
-}
-
-fn respond(element: XmlElement) -> Result<Envelope, Fault> {
-    Ok(Envelope::with_body(element))
-}
-
-fn as_collection(
-    resource: &Arc<dyn dais_core::DataResource>,
-) -> Result<&XmlCollectionResource, Fault> {
-    resource.as_any().downcast_ref::<XmlCollectionResource>().ok_or_else(|| {
-        Fault::dais(DaisFault::InvalidResourceName, "resource is not an XML collection")
-    })
-}
-
-fn as_sequence(resource: &Arc<dyn dais_core::DataResource>) -> Result<&SequenceResource, Fault> {
-    resource.as_any().downcast_ref::<SequenceResource>().ok_or_else(|| {
-        Fault::dais(DaisFault::InvalidResourceName, "resource is not a sequence resource")
-    })
-}
-
-fn require_writeable(resource: &Arc<dyn dais_core::DataResource>) -> Result<(), Fault> {
-    if !resource.core_properties().writeable {
-        return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not writeable"));
-    }
-    Ok(())
+/// The path of the subcollection a request names, under `collection`.
+fn subcollection_path(
+    body: &XmlElement,
+    collection: &XmlCollectionResource,
+) -> Result<String, Fault> {
+    let name = body
+        .child_text(ns::WSDAIX, "CollectionName")
+        .ok_or_else(|| Fault::client("missing wsdaix:CollectionName"))?;
+    Ok(if collection.path().is_empty() { name } else { format!("{}/{}", collection.path(), name) })
 }
 
 /// Register the **XMLCollectionAccess** interface.
@@ -55,12 +37,7 @@ pub fn register_collection_access(
     ctx: Arc<ServiceContext>,
     names: Arc<NameGenerator>,
 ) {
-    let c = ctx.clone();
-    dispatcher.register(actions::ADD_DOCUMENTS, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let collection = as_collection(&resource)?;
-        require_writeable(&resource)?;
+    let op = |body: &XmlElement, collection: &XmlCollectionResource| {
         let documents = messages::parse_add_documents(body)?;
         let mut response = XmlElement::new(ns::WSDAIX, "wsdaix", "AddDocumentsResponse");
         for (name, doc) in documents {
@@ -76,17 +53,11 @@ pub fn register_collection_access(
                     .with_attr("status", status),
             );
         }
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, actions::ADD_DOCUMENTS, Requires::Writeable, op);
 
-    let c = ctx.clone();
-    dispatcher.register(actions::GET_DOCUMENTS, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let collection = as_collection(&resource)?;
-        if !resource.core_properties().readable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
-        }
+    let op = |body: &XmlElement, collection: &XmlCollectionResource| {
         let mut response = XmlElement::new(ns::WSDAIX, "wsdaix", "GetDocumentsResponse");
         let requested = messages::parse_document_names(body);
         let names: Vec<String> = if requested.is_empty() {
@@ -109,133 +80,100 @@ pub fn register_collection_access(
                     ),
             );
         }
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, actions::GET_DOCUMENTS, Requires::Readable, op);
 
-    let c = ctx.clone();
-    dispatcher.register(actions::REMOVE_DOCUMENTS, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let collection = as_collection(&resource)?;
-        require_writeable(&resource)?;
+    let op = |body: &XmlElement, collection: &XmlCollectionResource| {
         let mut removed = 0;
         for name in messages::parse_document_names(body) {
             collection.database().remove_document(collection.path(), &name).map_err(xmldb_fault)?;
             removed += 1;
         }
-        respond(XmlElement::new(ns::WSDAIX, "wsdaix", "RemoveDocumentsResponse").with_child(
-            XmlElement::new(ns::WSDAIX, "wsdaix", "RemovedCount").with_text(removed.to_string()),
+        Ok(Envelope::with_body(
+            XmlElement::new(ns::WSDAIX, "wsdaix", "RemoveDocumentsResponse").with_child(
+                XmlElement::new(ns::WSDAIX, "wsdaix", "RemovedCount")
+                    .with_text(removed.to_string()),
+            ),
         ))
-    });
+    };
+    register_op(dispatcher, &ctx, actions::REMOVE_DOCUMENTS, Requires::Writeable, op);
 
     let c = ctx.clone();
-    let n = names.clone();
-    dispatcher.register(actions::CREATE_SUBCOLLECTION, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let collection = as_collection(&resource)?;
-        require_writeable(&resource)?;
-        let name = body
-            .child_text(ns::WSDAIX, "CollectionName")
-            .ok_or_else(|| Fault::client("missing wsdaix:CollectionName"))?;
-        let path = if collection.path().is_empty() {
-            name.clone()
-        } else {
-            format!("{}/{}", collection.path(), name)
-        };
+    let op = move |body: &XmlElement, collection: &XmlCollectionResource| {
+        let path = subcollection_path(body, collection)?;
         collection.database().create_collection(&path).map_err(xmldb_fault)?;
         // Register a data resource for the new collection.
-        let abstract_name = n.mint("collection");
+        let abstract_name = names.mint("collection");
         let sub =
             XmlCollectionResource::new(abstract_name.clone(), collection.database().clone(), path);
         c.add_resource(Arc::new(sub));
-        respond(XmlElement::new(ns::WSDAIX, "wsdaix", "CreateSubcollectionResponse").with_child(
-            names::DATA_RESOURCE_ABSTRACT_NAME.element().with_text(abstract_name.as_str()),
+        Ok(Envelope::with_body(
+            XmlElement::new(ns::WSDAIX, "wsdaix", "CreateSubcollectionResponse").with_child(
+                DATA_RESOURCE_ABSTRACT_NAME.element().with_text(abstract_name.as_str()),
+            ),
         ))
-    });
+    };
+    register_op(dispatcher, &ctx, actions::CREATE_SUBCOLLECTION, Requires::Writeable, op);
 
-    let c = ctx.clone();
-    dispatcher.register(actions::REMOVE_SUBCOLLECTION, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let collection = as_collection(&resource)?;
-        require_writeable(&resource)?;
-        let name = body
-            .child_text(ns::WSDAIX, "CollectionName")
-            .ok_or_else(|| Fault::client("missing wsdaix:CollectionName"))?;
-        let path = if collection.path().is_empty() {
-            name.clone()
-        } else {
-            format!("{}/{}", collection.path(), name)
-        };
+    let op = |body: &XmlElement, collection: &XmlCollectionResource| {
+        let path = subcollection_path(body, collection)?;
         collection.database().remove_collection(&path).map_err(xmldb_fault)?;
-        respond(XmlElement::new(ns::WSDAIX, "wsdaix", "RemoveSubcollectionResponse"))
-    });
+        Ok(Envelope::with_body(XmlElement::new(
+            ns::WSDAIX,
+            "wsdaix",
+            "RemoveSubcollectionResponse",
+        )))
+    };
+    register_op(dispatcher, &ctx, actions::REMOVE_SUBCOLLECTION, Requires::Writeable, op);
 
-    let c = ctx;
-    dispatcher.register(actions::GET_COLLECTION_PROPERTY_DOCUMENT, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        as_collection(&resource)?;
-        let mut response =
-            XmlElement::new(ns::WSDAIX, "wsdaix", "GetCollectionPropertyDocumentResponse");
-        response.push(resource.property_document());
-        respond(response)
-    });
+    register_property_document::<XmlCollectionResource>(
+        dispatcher,
+        &ctx,
+        actions::GET_COLLECTION_PROPERTY_DOCUMENT,
+        XmlElement::new(ns::WSDAIX, "wsdaix", "GetCollectionPropertyDocumentResponse"),
+    );
 }
 
 /// Register the **XPathAccess**, **XQueryAccess** and **XUpdateAccess**
 /// direct-access interfaces.
 pub fn register_query_access(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContext>) {
-    let c = ctx.clone();
-    dispatcher.register(actions::XPATH_EXECUTE, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let collection = as_collection(&resource)?;
-        if !resource.core_properties().readable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
-        }
+    let op = |body: &XmlElement, collection: &XmlCollectionResource| {
         let expression = messages::parse_expression(body)?;
         let hits = collection.xpath(&expression)?;
         let mut response = XmlElement::new(ns::WSDAIX, "wsdaix", "XPathExecuteResponse");
         for h in hits {
             response.push(XmlElement::new(ns::WSDAIX, "wsdaix", "Item").with_child(h));
         }
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, actions::XPATH_EXECUTE, Requires::Readable, op);
 
-    let c = ctx.clone();
-    dispatcher.register(actions::XQUERY_EXECUTE, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let collection = as_collection(&resource)?;
-        if !resource.core_properties().readable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
-        }
+    let op = |body: &XmlElement, collection: &XmlCollectionResource| {
         let expression = messages::parse_expression(body)?;
         let items = collection.xquery(&expression)?;
         let mut response = XmlElement::new(ns::WSDAIX, "wsdaix", "XQueryExecuteResponse");
         for i in items {
             response.push(XmlElement::new(ns::WSDAIX, "wsdaix", "Item").with_child(i.to_element()));
         }
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, actions::XQUERY_EXECUTE, Requires::Readable, op);
 
-    let c = ctx;
-    dispatcher.register(actions::XUPDATE_EXECUTE, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let collection = as_collection(&resource)?;
-        require_writeable(&resource)?;
+    let op = |body: &XmlElement, collection: &XmlCollectionResource| {
         let modifications =
             body.child(dais_xmldb::xupdate::XUPDATE_NS, "modifications").ok_or_else(|| {
                 Fault::dais(DaisFault::InvalidExpression, "missing xupdate:modifications document")
             })?;
         let touched = collection.xupdate(modifications)?;
-        respond(XmlElement::new(ns::WSDAIX, "wsdaix", "XUpdateExecuteResponse").with_child(
-            XmlElement::new(ns::WSDAIX, "wsdaix", "ModifiedCount").with_text(touched.to_string()),
+        Ok(Envelope::with_body(
+            XmlElement::new(ns::WSDAIX, "wsdaix", "XUpdateExecuteResponse").with_child(
+                XmlElement::new(ns::WSDAIX, "wsdaix", "ModifiedCount")
+                    .with_text(touched.to_string()),
+            ),
         ))
-    });
+    };
+    register_op(dispatcher, &ctx, actions::XUPDATE_EXECUTE, Requires::Writeable, op);
 }
 
 /// Register the **XPathFactory** / **XQueryFactory** indirect-access
@@ -250,22 +188,11 @@ pub fn register_query_factories(
         (actions::XPATH_EXECUTE_FACTORY, "XPathExecuteFactoryRequest", false),
         (actions::XQUERY_EXECUTE_FACTORY, "XQueryExecuteFactoryRequest", true),
     ] {
-        let c = ctx.clone();
         let t = target.clone();
         let n = names.clone();
-        dispatcher.register(action, move |req: &Envelope| {
-            let body = payload(req)?;
-            let resource = c.resolve_resource(body)?;
-            let collection = as_collection(&resource)?;
-            let props = resource.core_properties();
-            if !props.readable {
-                return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
-            }
-            let config = DerivedResourceConfig::from_request(body)?;
-            let message_qname = QName::new(ns::WSDAIX, "wsdaix", message);
-            let (_port, effective) =
-                config.resolve_against(&props.configuration_maps, &message_qname)?;
-
+        let op = move |body: &XmlElement, collection: &XmlCollectionResource| {
+            let message = QName::new(ns::WSDAIX, "wsdaix", message);
+            let factory = FactoryRequest::negotiate(body, collection, message)?;
             let expression = messages::parse_expression(body)?;
             let items: Vec<XmlElement> = if is_xquery {
                 collection
@@ -276,50 +203,33 @@ pub fn register_query_factories(
             } else {
                 collection.xpath(&expression)?
             };
-
-            let name = n.mint("sequence");
-            let derived = config.derived_properties(name.clone(), &effective);
-            t.add_resource(Arc::new(SequenceResource::new(derived, items)));
-            let epr = mint_resource_epr(&t.address, &name);
-            respond(factory_response(
-                &format!("{}Response", message.trim_end_matches("Request")),
-                ns::WSDAIX,
-                "wsdaix",
-                &epr,
-            ))
-        });
+            factory.finish(&t, &n, "sequence", |properties| {
+                Ok(SequenceResource::new(properties, items))
+            })
+        };
+        register_op(dispatcher, &ctx, action, Requires::Readable, op);
     }
 }
 
 /// Register the **SequenceAccess** interface (`GetItems`,
 /// `GetSequencePropertyDocument`).
 pub fn register_sequence_access(dispatcher: &mut SoapDispatcher, ctx: Arc<ServiceContext>) {
-    let c = ctx.clone();
-    dispatcher.register(actions::GET_ITEMS, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let sequence = as_sequence(&resource)?;
-        if !resource.core_properties().readable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
-        }
+    let op = |body: &XmlElement, sequence: &SequenceResource| {
         let (start, count) = messages::parse_get_items(body)?;
         let mut response = XmlElement::new(ns::WSDAIX, "wsdaix", "GetItemsResponse");
         for item in sequence.items(start, count) {
             response.push(XmlElement::new(ns::WSDAIX, "wsdaix", "Item").with_child(item.clone()));
         }
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, actions::GET_ITEMS, Requires::Readable, op);
 
-    let c = ctx;
-    dispatcher.register(actions::GET_SEQUENCE_PROPERTY_DOCUMENT, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        as_sequence(&resource)?;
-        let mut response =
-            XmlElement::new(ns::WSDAIX, "wsdaix", "GetSequencePropertyDocumentResponse");
-        response.push(resource.property_document());
-        respond(response)
-    });
+    register_property_document::<SequenceResource>(
+        dispatcher,
+        &ctx,
+        actions::GET_SEQUENCE_PROPERTY_DOCUMENT,
+        XmlElement::new(ns::WSDAIX, "wsdaix", "GetSequencePropertyDocumentResponse"),
+    );
 }
 
 /// Options for assembling an XML data service.
@@ -349,38 +259,15 @@ impl XmlService {
         db: XmlDatabase,
         options: XmlServiceOptions,
     ) -> XmlService {
-        let registry = ResourceRegistry::new();
-        let ctx = Arc::new(ServiceContext {
-            address: address.to_string(),
-            registry,
-            lifetime: options.wsrf,
-            query_rewriter: None,
-        });
-        let names =
-            Arc::new(NameGenerator::new(address.trim_start_matches("bus://").replace('/', "-")));
-
-        let mut dispatcher = SoapDispatcher::new();
-        register_core_ops(&mut dispatcher, ctx.clone());
-        if ctx.lifetime.is_some() {
-            register_wsrf_ops(&mut dispatcher, ctx.clone());
-        }
-        register_collection_access(&mut dispatcher, ctx.clone(), names.clone());
-        register_query_access(&mut dispatcher, ctx.clone());
-        register_query_factories(&mut dispatcher, ctx.clone(), ctx.clone(), names.clone());
-        register_sequence_access(&mut dispatcher, ctx.clone());
-        bus.register(address, Arc::new(dispatcher));
-
+        let mut s = ServiceSkeleton::new(address, options.wsrf, None);
+        let (ctx, names) = (s.ctx.clone(), s.names.clone());
+        register_collection_access(&mut s.dispatcher, ctx.clone(), names.clone());
+        register_query_access(&mut s.dispatcher, ctx.clone());
+        register_query_factories(&mut s.dispatcher, ctx.clone(), ctx.clone(), names.clone());
+        register_sequence_access(&mut s.dispatcher, ctx.clone());
         let root_collection = names.mint("collection");
-        ctx.add_resource(Arc::new(XmlCollectionResource::new(root_collection.clone(), db, "")));
-
-        // Minted after the data resource so existing names are stable.
-        let monitoring = names.mint("monitoring");
-        ctx.add_resource(Arc::new(dais_core::MonitoringResource::new(
-            monitoring.clone(),
-            bus.clone(),
-            address,
-        )));
-
+        let root = XmlCollectionResource::new(root_collection.clone(), db, "");
+        let monitoring = s.serve(bus, Arc::new(root));
         XmlService { ctx, names, root_collection, monitoring }
     }
 }

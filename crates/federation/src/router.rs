@@ -82,7 +82,9 @@ enum Health {
 
 struct RouterState {
     health: Vec<Vec<Health>>,
-    rotation: u64,
+    /// One rotation turn counter per shard, so the turn a shard takes
+    /// does not depend on how its siblings' concurrent sweeps interleave.
+    rotation: Vec<u64>,
 }
 
 /// The bus address of one replica of one shard.
@@ -144,13 +146,14 @@ impl ShardRouter {
             "every shard needs at least one replica"
         );
         let health = replicas.iter().map(|set| vec![Health::Healthy; set.len()]).collect();
+        let rotation = vec![0; replicas.len()];
         ShardRouter {
             resource,
             scheme,
             replicas,
             probe_after: probe_after.max(1),
             seed,
-            state: Mutex::new(RouterState { health, rotation: 0 }),
+            state: Mutex::new(RouterState { health, rotation }),
         }
     }
 
@@ -191,13 +194,13 @@ impl ShardRouter {
     /// replica whose skip budget has elapsed *leads* as a half-open
     /// probe (it only recovers by taking a request, and a still-bad
     /// probe fails over to the next candidate with no sleep), followed
-    /// by the healthy replicas rotated by a seeded counter so load
-    /// spreads. If every replica is down, all are offered — the
+    /// by the healthy replicas rotated by the shard's seeded turn counter
+    /// so load spreads. If every replica is down, all are offered — the
     /// caller's failure is then an honest `ServiceBusy`.
     pub fn candidates(&self, shard: usize) -> Vec<usize> {
         let mut state = self.state.lock();
-        let turn = state.rotation;
-        state.rotation = state.rotation.wrapping_add(1);
+        let turn = state.rotation[shard];
+        state.rotation[shard] = turn.wrapping_add(1);
         let health = &mut state.health[shard];
         let n = health.len();
 

@@ -11,18 +11,16 @@
 //!
 //! [`RowsetCursor`]: dais_sql::RowsetCursor
 
-use std::any::Any;
 use std::sync::Arc;
 
-use dais_core::factory::{factory_response, mint_resource_epr, DerivedResourceConfig};
 use dais_core::monitoring::MON_NS;
 use dais_core::properties::{names, ResourceManagementKind};
 use dais_core::{
-    register_core_ops, AbstractName, ConfigurationDocument, ConfigurationMap, CoreProperties,
-    DataResource, DatasetMap, NameGenerator, ResourceRef, ResourceRegistry, Sensitivity,
-    ServiceContext,
+    register_op, register_property_document, AbstractName, CoreProperties, DataResource,
+    FactoryRequest, NameGenerator, Requires, ResourceRef, ServiceContext, ServiceSkeleton,
 };
 use dais_dair::messages::{self as dair_messages, actions as dair_actions};
+use dais_dair::resources::{relational_properties, rowset_factory_map};
 use dais_daix::messages::{self as daix_messages, actions as daix_actions};
 use dais_soap::bus::Bus;
 use dais_soap::envelope::Envelope;
@@ -53,14 +51,6 @@ impl Default for FederationOptions {
     fn default() -> FederationOptions {
         FederationOptions { seed: 0xF1EE7, probe_after: 4, failover: FailoverPolicy::default() }
     }
-}
-
-fn payload(request: &Envelope) -> Result<&XmlElement, Fault> {
-    request.payload().ok_or_else(|| Fault::client("request has an empty SOAP body"))
-}
-
-fn respond(element: XmlElement) -> Result<Envelope, Fault> {
-    Ok(Envelope::with_body(element))
 }
 
 /// Map a failed shard call onto the fault a plain service would raise:
@@ -99,29 +89,11 @@ fn admission_fault(e: AdmissionError, writes: Fault) -> Fault {
     }
 }
 
-fn as_federated(resource: &Arc<dyn DataResource>) -> Result<&FederatedResource, Fault> {
-    resource.as_any().downcast_ref::<FederatedResource>().ok_or_else(|| {
-        Fault::dais(DaisFault::InvalidResourceName, "resource is not a federated data resource")
-    })
-}
-
-fn as_fed_response(resource: &Arc<dyn DataResource>) -> Result<&FederatedResponseResource, Fault> {
-    resource.as_any().downcast_ref::<FederatedResponseResource>().ok_or_else(|| {
-        Fault::dais(DaisFault::InvalidResourceName, "resource is not an SQL response resource")
-    })
-}
-
-fn as_fed_rowset(resource: &Arc<dyn DataResource>) -> Result<&FederatedRowsetResource, Fault> {
-    resource.as_any().downcast_ref::<FederatedRowsetResource>().ok_or_else(|| {
-        Fault::dais(DaisFault::InvalidResourceName, "resource is not a rowset resource")
-    })
-}
-
 /// The logical resource the federation endpoint advertises. Immutable
 /// after launch; the live fleet picture renders on demand from the bus's
 /// per-endpoint stats and the router's health table.
 pub struct FederatedResource {
-    properties: CoreProperties,
+    properties: Arc<CoreProperties>,
     bus: Bus,
     router: Arc<ShardRouter>,
 }
@@ -162,7 +134,7 @@ impl DataResource for FederatedResource {
         &self.properties.abstract_name
     }
 
-    fn core_properties(&self) -> CoreProperties {
+    fn core_properties(&self) -> Arc<CoreProperties> {
         self.properties.clone()
     }
 
@@ -171,10 +143,6 @@ impl DataResource for FederatedResource {
         doc.push(self.fleet_element());
         doc
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
 }
 
 /// A derived SQL response resource whose state lives on the shards: each
@@ -182,7 +150,7 @@ impl DataResource for FederatedResource {
 /// recorded here by abstract name so later page reads can address any of
 /// them.
 pub struct FederatedResponseResource {
-    properties: CoreProperties,
+    properties: Arc<CoreProperties>,
     /// `per_shard[s][r]` is the abstract name of replica `r`'s derived
     /// response, `None` when that replica missed the fan-out.
     per_shard: Vec<Vec<Option<AbstractName>>>,
@@ -200,19 +168,15 @@ impl DataResource for FederatedResponseResource {
         &self.properties.abstract_name
     }
 
-    fn core_properties(&self) -> CoreProperties {
+    fn core_properties(&self) -> Arc<CoreProperties> {
         self.properties.clone()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
 /// A derived rowset resource backed by one shard-local rowset per
 /// replica; pages merge on read.
 pub struct FederatedRowsetResource {
-    properties: CoreProperties,
+    properties: Arc<CoreProperties>,
     per_shard: Vec<Vec<Option<AbstractName>>>,
     keys: Vec<MergeKey>,
     /// Merged rows hidden before the rowset's row 0 (the statement's
@@ -228,12 +192,8 @@ impl DataResource for FederatedRowsetResource {
         &self.properties.abstract_name
     }
 
-    fn core_properties(&self) -> CoreProperties {
+    fn core_properties(&self) -> Arc<CoreProperties> {
         self.properties.clone()
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 
@@ -346,47 +306,6 @@ fn fan_out_factory(
     .collect()
 }
 
-/// The properties the logical relational resource advertises — the same
-/// maps a plain [`SqlDataResource`] publishes, so factory negotiation is
-/// indistinguishable. Writes are refused: ingest goes through the fleet's
-/// router, not the federation endpoint.
-fn federated_sql_properties(name: AbstractName, shards: usize) -> CoreProperties {
-    let mut props = CoreProperties::new(name, ResourceManagementKind::ExternallyManaged);
-    props.description = format!("federated relational resource over {shards} shard(s)");
-    props.generic_query_languages.push(dais_dair::resources::SQL_LANGUAGE_URI.to_string());
-    props.dataset_maps.push(DatasetMap {
-        message: QName::new(ns::WSDAIR, "wsdair", "SQLExecuteRequest"),
-        dataset_format: ns::ROWSET.to_string(),
-    });
-    props.configuration_maps.push(ConfigurationMap {
-        message: QName::new(ns::WSDAIR, "wsdair", "SQLExecuteFactoryRequest"),
-        port_type: QName::new(ns::WSDAIR, "wsdair", "SQLResponseAccessPT"),
-        defaults: ConfigurationDocument {
-            readable: Some(true),
-            writeable: Some(false),
-            sensitivity: Some(Sensitivity::Insensitive),
-            ..Default::default()
-        },
-    });
-    props
-}
-
-/// The `ConfigurationMap` a derived response must advertise so
-/// `SQLRowsetFactory` can negotiate against it (mirrors
-/// `SqlResponseResource::create`).
-fn rowset_factory_map() -> ConfigurationMap {
-    ConfigurationMap {
-        message: QName::new(ns::WSDAIR, "wsdair", "SQLRowsetFactoryRequest"),
-        port_type: QName::new(ns::WSDAIR, "wsdair", "SQLRowsetAccessPT"),
-        defaults: ConfigurationDocument {
-            readable: Some(true),
-            writeable: Some(false),
-            sensitivity: Some(Sensitivity::Insensitive),
-            ..Default::default()
-        },
-    }
-}
-
 /// A federation endpoint serving one logical resource over a shard grid.
 pub struct FederationService {
     pub ctx: Arc<ServiceContext>,
@@ -409,44 +328,30 @@ impl FederationService {
         replicas: Vec<Vec<ResourceRef>>,
         options: FederationOptions,
     ) -> FederationService {
-        let (ctx, names) = Self::context(address);
-        let logical = names.mint("db");
-        let resource = ResourceRef::from_parts(address, &logical)
-            .expect("federation address must yield a valid resource ref");
-        let router = Arc::new(ShardRouter::new(
-            resource.clone(),
-            scheme,
-            replicas,
-            options.seed,
-            options.probe_after,
-        ));
-
-        let mut dispatcher = SoapDispatcher::new();
-        register_core_ops(&mut dispatcher, ctx.clone());
+        let (mut s, resource, router) = Self::skeleton(address, "db", scheme, replicas, &options);
+        let (ctx, names) = (s.ctx.clone(), s.names.clone());
         register_federated_sql_ops(
-            &mut dispatcher,
+            &mut s.dispatcher,
             ctx.clone(),
             names.clone(),
             router.clone(),
             bus.clone(),
             options.failover.clone(),
         );
-        bus.register(address, Arc::new(dispatcher));
-
-        let shards = router.shards();
-        ctx.add_resource(Arc::new(FederatedResource {
-            properties: federated_sql_properties(logical, shards),
-            bus: bus.clone(),
-            router: router.clone(),
-        }));
-
-        let monitoring = names.mint("monitoring");
-        ctx.add_resource(Arc::new(dais_core::MonitoringResource::new(
-            monitoring.clone(),
-            bus.clone(),
-            address,
-        )));
-
+        // The maps a plain SqlDataResource publishes, so factory
+        // negotiation is indistinguishable. Writes are refused: ingest goes
+        // through the fleet's router, not the federation endpoint.
+        let logical = resource.resource().clone();
+        let description =
+            format!("federated relational resource over {} shard(s)", router.shards());
+        let monitoring = s.serve(
+            bus,
+            Arc::new(FederatedResource {
+                properties: Arc::new(relational_properties(logical, description)),
+                bus: bus.clone(),
+                router: router.clone(),
+            }),
+        );
         FederationService { ctx, names, router, resource, monitoring }
     }
 
@@ -459,58 +364,52 @@ impl FederationService {
         replicas: Vec<Vec<ResourceRef>>,
         options: FederationOptions,
     ) -> FederationService {
-        let (ctx, names) = Self::context(address);
-        let logical = names.mint("collection");
-        let resource = ResourceRef::from_parts(address, &logical)
-            .expect("federation address must yield a valid resource ref");
-        let router = Arc::new(ShardRouter::new(
-            resource.clone(),
-            ShardScheme::Collection,
-            replicas,
-            options.seed,
-            options.probe_after,
-        ));
-
-        let mut dispatcher = SoapDispatcher::new();
-        register_core_ops(&mut dispatcher, ctx.clone());
+        let scheme = ShardScheme::Collection;
+        let (mut s, resource, router) =
+            Self::skeleton(address, "collection", scheme, replicas, &options);
+        let (ctx, names) = (s.ctx.clone(), s.names.clone());
         register_federated_xml_ops(
-            &mut dispatcher,
+            &mut s.dispatcher,
             ctx.clone(),
             router.clone(),
             bus.clone(),
             options.failover.clone(),
         );
-        bus.register(address, Arc::new(dispatcher));
-
-        let shards = router.shards();
+        let logical = resource.resource().clone();
         let mut props = CoreProperties::new(logical, ResourceManagementKind::ExternallyManaged);
-        props.description = format!("federated XML collection over {shards} shard(s)");
-        ctx.add_resource(Arc::new(FederatedResource {
-            properties: props,
-            bus: bus.clone(),
-            router: router.clone(),
-        }));
-
-        let monitoring = names.mint("monitoring");
-        ctx.add_resource(Arc::new(dais_core::MonitoringResource::new(
-            monitoring.clone(),
-            bus.clone(),
-            address,
-        )));
-
+        props.description = format!("federated XML collection over {} shard(s)", router.shards());
+        let monitoring = s.serve(
+            bus,
+            Arc::new(FederatedResource {
+                properties: Arc::new(props),
+                bus: bus.clone(),
+                router: router.clone(),
+            }),
+        );
         FederationService { ctx, names, router, resource, monitoring }
     }
 
-    fn context(address: &str) -> (Arc<ServiceContext>, Arc<NameGenerator>) {
-        let ctx = Arc::new(ServiceContext {
-            address: address.to_string(),
-            registry: ResourceRegistry::new(),
-            lifetime: None,
-            query_rewriter: None,
-        });
-        let names =
-            Arc::new(NameGenerator::new(address.trim_start_matches("bus://").replace('/', "-")));
-        (ctx, names)
+    /// The endpoint's skeleton, its logical resource (a `kind` name
+    /// minted first) and the router over `replicas`.
+    fn skeleton(
+        address: &str,
+        kind: &str,
+        scheme: ShardScheme,
+        replicas: Vec<Vec<ResourceRef>>,
+        options: &FederationOptions,
+    ) -> (ServiceSkeleton, ResourceRef, Arc<ShardRouter>) {
+        let skeleton = ServiceSkeleton::new(address, None, None);
+        let logical = skeleton.names.mint(kind);
+        let resource = ResourceRef::from_parts(address, &logical)
+            .expect("federation address must yield a valid resource ref");
+        let router = Arc::new(ShardRouter::new(
+            resource.clone(),
+            scheme,
+            replicas,
+            options.seed,
+            options.probe_after,
+        ));
+        (skeleton, resource, router)
     }
 }
 
@@ -525,14 +424,10 @@ fn register_federated_sql_ops(
     bus: Bus,
     failover: FailoverPolicy,
 ) {
-    let c = ctx.clone();
     let rt = router.clone();
     let b = bus.clone();
     let fo = failover.clone();
-    dispatcher.register(dair_actions::SQL_EXECUTE, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        as_federated(&resource)?;
+    let op = move |body: &XmlElement, resource: &FederatedResource| {
         let props = resource.core_properties();
         if let Some(format) = dais_core::messages::extract_format_uri(body) {
             let message = QName::new(ns::WSDAIR, "wsdair", "SQLExecuteRequest");
@@ -545,11 +440,11 @@ fn register_federated_sql_ops(
         }
         let (sql, params) = dair_messages::parse_sql_expression(body)?;
         // Writes go through the fleet's router (every replica of the
-        // owning shard), not the logical resource; queries must prove
-        // their shape distributable before anything reaches a shard.
-        let stmt = analyze(&sql).map_err(|e| {
-            admission_fault(e, Fault::dais(DaisFault::NotAuthorized, "resource is not writeable"))
-        })?;
+        // owning shard), not the logical resource, which is not
+        // Writeable; queries must prove their shape distributable before
+        // anything reaches a shard.
+        let stmt = analyze(&sql).map_err(|e| admission_fault(e, Requires::Writeable.refusal()))?;
+        Requires::Readable.check(&props)?;
         let shard_sql = stmt.shard_statement();
         let pages = scatter_pages(&b, &rt, &fo, dair_actions::SQL_EXECUTE, |s, r| {
             Ok(dair_messages::sql_execute_request(
@@ -567,34 +462,24 @@ fn register_federated_sql_ops(
                 SqlCommunicationArea::success()
             }
         })
-    });
+    };
+    register_op(dispatcher, &ctx, dair_actions::SQL_EXECUTE, Requires::Nothing, op);
 
-    let c = ctx.clone();
-    dispatcher.register(dair_actions::GET_SQL_PROPERTY_DOCUMENT, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        as_federated(&resource)?;
-        let mut response = XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLPropertyDocumentResponse");
-        response.push(resource.property_document());
-        respond(response)
-    });
+    register_property_document::<FederatedResource>(
+        dispatcher,
+        &ctx,
+        dair_actions::GET_SQL_PROPERTY_DOCUMENT,
+        XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLPropertyDocumentResponse"),
+    );
 
     let c = ctx.clone();
     let n = names.clone();
     let rt = router.clone();
     let b = bus.clone();
     let fo = failover.clone();
-    dispatcher.register(dair_actions::SQL_EXECUTE_FACTORY, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        as_federated(&resource)?;
-        let props = resource.core_properties();
-        if !props.readable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
-        }
-        let config = DerivedResourceConfig::from_request(body)?;
+    let op = move |body: &XmlElement, resource: &FederatedResource| {
         let message = QName::new(ns::WSDAIR, "wsdair", "SQLExecuteFactoryRequest");
-        let (_port, effective) = config.resolve_against(&props.configuration_maps, &message)?;
+        let factory = FactoryRequest::negotiate(body, resource, message)?;
         let (sql, params) = dair_messages::parse_sql_expression(body)?;
         let stmt = analyze(&sql).map_err(|e| {
             admission_fault(
@@ -623,44 +508,33 @@ fn register_federated_sql_ops(
                 shard_req
             })?;
 
-        let name = n.mint("sql-response");
-        let mut derived = config.derived_properties(name.clone(), &effective);
-        derived.configuration_maps.push(rowset_factory_map());
-        c.add_resource(Arc::new(FederatedResponseResource {
-            properties: derived,
-            per_shard,
-            keys: stmt.keys,
-            offset: stmt.offset,
-            limit: stmt.limit,
-        }));
-        let epr = mint_resource_epr(&c.address, &name);
-        respond(factory_response("SQLExecuteFactoryResponse", ns::WSDAIR, "wsdair", &epr))
-    });
+        factory.finish(&c, &n, "sql-response", |mut properties| {
+            properties.configuration_maps.push(rowset_factory_map());
+            Ok(FederatedResponseResource {
+                properties: Arc::new(properties),
+                per_shard,
+                keys: stmt.keys,
+                offset: stmt.offset,
+                limit: stmt.limit,
+            })
+        })
+    };
+    register_op(dispatcher, &ctx, dair_actions::SQL_EXECUTE_FACTORY, Requires::Readable, op);
+
+    register_property_document::<FederatedResponseResource>(
+        dispatcher,
+        &ctx,
+        dair_actions::GET_SQL_RESPONSE_PROPERTY_DOCUMENT,
+        XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLResponsePropertyDocumentResponse"),
+    );
 
     let c = ctx.clone();
-    dispatcher.register(dair_actions::GET_SQL_RESPONSE_PROPERTY_DOCUMENT, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        as_fed_response(&resource)?;
-        let mut response =
-            XmlElement::new(ns::WSDAIR, "wsdair", "GetSQLResponsePropertyDocumentResponse");
-        response.push(resource.property_document());
-        respond(response)
-    });
-
-    let c = ctx.clone();
-    let n = names;
     let rt = router.clone();
     let b = bus.clone();
     let fo = failover.clone();
-    dispatcher.register(dair_actions::SQL_ROWSET_FACTORY, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let response = as_fed_response(&resource)?;
-        let props = resource.core_properties();
-        let config = DerivedResourceConfig::from_request(body)?;
+    let op = move |body: &XmlElement, response: &FederatedResponseResource| {
         let message = QName::new(ns::WSDAIR, "wsdair", "SQLRowsetFactoryRequest");
-        let (_port, effective) = config.resolve_against(&props.configuration_maps, &message)?;
+        let factory = FactoryRequest::negotiate(body, response, message)?;
         let count: Option<usize> =
             body.child_text(ns::WSDAIR, "Count").and_then(|t| t.trim().parse().ok());
         // The logical rowset holds min(factory Count, statement LIMIT)
@@ -699,30 +573,19 @@ fn register_federated_sql_ops(
             }
         })?;
 
-        let name = n.mint("rowset");
-        let derived = config.derived_properties(name.clone(), &effective);
-        c.add_resource(Arc::new(FederatedRowsetResource {
-            properties: derived,
-            per_shard,
-            keys: response.keys.clone(),
-            skip,
-            cap,
-        }));
-        let epr = mint_resource_epr(&c.address, &name);
-        respond(factory_response("SQLRowsetFactoryResponse", ns::WSDAIR, "wsdair", &epr))
-    });
+        factory.finish(&c, &names, "rowset", |properties| {
+            Ok(FederatedRowsetResource {
+                properties: Arc::new(properties),
+                per_shard,
+                keys: response.keys.clone(),
+                skip,
+                cap,
+            })
+        })
+    };
+    register_op(dispatcher, &ctx, dair_actions::SQL_ROWSET_FACTORY, Requires::Readable, op);
 
-    let c = ctx.clone();
-    let rt = router.clone();
-    let b = bus.clone();
-    let fo = failover.clone();
-    dispatcher.register(dair_actions::GET_TUPLES, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        let rowset = as_fed_rowset(&resource)?;
-        if !resource.core_properties().readable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
-        }
+    let op = move |body: &XmlElement, rowset: &FederatedRowsetResource| {
         let (start, count) = dair_messages::parse_get_tuples(body)?;
         let take = match rowset.cap {
             Some(cap) => count.min(cap.saturating_sub(start)),
@@ -734,7 +597,7 @@ fn register_federated_sql_ops(
         let skip = rowset.skip.saturating_add(start);
         let fetch = skip.saturating_add(take);
         let per_shard = &rowset.per_shard;
-        let pages = scatter_pages(&b, &rt, &fo, dair_actions::GET_TUPLES, |s, r| {
+        let pages = scatter_pages(&bus, &router, &failover, dair_actions::GET_TUPLES, |s, r| {
             let name = per_shard[s][r].as_ref().ok_or_else(|| {
                 CallError::Fault(Fault::dais(
                     DaisFault::DataResourceUnavailable,
@@ -746,18 +609,15 @@ fn register_federated_sql_ops(
         merged_response("GetTuplesResponse", &pages, &rowset.keys, skip, take, |_| {
             SqlCommunicationArea::success()
         })
-    });
+    };
+    register_op(dispatcher, &ctx, dair_actions::GET_TUPLES, Requires::Readable, op);
 
-    let c = ctx;
-    dispatcher.register(dair_actions::GET_ROWSET_PROPERTY_DOCUMENT, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        as_fed_rowset(&resource)?;
-        let mut response =
-            XmlElement::new(ns::WSDAIR, "wsdair", "GetRowsetPropertyDocumentResponse");
-        response.push(resource.property_document());
-        respond(response)
-    });
+    register_property_document::<FederatedRowsetResource>(
+        dispatcher,
+        &ctx,
+        dair_actions::GET_ROWSET_PROPERTY_DOCUMENT,
+        XmlElement::new(ns::WSDAIR, "wsdair", "GetRowsetPropertyDocumentResponse"),
+    );
 }
 
 /// Register the federated WS-DAIX operations: `XPathExecute` fans out
@@ -770,26 +630,16 @@ fn register_federated_xml_ops(
     bus: Bus,
     failover: FailoverPolicy,
 ) {
-    let c = ctx.clone();
-    let rt = router.clone();
-    let b = bus.clone();
-    let fo = failover.clone();
-    dispatcher.register(daix_actions::XPATH_EXECUTE, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        as_federated(&resource)?;
-        if !resource.core_properties().readable {
-            return Err(Fault::dais(DaisFault::NotAuthorized, "resource is not readable"));
-        }
+    let op = move |body: &XmlElement, _: &FederatedResource| {
         let expression = daix_messages::parse_expression(body)?;
         let mut response = XmlElement::new(ns::WSDAIX, "wsdaix", "XPathExecuteResponse");
         // Shards answer concurrently; the document-set union still
         // assembles in shard order.
-        let replies = scatter_shards(rt.shards(), |s| {
-            call_shard(&b, &rt, s, &fo, |client, r| {
+        let replies = scatter_shards(router.shards(), |s| {
+            call_shard(&bus, &router, s, &failover, |client, r| {
                 let shard_req = daix_messages::query_request(
                     "XPathExecuteRequest",
-                    rt.replica(s, r).resource(),
+                    router.replica(s, r).resource(),
                     &expression,
                 );
                 client.request(daix_actions::XPATH_EXECUTE, shard_req)
@@ -801,17 +651,14 @@ fn register_federated_xml_ops(
                 response.push(item.clone());
             }
         }
-        respond(response)
-    });
+        Ok(Envelope::with_body(response))
+    };
+    register_op(dispatcher, &ctx, daix_actions::XPATH_EXECUTE, Requires::Readable, op);
 
-    let c = ctx;
-    dispatcher.register(daix_actions::GET_COLLECTION_PROPERTY_DOCUMENT, move |req: &Envelope| {
-        let body = payload(req)?;
-        let resource = c.resolve_resource(body)?;
-        as_federated(&resource)?;
-        let mut response =
-            XmlElement::new(ns::WSDAIX, "wsdaix", "GetCollectionPropertyDocumentResponse");
-        response.push(resource.property_document());
-        respond(response)
-    });
+    register_property_document::<FederatedResource>(
+        dispatcher,
+        &ctx,
+        daix_actions::GET_COLLECTION_PROPERTY_DOCUMENT,
+        XmlElement::new(ns::WSDAIX, "wsdaix", "GetCollectionPropertyDocumentResponse"),
+    );
 }
