@@ -8,6 +8,9 @@
 //! Everything here is deterministic: workloads are generated from seeded
 //! RNGs so experiment output is reproducible run-to-run.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod harness;
 pub mod workload;
 

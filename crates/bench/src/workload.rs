@@ -14,6 +14,7 @@ pub fn seeded_rng(seed: u64) -> SplitMix64 {
 /// payload of `payload_width` characters — the knob the E1/E2 message-size
 /// sweeps turn.
 pub fn populate_items(db: &Database, rows: usize, payload_width: usize) {
+    #[expect(clippy::expect_used, reason = "fixture setup aborts by design")]
     db.execute(
         "CREATE TABLE item (
             id INTEGER PRIMARY KEY,
@@ -34,12 +35,14 @@ pub fn populate_items(db: &Database, rows: usize, payload_width: usize) {
             (0..payload_width).map(|_| char::from(b'a' + rng.gen_range(0, 26) as u8)).collect();
         pending.push(format!("({i}, {category}, {price}, '{payload}')"));
         if pending.len() == 256 {
+            #[expect(clippy::expect_used, reason = "fixture setup aborts by design")]
             db.execute(&format!("INSERT INTO item VALUES {}", pending.join(", ")), &[])
                 .expect("insert items");
             pending.clear();
         }
     }
     if !pending.is_empty() {
+        #[expect(clippy::expect_used, reason = "fixture setup aborts by design")]
         db.execute(&format!("INSERT INTO item VALUES {}", pending.join(", ")), &[])
             .expect("insert items");
     }
@@ -49,6 +52,7 @@ pub fn populate_items(db: &Database, rows: usize, payload_width: usize) {
 /// year, price and a variable-length abstract).
 pub fn populate_books(db: &XmlDatabase, collection: &str, n: usize) {
     if !db.has_collection(collection) {
+        #[expect(clippy::expect_used, reason = "fixture setup aborts by design")]
         db.create_collection(collection).expect("create collection");
     }
     let mut rng = seeded_rng(7);
@@ -68,6 +72,7 @@ pub fn populate_books(db: &XmlDatabase, collection: &str, n: usize) {
              </book>",
             i % 17
         );
+        #[expect(clippy::expect_used, reason = "fixture setup aborts by design")]
         db.add_document(collection, &format!("book{i}"), &doc).expect("add book");
     }
 }

@@ -12,6 +12,9 @@
 //! `CIM_UniqueConstraint`s (primary keys and unique columns),
 //! `CIM_ForeignKey`s and `CIM_Index`es.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use dais_sql::Database;
 use dais_xml::{ns, XmlElement};
 

@@ -116,6 +116,7 @@ impl<C: DaisClient> ClientBuilder<C> {
     /// If no bus or no target was supplied — these are programming
     /// errors, not runtime conditions.
     pub fn build(self) -> C {
+        #[expect(clippy::expect_used, reason = "a documented `# Panics` programming error")]
         let bus = self.bus.expect("ClientBuilder::build: a bus is required — call .bus(..)");
         if let Some(transport) = self.transport {
             bus.set_transport(transport);

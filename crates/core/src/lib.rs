@@ -33,6 +33,9 @@
 //! these types with model-specific properties and operations, exactly as
 //! the specification family is structured.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod builder;
 pub mod client;
 pub mod dais_client;

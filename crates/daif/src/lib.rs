@@ -24,6 +24,9 @@
 //! in-memory tree, standing in for a grid file system exactly as the
 //! other substrates stand in for DBMSs (see DESIGN.md).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod base64;
 pub mod client;
 pub mod resources;

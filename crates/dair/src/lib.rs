@@ -26,6 +26,9 @@
 //! exactly as Figure 2 prescribes; the `CIMDescription` property carries
 //! the CIM rendering of the catalog (§4.2).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod client;
 pub mod messages;
 pub mod properties;

@@ -20,6 +20,9 @@
 //! * **SequenceAccess** — `GetItems` (paged retrieval) and
 //!   `GetSequencePropertyDocument`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod client;
 pub mod messages;
 pub mod resources;

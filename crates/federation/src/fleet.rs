@@ -15,13 +15,12 @@ use dais_dair::{RelationalService, RelationalServiceOptions};
 use dais_daix::messages::{self as daix_messages, actions as daix_actions};
 use dais_daix::{XmlService, XmlServiceOptions};
 use dais_soap::bus::Bus;
-use dais_soap::{CallError, ServiceClient};
+use dais_soap::{CallError, RetryConfig, ServiceClient};
 use dais_sql::{Database, Value};
 use dais_xml::{ns, XmlElement};
 use dais_xmldb::XmlDatabase;
 
 use crate::router::{ShardAddress, ShardRouter, ShardScheme};
-use crate::scatter::FailoverPolicy;
 use crate::service::{FederationOptions, FederationService};
 
 /// Shape and tuning of a fleet.
@@ -36,7 +35,7 @@ pub struct FleetOptions {
     /// probe.
     pub probe_after: u32,
     /// Retry schedule and sleeper for shard calls.
-    pub failover: FailoverPolicy,
+    pub failover: RetryConfig,
 }
 
 impl Default for FleetOptions {
@@ -46,7 +45,7 @@ impl Default for FleetOptions {
             replicas: 2,
             seed: 0xF1EE7,
             probe_after: 4,
-            failover: FailoverPolicy::default(),
+            failover: FederationOptions::default().failover,
         }
     }
 }
@@ -89,6 +88,7 @@ impl RelationalFleet {
             for r in 0..options.replicas {
                 let address = ShardAddress::new(authority, s, r);
                 let db = Database::new(format!("shard{s}"));
+                #[expect(clippy::expect_used, reason = "a bad schema is a configuration error")]
                 db.execute_script(schema).expect("fleet schema script must apply");
                 let svc = RelationalService::launch(
                     bus,
@@ -96,6 +96,7 @@ impl RelationalFleet {
                     db,
                     RelationalServiceOptions::default(),
                 );
+                #[expect(clippy::expect_used, reason = "a bad address is a configuration error")]
                 refs.push(
                     ResourceRef::from_parts(address.as_str(), &svc.db_resource)
                         .expect("shard address must form a resource ref"),
@@ -161,6 +162,7 @@ impl XmlFleet {
                 let db = XmlDatabase::new(format!("shard{s}"));
                 let svc =
                     XmlService::launch(bus, address.as_str(), db, XmlServiceOptions::default());
+                #[expect(clippy::expect_used, reason = "a bad address is a configuration error")]
                 refs.push(
                     ResourceRef::from_parts(address.as_str(), &svc.root_collection)
                         .expect("shard address must form a resource ref"),

@@ -25,6 +25,9 @@
 //! * [`fleet`] — test/bench topology builders: launch a shard × replica
 //!   grid in one call and ingest rows/documents through the router.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod fleet;
 pub mod merge;
 pub mod router;
@@ -35,6 +38,6 @@ pub mod statement;
 pub use fleet::{FleetOptions, RelationalFleet, XmlFleet};
 pub use merge::{merge_cursors, MergeKey, SortKey};
 pub use router::{ShardAddress, ShardRouter, ShardScheme};
-pub use scatter::{call_replica, call_shard, scatter_shards, FailoverPolicy};
+pub use scatter::{call_replica, call_shard, scatter_shards};
 pub use service::{FederationOptions, FederationService};
 pub use statement::{analyze, AdmissionError, DistributedStatement};

@@ -17,48 +17,12 @@
 //! retried on the policy's schedule (failing over is not an option when
 //! *every* replica must apply the operation).
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use dais_soap::retry::{is_retryable, overload_origin, retry_after_hint, OverloadOrigin, SleepFn};
-use dais_soap::{Bus, BusError, CallError, RetryPolicy, ServiceClient};
+use dais_soap::retry::{is_retryable, overload_origin, retry_after_hint, OverloadOrigin};
+use dais_soap::{Bus, BusError, CallError, RetryConfig, ServiceClient};
 
 use crate::router::ShardRouter;
-
-/// How hard [`call_shard`] tries: the retry schedule governing sweeps
-/// over a shard's replica set, plus the sleeper that waits out backoff
-/// (injectable so tests can prove *no* sleep happened on replica
-/// failover).
-#[derive(Clone)]
-pub struct FailoverPolicy {
-    pub retry: RetryPolicy,
-    sleep: SleepFn,
-}
-
-impl FailoverPolicy {
-    pub fn new(retry: RetryPolicy) -> FailoverPolicy {
-        FailoverPolicy { retry, sleep: Arc::new(std::thread::sleep) }
-    }
-
-    /// Replace the sleeper (tests pass a recorder; production keeps the
-    /// default `thread::sleep`).
-    pub fn with_sleep(mut self, sleep: SleepFn) -> FailoverPolicy {
-        self.sleep = sleep;
-        self
-    }
-}
-
-impl Default for FailoverPolicy {
-    fn default() -> FailoverPolicy {
-        FailoverPolicy::new(RetryPolicy::new(3))
-    }
-}
-
-impl std::fmt::Debug for FailoverPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FailoverPolicy").field("retry", &self.retry).finish_non_exhaustive()
-    }
-}
 
 /// Call one shard through whichever replica answers.
 ///
@@ -80,10 +44,10 @@ pub fn call_shard<T>(
     bus: &Bus,
     router: &ShardRouter,
     shard: usize,
-    policy: &FailoverPolicy,
+    retry: &RetryConfig,
     mut call: impl FnMut(&ServiceClient, usize) -> Result<T, CallError>,
 ) -> Result<T, CallError> {
-    let attempts = policy.retry.max_attempts.max(1);
+    let attempts = retry.policy.max_attempts.max(1);
     let mut last_err: Option<CallError> = None;
     fn note_hint(h: Option<Duration>, hint: &mut Option<Duration>) {
         if let Some(h) = h {
@@ -122,9 +86,9 @@ pub fn call_shard<T>(
             }
         }
         if attempt < attempts {
-            let delay = hint.unwrap_or(Duration::ZERO).max(policy.retry.backoff_delay(attempt));
+            let delay = hint.unwrap_or(Duration::ZERO).max(retry.policy.backoff_delay(attempt));
             if delay > Duration::ZERO {
-                (policy.sleep)(delay);
+                retry.sleep(delay);
             }
         }
     }
@@ -182,10 +146,10 @@ where
 pub fn call_replica<T>(
     bus: &Bus,
     address: &str,
-    policy: &FailoverPolicy,
+    retry: &RetryConfig,
     mut call: impl FnMut(&ServiceClient) -> Result<T, CallError>,
 ) -> Result<T, CallError> {
-    let attempts = policy.retry.max_attempts.max(1);
+    let attempts = retry.policy.max_attempts.max(1);
     let client = ServiceClient::new(bus.clone(), address);
     let mut attempt = 1;
     loop {
@@ -194,9 +158,9 @@ pub fn call_replica<T>(
             Err(e) if attempt < attempts && is_retryable(&e) => {
                 let delay = retry_after_hint(&e)
                     .unwrap_or(Duration::ZERO)
-                    .max(policy.retry.backoff_delay(attempt));
+                    .max(retry.policy.backoff_delay(attempt));
                 if delay > Duration::ZERO {
-                    (policy.sleep)(delay);
+                    retry.sleep(delay);
                 }
                 attempt += 1;
             }
@@ -212,9 +176,10 @@ mod tests {
     use dais_core::ResourceRef;
     use dais_soap::envelope::Envelope;
     use dais_soap::interceptor::{CallInfo, Intercept, Interceptor};
-    use dais_soap::{Fault, SoapDispatcher};
+    use dais_soap::{Fault, RetryPolicy, SoapDispatcher};
     use dais_util::sync::Mutex;
     use dais_xml::XmlElement;
+    use std::sync::Arc;
 
     dais_soap::actions! {
         ECHO = "urn:test:echo", Read;
@@ -286,7 +251,7 @@ mod tests {
 
         let slept: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
         let recorder = slept.clone();
-        let policy = FailoverPolicy::new(RetryPolicy::new(3))
+        let policy = RetryConfig::new(RetryPolicy::new(3))
             .with_sleep(Arc::new(move |d| recorder.lock().push(d)));
 
         let router = fed_router(2);
@@ -315,7 +280,7 @@ mod tests {
 
         let slept: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
         let recorder = slept.clone();
-        let policy = FailoverPolicy::new(RetryPolicy::new(2))
+        let policy = RetryConfig::new(RetryPolicy::new(2))
             .with_sleep(Arc::new(move |d| recorder.lock().push(d)));
 
         let router = fed_router(2);
@@ -339,7 +304,7 @@ mod tests {
         });
         bus.add_interceptor(hot.clone());
 
-        let policy = FailoverPolicy::new(RetryPolicy::new(2))
+        let policy = RetryConfig::new(RetryPolicy::new(2))
             .with_sleep(Arc::new(|_| panic!("no sleep expected")));
         let router = fed_router(2);
         let _ = call_shard(&bus, &router, 0, &policy, |c, _r| echo_through(c)).unwrap();
@@ -391,7 +356,7 @@ mod tests {
 
         let slept: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
         let recorder = slept.clone();
-        let policy = FailoverPolicy::new(RetryPolicy::new(3))
+        let policy = RetryConfig::new(RetryPolicy::new(3))
             .with_sleep(Arc::new(move |d| recorder.lock().push(d)));
 
         let got = call_replica(&bus, "bus://fleet/r0", &policy, echo_through).unwrap();
@@ -407,7 +372,7 @@ mod tests {
         d.register(ECHO, |_req| Err(Fault::client("no such thing")));
         bus.register("bus://fleet/r0", Arc::new(d));
 
-        let policy = FailoverPolicy::new(RetryPolicy::new(3))
+        let policy = RetryConfig::new(RetryPolicy::new(3))
             .with_sleep(Arc::new(|_| panic!("no sleep expected")));
         let err = call_replica(&bus, "bus://fleet/r0", &policy, echo_through).unwrap_err();
         assert!(matches!(err, CallError::Fault(_)), "got {err:?}");
@@ -424,7 +389,7 @@ mod tests {
         let results = scatter_shards(4, |s| {
             let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
             peak.fetch_max(now, Ordering::SeqCst);
-            std::thread::sleep(Duration::from_millis(20));
+            dais_util::sync::pause(Duration::from_millis(20));
             in_flight.fetch_sub(1, Ordering::SeqCst);
             if s == 2 {
                 Err(format!("shard {s} down"))
@@ -454,7 +419,7 @@ mod tests {
         bus.register("bus://fleet/r0", Arc::new(d));
         echo_service(&bus, "bus://fleet/r1", "r1");
 
-        let policy = FailoverPolicy::new(RetryPolicy::new(3))
+        let policy = RetryConfig::new(RetryPolicy::new(3))
             .with_sleep(Arc::new(|_| panic!("no sleep expected")));
         let router = fed_router(2);
         // Pin the sweep at r0 by marking r1 down first.

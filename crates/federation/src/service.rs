@@ -26,13 +26,13 @@ use dais_soap::bus::Bus;
 use dais_soap::envelope::Envelope;
 use dais_soap::fault::{DaisFault, Fault};
 use dais_soap::service::SoapDispatcher;
-use dais_soap::{Action, CallError};
+use dais_soap::{Action, CallError, RetryConfig, RetryPolicy};
 use dais_sql::SqlCommunicationArea;
 use dais_xml::{ns, QName, XmlElement, XmlWriter};
 
 use crate::merge::{merge_cursors, MergeKey};
 use crate::router::{ShardRouter, ShardScheme};
-use crate::scatter::{call_replica, call_shard, scatter_shards, FailoverPolicy};
+use crate::scatter::{call_replica, call_shard, scatter_shards};
 use crate::statement::{analyze, AdmissionError};
 
 /// Knobs for assembling a federation endpoint.
@@ -44,12 +44,16 @@ pub struct FederationOptions {
     /// probe.
     pub probe_after: u32,
     /// Retry schedule and sleeper for shard calls.
-    pub failover: FailoverPolicy,
+    pub failover: RetryConfig,
 }
 
 impl Default for FederationOptions {
     fn default() -> FederationOptions {
-        FederationOptions { seed: 0xF1EE7, probe_after: 4, failover: FailoverPolicy::default() }
+        FederationOptions {
+            seed: 0xF1EE7,
+            probe_after: 4,
+            failover: RetryConfig::new(RetryPolicy::new(3)),
+        }
     }
 }
 
@@ -205,12 +209,12 @@ impl DataResource for FederatedRowsetResource {
 fn scatter_pages(
     bus: &Bus,
     router: &ShardRouter,
-    policy: &FailoverPolicy,
+    retry: &RetryConfig,
     action: Action,
     request_for: impl Fn(usize, usize) -> Result<XmlElement, CallError> + Sync,
 ) -> Result<Vec<Vec<u8>>, Fault> {
     scatter_shards(router.shards(), |s| {
-        call_shard(bus, router, s, policy, |client, r| {
+        call_shard(bus, router, s, retry, |client, r| {
             let req = request_for(s, r)?;
             let mut buf = Vec::new();
             client.request_bytes_into(action, &req, &mut buf)?;
@@ -261,7 +265,7 @@ fn merged_response(
 fn fan_out_factory(
     bus: &Bus,
     router: &ShardRouter,
-    policy: &FailoverPolicy,
+    retry: &RetryConfig,
     action: Action,
     request_for: impl Fn(usize, usize) -> XmlElement + Sync,
 ) -> Result<Vec<Vec<Option<AbstractName>>>, Fault> {
@@ -270,7 +274,7 @@ fn fan_out_factory(
         let mut last_err: Option<CallError> = None;
         for r in 0..router.replica_count(s) {
             let address = router.replica(s, r).endpoint_address();
-            let minted = call_replica(bus, &address, policy, |client| {
+            let minted = call_replica(bus, &address, retry, |client| {
                 let reply = client.request(action, request_for(s, r))?;
                 let epr =
                     dais_core::factory::parse_factory_response(&reply).map_err(CallError::Fault)?;
@@ -400,6 +404,7 @@ impl FederationService {
     ) -> (ServiceSkeleton, ResourceRef, Arc<ShardRouter>) {
         let skeleton = ServiceSkeleton::new(address, None, None);
         let logical = skeleton.names.mint(kind);
+        #[expect(clippy::expect_used, reason = "a bad address is a configuration error")]
         let resource = ResourceRef::from_parts(address, &logical)
             .expect("federation address must yield a valid resource ref");
         let router = Arc::new(ShardRouter::new(
@@ -422,7 +427,7 @@ fn register_federated_sql_ops(
     names: Arc<NameGenerator>,
     router: Arc<ShardRouter>,
     bus: Bus,
-    failover: FailoverPolicy,
+    failover: RetryConfig,
 ) {
     let rt = router.clone();
     let b = bus.clone();
@@ -628,7 +633,7 @@ fn register_federated_xml_ops(
     ctx: Arc<ServiceContext>,
     router: Arc<ShardRouter>,
     bus: Bus,
-    failover: FailoverPolicy,
+    failover: RetryConfig,
 ) {
     let op = move |body: &XmlElement, _: &FederatedResource| {
         let expression = daix_messages::parse_expression(body)?;

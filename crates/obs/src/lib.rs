@@ -39,6 +39,9 @@
 //! inventories can build, so an ad-hoc literal at a call site does not
 //! compile.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod hist;
 pub mod journal;
 pub mod metrics;

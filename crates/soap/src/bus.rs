@@ -371,6 +371,8 @@ impl Bus {
         action: &str,
         request: &Envelope,
     ) -> Result<Pending, BusError> {
+        #[cfg(debug_assertions)]
+        dais_util::lockorder::assert_no_guard_held("a bus call");
         let (endpoint, chain) = self.resolve(to)?;
         match self.queued_mode() {
             Some(exec) => self.enqueue(&exec, endpoint, chain, to, action, request),
@@ -939,11 +941,15 @@ impl Bus {
 /// True only for a reply that starts with the *canonical* envelope tag
 /// this stack serialises (the `soap` prefix provably bound to the SOAP
 /// 1.1 namespace before the first `>`) and whose first body child is an
-/// element outside that prefix — i.e. data, not `<soap:Fault>`. Header
-/// blocks are fine: escaping guarantees no raw `<soap:Body>` inside
-/// them, so the first occurrence is the real one. Everything else —
-/// faults, empty bodies, foreign serialisations — answers `false` and
-/// gets a full parse.
+/// element outside that prefix and not named `Fault` under any prefix —
+/// i.e. data, not a fault however it is spelled. Header blocks are fine
+/// as long as no comment, CDATA section or processing instruction comes
+/// before the matched `<soap:Body>`: escaping keeps a raw `<soap:Body>`
+/// out of text and attributes, but not out of those, so a `<!` or `<?`
+/// ahead of the match could hide a decoy. (A header block nesting an
+/// element literally spelled `<soap:Body>` would still mislead it; this
+/// stack never writes one.) Everything else — faults, empty bodies,
+/// foreign serialisations — answers `false` and gets a full parse.
 fn sniff_canonical_data_reply(bytes: &[u8]) -> bool {
     const START: &[u8] = b"<soap:Envelope xmlns:soap=\"http://schemas.xmlsoap.org/soap/envelope/\"";
     const BODY: &[u8] = b"<soap:Body>";
@@ -953,8 +959,17 @@ fn sniff_canonical_data_reply(bytes: &[u8]) -> bool {
     let Some(at) = bytes.windows(BODY.len()).position(|w| w == BODY) else {
         return false;
     };
+    if bytes[..at].windows(2).any(|w| w == b"<!" || w == b"<?") {
+        return false;
+    }
     let rest = &bytes[at + BODY.len()..];
-    rest.first() == Some(&b'<') && !rest.starts_with(b"<soap:")
+    let Some(tag) = rest.strip_prefix(b"<") else {
+        return false;
+    };
+    let name_len = tag.iter().position(|b| matches!(b, b'>' | b'/' | b' ' | b'\t' | b'\r' | b'\n'));
+    let qname = &tag[..name_len.unwrap_or(tag.len())];
+    let local = qname.rsplit(|&b| b == b':').next().unwrap_or(qname);
+    !qname.starts_with(b"soap:") && local != b"Fault"
 }
 
 #[cfg(test)]
@@ -1037,16 +1052,84 @@ mod tests {
         Envelope::with_body(XmlElement::new_local("m").with_text("x")).to_bytes_into(&mut data);
         assert!(sniff_canonical_data_reply(&data));
 
-        let mut fault = Vec::new();
-        Envelope::with_body(Fault::server("nope").to_xml()).to_bytes_into(&mut fault);
-        assert!(!sniff_canonical_data_reply(&fault));
-
         let mut empty = Vec::new();
         Envelope::default().to_bytes_into(&mut empty);
         assert!(!sniff_canonical_data_reply(&empty));
 
         assert!(!sniff_canonical_data_reply(b"<env:Envelope xmlns:env=\"urn:x\"/>"));
         assert!(!sniff_canonical_data_reply(b"not xml at all"));
+
+        // The tracing `RelatesTo` header keeps a data reply vouched for.
+        let mut traced = Vec::new();
+        let mut env = Envelope::with_body(XmlElement::new_local("m").with_text("x"));
+        env.add_header(XmlElement::new(ns::WSA, "wsa", "RelatesTo").with_text("urn:msg"));
+        env.to_bytes_into(&mut traced);
+        assert!(sniff_canonical_data_reply(&traced));
+
+        for fault in fault_replies() {
+            let text = String::from_utf8_lossy(&fault);
+            assert!(!sniff_canonical_data_reply(&fault), "vouched for a fault: {text}");
+        }
+    }
+
+    /// Fault replies, each parsing as a genuine SOAP fault: the canonical
+    /// serialisation, then two the first-match sniff once took for data —
+    /// a decoy body tag in a header comment, and the fault under a prefix
+    /// other than `soap`.
+    fn fault_replies() -> Vec<Vec<u8>> {
+        let mut canonical = Vec::new();
+        Envelope::with_body(Fault::server("synthetic").to_xml()).to_bytes_into(&mut canonical);
+        let canonical = String::from_utf8(canonical).unwrap();
+        let decoy = canonical.replacen(
+            "<soap:Body>",
+            "<soap:Header><!--<soap:Body><x/>--></soap:Header><soap:Body>",
+            1,
+        );
+        let prefixed = canonical
+            .replace("<soap:Fault>", &format!("<env:Fault xmlns:env=\"{}\">", ns::SOAP_ENV))
+            .replace("</soap:Fault>", "</env:Fault>");
+        for reply in [&canonical, &decoy, &prefixed] {
+            let env = Envelope::from_bytes(reply.as_bytes()).unwrap();
+            assert!(env.payload().and_then(Fault::from_xml).is_some(), "not a fault: {reply}");
+        }
+        vec![canonical.into_bytes(), decoy.into_bytes(), prefixed.into_bytes()]
+    }
+
+    /// A lock guard held across a bus exchange: the callee can stall on a
+    /// queue or a remote peer while every contender waits behind it.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock guard held across a bus call")]
+    fn a_guard_held_across_a_call_panics() {
+        let bus = echo_bus();
+        let state = dais_util::sync::Mutex::new(0u64);
+        let guard = state.lock();
+        let _ = bus.call("bus://svc", "urn:echo", &Envelope::default());
+        drop(guard);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock guard held across a queued reply wait")]
+    fn a_guard_held_across_a_queued_reply_wait_panics() {
+        let bus = echo_bus();
+        bus.install_executor(ExecutorConfig { workers: 1, ..Default::default() });
+        let pending = bus.call_async("bus://svc", "urn:echo", &Envelope::default()).unwrap();
+        let state = dais_util::sync::Mutex::new(0u64);
+        let _guard = state.lock();
+        let _ = pending.wait_bytes();
+    }
+
+    /// The clean shape: the guard drops before the exchange.
+    #[test]
+    fn a_guard_dropped_before_the_call_is_fine() {
+        let bus = echo_bus();
+        let state = dais_util::sync::Mutex::new(7u64);
+        let request = {
+            let guard = state.lock();
+            Envelope::with_body(XmlElement::new_local("m").with_text(guard.to_string()))
+        };
+        assert_eq!(bus.call("bus://svc", "urn:echo", &request).unwrap().unwrap(), request);
     }
 
     #[test]
@@ -1107,7 +1190,7 @@ mod tests {
         assert_eq!(bus.addresses(), vec!["bus://svc"]);
     }
 
-    type VisitLog = Arc<std::sync::Mutex<Vec<(u8, char)>>>;
+    type VisitLog = Arc<dais_util::sync::Mutex<Vec<(u8, char)>>>;
 
     /// Tags request bytes on the way in and response bytes on the way
     /// out, appending to a log shared by the whole chain.
@@ -1122,7 +1205,7 @@ mod tests {
             _: &crate::interceptor::CallInfo<'_>,
             _: &[u8],
         ) -> crate::interceptor::Intercept {
-            self.log.lock().unwrap().push((self.id, 'q'));
+            self.log.lock().push((self.id, 'q'));
             crate::interceptor::Intercept::Pass
         }
 
@@ -1131,7 +1214,7 @@ mod tests {
             _: &crate::interceptor::CallInfo<'_>,
             _: &[u8],
         ) -> crate::interceptor::Intercept {
-            self.log.lock().unwrap().push((self.id, 's'));
+            self.log.lock().push((self.id, 's'));
             crate::interceptor::Intercept::Pass
         }
     }
@@ -1144,7 +1227,7 @@ mod tests {
         bus.add_interceptor(Arc::new(Tagger { id: 2, log: log.clone() }));
         assert_eq!(bus.interceptor_count(), 2);
         bus.call("bus://svc", "urn:echo", &Envelope::default()).unwrap().unwrap();
-        assert_eq!(*log.lock().unwrap(), vec![(1, 'q'), (2, 'q'), (2, 's'), (1, 's')]);
+        assert_eq!(*log.lock(), vec![(1, 'q'), (2, 'q'), (2, 's'), (1, 's')]);
         bus.clear_interceptors();
         assert_eq!(bus.interceptor_count(), 0);
     }
@@ -1215,15 +1298,16 @@ mod tests {
 
     #[test]
     fn reply_short_circuits_the_service() {
-        let bus = echo_bus();
-        let mut canned = Vec::new();
-        Envelope::with_body(Fault::server("synthetic").to_xml()).to_bytes_into(&mut canned);
-        bus.add_interceptor(Arc::new(ReplyCanned(canned)));
-        // The echo service never runs; the canned fault comes back.
-        let fault = bus.call("bus://svc", "urn:echo", &Envelope::default()).unwrap().unwrap_err();
-        assert_eq!(fault.reason, "synthetic");
-        let s = bus.stats();
-        assert_eq!((s.messages, s.faults, s.injected), (1, 1, 1));
+        for canned in fault_replies() {
+            let bus = echo_bus();
+            bus.add_interceptor(Arc::new(ReplyCanned(canned)));
+            // The echo service never runs; the canned fault comes back.
+            let fault =
+                bus.call("bus://svc", "urn:echo", &Envelope::default()).unwrap().unwrap_err();
+            assert_eq!(fault.reason, "synthetic");
+            let s = bus.stats();
+            assert_eq!((s.messages, s.faults, s.injected), (1, 1, 1));
+        }
     }
 
     struct CorruptRequests;

@@ -11,6 +11,7 @@ use crate::retry::{is_retryable, retry_after_hint, RetryConfig};
 use dais_obs::names::{event_names, span_names};
 use dais_obs::{SpanHandle, TraceContext};
 use dais_util::pool::PooledBuf;
+use dais_util::sync::pause;
 use dais_xml::{ns, XmlElement};
 use std::collections::VecDeque;
 use std::time::Duration;
@@ -383,7 +384,7 @@ impl ServiceClient {
     fn pace(&self, hint: Duration) {
         match &self.retry {
             Some(config) => config.sleep(hint),
-            None => std::thread::sleep(hint),
+            None => pause(hint),
         }
     }
 }
@@ -527,6 +528,7 @@ mod tests {
 
     use crate::fault::DaisFault;
     use crate::retry::{RetryConfig, RetryPolicy};
+    use dais_util::sync::{Condvar, Mutex};
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::time::Duration;
 
@@ -552,15 +554,12 @@ mod tests {
         bus
     }
 
-    fn retrying_client(
-        bus: Bus,
-        attempts: u32,
-    ) -> (ServiceClient, Arc<std::sync::Mutex<Vec<Duration>>>) {
-        let sleeps: Arc<std::sync::Mutex<Vec<Duration>>> = Arc::default();
+    fn retrying_client(bus: Bus, attempts: u32) -> (ServiceClient, Arc<Mutex<Vec<Duration>>>) {
+        let sleeps: Arc<Mutex<Vec<Duration>>> = Arc::default();
         let recorder = sleeps.clone();
         let config =
             RetryConfig::new(RetryPolicy::new(attempts).base_delay(Duration::from_nanos(1)))
-                .with_sleep(Arc::new(move |d| recorder.lock().unwrap().push(d)));
+                .with_sleep(Arc::new(move |d| recorder.lock().push(d)));
         (ServiceClient::new(bus, "bus://flaky").with_retry(config), sleeps)
     }
 
@@ -570,7 +569,7 @@ mod tests {
         let (client, sleeps) = retrying_client(bus.clone(), 4);
         let response = client.request(actions::READ, XmlElement::new_local("q")).unwrap();
         assert_eq!(response.name.local, "ok");
-        assert_eq!(sleeps.lock().unwrap().len(), 2);
+        assert_eq!(sleeps.lock().len(), 2);
         let s = bus.stats();
         assert_eq!(s.retries, 2);
         assert_eq!(s.messages, 3);
@@ -583,7 +582,7 @@ mod tests {
         let (client, sleeps) = retrying_client(bus.clone(), 4);
         let err = client.request(actions::WRITE, XmlElement::new_local("q")).unwrap_err();
         assert_eq!(err.dais_fault(), Some(DaisFault::ServiceBusy));
-        assert!(sleeps.lock().unwrap().is_empty());
+        assert!(sleeps.lock().is_empty());
         assert_eq!(bus.stats().retries, 0);
         // The very next read succeeds — the failure budget was not spent.
         assert!(client.request(actions::READ, XmlElement::new_local("q")).is_ok());
@@ -595,26 +594,26 @@ mod tests {
         let (client, sleeps) = retrying_client(bus.clone(), 3);
         let err = client.request(actions::READ, XmlElement::new_local("q")).unwrap_err();
         assert_eq!(err.dais_fault(), Some(DaisFault::ServiceBusy));
-        assert_eq!(sleeps.lock().unwrap().len(), 2); // 3 attempts, 2 pauses
+        assert_eq!(sleeps.lock().len(), 2); // 3 attempts, 2 pauses
         assert_eq!(bus.stats().messages, 3);
     }
 
     #[test]
     fn deadline_budget_stops_retrying_early() {
         let bus = flaky_bus(u32::MAX);
-        let sleeps: Arc<std::sync::Mutex<Vec<Duration>>> = Arc::default();
+        let sleeps: Arc<Mutex<Vec<Duration>>> = Arc::default();
         let recorder = sleeps.clone();
         let config = RetryConfig::new(
             RetryPolicy::new(100)
                 .base_delay(Duration::from_millis(10))
                 .deadline(Duration::from_millis(25)),
         )
-        .with_sleep(Arc::new(move |d| recorder.lock().unwrap().push(d)));
+        .with_sleep(Arc::new(move |d| recorder.lock().push(d)));
         let client = ServiceClient::new(bus, "bus://flaky").with_retry(config);
         client.request(actions::READ, XmlElement::new_local("q")).unwrap_err();
-        let total: Duration = sleeps.lock().unwrap().iter().sum();
+        let total: Duration = sleeps.lock().iter().sum();
         assert!(total <= Duration::from_millis(25), "slept {total:?}");
-        assert!(!sleeps.lock().unwrap().is_empty());
+        assert!(!sleeps.lock().is_empty());
     }
 
     #[test]
@@ -688,7 +687,7 @@ mod tests {
     #[test]
     fn retry_pause_respects_the_overload_hint() {
         let bus = Bus::new();
-        let gate = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
         let entered = Arc::new(AtomicU32::new(0));
         let mut d = SoapDispatcher::new();
         {
@@ -696,9 +695,9 @@ mod tests {
             let entered = entered.clone();
             d.register(actions::READ, move |req: &Envelope| {
                 entered.fetch_add(1, Ordering::SeqCst);
-                let mut open = gate.0.lock().unwrap_or_else(|e| e.into_inner());
+                let mut open = gate.0.lock();
                 while !*open {
-                    open = gate.1.wait(open).unwrap_or_else(|e| e.into_inner());
+                    open = gate.1.wait(open);
                 }
                 Ok(req.clone())
             });
@@ -723,7 +722,7 @@ mod tests {
             "urn:read",
             &Envelope::with_body(XmlElement::new_local("q")),
         );
-        let sleeps: Arc<std::sync::Mutex<Vec<Duration>>> = Arc::default();
+        let sleeps: Arc<Mutex<Vec<Duration>>> = Arc::default();
         let config = RetryConfig::new(
             // Policy backoff is 1ns — far below the hint, which must win.
             RetryPolicy::new(4).base_delay(Duration::from_nanos(1)),
@@ -732,19 +731,19 @@ mod tests {
             let sleeps = sleeps.clone();
             let gate = gate.clone();
             move |d| {
-                sleeps.lock().unwrap_or_else(|e| e.into_inner()).push(d);
+                sleeps.lock().push(d);
                 // Unblock the service, then genuinely wait the pause so
                 // the worker drains before the re-send.
-                *gate.0.lock().unwrap_or_else(|e| e.into_inner()) = true;
+                *gate.0.lock() = true;
                 gate.1.notify_all();
-                std::thread::sleep(d.min(Duration::from_millis(50)));
+                pause(d.min(Duration::from_millis(50)));
             }
         }));
         let client = ServiceClient::new(bus.clone(), "bus://svc").with_retry(config);
         let response = client.request(actions::READ, XmlElement::new_local("q")).unwrap();
         assert_eq!(response.name.local, "q");
         {
-            let sleeps = sleeps.lock().unwrap_or_else(|e| e.into_inner());
+            let sleeps = sleeps.lock();
             assert!(!sleeps.is_empty());
             assert!(sleeps[0] >= hint, "pause {:?} ignored the {hint:?} hint", sleeps[0]);
         }

@@ -197,6 +197,8 @@ impl Pending {
             State::Ready(outcome) => return outcome,
             State::Queued(slot) => slot,
         };
+        #[cfg(debug_assertions)]
+        dais_util::lockorder::assert_no_guard_held("a queued reply wait");
         let mut guard = slot.outcome.lock();
         loop {
             if let Some(outcome) = guard.take() {
@@ -659,7 +661,7 @@ mod tests {
         let opener = {
             let gate = Arc::clone(&gate);
             std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
+                dais_util::sync::pause(Duration::from_millis(20));
                 *gate.0.lock() = true;
                 gate.1.notify_all();
             })

@@ -18,7 +18,7 @@ use crate::bus::BusError;
 use crate::envelope::Envelope;
 use crate::fault::{DaisFault, Fault};
 use dais_util::rng::SplitMix64;
-use dais_util::sync::{Mutex, RwLock};
+use dais_util::sync::{pause, Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -309,7 +309,7 @@ impl Interceptor for FaultInjector {
             drop(rng); // never sleep while holding the stream
             self.note(call.to, InjectedKind::Delay);
             if stall > 0 {
-                std::thread::sleep(Duration::from_micros(stall));
+                pause(Duration::from_micros(stall));
             }
         }
         Intercept::Pass

@@ -19,6 +19,9 @@
 //! meters bytes in both directions ([`BusStats`]) which the paper-figure
 //! experiments use to quantify data movement.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod action;
 pub mod addressing;
 pub mod bus;

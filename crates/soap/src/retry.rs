@@ -14,6 +14,7 @@ use crate::bus::BusError;
 use crate::client::CallError;
 use crate::fault::DaisFault;
 use dais_util::rng::mix2;
+use dais_util::sync::pause;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -106,18 +107,29 @@ pub struct RetryConfig {
 
 impl RetryConfig {
     pub fn new(policy: RetryPolicy) -> RetryConfig {
-        RetryConfig { policy, sleep: Arc::new(std::thread::sleep) }
+        RetryConfig { policy, sleep: Arc::new(pause) }
     }
 
-    /// Replace the sleeper (tests pass a recorder; the default blocks
-    /// the calling thread).
+    /// Replace the sleeper (tests pass a recorder; the default
+    /// [`pause`] blocks the calling thread).
     pub fn with_sleep(mut self, sleep: SleepFn) -> RetryConfig {
         self.sleep = sleep;
         self
     }
 
-    pub(crate) fn sleep(&self, d: Duration) {
+    /// Wait out a backoff through the configured sleeper. Debug builds
+    /// assert first that no lock guard is held, so an injected recorder
+    /// catches a guard across a backoff just as the real sleep would.
+    pub fn sleep(&self, d: Duration) {
+        #[cfg(debug_assertions)]
+        dais_util::lockorder::assert_no_guard_held("a retry backoff");
         (self.sleep)(d)
+    }
+}
+
+impl std::fmt::Debug for RetryConfig {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RetryConfig").field("policy", &self.policy).finish_non_exhaustive()
     }
 }
 

@@ -39,12 +39,14 @@
 //! past its in-flight cap answers with an error frame carrying
 //! [`BusError::Overloaded`] and its retry-after hint.
 
+#![expect(clippy::disallowed_types, reason = "the `Transport` seam owns raw sockets")]
+
 use crate::bus::{Bus, BusError, BusInner};
 use crate::executor;
 use crate::transport::Transport;
 use dais_obs::names::event_names;
 use dais_obs::{Journal, Metrics};
-use dais_util::sync::{Condvar, Mutex, RwLock};
+use dais_util::sync::{pause, Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -775,10 +777,9 @@ fn accept_loop(
                     conn_threads.lock().push(handle);
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(2)),
+            // Nothing pending on the non-blocking listener, or a
+            // transient accept error: back off briefly either way.
+            Err(_) => pause(Duration::from_millis(2)),
         }
     }
 }

@@ -13,9 +13,10 @@ use dais_soap::retry::{RetryConfig, RetryPolicy};
 use dais_soap::service::SoapDispatcher;
 use dais_soap::{Bus, ServiceClient};
 use dais_util::prop::{run_cases, Gen};
+use dais_util::sync::Mutex;
 use dais_xml::XmlElement;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 mod actions {
@@ -50,8 +51,7 @@ fn busy_bus() -> (Bus, Arc<AtomicU32>) {
 fn recording_client(bus: Bus, policy: RetryPolicy) -> (ServiceClient, Arc<Mutex<Vec<Duration>>>) {
     let sleeps: Arc<Mutex<Vec<Duration>>> = Arc::default();
     let recorder = sleeps.clone();
-    let config =
-        RetryConfig::new(policy).with_sleep(Arc::new(move |d| recorder.lock().unwrap().push(d)));
+    let config = RetryConfig::new(policy).with_sleep(Arc::new(move |d| recorder.lock().push(d)));
     (ServiceClient::new(bus, "bus://busy").with_retry(config), sleeps)
 }
 
@@ -102,7 +102,7 @@ fn attempts_never_exceed_the_policy_maximum() {
         assert!(attempts >= 1);
         assert!(attempts <= policy.max_attempts, "{policy:?}: {attempts} attempts");
         // One pause per re-send, and the bus agrees on the re-send count.
-        assert_eq!(sleeps.lock().unwrap().len() as u32, attempts - 1);
+        assert_eq!(sleeps.lock().len() as u32, attempts - 1);
         assert_eq!(bus.stats().retries, u64::from(attempts) - 1);
     });
 }
@@ -114,7 +114,7 @@ fn total_sleep_stays_within_the_deadline() {
         let (bus, _) = busy_bus();
         let (client, sleeps) = recording_client(bus, policy);
         client.request(actions::READ, XmlElement::new_local("q")).unwrap_err();
-        let total: Duration = sleeps.lock().unwrap().iter().sum();
+        let total: Duration = sleeps.lock().iter().sum();
         assert!(total <= policy.deadline, "{policy:?}: slept {total:?}");
     });
 }
@@ -127,7 +127,7 @@ fn equal_policies_sleep_identically() {
             let (bus, _) = busy_bus();
             let (client, sleeps) = recording_client(bus, policy);
             client.request(actions::READ, XmlElement::new_local("q")).unwrap_err();
-            let v = sleeps.lock().unwrap().clone();
+            let v = sleeps.lock().clone();
             v
         };
         assert_eq!(observe(), observe());

@@ -19,6 +19,9 @@
 //! - [`pool`] — thread-local reusable byte buffers ([`PooledBuf`]) for
 //!   the serialise/parse hot path, in place of `bytes`-style pooling.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod intern;
 #[cfg(debug_assertions)]
 pub mod lockorder;

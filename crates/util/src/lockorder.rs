@@ -35,6 +35,8 @@
 //! The whole module is compiled out of release builds; see
 //! [`crate::sync`] for the `cfg(debug_assertions)` call sites.
 
+#![expect(clippy::disallowed_types, reason = "the detector cannot track its own graph")]
+
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -247,18 +249,7 @@ pub fn acquire(class: Site, acquired_at: Site, mode: Mode) -> u64 {
         if !graph.edges.contains_key(&edge) {
             if graph.reaches(class, frame.class) {
                 let conflict = describe_conflict(&graph, class, frame.class);
-                let chain = held
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "    {} held {}, acquired at {}",
-                            site(f.class),
-                            f.mode,
-                            site(f.acquired_at)
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join("\n");
+                let chain = describe_held(&held);
                 drop(graph);
                 panic!(
                     "lock-order inversion: acquiring lock {} ({}, at {}) while holding lock {} \
@@ -298,6 +289,37 @@ pub fn acquire(class: Site, acquired_at: Site, mode: Mode) -> u64 {
     });
     HELD.with(|h| h.borrow_mut().push(Held { class, acquired_at, mode, token }));
     token
+}
+
+/// One line per held guard: its lock class, mode and acquisition site.
+fn describe_held(held: &[Held]) -> String {
+    held.iter()
+        .map(|f| {
+            format!("    {} held {}, acquired at {}", site(f.class), f.mode, site(f.acquired_at))
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Panic if the calling thread holds any tracked lock guard. Called
+/// where a thread is about to block on something other than a lock —
+/// a bus exchange, a queued reply, a sleep — because a guard held there
+/// stalls every contender of its lock for the whole wait, and can
+/// deadlock the fabric when the awaited party needs that lock. The
+/// order graph cannot see this shape (the blocked party acquires
+/// nothing), so it is checked where the blocking happens instead, and
+/// through any depth of function calls.
+pub fn assert_no_guard_held(what: &str) {
+    let chain = HELD.with(|h| {
+        let held = h.borrow();
+        (!held.is_empty()).then(|| describe_held(&held))
+    });
+    if let Some(chain) = chain {
+        panic!(
+            "lock guard held across {what}: a blocking wait under a live guard stalls every \
+             contender and can deadlock; drop the guard first.\n  this thread holds:\n{chain}"
+        );
+    }
 }
 
 /// Walk the recorded path `from -> ... -> to` and render each edge's

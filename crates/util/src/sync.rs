@@ -15,8 +15,11 @@
 //! builds compile all of that away — the types below are zero-cost
 //! newtypes over `std::sync`.
 
+#![expect(clippy::disallowed_types, reason = "the shims wrap the std primitives")]
+
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, LockResult, PoisonError};
+use std::time::Duration;
 
 #[cfg(debug_assertions)]
 use crate::lockorder;
@@ -185,6 +188,17 @@ impl<T: ?Sized> Mutex<T> {
     }
 }
 
+/// Sleep the calling thread for `dur`: the workspace's one sanctioned
+/// `thread::sleep`. Debug builds first assert that the thread holds no
+/// lock guard ([`lockorder::assert_no_guard_held`]), since a nap under a
+/// live guard is billed to every contender of that lock.
+#[expect(clippy::disallowed_methods, reason = "the one sanctioned sleep")]
+pub fn pause(dur: Duration) {
+    #[cfg(debug_assertions)]
+    lockorder::assert_no_guard_held("a pause");
+    std::thread::sleep(dur);
+}
+
 /// `std::sync::Condvar` over [`Mutex`] guards, with the same
 /// poison-transparent contract as the lock shims.
 ///
@@ -224,7 +238,7 @@ impl Condvar {
     pub fn wait_timeout<'a, T>(
         &self,
         guard: MutexGuard<'a, T>,
-        dur: std::time::Duration,
+        dur: Duration,
     ) -> (MutexGuard<'a, T>, bool) {
         #[cfg(debug_assertions)]
         {
@@ -294,12 +308,33 @@ mod tests {
         let lock = Mutex::new(0u8);
         let cv = Condvar::new();
         let guard = lock.lock();
-        let (guard, timed_out) = cv.wait_timeout(guard, std::time::Duration::from_millis(5));
+        let (guard, timed_out) = cv.wait_timeout(guard, Duration::from_millis(5));
         assert!(timed_out);
         drop(guard);
         // The guard survived the round trip: the mutex is usable and
         // lock-order tracking still releases cleanly.
         *lock.lock() = 1;
+    }
+
+    /// A guard held across a sleep: the nap is billed to every thread
+    /// contending for the lock.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock guard held across a pause")]
+    fn pausing_under_a_guard_panics() {
+        let state = Mutex::new(0u64);
+        let mut guard = state.lock();
+        pause(Duration::from_millis(1));
+        *guard += 1;
+    }
+
+    /// The clean shape: pause first, lock after.
+    #[test]
+    fn pausing_before_locking_is_fine() {
+        let state = Mutex::new(0u64);
+        pause(Duration::from_millis(1));
+        *state.lock() += 1;
+        assert_eq!(state.into_inner(), 1);
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! Time is abstracted behind [`Clock`] so soft-state expiry is
 //! deterministic in tests and experiments.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod clock;
 pub mod lifetime;
 pub mod properties;

@@ -23,6 +23,9 @@
 //! assert_eq!(hits.len(), 1);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub mod store;
 pub mod xquery;
 pub mod xupdate;

@@ -348,6 +348,7 @@ impl<'s, S: XmlSink> XmlWriter<'s, S> {
     /// Close the current element: `/>` if it had no content, `</name>`
     /// otherwise. Bindings it declared go out of scope.
     pub fn end(&mut self) {
+        #[expect(clippy::expect_used, reason = "an unbalanced end() is a caller bug")]
         let frame = self.frames.pop().expect("XmlWriter::end without a matching start");
         if self.tag_open {
             self.out.push_str("/>");

@@ -43,6 +43,9 @@
 //! assert_eq!(consumer2.get_sql_rowset(&name, 1).unwrap().row_count(), 2);
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
+
 pub use dais_cim as cim;
 pub use dais_core as core;
 pub use dais_daif as daif;

@@ -349,3 +349,24 @@ fn disabled_tracing_adds_zero_allocations() {
         "turning tracing on and off again changed the steady-state allocation count"
     );
 }
+
+/// A peer that announces a near-maximal frame and then sends only a
+/// trickle must cost the reader heap in proportion to the bytes it
+/// actually sent: nothing is reserved against the length prefix, so a
+/// hostile prefix cannot make a connection hold 16 MiB.
+#[test]
+fn frame_reader_allocates_for_bytes_fed_not_bytes_announced() {
+    use dais_soap::tcp::{FrameReader, MAX_FRAME_LEN};
+
+    let announced = u32::try_from(MAX_FRAME_LEN - 1).unwrap().to_be_bytes();
+    let mut reader = FrameReader::new();
+    let mut next = Ok(None);
+    let (_, heap_bytes) = allocs_during(|| {
+        reader.feed(&announced);
+        reader.feed(&[0u8; 100]);
+        next = reader.next_frame();
+    });
+    assert_eq!(next, Ok(None), "a frame announced but not delivered is incomplete");
+    assert_eq!(reader.pending_bytes(), 104);
+    assert!(heap_bytes < 64 * 1024, "fed 104 bytes but the reader took {heap_bytes} heap bytes");
+}

@@ -17,7 +17,8 @@ use dais::soap::fault::DaisFault;
 use dais::soap::interceptor::{CallInfo, InjectorSnapshot, Intercept, Interceptor};
 use dais::soap::retry::{RetryConfig, RetryPolicy, SleepFn};
 use dais::xml::parse;
-use std::sync::{Arc, Mutex};
+use dais_util::sync::Mutex;
+use std::sync::Arc;
 use std::time::Duration;
 
 const SQL_ADDR: &str = "bus://chaos/sql";
@@ -254,7 +255,7 @@ impl ScriptedFaults {
 
 impl Interceptor for ScriptedFaults {
     fn on_request(&self, _call: &CallInfo<'_>, bytes: &[u8]) -> Intercept {
-        match self.0.lock().unwrap().pop_front() {
+        match self.0.lock().pop_front() {
             Some("drop") => Intercept::Abort(BusError::Timeout("scripted drop".into())),
             Some("tamper") => Intercept::Tamper(bytes[..bytes.len() / 2].to_vec()),
             _ => Intercept::Pass,
@@ -269,7 +270,7 @@ struct CaptureResponses(Mutex<Vec<Vec<u8>>>);
 
 impl Interceptor for CaptureResponses {
     fn on_response(&self, _call: &CallInfo<'_>, bytes: &[u8]) -> Intercept {
-        self.0.lock().unwrap().push(bytes.to_vec());
+        self.0.lock().push(bytes.to_vec());
         Intercept::Pass
     }
 }
@@ -393,7 +394,7 @@ fn fault_envelopes_carry_the_correlation_header() {
     // The fault envelope that crossed the wire echoes the request's
     // trace context in `wsa:RelatesTo`.
     let expected = format!("urn:dais:trace:{:016x}:{:016x}", root.trace_id, root.span_id);
-    let captured = wires.0.lock().unwrap();
+    let captured = wires.0.lock();
     let fault_wire = std::str::from_utf8(captured.last().unwrap()).unwrap();
     assert!(fault_wire.contains("Fault"), "expected a fault envelope, got: {fault_wire}");
     assert!(fault_wire.contains("RelatesTo"));

@@ -11,8 +11,9 @@ use dais::soap::interceptor::{CallInfo, Intercept, Interceptor};
 use dais::soap::{CallError, Envelope, ServiceClient, SoapDispatcher};
 use dais::xml::parse;
 use dais::xml::XmlElement;
+use dais_util::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 mod test_actions {
@@ -201,9 +202,9 @@ fn gated_echo(gate: &Arc<(Mutex<bool>, Condvar)>, entered: &Arc<AtomicU32>) -> S
     d.register(test_actions::BLOCK, move |req: &Envelope| {
         entered.fetch_add(1, Ordering::SeqCst);
         let (flag, cvar) = &*gate;
-        let mut open = flag.lock().unwrap();
+        let mut open = flag.lock();
         while !*open {
-            open = cvar.wait(open).unwrap();
+            open = cvar.wait(open);
         }
         Ok(req.clone())
     });
@@ -326,7 +327,7 @@ fn overloaded_is_returned_exactly_when_the_queue_is_at_capacity() {
         assert_eq!(bus.endpoint_stats("bus://gate").shed, shed as u64);
 
         // Open the gate: everything admitted completes; nothing is lost.
-        *gate.0.lock().unwrap() = true;
+        *gate.0.lock() = true;
         gate.1.notify_all();
         for pending in admitted {
             assert!(pending.wait().is_ok(), "an admitted request was lost");
@@ -347,9 +348,9 @@ impl Interceptor for HoldRequests {
     fn on_request(&self, _call: &CallInfo<'_>, _bytes: &[u8]) -> Intercept {
         self.entered.fetch_add(1, Ordering::SeqCst);
         let (flag, cvar) = &*self.gate;
-        let mut open = flag.lock().unwrap();
+        let mut open = flag.lock();
         while !*open {
-            open = cvar.wait(open).unwrap();
+            open = cvar.wait(open);
         }
         Intercept::Pass
     }
@@ -416,7 +417,7 @@ fn queued_get_tuples_pages_resolve_to_their_rows_or_overloaded() {
     let burst = 40;
     outcomes.extend((2..burst).map(submit));
     assert_eq!(shed(&outcomes), burst - 2 - capacity, "a full queue refuses, a free slot admits");
-    *gate.0.lock().unwrap() = true;
+    *gate.0.lock() = true;
     gate.1.notify_all();
 
     // Phase 2, gate open: a second burst races the workers.

@@ -17,11 +17,11 @@ use std::sync::Arc;
 use dais::core::{AbstractName, DaisClient, ResourceRef};
 use dais::dair::{SqlClient, SqlResponseData};
 use dais::daix::XmlClient;
-use dais::federation::{FailoverPolicy, FleetOptions, RelationalFleet, ShardScheme, XmlFleet};
+use dais::federation::{FleetOptions, RelationalFleet, ShardScheme, XmlFleet};
 use dais::soap::fault::DaisFault;
 use dais::soap::retry::SleepFn;
 use dais::soap::tcp::{TcpServer, TcpTransport};
-use dais::soap::{Bus, CallError, FaultInjector, FaultPolicy, RetryPolicy};
+use dais::soap::{Bus, CallError, FaultInjector, FaultPolicy, RetryConfig, RetryPolicy};
 use dais::sql::{Rowset, Value};
 
 const SCHEMA: &str = "CREATE TABLE t (k INTEGER PRIMARY KEY, v VARCHAR)";
@@ -49,7 +49,7 @@ fn options(topology: Topology) -> FleetOptions {
     FleetOptions {
         shards,
         replicas,
-        failover: FailoverPolicy::new(RetryPolicy::new(3)).with_sleep(no_sleep),
+        failover: RetryConfig::new(RetryPolicy::new(3)).with_sleep(no_sleep),
         ..FleetOptions::default()
     }
 }
@@ -345,13 +345,13 @@ fn factory_fanout_retries_transient_replica_failures() {
     /// Drops the next `remaining` requests to one endpoint, then passes.
     struct FailFirst {
         endpoint: String,
-        remaining: std::sync::Mutex<u32>,
+        remaining: dais_util::sync::Mutex<u32>,
     }
 
     impl Interceptor for FailFirst {
         fn on_request(&self, call: &CallInfo<'_>, _bytes: &[u8]) -> Intercept {
             if call.to == self.endpoint {
-                let mut remaining = self.remaining.lock().unwrap();
+                let mut remaining = self.remaining.lock();
                 if *remaining > 0 {
                     *remaining -= 1;
                     return Intercept::Abort(dais::soap::BusError::Timeout(call.to.to_string()));
@@ -367,7 +367,7 @@ fn factory_fanout_retries_transient_replica_failures() {
     // fan-out's first attempt at it.
     bus.add_interceptor(Arc::new(FailFirst {
         endpoint: fleet.router.replica_address(1, 0).into(),
-        remaining: std::sync::Mutex::new(1),
+        remaining: dais_util::sync::Mutex::new(1),
     }));
     let response_epr = client
         .execute_factory(
@@ -557,7 +557,7 @@ fn xpath_union_identical_across_shardings() {
             FleetOptions {
                 shards,
                 replicas: 2,
-                failover: FailoverPolicy::new(RetryPolicy::new(3)).with_sleep(no_sleep),
+                failover: RetryConfig::new(RetryPolicy::new(3)).with_sleep(no_sleep),
                 ..FleetOptions::default()
             },
         );

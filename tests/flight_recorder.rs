@@ -13,8 +13,9 @@ use dais::soap::retry::{RetryConfig, RetryPolicy, SleepFn, CAUSE_FAULT};
 use dais::soap::tcp::{TcpServer, TcpTransport};
 use dais::soap::{Bus, Envelope, InProcessTransport, SoapDispatcher};
 use dais::xml::XmlElement;
+use dais_util::sync::Mutex;
 use std::collections::{BTreeSet, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 mod actions {
@@ -32,7 +33,7 @@ fn flight_bus() -> Bus {
     let mut d = SoapDispatcher::new();
     d.register(actions::ECHO, |req: &Envelope| Ok(req.clone()));
     d.register(actions::SLOW, |req: &Envelope| {
-        std::thread::sleep(Duration::from_millis(10));
+        dais_util::sync::pause(Duration::from_millis(10));
         Ok(req.clone())
     });
     d.register(actions::FAIL, |_req: &Envelope| Err(Fault::client("scripted failure")));
@@ -164,7 +165,7 @@ impl ScriptedFaults {
 
 impl Interceptor for ScriptedFaults {
     fn on_request(&self, _call: &CallInfo<'_>, bytes: &[u8]) -> Intercept {
-        match self.0.lock().unwrap().pop_front() {
+        match self.0.lock().pop_front() {
             Some("drop") => Intercept::Abort(BusError::Timeout("scripted drop".into())),
             Some("tamper") => Intercept::Tamper(bytes[..bytes.len() / 2].to_vec()),
             _ => Intercept::Pass,

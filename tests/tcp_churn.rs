@@ -20,8 +20,9 @@ use dais::soap::{
     Bus, CallError, Envelope, Fault, RetryPolicy, ServiceClient, SoapDispatcher, Transport,
 };
 use dais::xml::XmlElement;
+use dais_util::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 const ADDR: &str = "bus://churn";
@@ -183,23 +184,23 @@ impl ParkedHandler {
     }
 
     fn park(&self) {
-        *self.arrivals.lock().unwrap() += 1;
+        *self.arrivals.lock() += 1;
         self.arrived.notify_all();
-        let mut open = self.open.lock().unwrap();
+        let mut open = self.open.lock();
         while !*open {
-            open = self.opened.wait(open).unwrap();
+            open = self.opened.wait(open);
         }
     }
 
     fn wait_arrival(&self) {
-        let mut n = self.arrivals.lock().unwrap();
+        let mut n = self.arrivals.lock();
         while *n == 0 {
-            n = self.arrived.wait(n).unwrap();
+            n = self.arrived.wait(n);
         }
     }
 
     fn release(&self) {
-        *self.open.lock().unwrap() = true;
+        *self.open.lock() = true;
         self.opened.notify_all();
     }
 }

@@ -1,9 +1,11 @@
 //! Framing robustness for the TCP transport: torn reads, hostile length
 //! prefixes, mid-frame connection loss, and a seeded byte-level fuzz of
 //! the frame codec. Raw `TcpStream`s are used here to play a hostile or
-//! broken peer — integration tests are exempt from the
-//! `transport-bypass` lint, which confines socket use in library code to
+//! broken peer, so this file opts out of the workspace's raw-socket ban
+//! (clippy `disallowed_types`), which confines sockets in library code to
 //! `crates/soap/src/tcp.rs`.
+
+#![allow(clippy::disallowed_types, reason = "plays a raw TCP peer against the transport")]
 
 use dais::soap::bus::BusError;
 use dais::soap::retry::is_retryable;

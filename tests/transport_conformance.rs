@@ -16,8 +16,9 @@ use dais::soap::retry::{RetryConfig, SleepFn};
 use dais::soap::tcp::{TcpServer, TcpTransport};
 use dais::soap::{Envelope, InProcessTransport, SoapDispatcher};
 use dais::xml::XmlElement;
+use dais_util::sync::{Condvar, Mutex};
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 mod actions {
@@ -157,7 +158,7 @@ impl ScriptedFaults {
 
 impl Interceptor for ScriptedFaults {
     fn on_request(&self, _call: &CallInfo<'_>, bytes: &[u8]) -> Intercept {
-        match self.0.lock().unwrap().pop_front() {
+        match self.0.lock().pop_front() {
             Some("drop") => Intercept::Abort(BusError::Timeout("scripted drop".into())),
             Some("tamper") => Intercept::Tamper(bytes[..bytes.len() / 2].to_vec()),
             _ => Intercept::Pass,
@@ -228,23 +229,23 @@ impl Gate {
     }
 
     fn enter(&self) {
-        *self.started.lock().unwrap() += 1;
+        *self.started.lock() += 1;
         self.started_cv.notify_all();
-        let mut open = self.open.lock().unwrap();
+        let mut open = self.open.lock();
         while !*open {
-            open = self.opened.wait(open).unwrap();
+            open = self.opened.wait(open);
         }
     }
 
     fn wait_started(&self, n: u64) {
-        let mut started = self.started.lock().unwrap();
+        let mut started = self.started.lock();
         while *started < n {
-            started = self.started_cv.wait(started).unwrap();
+            started = self.started_cv.wait(started);
         }
     }
 
     fn release(&self) {
-        *self.open.lock().unwrap() = true;
+        *self.open.lock() = true;
         self.opened.notify_all();
     }
 }
@@ -337,12 +338,12 @@ struct CaptureWire {
 
 impl Interceptor for CaptureWire {
     fn on_request(&self, _call: &CallInfo<'_>, bytes: &[u8]) -> Intercept {
-        self.requests.lock().unwrap().push(bytes.to_vec());
+        self.requests.lock().push(bytes.to_vec());
         Intercept::Pass
     }
 
     fn on_response(&self, _call: &CallInfo<'_>, bytes: &[u8]) -> Intercept {
-        self.responses.lock().unwrap().push(bytes.to_vec());
+        self.responses.lock().push(bytes.to_vec());
         Intercept::Pass
     }
 }
@@ -361,8 +362,8 @@ fn wire_golden_run(kind: Kind) -> (Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let ghost = AbstractName::new("urn:dais:ghost:db:0").unwrap();
     sql.core().get_property_document(&ghost).unwrap_err();
 
-    let requests = wires.requests.lock().unwrap().clone();
-    let responses = wires.responses.lock().unwrap().clone();
+    let requests = wires.requests.lock().clone();
+    let responses = wires.responses.lock().clone();
     (requests, responses)
 }
 
