@@ -39,7 +39,8 @@ use crate::router::ShardRouter;
 /// * **non-retryable** — returned to the caller unchanged.
 ///
 /// Between sweeps the wait is `max(retry_after hint, backoff schedule)`,
-/// exactly like the single-endpoint retry loop.
+/// exactly like the single-endpoint retry loop. Every send after the
+/// first is billed as a retry to the replica it goes to.
 pub fn call_shard<T>(
     bus: &Bus,
     router: &ShardRouter,
@@ -54,11 +55,15 @@ pub fn call_shard<T>(
             *hint = Some(hint.map_or(h, |cur| cur.max(h)));
         }
     }
+    let mut sent = false;
     for attempt in 1..=attempts {
         let mut hint: Option<Duration> = None;
         for r in router.candidates(shard) {
             let replica = router.replica(shard, r);
             let address = replica.endpoint_address();
+            if std::mem::replace(&mut sent, true) {
+                bus.record_retry(&address);
+            }
             let client = ServiceClient::new(bus.clone(), &*address);
             match call(&client, r) {
                 Ok(v) => {
@@ -142,7 +147,8 @@ where
 /// is not an answer: every replica must apply the operation itself, so
 /// a transient timeout must be retried against the same replica rather
 /// than permanently costing the derived resource that replica's slot.
-/// Non-retryable errors return immediately.
+/// Non-retryable errors return immediately; each re-send is billed as
+/// a retry.
 pub fn call_replica<T>(
     bus: &Bus,
     address: &str,
@@ -162,6 +168,7 @@ pub fn call_replica<T>(
                 if delay > Duration::ZERO {
                     retry.sleep(delay);
                 }
+                bus.record_retry(address);
                 attempt += 1;
             }
             Err(e) => return Err(e),
@@ -362,6 +369,32 @@ mod tests {
         let got = call_replica(&bus, "bus://fleet/r0", &policy, echo_through).unwrap();
         assert_eq!(got, "r0");
         assert_eq!(slept.lock().len(), 2, "one backoff per failed attempt");
+        assert_eq!(bus.endpoint_stats("bus://fleet/r0").retries, 2, "each re-send is a retry");
+    }
+
+    /// A failover re-send is a retry, billed to the replica that
+    /// receives it: the first candidate drops once, its sibling answers.
+    #[test]
+    fn call_shard_bills_a_failover_as_one_retry_to_the_replica_that_answered() {
+        let bus = Bus::new();
+        echo_service(&bus, "bus://fleet/r0", "r0");
+        echo_service(&bus, "bus://fleet/r1", "r1");
+        // A twin router with the same seed offers the same first candidate.
+        let first = fed_router(2).candidates(0)[0];
+        let other = 1 - first;
+        bus.add_interceptor(Arc::new(FailFirst {
+            endpoint: format!("bus://fleet/r{first}"),
+            remaining: Mutex::new(1),
+        }));
+        let policy = RetryConfig::new(RetryPolicy::new(3))
+            .with_sleep(Arc::new(|_| panic!("no sleep expected")));
+
+        let router = fed_router(2);
+        let got = call_shard(&bus, &router, 0, &policy, |c, _r| echo_through(c)).unwrap();
+        assert_eq!(got, format!("r{other}"));
+        assert_eq!(bus.endpoint_stats(&format!("bus://fleet/r{other}")).retries, 1);
+        assert_eq!(bus.endpoint_stats(&format!("bus://fleet/r{first}")).retries, 0);
+        assert_eq!(bus.stats().retries, 1);
     }
 
     /// Non-retryable errors return immediately — no sleeps, no repeats.

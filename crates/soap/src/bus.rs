@@ -69,7 +69,9 @@ pub struct BusStats {
     pub faults: AtomicU64,
     /// Calls an interceptor interfered with (tampered, answered, aborted).
     pub injected: AtomicU64,
-    /// Attempts re-sent by the client retry layer.
+    /// Sends that repeat a failed one within a single call: a client
+    /// retry, or a federation re-send to the same or another replica.
+    /// Each is billed to the endpoint that receives it.
     pub retries: AtomicU64,
     /// Bumped on every [`reset`](BusStats::reset), so a reader can tell
     /// "freshly zeroed" from "never touched" and detect a reset racing
@@ -311,8 +313,9 @@ impl Bus {
         self.inner.interceptors.read().len()
     }
 
-    /// Count one client-side retry against this endpoint (called by the
-    /// retry layer, which sits above the bus).
+    /// Count one re-send against the endpoint that receives it (called
+    /// by the client retry layer and by federation failover, which sit
+    /// above the bus).
     pub fn record_retry(&self, to: &str) {
         self.inner.total.record_retry();
         if let Some(stats) = self.inner.per_endpoint.read().get(to) {

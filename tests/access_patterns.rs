@@ -6,8 +6,10 @@
 //! else). We verify both the mechanics and the quantitative claim —
 //! "avoids unnecessary data movement" — using the bus byte meters.
 
+mod common;
+
+use common::populate_items;
 use dais::prelude::*;
-use dais_bench::workload::populate_items;
 
 fn service_with_rows(bus: &Bus, address: &str, rows: usize) -> RelationalService {
     let db = Database::new("e1");
@@ -21,10 +23,10 @@ fn direct_access_returns_data_in_response() {
     let svc = service_with_rows(&bus, "bus://e1a", 200);
     let client = SqlClient::builder().bus(bus.clone()).address("bus://e1a").build();
 
-    let m = dais_bench::measure(&bus, || {
-        let data = client.execute(&svc.db_resource, "SELECT * FROM item", &[]).unwrap();
-        assert_eq!(data.rowset().unwrap().row_count(), 200);
-    });
+    bus.reset_stats();
+    let data = client.execute(&svc.db_resource, "SELECT * FROM item", &[]).unwrap();
+    assert_eq!(data.rowset().unwrap().row_count(), 200);
+    let m = bus.stats();
     // One request/response pair; the response carries the rows.
     assert_eq!(m.messages, 1);
     assert!(
@@ -41,14 +43,10 @@ fn indirect_access_returns_only_an_epr() {
     let consumer1 = SqlClient::builder().bus(bus.clone()).address("bus://e1b").build();
 
     // Consumer 1 pays only for the factory exchange.
-    let mut epr = None;
-    let m1 = dais_bench::measure(&bus, || {
-        epr = Some(
-            consumer1
-                .execute_factory(&svc.db_resource, "SELECT * FROM item", &[], None, None)
-                .unwrap(),
-        );
-    });
+    bus.reset_stats();
+    let epr =
+        consumer1.execute_factory(&svc.db_resource, "SELECT * FROM item", &[], None, None).unwrap();
+    let m1 = bus.stats();
     assert_eq!(m1.messages, 1);
     assert!(
         m1.response_bytes < 2048,
@@ -57,65 +55,45 @@ fn indirect_access_returns_only_an_epr() {
     );
 
     // Consumer 2 pulls the actual rows.
-    let epr = epr.unwrap();
     let name = AbstractName::new(epr.resource_abstract_name().unwrap()).unwrap();
     let consumer2 = SqlClient::builder().bus(bus.clone()).epr(epr).build();
-    let m2 = dais_bench::measure(&bus, || {
-        let rowset = consumer2.get_sql_rowset(&name, 1).unwrap();
-        assert_eq!(rowset.row_count(), 200);
-    });
+    bus.reset_stats();
+    let rowset = consumer2.get_sql_rowset(&name, 1).unwrap();
+    assert_eq!(rowset.row_count(), 200);
+    let m2 = bus.stats();
     assert!(m2.response_bytes > m1.response_bytes * 10, "the data dwarfs the EPR");
 }
 
 /// The crossover claim: as result size grows, the indirect pattern's
-/// per-consumer1 cost stays flat while direct access grows linearly.
+/// per-consumer1 cost stays flat while direct access grows linearly. The
+/// factory reply is an EPR, so at equal-length addresses it is the same
+/// number of bytes whatever the result size.
 #[test]
 fn indirect_cost_at_consumer1_is_size_independent() {
     let bus = Bus::new();
     let small = service_with_rows(&bus, "bus://e1small", 10);
     let large = service_with_rows(&bus, "bus://e1large", 1000);
-
-    let direct_small = dais_bench::measure(&bus, || {
-        SqlClient::builder()
-            .bus(bus.clone())
-            .address("bus://e1small")
-            .build()
-            .execute(&small.db_resource, "SELECT * FROM item", &[])
-            .unwrap();
-    });
-    let direct_large = dais_bench::measure(&bus, || {
-        SqlClient::builder()
-            .bus(bus.clone())
-            .address("bus://e1large")
-            .build()
-            .execute(&large.db_resource, "SELECT * FROM item", &[])
-            .unwrap();
-    });
-    let factory_small = dais_bench::measure(&bus, || {
-        SqlClient::builder()
-            .bus(bus.clone())
-            .address("bus://e1small")
-            .build()
-            .execute_factory(&small.db_resource, "SELECT * FROM item", &[], None, None)
-            .unwrap();
-    });
-    let factory_large = dais_bench::measure(&bus, || {
-        SqlClient::builder()
-            .bus(bus.clone())
-            .address("bus://e1large")
-            .build()
-            .execute_factory(&large.db_resource, "SELECT * FROM item", &[], None, None)
-            .unwrap();
-    });
+    let response_bytes = |address: &str, svc: &RelationalService, factory: bool| {
+        let client = SqlClient::builder().bus(bus.clone()).address(address).build();
+        bus.reset_stats();
+        if factory {
+            client
+                .execute_factory(&svc.db_resource, "SELECT * FROM item", &[], None, None)
+                .unwrap();
+        } else {
+            client.execute(&svc.db_resource, "SELECT * FROM item", &[]).unwrap();
+        }
+        bus.stats().response_bytes
+    };
 
     // Direct grows ~linearly with rows (100x rows ⇒ ≫10x bytes).
-    assert!(direct_large.response_bytes > direct_small.response_bytes * 10);
-    // Indirect's consumer-1 response is essentially constant.
-    let ratio = factory_large.response_bytes as f64 / factory_small.response_bytes as f64;
-    assert!(
-        (0.5..2.0).contains(&ratio),
-        "factory response size should not scale with the result ({ratio:.2}x)"
-    );
+    let direct_small = response_bytes("bus://e1small", &small, false);
+    let direct_large = response_bytes("bus://e1large", &large, false);
+    assert!(direct_large > direct_small * 10);
+    // Indirect's consumer-1 response does not grow at all.
+    let factory_small = response_bytes("bus://e1small", &small, true);
+    let factory_large = response_bytes("bus://e1large", &large, true);
+    assert_eq!(factory_small, factory_large, "the factory reply must not scale with the result");
 }
 
 /// Third-party delivery: the EPR is a plain value that consumer 1 can hand

@@ -49,10 +49,21 @@ fn sweep_retry(seed: u64) -> RetryConfig {
     RetryConfig::new(policy).with_sleep(no_sleep)
 }
 
+/// E11's consumer: twelve attempts on the default sleeper, which really
+/// pauses 10 µs to 1 ms between them.
+fn paced_retry(seed: u64) -> RetryConfig {
+    let policy = RetryPolicy::new(12)
+        .base_delay(Duration::from_micros(10))
+        .max_delay(Duration::from_millis(1))
+        .deadline(Duration::from_secs(5))
+        .jitter_seed(seed);
+    RetryConfig::new(policy)
+}
+
 /// Launch all three realisations with fixed seed data. No chaos yet —
 /// callers install the injector after setup so the workload under test
 /// is exactly the read sweep.
-fn build_stack(retry_seed: Option<u64>) -> Stack {
+fn build_stack(retry: Option<RetryConfig>) -> Stack {
     let bus = Bus::new();
 
     let db = Database::new("chaos");
@@ -79,30 +90,14 @@ fn build_stack(retry_seed: Option<u64>) -> Stack {
     store.write("readme.txt", b"hello".to_vec()).unwrap();
     let file_svc = FileService::launch(&bus, FILE_ADDR, store, Default::default());
 
-    let (sql, xml, files) = match retry_seed {
-        Some(seed) => (
-            SqlClient::builder()
-                .bus(bus.clone())
-                .address(SQL_ADDR)
-                .build()
-                .with_retry_config(sweep_retry(seed)),
-            XmlClient::builder()
-                .bus(bus.clone())
-                .address(XML_ADDR)
-                .build()
-                .with_retry_config(sweep_retry(seed)),
-            FileClient::builder()
-                .bus(bus.clone())
-                .address(FILE_ADDR)
-                .build()
-                .with_retry_config(sweep_retry(seed)),
-        ),
-        None => (
-            SqlClient::builder().bus(bus.clone()).address(SQL_ADDR).build(),
-            XmlClient::builder().bus(bus.clone()).address(XML_ADDR).build(),
-            FileClient::builder().bus(bus.clone()).address(FILE_ADDR).build(),
-        ),
-    };
+    let mut sql = SqlClient::builder().bus(bus.clone()).address(SQL_ADDR).build();
+    let mut xml = XmlClient::builder().bus(bus.clone()).address(XML_ADDR).build();
+    let mut files = FileClient::builder().bus(bus.clone()).address(FILE_ADDR).build();
+    if let Some(config) = retry {
+        sql = sql.with_retry_config(config.clone());
+        xml = xml.with_retry_config(config.clone());
+        files = files.with_retry_config(config);
+    }
 
     Stack {
         bus,
@@ -146,8 +141,8 @@ struct RunSignature {
     injected: InjectorSnapshot,
 }
 
-fn chaos_run(seed: u64) -> RunSignature {
-    let stack = build_stack(Some(seed));
+fn chaos_run(seed: u64, retry: RetryConfig) -> RunSignature {
+    let stack = build_stack(Some(retry));
     let injector = FaultInjector::new(seed);
     injector.set_default_policy(
         FaultPolicy::default().drop(0.15).busy(0.10).unavailable(0.05).corrupt(0.15),
@@ -171,8 +166,9 @@ fn chaos_run(seed: u64) -> RunSignature {
 #[test]
 fn seeded_sweep_absorbs_retryable_faults() {
     let mut faults_seen = 0u64;
-    for seed in [0x01, 0xBEEF, 0xDA15, 0xF00D, 0x7777] {
-        let run = chaos_run(seed);
+    let sweeps = [0x01, 0xBEEF, 0xDA15, 0xF00D, 0x7777].map(|seed| (seed, sweep_retry(seed)));
+    for (seed, retry) in sweeps.into_iter().chain([(0xC4A05, paced_retry(0xC4A05))]) {
+        let run = chaos_run(seed, retry);
         // The sweep asserted every result; here we check the chaos was real.
         faults_seen += run.injected.total();
         assert_eq!(
@@ -188,23 +184,24 @@ fn seeded_sweep_absorbs_retryable_faults() {
                 + run.injected.corruptions,
             "every injected failure costs exactly one retry for seed {seed:#x}"
         );
+        assert!(run.total.retries > 0, "seed {seed:#x} never retried");
     }
     assert!(faults_seen > 20, "the sweep barely injected anything ({faults_seen} events)");
 }
 
 #[test]
 fn same_seed_means_identical_statistics() {
-    let first = chaos_run(0xD5EED);
-    let second = chaos_run(0xD5EED);
+    let first = chaos_run(0xD5EED, sweep_retry(0xD5EED));
+    let second = chaos_run(0xD5EED, sweep_retry(0xD5EED));
     assert_eq!(first, second);
     // And a different seed really takes a different path.
-    let other = chaos_run(0x0DD5EED);
+    let other = chaos_run(0x0DD5EED, sweep_retry(0x0DD5EED));
     assert_ne!(first.injected, other.injected);
 }
 
 #[test]
 fn non_idempotent_operations_are_never_retried() {
-    let stack = build_stack(Some(42));
+    let stack = build_stack(Some(sweep_retry(42)));
     let injector = FaultInjector::new(42);
     stack.bus.add_interceptor(Arc::new(injector.clone()));
 
@@ -277,7 +274,7 @@ impl Interceptor for CaptureResponses {
 
 #[test]
 fn trace_context_survives_retries_drop_and_tamper() {
-    let stack = build_stack(Some(9));
+    let stack = build_stack(Some(sweep_retry(9)));
     stack.bus.enable_tracing(0x0B5);
     // Attempt 1 is dropped, attempt 2 is corrupted in flight, attempt 3
     // goes through clean.
@@ -403,7 +400,7 @@ fn fault_envelopes_carry_the_correlation_header() {
 
 #[test]
 fn synthetic_replies_do_not_forge_correlation() {
-    let stack = build_stack(Some(5));
+    let stack = build_stack(Some(sweep_retry(5)));
     let injector = FaultInjector::new(5);
     injector.set_default_policy(FaultPolicy::default().busy(1.0));
     stack.bus.add_interceptor(Arc::new(injector.clone()));
@@ -467,11 +464,11 @@ fn idle_chaos_layer_is_invisible_in_the_statistics() {
     run_read_sweep(&baseline);
 
     // Retry-configured clients on a healthy bus: no visible difference.
-    let with_retry = build_stack(Some(7));
+    let with_retry = build_stack(Some(sweep_retry(7)));
     run_read_sweep(&with_retry);
 
     // An installed injector with no policies: still no difference.
-    let with_idle_injector = build_stack(Some(7));
+    let with_idle_injector = build_stack(Some(sweep_retry(7)));
     let injector = FaultInjector::new(7);
     with_idle_injector.bus.add_interceptor(Arc::new(injector.clone()));
     run_read_sweep(&with_idle_injector);

@@ -8,13 +8,13 @@ use dais::obs::Span;
 use dais::prelude::*;
 use dais::soap::bus::{BusError, StatsSnapshot};
 use dais::soap::interceptor::{CallInfo, Intercept, Interceptor};
-use dais::soap::{CallError, Envelope, ServiceClient, SoapDispatcher};
+use dais::soap::{CallError, Envelope, RetryConfig, ServiceClient, SoapDispatcher};
 use dais::xml::parse;
 use dais::xml::XmlElement;
-use dais_util::sync::{Condvar, Mutex};
+use dais_util::sync::{pause, Condvar, Mutex};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 mod test_actions {
     dais::soap::actions! {
@@ -335,6 +335,126 @@ fn overloaded_is_returned_exactly_when_the_queue_is_at_capacity() {
         assert_eq!(bus.endpoint_stats("bus://gate").queue_depth, 0);
         bus.shutdown_executor();
     }
+}
+
+/// Wait, for at most five seconds, until `entered` reaches `n`.
+fn await_entered(entered: &AtomicU32, n: u32) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while entered.load(Ordering::SeqCst) < n && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+}
+
+fn open(gate: &(Mutex<bool>, Condvar)) {
+    *gate.0.lock() = true;
+    gate.1.notify_all();
+}
+
+/// E14's throughput-vs-workers table in deterministic form: N workers
+/// on one shard run N blocked requests at once — exactly N handlers are
+/// entered before the gate opens, with the rest of the burst queued.
+#[test]
+fn e14_workers_overlap_blocked_requests() {
+    for workers in [1u32, 2, 4, 8] {
+        let bus = Bus::new();
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let entered = Arc::new(AtomicU32::new(0));
+        bus.register("bus://e14", Arc::new(gated_echo(&gate, &entered)));
+        bus.install_executor(
+            ExecutorConfig::new(workers as usize).shards(1).queue_capacity(64).seed(0xE14),
+        );
+        let replies: Vec<_> = (0..16)
+            .map(|n| {
+                let envelope = Envelope::with_body(message(&n.to_string()));
+                bus.call_async("bus://e14", "urn:block", &envelope).unwrap()
+            })
+            .collect();
+        await_entered(&entered, workers);
+        // Room for a worker beyond the N-th to enter, were there one.
+        pause(Duration::from_millis(20));
+        assert_eq!(entered.load(Ordering::SeqCst), workers, "{workers} worker(s)");
+
+        open(&gate);
+        for reply in replies {
+            assert!(reply.wait().is_ok(), "an admitted request was lost");
+        }
+        assert_eq!(entered.load(Ordering::SeqCst), 16);
+        bus.shutdown_executor();
+    }
+}
+
+/// Run a pipelined batch into a queue another consumer has filled, with
+/// the worker parked until the batch's first submit is shed. With
+/// nothing of its own in flight to drain, the batch must sleep out the
+/// `Overloaded` hint and resubmit; every request completes.
+fn paced_batch(retry: Option<RetryConfig>, hint: Duration) {
+    let bus = Bus::new();
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let entered = Arc::new(AtomicU32::new(0));
+    bus.register("bus://e14", Arc::new(gated_echo(&gate, &entered)));
+    let capacity = 2;
+    bus.install_executor(
+        ExecutorConfig::new(1)
+            .shards(1)
+            .queue_capacity(capacity)
+            .max_in_flight(1)
+            .retry_after(hint)
+            .seed(0xE14),
+    );
+    let held: Vec<_> = (0..=capacity)
+        .map(|n| {
+            let envelope = Envelope::with_body(message(&format!("held{n}")));
+            let pending = bus.call_async("bus://e14", "urn:block", &envelope).unwrap();
+            await_entered(&entered, 1);
+            pending
+        })
+        .collect();
+    let opener = std::thread::spawn({
+        let (bus, gate) = (bus.clone(), Arc::clone(&gate));
+        move || {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while bus.stats().shed == 0 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            open(&gate);
+        }
+    });
+
+    let mut client = ServiceClient::new(bus.clone(), "bus://e14");
+    if let Some(config) = retry {
+        client = client.with_retry(config);
+    }
+    let payloads = (0..8).map(|n| message(&n.to_string())).collect();
+    let results = client.request_pipelined(test_actions::BLOCK, payloads, 4);
+    opener.join().unwrap();
+    for (n, result) in results.into_iter().enumerate() {
+        assert_eq!(result.expect("every request completes").text(), n.to_string());
+    }
+    for pending in held {
+        assert!(pending.wait().is_ok());
+    }
+    assert!(bus.endpoint_stats("bus://e14").shed >= 1);
+    bus.shutdown_executor();
+}
+
+/// E14's pacing: `request_pipelined` absorbs `Overloaded` by sleeping
+/// the hint, through the real pause when the client has no retry
+/// config and through the config's sleeper when it has one.
+#[test]
+fn e14_pipelined_requests_pace_through_overloaded() {
+    let hint = Duration::from_micros(500);
+    paced_batch(None, hint);
+
+    let slept: Arc<Mutex<Vec<Duration>>> = Arc::new(Mutex::new(Vec::new()));
+    let recorder = Arc::clone(&slept);
+    let recording = RetryConfig::new(RetryPolicy::new(3)).with_sleep(Arc::new(move |d| {
+        recorder.lock().push(d);
+        pause(d);
+    }));
+    paced_batch(Some(recording), hint);
+    let slept = slept.lock();
+    assert!(!slept.is_empty(), "the batch paced through the config's sleeper");
+    assert!(slept.iter().all(|&d| d >= hint), "never sooner than the hint: {slept:?}");
 }
 
 /// Holds every request leg until the gate opens, parking whichever

@@ -585,3 +585,95 @@ fn xpath_union_identical_across_shardings() {
         assert_eq!(ids, oracle, "{shards}-shard union disagrees with the oracle");
     }
 }
+
+/// E18, the grid-warehouse premise at fleet scale: the same rows on one
+/// node and spread over 16 shards × 3 replicas give the same answer to
+/// every ordered range scan — healthy, and again after a quarter of the
+/// run, when replica 0 of every even shard dies and replica 1 of every
+/// odd shard answers only `ServiceBusy`. Each shard keeps one healthy
+/// replica, so every query must fail over and stay complete, and every
+/// injected fault costs exactly one failover re-send.
+#[test]
+fn e18_sixteen_by_three_fleet_matches_one_node_through_a_mid_run_kill_and_overload() {
+    use dais::dair::RelationalService;
+    use dais::sql::Database;
+
+    const SHARDS: usize = 16;
+    const REPLICAS: usize = 3;
+    const ROWS: i64 = 400;
+    const QUERIES: usize = 48;
+    let sql = "SELECT k, v FROM t WHERE k >= ? ORDER BY k";
+    let lo_of = |i: usize| Value::Int((i as i64 * 37) % ROWS);
+    let row = |k: i64| [Value::Int(k), Value::Str(format!("row{k:05}"))];
+
+    let oracle_bus = Bus::new();
+    let oracle_db = Database::new("e18one");
+    oracle_db.execute_script(SCHEMA).unwrap();
+    for k in 0..ROWS {
+        oracle_db.execute("INSERT INTO t VALUES (?, ?)", &row(k)).unwrap();
+    }
+    let single =
+        RelationalService::launch(&oracle_bus, "bus://e18one", oracle_db, Default::default());
+    let oracle_client =
+        SqlClient::builder().bus(oracle_bus.clone()).address("bus://e18one").build();
+    let oracle: Vec<Vec<String>> = (0..QUERIES)
+        .map(|i| {
+            let data = oracle_client.execute(&single.db_resource, sql, &[lo_of(i)]).unwrap();
+            canon(data.rowset().unwrap())
+        })
+        .collect();
+    assert!(oracle.iter().all(|rows| !rows.is_empty()));
+
+    let bus = Bus::new();
+    let no_sleep: SleepFn = Arc::new(|_| {});
+    let fleet = RelationalFleet::launch(
+        &bus,
+        "e18",
+        SCHEMA,
+        ShardScheme::Hash { column: "k".into() },
+        FleetOptions {
+            shards: SHARDS,
+            replicas: REPLICAS,
+            failover: RetryConfig::new(RetryPolicy::new(6)).with_sleep(no_sleep),
+            ..FleetOptions::default()
+        },
+    );
+    for k in 0..ROWS {
+        fleet.ingest(&Value::Int(k), "INSERT INTO t VALUES (?, ?)", &row(k)).unwrap();
+    }
+    let client = sql_client(&bus, &fleet);
+    let name = fleet.resource().resource();
+    let scan = |i: usize| {
+        let data = client.execute(name, sql, &[lo_of(i)]).expect("a query must fail over");
+        canon(data.rowset().unwrap())
+    };
+
+    for (i, expected) in oracle.iter().enumerate() {
+        assert_eq!(&scan(i), expected, "healthy fleet diverged from the oracle on query {i}");
+    }
+
+    let injector = FaultInjector::new(0xF1EE7);
+    bus.add_interceptor(Arc::new(injector.clone()));
+    bus.reset_stats();
+    for (i, expected) in oracle.iter().enumerate() {
+        if i == QUERIES / 4 {
+            for s in 0..SHARDS {
+                let (replica, policy) = if s % 2 == 0 {
+                    (0, FaultPolicy::default().drop(1.0))
+                } else {
+                    (1, FaultPolicy::default().busy(1.0))
+                };
+                injector.set_policy(fleet.router.replica_address(s, replica), policy);
+            }
+        }
+        assert_eq!(&scan(i), expected, "chaos pass diverged from the oracle on query {i}");
+    }
+    let stats = bus.stats();
+    assert!(stats.injected > 0, "the chaos was real");
+    assert_eq!(stats.retries, stats.injected, "every injected fault costs one failover re-send");
+    let down = (0..SHARDS)
+        .flat_map(|s| (0..REPLICAS).map(move |r| (s, r)))
+        .filter(|&(s, r)| !fleet.router.is_healthy(s, r))
+        .count();
+    assert!(down > 0, "the router noticed the dead and busy replicas");
+}

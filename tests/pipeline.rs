@@ -2,6 +2,8 @@
 //! end to end — including the routing of derived resources to the right
 //! services and the "no data through intermediaries" property.
 
+mod common;
+
 use dais::core::{register_core_ops, NameGenerator, ResourceRegistry, ServiceContext};
 use dais::dair::resources::SqlDataResource;
 use dais::dair::service as dair;
@@ -57,7 +59,7 @@ fn build_pipeline(rows: usize) -> Pipeline {
     bus.register("bus://p1", Arc::new(d1));
 
     let db = Database::new("pipe");
-    dais_bench::workload::populate_items(&db, rows, 24);
+    common::populate_items(&db, rows, 24);
     let db_resource = names.mint("db");
     svc1.add_resource(Arc::new(SqlDataResource::new(db_resource.clone(), db)));
 
@@ -125,7 +127,7 @@ fn data_flows_only_where_pulled() {
     let c2 = SqlClient::builder().bus(p.bus.clone()).epr(response_epr).build();
     let rowset_epr = c2.rowset_factory(&response_name, None, None).unwrap();
     let rowset_name = AbstractName::new(rowset_epr.resource_abstract_name().unwrap()).unwrap();
-    let c3 = SqlClient::builder().bus(p.bus.clone()).epr(rowset_epr).build();
+    let c3 = SqlClient::builder().bus(p.bus.clone()).epr(rowset_epr.clone()).build();
     let mut got = 0;
     while got < 400 {
         got += c3.get_tuples(&rowset_name, got, 100).unwrap().row_count();
@@ -144,6 +146,17 @@ fn data_flows_only_where_pulled() {
         s3.total_bytes()
     );
     assert!(s2.total_bytes() < s3.total_bytes());
+
+    // A second consumer pages the same rowset in 250-row pages: the
+    // shared rowset serves it, so service 1 sees not one more byte.
+    let c4 = SqlClient::builder().bus(p.bus.clone()).epr(rowset_epr).build();
+    let pages: Vec<usize> = [0, 250, 400]
+        .into_iter()
+        .map(|start| c4.get_tuples(&rowset_name, start, 250).unwrap().row_count())
+        .collect();
+    assert_eq!(pages, [250, 150, 0]);
+    assert_eq!(p.bus.endpoint_stats("bus://p1").total_bytes(), s1.total_bytes());
+    assert!(p.bus.endpoint_stats("bus://p3").total_bytes() > s3.total_bytes());
 }
 
 #[test]
@@ -154,7 +167,7 @@ fn shortcut_single_service_deployment_matches() {
     // provides every interface; the same flow works with one service.
     let bus = Bus::new();
     let db = Database::new("single");
-    dais_bench::workload::populate_items(&db, 50, 16);
+    common::populate_items(&db, 50, 16);
     let svc = RelationalService::launch(&bus, "bus://single", db, Default::default());
     let client = SqlClient::builder().bus(bus.clone()).address("bus://single").build();
 

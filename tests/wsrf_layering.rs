@@ -44,15 +44,23 @@ fn wsrf_service(bus: &Bus, address: &str) -> (RelationalService, Arc<ManualClock
 #[test]
 fn core_behaviour_is_identical_across_deployments() {
     let bus = Bus::new();
-    let plain = plain_service(&bus, "bus://plain");
+    // Addresses of equal length, so equal behaviour means equal bytes.
+    let plain = plain_service(&bus, "bus://core");
     let (wsrf, _) = wsrf_service(&bus, "bus://wsrf");
-    let cp = SqlClient::builder().bus(bus.clone()).address("bus://plain").build();
+    let cp = SqlClient::builder().bus(bus.clone()).address("bus://core").build();
     let cw = SqlClient::builder().bus(bus.clone()).address("bus://wsrf").build();
 
-    // Same query, same result shape.
+    // Same query, same result shape, same bytes on the wire both ways.
+    bus.reset_stats();
     let rp = cp.execute(&plain.db_resource, "SELECT * FROM t ORDER BY a", &[]).unwrap();
     let rw = cw.execute(&wsrf.db_resource, "SELECT * FROM t ORDER BY a", &[]).unwrap();
     assert_eq!(rp.rowset().unwrap().rows, rw.rowset().unwrap().rows);
+    let billed = |address: &str| {
+        let s = bus.endpoint_stats(address);
+        (s.messages, s.request_bytes, s.response_bytes)
+    };
+    assert_eq!(billed("bus://core").0, 1);
+    assert_eq!(billed("bus://core"), billed("bus://wsrf"), "the WSRF layer is additive");
 
     // Same property documents (modulo the abstract name / description).
     let pp = cp.core().get_property_document(&plain.db_resource).unwrap();
@@ -90,6 +98,37 @@ fn fine_grained_properties_require_wsrf() {
         .query_resource_properties(&wsrf.db_resource, "//wsdai:DatasetMap/wsdai:DatasetFormatURI")
         .unwrap();
     assert_eq!(result.elements().count(), 1);
+
+    // As the catalog grows from 1 to 50 tables the whole document grows
+    // with it, while the one property costs the same bytes.
+    let catalog = |address: &str, tables: usize| {
+        let db = Database::new("w");
+        for t in 0..tables {
+            db.execute(
+                &format!(
+                    "CREATE TABLE t{t} (id INTEGER PRIMARY KEY, a VARCHAR, b DOUBLE, c INTEGER)"
+                ),
+                &[],
+            )
+            .unwrap();
+        }
+        let options = RelationalServiceOptions {
+            wsrf: Some(Arc::new(LifetimeRegistry::new(ManualClock::new()))),
+            ..Default::default()
+        };
+        let svc = RelationalService::launch(&bus, address, db, options);
+        let client = SqlClient::builder().bus(bus.clone()).address(address).build();
+        bus.reset_stats();
+        client.core().get_resource_property(&svc.db_resource, "wsdai:Readable").unwrap();
+        let property = bus.stats().response_bytes;
+        bus.reset_stats();
+        client.core().get_property_document_xml(&svc.db_resource).unwrap();
+        (property, bus.stats().response_bytes)
+    };
+    let (property_1, whole_1) = catalog("bus://cat01", 1);
+    let (property_50, whole_50) = catalog("bus://cat50", 50);
+    assert_eq!(property_1, property_50, "one property does not grow with the catalog");
+    assert!(whole_50 > whole_1 * 5, "the whole document does: {whole_1} B vs {whole_50} B");
 }
 
 #[test]

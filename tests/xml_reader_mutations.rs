@@ -9,14 +9,21 @@
 //! decoders. Each must return a value or an error, never panic, and the
 //! tree builder and the pull parser must agree on which. The WebRowSet
 //! cursor must also decode a mutant's rowset exactly as a tree walk of
-//! it does: the same rowset, or a refusal from both.
+//! it does: the same rowset, or a refusal from both. Likewise the
+//! `SQLResponse` decoders must decode a mutant of every response-bearing
+//! golden (update count, empty result, response item, rowset pages) as a
+//! tree walk does: the same items and communication area, or a refusal
+//! from both; for the three goldens without rows, every single-byte
+//! replacement is checked.
 
 use dais::dair::messages::rowset_cursor_from_reply_bytes;
 use dais::dair::SqlResponseData;
 use dais::soap::Envelope;
-use dais::sql::{Rowset, RowsetColumn, RowsetCursor, SqlType, Value};
+use dais::sql::{Rowset, RowsetColumn, RowsetCursor, SqlCommunicationArea, SqlType, Value};
 use dais::xml::parser::MAX_DEPTH;
-use dais::xml::{ns, parse, parse_preserving, to_bytes_into, PullParser, XmlElement, XmlError};
+use dais::xml::{
+    ns, parse, parse_preserving, to_bytes_into, PullParser, XmlElement, XmlError, XmlNode,
+};
 use dais_util::prop::{run_cases, Gen};
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -49,6 +56,14 @@ fn drain(text: &str) -> Result<(), XmlError> {
     Ok(())
 }
 
+/// The element's text, refusing child elements as a text cell does.
+fn text_only(el: &XmlElement) -> Result<String, String> {
+    match el.elements().next() {
+        Some(child) => Err(format!("unexpected child element <{}> in a text cell", child.name)),
+        None => Ok(el.text()),
+    }
+}
+
 /// The tree walk `RowsetCursor` replaced (`dais-sql` keeps it in its
 /// unit tests), held to one more rule of the cursor's: a text cell holds
 /// text only. Reads metadata and cells off a `webRowSet` element.
@@ -56,10 +71,6 @@ fn reference_decode(root: &XmlElement) -> Result<Rowset, String> {
     if !root.name.is(ns::ROWSET, "webRowSet") {
         return Err(format!("expected wrs:webRowSet, found {}", root.name));
     }
-    let text_only = |el: &XmlElement| match el.elements().next() {
-        Some(child) => Err(format!("unexpected child element <{}> in a text cell", child.name)),
-        None => Ok(el.text()),
-    };
     let text_of = |el: &XmlElement, local: &str| el.child(ns::ROWSET, local).map(text_only);
     let metadata = root.child(ns::ROWSET, "metadata").ok_or("webRowSet missing metadata")?;
     let mut columns = Vec::new();
@@ -141,11 +152,172 @@ fn assert_decoders_agree(text: &str) {
     });
 }
 
+/// How a golden frames its response items, which picks its decoder.
+#[derive(Debug, Clone, Copy)]
+enum Frame {
+    /// `wrapper(SQLResponse(items…))`, read by `from_reply_bytes`.
+    SqlResponse,
+    /// `wrapper(items…)`, read by `from_item_reply_bytes`.
+    Items,
+}
+
+/// The frame of a golden's response items, if it carries any.
+fn response_frame(golden: &[u8]) -> Option<Frame> {
+    let has = |tag: &[u8]| golden.windows(tag.len()).any(|w| w == tag);
+    if has(b"<wsdair:SQLResponse>") {
+        Some(Frame::SqlResponse)
+    } else if has(b"<wsdair:GetSQLResponseItemResponse") || has(b"<wsdair:GetSQLRowsetResponse") {
+        Some(Frame::Items)
+    } else {
+        None
+    }
+}
+
+/// The element's first child that is not a comment, which the pull
+/// decoders require to be an element.
+fn first_element(el: &XmlElement) -> Result<&XmlElement, String> {
+    match el.children.iter().find(|c| !matches!(c, XmlNode::Comment(_))) {
+        Some(XmlNode::Element(child)) => Ok(child),
+        other => Err(format!("expected an element in <{}>, found {other:?}", el.name)),
+    }
+}
+
+fn reference_area(el: &XmlElement) -> Result<SqlCommunicationArea, String> {
+    let mut area = SqlCommunicationArea::success();
+    let mut sqlstate = None;
+    for field in el.elements() {
+        match &*field.name.local {
+            "SQLState" => sqlstate = Some(text_only(field)?),
+            "SQLUpdateCount" => {
+                area.update_count =
+                    text_only(field)?.trim().parse().map_err(|_| "non-numeric SQLUpdateCount")?
+            }
+            "SQLMessage" => area.messages.push(text_only(field)?),
+            _ => {}
+        }
+    }
+    area.sqlstate = sqlstate.ok_or("SQLCommunicationArea without an SQLState")?;
+    Ok(area)
+}
+
+/// The tree walk of a reply's response items: Envelope, Body, the
+/// payload wrapper and, framed so, its `SQLResponse`; then each item by
+/// local name, as the pull decoder reads them.
+fn reference_response(root: &XmlElement, frame: Frame) -> Result<SqlResponseData, String> {
+    if !root.name.is(ns::SOAP_ENV, "Envelope") {
+        return Err("reply is not a SOAP envelope".into());
+    }
+    let body = root.elements().find(|e| e.name.is(ns::SOAP_ENV, "Body")).ok_or("no Body")?;
+    let wrapper = first_element(body)?;
+    let items = match frame {
+        Frame::Items => wrapper,
+        Frame::SqlResponse => wrapper
+            .elements()
+            .find(|e| e.name.is(ns::WSDAIR, "SQLResponse"))
+            .ok_or("reply carries no SQLResponse element")?,
+    };
+    let mut data = SqlResponseData::default();
+    for item in items.elements() {
+        match &*item.name.local {
+            "SQLRowset" => data.rowsets.push(reference_decode(first_element(item)?)?),
+            "SQLUpdateCount" => data
+                .update_counts
+                .push(text_only(item)?.trim().parse().map_err(|_| "non-numeric SQLUpdateCount")?),
+            "SQLReturnValue" => data.return_value = Some(Value::Str(text_only(item)?)),
+            "SQLOutputParameter" => {
+                let name = item.attribute("name").unwrap_or_default().to_string();
+                data.output_parameters.push((name, Value::Str(text_only(item)?)));
+            }
+            "SQLCommunicationArea" => data.communication_area = reference_area(item)?,
+            _ => {}
+        }
+    }
+    Ok(data)
+}
+
+thread_local! {
+    /// Responses compared between the two decoders: (read, refused).
+    static RESPONSES: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+}
+
+/// `prefix` with an end tag appended for every element still open at
+/// its end (quoted attribute values may hold `>`).
+fn closed(prefix: &str) -> String {
+    let bytes = prefix.as_bytes();
+    let mut open: Vec<&str> = Vec::new();
+    let mut at = 0;
+    while let Some(lt) = prefix[at..].find('<').map(|n| at + n) {
+        let mut gt = lt + 1;
+        let mut quote = None;
+        while gt < bytes.len() {
+            match (quote, bytes[gt]) {
+                (None, b'>') => break,
+                (None, q @ (b'"' | b'\'')) => quote = Some(q),
+                (Some(q), b) if b == q => quote = None,
+                _ => {}
+            }
+            gt += 1;
+        }
+        let tag = &prefix[lt + 1..gt.min(prefix.len())];
+        if tag.starts_with('/') {
+            open.pop();
+        } else if !tag.starts_with(['?', '!']) && !tag.ends_with('/') {
+            open.extend(tag.split([' ', '\t', '\r', '\n']).next());
+        }
+        at = gt + 1;
+        if at >= prefix.len() {
+            break;
+        }
+    }
+    let mut out = prefix.to_string();
+    for name in open.iter().rev() {
+        out.push_str(&format!("</{name}>"));
+    }
+    out
+}
+
+/// Decode the response items in `text` with the pull decoder and with
+/// the tree walk: both must refuse, or both must yield the same items
+/// and communication area (compared by `Debug`). The pull decoder stops
+/// at the end tag of the element holding the items, so the tree walk
+/// reads the mutant through that end tag, with its open ancestors closed.
+fn assert_response_decoders_agree(text: &str, golden: &[u8], frame: Frame) {
+    let golden = std::str::from_utf8(golden).unwrap();
+    let end = match frame {
+        Frame::SqlResponse => "</wsdair:SQLResponse>",
+        // The wrapper's end tag, the last one before the body's.
+        Frame::Items => {
+            let body = golden.rfind("</soap:Body>").unwrap();
+            &golden[golden[..body].rfind("</").unwrap()..body]
+        }
+    };
+    let read = match text.find(end) {
+        Some(at) => closed(&text[..at + end.len()]),
+        None => text.to_string(),
+    };
+    let pull = match frame {
+        Frame::SqlResponse => SqlResponseData::from_reply_bytes(text.as_bytes()),
+        Frame::Items => SqlResponseData::from_item_reply_bytes(text.as_bytes()),
+    };
+    let reference =
+        parse(&read).map_err(|e| e.to_string()).and_then(|root| reference_response(&root, frame));
+    match (&pull, &reference) {
+        (Ok(p), Ok(r)) => assert_eq!(format!("{p:?}"), format!("{r:?}"), "pull vs tree walk"),
+        (Err(_), Err(_)) => {}
+        _ => panic!("{frame:?}: pull read {pull:?}, tree walk read {reference:?} of {text}"),
+    }
+    RESPONSES.with(|n| {
+        let (read, refused) = n.get();
+        n.set(if pull.is_ok() { (read + 1, refused) } else { (read, refused + 1) });
+    });
+}
+
 /// Run every reader of wire XML over `doc`; a panic in any of them fails
 /// the case. Returns the tree builder's verdict, after checking that the
 /// preserving builder and the pull parser reach the same one, and that
 /// the cursor and the tree walk decode its rowset alike.
-fn read_everywhere(doc: &[u8], rowsets: bool) -> Result<(), XmlError> {
+fn read_everywhere(doc: &[u8], golden: &(String, Vec<u8>)) -> Result<(), XmlError> {
+    let rowsets = carries_rowset(&golden.1);
     let _ = Envelope::from_bytes(doc);
     if rowsets {
         let _ = SqlResponseData::from_reply_bytes(doc);
@@ -162,6 +334,9 @@ fn read_everywhere(doc: &[u8], rowsets: bool) -> Result<(), XmlError> {
         }
         assert_decoders_agree(text);
     }
+    if let Some(frame) = response_frame(&golden.1) {
+        assert_response_decoders_agree(text, &golden.1, frame);
+    }
     let tree = parse(text).map(drop);
     assert_eq!(tree.is_ok(), parse_preserving(text).is_ok(), "parse vs parse_preserving");
     assert_eq!(tree.is_ok(), drain(text).is_ok(), "parse vs pull drain: {tree:?}");
@@ -170,12 +345,12 @@ fn read_everywhere(doc: &[u8], rowsets: bool) -> Result<(), XmlError> {
 
 #[test]
 fn goldens_round_trip_byte_identically() {
-    for (name, doc) in goldens() {
-        let tree = parse(std::str::from_utf8(&doc).unwrap()).unwrap();
+    for golden @ (name, doc) in &goldens() {
+        let tree = parse(std::str::from_utf8(doc).unwrap()).unwrap();
         let mut out = Vec::new();
         to_bytes_into(&tree, &mut out);
-        assert!(out == doc, "{name} does not re-serialise to its own bytes");
-        read_everywhere(&doc, carries_rowset(&doc)).unwrap();
+        assert!(&out == doc, "{name} does not re-serialise to its own bytes");
+        read_everywhere(doc, golden).unwrap();
     }
 }
 
@@ -197,8 +372,9 @@ fn start_tag_name_ends(doc: &[u8]) -> Vec<usize> {
 fn mutants_are_read_or_refused_alike_and_never_panic() {
     let docs = goldens();
     COMPARED.set((0, 0));
+    RESPONSES.set((0, 0));
     run_cases("xml_reader_mutations", 1000, 0x2005_0830, |g: &mut Gen| {
-        let (name, doc) = g.pick(&docs);
+        let golden @ (name, doc) = g.pick(&docs);
         let mut m = doc.clone();
         let kind = g.usize_in(0, 5);
         match kind {
@@ -225,7 +401,7 @@ fn mutants_are_read_or_refused_alike_and_never_panic() {
                 m.splice(at..at, nest.into_bytes());
             }
         }
-        let verdict = read_everywhere(&m, carries_rowset(doc));
+        let verdict = read_everywhere(&m, golden);
         match kind {
             3 => assert!(
                 verdict.as_ref().is_err_and(|e| e.message.contains("undeclared")),
@@ -244,4 +420,37 @@ fn mutants_are_read_or_refused_alike_and_never_panic() {
         read >= 100 && refused >= 100,
         "too few rowsets compared: {read} read, {refused} refused"
     );
+    let (read, refused) = RESPONSES.get();
+    println!("pull vs tree walk: {read} responses read alike, {refused} refused alike");
+    assert!(
+        read >= 25 && refused >= 300,
+        "too few responses compared: {read} read, {refused} refused"
+    );
+}
+
+/// Every single-byte replacement of the non-rowset response goldens:
+/// the pull decoders and the tree walk read each mutant alike or both
+/// refuse it. Sampling rarely lands on the few bytes of a count or a
+/// state, so these goldens are swept exhaustively.
+#[test]
+fn every_byte_replacement_of_the_response_item_goldens_decodes_alike() {
+    const ITEM_GOLDENS: [&str; 3] = [
+        "sql_execute_update_count.xml",
+        "sql_execute_empty.xml",
+        "get_sql_response_item_count.xml",
+    ];
+    RESPONSES.set((0, 0));
+    for (_, doc) in goldens().iter().filter(|(name, _)| ITEM_GOLDENS.contains(&name.as_str())) {
+        let frame = response_frame(doc).unwrap();
+        for at in 0..doc.len() {
+            for &byte in REPLACEMENTS {
+                let mut m = doc.clone();
+                m[at] = byte;
+                assert_response_decoders_agree(std::str::from_utf8(&m).unwrap(), doc, frame);
+            }
+        }
+    }
+    let (read, refused) = RESPONSES.get();
+    println!("byte replacements: {read} responses read alike, {refused} refused alike");
+    assert!(read >= 3000 && refused >= 20000, "{read} read, {refused} refused");
 }
