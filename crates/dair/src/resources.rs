@@ -5,7 +5,7 @@ use crate::messages::SqlResponseData;
 use dais_core::properties::{names, ResourceManagementKind};
 use dais_core::{
     AbstractName, ConfigurationDocument, ConfigurationMap, CoreProperties, DataResource,
-    DatasetMap, Sensitivity,
+    DatasetMap, Sensitivity, TransactionIsolation,
 };
 use dais_soap::fault::{DaisFault, Fault};
 use dais_sql::ast::{Select, Stmt};
@@ -29,10 +29,12 @@ pub fn sql_fault(e: dais_sql::SqlError) -> Fault {
 /// The properties every relational resource advertises, the federated
 /// one included: the SQL query language, the WebRowSet dataset format and
 /// the `SQLExecuteFactory` configuration map. Not Writeable: a wrapper
-/// that accepts writes says so.
+/// that accepts writes says so. `Serializable`: every message is one
+/// statement, run whole under the storage lock.
 pub fn relational_properties(name: AbstractName, description: String) -> CoreProperties {
     let mut properties = CoreProperties::new(name, ResourceManagementKind::ExternallyManaged);
     properties.description = description;
+    properties.transaction_isolation = TransactionIsolation::Serializable;
     properties.generic_query_languages.push(SQL_LANGUAGE_URI.to_string());
     properties.dataset_maps.push(DatasetMap {
         message: QName::new(ns::WSDAIR, "wsdair", "SQLExecuteRequest"),
@@ -89,7 +91,7 @@ impl SqlDataResource {
 
     /// Execute a parsed statement against the wrapped database.
     pub fn execute_stmt(&self, stmt: &Stmt, params: &[Value]) -> Result<SqlResponseData, Fault> {
-        let result = self.db.connect().execute_stmt(stmt, params).map_err(sql_fault)?;
+        let result = self.db.execute_stmt(stmt, params).map_err(sql_fault)?;
         Ok(SqlResponseData::from_result(&result))
     }
 
@@ -189,7 +191,7 @@ impl SqlResponseResource {
     ) -> Result<SqlResponseResource, Fault> {
         let mut properties = properties;
         properties.configuration_maps.push(rowset_factory_map());
-        let run = || db.connect().execute_stmt(stmt, params).map_err(sql_fault);
+        let run = || db.execute_stmt(stmt, params).map_err(sql_fault);
         let backing = match properties.sensitivity {
             Sensitivity::Insensitive => {
                 ResponseBacking::Materialised(Arc::new(SqlResponseData::from_result(&run()?)))
@@ -213,7 +215,7 @@ impl SqlResponseResource {
         match &self.backing {
             ResponseBacking::Materialised(data) => Ok(data.clone()),
             ResponseBacking::Sensitive { db, stmt, params } => {
-                let result = db.connect().execute_stmt(stmt, params).map_err(sql_fault)?;
+                let result = db.execute_stmt(stmt, params).map_err(sql_fault)?;
                 Ok(Arc::new(SqlResponseData::from_result(&result)))
             }
         }

@@ -18,6 +18,7 @@ use dais_core::properties::{names, ResourceManagementKind};
 use dais_core::{
     register_op, register_property_document, AbstractName, CoreProperties, DataResource,
     FactoryRequest, NameGenerator, Requires, ResourceRef, ServiceContext, ServiceSkeleton,
+    TransactionIsolation,
 };
 use dais_dair::messages::{self as dair_messages, actions as dair_actions};
 use dais_dair::resources::{relational_properties, rowset_factory_map};
@@ -344,14 +345,18 @@ impl FederationService {
         );
         // The maps a plain SqlDataResource publishes, so factory
         // negotiation is indistinguishable. Writes are refused: ingest goes
-        // through the fleet's router, not the federation endpoint.
+        // through the fleet's router, not the federation endpoint. The legs
+        // read their shards at different instants, so a query sees only
+        // committed statements, not one snapshot.
         let logical = resource.resource().clone();
         let description =
             format!("federated relational resource over {} shard(s)", router.shards());
+        let mut properties = relational_properties(logical, description);
+        properties.transaction_isolation = TransactionIsolation::ReadCommitted;
         let monitoring = s.serve(
             bus,
             Arc::new(FederatedResource {
-                properties: Arc::new(relational_properties(logical, description)),
+                properties: Arc::new(properties),
                 bus: bus.clone(),
                 router: router.clone(),
             }),

@@ -14,7 +14,7 @@
 
 use crate::envelope::Envelope;
 use crate::executor::{self, BusExecutor, ExchangeOutcome, ExecMode, ExecutorConfig, Pending};
-use crate::fault::Fault;
+use crate::fault::{DaisFault, Fault};
 use crate::interceptor::{CallInfo, InjectorSnapshot, Intercept, Interceptor};
 use crate::service::SoapService;
 use crate::transport::Transport;
@@ -24,6 +24,7 @@ use dais_util::pool::PooledBuf;
 use dais_util::sync::RwLock;
 use dais_xml::{ns, XmlElement};
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
@@ -764,7 +765,14 @@ impl Bus {
             }
         }
         journal.event_ctx(event_names::REQ_DISPATCH, wire_ctx, request.len() as u64);
-        let outcome = endpoint.service.handle(action, &parsed_request);
+        // A panicking handler answers with a fault and leaves its worker
+        // alive; the engine's statement guard has already undone its writes.
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+            endpoint.service.handle(action, &parsed_request)
+        }))
+        .unwrap_or_else(|_| {
+            Err(Fault::dais(DaisFault::ServiceError, format!("handler for {action} panicked")))
+        });
         dispatch_span.attr("outcome", if outcome.is_ok() { "ok" } else { "fault" });
         dispatch_span.finish();
         // Fault or success both serialise for the return trip.

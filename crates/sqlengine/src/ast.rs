@@ -15,9 +15,6 @@ pub enum Stmt {
     CreateTable(CreateTable),
     DropTable { name: String, if_exists: bool },
     CreateIndex { name: String, table: String, column: String, unique: bool },
-    Begin,
-    Commit,
-    Rollback,
 }
 
 /// A SELECT statement (optionally the head of a UNION chain).

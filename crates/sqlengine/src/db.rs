@@ -1,8 +1,9 @@
-//! The database façade: connections, transactions and statement results.
+//! The database façade: statements in, statement results out. Each
+//! statement is its own transaction.
 
 use crate::ast::{Select, Stmt};
 use crate::error::{SqlError, SqlErrorKind};
-use crate::exec::{self, UndoEntry};
+use crate::exec::{self, StatementGuard};
 use crate::parser::parse_statement;
 use crate::rowset::Rowset;
 use crate::sqlcomm::SqlCommunicationArea;
@@ -19,7 +20,7 @@ pub enum StatementResult {
     Query(Rowset),
     /// DML affected `n` rows.
     Update(u64),
-    /// DDL or transaction-control completed.
+    /// DDL completed.
     Command(&'static str),
 }
 
@@ -63,10 +64,9 @@ impl StatementResult {
 ///
 /// Cloning is cheap (shared state). Concurrency model: a big
 /// reader-writer lock — SELECTs share a read lock, DML/DDL take the write
-/// lock. Explicit transactions are undo-based and *do not* hold the lock
-/// between statements, so other sessions can observe uncommitted changes
-/// (READ UNCOMMITTED); this is exactly what the `TransactionIsolation`
-/// service property advertises in the WS-DAIR layer.
+/// lock — held for the whole statement. A statement is atomic and is the
+/// only transaction, so statements are serializable: none sees another's
+/// partial effects.
 #[derive(Clone)]
 pub struct Database {
     name: String,
@@ -82,21 +82,51 @@ impl Database {
         &self.name
     }
 
-    /// Open a session (connection) on this database.
-    pub fn connect(&self) -> Session {
-        Session { db: self.clone(), txn: None }
+    /// Parse and execute one statement.
+    pub fn execute(&self, sql: &str, params: &[Value]) -> Result<StatementResult, SqlError> {
+        self.execute_stmt(&parse_statement(sql)?, params)
     }
 
-    /// One-shot auto-commit execution.
-    pub fn execute(&self, sql: &str, params: &[Value]) -> Result<StatementResult, SqlError> {
-        self.connect().execute(sql, params)
+    /// Execute an already-parsed statement. A failing statement leaves
+    /// no partial effects.
+    pub fn execute_stmt(&self, stmt: &Stmt, params: &[Value]) -> Result<StatementResult, SqlError> {
+        match stmt {
+            Stmt::Select(select) => {
+                exec::run_select(select, &self.storage.read(), params).map(StatementResult::Query)
+            }
+            Stmt::Insert(i) => self.write_rows(|g| exec::run_insert(i, g, params)),
+            Stmt::Update(u) => self.write_rows(|g| exec::run_update(u, g, params)),
+            Stmt::Delete(d) => self.write_rows(|g| exec::run_delete(d, g, params)),
+            Stmt::CreateTable(c) => exec::run_create_table(c, &mut self.storage.write())
+                .map(|_| StatementResult::Command("CREATE TABLE")),
+            Stmt::DropTable { name, if_exists } => {
+                exec::run_drop_table(name, *if_exists, &mut self.storage.write())
+                    .map(|_| StatementResult::Command("DROP TABLE"))
+            }
+            Stmt::CreateIndex { name, table, column, unique } => {
+                exec::run_create_index(name, table, column, *unique, &mut self.storage.write())
+                    .map(|_| StatementResult::Command("CREATE INDEX"))
+            }
+        }
+    }
+
+    /// Run one INSERT, UPDATE or DELETE under the write lock and a
+    /// [`StatementGuard`], which undoes its writes unless `run` completes.
+    fn write_rows(
+        &self,
+        run: impl FnOnce(&mut StatementGuard<'_>) -> Result<u64, SqlError>,
+    ) -> Result<StatementResult, SqlError> {
+        let mut storage = self.storage.write();
+        let mut guard = StatementGuard::new(&mut storage);
+        let changed = run(&mut guard)?;
+        guard.commit();
+        Ok(StatementResult::Update(changed))
     }
 
     /// Run several statements, stopping at the first error.
     pub fn execute_script(&self, sql: &str) -> Result<(), SqlError> {
-        let mut session = self.connect();
         for stmt in split_statements(sql) {
-            session.execute(&stmt, &[])?;
+            self.execute(&stmt, &[])?;
         }
         Ok(())
     }
@@ -169,132 +199,6 @@ pub fn split_statements(sql: &str) -> Vec<String> {
         out.push(current.trim().to_string());
     }
     out
-}
-
-/// A connection with transaction state.
-pub struct Session {
-    db: Database,
-    /// `Some` while an explicit transaction is open; holds the undo log.
-    txn: Option<Vec<UndoEntry>>,
-}
-
-impl Session {
-    /// Is an explicit transaction open?
-    pub fn in_transaction(&self) -> bool {
-        self.txn.is_some()
-    }
-
-    /// Parse and execute one statement. Statements are atomic: a failing
-    /// DML statement leaves no partial effects, whether or not an explicit
-    /// transaction is open.
-    pub fn execute(&mut self, sql: &str, params: &[Value]) -> Result<StatementResult, SqlError> {
-        let stmt = parse_statement(sql)?;
-        self.execute_stmt(&stmt, params)
-    }
-
-    /// Execute an already-parsed statement.
-    pub fn execute_stmt(
-        &mut self,
-        stmt: &Stmt,
-        params: &[Value],
-    ) -> Result<StatementResult, SqlError> {
-        match stmt {
-            Stmt::Begin => {
-                if self.txn.is_some() {
-                    return Err(SqlError::new(
-                        SqlErrorKind::TransactionState,
-                        "a transaction is already open",
-                    ));
-                }
-                self.txn = Some(Vec::new());
-                Ok(StatementResult::Command("BEGIN"))
-            }
-            Stmt::Commit => {
-                if self.txn.take().is_none() {
-                    return Err(SqlError::new(
-                        SqlErrorKind::TransactionState,
-                        "no open transaction",
-                    ));
-                }
-                Ok(StatementResult::Command("COMMIT"))
-            }
-            Stmt::Rollback => match self.txn.take() {
-                None => Err(SqlError::new(SqlErrorKind::TransactionState, "no open transaction")),
-                Some(entries) => {
-                    let mut storage = self.db.storage.write();
-                    exec::apply_undo(&mut storage, entries);
-                    Ok(StatementResult::Command("ROLLBACK"))
-                }
-            },
-            Stmt::Select(select) => {
-                let storage = self.db.storage.read();
-                exec::run_select(select, &storage, params).map(StatementResult::Query)
-            }
-            _ => {
-                // Mutating statement: run under the write lock, collecting
-                // undo entries for statement atomicity.
-                let mut storage = self.db.storage.write();
-                let mut undo: Vec<UndoEntry> = Vec::new();
-                // Immediately-invoked so `?`-style early errors still reach
-                // the rollback arm below with the undo log intact.
-                #[allow(clippy::redundant_closure_call)]
-                let outcome = (|| -> Result<StatementResult, SqlError> {
-                    match stmt {
-                        Stmt::Insert(i) => exec::run_insert(i, &mut storage, params, &mut undo)
-                            .map(StatementResult::Update),
-                        Stmt::Update(u) => exec::run_update(u, &mut storage, params, &mut undo)
-                            .map(StatementResult::Update),
-                        Stmt::Delete(d) => exec::run_delete(d, &mut storage, params, &mut undo)
-                            .map(StatementResult::Update),
-                        Stmt::CreateTable(c) => exec::run_create_table(c, &mut storage, &mut undo)
-                            .map(|_| StatementResult::Command("CREATE TABLE")),
-                        Stmt::DropTable { name, if_exists } => {
-                            exec::run_drop_table(name, *if_exists, &mut storage, &mut undo)
-                                .map(|_| StatementResult::Command("DROP TABLE"))
-                        }
-                        Stmt::CreateIndex { name, table, column, unique } => {
-                            exec::run_create_index(
-                                name,
-                                table,
-                                column,
-                                *unique,
-                                &mut storage,
-                                &mut undo,
-                            )
-                            .map(|_| StatementResult::Command("CREATE INDEX"))
-                        }
-                        Stmt::Select(_) | Stmt::Begin | Stmt::Commit | Stmt::Rollback => {
-                            unreachable!("handled above")
-                        }
-                    }
-                })();
-                match outcome {
-                    Ok(result) => {
-                        if let Some(txn) = self.txn.as_mut() {
-                            txn.extend(undo);
-                        }
-                        Ok(result)
-                    }
-                    Err(e) => {
-                        // Statement-level rollback.
-                        exec::apply_undo(&mut storage, undo);
-                        Err(e)
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl Drop for Session {
-    /// An abandoned open transaction rolls back, mirroring connection
-    /// teardown semantics in conventional DBMSs.
-    fn drop(&mut self) {
-        if let Some(entries) = self.txn.take() {
-            let mut storage = self.db.storage.write();
-            exec::apply_undo(&mut storage, entries);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -547,66 +451,15 @@ mod tests {
         assert_eq!(q(&db, "SELECT COUNT(*) FROM emp WHERE id = 20").rows[0][0], Value::Int(0));
     }
 
+    /// Integer SUM is exact: a total outside `i64` is refused, and one
+    /// inside it is answered.
     #[test]
-    fn transactions_commit_and_rollback() {
-        let db = db_with_schema();
-        let mut s = db.connect();
-        s.execute("BEGIN", &[]).unwrap();
-        s.execute("INSERT INTO emp (id, name) VALUES (30, 'tmp')", &[]).unwrap();
-        s.execute("UPDATE emp SET salary = 1.0 WHERE id = 1", &[]).unwrap();
-        s.execute("ROLLBACK", &[]).unwrap();
-        assert_eq!(q(&db, "SELECT COUNT(*) FROM emp WHERE id = 30").rows[0][0], Value::Int(0));
-        assert_eq!(q(&db, "SELECT salary FROM emp WHERE id = 1").rows[0][0], Value::Double(100.0));
-
-        let mut s = db.connect();
-        s.execute("BEGIN", &[]).unwrap();
-        s.execute("INSERT INTO emp (id, name) VALUES (31, 'kept')", &[]).unwrap();
-        s.execute("COMMIT", &[]).unwrap();
-        assert_eq!(q(&db, "SELECT COUNT(*) FROM emp WHERE id = 31").rows[0][0], Value::Int(1));
-    }
-
-    #[test]
-    fn transaction_rollback_covers_ddl() {
-        let db = db_with_schema();
-        let mut s = db.connect();
-        s.execute("BEGIN", &[]).unwrap();
-        s.execute("CREATE TABLE scratch (x INTEGER)", &[]).unwrap();
-        s.execute("INSERT INTO scratch VALUES (1)", &[]).unwrap();
-        s.execute("ROLLBACK", &[]).unwrap();
-        assert!(!db.table_names().contains(&"scratch".to_string()));
-    }
-
-    #[test]
-    fn dropped_table_restored_on_rollback() {
-        let db = db_with_schema();
-        let mut s = db.connect();
-        s.execute("BEGIN", &[]).unwrap();
-        // emp references dept, so drop emp (not referenced by anyone).
-        s.execute("DROP TABLE emp", &[]).unwrap();
-        assert!(!db.table_names().contains(&"emp".to_string()));
-        s.execute("ROLLBACK", &[]).unwrap();
-        assert_eq!(q(&db, "SELECT COUNT(*) FROM emp").rows[0][0], Value::Int(4));
-    }
-
-    #[test]
-    fn session_drop_rolls_back() {
-        let db = db_with_schema();
-        {
-            let mut s = db.connect();
-            s.execute("BEGIN", &[]).unwrap();
-            s.execute("DELETE FROM emp", &[]).unwrap();
-        } // dropped without COMMIT
-        assert_eq!(q(&db, "SELECT COUNT(*) FROM emp").rows[0][0], Value::Int(4));
-    }
-
-    #[test]
-    fn transaction_state_errors() {
-        let db = db_with_schema();
-        let mut s = db.connect();
-        assert!(s.execute("COMMIT", &[]).is_err());
-        assert!(s.execute("ROLLBACK", &[]).is_err());
-        s.execute("BEGIN", &[]).unwrap();
-        assert!(s.execute("BEGIN", &[]).is_err());
+    fn integer_sum_overflow_is_refused() {
+        let db = Database::new("sum");
+        db.execute("CREATE TABLE t (x INTEGER)", &[]).unwrap();
+        db.execute("INSERT INTO t VALUES (9223372036854775807), (1)", &[]).unwrap();
+        assert_eq!(db.execute("SELECT SUM(x) FROM t", &[]).unwrap_err().sqlstate(), "22003");
+        assert_eq!(q(&db, "SELECT SUM(x) FROM t WHERE x = 1").rows[0][0], Value::Int(1));
     }
 
     #[test]

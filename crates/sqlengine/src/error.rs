@@ -26,6 +26,8 @@ pub enum SqlErrorKind {
     UndefinedFunction,
     /// 22012 — division by zero.
     DivisionByZero,
+    /// 22003 — an integer result does not fit in 64 bits.
+    NumericOutOfRange,
     /// 22P02 — invalid text representation / cast failure.
     InvalidCast,
     /// 23502 — NOT NULL constraint violated.
@@ -38,8 +40,6 @@ pub enum SqlErrorKind {
     CheckViolation,
     /// 22023 — invalid parameter value (e.g. missing placeholder binding).
     InvalidParameter,
-    /// 25001 — invalid transaction state (nested BEGIN etc.).
-    TransactionState,
     /// 0A000 — feature not supported by this engine.
     NotSupported,
     /// 42501 — insufficient privilege (read-only resource written, etc.).
@@ -60,13 +60,13 @@ impl SqlErrorKind {
             SqlErrorKind::Grouping => "42803",
             SqlErrorKind::UndefinedFunction => "42883",
             SqlErrorKind::DivisionByZero => "22012",
+            SqlErrorKind::NumericOutOfRange => "22003",
             SqlErrorKind::InvalidCast => "22P02",
             SqlErrorKind::NotNullViolation => "23502",
             SqlErrorKind::UniqueViolation => "23505",
             SqlErrorKind::ForeignKeyViolation => "23503",
             SqlErrorKind::CheckViolation => "23514",
             SqlErrorKind::InvalidParameter => "22023",
-            SqlErrorKind::TransactionState => "25001",
             SqlErrorKind::NotSupported => "0A000",
             SqlErrorKind::InsufficientPrivilege => "42501",
             SqlErrorKind::Internal => "XX000",

@@ -1,4 +1,5 @@
-//! Statement execution: SELECT pipelines and DML/DDL with undo logging.
+//! Statement execution: SELECT pipelines, DML under a statement guard,
+//! and DDL.
 //!
 //! A single-table SELECT of plain columns is a *pushdown plan*: its
 //! `AccessPath` (scan, index probe or primary-key walk) feeds rows to
@@ -6,13 +7,13 @@
 //! order satisfies the ORDER BY, so LIMIT stops it. UPDATE and DELETE
 //! choose victims through the same path. Everything else runs a
 //! materialising pipeline (scan → join → filter → aggregate → having →
-//! project → distinct → sort → limit). DML appends inverse operations
-//! to an undo log for statement- and transaction-level atomicity.
+//! project → distinct → sort → limit). DML writes through a
+//! [`StatementGuard`], which makes the statement atomic.
 
 use crate::ast::*;
 use crate::catalog::{ColumnMeta, IndexMeta, TableSchema};
 use crate::error::{SqlError, SqlErrorKind};
-use crate::expr::{eval, EvalContext, ExecColumn, ExecSchema};
+use crate::expr::{checked_int, eval, EvalContext, ExecColumn, ExecSchema};
 use crate::rowset::{Rowset, RowsetColumn};
 use crate::storage::{IndexRows, RowId, Storage, Table};
 use crate::stream::open_pushdown;
@@ -21,48 +22,83 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::ops::Bound;
 
-/// One inverse operation, applied in reverse order on rollback.
-#[derive(Debug, Clone)]
-pub enum UndoEntry {
+/// One inverse row operation, replayed most recent first.
+#[derive(Debug)]
+enum UndoEntry {
     Insert { table: String, rowid: RowId },
     Delete { table: String, rowid: RowId, row: Vec<Value> },
     Update { table: String, rowid: RowId, old_row: Vec<Value> },
-    CreateTable { name: String },
-    DropTable { table: Box<Table> },
-    CreateIndex { table: String, index: String },
 }
 
-/// Undo a list of entries against storage (most recent first).
-pub fn apply_undo(storage: &mut Storage, entries: Vec<UndoEntry>) {
-    for entry in entries.into_iter().rev() {
-        match entry {
-            UndoEntry::Insert { table, rowid } => {
-                if let Ok(t) = storage.table_mut(&table) {
-                    t.delete(rowid);
+/// One statement's write access to the (write-locked) storage. Every row
+/// change goes through the guard and leaves its inverse in the undo log.
+/// [`StatementGuard::commit`] keeps the changes; dropping the guard
+/// uncommitted replays the log, so a statement that returns `Err` and one
+/// that panics both leave the storage as they found it. Reads go through
+/// `Deref`.
+pub struct StatementGuard<'a> {
+    storage: &'a mut Storage,
+    undo: Vec<UndoEntry>,
+}
+
+impl<'a> StatementGuard<'a> {
+    pub fn new(storage: &'a mut Storage) -> StatementGuard<'a> {
+        StatementGuard { storage, undo: Vec::new() }
+    }
+
+    /// Keep every change made through the guard.
+    pub fn commit(mut self) {
+        self.undo.clear();
+    }
+
+    fn insert(&mut self, table: &str, row: Vec<Value>) -> Result<(), SqlError> {
+        let rowid = self.storage.table_mut(table)?.insert(row)?;
+        self.undo.push(UndoEntry::Insert { table: table.to_string(), rowid });
+        Ok(())
+    }
+
+    fn update(&mut self, table: &str, rowid: RowId, row: Vec<Value>) -> Result<(), SqlError> {
+        let old_row = self.storage.table_mut(table)?.update(rowid, row)?;
+        self.undo.push(UndoEntry::Update { table: table.to_string(), rowid, old_row });
+        Ok(())
+    }
+
+    fn delete(&mut self, table: &str, rowid: RowId) -> Result<Option<Vec<Value>>, SqlError> {
+        let Some(row) = self.storage.table_mut(table)?.delete(rowid) else { return Ok(None) };
+        self.undo.push(UndoEntry::Delete { table: table.to_string(), rowid, row: row.clone() });
+        Ok(Some(row))
+    }
+}
+
+impl std::ops::Deref for StatementGuard<'_> {
+    type Target = Storage;
+
+    fn deref(&self) -> &Storage {
+        self.storage
+    }
+}
+
+impl Drop for StatementGuard<'_> {
+    fn drop(&mut self) {
+        for entry in self.undo.drain(..).rev() {
+            match entry {
+                UndoEntry::Insert { table, rowid } => {
+                    if let Ok(t) = self.storage.table_mut(&table) {
+                        t.delete(rowid);
+                    }
                 }
-            }
-            UndoEntry::Delete { table, rowid, row } => {
-                if let Ok(t) = storage.table_mut(&table) {
-                    t.reinsert(rowid, row);
+                UndoEntry::Delete { table, rowid, row } => {
+                    if let Ok(t) = self.storage.table_mut(&table) {
+                        t.reinsert(rowid, row);
+                    }
                 }
-            }
-            UndoEntry::Update { table, rowid, old_row } => {
-                if let Ok(t) = storage.table_mut(&table) {
-                    // Direct reinstatement: remove then reinsert keeps
-                    // indexes coherent without re-running checks.
-                    t.delete(rowid);
-                    t.reinsert(rowid, old_row);
-                }
-            }
-            UndoEntry::CreateTable { name } => {
-                storage.remove_table(&name);
-            }
-            UndoEntry::DropTable { table } => {
-                let _ = storage.add_table(*table);
-            }
-            UndoEntry::CreateIndex { table, index } => {
-                if let Ok(t) = storage.table_mut(&table) {
-                    t.drop_index(&index);
+                UndoEntry::Update { table, rowid, old_row } => {
+                    if let Ok(t) = self.storage.table_mut(&table) {
+                        // Direct reinstatement: remove then reinsert keeps
+                        // indexes coherent without re-running checks.
+                        t.delete(rowid);
+                        t.reinsert(rowid, old_row);
+                    }
                 }
             }
         }
@@ -762,10 +798,17 @@ fn order_key(
 enum Acc {
     CountStar(u64),
     Count { n: u64, distinct: Option<std::collections::HashSet<GroupKey>> },
-    Sum { total: Option<Value>, distinct: Option<std::collections::HashSet<GroupKey>> },
+    Sum { total: Option<Total>, distinct: Option<std::collections::HashSet<GroupKey>> },
     Avg { sum: f64, n: u64, distinct: Option<std::collections::HashSet<GroupKey>> },
     Min(Option<Value>),
     Max(Option<Value>),
+}
+
+/// A running SUM, exact while every input is an integer.
+#[derive(Debug, Clone, Copy)]
+enum Total {
+    Int(i128),
+    Double(f64),
 }
 
 impl Acc {
@@ -815,15 +858,12 @@ impl Acc {
                             format!("SUM over non-numeric value {v}"),
                         )
                     })?;
-                    // Integer sums wrap, matching the engine's integer
-                    // arithmetic semantics elsewhere.
-                    *total = Some(match total {
-                        None => v.clone(),
-                        Some(Value::Int(a)) => match v {
-                            Value::Int(b) => Value::Int(a.wrapping_add(*b)),
-                            _ => Value::Double(*a as f64 + x),
-                        },
-                        Some(t) => Value::Double(t.as_f64().unwrap_or(0.0) + x),
+                    *total = Some(match (*total, v) {
+                        (None, Value::Int(b)) => Total::Int(*b as i128),
+                        (Some(Total::Int(a)), Value::Int(b)) => Total::Int(a + *b as i128),
+                        (Some(Total::Int(a)), _) => Total::Double(a as f64 + x),
+                        (Some(Total::Double(t)), _) => Total::Double(t + x),
+                        (None, _) => Total::Double(x),
                     });
                 }
             }
@@ -870,11 +910,15 @@ impl Acc {
         Ok(())
     }
 
-    fn finish(self) -> Value {
-        match self {
+    fn finish(self) -> Result<Value, SqlError> {
+        Ok(match self {
             Acc::CountStar(n) => Value::Int(n as i64),
             Acc::Count { n, .. } => Value::Int(n as i64),
-            Acc::Sum { total, .. } => total.unwrap_or(Value::Null),
+            Acc::Sum { total: None, .. } => Value::Null,
+            Acc::Sum { total: Some(Total::Int(t)), .. } => {
+                Value::Int(checked_int(i64::try_from(t).ok())?)
+            }
+            Acc::Sum { total: Some(Total::Double(t)), .. } => Value::Double(t),
             Acc::Avg { sum, n, .. } => {
                 if n == 0 {
                     Value::Null
@@ -883,7 +927,7 @@ impl Acc {
                 }
             }
             Acc::Min(v) | Acc::Max(v) => v.unwrap_or(Value::Null),
-        }
+        })
     }
 }
 
@@ -1073,7 +1117,7 @@ fn aggregate(
     for g in groups {
         let mut row = g.reprs;
         for acc in g.accs {
-            row.push(acc.finish());
+            row.push(acc.finish()?);
         }
         out_rows.push(row);
     }
@@ -1099,9 +1143,8 @@ fn aggregate(
 /// Execute INSERT; returns the number of rows inserted.
 pub fn run_insert(
     insert: &Insert,
-    storage: &mut Storage,
+    storage: &mut StatementGuard<'_>,
     params: &[Value],
-    undo: &mut Vec<UndoEntry>,
 ) -> Result<u64, SqlError> {
     let schema = storage.table(&insert.table)?.schema.clone();
 
@@ -1155,8 +1198,7 @@ pub fn run_insert(
             row[ordinal] = value;
         }
         let row = finalize_row(&schema, row, storage)?;
-        let rowid = storage.table_mut(&insert.table)?.insert(row)?;
-        undo.push(UndoEntry::Insert { table: insert.table.clone(), rowid });
+        storage.insert(&insert.table, row)?;
         inserted += 1;
     }
     Ok(inserted)
@@ -1244,9 +1286,8 @@ fn matching_rowids(
 /// Execute UPDATE; returns the number of rows changed.
 pub fn run_update(
     update: &Update,
-    storage: &mut Storage,
+    storage: &mut StatementGuard<'_>,
     params: &[Value],
-    undo: &mut Vec<UndoEntry>,
 ) -> Result<u64, SqlError> {
     let schema = storage.table(&update.table)?.schema.clone();
     let exec_schema = row_schema(&schema, &schema.name);
@@ -1278,8 +1319,7 @@ pub fn run_update(
             new_row[*ordinal] = eval(e, &ctx)?;
         }
         let new_row = finalize_row(&schema, new_row, storage)?;
-        let old = storage.table_mut(&update.table)?.update(rowid, new_row)?;
-        undo.push(UndoEntry::Update { table: update.table.clone(), rowid, old_row: old });
+        storage.update(&update.table, rowid, new_row)?;
         changed += 1;
     }
     Ok(changed)
@@ -1287,13 +1327,12 @@ pub fn run_update(
 
 /// Execute DELETE; returns the number of rows removed. Referential
 /// integrity is enforced after removal: if any remaining row still
-/// references a deleted key the statement fails (and the caller rolls the
-/// statement back through the undo log).
+/// references a deleted key the statement fails (and the guard rolls the
+/// statement back).
 pub fn run_delete(
     delete: &Delete,
-    storage: &mut Storage,
+    storage: &mut StatementGuard<'_>,
     params: &[Value],
-    undo: &mut Vec<UndoEntry>,
 ) -> Result<u64, SqlError> {
     let schema = storage.table(&delete.table)?.schema.clone();
     let exec_schema = row_schema(&schema, &schema.name);
@@ -1306,12 +1345,7 @@ pub fn run_delete(
 
     let mut deleted_rows: Vec<Vec<Value>> = Vec::with_capacity(victims.len());
     for rowid in &victims {
-        if let Some(row) = storage.table_mut(&delete.table)?.delete(*rowid) {
-            undo.push(UndoEntry::Delete {
-                table: delete.table.clone(),
-                rowid: *rowid,
-                row: row.clone(),
-            });
+        if let Some(row) = storage.delete(&delete.table, *rowid)? {
             deleted_rows.push(row);
         }
     }
@@ -1366,11 +1400,7 @@ pub fn run_delete(
 
 /// Execute CREATE TABLE. Returns `true` if a table was created (`false`
 /// for a no-op IF NOT EXISTS).
-pub fn run_create_table(
-    create: &CreateTable,
-    storage: &mut Storage,
-    undo: &mut Vec<UndoEntry>,
-) -> Result<bool, SqlError> {
+pub fn run_create_table(create: &CreateTable, storage: &mut Storage) -> Result<bool, SqlError> {
     if storage.has_table(&create.name) {
         if create.if_not_exists {
             return Ok(false);
@@ -1456,7 +1486,6 @@ pub fn run_create_table(
         indexes: Vec::new(),
     };
     storage.add_table(Table::new(schema))?;
-    undo.push(UndoEntry::CreateTable { name: create.name.clone() });
     Ok(true)
 }
 
@@ -1465,7 +1494,6 @@ pub fn run_drop_table(
     name: &str,
     if_exists: bool,
     storage: &mut Storage,
-    undo: &mut Vec<UndoEntry>,
 ) -> Result<bool, SqlError> {
     if !storage.has_table(name) {
         if if_exists {
@@ -1489,13 +1517,7 @@ pub fn run_drop_table(
             }
         }
     }
-    let Some(table) = storage.remove_table(name) else {
-        return Err(SqlError::new(
-            SqlErrorKind::Internal,
-            format!("table {name} vanished between existence check and DROP"),
-        ));
-    };
-    undo.push(UndoEntry::DropTable { table: Box::new(table) });
+    storage.remove_table(name);
     Ok(true)
 }
 
@@ -1506,7 +1528,6 @@ pub fn run_create_index(
     column: &str,
     unique: bool,
     storage: &mut Storage,
-    undo: &mut Vec<UndoEntry>,
 ) -> Result<(), SqlError> {
     let table = storage.table_mut(table_name)?;
     let ordinal = table.schema.column_index(column).ok_or_else(|| {
@@ -1521,9 +1542,7 @@ pub fn run_create_index(
             format!("index {name} already exists on {table_name}"),
         ));
     }
-    table.create_index(IndexMeta { name: name.to_string(), column: ordinal, unique })?;
-    undo.push(UndoEntry::CreateIndex { table: table_name.to_string(), index: name.to_string() });
-    Ok(())
+    table.create_index(IndexMeta { name: name.to_string(), column: ordinal, unique })
 }
 
 #[cfg(test)]
@@ -1803,5 +1822,48 @@ mod tests {
                 assert!(rows.rowset().unwrap().rows.is_empty(), "{sql}");
             }
         }
+    }
+
+    /// Run one INSERT, UPDATE or DELETE through `guard`.
+    fn run_dml(sql: &str, guard: &mut StatementGuard<'_>) -> Result<u64, SqlError> {
+        match parse_statement(sql).unwrap() {
+            Stmt::Insert(i) => run_insert(&i, guard, &[]),
+            Stmt::Update(u) => run_update(&u, guard, &[]),
+            Stmt::Delete(d) => run_delete(&d, guard, &[]),
+            other => panic!("not DML: {other:?}"),
+        }
+    }
+
+    /// A statement that panics after writing leaves the storage as the
+    /// guard found it: rows, and the unique index that follows them.
+    #[test]
+    fn statement_guard_undoes_its_writes_when_the_statement_panics() {
+        let mut storage = Storage::new();
+        let create = "CREATE TABLE t (id INTEGER PRIMARY KEY, tag VARCHAR UNIQUE)";
+        let Stmt::CreateTable(create) = parse_statement(create).unwrap() else { unreachable!() };
+        run_create_table(&create, &mut storage).unwrap();
+        let mut guard = StatementGuard::new(&mut storage);
+        run_dml("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')", &mut guard).unwrap();
+        guard.commit();
+        let rows = |storage: &Storage| -> Vec<(RowId, Vec<Value>)> {
+            storage.table("t").unwrap().scan().map(|(id, row)| (id, row.clone())).collect()
+        };
+        let before = rows(&storage);
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut guard = StatementGuard::new(&mut storage);
+            run_dml("INSERT INTO t VALUES (4, 'd')", &mut guard).unwrap();
+            run_dml("UPDATE t SET tag = 'z' WHERE id = 1", &mut guard).unwrap();
+            run_dml("DELETE FROM t WHERE id = 2", &mut guard).unwrap();
+            assert_eq!(rows(&guard).len(), 3, "the writes are visible inside the statement");
+            panic!("the statement panics after writing");
+        }));
+
+        assert!(unwound.is_err());
+        assert_eq!(rows(&storage), before);
+        let mut guard = StatementGuard::new(&mut storage);
+        assert_eq!(run_dml("INSERT INTO t VALUES (5, 'z')", &mut guard), Ok(1));
+        let duplicate = run_dml("INSERT INTO t VALUES (6, 'b')", &mut guard).unwrap_err();
+        assert_eq!(duplicate.kind, SqlErrorKind::UniqueViolation);
     }
 }

@@ -74,6 +74,12 @@ impl<'a> EvalContext<'a> {
     }
 }
 
+/// An integer result, or `22003` when the exact result does not fit in
+/// an `i64`.
+pub fn checked_int(result: Option<i64>) -> Result<i64, SqlError> {
+    result.ok_or_else(|| SqlError::new(SqlErrorKind::NumericOutOfRange, "integer out of range"))
+}
+
 /// Evaluate an expression against a row. Aggregate calls must have been
 /// rewritten away before this point (the executor does so); hitting one
 /// here is a grouping error.
@@ -95,7 +101,7 @@ pub fn eval(expr: &Expr, ctx: &EvalContext<'_>) -> Result<Value, SqlError> {
             match op {
                 UnaryOp::Neg => match v {
                     Value::Null => Ok(Value::Null),
-                    Value::Int(i) => Ok(Value::Int(-i)),
+                    Value::Int(i) => Ok(Value::Int(checked_int(i.checked_neg())?)),
                     Value::Double(d) => Ok(Value::Double(-d)),
                     other => Err(type_error("-", &other)),
                 },
@@ -287,20 +293,21 @@ fn eval_binary(
             if l.is_null() || r.is_null() {
                 return Ok(Value::Null);
             }
-            // Integer arithmetic stays integral except division by a
-            // non-divisor; doubles contaminate.
+            // Integer arithmetic is exact: it stays integral except division
+            // by a non-divisor, and refuses a result outside i64. Doubles
+            // contaminate.
             match (&l, &r) {
                 (Value::Int(a), Value::Int(b)) => {
                     let (a, b) = (*a, *b);
                     match op {
-                        BinaryOp::Add => Ok(Value::Int(a.wrapping_add(b))),
-                        BinaryOp::Sub => Ok(Value::Int(a.wrapping_sub(b))),
-                        BinaryOp::Mul => Ok(Value::Int(a.wrapping_mul(b))),
+                        BinaryOp::Add => Ok(Value::Int(checked_int(a.checked_add(b))?)),
+                        BinaryOp::Sub => Ok(Value::Int(checked_int(a.checked_sub(b))?)),
+                        BinaryOp::Mul => Ok(Value::Int(checked_int(a.checked_mul(b))?)),
                         BinaryOp::Div => {
                             if b == 0 {
                                 Err(SqlError::new(SqlErrorKind::DivisionByZero, "division by zero"))
-                            } else if a % b == 0 {
-                                Ok(Value::Int(a / b))
+                            } else if a.wrapping_rem(b) == 0 {
+                                Ok(Value::Int(checked_int(a.checked_div(b))?))
                             } else {
                                 Ok(Value::Double(a as f64 / b as f64))
                             }
@@ -309,7 +316,8 @@ fn eval_binary(
                             if b == 0 {
                                 Err(SqlError::new(SqlErrorKind::DivisionByZero, "modulo by zero"))
                             } else {
-                                Ok(Value::Int(a % b))
+                                // Exact: `i64::MIN % -1` wraps to its true value, 0.
+                                Ok(Value::Int(a.wrapping_rem(b)))
                             }
                         }
                         _ => unreachable!(),
@@ -404,7 +412,7 @@ fn eval_scalar_function(name: &str, args: &[Value]) -> Result<Value, SqlError> {
             arity(1)?;
             Ok(match &args[0] {
                 Value::Null => Value::Null,
-                Value::Int(i) => Value::Int(i.abs()),
+                Value::Int(i) => Value::Int(checked_int(i.checked_abs())?),
                 Value::Double(d) => Value::Double(d.abs()),
                 other => return Err(type_error("ABS", other)),
             })
@@ -443,7 +451,7 @@ fn eval_scalar_function(name: &str, args: &[Value]) -> Result<Value, SqlError> {
                     if *b == 0 {
                         Err(SqlError::new(SqlErrorKind::DivisionByZero, "modulo by zero"))
                     } else {
-                        Ok(Value::Int(a % b))
+                        Ok(Value::Int(a.wrapping_rem(*b)))
                     }
                 }
                 (a, b) => Err(SqlError::new(
@@ -484,19 +492,22 @@ fn eval_scalar_function(name: &str, args: &[Value]) -> Result<Value, SqlError> {
             };
             let len = if args.len() == 3 {
                 match &args[2] {
-                    Value::Int(i) => Some((*i).max(0) as usize),
+                    Value::Int(i) => Some((*i).max(0)),
                     Value::Null => return Ok(Value::Null),
                     other => return Err(type_error("SUBSTRING length", other)),
                 }
             } else {
                 None
             };
-            let chars: Vec<char> = s.chars().collect();
-            // SQL is 1-based.
-            let begin = (start.max(1) - 1) as usize;
+            // SQL is 1-based, and the length counts from `start` even
+            // where `start` lies before the first character.
+            let begin = start.max(1);
+            let chars = s.chars().skip((begin - 1) as usize);
             let out: String = match len {
-                Some(l) => chars.iter().skip(begin).take(l).collect(),
-                None => chars.iter().skip(begin).collect(),
+                Some(l) => chars
+                    .take(start.saturating_add(l).saturating_sub(begin).max(0) as usize)
+                    .collect(),
+                None => chars.collect(),
             };
             Ok(Value::Str(out))
         }
@@ -540,6 +551,29 @@ mod tests {
         assert_eq!(v("-(2 + 3)"), Value::Int(-5));
         assert_eq!(v("1.5 + 1"), Value::Double(2.5));
         assert!(matches!(eval_str("1 / 0"), Err(e) if e.kind == SqlErrorKind::DivisionByZero));
+    }
+
+    /// Integer results outside `i64` are refused with 22003 instead of
+    /// wrapping or panicking, so every build profile answers alike. The
+    /// remainder of `i64::MIN` by -1 fits (it is 0), and doubles keep IEEE
+    /// semantics.
+    #[test]
+    fn integer_overflow_is_refused() {
+        let min = "(-9223372036854775807 - 1)";
+        for sql in [
+            "9223372036854775807 + 1".to_string(),
+            format!("{min} - 1"),
+            "9223372036854775807 * 2".to_string(),
+            format!("{min} / -1"),
+            format!("-{min}"),
+            format!("ABS({min})"),
+        ] {
+            assert_eq!(eval_str(&sql).unwrap_err().sqlstate(), "22003", "{sql}");
+        }
+        assert_eq!(v(&format!("{min} % -1")), Value::Int(0));
+        assert_eq!(v(&format!("MOD({min}, -1)")), Value::Int(0));
+        assert_eq!(v(&format!("{min} / 1")), Value::Int(i64::MIN));
+        assert_eq!(v("9223372036854775807 * 2.0"), Value::Double(i64::MAX as f64 * 2.0));
     }
 
     #[test]
@@ -623,6 +657,7 @@ mod tests {
         assert_eq!(v("NULLIF(1, 2)"), Value::Int(1));
         assert_eq!(v("SUBSTRING('hello', 2, 3)"), Value::Str("ell".into()));
         assert_eq!(v("SUBSTR('hello', 3)"), Value::Str("llo".into()));
+        assert_eq!(v("SUBSTRING('hello', 0, 2)"), Value::Str("h".into()));
         assert_eq!(v("TRIM('  x ')"), Value::Str("x".into()));
         assert_eq!(v("ROUND(2.567, 2)"), Value::Double(2.57));
         assert_eq!(v("MOD(7, 3)"), Value::Int(1));

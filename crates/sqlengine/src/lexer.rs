@@ -83,10 +83,6 @@ const KEYWORDS: &[&str] = &[
     "ALL",
     "TRUE",
     "FALSE",
-    "BEGIN",
-    "COMMIT",
-    "ROLLBACK",
-    "TRANSACTION",
     "EXISTS",
     "IF",
     "UNION",

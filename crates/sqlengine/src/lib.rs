@@ -9,7 +9,7 @@
 //! reached over JDBC-era plumbing. No such embeddable engine fits this
 //! Rust reproduction, so this crate implements one: a SQL parser,
 //! materialising executor, constraint system (PK/unique/NOT NULL/CHECK/
-//! foreign keys), secondary indexes, undo-log transactions, SQLSTATE
+//! foreign keys), secondary indexes, atomic statements, SQLSTATE
 //! diagnostics and WebRowSet XML encoding. Everything WS-DAIR needs from a
 //! DBMS — statements in, rowsets/update counts/communication areas out,
 //! catalog metadata for CIM rendering — is provided by this crate.
@@ -25,8 +25,6 @@
 //!   (expression/alias/ordinal), LIMIT/OFFSET
 //! * `INSERT … VALUES` (multi-row) and `INSERT … SELECT`, `UPDATE`,
 //!   `DELETE`, positional `?` parameters
-//! * `BEGIN` / `COMMIT` / `ROLLBACK` (undo-log based, READ UNCOMMITTED
-//!   visibility — which is what the service layer advertises)
 //!
 //! Scalar functions: UPPER, LOWER, LENGTH, TRIM, ABS, ROUND, MOD,
 //! COALESCE, NULLIF, SUBSTRING/SUBSTR, `||` concatenation; full
@@ -37,7 +35,7 @@
 //!
 //! Not implemented (documented limitations): subqueries, INTERSECT/EXCEPT,
 //! comma joins, RIGHT/FULL OUTER JOIN, views, and multi-statement
-//! isolation above READ UNCOMMITTED.
+//! transactions: each statement is one.
 //!
 //! ```
 //! use dais_sql::{Database, Value};
@@ -67,7 +65,7 @@ pub mod storage;
 pub mod stream;
 pub mod value;
 
-pub use db::{Database, Session, StatementResult};
+pub use db::{Database, StatementResult};
 pub use error::{SqlError, SqlErrorKind};
 pub use rowset::{Rowset, RowsetColumn, RowsetCursor, RowsetWriter};
 pub use sqlcomm::SqlCommunicationArea;

@@ -183,16 +183,6 @@ impl<'a> P<'a> {
             let name = self.ident()?;
             return Ok(Stmt::DropTable { name, if_exists });
         }
-        if self.eat_kw("BEGIN") {
-            self.eat_kw("TRANSACTION");
-            return Ok(Stmt::Begin);
-        }
-        if self.eat_kw("COMMIT") {
-            return Ok(Stmt::Commit);
-        }
-        if self.eat_kw("ROLLBACK") {
-            return Ok(Stmt::Rollback);
-        }
         Err(SqlError::syntax(format!("unrecognised statement start: {:?}", self.peek())))
     }
 
@@ -925,14 +915,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn transaction_statements() {
-        assert_eq!(parse_statement("BEGIN").unwrap(), Stmt::Begin);
-        assert_eq!(parse_statement("BEGIN TRANSACTION").unwrap(), Stmt::Begin);
-        assert_eq!(parse_statement("COMMIT").unwrap(), Stmt::Commit);
-        assert_eq!(parse_statement("ROLLBACK;").unwrap(), Stmt::Rollback);
     }
 
     #[test]

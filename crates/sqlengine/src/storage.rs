@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 
 /// A stored row id. Monotonic per table; row ids are stable across updates
-/// and reused only when a transaction rollback reinstates a deleted row.
+/// and reused only when a failed statement reinstates a deleted row.
 pub type RowId = u64;
 
 /// Row ids read off an index, in key order.
@@ -230,28 +230,6 @@ impl Table {
         self.index_insert(rowid, &new_row);
         self.rows.insert(rowid, new_row);
         Ok(old)
-    }
-
-    /// Remove an index by name (rollback of CREATE INDEX). Unique
-    /// constraints declared in the schema itself are untouched.
-    pub fn drop_index(&mut self, name: &str) {
-        if let Some(pos) =
-            self.schema.indexes.iter().position(|i| i.name.eq_ignore_ascii_case(name))
-        {
-            let meta = self.schema.indexes.remove(pos);
-            // Only drop the runtime structure if no remaining index or
-            // schema-level unique constraint still needs it.
-            let still_unique = self.schema.columns.get(meta.column).is_some_and(|c| c.unique)
-                || self.schema.indexes.iter().any(|i| i.column == meta.column && i.unique);
-            let still_secondary =
-                self.schema.indexes.iter().any(|i| i.column == meta.column && !i.unique);
-            if meta.unique && !still_unique {
-                self.unique_indexes.remove(&meta.column);
-            }
-            if !meta.unique && !still_secondary {
-                self.secondary_indexes.remove(&meta.column);
-            }
-        }
     }
 
     /// Add a secondary index over existing data.

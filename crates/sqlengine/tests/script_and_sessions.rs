@@ -1,6 +1,6 @@
-//! Session and script-level behaviours: statement splitting, session
-//! isolation visibility (the READ UNCOMMITTED honesty), and prepared
-//! statement reuse through `execute_stmt`.
+//! Script-level behaviours: statement splitting, scripts that stop at
+//! their first error, and prepared statement reuse through
+//! `Database::execute_stmt`.
 
 use dais_sql::db::split_statements;
 use dais_sql::parser::parse_statement;
@@ -35,65 +35,16 @@ fn execute_script_stops_at_first_error() {
 }
 
 #[test]
-fn uncommitted_writes_visible_to_other_sessions() {
-    // The engine documents READ UNCOMMITTED: a write inside an open
-    // transaction is visible to other sessions until rolled back. The
-    // DAIS layer advertises exactly this through TransactionIsolation.
-    let db = Database::new("s");
-    db.execute("CREATE TABLE t (a INTEGER)", &[]).unwrap();
-    let mut writer = db.connect();
-    writer.execute("BEGIN", &[]).unwrap();
-    writer.execute("INSERT INTO t VALUES (1)", &[]).unwrap();
-
-    let reader = db.connect();
-    drop(reader); // readers need no session state for autocommit reads
-    let seen = db.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
-    assert_eq!(seen.rowset().unwrap().rows[0][0], Value::Int(1), "dirty read expected");
-
-    writer.execute("ROLLBACK", &[]).unwrap();
-    let seen = db.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
-    assert_eq!(seen.rowset().unwrap().rows[0][0], Value::Int(0));
-}
-
-#[test]
 fn parsed_statements_are_reusable() {
     let db = Database::new("s");
     db.execute("CREATE TABLE t (a INTEGER)", &[]).unwrap();
     let insert = parse_statement("INSERT INTO t VALUES (?)").unwrap();
-    let mut session = db.connect();
     for i in 0..10 {
-        session.execute_stmt(&insert, &[Value::Int(i)]).unwrap();
+        db.execute_stmt(&insert, &[Value::Int(i)]).unwrap();
     }
     let select = parse_statement("SELECT COUNT(*) FROM t WHERE a >= ?").unwrap();
-    let r = session.execute_stmt(&select, &[Value::Int(5)]).unwrap();
+    let r = db.execute_stmt(&select, &[Value::Int(5)]).unwrap();
     assert_eq!(r.rowset().unwrap().rows[0][0], Value::Int(5));
     // Missing parameter still errors per execution.
-    assert!(session.execute_stmt(&select, &[]).is_err());
-}
-
-#[test]
-fn two_sessions_interleave_transactions() {
-    let db = Database::new("s");
-    db.execute("CREATE TABLE t (a INTEGER)", &[]).unwrap();
-    let mut s1 = db.connect();
-    let mut s2 = db.connect();
-    s1.execute("BEGIN", &[]).unwrap();
-    s2.execute("BEGIN", &[]).unwrap();
-    s1.execute("INSERT INTO t VALUES (1)", &[]).unwrap();
-    s2.execute("INSERT INTO t VALUES (2)", &[]).unwrap();
-    s1.execute("COMMIT", &[]).unwrap();
-    s2.execute("ROLLBACK", &[]).unwrap();
-    let r = db.execute("SELECT a FROM t ORDER BY a", &[]).unwrap();
-    assert_eq!(r.rowset().unwrap().rows, vec![vec![Value::Int(1)]]);
-}
-
-#[test]
-fn in_transaction_flag() {
-    let db = Database::new("s");
-    let mut s = db.connect();
-    assert!(!s.in_transaction());
-    s.execute("BEGIN", &[]).unwrap();
-    assert!(s.in_transaction());
-    s.execute("COMMIT", &[]).unwrap();
-    assert!(!s.in_transaction());
+    assert!(db.execute_stmt(&select, &[]).is_err());
 }

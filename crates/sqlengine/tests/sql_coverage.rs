@@ -191,20 +191,6 @@ fn fk_chain_enforced_end_to_end() {
 }
 
 #[test]
-fn multi_statement_transaction_over_the_schema() {
-    let db = shop();
-    let mut s = db.connect();
-    s.execute("BEGIN", &[]).unwrap();
-    s.execute("INSERT INTO customer VALUES (5, 'eve', 'west')", &[]).unwrap();
-    s.execute("INSERT INTO orders (id, customer_id, product_id) VALUES (200, 5, 11)", &[]).unwrap();
-    s.execute("UPDATE product SET price = 6.0 WHERE id = 11", &[]).unwrap();
-    s.execute("ROLLBACK", &[]).unwrap();
-    assert!(rows(&db, "SELECT * FROM customer WHERE id = 5").is_empty());
-    assert!(rows(&db, "SELECT * FROM orders WHERE id = 200").is_empty());
-    assert_eq!(rows(&db, "SELECT price FROM product WHERE id = 11")[0][0], Value::Double(5.0));
-}
-
-#[test]
 fn order_by_multiple_keys_with_nulls() {
     let db = shop();
     db.execute("CREATE TABLE s (a INTEGER, b INTEGER)", &[]).unwrap();

@@ -5,8 +5,18 @@
 
 use dais::prelude::*;
 use dais::soap::fault::{DaisFault, FaultCode};
-use dais::soap::Envelope;
+use dais::soap::tcp::{TcpServer, TcpTransport};
+use dais::soap::{CallError, Envelope, Fault, ServiceClient, SoapDispatcher};
 use dais::xml::{ns, XmlElement};
+use std::sync::Arc;
+use std::time::Duration;
+
+mod test_actions {
+    dais::soap::actions! {
+        ECHO = "urn:echo", Read;
+        PANIC = "urn:panic", Read;
+    }
+}
 
 fn setup() -> (Bus, SqlClient, AbstractName) {
     let bus = Bus::new();
@@ -37,6 +47,7 @@ fn invalid_expression_fault_carries_sqlstate() {
         ("SELECT ghost FROM t", "42703"),
         ("SELECT 1 / 0", "22012"),
         ("SELECT a, COUNT(*) FROM t", "42803"),
+        ("SELECT 9223372036854775807 + 1", "22003"),
     ] {
         let err = client.execute(&db, sql, &[]).unwrap_err();
         assert_eq!(err.dais_fault(), Some(DaisFault::InvalidExpression), "{sql}");
@@ -145,4 +156,50 @@ fn transport_vs_application_errors_are_distinct() {
     let dead = SqlClient::builder().bus(bus).address("bus://nowhere").build();
     let err = dead.execute(&db, "SELECT 1", &[]).unwrap_err();
     assert!(matches!(err, dais::soap::client::CallError::Transport(_)));
+}
+
+/// A handler that panics is a `ServiceErrorFault`, a server fault, and
+/// its endpoint keeps serving: behind a 1-worker executor whose one
+/// worker must survive, inline, and over TCP. The watchdog turns a hang (a
+/// dead worker whose caller waits forever) into a failure.
+#[test]
+fn panicking_handler_is_a_service_error_fault() {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let bus = Bus::new();
+        let mut d = SoapDispatcher::new();
+        d.register(test_actions::ECHO, |req: &Envelope| Ok(req.clone()));
+        d.register(test_actions::PANIC, |_: &Envelope| -> Result<Envelope, Fault> {
+            panic!("handler bug")
+        });
+        bus.register("bus://panics", Arc::new(d));
+        let server = TcpServer::bind(&bus, "127.0.0.1:0").unwrap();
+        let remote = Bus::new();
+        let transport = TcpTransport::default();
+        transport.set_default_route(server.local_addr());
+        remote.set_transport(Arc::new(transport));
+        let probe = |bus: &Bus| {
+            let client = ServiceClient::new(bus.clone(), "bus://panics");
+            for _ in 0..2 {
+                let err = client.request(test_actions::PANIC, XmlElement::new_local("m"));
+                match err.unwrap_err() {
+                    CallError::Fault(f) => {
+                        assert_eq!(f.dais, Some(DaisFault::ServiceError));
+                        assert_eq!(f.code, FaultCode::Server);
+                    }
+                    other => panic!("{other:?}"),
+                }
+            }
+            let echo = XmlElement::new_local("m").with_text("alive");
+            assert_eq!(client.request(test_actions::ECHO, echo).unwrap().text(), "alive");
+        };
+        bus.install_executor(ExecutorConfig::new(1).seed(11));
+        probe(&bus);
+        bus.shutdown_executor();
+        assert_eq!(bus.endpoint_stats("bus://panics").faults, 2);
+        probe(&bus);
+        probe(&remote);
+        done.send(()).unwrap();
+    });
+    finished.recv_timeout(Duration::from_secs(30)).expect("a panicking handler hung or escaped");
 }

@@ -167,11 +167,13 @@ fn sql_insert_select_agrees_with_model() {
                 assert_eq!(got.rowset().unwrap().row_count(), model.len());
             }
         }
-        let got = db.execute("SELECT COUNT(*), SUM(k) FROM t", &[]).unwrap();
-        let rows = &got.rowset().unwrap().rows;
-        assert_eq!(&rows[0][0], &Value::Int(model.len() as i64));
-        let model_sum: i64 = model.iter().map(|(k, _)| *k).fold(0, i64::wrapping_add);
-        assert_eq!(&rows[0][1], &Value::Int(model_sum));
+        let got = db.execute("SELECT COUNT(*) FROM t", &[]).unwrap();
+        assert_eq!(&got.rowset().unwrap().rows[0][0], &Value::Int(model.len() as i64));
+        // SUM is exact: the model's total, or 22003 when it leaves i64.
+        let model_sum: i128 = model.iter().map(|(k, _)| *k as i128).sum();
+        let got = db.execute("SELECT SUM(k) FROM t", &[]);
+        let got = got.map(|r| r.rowset().unwrap().rows[0][0].clone()).map_err(|e| e.sqlstate());
+        assert_eq!(got, i64::try_from(model_sum).map(Value::Int).map_err(|_| "22003"));
     });
 }
 
@@ -220,29 +222,81 @@ fn sql_order_by_agrees_with_model() {
     });
 }
 
-/// Transactions: rollback restores the exact pre-transaction state.
+/// Statement atomicity: a generated statement that fails part-way — a
+/// multi-row INSERT whose last row repeats a key, or an UPDATE that
+/// overflows at a row after others were written — leaves the table
+/// exactly as it was, and the keys it had inserted free again.
 #[test]
 fn rollback_restores_state() {
     run_cases("rollback_restores_state", 64, 0x2B11, |g| {
-        let initial = g.vec_of(1, 14, |g| g.i64_any() as i32);
-        let changes = g.vec_of(1, 14, |g| g.i64_any() as i32);
+        let keys: std::collections::BTreeSet<i64> =
+            g.vec_of(1, 14, |g| g.i64_any() as i32 as i64).into_iter().collect();
+        let keys: Vec<i64> = keys.into_iter().collect();
+        let overflow_at = g.usize_in(0, keys.len());
         let db = Database::new("prop");
-        db.execute("CREATE TABLE t (k INTEGER)", &[]).unwrap();
-        for k in &initial {
-            db.execute("INSERT INTO t VALUES (?)", &[Value::Int(*k as i64)]).unwrap();
+        db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, x INTEGER)", &[]).unwrap();
+        for (i, k) in keys.iter().enumerate() {
+            let x = if i == overflow_at { i64::MAX } else { g.i64_any() as i32 as i64 };
+            db.execute("INSERT INTO t VALUES (?, ?)", &[Value::Int(*k), Value::Int(x)]).unwrap();
         }
-        let before = db.execute("SELECT k FROM t ORDER BY k", &[]).unwrap();
+        let read = || db.execute("SELECT k, x FROM t ORDER BY k", &[]).unwrap();
+        let before = read();
 
-        let mut session = db.connect();
-        session.execute("BEGIN", &[]).unwrap();
-        for k in &changes {
-            session.execute("INSERT INTO t VALUES (?)", &[Value::Int(*k as i64)]).unwrap();
+        let fresh: Vec<i64> = (0..g.usize_in(1, 8) as i64).map(|i| (1 << 40) + i).collect();
+        let values = |keys: &[i64]| {
+            let sql = vec!["(?, 0)"; keys.len()].join(", ");
+            (format!("INSERT INTO t VALUES {sql}"), keys.iter().map(|k| Value::Int(*k)).collect())
+        };
+        let (sql, params, state): (String, Vec<Value>, _) = if g.bool_any() {
+            let (sql, params) = values(&[&fresh[..], &[*g.pick(&keys)]].concat());
+            (sql, params, "23505")
+        } else {
+            let by = Value::Int(g.u64_in(1, 1000) as i64);
+            ("UPDATE t SET x = x + ?".to_string(), vec![by], "22003")
+        };
+        assert_eq!(db.execute(&sql, &params).unwrap_err().sqlstate(), state, "{sql}");
+        assert_eq!(read(), before, "{sql}");
+        let (sql, params) = values(&fresh);
+        assert_eq!(db.execute(&sql, &params).unwrap().update_count(), fresh.len() as u64);
+    });
+}
+
+/// Integer `+ - * / %` against `i128` arithmetic, an oracle outside the
+/// engine's evaluator: the exact value when it fits in `i64` (a quotient
+/// that is not whole is a double), SQLSTATE 22003 when it does not, and
+/// 22012 for a zero divisor. Operands lean on the edges of `i64`.
+#[test]
+fn integer_arithmetic_matches_i128() {
+    let operand = |g: &mut Gen| match g.usize_in(0, 3) {
+        0 => *g.pick(&[i64::MIN, i64::MIN + 1, -2, -1, 0, 1, 2, i64::MAX - 1, i64::MAX]),
+        1 => g.i64_any() >> g.usize_in(0, 64),
+        _ => g.i64_any(),
+    };
+    let db = Database::new("arith");
+    run_cases("integer_arithmetic_matches_i128", 512, 0x1128, |g| {
+        let (a, b) = (operand(g), operand(g));
+        let (wa, wb) = (a as i128, b as i128);
+        let fits = |v: i128| i64::try_from(v).map(Value::Int).map_err(|_| "22003");
+        for (op, expected) in [
+            ("+", fits(wa + wb)),
+            ("-", fits(wa - wb)),
+            ("*", fits(wa * wb)),
+            (
+                "/",
+                match b {
+                    0 => Err("22012"),
+                    _ if wa % wb == 0 => fits(wa / wb),
+                    _ => Ok(Value::Double(a as f64 / b as f64)),
+                },
+            ),
+            ("%", if b == 0 { Err("22012") } else { fits(wa % wb) }),
+        ] {
+            let got = db
+                .execute(&format!("SELECT ? {op} ?"), &[Value::Int(a), Value::Int(b)])
+                .map(|r| r.rowset().unwrap().rows[0][0].clone())
+                .map_err(|e| e.sqlstate());
+            assert_eq!(got, expected, "{a} {op} {b}");
         }
-        session.execute("DELETE FROM t WHERE k % 2 = 0", &[]).unwrap();
-        session.execute("ROLLBACK", &[]).unwrap();
-
-        let after = db.execute("SELECT k FROM t ORDER BY k", &[]).unwrap();
-        assert_eq!(after.rowset().unwrap().rows.clone(), before.rowset().unwrap().rows.clone());
     });
 }
 

@@ -1,10 +1,23 @@
 //! E9 (§3/§4.2 `Sensitivity`) and E10 (§4.2 `ConcurrentAccess`,
-//! `TransactionInitiation`): derived-resource freshness semantics and the
-//! per-message transactional guarantees.
+//! `TransactionInitiation`, `TransactionIsolation`): derived-resource
+//! freshness semantics and the per-message transactional guarantees.
 
+use dais::core::TransactionIsolation;
 use dais::prelude::*;
+use dais::soap::fault::DaisFault;
+use dais::soap::CallError;
 use dais::xml::ns;
 use std::sync::Arc;
+
+/// The SQLSTATE an `InvalidExpressionFault` reports.
+fn sqlstate_of(err: CallError) -> String {
+    match err {
+        CallError::Fault(f) if f.dais == Some(DaisFault::InvalidExpression) => {
+            f.reason.split(']').next().unwrap_or("").replace("[SQLSTATE ", "")
+        }
+        other => panic!("expected InvalidExpressionFault, got {other:?}"),
+    }
+}
 
 fn setup(rows_sql: &str) -> (Bus, SqlClient, AbstractName) {
     let bus = Bus::new();
@@ -92,6 +105,36 @@ fn per_message_atomicity_over_the_wire() {
     );
 }
 
+/// An UPDATE whose arithmetic overflows at its second row is one fault
+/// (SQLSTATE 22003), and the first row's write is undone with the rest.
+#[test]
+fn overflowing_update_is_one_fault_and_changes_no_row() {
+    let (bus, client, db) = setup("INSERT INTO acct VALUES (1, 1.0)");
+    client.execute(&db, "CREATE TABLE n (id INTEGER PRIMARY KEY, x INTEGER)", &[]).unwrap();
+    client
+        .execute(&db, "INSERT INTO n VALUES (1, 5), (2, 9223372036854775807), (3, 7)", &[])
+        .unwrap();
+    let faults = bus.stats().faults;
+    let err = client.execute(&db, "UPDATE n SET x = x * 2", &[]).unwrap_err();
+    assert_eq!(sqlstate_of(err), "22003");
+    assert_eq!(bus.stats().faults, faults + 1);
+    let data = client.execute(&db, "SELECT x FROM n ORDER BY id", &[]).unwrap();
+    let unchanged: Vec<Vec<Value>> = [5, i64::MAX, 7].map(|x| vec![Value::Int(x)]).into();
+    assert_eq!(data.rowset().unwrap().rows, unchanged);
+}
+
+/// A message is the only transaction. `BEGIN`, `COMMIT` and `ROLLBACK`
+/// are not statements, so a writeable resource refuses them instead of
+/// accepting a transaction that ends with the message.
+#[test]
+fn transaction_control_is_refused_on_a_writeable_resource() {
+    let (_, client, db) = setup("INSERT INTO acct VALUES (1, 1.0)");
+    assert!(client.core().get_property_document(&db).unwrap().writeable);
+    for sql in ["BEGIN", "BEGIN TRANSACTION", "COMMIT", "ROLLBACK"] {
+        assert_eq!(sqlstate_of(client.execute(&db, sql, &[]).unwrap_err()), "42601", "{sql}");
+    }
+}
+
 #[test]
 fn advertised_transaction_properties() {
     let (_, client, db) = setup("INSERT INTO acct VALUES (1, 1.0)");
@@ -100,30 +143,52 @@ fn advertised_transaction_properties() {
         props.transaction_initiation,
         dais::core::TransactionInitiation::TransactionalPerMessage
     );
-    // The engine's undo-based model gives READ UNCOMMITTED visibility —
-    // and that is exactly what the service advertises (honesty check).
-    assert_eq!(props.transaction_isolation, dais::core::TransactionIsolation::ReadUncommitted);
+    // Every message is one statement that holds the storage lock for its
+    // whole run, so messages are serializable.
+    assert_eq!(props.transaction_isolation, TransactionIsolation::Serializable);
     assert!(props.concurrent_access);
+
+    // A federated query reads its shards at different instants: it sees
+    // committed statements only, but no snapshot common to all shards.
+    let bus = Bus::new();
+    let scheme = ShardScheme::Hash { column: "k".into() };
+    let schema = "CREATE TABLE t (k INTEGER PRIMARY KEY)";
+    let fleet = RelationalFleet::launch(&bus, "iso", schema, scheme, FleetOptions::default());
+    let client = SqlClient::builder().bus(bus).resource(fleet.resource()).build();
+    let props = client.core().get_property_document(fleet.resource().resource()).unwrap();
+    assert_eq!(props.transaction_isolation, TransactionIsolation::ReadCommitted);
 }
 
-/// ConcurrentAccess=true: many consumers hammer one service; totals add up.
+/// ConcurrentAccess=true: many consumers hammer one service; totals add
+/// up. A transfer is one statement over two rows, so a concurrent `SUM`
+/// sees all of it or none of it (the advertised `Serializable`).
 #[test]
 fn concurrent_consumers() {
-    let (bus, _, db) = setup("INSERT INTO acct VALUES (1, 0.0)");
-    let threads: Vec<_> = (0..8)
+    let (bus, _, db) = setup("INSERT INTO acct VALUES (1, 500.0), (2, 500.0), (3, 0.0)");
+    let threads: Vec<_> = (0..16)
         .map(|i| {
             let bus = bus.clone();
             let db = db.clone();
             std::thread::spawn(move || {
                 let client = SqlClient::builder().bus(bus).address("bus://s").build();
+                let run = |sql: &str| client.execute(&db, sql, &[]).unwrap();
                 for _ in 0..25 {
-                    if i % 2 == 0 {
-                        client
-                            .execute(&db, "UPDATE acct SET balance = balance + 1 WHERE id = 1", &[])
-                            .unwrap();
-                    } else {
-                        let data = client.execute(&db, "SELECT balance FROM acct", &[]).unwrap();
-                        assert_eq!(data.rowset().unwrap().row_count(), 1);
+                    match i % 4 {
+                        0 => {
+                            run("UPDATE acct SET balance = balance + 1 WHERE id = 3");
+                        }
+                        1 => {
+                            let data = run("SELECT balance FROM acct WHERE id = 3");
+                            assert_eq!(data.rowset().unwrap().row_count(), 1);
+                        }
+                        2 => {
+                            run("UPDATE acct SET balance = balance + \
+                                 CASE WHEN id = 1 THEN -1 ELSE 1 END WHERE id IN (1, 2)");
+                        }
+                        _ => {
+                            let data = run("SELECT SUM(balance) FROM acct WHERE id IN (1, 2)");
+                            assert_eq!(data.rowset().unwrap().rows[0][0], Value::Double(1000.0));
+                        }
                     }
                 }
             })
@@ -133,8 +198,10 @@ fn concurrent_consumers() {
         t.join().unwrap();
     }
     let client = SqlClient::builder().bus(bus).address("bus://s").build();
-    let data = client.execute(&db, "SELECT balance FROM acct", &[]).unwrap();
-    assert_eq!(data.rowset().unwrap().rows[0][0], Value::Double(100.0)); // 4 writers × 25
+    let data = client.execute(&db, "SELECT balance FROM acct ORDER BY id", &[]).unwrap();
+    // 4 incrementers and 4 transferrers, 25 statements each.
+    let balances = [400.0, 600.0, 100.0].map(|b| vec![Value::Double(b)]);
+    assert_eq!(data.rowset().unwrap().rows, balances.to_vec());
 }
 
 /// Concurrent factories mint distinct resources without collisions.
