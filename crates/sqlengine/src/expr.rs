@@ -80,6 +80,45 @@ pub fn checked_int(result: Option<i64>) -> Result<i64, SqlError> {
     result.ok_or_else(|| SqlError::new(SqlErrorKind::NumericOutOfRange, "integer out of range"))
 }
 
+/// `i` rounded half away from zero to `digits` decimal places: itself
+/// for `digits >= 0`, else to a multiple of `10^-digits`, refused with
+/// 22003 when that leaves `i64`.
+fn round_int(i: i64, digits: i64) -> Result<i64, SqlError> {
+    if digits >= 0 {
+        return Ok(i);
+    }
+    // Past 10^38 every `i64` rounds to 0, as it does at 10^38.
+    let unit = 10i128.pow(digits.unsigned_abs().min(38) as u32);
+    let half = if i < 0 { -unit / 2 } else { unit / 2 };
+    checked_int(i64::try_from((i128::from(i) + half) / unit * unit).ok())
+}
+
+/// `d` rounded half away from zero to `digits` decimal places. A
+/// rounding that keeps more digits than `d` carries leaves it alone, and
+/// one to a unit beyond every finite double gives 0.
+fn round_double(d: f64, digits: i64) -> f64 {
+    // Clamped so the cast cannot wrap: from ±309 places on, `10^digits`
+    // is already inf or its reciprocal 0.
+    let digits = digits.clamp(-400, 400) as i32;
+    if digits >= 0 {
+        let scale = 10f64.powi(digits);
+        let scaled = d * scale;
+        // From 2^52 up every double is an integer, so nothing is dropped.
+        if scaled.is_nan() || scaled.abs() >= 2f64.powi(52) {
+            return d;
+        }
+        return scaled.round() / scale;
+    }
+    let unit = 10f64.powi(-digits);
+    let units = (d / unit).round();
+    // Zero units of an infinite unit are 0, not NaN.
+    if units == 0.0 {
+        units
+    } else {
+        units * unit
+    }
+}
+
 /// Evaluate an expression against a row. Aggregate calls must have been
 /// rewritten away before this point (the executor does so); hitting one
 /// here is a grouping error.
@@ -435,11 +474,8 @@ fn eval_scalar_function(name: &str, args: &[Value]) -> Result<Value, SqlError> {
             };
             Ok(match &args[0] {
                 Value::Null => Value::Null,
-                Value::Int(i) => Value::Int(*i),
-                Value::Double(d) => {
-                    let f = 10f64.powi(digits as i32);
-                    Value::Double((d * f).round() / f)
-                }
+                Value::Int(i) => Value::Int(round_int(*i, digits)?),
+                Value::Double(d) => Value::Double(round_double(*d, digits)),
                 other => return Err(type_error("ROUND", other)),
             })
         }
@@ -664,6 +700,34 @@ mod tests {
         assert_eq!(v("UPPER(NULL)"), Value::Null);
         assert!(eval_str("NO_SUCH_FN(1)").is_err());
         assert!(eval_str("UPPER('a', 'b')").is_err());
+    }
+
+    #[test]
+    fn round_to_a_unit_past_every_double_is_zero() {
+        assert_eq!(v("ROUND(1.5, -400)"), Value::Double(0.0));
+        assert_eq!(v("ROUND(1.5, -9223372036854775807)"), Value::Double(0.0));
+    }
+
+    #[test]
+    fn round_to_more_places_than_a_double_has_leaves_it() {
+        assert_eq!(v("ROUND(1.5, 400)"), Value::Double(1.5));
+        // 4294967297 is 2^32 + 1, which a 32-bit cast would read as 1.
+        assert_eq!(v("ROUND(1.55, 4294967297)"), Value::Double(1.55));
+    }
+
+    #[test]
+    fn round_integers_to_negative_places_half_away_from_zero() {
+        assert_eq!(v("ROUND(1234, -2)"), Value::Int(1200));
+        assert_eq!(v("ROUND(1250, -2)"), Value::Int(1300));
+        assert_eq!(v("ROUND(-1250, -2)"), Value::Int(-1300));
+        assert_eq!(v("ROUND(1250, 2)"), Value::Int(1250));
+        assert_eq!(v("ROUND(9223372036854775807, -40)"), Value::Int(0));
+    }
+
+    #[test]
+    fn round_an_integer_out_of_range_is_refused() {
+        let err = eval_str("ROUND(9223372036854775807, -1)").unwrap_err();
+        assert_eq!((err.kind, err.kind.sqlstate()), (SqlErrorKind::NumericOutOfRange, "22003"));
     }
 
     #[test]

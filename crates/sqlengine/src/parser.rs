@@ -650,6 +650,13 @@ impl<'a> P<'a> {
 
     fn unary(&mut self) -> Result<Expr, SqlError> {
         if self.eat(&Token::Minus) {
+            // `i64::MIN`'s magnitude is no `i64`, so it is read with its sign.
+            if let Some(Token::Number(n)) = self.peek() {
+                if n == "9223372036854775808" {
+                    self.pos += 1;
+                    return Ok(Expr::Literal(Value::Int(i64::MIN)));
+                }
+            }
             let inner = self.unary()?;
             return Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) });
         }
@@ -762,6 +769,37 @@ mod tests {
         assert!(!s.order_by[0].ascending);
         assert_eq!(s.limit, Some(10));
         assert_eq!(s.offset, Some(2));
+    }
+
+    /// The one expression of `SELECT expr`.
+    fn select_expr(sql: &str) -> Result<Expr, SqlError> {
+        match parse_statement(&format!("SELECT {sql}"))? {
+            Stmt::Select(s) => match s.items.into_iter().next() {
+                Some(SelectItem::Expr { expr, .. }) => Ok(expr),
+                other => panic!("{other:?}"),
+            },
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn minus_and_the_magnitude_of_i64_min_read_as_i64_min() {
+        assert_eq!(
+            select_expr("-9223372036854775808").unwrap(),
+            Expr::Literal(Value::Int(i64::MIN))
+        );
+    }
+
+    #[test]
+    fn the_bare_magnitude_of_i64_min_is_refused() {
+        let err = select_expr("9223372036854775808").unwrap_err();
+        assert!(err.message.contains("bad number 9223372036854775808"), "{err}");
+    }
+
+    #[test]
+    fn a_negated_parenthesised_magnitude_of_i64_min_is_refused() {
+        let err = select_expr("-(9223372036854775808)").unwrap_err();
+        assert!(err.message.contains("bad number 9223372036854775808"), "{err}");
     }
 
     #[test]

@@ -251,6 +251,11 @@ fn invalid(message: impl Into<String>) -> SqlError {
 /// borrowed from the input, so steady-state decoding allocates once per
 /// string cell: for the `Str`, into which an entity-decoded text moves.
 ///
+/// What the writer writes is read in one step per row and per text
+/// cell: an exact `<p:currentRow>`, or `<p:columnValue>`, escape-free
+/// text and `</p:columnValue>`, for the `webRowSet` tag's prefix `p`.
+/// Any other shape takes the general event path.
+///
 /// The cursor owns its parser while it decodes and hands it back from
 /// [`finish`](Self::finish), positioned just after `</wrs:webRowSet>`,
 /// so a decoder of the enclosing message carries on from there.
@@ -260,6 +265,8 @@ pub struct RowsetCursor<'a> {
     /// Positioned inside the `data` element: rows may remain. False
     /// once the `webRowSet` end tag has been consumed.
     in_data: bool,
+    /// The raw prefix of the `webRowSet` start tag.
+    prefix: &'a str,
 }
 
 impl<'a> RowsetCursor<'a> {
@@ -271,7 +278,8 @@ impl<'a> RowsetCursor<'a> {
                 if namespace.as_str() == ns::ROWSET && local == "webRowSet" => {}
             other => return Err(invalid(format!("expected wrs:webRowSet, found {other:?}"))),
         }
-        let mut cursor = RowsetCursor { parser, columns: Vec::new(), in_data: false };
+        let prefix = parser.open_name().and_then(|raw| raw.split_once(':')).map_or("", |(p, _)| p);
+        let mut cursor = RowsetCursor { parser, columns: Vec::new(), in_data: false, prefix };
         // Metadata precedes data in the byte shape the writer produces,
         // but tolerate reordering and unknown siblings.
         while let Some(child) = cursor.next_child()? {
@@ -289,16 +297,26 @@ impl<'a> RowsetCursor<'a> {
 
     /// The local name of the current element's next child, positioned
     /// just inside it; `None` once the current element's end tag has
-    /// been consumed.
+    /// been consumed. A child outside the WebRowSet namespace reads as
+    /// `""`, which no caller matches, so it is skipped.
     fn next_child(&mut self) -> Result<Option<&'a str>, SqlError> {
         loop {
             match self.parser.next().map_err(malformed)? {
-                Some(PullEvent::Start { local, .. }) => return Ok(Some(local)),
+                Some(PullEvent::Start { namespace, local }) => {
+                    return Ok(Some(if namespace == ns::ROWSET { local } else { "" }))
+                }
                 Some(PullEvent::Text(_)) => {}
                 Some(PullEvent::End) => return Ok(None),
                 None => return Err(invalid("truncated webRowSet")),
             }
         }
+    }
+
+    /// Whether the exact steps may read the current element's children:
+    /// a WebRowSet element written with `p` proves `p` bound to it there.
+    fn exact(&self) -> bool {
+        let raw = self.parser.open_name().unwrap_or_default();
+        raw.split_once(':').map_or("", |(p, _)| p) == self.prefix
     }
 
     fn skip(&mut self) -> Result<(), SqlError> {
@@ -351,6 +369,10 @@ impl<'a> RowsetCursor<'a> {
         if !self.in_data {
             return Ok(false);
         }
+        if self.exact() && self.parser.open_exact(self.prefix, "currentRow") {
+            self.read_row(row)?;
+            return Ok(true);
+        }
         while let Some(child) = self.next_child()? {
             if child == "currentRow" {
                 self.read_row(row)?;
@@ -367,16 +389,26 @@ impl<'a> RowsetCursor<'a> {
     }
 
     fn read_row(&mut self, row: &mut Vec<Value>) -> Result<(), SqlError> {
-        while let Some(child) = self.next_child()? {
-            if child != "columnValue" {
-                self.skip()?;
-                continue;
+        let exact = self.exact();
+        loop {
+            let leaf = exact.then(|| self.parser.exact_leaf(self.prefix, "columnValue")).flatten();
+            if leaf.is_none() {
+                match self.next_child()? {
+                    Some("columnValue") => {}
+                    Some(_) => {
+                        self.skip()?;
+                        continue;
+                    }
+                    None => break,
+                }
             }
             let ty = match self.columns.get(row.len()) {
                 Some(column) => column.ty,
                 None => return Err(invalid("row wider than metadata")),
             };
-            if self.parser.attr("null") == Some("true") {
+            if let Some(text) = leaf {
+                row.push(Value::parse_typed(Cow::Borrowed(text), ty)?);
+            } else if self.parser.attr("null") == Some("true") {
                 self.skip()?;
                 row.push(Value::Null);
             } else if let Some(v) = self.parser.attr("value") {
@@ -406,6 +438,7 @@ impl<'a> RowsetCursor<'a> {
 mod tests {
     use super::*;
     use dais_util::prop::{run_cases, Gen};
+    use dais_xml::parser::MAX_DEPTH;
     use dais_xml::XmlElement;
 
     fn sample() -> Rowset {
@@ -454,7 +487,10 @@ mod tests {
     /// the cursor is held to: parse the whole document, then read
     /// metadata and cells off the element tree.
     fn reference_decode(text: &str) -> Result<Rowset, SqlError> {
-        let root = dais_xml::parse(text).map_err(malformed)?;
+        reference_decode_element(&dais_xml::parse(text).map_err(malformed)?)
+    }
+
+    fn reference_decode_element(root: &XmlElement) -> Result<Rowset, SqlError> {
         if !root.name.is(ns::ROWSET, "webRowSet") {
             return Err(invalid(format!("expected wrs:webRowSet, found {}", root.name)));
         }
@@ -722,6 +758,167 @@ mod tests {
         for (what, text) in cases {
             assert!(decode(&text).is_err(), "cursor accepted: {what}");
             assert!(reference_decode(&text).is_err(), "reference accepted: {what}");
+        }
+    }
+
+    /// The `webRowSet` inside `wrappers` enclosing elements of `doc`,
+    /// read by the cursor and by the tree walk, as `Debug` text (where NaN
+    /// equals itself) or a refusal.
+    fn both_readers(
+        doc: &str,
+        wrappers: usize,
+    ) -> (Result<String, String>, Result<String, String>) {
+        let cursor = (|| {
+            let mut parser = PullParser::new(doc).map_err(malformed)?;
+            for _ in 0..wrappers {
+                parser.next().map_err(malformed)?;
+            }
+            Rowset::from_cursor(&mut RowsetCursor::new(parser)?)
+        })();
+        let reference = dais_xml::parse(doc).map_err(malformed).and_then(|root| {
+            let mut el = &root;
+            for _ in 0..wrappers {
+                el = el.elements().next().ok_or_else(|| invalid("no rowset"))?;
+            }
+            reference_decode_element(el)
+        });
+        let show =
+            |r: Result<Rowset, SqlError>| r.map(|rs| format!("{rs:?}")).map_err(|e| e.to_string());
+        (show(cursor), show(reference))
+    }
+
+    /// Hand-written rowsets on either side of the exact-bytes steps: each
+    /// shape the steps must leave to the general path, or read as it does,
+    /// decodes as the tree walk decodes it.
+    #[test]
+    fn exact_steps_read_and_refuse_as_the_tree_walk_does() {
+        const WRS: &str = "xmlns:wrs='http://java.sun.com/xml/ns/jdbc'";
+        let column = |name: &str, ty: &str| {
+            format!(
+                "<wrs:column-definition><wrs:column-name>{name}</wrs:column-name>\
+                 <wrs:column-type>{ty}</wrs:column-type></wrs:column-definition>"
+            )
+        };
+        let columns = column("n", "INTEGER") + &column("s", "VARCHAR");
+        let doc = |columns: &str, rows: &str| {
+            format!(
+                "<wrs:webRowSet {WRS}><wrs:metadata>{columns}</wrs:metadata>\
+                 <wrs:data>{rows}</wrs:data></wrs:webRowSet>"
+            )
+        };
+        let row = |open: &str, s_cell: &str| {
+            format!(
+                "{open}<wrs:columnValue>1</wrs:columnValue>{s_cell}</wrs:currentRow>\
+                 <wrs:currentRow><wrs:columnValue>2</wrs:columnValue>\
+                 <wrs:columnValue>b</wrs:columnValue></wrs:currentRow>"
+            )
+        };
+        let cell = |inner: &str| {
+            row("<wrs:currentRow>", &format!("<wrs:columnValue>{inner}</wrs:columnValue>"))
+        };
+        let read = [
+            ("a whitespace-only cell", doc(&columns, &cell(" \n\t "))),
+            (
+                "a close tag with a space",
+                doc(&columns, &row("<wrs:currentRow>", "<wrs:columnValue>a</wrs:columnValue >")),
+            ),
+            ("an entity in a cell", doc(&columns, &cell("a&amp;b"))),
+            ("a CDATA cell", doc(&columns, &cell("<![CDATA[<a>]]>"))),
+            ("a comment inside a cell", doc(&columns, &cell("a<!-- c -->b"))),
+            (
+                "an attribute on a row",
+                doc(
+                    &columns,
+                    &row("<wrs:currentRow id='r1'>", "<wrs:columnValue>a</wrs:columnValue>"),
+                ),
+            ),
+            (
+                "a row rebinding the prefix elsewhere",
+                doc(
+                    &columns,
+                    &row(
+                        "<wrs:currentRow xmlns:wrs='urn:other'>",
+                        "<wrs:columnValue>a</wrs:columnValue>",
+                    ),
+                ),
+            ),
+            (
+                "a row rebinding the prefix to the WebRowSet namespace",
+                doc(
+                    &columns,
+                    &row(
+                        &format!("<wrs:currentRow {WRS}>"),
+                        "<wrs:columnValue>a</wrs:columnValue>",
+                    ),
+                ),
+            ),
+            (
+                "a cell under another prefix",
+                doc(
+                    &columns,
+                    &row(
+                        "<wrs:currentRow xmlns:r='http://java.sun.com/xml/ns/jdbc'>",
+                        "<r:columnValue>a</r:columnValue>",
+                    ),
+                ),
+            ),
+            (
+                "self-closed empty rows",
+                doc("", "<wrs:currentRow/><wrs:currentRow></wrs:currentRow>"),
+            ),
+        ];
+        for (what, doc) in &read {
+            let (cursor, reference) = both_readers(doc, 0);
+            assert!(cursor.is_ok(), "{what}: {cursor:?}");
+            assert_eq!(cursor, reference, "{what}");
+        }
+        let refused = [
+            ("a self-closed row under columns", doc(&columns, "<wrs:currentRow/>")),
+            (
+                "a row rebinding its cells' prefix elsewhere",
+                doc(
+                    &columns,
+                    &row(
+                        "<r:currentRow xmlns:r='http://java.sun.com/xml/ns/jdbc' \
+                         xmlns:wrs='urn:other'>",
+                        "<wrs:columnValue>a</wrs:columnValue>",
+                    )
+                    .replacen("</wrs:currentRow>", "</r:currentRow>", 1),
+                ),
+            ),
+            (
+                "a cell of the wrong type",
+                doc(
+                    &columns,
+                    &row("<wrs:currentRow>", "<wrs:columnValue>a</wrs:columnValue>")
+                        .replace(">1<", ">x<"),
+                ),
+            ),
+        ];
+        for (what, doc) in &refused {
+            let (cursor, reference) = both_readers(doc, 0);
+            assert!(cursor.is_err() && reference.is_err(), "{what}: {cursor:?} / {reference:?}");
+        }
+        // The default-namespace and `wrs1` scopes of the writer.
+        for scope in [SCOPES[1], SCOPES[3]] {
+            let (streamed, _) = streamed_and_reference(&sample(), scope);
+            let (cursor, reference) = both_readers(&streamed, 1);
+            assert_eq!(cursor, Ok(format!("{:?}", sample())), "{streamed}");
+            assert_eq!(cursor, reference);
+        }
+        // Cells under `MAX_DEPTH - 1` ancestors are read; under
+        // `MAX_DEPTH`, both readers refuse the rowset (its metadata leaves
+        // sit as deep as its cells, so `pull.rs` tests the cap on the
+        // exact steps themselves).
+        let rows = "<wrs:currentRow><wrs:columnValue>1</wrs:columnValue></wrs:currentRow>";
+        let rowset = doc(&column("n", "INTEGER"), rows);
+        for (ancestors, accepted) in [(MAX_DEPTH - 1, true), (MAX_DEPTH, false)] {
+            // webRowSet, data and currentRow are three of the ancestors.
+            let wrappers = ancestors - 3;
+            let nested = "<d>".repeat(wrappers) + &rowset + &"</d>".repeat(wrappers);
+            let (cursor, reference) = both_readers(&nested, wrappers);
+            assert_eq!((cursor.is_ok(), reference.is_ok()), (accepted, accepted), "{cursor:?}");
+            assert_eq!(cursor, reference);
         }
     }
 

@@ -274,6 +274,63 @@ impl<'a> PullParser<'a> {
         }
     }
 
+    /// The raw (as-written) name of the innermost open element.
+    pub fn open_name(&self) -> Option<&'a str> {
+        self.scope.open.last().map(|&(name, _)| name)
+    }
+
+    /// Open the element if the input continues with exactly
+    /// `<prefix:local>` (`<local>` for an empty prefix), as
+    /// [`next`](Self::next) would: the scope grows and the attributes
+    /// clear. Otherwise consume nothing and return false. The caller
+    /// vouches that `prefix` is bound to the namespace it means.
+    pub fn open_exact(&mut self, prefix: &str, local: &str) -> bool {
+        let Some(end) = self.exact_start(prefix, local) else { return false };
+        self.scope.push(&self.text[self.pos + 1..end - 1]);
+        self.attrs.clear();
+        self.pos = end;
+        true
+    }
+
+    /// Read `<prefix:local>text</prefix:local>`, its text one escape-free
+    /// segment, as one leaf that clears the attributes, or consume nothing
+    /// and return `None`. Whitespace-only text reads as `""`, as
+    /// [`text_content`](Self::text_content) reads it.
+    pub fn exact_leaf(&mut self, prefix: &str, local: &str) -> Option<&'a str> {
+        let start = self.exact_start(prefix, local)?;
+        let len = find_any(&self.bytes[start..], [b'<', b'&'])?;
+        let end = self.exact_tag(start + len, b"</", prefix, local)?;
+        let text = &self.text[start..start + len];
+        self.attrs.clear();
+        self.pos = end;
+        self.done = self.scope.open.is_empty();
+        // `trim` only where the first byte is not a visible ASCII one.
+        let blank = !text.bytes().next().is_some_and(|b| b.is_ascii_graphic());
+        Some(if blank && text.trim().is_empty() { "" } else { text })
+    }
+
+    /// The end of `<prefix:local>` at the current position; `None`
+    /// wherever the general path would first owe an `End`, read trailing
+    /// misc or refuse the depth, so an exact step never accepts what it
+    /// refuses.
+    fn exact_start(&self, prefix: &str, local: &str) -> Option<usize> {
+        if self.pending_end || self.done || self.scope.open.len() >= MAX_DEPTH {
+            return None;
+        }
+        self.exact_tag(self.pos, b"<", prefix, local)
+    }
+
+    /// The end of `lt` `prefix:local` `>` if the input holds exactly it at
+    /// `at`, matched piecewise.
+    fn exact_tag(&self, at: usize, lt: &[u8], prefix: &str, local: &str) -> Option<usize> {
+        let mut rest = self.bytes.get(at..)?.strip_prefix(lt)?;
+        if !prefix.is_empty() {
+            rest = rest.strip_prefix(prefix.as_bytes())?.strip_prefix(b":")?;
+        }
+        rest = rest.strip_prefix(local.as_bytes())?.strip_prefix(b">")?;
+        Some(self.bytes.len() - rest.len())
+    }
+
     /// The next token, unfiltered, or `None` once the document element
     /// has closed and only whitespace and comments followed it.
     pub(crate) fn step(&mut self) -> Result<Option<Token<'a>>, XmlError> {
@@ -729,6 +786,60 @@ mod tests {
         p.next().unwrap();
         p.next().unwrap();
         assert!(p.text_content().unwrap_err().message.contains("child element <d>"));
+    }
+
+    #[test]
+    fn exact_steps_take_only_the_exact_shape() {
+        let mut p = PullParser::new(
+            "<w:r xmlns:w='urn:w' a='1'><w:row><w:c>1</w:c><w:c> \n</w:c><w:c>a&amp;b</w:c>\
+             <w:c a='2'>x</w:c><w:c>y</w:c ></w:row><w:row/><w:row><w:c/></w:row>\
+             <w:row b='3'><w:c>z</w:c></w:row></w:r>",
+        )
+        .unwrap();
+        p.next().unwrap();
+        assert_eq!((p.open_name(), p.attr("a")), (Some("w:r"), Some("1")));
+        assert!(!p.open_exact("w", "ro") && !p.open_exact("", "row"));
+        assert!(p.open_exact("w", "row"));
+        assert_eq!((p.open_name(), p.attr("a")), (Some("w:row"), None));
+        assert_eq!(p.exact_leaf("w", "c"), Some("1"));
+        assert_eq!(p.exact_leaf("w", "c"), Some(""), "whitespace reads as text_content does");
+        // An entity, an attribute, a spaced close tag: the general path.
+        for (text, attr) in [("a&b", None), ("x", Some("2")), ("y", None)] {
+            assert_eq!(p.exact_leaf("w", "c"), None);
+            assert!(matches!(p.next().unwrap(), Some(PullEvent::Start { local: "c", .. })));
+            assert_eq!((p.text_content().unwrap().as_ref(), p.attr("a")), (text, attr));
+        }
+        assert_eq!(p.exact_leaf("w", "c"), None, "the row's end tag comes first");
+        assert_eq!(p.next().unwrap(), Some(PullEvent::End));
+        // A self-closed row is the general path's, and so is the `End` it
+        // owes before the next row may open.
+        assert!(!p.open_exact("w", "row"));
+        assert!(matches!(p.next().unwrap(), Some(PullEvent::Start { local: "row", .. })));
+        assert!(!p.open_exact("w", "row"));
+        assert_eq!(p.next().unwrap(), Some(PullEvent::End));
+        assert!(p.open_exact("w", "row"));
+        assert_eq!(p.exact_leaf("w", "c"), None);
+        p.skip_element().unwrap();
+        // A leaf read through the exact step clears its row's attributes.
+        assert!(!p.open_exact("w", "row"));
+        assert!(matches!(p.next().unwrap(), Some(PullEvent::Start { local: "row", .. })));
+        assert_eq!(p.attr("b"), Some("3"));
+        assert_eq!((p.exact_leaf("w", "c"), p.attr("b")), (Some("z"), None));
+
+        // Nothing opens after the document element has closed.
+        let mut p = PullParser::new("<r/><c>1</c>").unwrap();
+        p.next().unwrap();
+        p.next().unwrap();
+        assert!(p.exact_leaf("", "c").is_none() && !p.open_exact("", "c"));
+        assert!(p.next().unwrap_err().message.contains("after document element"));
+        // Nor past the depth cap.
+        let deep = "<d>".repeat(MAX_DEPTH) + "<c>1</c>";
+        let mut p = PullParser::new(&deep).unwrap();
+        for _ in 0..MAX_DEPTH {
+            p.next().unwrap();
+        }
+        assert!(p.exact_leaf("", "c").is_none() && !p.open_exact("", "c"));
+        assert!(p.next().unwrap_err().message.contains("depth"));
     }
 
     /// The result of reading `doc` to its end: `Ok` or the error message.

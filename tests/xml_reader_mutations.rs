@@ -14,7 +14,9 @@
 //! golden (update count, empty result, response item, rowset pages) as a
 //! tree walk does: the same items and communication area, or a refusal
 //! from both; for the three goldens without rows, every single-byte
-//! replacement is checked.
+//! replacement is checked. A second sampled run edits only inside the
+//! `data` block of the rowset goldens, aiming at the shapes the cursor's
+//! exact-bytes steps for rows and cells must leave to its general path.
 
 use dais::dair::messages::rowset_cursor_from_reply_bytes;
 use dais::dair::SqlResponseData;
@@ -26,6 +28,7 @@ use dais::xml::{
 };
 use dais_util::prop::{run_cases, Gen};
 use std::cell::Cell;
+use std::ops::Range;
 use std::path::PathBuf;
 
 /// Every `tests/golden/*.xml` document, by file name, in name order.
@@ -425,6 +428,106 @@ fn mutants_are_read_or_refused_alike_and_never_panic() {
     assert!(
         read >= 25 && refused >= 300,
         "too few responses compared: {read} read, {refused} refused"
+    );
+}
+
+/// The byte range of a golden's `data` block, between `<wrs:data>` and
+/// `</wrs:data>`, if it holds rows.
+fn data_block(doc: &[u8]) -> Option<Range<usize>> {
+    let text = std::str::from_utf8(doc).ok()?;
+    let start = text.find("<wrs:data>")? + "<wrs:data>".len();
+    Some(start..start + text[start..].find("</wrs:data>")?)
+}
+
+/// The text of every text cell in `data`, as byte ranges.
+fn text_cells(text: &str, data: &Range<usize>) -> Vec<Range<usize>> {
+    const OPEN: &str = "<wrs:columnValue>";
+    text[data.clone()]
+        .match_indices(OPEN)
+        .map(|(at, _)| data.start + at + OPEN.len())
+        .map(|start| start..start + text[start..].find('<').unwrap())
+        .collect()
+}
+
+/// Edits inside the `data` block of the rowset goldens, each a shape the
+/// cursor's exact-bytes steps must leave to its general path: whitespace
+/// before a `>`, an entity in a cell, a CDATA section or comment in or
+/// around a cell, a `null` or `value` attribute on a cell, and a row
+/// redeclaring the prefix. The cursor must read each mutant's rowset as
+/// the tree walk does, or refuse it with the tree walk.
+#[test]
+fn data_block_mutants_are_read_or_refused_alike() {
+    let docs: Vec<_> = goldens().into_iter().filter(|(_, doc)| data_block(doc).is_some()).collect();
+    assert!(docs.len() >= 5, "rowset goldens missing");
+    COMPARED.set((0, 0));
+    run_cases("data_block_mutations", 600, 0x0DA7_AB10, |g: &mut Gen| {
+        let golden @ (_, doc) = g.pick(&docs);
+        let text = std::str::from_utf8(doc).unwrap();
+        let data = data_block(doc).unwrap();
+        let cells = text_cells(text, &data);
+        let (at, edit): (Range<usize>, String) = match g.usize_in(0, 5) {
+            0 => {
+                let gts: Vec<usize> = data.clone().filter(|&i| doc[i] == b'>').collect();
+                let at = *g.pick(&gts);
+                (at..at, g.pick(&[" ", "\t", "\r\n"]).to_string())
+            }
+            1 => {
+                // One byte of an escape-free cell as a character reference.
+                let plain: Vec<&Range<usize>> = cells
+                    .iter()
+                    .filter(|c| !c.is_empty() && !text[(*c).clone()].contains('&'))
+                    .collect();
+                let cell = (*g.pick(&plain)).clone();
+                let at = g.usize_in(cell.start, cell.end);
+                (at..at + 1, format!("&#{};", doc[at]))
+            }
+            2 => {
+                let cell = g.pick(&cells).clone();
+                let content = &text[cell.clone()];
+                match g.usize_in(0, 3) {
+                    0 => (cell, format!("<![CDATA[{content}]]>")),
+                    1 => (cell.start..cell.start, "<!-- c -->".to_string()),
+                    _ => {
+                        // The whole cell element, commented out.
+                        let open = cell.start - "<wrs:columnValue>".len();
+                        let close = cell.end + "</wrs:columnValue>".len();
+                        (open..close, format!("<!--{}-->", &text[open..close]))
+                    }
+                }
+            }
+            3 => {
+                let opens: Vec<usize> = text[data.clone()]
+                    .match_indices("<wrs:columnValue")
+                    .map(|(at, m)| data.start + at + m.len())
+                    .collect();
+                let at = *g.pick(&opens);
+                let attr = *g.pick(&[
+                    " null=\"true\"",
+                    " null=\"false\"",
+                    " value=\"7\"",
+                    " value=\" x \"",
+                ]);
+                (at..at, attr.to_string())
+            }
+            _ => {
+                let opens: Vec<usize> = text[data.clone()]
+                    .match_indices("<wrs:currentRow")
+                    .map(|(at, m)| data.start + at + m.len())
+                    .collect();
+                let at = *g.pick(&opens);
+                let uri = *g.pick(&["urn:other", ns::ROWSET]);
+                (at..at, format!(" xmlns:wrs=\"{uri}\""))
+            }
+        };
+        let mut m = text.to_string();
+        m.replace_range(at, &edit);
+        let _ = read_everywhere(m.as_bytes(), golden);
+    });
+    let (read, refused) = COMPARED.get();
+    println!("data-block mutants: {read} rowsets read alike, {refused} refused alike");
+    assert!(
+        read >= 300 && refused >= 60,
+        "too few rowsets compared: {read} read, {refused} refused"
     );
 }
 
