@@ -1,9 +1,8 @@
 //! One builder for every typed client.
 //!
-//! The typed clients had accreted a constructor permutation per concern
-//! — `new` for a local bind, `with_transport` for a remote one,
-//! `with_retry`/`with_retry_config` layered after the fact — and every
-//! new concern doubled the surface. [`ClientBuilder`] collapses them:
+//! A typed client is built one way: a bus, one target (an address, a
+//! [`ResourceRef`] or an EPR), and optionally a transport and a retry
+//! layer, assembled by [`ClientBuilder`]:
 //!
 //! ```
 //! use dais_core::{CoreClient, DaisClient, ResourceRef};
@@ -128,11 +127,10 @@ impl<C: DaisClient> ClientBuilder<C> {
                 "ClientBuilder::build: a target is required — call .address(..), .resource(..) or .epr(..)"
             ),
         };
-        let client = C::from_service(service);
-        match self.retry {
-            Some(config) => client.with_retry_config(config),
-            None => client,
-        }
+        C::from_service(match self.retry {
+            Some(config) => service.with_retry(config),
+            None => service,
+        })
     }
 }
 
@@ -155,7 +153,7 @@ mod tests {
         let bus = Bus::new();
         let client =
             CoreClient::builder().bus(bus).address("bus://svc").retry(RetryPolicy::new(3)).build();
-        assert!(client.soap().retry_config().is_some());
+        assert!(client.service().retry_config().is_some());
     }
 
     #[test]

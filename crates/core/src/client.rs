@@ -5,9 +5,7 @@ use crate::messages::{self, actions};
 use crate::name::AbstractName;
 use crate::properties::{names, CoreProperties};
 use dais_soap::addressing::Epr;
-use dais_soap::bus::Bus;
-use dais_soap::client::{CallError, ServiceClient};
-use dais_soap::retry::{RetryConfig, RetryPolicy};
+use dais_soap::client::{CallError, PendingReply, ServiceClient};
 use dais_xml::{ns, XmlElement};
 
 /// A consumer of a DAIS data service ("an application that exploits a
@@ -18,29 +16,6 @@ pub struct CoreClient {
 }
 
 impl CoreClient {
-    /// Bind through an EPR obtained from a factory or `Resolve`.
-    pub fn from_epr(bus: Bus, epr: Epr) -> CoreClient {
-        CoreClient { inner: ServiceClient::from_epr(bus, epr) }
-    }
-
-    /// The raw SOAP client (realisations layer their own calls over it).
-    pub fn soap(&self) -> &ServiceClient {
-        &self.inner
-    }
-
-    /// Layer retry over this client for the core read operations.
-    /// Destructive operations are never re-sent. (Thin wrapper over
-    /// [`DaisClient::with_retry`].)
-    pub fn with_retry(self, policy: RetryPolicy) -> CoreClient {
-        DaisClient::with_retry(self, policy)
-    }
-
-    /// Layer retry with a caller-assembled configuration (custom sleep
-    /// function). (Thin wrapper over [`DaisClient::with_retry_config`].)
-    pub fn with_retry_config(self, config: RetryConfig) -> CoreClient {
-        DaisClient::with_retry_config(self, config)
-    }
-
     /// `GetDataResourcePropertyDocument` against many resources at
     /// once, keeping up to `window` requests in flight on the pipelined
     /// path; one result per resource, in input order.
@@ -53,7 +28,13 @@ impl CoreClient {
             .iter()
             .map(|r| messages::request("GetDataResourcePropertyDocumentRequest", r))
             .collect();
-        self.request_pipelined(actions::GET_DATA_RESOURCE_PROPERTY_DOCUMENT, payloads, window)
+        self.inner
+            .request_pipelined(
+                actions::GET_DATA_RESOURCE_PROPERTY_DOCUMENT,
+                payloads,
+                window,
+                PendingReply::wait,
+            )
             .into_iter()
             .map(|result| {
                 let response = result?;
@@ -244,10 +225,6 @@ impl DaisClient for CoreClient {
     fn from_service(service: ServiceClient) -> CoreClient {
         CoreClient { inner: service }
     }
-
-    fn service_mut(&mut self) -> &mut ServiceClient {
-        &mut self.inner
-    }
 }
 
 #[cfg(test)]
@@ -257,6 +234,7 @@ mod tests {
     use crate::registry::ResourceRegistry;
     use crate::resource::StaticResource;
     use crate::service::{register_core_ops, register_wsrf_ops, ServiceContext};
+    use dais_soap::bus::Bus;
     use dais_soap::service::SoapDispatcher;
     use dais_wsrf::{LifetimeRegistry, ManualClock};
     use std::sync::Arc;
@@ -344,9 +322,13 @@ mod tests {
         let (bus, client, _, _) = setup();
         assert_eq!(DaisClient::epr(&client).address, "bus://svc");
         assert!(std::ptr::eq(DaisClient::bus(&client).obs(), bus.obs()));
-        // The trait-level retry layering is what the inherent wrapper does.
-        let client = client.with_retry(RetryPolicy::new(3));
-        assert!(client.soap().retry_config().is_some());
+        // Retry is layered by the builder, onto the raw client.
+        let client = CoreClient::builder()
+            .bus(bus)
+            .address("bus://svc")
+            .retry(dais_soap::retry::RetryPolicy::new(3))
+            .build();
+        assert!(client.service().retry_config().is_some());
     }
 
     #[test]

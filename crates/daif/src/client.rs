@@ -4,9 +4,7 @@ use crate::{actions, base64, WSDAIF_NS};
 use dais_core::messages as core_messages;
 use dais_core::{AbstractName, CoreClient, DaisClient};
 use dais_soap::addressing::Epr;
-use dais_soap::bus::Bus;
-use dais_soap::client::{CallError, ServiceClient};
-use dais_soap::retry::{RetryConfig, RetryPolicy};
+use dais_soap::client::{CallError, PendingReply, ServiceClient};
 use dais_xml::XmlElement;
 
 /// A typed consumer of WS-DAIF services. Wraps [`CoreClient`] (all the
@@ -17,24 +15,6 @@ pub struct FileClient {
 }
 
 impl FileClient {
-    /// Bind through an EPR from a factory response.
-    pub fn from_epr(bus: Bus, epr: Epr) -> FileClient {
-        FileClient { core: CoreClient::from_epr(bus, epr) }
-    }
-
-    /// Layer retry over this client for the WS-DAIF read operations.
-    /// Writes and deletes are never re-sent.
-    /// (Thin wrapper over [`DaisClient::with_retry`].)
-    pub fn with_retry(self, policy: RetryPolicy) -> FileClient {
-        DaisClient::with_retry(self, policy)
-    }
-
-    /// Layer retry with a caller-assembled configuration. (Thin wrapper
-    /// over [`DaisClient::with_retry_config`].)
-    pub fn with_retry_config(self, config: RetryConfig) -> FileClient {
-        DaisClient::with_retry_config(self, config)
-    }
-
     /// The WS-DAI core operations.
     pub fn core(&self) -> &CoreClient {
         &self.core
@@ -58,8 +38,7 @@ impl FileClient {
     /// `ReadFile`: the decoded contents of one file.
     pub fn read_file(&self, resource: &AbstractName, path: &str) -> Result<Vec<u8>, CallError> {
         let response = self
-            .core
-            .soap()
+            .service()
             .request(actions::READ_FILE, Self::path_request(resource, "ReadFileRequest", path))?;
         let encoded = response
             .child_text(WSDAIF_NS, "Contents")
@@ -78,7 +57,8 @@ impl FileClient {
     ) -> Vec<Result<Vec<u8>, CallError>> {
         let payloads =
             paths.iter().map(|p| Self::path_request(resource, "ReadFileRequest", p)).collect();
-        self.request_pipelined(actions::READ_FILE, payloads, window)
+        self.service()
+            .request_pipelined(actions::READ_FILE, payloads, window, PendingReply::wait)
             .into_iter()
             .map(|result| {
                 let encoded = result?.child_text(WSDAIF_NS, "Contents").ok_or_else(|| {
@@ -99,7 +79,7 @@ impl FileClient {
         let req = Self::path_request(resource, "WriteFileRequest", path).with_child(
             XmlElement::new(WSDAIF_NS, "wsdaif", "Contents").with_text(base64::encode(contents)),
         );
-        let response = self.core.soap().request(actions::WRITE_FILE, req)?;
+        let response = self.service().request(actions::WRITE_FILE, req)?;
         response
             .child_text(WSDAIF_NS, "Size")
             .and_then(|s| s.trim().parse().ok())
@@ -108,8 +88,7 @@ impl FileClient {
 
     /// `DeleteFile`.
     pub fn delete_file(&self, resource: &AbstractName, path: &str) -> Result<(), CallError> {
-        self.core
-            .soap()
+        self.service()
             .request(actions::DELETE_FILE, Self::path_request(resource, "DeleteFileRequest", path))
             .map(|_| ())
     }
@@ -122,7 +101,7 @@ impl FileClient {
     ) -> Result<Vec<(String, u64)>, CallError> {
         let req = core_messages::request("ListFilesRequest", resource)
             .with_child(XmlElement::new(WSDAIF_NS, "wsdaif", "Pattern").with_text(pattern));
-        let response = self.core.soap().request(actions::LIST_FILES, req)?;
+        let response = self.service().request(actions::LIST_FILES, req)?;
         Ok(Self::members_of(&response))
     }
 
@@ -132,7 +111,7 @@ impl FileClient {
         resource: &AbstractName,
     ) -> Result<XmlElement, CallError> {
         let req = core_messages::request("GetFilePropertyDocumentRequest", resource);
-        let response = self.core.soap().request(actions::GET_FILE_PROPERTY_DOCUMENT, req)?;
+        let response = self.service().request(actions::GET_FILE_PROPERTY_DOCUMENT, req)?;
         core_messages::property_document(&response).cloned()
     }
 
@@ -145,7 +124,7 @@ impl FileClient {
     ) -> Result<Epr, CallError> {
         let req = core_messages::request("FileSelectFactoryRequest", resource)
             .with_child(XmlElement::new(WSDAIF_NS, "wsdaif", "Pattern").with_text(pattern));
-        let response = self.core.soap().request(actions::FILE_SELECT_FACTORY, req)?;
+        let response = self.service().request(actions::FILE_SELECT_FACTORY, req)?;
         dais_core::factory::parse_factory_response(&response).map_err(CallError::Fault)
     }
 
@@ -161,7 +140,7 @@ impl FileClient {
                 XmlElement::new(WSDAIF_NS, "wsdaif", "StartPosition").with_text(start.to_string()),
             )
             .with_child(XmlElement::new(WSDAIF_NS, "wsdaif", "Count").with_text(count.to_string()));
-        let response = self.core.soap().request(actions::GET_FILE_SET_MEMBERS, req)?;
+        let response = self.service().request(actions::GET_FILE_SET_MEMBERS, req)?;
         Ok(Self::members_of(&response))
     }
 }
@@ -174,10 +153,6 @@ impl DaisClient for FileClient {
     fn from_service(service: ServiceClient) -> FileClient {
         FileClient { core: CoreClient::from_service(service) }
     }
-
-    fn service_mut(&mut self) -> &mut ServiceClient {
-        self.core.service_mut()
-    }
 }
 
 #[cfg(test)]
@@ -185,6 +160,7 @@ mod tests {
     use super::*;
     use crate::store::FileStore;
     use crate::{FileService, FileServiceOptions};
+    use dais_soap::bus::Bus;
 
     fn setup() -> (Bus, FileClient, AbstractName) {
         let bus = Bus::new();
@@ -219,7 +195,7 @@ mod tests {
         let (bus, client, root) = setup();
         let epr = client.file_select_factory(&root, "data/*").unwrap();
         let set = AbstractName::new(epr.resource_abstract_name().unwrap()).unwrap();
-        let via_epr = FileClient::from_epr(bus, epr);
+        let via_epr = FileClient::builder().bus(bus).epr(epr).build();
         let page = via_epr.get_file_set_members(&set, 1, 5).unwrap();
         assert_eq!(page, vec![("data/b.csv".into(), 3)]);
     }
@@ -238,8 +214,12 @@ mod tests {
 
     #[test]
     fn retrying_client_reads_through_core() {
-        let (_, client, root) = setup();
-        let client = client.with_retry(RetryPolicy::new(3));
+        let (bus, _, root) = setup();
+        let client = FileClient::builder()
+            .bus(bus)
+            .address("bus://files")
+            .retry(dais_soap::retry::RetryPolicy::new(3))
+            .build();
         // The retry layer is pass-through on a healthy service.
         assert_eq!(client.read_file(&root, "readme.txt").unwrap(), b"hello");
         let props = client.core().get_property_document(&root).unwrap();

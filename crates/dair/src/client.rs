@@ -4,12 +4,9 @@ use crate::messages::{self, actions, SqlResponseData};
 use dais_core::properties::names;
 use dais_core::{AbstractName, CoreClient, DaisClient};
 use dais_soap::addressing::Epr;
-use dais_soap::bus::Bus;
 use dais_soap::client::{CallError, ServiceClient};
-use dais_soap::retry::{RetryConfig, RetryPolicy};
 use dais_soap::Action;
 use dais_sql::{Rowset, SqlCommunicationArea, Value};
-use dais_util::pool::PooledBuf;
 use dais_xml::{ns, XmlElement};
 
 /// True when a statement only reads — the one class of `SQLExecute`
@@ -34,24 +31,6 @@ pub struct SqlClient {
 }
 
 impl SqlClient {
-    /// Bind through an EPR from a factory response.
-    pub fn from_epr(bus: Bus, epr: Epr) -> SqlClient {
-        SqlClient { core: CoreClient::from_epr(bus, epr) }
-    }
-
-    /// Layer retry over this client for the WS-DAIR read operations;
-    /// `SQLExecute` retries only when the statement is a SELECT. (Thin
-    /// wrapper over [`DaisClient::with_retry`].)
-    pub fn with_retry(self, policy: RetryPolicy) -> SqlClient {
-        DaisClient::with_retry(self, policy)
-    }
-
-    /// Layer retry with a caller-assembled configuration. (Thin wrapper
-    /// over [`DaisClient::with_retry_config`].)
-    pub fn with_retry_config(self, config: RetryConfig) -> SqlClient {
-        DaisClient::with_retry_config(self, config)
-    }
-
     /// The WS-DAI core operations.
     pub fn core(&self) -> &CoreClient {
         &self.core
@@ -65,8 +44,7 @@ impl SqlClient {
         req: &XmlElement,
         decode: impl FnOnce(&[u8]) -> Result<T, String>,
     ) -> Result<T, CallError> {
-        let mut reply = PooledBuf::take();
-        self.core.soap().request_bytes_into(action, req, &mut reply)?;
+        let reply = self.service().request_bytes(action, req, action.resendable())?;
         decode(&reply).map_err(CallError::UnexpectedResponse)
     }
 
@@ -80,7 +58,7 @@ impl SqlClient {
         window: usize,
         decode: impl Fn(&[u8]) -> Result<T, String>,
     ) -> Vec<Result<T, CallError>> {
-        self.core.soap().request_pipelined_with(action, payloads, window, |reply| {
+        self.service().request_pipelined(action, payloads, window, |reply| {
             decode(&reply.wait_bytes()?).map_err(CallError::UnexpectedResponse)
         })
     }
@@ -150,12 +128,10 @@ impl SqlClient {
         params: &[Value],
     ) -> Result<SqlResponseData, CallError> {
         let req = messages::sql_execute_request(resource, format_uri, sql, params);
-        let mut reply = PooledBuf::take();
-        self.core.soap().request_bytes_into_with_idempotency(
+        let reply = self.service().request_bytes(
             actions::SQL_EXECUTE,
             &req,
             statement_is_read_only(sql),
-            &mut reply,
         )?;
         SqlResponseData::from_reply_bytes(&reply).map_err(CallError::UnexpectedResponse)
     }
@@ -166,7 +142,7 @@ impl SqlClient {
         resource: &AbstractName,
     ) -> Result<XmlElement, CallError> {
         let req = dais_core::messages::request("GetSQLPropertyDocumentRequest", resource);
-        let response = self.core.soap().request(actions::GET_SQL_PROPERTY_DOCUMENT, req)?;
+        let response = self.service().request(actions::GET_SQL_PROPERTY_DOCUMENT, req)?;
         dais_core::messages::property_document(&response).cloned()
     }
 
@@ -189,7 +165,7 @@ impl SqlClient {
         if let Some(c) = configuration {
             req.push(c.to_xml());
         }
-        let response = self.core.soap().request(actions::SQL_EXECUTE_FACTORY, req)?;
+        let response = self.service().request(actions::SQL_EXECUTE_FACTORY, req)?;
         dais_core::factory::parse_factory_response(&response).map_err(CallError::Fault)
     }
 
@@ -215,7 +191,7 @@ impl SqlClient {
     ) -> Result<u64, CallError> {
         let mut req = dais_core::messages::request("GetSQLUpdateCountRequest", resource);
         req.push(XmlElement::new(ns::WSDAIR, "wsdair", "Index").with_text(index.to_string()));
-        let response = self.core.soap().request(actions::GET_SQL_UPDATE_COUNT, req)?;
+        let response = self.service().request(actions::GET_SQL_UPDATE_COUNT, req)?;
         response
             .child_text(ns::WSDAIR, "SQLUpdateCount")
             .and_then(|t| t.trim().parse().ok())
@@ -229,7 +205,7 @@ impl SqlClient {
         resource: &AbstractName,
     ) -> Result<Option<String>, CallError> {
         let req = dais_core::messages::request("GetSQLReturnValueRequest", resource);
-        let response = self.core.soap().request(actions::GET_SQL_RETURN_VALUE, req)?;
+        let response = self.service().request(actions::GET_SQL_RETURN_VALUE, req)?;
         Ok(response.child_text(ns::WSDAIR, "SQLReturnValue"))
     }
 
@@ -244,7 +220,7 @@ impl SqlClient {
         if let Some(n) = name {
             req.push(XmlElement::new(ns::WSDAIR, "wsdair", "ParameterName").with_text(n));
         }
-        let response = self.core.soap().request(actions::GET_SQL_OUTPUT_PARAMETER, req)?;
+        let response = self.service().request(actions::GET_SQL_OUTPUT_PARAMETER, req)?;
         Ok(response
             .children_named(ns::WSDAIR, "SQLOutputParameter")
             .map(|p| (p.attribute("name").unwrap_or_default().to_string(), p.text()))
@@ -290,8 +266,7 @@ impl SqlClient {
         resource: &AbstractName,
     ) -> Result<XmlElement, CallError> {
         let req = dais_core::messages::request("GetSQLResponsePropertyDocumentRequest", resource);
-        let response =
-            self.core.soap().request(actions::GET_SQL_RESPONSE_PROPERTY_DOCUMENT, req)?;
+        let response = self.service().request(actions::GET_SQL_RESPONSE_PROPERTY_DOCUMENT, req)?;
         dais_core::messages::property_document(&response).cloned()
     }
 
@@ -310,7 +285,7 @@ impl SqlClient {
         if let Some(n) = count {
             req.push(XmlElement::new(ns::WSDAIR, "wsdair", "Count").with_text(n.to_string()));
         }
-        let response = self.core.soap().request(actions::SQL_ROWSET_FACTORY, req)?;
+        let response = self.service().request(actions::SQL_ROWSET_FACTORY, req)?;
         dais_core::factory::parse_factory_response(&response).map_err(CallError::Fault)
     }
 
@@ -331,7 +306,7 @@ impl SqlClient {
         resource: &AbstractName,
     ) -> Result<XmlElement, CallError> {
         let req = dais_core::messages::request("GetRowsetPropertyDocumentRequest", resource);
-        let response = self.core.soap().request(actions::GET_ROWSET_PROPERTY_DOCUMENT, req)?;
+        let response = self.service().request(actions::GET_ROWSET_PROPERTY_DOCUMENT, req)?;
         dais_core::messages::property_document(&response).cloned()
     }
 }
@@ -344,10 +319,6 @@ impl DaisClient for SqlClient {
     fn from_service(service: ServiceClient) -> SqlClient {
         SqlClient { core: CoreClient::from_service(service) }
     }
-
-    fn service_mut(&mut self) -> &mut ServiceClient {
-        self.core.service_mut()
-    }
 }
 
 #[cfg(test)]
@@ -355,6 +326,7 @@ mod tests {
     use super::*;
     use crate::service::{RelationalService, RelationalServiceOptions};
     use dais_core::{ConfigurationDocument, Sensitivity};
+    use dais_soap::bus::Bus;
     use dais_sql::Database;
 
     fn setup() -> (Bus, SqlClient, AbstractName) {
@@ -429,7 +401,7 @@ mod tests {
         let response_name = AbstractName::new(epr.resource_abstract_name().unwrap()).unwrap();
 
         // Consumer 2 (via the EPR): inspect and derive a rowset.
-        let c2 = SqlClient::from_epr(bus.clone(), epr);
+        let c2 = SqlClient::builder().bus(bus.clone()).epr(epr).build();
         let rowset = c2.get_sql_rowset(&response_name, 1).unwrap();
         assert_eq!(rowset.row_count(), 3);
         let comm = c2.get_sql_communication_area(&response_name).unwrap();
@@ -441,7 +413,7 @@ mod tests {
         let rowset_name = AbstractName::new(rowset_epr.resource_abstract_name().unwrap()).unwrap();
 
         // Consumer 3: page tuples out of the rowset resource.
-        let c3 = SqlClient::from_epr(bus, rowset_epr);
+        let c3 = SqlClient::builder().bus(bus).epr(rowset_epr).build();
         let page = c3.get_tuples(&rowset_name, 0, 1).unwrap();
         assert_eq!(page.row_count(), 1);
         let page = c3.get_tuples(&rowset_name, 1, 10).unwrap();

@@ -4,9 +4,7 @@ use crate::messages::{self, actions};
 use dais_core::properties::names;
 use dais_core::{AbstractName, CoreClient, DaisClient};
 use dais_soap::addressing::Epr;
-use dais_soap::bus::Bus;
-use dais_soap::client::{CallError, ServiceClient};
-use dais_soap::retry::{RetryConfig, RetryPolicy};
+use dais_soap::client::{CallError, PendingReply, ServiceClient};
 use dais_xml::{ns, XmlElement};
 
 /// A typed consumer of WS-DAIX services.
@@ -16,22 +14,6 @@ pub struct XmlClient {
 }
 
 impl XmlClient {
-    pub fn from_epr(bus: Bus, epr: Epr) -> XmlClient {
-        XmlClient { core: CoreClient::from_epr(bus, epr) }
-    }
-
-    /// Layer retry over this client for the WS-DAIX read operations.
-    /// (Thin wrapper over [`DaisClient::with_retry`].)
-    pub fn with_retry(self, policy: RetryPolicy) -> XmlClient {
-        DaisClient::with_retry(self, policy)
-    }
-
-    /// Layer retry with a caller-assembled configuration. (Thin wrapper
-    /// over [`DaisClient::with_retry_config`].)
-    pub fn with_retry_config(self, config: RetryConfig) -> XmlClient {
-        DaisClient::with_retry_config(self, config)
-    }
-
     /// The WS-DAI core operations.
     pub fn core(&self) -> &CoreClient {
         &self.core
@@ -44,7 +26,7 @@ impl XmlClient {
         documents: &[(String, XmlElement)],
     ) -> Result<Vec<(String, String)>, CallError> {
         let req = messages::add_documents_request(collection, documents);
-        let response = self.core.soap().request(actions::ADD_DOCUMENTS, req)?;
+        let response = self.service().request(actions::ADD_DOCUMENTS, req)?;
         Ok(response
             .children_named(ns::WSDAIX, "Result")
             .map(|r| {
@@ -73,7 +55,8 @@ impl XmlClient {
                 messages::document_names_request("GetDocumentsRequest", collection, &[*name])
             })
             .collect();
-        self.request_pipelined(actions::GET_DOCUMENTS, payloads, window)
+        self.service()
+            .request_pipelined(actions::GET_DOCUMENTS, payloads, window, PendingReply::wait)
             .into_iter()
             .map(|result| {
                 let response = result?;
@@ -96,7 +79,7 @@ impl XmlClient {
         names: &[&str],
     ) -> Result<Vec<(String, XmlElement)>, CallError> {
         let req = messages::document_names_request("GetDocumentsRequest", collection, names);
-        let response = self.core.soap().request(actions::GET_DOCUMENTS, req)?;
+        let response = self.service().request(actions::GET_DOCUMENTS, req)?;
         let mut out = Vec::new();
         for d in response.children_named(ns::WSDAIX, "Document") {
             let name = d
@@ -119,7 +102,7 @@ impl XmlClient {
         names: &[&str],
     ) -> Result<u64, CallError> {
         let req = messages::document_names_request("RemoveDocumentsRequest", collection, names);
-        let response = self.core.soap().request(actions::REMOVE_DOCUMENTS, req)?;
+        let response = self.service().request(actions::REMOVE_DOCUMENTS, req)?;
         response
             .child_text(ns::WSDAIX, "RemovedCount")
             .and_then(|t| t.trim().parse().ok())
@@ -135,7 +118,7 @@ impl XmlClient {
     ) -> Result<AbstractName, CallError> {
         let req = dais_core::messages::request("CreateSubcollectionRequest", collection)
             .with_child(XmlElement::new(ns::WSDAIX, "wsdaix", "CollectionName").with_text(name));
-        let response = self.core.soap().request(actions::CREATE_SUBCOLLECTION, req)?;
+        let response = self.service().request(actions::CREATE_SUBCOLLECTION, req)?;
         let text = names::DATA_RESOURCE_ABSTRACT_NAME
             .text_in(&response)
             .ok_or_else(|| CallError::UnexpectedResponse("no abstract name in response".into()))?;
@@ -150,7 +133,7 @@ impl XmlClient {
     ) -> Result<(), CallError> {
         let req = dais_core::messages::request("RemoveSubcollectionRequest", collection)
             .with_child(XmlElement::new(ns::WSDAIX, "wsdaix", "CollectionName").with_text(name));
-        self.core.soap().request(actions::REMOVE_SUBCOLLECTION, req).map(|_| ())
+        self.service().request(actions::REMOVE_SUBCOLLECTION, req).map(|_| ())
     }
 
     /// `GetCollectionPropertyDocument`.
@@ -159,7 +142,7 @@ impl XmlClient {
         collection: &AbstractName,
     ) -> Result<XmlElement, CallError> {
         let req = dais_core::messages::request("GetCollectionPropertyDocumentRequest", collection);
-        let response = self.core.soap().request(actions::GET_COLLECTION_PROPERTY_DOCUMENT, req)?;
+        let response = self.service().request(actions::GET_COLLECTION_PROPERTY_DOCUMENT, req)?;
         dais_core::messages::property_document(&response).cloned()
     }
 
@@ -177,7 +160,7 @@ impl XmlClient {
         expression: &str,
     ) -> Result<Vec<XmlElement>, CallError> {
         let req = messages::query_request("XPathExecuteRequest", collection, expression);
-        let response = self.core.soap().request(actions::XPATH_EXECUTE, req)?;
+        let response = self.service().request(actions::XPATH_EXECUTE, req)?;
         Ok(Self::items_of(&response))
     }
 
@@ -188,7 +171,7 @@ impl XmlClient {
         expression: &str,
     ) -> Result<Vec<XmlElement>, CallError> {
         let req = messages::query_request("XQueryExecuteRequest", collection, expression);
-        let response = self.core.soap().request(actions::XQUERY_EXECUTE, req)?;
+        let response = self.service().request(actions::XQUERY_EXECUTE, req)?;
         Ok(Self::items_of(&response))
     }
 
@@ -199,7 +182,7 @@ impl XmlClient {
         modifications: XmlElement,
     ) -> Result<u64, CallError> {
         let req = messages::xupdate_request(collection, modifications);
-        let response = self.core.soap().request(actions::XUPDATE_EXECUTE, req)?;
+        let response = self.service().request(actions::XUPDATE_EXECUTE, req)?;
         response
             .child_text(ns::WSDAIX, "ModifiedCount")
             .and_then(|t| t.trim().parse().ok())
@@ -214,7 +197,7 @@ impl XmlClient {
         expression: &str,
     ) -> Result<Epr, CallError> {
         let req = messages::query_request("XPathExecuteFactoryRequest", collection, expression);
-        let response = self.core.soap().request(actions::XPATH_EXECUTE_FACTORY, req)?;
+        let response = self.service().request(actions::XPATH_EXECUTE_FACTORY, req)?;
         dais_core::factory::parse_factory_response(&response).map_err(CallError::Fault)
     }
 
@@ -225,7 +208,7 @@ impl XmlClient {
         expression: &str,
     ) -> Result<Epr, CallError> {
         let req = messages::query_request("XQueryExecuteFactoryRequest", collection, expression);
-        let response = self.core.soap().request(actions::XQUERY_EXECUTE_FACTORY, req)?;
+        let response = self.service().request(actions::XQUERY_EXECUTE_FACTORY, req)?;
         dais_core::factory::parse_factory_response(&response).map_err(CallError::Fault)
     }
 
@@ -237,7 +220,7 @@ impl XmlClient {
         count: usize,
     ) -> Result<Vec<XmlElement>, CallError> {
         let req = messages::get_items_request(sequence, start, count);
-        let response = self.core.soap().request(actions::GET_ITEMS, req)?;
+        let response = self.service().request(actions::GET_ITEMS, req)?;
         Ok(Self::items_of(&response))
     }
 
@@ -247,7 +230,7 @@ impl XmlClient {
         sequence: &AbstractName,
     ) -> Result<XmlElement, CallError> {
         let req = dais_core::messages::request("GetSequencePropertyDocumentRequest", sequence);
-        let response = self.core.soap().request(actions::GET_SEQUENCE_PROPERTY_DOCUMENT, req)?;
+        let response = self.service().request(actions::GET_SEQUENCE_PROPERTY_DOCUMENT, req)?;
         dais_core::messages::property_document(&response).cloned()
     }
 }
@@ -260,16 +243,13 @@ impl DaisClient for XmlClient {
     fn from_service(service: ServiceClient) -> XmlClient {
         XmlClient { core: CoreClient::from_service(service) }
     }
-
-    fn service_mut(&mut self) -> &mut ServiceClient {
-        self.core.service_mut()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::service::{XmlService, XmlServiceOptions};
+    use dais_soap::bus::Bus;
     use dais_xml::parse;
     use dais_xmldb::XmlDatabase;
 
@@ -397,7 +377,7 @@ mod tests {
             .unwrap();
         let epr = client.xpath_factory(&root, "/book/title").unwrap();
         let seq_name = AbstractName::new(epr.resource_abstract_name().unwrap()).unwrap();
-        let c2 = XmlClient::from_epr(bus, epr);
+        let c2 = XmlClient::builder().bus(bus).epr(epr).build();
         let doc = c2.get_sequence_property_document(&seq_name).unwrap();
         assert_eq!(doc.child_text(ns::WSDAIX, "NumberOfItems").as_deref(), Some("3"));
         let page = c2.get_items(&seq_name, 0, 2).unwrap();

@@ -204,9 +204,12 @@ impl DataResource for FederatedRowsetResource {
 
 /// Scatter one request per shard — concurrently, via
 /// [`scatter_shards`], so one slow or backing-off shard does not stall
-/// the gather of its siblings — and collect the serialised reply pages
-/// in shard order. Each shard call runs through [`call_shard`], so replica
-/// failover and health marking apply per shard.
+/// the gather of its siblings — and collect each leg's own reply buffer
+/// in shard order, detached from the buffer pool: the legs' threads end
+/// with the scatter, and pooling their buffers on the gathering thread
+/// instead measured slower on `fed_scan`. Each shard call runs through
+/// [`call_shard`], so replica failover and health marking apply per
+/// shard.
 fn scatter_pages(
     bus: &Bus,
     router: &ShardRouter,
@@ -216,10 +219,7 @@ fn scatter_pages(
 ) -> Result<Vec<Vec<u8>>, Fault> {
     scatter_shards(router.shards(), |s| {
         call_shard(bus, router, s, retry, |client, r| {
-            let req = request_for(s, r)?;
-            let mut buf = Vec::new();
-            client.request_bytes_into(action, &req, &mut buf)?;
-            Ok(buf)
+            Ok(client.request_bytes(action, &request_for(s, r)?, action.resendable())?.into_inner())
         })
     })
     .into_iter()

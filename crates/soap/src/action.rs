@@ -21,7 +21,7 @@ pub enum Access {
     Write,
     /// The payload decides (`SQLExecute`: a SELECT reads, an INSERT
     /// writes). Re-sent only when the caller vouches for the payload, via
-    /// [`ServiceClient::request_bytes_into_with_idempotency`](crate::ServiceClient::request_bytes_into_with_idempotency).
+    /// [`ServiceClient::request_bytes`](crate::ServiceClient::request_bytes).
     Statement,
 }
 
@@ -57,9 +57,15 @@ impl Action {
         self.uri
     }
 
-    /// Whether the action may be re-sent.
+    /// How the action treats resource state.
     pub const fn access(self) -> Access {
         self.access
+    }
+
+    /// Whether the action, whatever its payload, may be re-sent after an
+    /// ambiguous failure: only an [`Access::Read`] action may.
+    pub const fn resendable(self) -> bool {
+        matches!(self.access, Access::Read)
     }
 }
 

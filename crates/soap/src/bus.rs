@@ -343,22 +343,6 @@ impl Bus {
         self.call_async(to, action, request)?.wait()
     }
 
-    /// Like [`Bus::call`], but append the serialised reply envelope to
-    /// `out` instead of parsing it — for bulk-data consumers that decode
-    /// with a streaming parser. Same exchange, same fault classification
-    /// and billing; only the final step differs.
-    #[allow(clippy::type_complexity)]
-    pub fn call_bytes_into(
-        &self,
-        to: &str,
-        action: &str,
-        request: &Envelope,
-        out: &mut Vec<u8>,
-    ) -> Result<Result<(), Fault>, BusError> {
-        let reply = self.call_async(to, action, request)?.wait_bytes()?;
-        Ok(reply.map(|bytes| out.extend_from_slice(&bytes)))
-    }
-
     /// Send a request without waiting for the reply: the one entry point
     /// every call shape goes through. The returned [`Pending`] resolves
     /// to the reply bytes of the exchange (or the fault they carried).
@@ -1014,15 +998,15 @@ mod tests {
     }
 
     #[test]
-    fn call_bytes_matches_call_wire_bytes() {
+    fn wait_bytes_matches_call_wire_bytes() {
         let bus = echo_bus();
         let env = Envelope::with_body(XmlElement::new_local("m").with_text("payload"));
-        let mut raw = Vec::new();
-        bus.call_bytes_into("bus://svc", "urn:echo", &env, &mut raw).unwrap().unwrap();
+        let raw =
+            bus.call_async("bus://svc", "urn:echo", &env).unwrap().wait_bytes().unwrap().unwrap();
         let parsed = bus.call("bus://svc", "urn:echo", &env).unwrap().unwrap();
         let mut expected = Vec::new();
         parsed.to_bytes_into(&mut expected);
-        assert_eq!(raw, expected);
+        assert_eq!(*raw, expected);
         assert_eq!(Envelope::from_bytes(&raw).unwrap(), parsed);
         // Both lanes billed the same traffic.
         let s = bus.stats();
@@ -1031,29 +1015,28 @@ mod tests {
     }
 
     #[test]
-    fn call_bytes_classifies_faults_like_call() {
+    fn wait_bytes_classifies_faults_like_call() {
         let bus = echo_bus();
-        let mut raw = Vec::new();
-        let fault = bus
-            .call_bytes_into("bus://svc", "urn:fail", &Envelope::default(), &mut raw)
-            .unwrap()
-            .unwrap_err();
+        let pending = bus.call_async("bus://svc", "urn:fail", &Envelope::default()).unwrap();
+        // A fault resolves to the fault alone: no reply bytes reach the
+        // caller.
+        let Err(fault) = pending.wait_bytes().unwrap() else { panic!("fault read as data") };
         assert_eq!(fault.reason, "boom");
-        assert!(raw.is_empty());
         assert_eq!(bus.stats().faults, 1);
     }
 
     #[test]
-    fn call_bytes_under_executor_matches_inline() {
+    fn wait_bytes_under_executor_matches_inline() {
         let bus = echo_bus();
         let env = Envelope::with_body(XmlElement::new_local("m").with_text("queued"));
-        let mut inline = Vec::new();
-        bus.call_bytes_into("bus://svc", "urn:echo", &env, &mut inline).unwrap().unwrap();
+        let bytes = |bus: &Bus| {
+            bus.call_async("bus://svc", "urn:echo", &env).unwrap().wait_bytes().unwrap().unwrap()
+        };
+        let inline = bytes(&bus);
         bus.install_executor(ExecutorConfig { workers: 2, ..Default::default() });
-        let mut queued = Vec::new();
-        bus.call_bytes_into("bus://svc", "urn:echo", &env, &mut queued).unwrap().unwrap();
+        let queued = bytes(&bus);
         bus.shutdown_executor();
-        assert_eq!(queued, inline);
+        assert_eq!(*queued, *inline);
         assert_eq!(Envelope::from_bytes(&queued).unwrap(), env);
     }
 

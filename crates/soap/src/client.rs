@@ -1,7 +1,7 @@
 //! Consumer-side helper: address a service (optionally via an EPR with
 //! reference parameters) and exchange request/response payloads.
 
-use crate::action::{Access, Action};
+use crate::action::Action;
 use crate::addressing::{message_headers, Epr};
 use crate::bus::{Bus, BusError};
 use crate::envelope::Envelope;
@@ -86,10 +86,10 @@ impl ServiceClient {
         ServiceClient { bus, epr, retry: None }
     }
 
-    /// Layer retry behaviour over this client. Only [`Access::Read`]
-    /// actions are ever re-sent (see
-    /// [`request_bytes_into_with_idempotency`](Self::request_bytes_into_with_idempotency)
-    /// for per-call verdicts on [`Access::Statement`] actions).
+    /// Layer retry behaviour over this client. Only actions the caller
+    /// may re-send are retried: [`Action::resendable`] ones on
+    /// [`request`](Self::request), and whatever the caller vouches for on
+    /// [`request_bytes`](Self::request_bytes).
     pub fn with_retry(mut self, config: RetryConfig) -> Self {
         self.retry = Some(config);
         self
@@ -112,76 +112,51 @@ impl ServiceClient {
 
     /// Send `payload` with the given SOAP action and return the response
     /// payload element. Retries (if configured) apply when the action is
-    /// an [`Access::Read`].
+    /// [`resendable`](Action::resendable).
     pub fn request(&self, action: Action, payload: XmlElement) -> Result<XmlElement, CallError> {
-        self.request_retrying(action, action.access() == Access::Read, |parent| {
-            let env = self.build_envelope(action, &payload, parent);
-            extract_payload(self.bus.call(&self.epr.address, action.uri(), &env)??)
+        self.request_retrying(action, action.resendable(), |parent| {
+            extract_payload(self.attempt(action, &payload, parent)?.wait()??)
         })
     }
 
-    /// Like [`request`](Self::request), but append the serialised
-    /// response envelope to `out` instead of parsing a payload tree —
-    /// for bulk data the caller decodes with a streaming parser (see
-    /// [`Bus::call_bytes_into`]). Faults and retries behave exactly as
-    /// on [`request`](Self::request), and a retried attempt truncates
-    /// `out` back to its entry length first.
-    pub fn request_bytes_into(
-        &self,
-        action: Action,
-        payload: &XmlElement,
-        out: &mut Vec<u8>,
-    ) -> Result<(), CallError> {
-        let idempotent = action.access() == Access::Read;
-        self.request_bytes_into_with_idempotency(action, payload, idempotent, out)
-    }
-
-    /// Like [`request_bytes_into`](Self::request_bytes_into) but with
-    /// the idempotency verdict supplied by the caller — for operations
-    /// whose safety depends on the payload (a `SQLExecute` carrying a
-    /// SELECT re-sends safely; one carrying an INSERT must not).
-    pub fn request_bytes_into_with_idempotency(
+    /// Like [`request`](Self::request), but return the serialised
+    /// response envelope (the exchange's own pooled reply buffer)
+    /// instead of parsing a payload tree — for bulk data the caller
+    /// decodes with a streaming parser. `idempotent` is the caller's
+    /// verdict on whether this payload may be re-sent: an action's
+    /// [`resendable`](Action::resendable), or, for an
+    /// [`Access::Statement`](crate::Access::Statement) action, what the
+    /// payload does (a `SQLExecute` carrying a SELECT re-sends safely; one
+    /// carrying an INSERT must not).
+    pub fn request_bytes(
         &self,
         action: Action,
         payload: &XmlElement,
         idempotent: bool,
-        out: &mut Vec<u8>,
-    ) -> Result<(), CallError> {
-        let mark = out.len();
+    ) -> Result<PooledBuf, CallError> {
         self.request_retrying(action, idempotent, |parent| {
-            let env = self.build_envelope(action, payload, parent);
-            out.truncate(mark);
-            self.bus.call_bytes_into(&self.epr.address, action.uri(), &env, out)??;
-            Ok(())
+            Ok(self.attempt(action, payload, parent)?.wait_bytes()??)
         })
     }
 
-    /// The root span plus the retry loop shared by every request shape.
-    /// Every attempt's `wsa:MessageID` carries a context from this
-    /// trace, so the bus legs and the service dispatch all correlate.
-    /// Inert (one atomic load, no allocation) when the bus's tracer is
-    /// off.
+    /// The retry loop shared by every resolving request shape, under the
+    /// root span. Every attempt's `wsa:MessageID` carries a context from
+    /// this trace, so the bus legs and the service dispatch all
+    /// correlate. Each attempt resolves inside `once`, so a reply that
+    /// fails to parse is retried like any other transport error.
     fn request_retrying<T>(
         &self,
         action: Action,
         idempotent: bool,
         mut once: impl FnMut(Option<TraceContext>) -> Result<T, CallError>,
     ) -> Result<T, CallError> {
-        let tracer = &self.bus.obs().tracer;
-        let call_span = if tracer.enabled() {
-            let mut span = tracer.span(span_names::CLIENT_CALL, None);
-            span.attr("to", &self.epr.address);
-            span.attr("action", action.uri());
-            span
-        } else {
-            SpanHandle::inert()
-        };
-
+        let call_span = self.call_span(action);
         let Some(config) = self.retry.as_ref().filter(|_| idempotent) else {
             let result = once(call_span.ctx());
             finish_call_span(call_span, result.is_ok(), 1);
             return result;
         };
+        let tracer = &self.bus.obs().tracer;
         let mut slept = Duration::ZERO;
         let mut attempt: u32 = 1;
         // The span the in-flight attempt hangs off: the root for attempt
@@ -237,16 +212,30 @@ impl ServiceClient {
         }
     }
 
-    /// The one addressed envelope every request shape sends: payload in
-    /// the body, WS-Addressing headers (plus the EPR's reference
-    /// parameters), and — only while tracing — the caller's context as
-    /// `wsa:MessageID`, so the bus and service join the caller's trace.
-    fn build_envelope(
+    /// The root `client.call` span of one operation. Inert (one atomic
+    /// load, no allocation) when the bus's tracer is off.
+    fn call_span(&self, action: Action) -> SpanHandle {
+        let tracer = &self.bus.obs().tracer;
+        if !tracer.enabled() {
+            return SpanHandle::inert();
+        }
+        let mut span = tracer.span(span_names::CLIENT_CALL, None);
+        span.attr("to", &self.epr.address);
+        span.attr("action", action.uri());
+        span
+    }
+
+    /// One send, the only place a request leaves this client: the
+    /// addressed envelope — payload in the body, WS-Addressing headers
+    /// (plus the EPR's reference parameters), and, only while tracing,
+    /// the caller's context as `wsa:MessageID` so the bus and service
+    /// join the caller's trace — handed to [`Bus::call_async`].
+    fn attempt(
         &self,
         action: Action,
         payload: &XmlElement,
         trace_parent: Option<TraceContext>,
-    ) -> Envelope {
+    ) -> Result<Pending, CallError> {
         let mut env = Envelope::with_body(payload.clone());
         for h in message_headers(&self.epr.address, action.uri(), &self.epr.reference_parameters) {
             env.add_header(h);
@@ -254,7 +243,7 @@ impl ServiceClient {
         if let Some(ctx) = trace_parent {
             env.add_header(XmlElement::new(ns::WSA, "wsa", "MessageID").with_text(ctx.encode()));
         }
-        env
+        Ok(self.bus.call_async(&self.epr.address, action.uri(), &env)?)
     }
 
     /// Send a request without waiting for its reply: the pipelined path.
@@ -268,54 +257,30 @@ impl ServiceClient {
     pub fn call_async(
         &self,
         action: Action,
-        payload: XmlElement,
+        payload: &XmlElement,
     ) -> Result<PendingReply, CallError> {
-        self.submit(action, &payload)
-    }
-
-    fn submit(&self, action: Action, payload: &XmlElement) -> Result<PendingReply, CallError> {
-        let tracer = &self.bus.obs().tracer;
-        let mut call_span = if tracer.enabled() {
-            let mut span = tracer.span(span_names::CLIENT_CALL, None);
-            span.attr("to", &self.epr.address);
-            span.attr("action", action.uri());
-            span
-        } else {
-            SpanHandle::inert()
-        };
-        let env = self.build_envelope(action, payload, call_span.ctx());
-        match self.bus.call_async(&self.epr.address, action.uri(), &env) {
-            Ok(pending) => Ok(PendingReply { pending, span: call_span }),
+        let mut span = self.call_span(action);
+        match self.attempt(action, payload, span.ctx()) {
+            Ok(pending) => Ok(PendingReply { pending, span }),
             Err(e) => {
-                call_span.attr("outcome", "error");
-                Err(e.into())
+                span.attr("outcome", "error");
+                Err(e)
             }
         }
     }
 
     /// Send one action against many payloads, keeping up to `window`
-    /// requests in flight, and return one response payload per request
-    /// in input order.
-    pub fn request_pipelined(
-        &self,
-        action: Action,
-        payloads: Vec<XmlElement>,
-        window: usize,
-    ) -> Vec<Result<XmlElement, CallError>> {
-        self.request_pipelined_with(action, payloads, window, PendingReply::wait)
-    }
-
-    /// [`request_pipelined`](Self::request_pipelined) with the caller
-    /// choosing how each reply resolves — `PendingReply::wait` for a
-    /// payload tree, or [`PendingReply::wait_bytes`] plus a streaming
-    /// decode for bulk data.
+    /// requests in flight, and return one result per request in input
+    /// order, each reply resolved by `resolve` — [`PendingReply::wait`]
+    /// for a payload tree, or [`PendingReply::wait_bytes`] plus a
+    /// streaming decode for bulk data.
     ///
     /// Backpressure is cooperative: when the endpoint sheds a submit
     /// ([`BusError::Overloaded`]), the oldest in-flight reply is drained
     /// first (freeing queue space and pacing the producer); with nothing
     /// left to drain the client sleeps the refusal's retry-after hint —
     /// a bounded number of times — before giving up on that payload.
-    pub fn request_pipelined_with<T>(
+    pub fn request_pipelined<T>(
         &self,
         action: Action,
         payloads: Vec<XmlElement>,
@@ -339,7 +304,7 @@ impl ServiceClient {
             }
             let mut shed_waits: u32 = 0;
             let outcome = loop {
-                match self.submit(action, &payload) {
+                match self.call_async(action, &payload) {
                     Ok(reply) => break Ok(reply),
                     Err(err) => {
                         let Some(hint) = retry_after_hint(&err) else { break Err(err) };
@@ -650,7 +615,8 @@ mod tests {
         let client = ServiceClient::new(bus.clone(), "bus://svc");
         let payloads: Vec<XmlElement> =
             (0..24).map(|i| XmlElement::new_local("q").with_text(format!("{i}"))).collect();
-        let results = client.request_pipelined(actions::ECHO, payloads.clone(), 8);
+        let results =
+            client.request_pipelined(actions::ECHO, payloads.clone(), 8, PendingReply::wait);
         assert_eq!(results.len(), 24);
         for (i, r) in results.into_iter().enumerate() {
             assert_eq!(r.unwrap().text(), format!("{i}"));
@@ -677,7 +643,7 @@ mod tests {
         let client = ServiceClient::new(bus.clone(), "bus://svc");
         let payloads: Vec<XmlElement> =
             (0..40).map(|i| XmlElement::new_local("q").with_text(format!("{i}"))).collect();
-        let results = client.request_pipelined(actions::ECHO, payloads, 8);
+        let results = client.request_pipelined(actions::ECHO, payloads, 8, PendingReply::wait);
         for (i, r) in results.into_iter().enumerate() {
             assert_eq!(r.unwrap().text(), format!("{i}"));
         }
@@ -760,15 +726,8 @@ mod tests {
         let (client, _) = retrying_client(bus, 4);
         // `urn:write` is a write, but the caller vouches for this
         // particular payload.
-        let mut reply = Vec::new();
-        client
-            .request_bytes_into_with_idempotency(
-                actions::WRITE,
-                &XmlElement::new_local("q"),
-                true,
-                &mut reply,
-            )
-            .unwrap();
+        let reply =
+            client.request_bytes(actions::WRITE, &XmlElement::new_local("q"), true).unwrap();
         assert_eq!(Envelope::from_bytes(&reply).unwrap().payload().unwrap().name.local, "ok");
     }
 }

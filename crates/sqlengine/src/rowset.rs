@@ -234,6 +234,12 @@ impl Default for RowsetWriter {
     }
 }
 
+/// The metadata shapes the decoder refuses rather than guess at.
+const NO_METADATA: &str = "webRowSet missing metadata";
+const TWO_METADATA: &str = "webRowSet with two metadata blocks";
+const TWO_NAMES: &str = "column with two names";
+const TWO_TYPES: &str = "column with two types";
+
 fn malformed(e: dais_xml::XmlError) -> SqlError {
     invalid(format!("malformed webRowSet: {e}"))
 }
@@ -280,17 +286,26 @@ impl<'a> RowsetCursor<'a> {
         }
         let prefix = parser.open_name().and_then(|raw| raw.split_once(':')).map_or("", |(p, _)| p);
         let mut cursor = RowsetCursor { parser, columns: Vec::new(), in_data: false, prefix };
-        // Metadata precedes data in the byte shape the writer produces,
-        // but tolerate reordering and unknown siblings.
+        // One metadata block, before the data, as the writer writes them;
+        // unknown siblings are skipped.
+        let mut metadata = false;
         while let Some(child) = cursor.next_child()? {
             match child {
-                "metadata" => cursor.read_metadata()?,
-                "data" => {
+                "metadata" if metadata => return Err(invalid(TWO_METADATA)),
+                "metadata" => {
+                    cursor.read_metadata()?;
+                    metadata = true;
+                }
+                "data" if metadata => {
                     cursor.in_data = true;
                     break;
                 }
+                "data" => break,
                 _ => cursor.skip()?,
             }
+        }
+        if !metadata {
+            return Err(invalid(NO_METADATA));
         }
         Ok(cursor)
     }
@@ -339,6 +354,8 @@ impl<'a> RowsetCursor<'a> {
             let mut ty = None;
             while let Some(field) = self.next_child()? {
                 match field {
+                    "column-name" if name.is_some() => return Err(invalid(TWO_NAMES)),
+                    "column-type" if ty.is_some() => return Err(invalid(TWO_TYPES)),
                     "column-name" => name = Some(self.text()?.into_owned()),
                     "column-type" => {
                         let ty_name = self.text()?;
@@ -382,7 +399,10 @@ impl<'a> RowsetCursor<'a> {
         }
         // `data` closed: consume the rest of the document element.
         self.in_data = false;
-        while self.next_child()?.is_some() {
+        while let Some(child) = self.next_child()? {
+            if child == "metadata" {
+                return Err(invalid(TWO_METADATA));
+            }
             self.skip()?;
         }
         Ok(false)
@@ -494,15 +514,12 @@ mod tests {
         if !root.name.is(ns::ROWSET, "webRowSet") {
             return Err(invalid(format!("expected wrs:webRowSet, found {}", root.name)));
         }
-        let metadata = root
-            .child(ns::ROWSET, "metadata")
-            .ok_or_else(|| invalid("webRowSet missing metadata"))?;
+        let metadata = reference_metadata(root)?;
         let mut columns = Vec::new();
         for def in metadata.children_named(ns::ROWSET, "column-definition") {
-            let name = def
-                .child_text(ns::ROWSET, "column-name")
+            let name = reference_field(def, "column-name", TWO_NAMES)?
                 .ok_or_else(|| invalid("column without a name"))?;
-            let ty_name = def.child_text(ns::ROWSET, "column-type").unwrap_or_default();
+            let ty_name = reference_field(def, "column-type", TWO_TYPES)?.unwrap_or_default();
             let ty = SqlType::parse(&ty_name)
                 .ok_or_else(|| invalid(format!("unknown column type '{ty_name}'")))?;
             columns.push(RowsetColumn { name, ty });
@@ -519,7 +536,7 @@ mod tests {
                     } else if let Some(v) = cell.attribute("value") {
                         row.push(Value::parse_typed(v.into(), column.ty)?);
                     } else {
-                        row.push(Value::parse_typed(cell.text().into(), column.ty)?);
+                        row.push(Value::parse_typed(reference_text(cell)?.into(), column.ty)?);
                     }
                 }
                 if row.len() != rowset.columns.len() {
@@ -529,6 +546,41 @@ mod tests {
             }
         }
         Ok(rowset)
+    }
+
+    /// The one metadata block, which must come before any data block.
+    fn reference_metadata(root: &XmlElement) -> Result<&XmlElement, SqlError> {
+        let metadata = root
+            .elements()
+            .find(|e| e.name.is(ns::ROWSET, "metadata") || e.name.is(ns::ROWSET, "data"))
+            .filter(|e| e.name.is(ns::ROWSET, "metadata"))
+            .ok_or_else(|| invalid(NO_METADATA))?;
+        if root.children_named(ns::ROWSET, "metadata").nth(1).is_some() {
+            return Err(invalid(TWO_METADATA));
+        }
+        Ok(metadata)
+    }
+
+    /// The text of `def`'s one `local` field, if it has one.
+    fn reference_field(
+        def: &XmlElement,
+        local: &str,
+        twice: &str,
+    ) -> Result<Option<String>, SqlError> {
+        let mut fields = def.children_named(ns::ROWSET, local);
+        let field = fields.next().map(reference_text).transpose()?;
+        match fields.next() {
+            Some(_) => Err(invalid(twice)),
+            None => Ok(field),
+        }
+    }
+
+    /// An element's text, refusing child elements as a text cell does.
+    fn reference_text(el: &XmlElement) -> Result<String, SqlError> {
+        match el.elements().next() {
+            Some(child) => Err(invalid(format!("unexpected child element <{}>", child.name))),
+            None => Ok(el.text()),
+        }
     }
 
     /// The element tree of a rowset, as the tree encoder the writer
@@ -751,6 +803,55 @@ mod tests {
                      </wrs:currentRow>",
                 ),
             ),
+            ("no metadata", format!("<wrs:webRowSet {WRS}><wrs:data></wrs:data></wrs:webRowSet>")),
+            ("no metadata or data", format!("<wrs:webRowSet {WRS}/>")),
+            (
+                "data before metadata",
+                format!(
+                    "<wrs:webRowSet {WRS}><wrs:data/><wrs:metadata>{int_column}</wrs:metadata>\
+                     </wrs:webRowSet>"
+                ),
+            ),
+            (
+                "two metadata blocks",
+                format!(
+                    "<wrs:webRowSet {WRS}><wrs:metadata>{int_column}</wrs:metadata>\
+                     <wrs:metadata>{int_column}</wrs:metadata><wrs:data/></wrs:webRowSet>"
+                ),
+            ),
+            (
+                "a metadata block after the data",
+                format!(
+                    "<wrs:webRowSet {WRS}><wrs:metadata>{int_column}</wrs:metadata>\
+                     <wrs:data/><wrs:metadata/></wrs:webRowSet>"
+                ),
+            ),
+            (
+                "column with two names",
+                doc(
+                    "<wrs:column-definition><wrs:column-name>n</wrs:column-name>\
+                     <wrs:column-name>m</wrs:column-name>\
+                     <wrs:column-type>INTEGER</wrs:column-type></wrs:column-definition>",
+                    "",
+                ),
+            ),
+            (
+                "column with two types",
+                doc(
+                    "<wrs:column-definition><wrs:column-name>n</wrs:column-name>\
+                     <wrs:column-type>INTEGER</wrs:column-type>\
+                     <wrs:column-type>VARCHAR</wrs:column-type></wrs:column-definition>",
+                    "",
+                ),
+            ),
+            (
+                "element inside a text cell",
+                doc(
+                    "<wrs:column-definition><wrs:column-name>n</wrs:column-name>\
+                     <wrs:column-type>VARCHAR</wrs:column-type></wrs:column-definition>",
+                    "<wrs:currentRow><wrs:columnValue>a<b/></wrs:columnValue></wrs:currentRow>",
+                ),
+            ),
             ("truncated in metadata", cut("<wrs:column-name>id")),
             ("truncated in a row", cut("<wrs:columnValue>widget")),
             ("truncated between rows", cut("</wrs:currentRow>")),
@@ -936,11 +1037,15 @@ mod tests {
         assert_eq!(seen, rs.rows);
         assert!(!cursor.next_row_into(&mut row).unwrap());
 
-        // No rows, and no `data` element at all, are both empty rowsets.
+        // No rows, and no `data` element at all, are both empty rowsets;
+        // no metadata is no rowset.
         let empty = Rowset::new(vec![RowsetColumn { name: "n".into(), ty: SqlType::Integer }]);
         assert_eq!(decode(&encode(&empty)).unwrap(), empty);
+        let no_data = "<wrs:webRowSet xmlns:wrs='http://java.sun.com/xml/ns/jdbc'>\
+                       <wrs:metadata/></wrs:webRowSet>";
+        assert_eq!(decode(no_data).unwrap(), Rowset::new(vec![]));
         let bare = "<wrs:webRowSet xmlns:wrs='http://java.sun.com/xml/ns/jdbc'/>";
-        assert_eq!(decode(bare).unwrap(), Rowset::new(vec![]));
+        assert_eq!(decode(bare).unwrap_err().message, NO_METADATA);
     }
 
     #[test]

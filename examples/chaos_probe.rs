@@ -4,7 +4,6 @@
 //! (probability > 1, non-idempotent writes under total failure).
 
 use dais::prelude::*;
-use dais::soap::retry::RetryConfig;
 use std::sync::Arc;
 
 fn main() {
@@ -25,10 +24,11 @@ fn main() {
     println!("1. corrupt(1.0), no retry  -> {err}");
 
     // 2. Same policy, retrying client: exhausts its budget, then errors.
-    let retrying =
-        SqlClient::builder().bus(bus.clone()).address("bus://probe").build().with_retry_config(
-            RetryConfig::new(RetryPolicy::new(4).base_delay(std::time::Duration::from_micros(5))),
-        );
+    let retrying = SqlClient::builder()
+        .bus(bus.clone())
+        .address("bus://probe")
+        .retry(RetryPolicy::new(4).base_delay(std::time::Duration::from_micros(5)))
+        .build();
     let err = retrying.execute(&svc.db_resource, "SELECT * FROM t", &[]).unwrap_err();
     println!("2. corrupt(1.0), retry x4  -> {err} (bus retries: {})", bus.stats().retries);
 
@@ -40,10 +40,11 @@ fn main() {
     // 4. Sustained moderate chaos against a deep retry budget: every
     //    read must converge to the right answer.
     injector.set_default_policy(FaultPolicy::default().corrupt(0.3).drop(0.15));
-    let deep =
-        SqlClient::builder().bus(bus.clone()).address("bus://probe").build().with_retry_config(
-            RetryConfig::new(RetryPolicy::new(20).base_delay(std::time::Duration::from_micros(5))),
-        );
+    let deep = SqlClient::builder()
+        .bus(bus.clone())
+        .address("bus://probe")
+        .retry(RetryPolicy::new(20).base_delay(std::time::Duration::from_micros(5)))
+        .build();
     let mut ok = 0;
     for _ in 0..50 {
         let data = deep.execute(&svc.db_resource, "SELECT COUNT(*) FROM t", &[]).unwrap();

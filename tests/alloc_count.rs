@@ -228,12 +228,8 @@ fn get_tuples_many_reuses_its_reply_buffer() {
     });
     let reply_bytes = {
         let req = dais_dair::messages::get_tuples_request(&rowset_name, page.0, page.1);
-        let mut raw = Vec::new();
-        client
-            .core()
-            .soap()
-            .request_bytes_into(dais_dair::actions::GET_TUPLES, &req, &mut raw)
-            .unwrap();
+        let action = dais_dair::actions::GET_TUPLES;
+        let raw = client.service().request_bytes(action, &req, action.resendable()).unwrap();
         raw.len() as u64
     };
     let marginal_bytes = (b_eight - b_one) / 7;

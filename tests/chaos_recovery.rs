@@ -90,14 +90,15 @@ fn build_stack(retry: Option<RetryConfig>) -> Stack {
     store.write("readme.txt", b"hello".to_vec()).unwrap();
     let file_svc = FileService::launch(&bus, FILE_ADDR, store, Default::default());
 
-    let mut sql = SqlClient::builder().bus(bus.clone()).address(SQL_ADDR).build();
-    let mut xml = XmlClient::builder().bus(bus.clone()).address(XML_ADDR).build();
-    let mut files = FileClient::builder().bus(bus.clone()).address(FILE_ADDR).build();
+    let mut sql = SqlClient::builder().bus(bus.clone()).address(SQL_ADDR);
+    let mut xml = XmlClient::builder().bus(bus.clone()).address(XML_ADDR);
+    let mut files = FileClient::builder().bus(bus.clone()).address(FILE_ADDR);
     if let Some(config) = retry {
-        sql = sql.with_retry_config(config.clone());
-        xml = xml.with_retry_config(config.clone());
-        files = files.with_retry_config(config);
+        sql = sql.retry_config(config.clone());
+        xml = xml.retry_config(config.clone());
+        files = files.retry_config(config);
     }
+    let (sql, xml, files) = (sql.build(), xml.build(), files.build());
 
     Stack {
         bus,

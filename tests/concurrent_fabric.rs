@@ -233,7 +233,7 @@ fn seeded_stress_run_loses_no_replies_and_keeps_trace_trees() {
         (0..4).map(|i| ServiceClient::new(bus.clone(), format!("bus://stress/{i}"))).collect();
     let total = 160usize;
     let replies: Vec<_> = (0..total)
-        .map(|n| clients[n % 4].call_async(test_actions::ECHO, message(&n.to_string())).unwrap())
+        .map(|n| clients[n % 4].call_async(test_actions::ECHO, &message(&n.to_string())).unwrap())
         .collect();
 
     // No lost replies: every handle resolves, to the echo or to the
@@ -425,7 +425,7 @@ fn paced_batch(retry: Option<RetryConfig>, hint: Duration) {
         client = client.with_retry(config);
     }
     let payloads = (0..8).map(|n| message(&n.to_string())).collect();
-    let results = client.request_pipelined(test_actions::BLOCK, payloads, 4);
+    let results = client.request_pipelined(test_actions::BLOCK, payloads, 4, PendingReply::wait);
     opener.join().unwrap();
     for (n, result) in results.into_iter().enumerate() {
         assert_eq!(result.expect("every request completes").text(), n.to_string());
@@ -515,7 +515,7 @@ fn queued_get_tuples_pages_resolve_to_their_rows_or_overloaded() {
     let submit = |n: usize| {
         let start = (n * PAGE) % ROWS;
         let request = messages::get_tuples_request(&rowset, start, PAGE);
-        match client.call_async(actions::GET_TUPLES, request) {
+        match client.call_async(actions::GET_TUPLES, &request) {
             Ok(reply) => Some((start, reply)),
             Err(CallError::Transport(BusError::Overloaded { .. })) => None,
             Err(other) => panic!("unexpected admission error: {other:?}"),

@@ -80,8 +80,8 @@ fn sql_stack(retry_seed: u64) -> (Bus, SqlClient, AbstractName) {
     let sql = SqlClient::builder()
         .bus(bus.clone())
         .address(SQL_ADDR)
-        .build()
-        .with_retry_config(sweep_retry(retry_seed));
+        .retry_config(sweep_retry(retry_seed))
+        .build();
     (bus, sql, svc.db_resource)
 }
 

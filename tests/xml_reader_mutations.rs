@@ -67,19 +67,38 @@ fn text_only(el: &XmlElement) -> Result<String, String> {
     }
 }
 
+/// The text of `def`'s one `local` field, if it has one.
+fn field(def: &XmlElement, local: &str) -> Result<Option<String>, String> {
+    let mut fields = def.children_named(ns::ROWSET, local);
+    let field = fields.next().map(text_only).transpose()?;
+    match fields.next() {
+        Some(_) => Err(format!("column with two {local}s")),
+        None => Ok(field),
+    }
+}
+
 /// The tree walk `RowsetCursor` replaced (`dais-sql` keeps it in its
-/// unit tests), held to one more rule of the cursor's: a text cell holds
-/// text only. Reads metadata and cells off a `webRowSet` element.
+/// unit tests), held to the cursor's rules on shapes the tree could
+/// otherwise read: a text cell holds text only, and there is exactly one
+/// metadata block, before the data, whose column definitions name one
+/// name and one type each. Reads metadata and cells off a `webRowSet`
+/// element.
 fn reference_decode(root: &XmlElement) -> Result<Rowset, String> {
     if !root.name.is(ns::ROWSET, "webRowSet") {
         return Err(format!("expected wrs:webRowSet, found {}", root.name));
     }
-    let text_of = |el: &XmlElement, local: &str| el.child(ns::ROWSET, local).map(text_only);
-    let metadata = root.child(ns::ROWSET, "metadata").ok_or("webRowSet missing metadata")?;
+    let metadata = root
+        .elements()
+        .find(|e| e.name.is(ns::ROWSET, "metadata") || e.name.is(ns::ROWSET, "data"))
+        .filter(|e| e.name.is(ns::ROWSET, "metadata"))
+        .ok_or("webRowSet missing metadata")?;
+    if root.children_named(ns::ROWSET, "metadata").nth(1).is_some() {
+        return Err("webRowSet with two metadata blocks".into());
+    }
     let mut columns = Vec::new();
     for def in metadata.children_named(ns::ROWSET, "column-definition") {
-        let name = text_of(def, "column-name").ok_or("column without a name")??;
-        let ty_name = text_of(def, "column-type").unwrap_or(Ok(String::new()))?;
+        let name = field(def, "column-name")?.ok_or("column without a name")?;
+        let ty_name = field(def, "column-type")?.unwrap_or_default();
         let ty = SqlType::parse(&ty_name).ok_or(format!("unknown column type '{ty_name}'"))?;
         columns.push(RowsetColumn { name, ty });
     }
