@@ -15,7 +15,7 @@ use dais_dair::{RelationalService, RelationalServiceOptions};
 use dais_daix::messages::{self as daix_messages, actions as daix_actions};
 use dais_daix::{XmlService, XmlServiceOptions};
 use dais_soap::bus::Bus;
-use dais_soap::{CallError, RetryConfig, ServiceClient};
+use dais_soap::{CallError, Fault, RetryConfig, ServiceClient};
 use dais_sql::{Database, Value};
 use dais_xml::{ns, XmlElement};
 use dais_xmldb::XmlDatabase;
@@ -122,9 +122,23 @@ impl RelationalFleet {
         &self.federation.resource
     }
 
-    /// Route a row to its owning shard (by `key`) and execute the write
-    /// statement against every replica of it.
+    /// Route a row to its owning shard (by `key`, the row's value of the
+    /// scheme's key column) and execute the write statement against
+    /// every replica of it.
+    ///
+    /// Under `Hash` or `Range` the key must be a `Value::Int`; anything
+    /// else is refused with a client fault before any shard is written.
+    /// This is the [`ShardScheme`] placement contract that shard pruning
+    /// relies on: a row keyed `Double(5.0)` would hash as `"5.0"`, while
+    /// `WHERE k = 5` prunes to the shard of `"5"`.
     pub fn ingest(&self, key: &Value, sql: &str, params: &[Value]) -> Result<(), CallError> {
+        if let (Some(column), false) =
+            (self.router.scheme().key_column(), matches!(key, Value::Int(_)))
+        {
+            return Err(CallError::Fault(Fault::client(format!(
+                "shard key column '{column}' takes an INTEGER value, not {key:?}"
+            ))));
+        }
         let shard = self.router.route(key);
         for r in 0..self.router.replica_count(shard) {
             let replica = self.router.replica(shard, r);

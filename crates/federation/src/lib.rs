@@ -14,10 +14,13 @@
 //!   rotation and half-open probing.
 //! * [`scatter`] — [`scatter::call_shard`], the replica-aware call loop:
 //!   immediate failover to a sibling when a replica reports hot,
-//!   back-off (honouring `retry_after`) only when a whole shard is.
+//!   back-off (honouring `retry_after`) only when a whole shard is; and
+//!   the long-lived helper threads a scatter's legs run on beside the
+//!   caller.
 //! * [`statement`] — scatter admission: a statement is proven
 //!   distributable (or refused, or its `LIMIT`/`OFFSET` rewritten to a
-//!   global merge window) before anything reaches a shard.
+//!   global merge window) before anything reaches a shard, and its
+//!   shard-key conjuncts name the only shards that can hold its rows.
 //! * [`merge`] — streaming k-way merge of WebRowSet pages off
 //!   [`RowsetCursor`](dais_sql::RowsetCursor)s: no shard page and no
 //!   merged result is ever materialised.
@@ -38,6 +41,6 @@ pub mod statement;
 pub use fleet::{FleetOptions, RelationalFleet, XmlFleet};
 pub use merge::{merge_cursors, MergeKey, SortKey};
 pub use router::{ShardAddress, ShardRouter, ShardScheme};
-pub use scatter::{call_replica, call_shard, scatter_shards};
+pub use scatter::{call_replica, call_shard};
 pub use service::{FederationOptions, FederationService};
 pub use statement::{analyze, AdmissionError, DistributedStatement};

@@ -14,6 +14,14 @@ use dais_util::rng::mix2;
 use dais_util::sync::Mutex;
 
 /// How a key value is assigned to a shard.
+///
+/// The placement contract under `Hash` and `Range`: every table's rows
+/// are placed by the `Value::Int` value of the scheme's key column, so a
+/// row whose key is `k` lives on `shard_of(Int(k))` and nowhere else.
+/// [`RelationalFleet::ingest`](crate::RelationalFleet::ingest) refuses
+/// any other key, and shard pruning
+/// ([`DistributedStatement::target_shards`](crate::DistributedStatement::target_shards))
+/// relies on it to skip shards without losing a row.
 #[derive(Debug, Clone)]
 pub enum ShardScheme {
     /// Hash the key column's canonical text rendering.

@@ -1,4 +1,5 @@
-//! Replica-aware scatter calls with failover.
+//! Replica-aware scatter calls with failover, and the helpers that run
+//! a scatter's legs.
 //!
 //! [`call_shard`] is the one way the federation talks to a shard: it
 //! sweeps the shard's replicas in router-preferred order, fails over
@@ -9,18 +10,28 @@
 //! [`ShardRouter`] so later calls skip known-bad
 //! replicas until their half-open probe budget elapses.
 //!
-//! [`scatter_shards`] runs one such call per shard *concurrently* on
-//! scoped threads, so query latency tracks the slowest shard, not the
-//! sum of all of them — and a single overloaded shard backing off does
-//! not stall the gather of its siblings. [`call_replica`] is the
-//! all-replica fan-out's unit: one fixed replica, transient failures
-//! retried on the policy's schedule (failing over is not an option when
-//! *every* replica must apply the operation).
+//! `LegPool::scatter` runs one such call per target shard. A one-leg
+//! scatter (a pruned key lookup, a one-shard fleet) runs on the calling
+//! thread. A wider one runs its legs *concurrently*, on the caller and
+//! the service's long-lived `LegHelpers`, so query latency tracks the
+//! slowest shard, not the sum of all of them, and a single overloaded
+//! shard backing off does not stall the gather of its siblings — with
+//! no thread spawned per query. [`call_replica`] is the all-replica
+//! fan-out's unit: one fixed replica, transient failures retried on the
+//! policy's schedule (failing over is not an option when *every*
+//! replica must apply the operation).
 
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dais_soap::retry::{is_retryable, overload_origin, retry_after_hint, OverloadOrigin};
 use dais_soap::{Bus, BusError, CallError, RetryConfig, ServiceClient};
+use dais_util::sync::{Condvar, Mutex};
 
 use crate::router::ShardRouter;
 
@@ -102,41 +113,195 @@ pub fn call_shard<T>(
     }))
 }
 
-/// Run `work(shard)` for every shard concurrently and gather the
-/// results in shard order.
+/// The long-lived threads that run scatter legs beside the caller.
 ///
-/// Each shard runs on a scoped thread adopted into the bus workers'
-/// inline-dispatch discipline ([`dais_soap::executor::adopt_worker_thread`]):
-/// the spawning handler blocks joining the scatter, so letting the
+/// A [`FederationService`](crate::FederationService) starts `shards − 1`
+/// of them at launch. Each adopts itself into the bus workers'
+/// inline-dispatch discipline
+/// ([`dais_soap::executor::adopt_worker_thread`]) before its first leg:
+/// the scattering handler blocks until its legs are in, so letting their
 /// nested shard calls queue behind the same finite executor pool could
-/// deadlock the pool on itself. A single shard short-circuits the
-/// spawning entirely — the 1-shard oracle topology stays truly inline.
-pub fn scatter_shards<T, E>(
-    shards: usize,
-    work: impl Fn(usize) -> Result<T, E> + Sync,
-) -> Vec<Result<T, E>>
-where
-    T: Send,
-    E: Send,
-{
-    if shards <= 1 {
-        return (0..shards).map(&work).collect();
-    }
-    std::thread::scope(|scope| {
-        let work = &work;
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                scope.spawn(move || {
-                    dais_soap::executor::adopt_worker_thread();
-                    work(shard)
-                })
+/// deadlock the pool on itself. Dropping the `LegHelpers` stops and
+/// joins the threads; a [`LegPool`] that outlives them still scatters,
+/// with the caller running every leg.
+pub(crate) struct LegHelpers {
+    pool: LegPool,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl LegHelpers {
+    /// Start `count` helper threads. A thread the OS refuses is simply
+    /// not there: the caller runs the leg it would have taken.
+    pub(crate) fn start(count: usize) -> LegHelpers {
+        let pool = LegPool(Arc::new(Pool {
+            state: Mutex::new(PoolState { offers: VecDeque::new(), idle: 0, closed: false }),
+            wake: Condvar::new(),
+        }));
+        let threads: Vec<JoinHandle<()>> = (0..count)
+            .filter_map(|i| {
+                let pool = pool.0.clone();
+                std::thread::Builder::new()
+                    .name(format!("fed-leg-{i}"))
+                    .spawn(move || helper_loop(&pool))
+                    .ok()
             })
             .collect();
-        handles
+        pool.0.state.lock().idle = threads.len();
+        LegHelpers { pool, threads }
+    }
+
+    /// The handle a handler scatters through.
+    pub(crate) fn pool(&self) -> LegPool {
+        self.pool.clone()
+    }
+}
+
+impl Drop for LegHelpers {
+    fn drop(&mut self) {
+        self.pool.0.state.lock().closed = true;
+        self.pool.0.wake.notify_all();
+        let me = std::thread::current().id();
+        for thread in self.threads.drain(..) {
+            if thread.thread().id() != me {
+                let _ = thread.join();
+            }
+        }
+    }
+}
+
+/// A scatter handle over a [`LegHelpers`]' threads. Cheap to clone.
+#[derive(Clone)]
+pub(crate) struct LegPool(Arc<Pool>);
+
+struct Pool {
+    state: Mutex<PoolState>,
+    wake: Condvar,
+}
+
+struct PoolState {
+    /// Scatters offered to idle helpers: one entry per reserved helper.
+    offers: VecDeque<Arc<dyn Legs>>,
+    /// Helpers neither running a scatter's legs nor reserved by an offer.
+    idle: usize,
+    closed: bool,
+}
+
+fn helper_loop(pool: &Pool) {
+    dais_soap::executor::adopt_worker_thread();
+    let mut state = pool.state.lock();
+    loop {
+        if let Some(legs) = state.offers.pop_front() {
+            drop(state);
+            legs.run_legs();
+            drop(legs);
+            state = pool.state.lock();
+            state.idle += 1;
+        } else if state.closed {
+            return;
+        } else {
+            state = pool.wake.wait(state);
+        }
+    }
+}
+
+/// One scatter's legs, claimable by any thread that holds it.
+trait Legs: Send + Sync {
+    /// Claim and run legs until none is left unclaimed.
+    fn run_legs(&self);
+}
+
+struct Scatter<R, F> {
+    first: usize,
+    count: usize,
+    /// The next unclaimed leg.
+    cursor: AtomicUsize,
+    work: F,
+    gathered: Mutex<Vec<(usize, std::thread::Result<R>)>>,
+    all_in: Condvar,
+}
+
+impl<R: Send, F: Fn(usize) -> R + Send + Sync> Legs for Scatter<R, F> {
+    fn run_legs(&self) {
+        loop {
+            // Relaxed: the cursor only hands out indices. The legs' inputs
+            // reach a helper through the pool lock, and their results come
+            // back under `gathered`.
+            let leg = self.cursor.fetch_add(1, Ordering::Relaxed);
+            if leg >= self.count {
+                return;
+            }
+            let out = catch_unwind(AssertUnwindSafe(|| (self.work)(self.first + leg)));
+            let mut gathered = self.gathered.lock();
+            gathered.push((leg, out));
+            if gathered.len() == self.count {
+                self.all_in.notify_all();
+            }
+        }
+    }
+}
+
+impl LegPool {
+    /// Run `work(shard)` for every shard in `shards` and gather the
+    /// results in shard order.
+    ///
+    /// One leg runs on the calling thread. More run "caller-runs": the
+    /// caller offers the scatter to as many idle helpers as there are
+    /// legs beyond its own, then it and they each claim the next
+    /// unclaimed leg from one cursor until none is left. A leg therefore
+    /// never waits behind another query's leg: with every helper busy,
+    /// the caller runs every leg itself, so concurrent and nested
+    /// scatters cannot deadlock. `work` owns its inputs (`'static`), so
+    /// a leg still running on a helper borrows nothing from the caller.
+    /// A panic in a leg is re-raised on the caller once every claimed
+    /// leg is in; the helper that ran it lives on.
+    pub(crate) fn scatter<R, F>(&self, shards: Range<usize>, work: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(usize) -> R + Send + Sync + 'static,
+    {
+        let count = shards.len();
+        if count <= 1 {
+            return shards.map(work).collect();
+        }
+        let scatter = Arc::new(Scatter {
+            first: shards.start,
+            count,
+            cursor: AtomicUsize::new(0),
+            work,
+            gathered: Mutex::new(Vec::with_capacity(count)),
+            all_in: Condvar::new(),
+        });
+        self.offer(&(scatter.clone() as Arc<dyn Legs>), count - 1);
+        scatter.run_legs();
+        let mut gathered = {
+            let mut gathered = scatter.gathered.lock();
+            while gathered.len() < count {
+                gathered = scatter.all_in.wait(gathered);
+            }
+            std::mem::take(&mut *gathered)
+        };
+        gathered.sort_unstable_by_key(|(leg, _)| *leg);
+        gathered
             .into_iter()
-            .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .map(|(_, out)| out.unwrap_or_else(|panic| resume_unwind(panic)))
             .collect()
-    })
+    }
+
+    /// Reserve up to `wanted` idle helpers for `legs` and wake them.
+    fn offer(&self, legs: &Arc<dyn Legs>, wanted: usize) {
+        let pool = &self.0;
+        let mut state = pool.state.lock();
+        if state.closed {
+            return;
+        }
+        let reserved = wanted.min(state.idle);
+        state.idle -= reserved;
+        state.offers.extend(std::iter::repeat_n(legs, reserved).cloned());
+        drop(state);
+        for _ in 0..reserved {
+            pool.wake.notify_one();
+        }
+    }
 }
 
 /// Call one *fixed* replica, retrying transient failures on the
@@ -184,9 +349,7 @@ mod tests {
     use dais_soap::envelope::Envelope;
     use dais_soap::interceptor::{CallInfo, Intercept, Interceptor};
     use dais_soap::{Fault, RetryPolicy, SoapDispatcher};
-    use dais_util::sync::Mutex;
     use dais_xml::XmlElement;
-    use std::sync::Arc;
 
     dais_soap::actions! {
         ECHO = "urn:test:echo", Read;
@@ -416,14 +579,15 @@ mod tests {
     /// shard's error in its own slot.
     #[test]
     fn scatter_shards_runs_concurrently_and_gathers_in_order() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let in_flight = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let results = scatter_shards(4, |s| {
-            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-            peak.fetch_max(now, Ordering::SeqCst);
+        let helpers = LegHelpers::start(3);
+        let in_flight = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let (counter, high) = (in_flight.clone(), peak.clone());
+        let results = helpers.pool().scatter(0..4, move |s| {
+            let now = counter.fetch_add(1, Ordering::SeqCst) + 1;
+            high.fetch_max(now, Ordering::SeqCst);
             dais_util::sync::pause(Duration::from_millis(20));
-            in_flight.fetch_sub(1, Ordering::SeqCst);
+            counter.fetch_sub(1, Ordering::SeqCst);
             if s == 2 {
                 Err(format!("shard {s} down"))
             } else {
@@ -440,6 +604,108 @@ mod tests {
             "shards must overlap, got peak {}",
             peak.load(Ordering::SeqCst)
         );
+    }
+
+    /// A sub-range scatters only its own shards, in order; one leg runs
+    /// on the calling thread.
+    #[test]
+    fn scatter_visits_exactly_its_range() {
+        let helpers = LegHelpers::start(3);
+        let caller = std::thread::current().id();
+        assert_eq!(helpers.pool().scatter(1..3, |s| s), vec![1, 2]);
+        assert_eq!(
+            helpers.pool().scatter(2..3, move |s| (s, std::thread::current().id() == caller)),
+            vec![(2, true)]
+        );
+        assert!(helpers.pool().scatter(0..0, |s| s).is_empty());
+    }
+
+    /// A panicking leg is re-raised on the caller with its own payload,
+    /// and the helper that ran it keeps serving. Every leg a helper runs
+    /// panics, and the caller's own leg waits until a helper has run
+    /// one, so each round panics on a helper: with three helpers, six
+    /// rounds complete only if none of them died with its leg.
+    #[test]
+    fn a_panicking_leg_is_re_raised_on_the_caller_and_the_helpers_live_on() {
+        let helpers = LegHelpers::start(3);
+        let pool = helpers.pool();
+        for round in 0..6 {
+            let helper_legs = Arc::new(AtomicUsize::new(0));
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.scatter(0..4, move |s| {
+                    let on_helper = std::thread::current()
+                        .name()
+                        .is_some_and(|name| name.starts_with("fed-leg-"));
+                    if on_helper {
+                        helper_legs.fetch_add(1, Ordering::SeqCst);
+                        panic!("leg {s} blew up");
+                    }
+                    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                    while helper_legs.load(Ordering::SeqCst) == 0 {
+                        assert!(std::time::Instant::now() < deadline, "no helper ran a leg");
+                        dais_util::sync::pause(Duration::from_millis(1));
+                    }
+                    s
+                })
+            }));
+            let payload = caught.expect_err("a helper's panic must reach the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or_default();
+            assert!(message.contains("blew up"), "round {round}: got {message:?}");
+        }
+        assert_eq!(pool.scatter(0..4, |s| s * 2), vec![0, 2, 4, 6]);
+    }
+
+    /// Eight callers scatter at once over three helpers, several times
+    /// each: the helpers are saturated, so most legs run on their own
+    /// callers, and every scatter still completes with every leg.
+    #[test]
+    fn concurrent_callers_over_saturated_helpers_all_complete() {
+        let helpers = LegHelpers::start(3);
+        let callers: Vec<_> = (0..8)
+            .map(|c| {
+                let pool = helpers.pool();
+                std::thread::spawn(move || {
+                    for round in 0..20 {
+                        let got = pool.scatter(0..4, move |s| {
+                            dais_util::sync::pause(Duration::from_micros(200));
+                            c * 1000 + round * 10 + s
+                        });
+                        let want: Vec<usize> = (0..4).map(|s| c * 1000 + round * 10 + s).collect();
+                        assert_eq!(got, want);
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("every caller completes");
+        }
+    }
+
+    /// A leg that itself scatters over the same pool (a federation over
+    /// federations) cannot deadlock it: the nested caller runs whatever
+    /// no helper is free to take.
+    #[test]
+    fn nested_scatters_over_one_pool_complete() {
+        let helpers = LegHelpers::start(2);
+        let inner = helpers.pool();
+        let got = helpers.pool().scatter(0..3, move |s| inner.scatter(0..3, move |t| s * 3 + t));
+        assert_eq!(got, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8]]);
+    }
+
+    /// Once its helpers are gone a pool still scatters: the caller runs
+    /// every leg.
+    #[test]
+    fn a_pool_outliving_its_helpers_runs_every_leg_on_the_caller() {
+        let helpers = LegHelpers::start(3);
+        let pool = helpers.pool();
+        drop(helpers);
+        let caller = std::thread::current().id();
+        let ran_here = pool.scatter(0..4, move |_| std::thread::current().id() == caller);
+        assert_eq!(ran_here, vec![true; 4]);
     }
 
     /// Non-retryable faults pass through unchanged — failover must not

@@ -11,6 +11,7 @@
 //!
 //! [`RowsetCursor`]: dais_sql::RowsetCursor
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use dais_core::monitoring::MON_NS;
@@ -33,7 +34,7 @@ use dais_xml::{ns, QName, XmlElement, XmlWriter};
 
 use crate::merge::{merge_cursors, MergeKey};
 use crate::router::{ShardRouter, ShardScheme};
-use crate::scatter::{call_replica, call_shard, scatter_shards};
+use crate::scatter::{call_replica, call_shard, LegHelpers, LegPool};
 use crate::statement::{analyze, AdmissionError};
 
 /// Knobs for assembling a federation endpoint.
@@ -151,14 +152,12 @@ impl DataResource for FederatedResource {
 }
 
 /// A derived SQL response resource whose state lives on the shards: each
-/// replica that accepted the factory call holds its own derived response,
-/// recorded here by abstract name so later page reads can address any of
-/// them.
+/// replica of each targeted shard that accepted the factory call holds
+/// its own derived response, recorded here by abstract name so later
+/// page reads can address any of them.
 pub struct FederatedResponseResource {
     properties: Arc<CoreProperties>,
-    /// `per_shard[s][r]` is the abstract name of replica `r`'s derived
-    /// response, `None` when that replica missed the fan-out.
-    per_shard: Vec<Vec<Option<AbstractName>>>,
+    per_shard: ShardNames,
     /// The merge discipline inherited from the scattered statement: its
     /// full `ORDER BY` key list.
     keys: Vec<MergeKey>,
@@ -182,7 +181,7 @@ impl DataResource for FederatedResponseResource {
 /// replica; pages merge on read.
 pub struct FederatedRowsetResource {
     properties: Arc<CoreProperties>,
-    per_shard: Vec<Vec<Option<AbstractName>>>,
+    per_shard: ShardNames,
     keys: Vec<MergeKey>,
     /// Merged rows hidden before the rowset's row 0 (the statement's
     /// `OFFSET`).
@@ -202,29 +201,124 @@ impl DataResource for FederatedRowsetResource {
     }
 }
 
-/// Scatter one request per shard — concurrently, via
-/// [`scatter_shards`], so one slow or backing-off shard does not stall
-/// the gather of its siblings — and collect each leg's own reply buffer
-/// in shard order, detached from the buffer pool: the legs' threads end
-/// with the scatter, and pooling their buffers on the gathering thread
-/// instead measured slower on `fed_scan`. Each shard call runs through
-/// [`call_shard`], so replica failover and health marking apply per
-/// shard.
-fn scatter_pages(
-    bus: &Bus,
-    router: &ShardRouter,
-    retry: &RetryConfig,
-    action: Action,
-    request_for: impl Fn(usize, usize) -> Result<XmlElement, CallError> + Sync,
-) -> Result<Vec<Vec<u8>>, Fault> {
-    scatter_shards(router.shards(), |s| {
-        call_shard(bus, router, s, retry, |client, r| {
-            Ok(client.request_bytes(action, &request_for(s, r)?, action.resendable())?.into_inner())
-        })
-    })
-    .into_iter()
-    .map(|page| page.map_err(shard_fault))
-    .collect()
+/// What every federated operation scatters over: the shard grid, its
+/// failover policy and the leg helpers. Each scatter's legs hold an
+/// `Arc` of it, so a leg still running on a helper borrows nothing from
+/// the handler that started it.
+struct Grid {
+    bus: Bus,
+    router: Arc<ShardRouter>,
+    failover: RetryConfig,
+    legs: LegPool,
+}
+
+impl Grid {
+    /// Send one request to each of `shards` — concurrently, on the leg
+    /// helpers, so one slow or backing-off shard does not stall the
+    /// gather of its siblings — and collect each leg's own reply buffer
+    /// in shard order, detached from the buffer pool: the pool is per
+    /// thread, and a page dropped on the gathering thread would return
+    /// there, not to the helper that fills the next one. Each shard call
+    /// runs through [`call_shard`], so replica failover and health
+    /// marking apply per shard.
+    fn pages(
+        self: &Arc<Self>,
+        shards: Range<usize>,
+        action: Action,
+        request_for: impl Fn(usize, usize) -> Result<XmlElement, CallError> + Send + Sync + 'static,
+    ) -> Result<Vec<Vec<u8>>, Fault> {
+        let grid = self.clone();
+        self.legs
+            .scatter(shards, move |s| {
+                call_shard(&grid.bus, &grid.router, s, &grid.failover, |client, r| {
+                    let request = request_for(s, r)?;
+                    Ok(client.request_bytes(action, &request, action.resendable())?.into_inner())
+                })
+            })
+            .into_iter()
+            .map(|page| page.map_err(shard_fault))
+            .collect()
+    }
+
+    /// Fan a factory request out to *every* replica of each of `shards`
+    /// (each replica must hold its own derived resource), recording the
+    /// derived abstract name per replica. Shards run concurrently;
+    /// within a shard each replica is called through [`call_replica`],
+    /// so a transient timeout is retried on the failover policy's
+    /// schedule instead of permanently costing the derived resource
+    /// that replica's redundancy. A shard where no replica succeeded
+    /// fails the whole factory with that shard's last error.
+    fn fan_out_factory(
+        self: &Arc<Self>,
+        shards: Range<usize>,
+        action: Action,
+        request_for: impl Fn(usize, usize) -> XmlElement + Send + Sync + 'static,
+    ) -> Result<ShardNames, Fault> {
+        let grid = self.clone();
+        let names = self.legs.scatter(shards.clone(), move |s| {
+            let router = &grid.router;
+            let mut names: Vec<Option<AbstractName>> = Vec::with_capacity(router.replica_count(s));
+            let mut last_err: Option<CallError> = None;
+            for r in 0..router.replica_count(s) {
+                let address = router.replica(s, r).endpoint_address();
+                let minted = call_replica(&grid.bus, &address, &grid.failover, |client| {
+                    let reply = client.request(action, request_for(s, r))?;
+                    let epr = dais_core::factory::parse_factory_response(&reply)
+                        .map_err(CallError::Fault)?;
+                    epr.resource_abstract_name()
+                        .and_then(|text| AbstractName::new(text).ok())
+                        .ok_or_else(|| {
+                            CallError::Fault(Fault::client(
+                                "factory EPR carries no resource abstract name",
+                            ))
+                        })
+                });
+                match minted {
+                    Ok(name) => {
+                        router.mark_success(s, r);
+                        names.push(Some(name));
+                    }
+                    Err(e) => {
+                        router.mark_failure(s, r);
+                        last_err = Some(e);
+                        names.push(None);
+                    }
+                }
+            }
+            if names.iter().all(Option::is_none) {
+                return Err(match last_err {
+                    Some(e) => shard_fault(e),
+                    None => {
+                        Fault::dais(DaisFault::ServiceBusy, format!("shard {s} has no replicas"))
+                    }
+                });
+            }
+            Ok(names)
+        });
+        let names = names.into_iter().collect::<Result<_, Fault>>()?;
+        Ok(ShardNames { shards, names })
+    }
+}
+
+/// The per-replica abstract names of a derived resource's shard-local
+/// halves, for the run of shards its statement targeted: `name(s, r)`
+/// is replica `r` of shard `s`'s, `None` when that replica missed the
+/// fan-out.
+#[derive(Clone)]
+struct ShardNames {
+    shards: Range<usize>,
+    names: Arc<[Vec<Option<AbstractName>>]>,
+}
+
+impl ShardNames {
+    /// The shards holding a half of the derived resource.
+    fn shards(&self) -> Range<usize> {
+        self.shards.clone()
+    }
+
+    fn name(&self, shard: usize, replica: usize) -> Option<&AbstractName> {
+        self.names[shard - self.shards.start][replica].as_ref()
+    }
 }
 
 /// Merge gathered pages into the same `wrapper(SQLResponse(SQLRowset,
@@ -255,63 +349,13 @@ fn merged_response(
     Ok(Envelope::with_raw_body(fragment))
 }
 
-/// Fan a factory request out to *every* replica of every shard (each
-/// replica must hold its own derived resource), recording the derived
-/// abstract name per replica. Shards run concurrently; within a shard
-/// each replica is called through [`call_replica`], so a transient
-/// timeout is retried on the failover policy's schedule instead of
-/// permanently costing the derived resource that replica's redundancy.
-/// A shard where no replica succeeded fails the whole factory with that
-/// shard's last error.
-fn fan_out_factory(
-    bus: &Bus,
-    router: &ShardRouter,
-    retry: &RetryConfig,
-    action: Action,
-    request_for: impl Fn(usize, usize) -> XmlElement + Sync,
-) -> Result<Vec<Vec<Option<AbstractName>>>, Fault> {
-    scatter_shards(router.shards(), |s| {
-        let mut names: Vec<Option<AbstractName>> = Vec::with_capacity(router.replica_count(s));
-        let mut last_err: Option<CallError> = None;
-        for r in 0..router.replica_count(s) {
-            let address = router.replica(s, r).endpoint_address();
-            let minted = call_replica(bus, &address, retry, |client| {
-                let reply = client.request(action, request_for(s, r))?;
-                let epr =
-                    dais_core::factory::parse_factory_response(&reply).map_err(CallError::Fault)?;
-                epr.resource_abstract_name()
-                    .and_then(|text| AbstractName::new(text).ok())
-                    .ok_or_else(|| {
-                        CallError::Fault(Fault::client(
-                            "factory EPR carries no resource abstract name",
-                        ))
-                    })
-            });
-            match minted {
-                Ok(name) => {
-                    router.mark_success(s, r);
-                    names.push(Some(name));
-                }
-                Err(e) => {
-                    router.mark_failure(s, r);
-                    last_err = Some(e);
-                    names.push(None);
-                }
-            }
-        }
-        if names.iter().all(Option::is_none) {
-            return Err(match last_err {
-                Some(e) => shard_fault(e),
-                None => Fault::dais(DaisFault::ServiceBusy, format!("shard {s} has no replicas")),
-            });
-        }
-        Ok(names)
-    })
-    .into_iter()
-    .collect()
-}
-
 /// A federation endpoint serving one logical resource over a shard grid.
+///
+/// It owns the `shards − 1` leg helper threads its scatters run on, and
+/// dropping it stops them. (The endpoint's dispatcher cannot own them:
+/// it lives as long as the bus, which its own resources hold.) A
+/// dispatcher that outlives this handle still answers, with each caller
+/// running every leg itself.
 pub struct FederationService {
     pub ctx: Arc<ServiceContext>,
     pub names: Arc<NameGenerator>,
@@ -320,6 +364,7 @@ pub struct FederationService {
     pub resource: ResourceRef,
     /// The abstract name of the endpoint's monitoring resource.
     pub monitoring: AbstractName,
+    _helpers: LegHelpers,
 }
 
 impl FederationService {
@@ -335,14 +380,8 @@ impl FederationService {
     ) -> FederationService {
         let (mut s, resource, router) = Self::skeleton(address, "db", scheme, replicas, &options);
         let (ctx, names) = (s.ctx.clone(), s.names.clone());
-        register_federated_sql_ops(
-            &mut s.dispatcher,
-            ctx.clone(),
-            names.clone(),
-            router.clone(),
-            bus.clone(),
-            options.failover.clone(),
-        );
+        let (helpers, grid) = Self::grid(bus, &router, &options);
+        register_federated_sql_ops(&mut s.dispatcher, ctx.clone(), names.clone(), grid);
         // The maps a plain SqlDataResource publishes, so factory
         // negotiation is indistinguishable. Writes are refused: ingest goes
         // through the fleet's router, not the federation endpoint. The legs
@@ -361,7 +400,7 @@ impl FederationService {
                 router: router.clone(),
             }),
         );
-        FederationService { ctx, names, router, resource, monitoring }
+        FederationService { ctx, names, router, resource, monitoring, _helpers: helpers }
     }
 
     /// Launch a federated **XML** endpoint at `address`: `replicas[s][r]`
@@ -377,13 +416,8 @@ impl FederationService {
         let (mut s, resource, router) =
             Self::skeleton(address, "collection", scheme, replicas, &options);
         let (ctx, names) = (s.ctx.clone(), s.names.clone());
-        register_federated_xml_ops(
-            &mut s.dispatcher,
-            ctx.clone(),
-            router.clone(),
-            bus.clone(),
-            options.failover.clone(),
-        );
+        let (helpers, grid) = Self::grid(bus, &router, &options);
+        register_federated_xml_ops(&mut s.dispatcher, ctx.clone(), grid);
         let logical = resource.resource().clone();
         let mut props = CoreProperties::new(logical, ResourceManagementKind::ExternallyManaged);
         props.description = format!("federated XML collection over {} shard(s)", router.shards());
@@ -395,7 +429,7 @@ impl FederationService {
                 router: router.clone(),
             }),
         );
-        FederationService { ctx, names, router, resource, monitoring }
+        FederationService { ctx, names, router, resource, monitoring, _helpers: helpers }
     }
 
     /// The endpoint's skeleton, its logical resource (a `kind` name
@@ -421,22 +455,40 @@ impl FederationService {
         ));
         (skeleton, resource, router)
     }
+
+    /// Start the leg helpers — one per shard beyond the first, since the
+    /// scattering caller runs a leg too — and the grid the handlers
+    /// scatter over.
+    fn grid(
+        bus: &Bus,
+        router: &Arc<ShardRouter>,
+        options: &FederationOptions,
+    ) -> (LegHelpers, Arc<Grid>) {
+        let helpers = LegHelpers::start(router.shards() - 1);
+        let grid = Arc::new(Grid {
+            bus: bus.clone(),
+            router: router.clone(),
+            failover: options.failover.clone(),
+            legs: helpers.pool(),
+        });
+        (helpers, grid)
+    }
 }
 
 /// Register the federated WS-DAIR operations: direct access
 /// (scatter + merge), the factory pipeline (all-replica fan-out), and
-/// paged rowset reads.
+/// paged rowset reads. Each statement reaches only the shards that can
+/// hold its rows ([`DistributedStatement::target_shards`]); its derived
+/// resources live on those shards alone.
+///
+/// [`DistributedStatement::target_shards`]: crate::DistributedStatement::target_shards
 fn register_federated_sql_ops(
     dispatcher: &mut SoapDispatcher,
     ctx: Arc<ServiceContext>,
     names: Arc<NameGenerator>,
-    router: Arc<ShardRouter>,
-    bus: Bus,
-    failover: RetryConfig,
+    grid: Arc<Grid>,
 ) {
-    let rt = router.clone();
-    let b = bus.clone();
-    let fo = failover.clone();
+    let g = grid.clone();
     let op = move |body: &XmlElement, resource: &FederatedResource| {
         let props = resource.core_properties();
         if let Some(format) = dais_core::messages::extract_format_uri(body) {
@@ -455,10 +507,11 @@ fn register_federated_sql_ops(
         // anything reaches a shard.
         let stmt = analyze(&sql).map_err(|e| admission_fault(e, Requires::Writeable.refusal()))?;
         Requires::Readable.check(&props)?;
-        let shard_sql = stmt.shard_statement();
-        let pages = scatter_pages(&b, &rt, &fo, dair_actions::SQL_EXECUTE, |s, r| {
+        let targets = stmt.target_shards(g.router.scheme(), g.router.shards(), &params);
+        let (shard_sql, router) = (stmt.shard_statement(), g.router.clone());
+        let pages = g.pages(targets, dair_actions::SQL_EXECUTE, move |s, r| {
             Ok(dair_messages::sql_execute_request(
-                rt.replica(s, r).resource(),
+                router.replica(s, r).resource(),
                 ns::ROWSET,
                 &shard_sql,
                 &params,
@@ -484,9 +537,7 @@ fn register_federated_sql_ops(
 
     let c = ctx.clone();
     let n = names.clone();
-    let rt = router.clone();
-    let b = bus.clone();
-    let fo = failover.clone();
+    let g = grid.clone();
     let op = move |body: &XmlElement, resource: &FederatedResource| {
         let message = QName::new(ns::WSDAIR, "wsdair", "SQLExecuteFactoryRequest");
         let factory = FactoryRequest::negotiate(body, resource, message)?;
@@ -500,13 +551,13 @@ fn register_federated_sql_ops(
                 ),
             )
         })?;
-        let shard_sql = stmt.shard_statement();
-
+        let targets = stmt.target_shards(g.router.scheme(), g.router.shards(), &params);
+        let (shard_sql, router) = (stmt.shard_statement(), g.router.clone());
         let forwarded_config = names::CONFIGURATION_DOCUMENT.find_in(body).cloned();
         let per_shard =
-            fan_out_factory(&b, &rt, &fo, dair_actions::SQL_EXECUTE_FACTORY, |s, r| {
+            g.fan_out_factory(targets, dair_actions::SQL_EXECUTE_FACTORY, move |s, r| {
                 let mut shard_req = dair_messages::sql_execute_request(
-                    rt.replica(s, r).resource(),
+                    router.replica(s, r).resource(),
                     ns::ROWSET,
                     &shard_sql,
                     &params,
@@ -539,9 +590,7 @@ fn register_federated_sql_ops(
     );
 
     let c = ctx.clone();
-    let rt = router.clone();
-    let b = bus.clone();
-    let fo = failover.clone();
+    let g = grid.clone();
     let op = move |body: &XmlElement, response: &FederatedResponseResource| {
         let message = QName::new(ns::WSDAIR, "wsdair", "SQLRowsetFactoryRequest");
         let factory = FactoryRequest::negotiate(body, response, message)?;
@@ -555,33 +604,33 @@ fn register_federated_sql_ops(
         };
         let skip = response.offset;
 
-        let shard_names = &response.per_shard;
-        let per_shard = fan_out_factory(&b, &rt, &fo, dair_actions::SQL_ROWSET_FACTORY, |s, r| {
-            match &shard_names[s][r] {
-                Some(backing) => {
-                    let mut shard_req =
-                        dais_core::messages::request("SQLRowsetFactoryRequest", backing);
-                    if let Some(cap) = cap {
-                        // skip + cap is a safe per-shard over-fetch
-                        // bound: no shard contributes more than the
-                        // whole window, skipped prefix included.
-                        shard_req.push(
-                            XmlElement::new(ns::WSDAIR, "wsdair", "Count")
-                                .with_text(skip.saturating_add(cap).to_string()),
-                        );
+        let shard_names = response.per_shard.clone();
+        let logical = response.properties.abstract_name.clone();
+        let targets = shard_names.shards();
+        let per_shard =
+            g.fan_out_factory(targets, dair_actions::SQL_ROWSET_FACTORY, move |s, r| {
+                match shard_names.name(s, r) {
+                    Some(backing) => {
+                        let mut shard_req =
+                            dais_core::messages::request("SQLRowsetFactoryRequest", backing);
+                        if let Some(cap) = cap {
+                            // skip + cap is a safe per-shard over-fetch
+                            // bound: no shard contributes more than the
+                            // whole window, skipped prefix included.
+                            shard_req.push(
+                                XmlElement::new(ns::WSDAIR, "wsdair", "Count")
+                                    .with_text(skip.saturating_add(cap).to_string()),
+                            );
+                        }
+                        shard_req
                     }
-                    shard_req
+                    // The replica missed the response fan-out; addressing the
+                    // (unknown there) logical response name makes it fault —
+                    // and the sweep record it — rather than silently serving
+                    // nothing.
+                    None => dais_core::messages::request("SQLRowsetFactoryRequest", &logical),
                 }
-                // The replica missed the response fan-out; addressing the
-                // (unknown there) logical response name makes it fault —
-                // and the sweep record it — rather than silently serving
-                // nothing.
-                None => dais_core::messages::request(
-                    "SQLRowsetFactoryRequest",
-                    &response.properties.abstract_name,
-                ),
-            }
-        })?;
+            })?;
 
         factory.finish(&c, &names, "rowset", |properties| {
             Ok(FederatedRowsetResource {
@@ -606,9 +655,9 @@ fn register_federated_sql_ops(
         // bounded by skip+start+take — never the shard's full rowset.
         let skip = rowset.skip.saturating_add(start);
         let fetch = skip.saturating_add(take);
-        let per_shard = &rowset.per_shard;
-        let pages = scatter_pages(&bus, &router, &failover, dair_actions::GET_TUPLES, |s, r| {
-            let name = per_shard[s][r].as_ref().ok_or_else(|| {
+        let per_shard = rowset.per_shard.clone();
+        let pages = grid.pages(per_shard.shards(), dair_actions::GET_TUPLES, move |s, r| {
+            let name = per_shard.name(s, r).ok_or_else(|| {
                 CallError::Fault(Fault::dais(
                     DaisFault::DataResourceUnavailable,
                     "replica holds no derived rowset",
@@ -636,20 +685,19 @@ fn register_federated_sql_ops(
 fn register_federated_xml_ops(
     dispatcher: &mut SoapDispatcher,
     ctx: Arc<ServiceContext>,
-    router: Arc<ShardRouter>,
-    bus: Bus,
-    failover: RetryConfig,
+    grid: Arc<Grid>,
 ) {
     let op = move |body: &XmlElement, _: &FederatedResource| {
         let expression = daix_messages::parse_expression(body)?;
         let mut response = XmlElement::new(ns::WSDAIX, "wsdaix", "XPathExecuteResponse");
         // Shards answer concurrently; the document-set union still
         // assembles in shard order.
-        let replies = scatter_shards(router.shards(), |s| {
-            call_shard(&bus, &router, s, &failover, |client, r| {
+        let g = grid.clone();
+        let replies = grid.legs.scatter(0..grid.router.shards(), move |s| {
+            call_shard(&g.bus, &g.router, s, &g.failover, |client, r| {
                 let shard_req = daix_messages::query_request(
                     "XPathExecuteRequest",
-                    router.replica(s, r).resource(),
+                    g.router.replica(s, r).resource(),
                     &expression,
                 );
                 client.request(daix_actions::XPATH_EXECUTE, shard_req)

@@ -280,7 +280,8 @@ fn choose_access(
 ) -> AccessPath {
     let mut conjuncts = Vec::new();
     if let Some(p) = predicate {
-        sargable_conjuncts(p, schema, &mut conjuncts);
+        let column = |qualifier: Option<&str>, name: &str| schema.resolve(qualifier, name).ok();
+        sargable_conjuncts(p, &column, &mut conjuncts);
     }
     let meta = &table.schema;
     let pk = match meta.primary_key[..] {
@@ -295,11 +296,14 @@ fn choose_access(
         .filter(|(c, op, _)| *op == BinaryOp::Eq && indexed(*c))
         .min_by_key(|(c, ..)| pk != Some(*c));
     if let Some((column, _, key)) = probe {
-        return AccessPath::Probe { column: *column, key: key.clone() };
+        return AccessPath::Probe { column: *column, key: (*key).clone() };
     }
     let Some(pk) = pk else { return AccessPath::Scan };
-    let bounds: Vec<(BinaryOp, Expr)> =
-        conjuncts.into_iter().filter(|(c, ..)| *c == pk).map(|(_, op, b)| (op, b)).collect();
+    let bounds: Vec<(BinaryOp, Expr)> = conjuncts
+        .into_iter()
+        .filter(|(c, ..)| *c == pk)
+        .map(|(_, op, b)| (op, b.clone()))
+        .collect();
     let key_order = leading_order.filter(|(c, _)| *c == pk).map(|(_, ascending)| ascending);
     if bounds.is_empty() && key_order.is_none() {
         return AccessPath::Scan;
@@ -309,13 +313,42 @@ fn choose_access(
 
 /// The top-level `AND` conjuncts of the form `col op b` or `b op col`
 /// (`op` one of `= < <= > >=`, `b` a literal or `?`), as `(col, op, b)`
-/// with `op` read from the column's side.
-fn sargable_conjuncts(e: &Expr, schema: &ExecSchema, out: &mut Vec<(usize, BinaryOp, Expr)>) {
+/// with `op` read from the column's side. `column` resolves a
+/// (qualifier, name) reference to the caller's column id, or `None` for
+/// a column the caller does not track.
+///
+/// This is the one predicate analysis behind both the planner's access
+/// path and the federation's shard pruning: every conjunct it yields is
+/// a necessary condition of the predicate, so narrowing by any subset of
+/// them never excludes a row the predicate accepts.
+///
+/// ```
+/// use dais_sql::ast::{BinaryOp, Expr, Stmt};
+/// use dais_sql::exec::sargable_conjuncts;
+/// use dais_sql::parser::parse_statement;
+///
+/// let select = match parse_statement("SELECT * FROM t WHERE 5 < k AND (k = ? OR v = 1)") {
+///     Ok(Stmt::Select(select)) => select,
+///     other => panic!("{other:?}"),
+/// };
+/// let mut out = Vec::new();
+/// let column = |_: Option<&str>, name: &str| Some(name.to_string());
+/// sargable_conjuncts(select.where_clause.as_ref().unwrap(), &column, &mut out);
+/// // The OR arm is not a conjunct; `5 < k` reads as `k > 5`.
+/// assert_eq!(out.len(), 1);
+/// assert_eq!((out[0].0.as_str(), out[0].1), ("k", BinaryOp::Gt));
+/// assert!(matches!(out[0].2, Expr::Literal(_)));
+/// ```
+pub fn sargable_conjuncts<'e, C>(
+    e: &'e Expr,
+    column: &impl Fn(Option<&str>, &str) -> Option<C>,
+    out: &mut Vec<(C, BinaryOp, &'e Expr)>,
+) {
     let Expr::Binary { op, lhs, rhs } = e else { return };
     let flipped = match op {
         BinaryOp::And => {
-            sargable_conjuncts(lhs, schema, out);
-            return sargable_conjuncts(rhs, schema, out);
+            sargable_conjuncts(lhs, column, out);
+            return sargable_conjuncts(rhs, column, out);
         }
         BinaryOp::Eq => BinaryOp::Eq,
         BinaryOp::Lt => BinaryOp::Gt,
@@ -325,14 +358,14 @@ fn sargable_conjuncts(e: &Expr, schema: &ExecSchema, out: &mut Vec<(usize, Binar
         _ => return,
     };
     let column = |e: &Expr| match e {
-        Expr::Column { qualifier, name } => schema.resolve(qualifier.as_deref(), name).ok(),
+        Expr::Column { qualifier, name } => column(qualifier.as_deref(), name),
         _ => None,
     };
     let bound = |e: &Expr| matches!(e, Expr::Literal(_) | Expr::Param(_));
     if let (Some(c), true) = (column(lhs), bound(rhs)) {
-        out.push((c, *op, (**rhs).clone()));
+        out.push((c, *op, rhs));
     } else if let (Some(c), true) = (column(rhs), bound(lhs)) {
-        out.push((c, flipped, (**lhs).clone()));
+        out.push((c, flipped, lhs));
     }
 }
 

@@ -298,6 +298,63 @@ fn non_distributable_queries_are_refused_never_answered_wrong() {
     }
 }
 
+/// A join pairs rows that may live on different shards, so each shard's
+/// half-answer is not a piece of the whole: with 20 rows,
+/// `b.k = a.k + 1` pairs 19 rows on one node but only the pairs that
+/// happen to share a shard on four. It is refused on every topology —
+/// the refusal itself must not tell a consumer the topology.
+#[test]
+fn joins_are_refused_on_every_topology() {
+    for topology in ALL {
+        let (bus, _server, fleet) = sql_fleet(topology);
+        let client = sql_client(&bus, &fleet);
+        for sql in [
+            "SELECT a.k, b.k FROM t a JOIN t b ON b.k = a.k + 1",
+            "SELECT a.k FROM t a CROSS JOIN t b WHERE a.k = 1",
+        ] {
+            let err = client
+                .execute(fleet.resource().resource(), sql, &[])
+                .expect_err("a join must not scatter");
+            match err {
+                CallError::Fault(f) => assert_eq!(
+                    f.dais,
+                    Some(DaisFault::InvalidExpression),
+                    "{topology:?} {sql}: got {f:?}"
+                ),
+                other => {
+                    panic!("{topology:?} {sql}: expected InvalidExpressionFault, got {other:?}")
+                }
+            }
+        }
+    }
+}
+
+/// A `SELECT` with no `FROM` reads no table, so no shard owns its row:
+/// it must answer once, as a plain service does, not once per shard —
+/// directly and through the factory → rowset → `GetTuples` path.
+#[test]
+fn a_select_without_from_answers_once_on_every_topology() {
+    for topology in ALL {
+        let (bus, _server, fleet) = sql_fleet(topology);
+        let client = sql_client(&bus, &fleet);
+        let data = execute(&client, fleet.resource(), "SELECT 1, 'one'");
+        assert_eq!(
+            canon(data.rowset().unwrap()),
+            vec!["1\u{1f}one".to_string()],
+            "{topology:?} must answer a table-less SELECT once"
+        );
+
+        let response_epr = client
+            .execute_factory(fleet.resource().resource(), "SELECT 2", &[], None, None)
+            .unwrap();
+        let response = AbstractName::new(response_epr.resource_abstract_name().unwrap()).unwrap();
+        let rowset_epr = client.rowset_factory(&response, None, None).unwrap();
+        let rowset = AbstractName::new(rowset_epr.resource_abstract_name().unwrap()).unwrap();
+        let page = client.get_tuples(&rowset, 0, 10).unwrap();
+        assert_eq!(canon(&page), vec!["2".to_string()], "{topology:?} factory path");
+    }
+}
+
 /// `ORDER BY a, b` with first-key duplicates spanning shards: ties must
 /// fall to the remaining sort terms — exactly as a single node sorts —
 /// not to the shard index.
