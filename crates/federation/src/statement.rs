@@ -432,8 +432,8 @@ mod tests {
         assert_eq!(ranged("SELECT * FROM t WHERE 20 <= k", &[]), 2..4);
         assert_eq!(ranged("SELECT * FROM t WHERE k < 10", &[]), 0..1);
         assert_eq!(ranged("SELECT * FROM t WHERE k < ?", &[Value::Int(-1000)]), 0..1);
-        // A negated literal is an expression, not a bound: every shard.
-        assert_eq!(ranged("SELECT * FROM t WHERE k < -1000", &[]), 0..4);
+        // A negative literal is a bound like any other.
+        assert_eq!(ranged("SELECT * FROM t WHERE k < -1000", &[]), 0..1);
         // Empty bounds still answer from one shard.
         assert_eq!(ranged("SELECT * FROM t WHERE k > 25 AND k < 12", &[]).len(), 1);
         assert_eq!(ranged(&format!("SELECT * FROM t WHERE k > {}", i64::MAX), &[]).len(), 1);

@@ -1804,7 +1804,14 @@ mod tests {
             ("id > 5 OR id < 2", Scan),
             ("id <> 5", Scan),
             ("price > 5", Scan),
-            ("id > -5", Scan),
+            // A negative number is a literal bound; a negated expression
+            // is not.
+            ("id >= -5", walk(vec![(BinaryOp::Ge, lit(-5))], None)),
+            (
+                "id > -5 AND id < -1",
+                walk(vec![(BinaryOp::Gt, lit(-5)), (BinaryOp::Lt, lit(-1))], None),
+            ),
+            ("id > -(2 + 3)", Scan),
         ];
         for (predicate, expected) in cases {
             let sql = format!("SELECT id FROM item WHERE {predicate}");

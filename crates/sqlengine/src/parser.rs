@@ -1,14 +1,20 @@
 //! Recursive-descent SQL parser.
+//!
+//! Every level an expression nests — a parenthesis, function or `CASE`
+//! body, `IN` list, prefix `-`/`+`/`NOT`, and each link of a binary
+//! chain — counts against [`MAX_EXPRESSION_DEPTH`]; past it the parse
+//! fails with a syntax error instead of recursing on.
 
 use crate::ast::*;
 use crate::error::SqlError;
 use crate::lexer::{tokenize, Token};
 use crate::value::{SqlType, Value};
+use dais_util::MAX_EXPRESSION_DEPTH;
 
 /// Parse one statement (a trailing semicolon is tolerated).
 pub fn parse_statement(sql: &str) -> Result<Stmt, SqlError> {
     let tokens = tokenize(sql)?;
-    let mut p = P { tokens: &tokens, pos: 0, params: 0 };
+    let mut p = P { tokens: &tokens, pos: 0, params: 0, depth: 0 };
     let stmt = p.statement()?;
     p.eat(&Token::Semicolon);
     if p.pos != tokens.len() {
@@ -89,6 +95,8 @@ struct P<'a> {
     tokens: &'a [Token],
     pos: usize,
     params: usize,
+    /// Expression levels open at this point of the parse.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -141,6 +149,17 @@ impl<'a> P<'a> {
         } else {
             Err(SqlError::syntax(format!("expected {t:?}, found {:?}", self.peek())))
         }
+    }
+
+    /// Open one more expression level, refusing to pass the budget.
+    fn deeper(&mut self) -> Result<(), SqlError> {
+        self.depth += 1;
+        if self.depth > MAX_EXPRESSION_DEPTH {
+            return Err(SqlError::syntax(format!(
+                "expression nests deeper than {MAX_EXPRESSION_DEPTH} levels"
+            )));
+        }
+        Ok(())
     }
 
     /// An identifier; keywords are not identifiers.
@@ -523,30 +542,42 @@ impl<'a> P<'a> {
     // -- expressions ---------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, SqlError> {
-        self.or_expr()
+        let mark = self.depth;
+        self.deeper()?;
+        let e = self.or_expr()?;
+        self.depth = mark;
+        Ok(e)
     }
 
     fn or_expr(&mut self) -> Result<Expr, SqlError> {
+        let mark = self.depth;
         let mut lhs = self.and_expr()?;
         while self.eat_kw("OR") {
+            self.deeper()?;
             let rhs = self.and_expr()?;
             lhs = Expr::Binary { op: BinaryOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<Expr, SqlError> {
+        let mark = self.depth;
         let mut lhs = self.not_expr()?;
         while self.eat_kw("AND") {
+            self.deeper()?;
             let rhs = self.not_expr()?;
             lhs = Expr::Binary { op: BinaryOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn not_expr(&mut self) -> Result<Expr, SqlError> {
         if self.eat_kw("NOT") {
+            self.deeper()?;
             let inner = self.not_expr()?;
+            self.depth -= 1;
             return Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) });
         }
         self.comparison()
@@ -617,6 +648,7 @@ impl<'a> P<'a> {
     }
 
     fn additive(&mut self) -> Result<Expr, SqlError> {
+        let mark = self.depth;
         let mut lhs = self.multiplicative()?;
         loop {
             let op = match self.peek() {
@@ -626,13 +658,16 @@ impl<'a> P<'a> {
                 _ => break,
             };
             self.pos += 1;
+            self.deeper()?;
             let rhs = self.multiplicative()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn multiplicative(&mut self) -> Result<Expr, SqlError> {
+        let mark = self.depth;
         let mut lhs = self.unary()?;
         loop {
             let op = match self.peek() {
@@ -642,9 +677,11 @@ impl<'a> P<'a> {
                 _ => break,
             };
             self.pos += 1;
+            self.deeper()?;
             let rhs = self.unary()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
@@ -657,11 +694,23 @@ impl<'a> P<'a> {
                     return Ok(Expr::Literal(Value::Int(i64::MIN)));
                 }
             }
+            self.deeper()?;
             let inner = self.unary()?;
-            return Ok(Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) });
+            self.depth -= 1;
+            // A negated number is a literal, so `k >= -5` is a sargable
+            // bound. `- -9223372036854775808` stays a negation, which
+            // overflows when evaluated.
+            return Ok(match inner {
+                Expr::Literal(Value::Int(i)) if i != i64::MIN => Expr::Literal(Value::Int(-i)),
+                Expr::Literal(Value::Double(d)) => Expr::Literal(Value::Double(-d)),
+                inner => Expr::Unary { op: UnaryOp::Neg, expr: Box::new(inner) },
+            });
         }
         if self.eat(&Token::Plus) {
-            return self.unary();
+            self.deeper()?;
+            let inner = self.unary()?;
+            self.depth -= 1;
+            return Ok(inner);
         }
         self.primary()
     }

@@ -35,3 +35,14 @@ pub use pool::PooledBuf;
 pub use prop::{run_cases, Gen};
 pub use rng::SplitMix64;
 pub use sync::{Mutex, RwLock};
+
+/// The nesting budget of every recursive reader of a request expression:
+/// the SQL parser, the XPath parser and XQuery's element constructors.
+/// Each counts one level per nested parenthesis, predicate, argument
+/// list, prefix operator, constructor and binary-operator link, which is
+/// the depth of the tree it builds, and refuses anything deeper with its
+/// own typed error. Evaluating or dropping such a tree then recurses at
+/// most this deep, which fits a 2 MiB thread (the std default, and the
+/// stack of executor workers and TCP connection threads) even in a debug
+/// build, where a parser spends several kilobytes of stack per level.
+pub const MAX_EXPRESSION_DEPTH: usize = 128;

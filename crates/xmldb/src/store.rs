@@ -1,7 +1,8 @@
 //! The collection tree and the thread-safe database façade.
 
 use dais_util::sync::RwLock;
-use dais_xml::{parse, XPathContext, XPathExpr, XPathValue, XmlElement};
+use dais_xml::xpath::{DocumentIndex, IndexedValue, XPathNode};
+use dais_xml::{parse, XPathContext, XPathExpr, XmlElement};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -228,6 +229,8 @@ impl XmlDatabase {
     }
 
     /// As [`XmlDatabase::xpath_query`] with namespace/variable bindings.
+    /// Every document is indexed in one reused buffer, under one read
+    /// guard, and a selected node is cloned once, into the answer.
     pub fn xpath_query_with(
         &self,
         collection: &str,
@@ -240,35 +243,35 @@ impl XmlDatabase {
             .resolve(&split_path(collection))
             .ok_or_else(|| XmlDbError::NoSuchCollection(collection.to_string()))?;
         let mut out = Vec::new();
+        let mut index: Option<DocumentIndex> = None;
         for doc in c.documents.values() {
-            match expr.evaluate_with(doc, ctx).map_err(|e| XmlDbError::Query(e.to_string()))? {
-                XPathValue::NodeSet(nodes) => {
-                    for n in nodes {
-                        match n {
-                            dais_xml::xpath::XPathNode::Element(e)
-                            | dais_xml::xpath::XPathNode::Root(e) => out.push(e),
-                            dais_xml::xpath::XPathNode::Text(t) => {
-                                out.push(XmlElement::new_local("text").with_text(t))
-                            }
-                            dais_xml::xpath::XPathNode::Attribute { name, value } => out.push(
-                                XmlElement::new_local("attribute")
-                                    .with_attr("name", name.lexical())
-                                    .with_text(value),
-                            ),
-                            dais_xml::xpath::XPathNode::Comment(_) => {}
-                        }
-                    }
+            let index = match &mut index {
+                Some(index) => {
+                    index.reindex(doc);
+                    index
                 }
+                None => index.insert(DocumentIndex::new(doc)),
+            };
+            let value = expr
+                .evaluate_in(index, index.root(), &[], ctx)
+                .map_err(|e| XmlDbError::Query(e.to_string()))?;
+            let IndexedValue::Nodes(ids) = value else {
                 // Scalar results are wrapped so collection queries always
                 // return elements (one per document).
-                XPathValue::Boolean(b) => {
-                    out.push(XmlElement::new_local("value").with_text(b.to_string()))
+                out.push(XmlElement::new_local("value").with_text(index.string(&value)));
+                continue;
+            };
+            for id in ids {
+                match index.detach(id) {
+                    XPathNode::Element(e) | XPathNode::Root(e) => out.push(e),
+                    XPathNode::Text(t) => out.push(XmlElement::new_local("text").with_text(t)),
+                    XPathNode::Attribute { name, value } => out.push(
+                        XmlElement::new_local("attribute")
+                            .with_attr("name", name.lexical())
+                            .with_text(value),
+                    ),
+                    XPathNode::Comment(_) => {}
                 }
-                XPathValue::Number(n) => out.push(
-                    XmlElement::new_local("value")
-                        .with_text(dais_xml::xpath::XPathValue::Number(n).to_xpath_string()),
-                ),
-                XPathValue::String(s) => out.push(XmlElement::new_local("value").with_text(s)),
             }
         }
         Ok(out)

@@ -12,19 +12,29 @@
 //!
 //! plus bare XPath expressions (a query without FLWOR keywords).
 //!
+//! Every clause and every constructor hole is parsed into an XPath
+//! expression once, by [`XQuery::parse`]. To run, the query indexes each
+//! document once ([`DocumentIndex`]); the `for` path selects nodes in that
+//! index, and each later clause is evaluated in the same index with the
+//! bound node as the context node and `$x` (the `for` variable) bound to
+//! it as a node-set variable. So `$x` means the binding everywhere — in a
+//! predicate, `/lib/book[price > $x/price]` compares other books with the
+//! bound one — absolute paths address the whole document, and string
+//! literals are never touched. `let` variables hold the value of their
+//! expression, node-sets included, in the same scope.
+//!
 //! Element constructors support `{expr}` interpolation in content and
-//! attribute values (`{{`/`}}` escape literal braces). Within `where`,
-//! `order by`, `let` and `return` expressions, `$x` (the `for` variable)
-//! denotes the bound node: `$x/price` selects its `price` children.
-//! `let` variables hold scalars (a node-set value is coerced to the
-//! string-value of its first node).
+//! attribute values (`{{`/`}}` escape literal braces); constructors nest
+//! at most [`MAX_EXPRESSION_DEPTH`] deep. A selected node is cloned out of
+//! the document once, when it leaves as a result item or constructor
+//! content.
 //!
 //! Not supported (documented limitations): nested/multiple `for` clauses,
 //! joins across variables, user-defined functions, and the XQuery type
 //! system. These go beyond what the DAIS use cases in the paper require.
 
 use crate::store::XmlDbError;
-use dais_xml::xpath::{XPathNode, XPathValue};
+use dais_xml::xpath::{DocumentIndex, IndexedValue, NodeId, XPathNode, MAX_EXPRESSION_DEPTH};
 use dais_xml::{XPathContext, XPathExpr, XmlElement, XmlNode};
 
 /// One item of a query result sequence.
@@ -64,22 +74,22 @@ pub struct XQuery {
 #[derive(Debug, Clone)]
 enum QueryKind {
     Bare(XPathExpr),
-    Flwor(Flwor),
+    Flwor(Box<Flwor>),
 }
 
 #[derive(Debug, Clone)]
 struct Flwor {
     var: String,
     source: XPathExpr,
-    lets: Vec<(String, String)>, // (name, expression source with $var intact)
-    where_expr: Option<String>,
-    order_by: Option<(String, bool)>, // (expression, ascending)
+    lets: Vec<(String, XPathExpr)>,
+    where_expr: Option<XPathExpr>,
+    order_by: Option<(XPathExpr, bool)>, // (expression, ascending)
     ret: Return,
 }
 
 #[derive(Debug, Clone)]
 enum Return {
-    Expr(String),
+    Expr(XPathExpr),
     Constructor(Constructor),
 }
 
@@ -93,7 +103,7 @@ struct Constructor {
 #[derive(Debug, Clone)]
 enum ConstructorNode {
     Text(String),
-    Hole(String),
+    Hole(XPathExpr),
     Child(Constructor),
 }
 
@@ -111,10 +121,12 @@ impl XQuery {
             || trimmed.starts_with("for\t")
             || trimmed.starts_with("for\n")
         {
-            Ok(XQuery { kind: QueryKind::Flwor(parse_flwor(trimmed)?), source: source.to_string() })
+            Ok(XQuery {
+                kind: QueryKind::Flwor(Box::new(parse_flwor(trimmed)?)),
+                source: source.to_string(),
+            })
         } else {
-            let expr = XPathExpr::parse(trimmed).map_err(|e| XmlDbError::Query(e.to_string()))?;
-            Ok(XQuery { kind: QueryKind::Bare(expr), source: source.to_string() })
+            Ok(XQuery { kind: QueryKind::Bare(xpath(trimmed)?), source: source.to_string() })
         }
     }
 
@@ -133,29 +145,16 @@ impl XQuery {
         doc: &XmlElement,
         ctx: &XPathContext,
     ) -> Result<Vec<XQueryItem>, XmlDbError> {
+        let index = DocumentIndex::new(doc);
+        let mut items = Vec::new();
         match &self.kind {
             QueryKind::Bare(expr) => {
-                let v =
-                    expr.evaluate_with(doc, ctx).map_err(|e| XmlDbError::Query(e.to_string()))?;
-                Ok(value_to_items(v))
+                let v = evaluate(expr, &index, index.root(), &[], ctx)?;
+                for_each_item(&index, v, |item| items.push(item));
             }
-            QueryKind::Flwor(f) => execute_flwor(f, doc, ctx),
+            QueryKind::Flwor(f) => execute_flwor(f, &index, ctx, &mut items)?,
         }
-    }
-}
-
-fn value_to_items(v: XPathValue) -> Vec<XQueryItem> {
-    match v {
-        XPathValue::NodeSet(nodes) => nodes
-            .into_iter()
-            .filter_map(|n| match n {
-                XPathNode::Element(e) | XPathNode::Root(e) => Some(XQueryItem::Element(e)),
-                XPathNode::Attribute { value, .. } => Some(XQueryItem::Value(value)),
-                XPathNode::Text(t) => Some(XQueryItem::Value(t)),
-                XPathNode::Comment(_) => None,
-            })
-            .collect(),
-        other => vec![XQueryItem::Value(other.to_xpath_string())],
+        Ok(items)
     }
 }
 
@@ -258,7 +257,7 @@ fn parse_flwor(src: &str) -> Result<Flwor, XmlDbError> {
     if source_text.is_empty() {
         return Err(XmlDbError::Query("missing path after 'in'".into()));
     }
-    let source = XPathExpr::parse(&source_text).map_err(|e| XmlDbError::Query(e.to_string()))?;
+    let source = xpath(&source_text)?;
 
     let mut lets = Vec::new();
     let mut where_expr = None;
@@ -274,13 +273,13 @@ fn parse_flwor(src: &str) -> Result<Flwor, XmlDbError> {
                 };
                 let start = src.len() - rest_trim.len();
                 let (expr, next, s) = scan_until(src, start, &stops);
-                lets.push((name, expr));
+                lets.push((name, xpath(&expr)?));
                 pos = next;
                 stop = s;
             }
             Some("where") => {
                 let (expr, next, s) = scan_until(src, pos, &["order", "return"]);
-                where_expr = Some(expr);
+                where_expr = Some(xpath(&expr)?);
                 pos = next;
                 stop = s;
             }
@@ -303,7 +302,7 @@ fn parse_flwor(src: &str) -> Result<Flwor, XmlDbError> {
                     }
                     other => (true, next, other),
                 };
-                order_by = Some((expr, ascending));
+                order_by = Some((xpath(&expr)?, ascending));
                 pos = pos2;
                 stop = stop2;
             }
@@ -313,7 +312,7 @@ fn parse_flwor(src: &str) -> Result<Flwor, XmlDbError> {
                     return Err(XmlDbError::Query("empty return clause".into()));
                 }
                 let ret = if ret_src.starts_with('<') {
-                    let (c, rest) = parse_constructor(ret_src)?;
+                    let (c, rest) = parse_constructor(ret_src, 1)?;
                     if !rest.trim().is_empty() {
                         return Err(XmlDbError::Query(format!(
                             "unexpected content after constructor: '{}'",
@@ -322,7 +321,7 @@ fn parse_flwor(src: &str) -> Result<Flwor, XmlDbError> {
                     }
                     Return::Constructor(c)
                 } else {
-                    Return::Expr(ret_src.to_string())
+                    Return::Expr(xpath(ret_src)?)
                 };
                 return Ok(Flwor { var, source, lets, where_expr, order_by, ret });
             }
@@ -331,9 +330,13 @@ fn parse_flwor(src: &str) -> Result<Flwor, XmlDbError> {
     }
 }
 
-/// Parse an element constructor, returning it and the remaining input.
-fn parse_constructor(src: &str) -> Result<(Constructor, &str), XmlDbError> {
+/// Parse an element constructor at nesting `depth`, returning it and the
+/// remaining input.
+fn parse_constructor(src: &str, depth: usize) -> Result<(Constructor, &str), XmlDbError> {
     let err = |m: &str| XmlDbError::Query(format!("constructor: {m}"));
+    if depth > MAX_EXPRESSION_DEPTH {
+        return Err(err(&format!("constructors nest deeper than {MAX_EXPRESSION_DEPTH} levels")));
+    }
     let s = src.strip_prefix('<').ok_or_else(|| err("expected '<'"))?;
     let name_end = s
         .find(|c: char| c.is_whitespace() || c == '>' || c == '/')
@@ -389,10 +392,10 @@ fn parse_constructor(src: &str) -> Result<(Constructor, &str), XmlDbError> {
             rest = &rest[2..];
         } else if let Some(r) = rest.strip_prefix('{') {
             let close = find_brace_close(r).ok_or_else(|| err("unterminated { expression"))?;
-            content.push(ConstructorNode::Hole(r[..close].trim().to_string()));
+            content.push(ConstructorNode::Hole(xpath(&r[..close])?));
             rest = &r[close + 1..];
         } else if rest.starts_with('<') {
-            let (child, r) = parse_constructor(rest)?;
+            let (child, r) = parse_constructor(rest, depth + 1)?;
             content.push(ConstructorNode::Child(child));
             rest = r;
         } else {
@@ -442,7 +445,7 @@ fn parse_template(raw: &str) -> Result<Template, XmlDbError> {
             let close = find_brace_close(r).ok_or_else(|| {
                 XmlDbError::Query("unterminated { expression in attribute".into())
             })?;
-            parts.push(ConstructorNode::Hole(r[..close].trim().to_string()));
+            parts.push(ConstructorNode::Hole(xpath(&r[..close])?));
             rest = &r[close + 1..];
         } else {
             let end = rest.find(['{', '}']).unwrap_or(rest.len());
@@ -457,111 +460,89 @@ fn parse_template(raw: &str) -> Result<Template, XmlDbError> {
 // Evaluation
 // ---------------------------------------------------------------------------
 
-/// Replace `$name` with `.` in an expression (exact-name matches only).
-fn substitute_var(expr: &str, name: &str) -> String {
-    let needle = format!("${name}");
-    let mut out = String::with_capacity(expr.len());
-    let mut rest = expr;
-    while let Some(i) = rest.find(&needle) {
-        let after = &rest[i + needle.len()..];
-        let boundary = after
-            .chars()
-            .next()
-            .map(|c| !(c.is_alphanumeric() || c == '_' || c == '-'))
-            .unwrap_or(true);
-        out.push_str(&rest[..i]);
-        if boundary {
-            out.push('.');
-            rest = after;
-        } else {
-            out.push_str(&needle);
-            rest = after;
-        }
-    }
-    out.push_str(rest);
-    out
+fn xpath(src: &str) -> Result<XPathExpr, XmlDbError> {
+    XPathExpr::parse(src.trim()).map_err(|e| XmlDbError::Query(e.to_string()))
 }
 
-/// Evaluate an expression in the scope of the for-binding: `$var` becomes
-/// `.` and the bound element is the context node. `let` variables are
-/// already in `ctx`.
-fn eval_in_binding(
-    expr_src: &str,
-    var: &str,
-    binding: &XmlElement,
-    ctx: &XPathContext,
-) -> Result<XPathValue, XmlDbError> {
-    let substituted = substitute_var(expr_src, var);
-    let expr = XPathExpr::parse(&substituted).map_err(|e| XmlDbError::Query(e.to_string()))?;
-    expr.evaluate_element_context(binding, ctx).map_err(|e| XmlDbError::Query(e.to_string()))
+fn evaluate<'x>(
+    expr: &'x XPathExpr,
+    index: &'x DocumentIndex<'_>,
+    at: NodeId,
+    scope: &'x [(&'x str, IndexedValue<'x>)],
+    ctx: &'x XPathContext,
+) -> Result<IndexedValue<'x>, XmlDbError> {
+    expr.evaluate_in(index, at, scope, ctx).map_err(|e| XmlDbError::Query(e.to_string()))
+}
+
+/// Hand each item of a value to `f`: selected nodes cloned out of the
+/// document (comments dropped), or one scalar.
+fn for_each_item(
+    index: &DocumentIndex<'_>,
+    value: IndexedValue<'_>,
+    mut f: impl FnMut(XQueryItem),
+) {
+    let ids = match value {
+        IndexedValue::Nodes(ids) => ids,
+        IndexedValue::String(s) => return f(XQueryItem::Value(s.into_owned())),
+        scalar => return f(XQueryItem::Value(index.string(&scalar).into_owned())),
+    };
+    for id in ids {
+        match index.detach(id) {
+            XPathNode::Element(e) | XPathNode::Root(e) => f(XQueryItem::Element(e)),
+            XPathNode::Attribute { value, .. } | XPathNode::Text(value) => {
+                f(XQueryItem::Value(value))
+            }
+            XPathNode::Comment(_) => {}
+        }
+    }
+}
+
+/// An `order by` key: the number, and the string it falls back on.
+struct SortKey {
+    number: f64,
+    string: String,
 }
 
 fn execute_flwor(
     f: &Flwor,
-    doc: &XmlElement,
-    base_ctx: &XPathContext,
-) -> Result<Vec<XQueryItem>, XmlDbError> {
-    // Bind $var to each selected element.
-    let bindings = match f
-        .source
-        .evaluate_with(doc, base_ctx)
-        .map_err(|e| XmlDbError::Query(e.to_string()))?
-    {
-        XPathValue::NodeSet(nodes) => nodes
-            .into_iter()
-            .filter_map(|n| match n {
-                XPathNode::Element(e) | XPathNode::Root(e) => Some(e),
-                _ => None,
-            })
-            .collect::<Vec<_>>(),
-        _ => return Err(XmlDbError::Query("for-clause path must select elements".into())),
+    index: &DocumentIndex<'_>,
+    ctx: &XPathContext,
+    out: &mut Vec<XQueryItem>,
+) -> Result<(), XmlDbError> {
+    let IndexedValue::Nodes(bound) = evaluate(&f.source, index, index.root(), &[], ctx)? else {
+        return Err(XmlDbError::Query("for-clause path must select elements".into()));
     };
-
-    struct Candidate {
-        binding: XmlElement,
-        ctx: XPathContext,
-        order_key: Option<XPathValue>,
-    }
-
-    let mut candidates = Vec::new();
-    for binding in bindings {
-        // Evaluate let clauses into scalar variables.
-        let mut ctx = base_ctx.clone();
-        for (name, expr_src) in &f.lets {
-            let v = eval_in_binding(expr_src, &f.var, &binding, &ctx)?;
-            let scalar = match v {
-                XPathValue::NodeSet(nodes) => {
-                    XPathValue::String(nodes.first().map(|n| n.string_value()).unwrap_or_default())
-                }
-                other => other,
-            };
-            ctx.bind_variable(name.clone(), scalar);
+    let mut ordered = Vec::new();
+    for at in bound {
+        // `$x` ranges over the selected elements (or the root).
+        if at != index.root() && index.element(at).is_none() {
+            continue;
         }
-        // Where.
+        let mut scope = vec![(f.var.as_str(), IndexedValue::Nodes(vec![at]))];
+        for (name, expr) in &f.lets {
+            let value = evaluate(expr, index, at, &scope, ctx)?.into_owned();
+            scope.push((name.as_str(), value));
+        }
         if let Some(w) = &f.where_expr {
-            if !eval_in_binding(w, &f.var, &binding, &ctx)?.to_bool() {
+            if !evaluate(w, index, at, &scope, ctx)?.to_bool() {
                 continue;
             }
         }
-        // Order key.
-        let order_key = match &f.order_by {
-            Some((expr, _)) => Some(eval_in_binding(expr, &f.var, &binding, &ctx)?),
-            None => None,
-        };
-        candidates.push(Candidate { binding, ctx, order_key });
+        match &f.order_by {
+            Some((expr, _)) => {
+                let key = evaluate(expr, index, at, &scope, ctx)?;
+                let key = SortKey { number: index.number(&key), string: index.string(&key).into() };
+                ordered.push((key, at, scope));
+            }
+            None => emit(&f.ret, index, at, &scope, ctx, out)?,
+        }
     }
-
     if let Some((_, ascending)) = &f.order_by {
-        candidates.sort_by(|a, b| {
-            let (ka, kb) = match (a.order_key.as_ref(), b.order_key.as_ref()) {
-                (Some(ka), Some(kb)) => (ka, kb),
-                _ => return std::cmp::Ordering::Equal,
-            };
-            let (na, nb) = (ka.to_number(), kb.to_number());
-            let ord = if !na.is_nan() && !nb.is_nan() {
-                na.partial_cmp(&nb).unwrap_or(std::cmp::Ordering::Equal)
+        ordered.sort_by(|(a, ..), (b, ..)| {
+            let ord = if !a.number.is_nan() && !b.number.is_nan() {
+                a.number.partial_cmp(&b.number).unwrap_or(std::cmp::Ordering::Equal)
             } else {
-                ka.to_xpath_string().cmp(&kb.to_xpath_string())
+                a.string.cmp(&b.string)
             };
             if *ascending {
                 ord
@@ -569,28 +550,38 @@ fn execute_flwor(
                 ord.reverse()
             }
         });
-    }
-
-    // Return.
-    let mut out = Vec::new();
-    for c in candidates {
-        match &f.ret {
-            Return::Expr(src) => {
-                let v = eval_in_binding(src, &f.var, &c.binding, &c.ctx)?;
-                out.extend(value_to_items(v));
-            }
-            Return::Constructor(cons) => {
-                out.push(XQueryItem::Element(build_constructor(cons, &f.var, &c.binding, &c.ctx)?));
-            }
+        for (_, at, scope) in &ordered {
+            emit(&f.ret, index, *at, scope, ctx, out)?;
         }
     }
-    Ok(out)
+    Ok(())
+}
+
+/// Evaluate the `return` clause for one binding.
+fn emit(
+    ret: &Return,
+    index: &DocumentIndex<'_>,
+    at: NodeId,
+    scope: &[(&str, IndexedValue<'_>)],
+    ctx: &XPathContext,
+    out: &mut Vec<XQueryItem>,
+) -> Result<(), XmlDbError> {
+    match ret {
+        Return::Expr(expr) => {
+            for_each_item(index, evaluate(expr, index, at, scope, ctx)?, |item| out.push(item))
+        }
+        Return::Constructor(cons) => {
+            out.push(XQueryItem::Element(build_constructor(cons, index, at, scope, ctx)?))
+        }
+    }
+    Ok(())
 }
 
 fn build_constructor(
     cons: &Constructor,
-    var: &str,
-    binding: &XmlElement,
+    index: &DocumentIndex<'_>,
+    at: NodeId,
+    scope: &[(&str, IndexedValue<'_>)],
     ctx: &XPathContext,
 ) -> Result<XmlElement, XmlDbError> {
     let mut element = XmlElement::new_local(&cons.name);
@@ -600,7 +591,7 @@ fn build_constructor(
             match part {
                 ConstructorNode::Text(t) => value.push_str(t),
                 ConstructorNode::Hole(expr) => {
-                    value.push_str(&eval_in_binding(expr, var, binding, ctx)?.to_xpath_string())
+                    value.push_str(&index.string(&evaluate(expr, index, at, scope, ctx)?))
                 }
                 ConstructorNode::Child(_) => unreachable!("templates hold no children"),
             }
@@ -615,23 +606,15 @@ fn build_constructor(
                 }
             }
             ConstructorNode::Child(c) => {
-                element.push(build_constructor(c, var, binding, ctx)?);
+                element.push(build_constructor(c, index, at, scope, ctx)?);
             }
-            ConstructorNode::Hole(expr) => match eval_in_binding(expr, var, binding, ctx)? {
-                XPathValue::NodeSet(nodes) => {
-                    for n in nodes {
-                        match n {
-                            XPathNode::Element(e) | XPathNode::Root(e) => element.push(e),
-                            XPathNode::Attribute { value, .. } => {
-                                element.children.push(XmlNode::Text(value))
-                            }
-                            XPathNode::Text(t) => element.children.push(XmlNode::Text(t)),
-                            XPathNode::Comment(_) => {}
-                        }
-                    }
-                }
-                other => element.children.push(XmlNode::Text(other.to_xpath_string())),
-            },
+            ConstructorNode::Hole(expr) => {
+                let value = evaluate(expr, index, at, scope, ctx)?;
+                for_each_item(index, value, |item| match item {
+                    XQueryItem::Element(e) => element.push(e),
+                    XQueryItem::Value(v) => element.children.push(XmlNode::Text(v)),
+                });
+            }
         }
     }
     Ok(element)
@@ -745,12 +728,93 @@ mod tests {
         assert!(run("for $b in //book where $b/price > 1000 return $b").is_empty());
     }
 
+    fn library() -> XmlElement {
+        parse(
+            "<lib>\
+               <book><title>A</title><price>10</price></book>\
+               <book><title>B</title><price>30</price></book>\
+               <book><title>C</title><price>20</price></book>\
+             </lib>",
+        )
+        .unwrap()
+    }
+
+    fn strings(q: &str, doc: &XmlElement) -> Vec<String> {
+        XQuery::parse(q)
+            .unwrap()
+            .execute(doc)
+            .unwrap()
+            .iter()
+            .map(XQueryItem::string_value)
+            .collect()
+    }
+
     #[test]
-    fn variable_name_boundaries() {
-        // $b vs $bk must not be confused.
-        let q = "for $b in //book where $b/price > 30 return $b/title";
-        assert_eq!(substitute_var(q, "bk"), q);
-        assert!(substitute_var(q, "b").contains("./price"));
+    fn the_for_variable_means_the_binding_inside_a_predicate() {
+        // Inside `[...]` the context node is the predicate's book, while
+        // `$b` stays the bound one, and `/lib/book` is the real document.
+        let q = "for $b in /lib/book where count(/lib/book[price > $b/price]) = 0 \
+                 return $b/title/text()";
+        assert_eq!(strings(q, &library()), vec!["B"]);
+        let q = "for $b in /lib/book return count(/lib/book[price < $b/price])";
+        assert_eq!(strings(q, &library()), vec!["0", "2", "1"]);
+    }
+
+    #[test]
+    fn string_literals_naming_the_variable_are_left_alone() {
+        let q = "for $b in /lib/book return concat('cost of $b: ', $b/price)";
+        assert_eq!(
+            strings(q, &library()),
+            vec!["cost of $b: 10", "cost of $b: 30", "cost of $b: 20"]
+        );
+        let q = "for $b in /lib/book[1] return <r t=\"{concat('$b', $b/title)}\">{'$b'}</r>";
+        let items = XQuery::parse(q).unwrap().execute(&library()).unwrap();
+        let XQueryItem::Element(e) = &items[0] else { panic!() };
+        assert_eq!(e.attribute("t"), Some("$bA"));
+        assert_eq!(e.text(), "$b");
+    }
+
+    #[test]
+    fn a_variable_named_like_a_prefix_of_another_is_its_own() {
+        // `$bk` is not `$b` followed by `k`.
+        let q = "for $b in /lib/book let $bk := $b/price * 2 return $bk";
+        assert_eq!(strings(q, &library()), vec!["20", "60", "40"]);
+        let q = "for $b in /lib/book return $bk";
+        assert!(XQuery::parse(q).unwrap().execute(&library()).is_err());
+    }
+
+    #[test]
+    fn let_binds_nodes_of_the_same_document() {
+        let q = "for $b in /lib/book let $t := $b/title where $b/price >= 20 return $t";
+        let items = XQuery::parse(q).unwrap().execute(&library()).unwrap();
+        assert_eq!(items.len(), 2);
+        assert!(matches!(&items[0], XQueryItem::Element(e) if e.name.local == "title"));
+        let q =
+            "for $b in /lib/book order by $b/price descending return $b/../book[1]/title/text()";
+        assert_eq!(strings(q, &library()), vec!["A", "A", "A"]);
+    }
+
+    #[test]
+    fn clauses_are_parsed_once_at_parse_time() {
+        assert!(XQuery::parse("for $b in /lib/book where $b/price >> 1 return $b").is_err());
+        assert!(XQuery::parse("for $b in /lib/book return <r>{$b/[}</r>").is_err());
+        assert!(XQuery::parse("for $b in /lib/book order by ( return $b").is_err());
+    }
+
+    #[test]
+    fn constructor_nesting_is_bounded() {
+        let depth = MAX_EXPRESSION_DEPTH;
+        let nest = |n: usize| {
+            format!(
+                "for $b in /lib/book[1] return {}{{$b/title/text()}}{}",
+                "<a>".repeat(n),
+                "</a>".repeat(n)
+            )
+        };
+        let items = XQuery::parse(&nest(depth)).unwrap().execute(&library()).unwrap();
+        assert_eq!(items[0].string_value(), "A");
+        let err = XQuery::parse(&nest(depth + 1)).unwrap_err();
+        assert!(err.to_string().contains("nest deeper"), "{err}");
     }
 
     #[test]

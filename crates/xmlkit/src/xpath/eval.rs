@@ -1,15 +1,25 @@
-//! XPath evaluation over an [`XmlElement`] tree.
+//! XPath evaluation over a flat, per-document index.
 //!
-//! Evaluation builds a transient arena index over the borrowed document so
-//! that parent navigation, document order and node identity are available
-//! without mutating the value-typed tree. Arena node ids are assigned in
-//! document order (pre-order, attributes immediately after their element),
-//! so merging node-sets is a sort-and-dedup over ids.
+//! [`DocumentIndex`] lays one document out as a single `Vec` of entries in
+//! pre-order: an element, then its attributes, then the subtrees of its
+//! children. An entry borrows its node from the tree and holds its parent,
+//! the end of its subtree and its index in its parent — nothing on the
+//! heap — so indexing a document costs one allocation, or none when the
+//! buffer is reused. A node's id is its position, so ids are document
+//! order and merging node-sets is a sort-and-dedup. A node's attributes are
+//! the entries right after it, its descendants are the entries up to its
+//! subtree end, and its children are found by jumping from one child's
+//! subtree end to the next. Node-sets are vectors of ids while an
+//! expression runs; a node is cloned out of the tree only when it leaves
+//! as a result ([`DocumentIndex::detach`]), and its structural
+//! [`NodePath`] is built from the parent chain only when asked for
+//! ([`DocumentIndex::path`]).
 
-use super::ast::{Axis, BinOp, Expr, NodeTest, Path, Step};
+use super::ast::{Axis, BinOp, Expr, NodeTest, Step};
 use super::XPathError;
 use crate::name::QName;
-use crate::node::{XmlElement, XmlNode};
+use crate::node::{Attribute, XmlElement, XmlNode};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// The result of evaluating an XPath expression: one of the four XPath 1.0
@@ -64,13 +74,7 @@ impl XPathValue {
             XPathValue::NodeSet(_) | XPathValue::String(_) => {
                 str_to_number(&self.to_xpath_string())
             }
-            XPathValue::Boolean(b) => {
-                if *b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
+            XPathValue::Boolean(b) => bool_to_number(*b),
             XPathValue::Number(n) => *n,
         }
     }
@@ -104,8 +108,9 @@ impl XPathContext {
         self.namespaces.insert(prefix.into(), uri.into());
     }
 
-    /// Bind a scalar variable. Node-set variables are intentionally not
-    /// supported (see module docs of [`super`]).
+    /// Bind a scalar variable. A node-set variable names nodes of one
+    /// indexed document, so it is bound in the scope of
+    /// [`super::XPathExpr::evaluate_in`] instead.
     pub fn bind_variable(&mut self, name: impl Into<String>, value: XPathValue) {
         self.variables.insert(name.into(), value);
     }
@@ -122,17 +127,8 @@ impl XPathContext {
 }
 
 // ---------------------------------------------------------------------------
-// Arena
+// The index
 // ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy)]
-enum Kind<'a> {
-    Root,
-    Element(&'a XmlElement),
-    Text(&'a str),
-    Comment(&'a str),
-    Attribute(&'a crate::node::Attribute),
-}
 
 /// One step in a structural path from the document element to a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -148,118 +144,243 @@ pub enum PathStep {
 /// Used by XUpdate to mutate the nodes an expression selected.
 pub type NodePath = Vec<PathStep>;
 
-struct Entry<'a> {
-    kind: Kind<'a>,
-    parent: Option<usize>,
-    children: Vec<usize>,
-    attributes: Vec<usize>,
-    /// Structural path from the document element; `None` for the virtual
-    /// root node.
-    path: Option<NodePath>,
+/// A node of a [`DocumentIndex`]: its position in document order. An id
+/// means something only in the index that produced it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct NodeId(u32);
+
+impl NodeId {
+    fn ix(self) -> usize {
+        self.0 as usize
+    }
 }
 
-struct Arena<'a> {
-    entries: Vec<Entry<'a>>,
+#[derive(Clone, Copy)]
+enum Kind<'d> {
+    Root,
+    Element(&'d XmlElement),
+    Attribute(&'d Attribute),
+    Text(&'d String),
+    Comment(&'d String),
 }
 
-impl<'a> Arena<'a> {
-    fn build(root: &'a XmlElement) -> Arena<'a> {
-        let mut arena = Arena { entries: Vec::with_capacity(root.node_count() + 1) };
-        arena.entries.push(Entry {
-            kind: Kind::Root,
-            parent: None,
-            children: Vec::new(),
-            attributes: Vec::new(),
-            path: None,
-        });
-        let id = arena.add_element(root, 0, Vec::new());
-        arena.entries[0].children.push(id);
-        arena
+#[derive(Clone, Copy)]
+struct Entry<'d> {
+    kind: Kind<'d>,
+    /// The parent's id; the virtual root has none and holds its own.
+    parent: NodeId,
+    /// One past the last id of this node's subtree.
+    end: NodeId,
+    /// Index into the parent's `children`, or its `attributes` for an
+    /// attribute.
+    index: u32,
+}
+
+/// One document laid out for evaluation: a flat pre-order `Vec` over the
+/// borrowed tree (see the module docs). Id 0 is the virtual root and id 1
+/// the document element. Ids are `u32`; a document that fits in a frame
+/// has far fewer nodes.
+pub struct DocumentIndex<'d> {
+    entries: Vec<Entry<'d>>,
+}
+
+impl<'d> DocumentIndex<'d> {
+    /// Index the document whose element is `root`.
+    pub fn new(root: &'d XmlElement) -> DocumentIndex<'d> {
+        let mut index = DocumentIndex { entries: Vec::new() };
+        index.reindex(root);
+        index
     }
 
-    fn add_element(&mut self, element: &'a XmlElement, parent: usize, path: NodePath) -> usize {
-        let id = self.entries.len();
+    /// Index another document in this index's buffer. Ids taken from the
+    /// previous document mean nothing afterwards.
+    pub fn reindex(&mut self, root: &'d XmlElement) {
+        self.entries.clear();
+        // Attributes are not counted: they cost at most one regrowth.
+        self.entries.reserve(1 + root.node_count());
+        let root_id = NodeId(0);
+        self.entries.push(Entry { kind: Kind::Root, parent: root_id, end: root_id, index: 0 });
+        self.push_element(root, root_id, 0);
+        self.entries[0].end = self.next_id();
+    }
+
+    fn next_id(&self) -> NodeId {
+        NodeId(self.entries.len() as u32)
+    }
+
+    fn push_element(&mut self, element: &'d XmlElement, parent: NodeId, index: usize) {
+        let id = self.next_id();
         self.entries.push(Entry {
             kind: Kind::Element(element),
-            parent: Some(parent),
-            children: Vec::new(),
-            attributes: Vec::new(),
-            path: Some(path.clone()),
+            parent,
+            end: id,
+            index: index as u32,
         });
-        for (j, attr) in element.attributes.iter().enumerate() {
-            let aid = self.entries.len();
-            let mut apath = path.clone();
-            apath.push(PathStep::Attribute(j));
-            self.entries.push(Entry {
-                kind: Kind::Attribute(attr),
-                parent: Some(id),
-                children: Vec::new(),
-                attributes: Vec::new(),
-                path: Some(apath),
-            });
-            self.entries[id].attributes.push(aid);
+        for (j, attribute) in element.attributes.iter().enumerate() {
+            self.push_leaf(Kind::Attribute(attribute), id, j);
         }
         for (i, child) in element.children.iter().enumerate() {
-            let mut cpath = path.clone();
-            cpath.push(PathStep::Child(i));
-            let cid = match child {
-                XmlNode::Element(e) => self.add_element(e, id, cpath),
-                XmlNode::Text(t) | XmlNode::CData(t) => {
-                    let cid = self.entries.len();
-                    self.entries.push(Entry {
-                        kind: Kind::Text(t),
-                        parent: Some(id),
-                        children: Vec::new(),
-                        attributes: Vec::new(),
-                        path: Some(cpath),
-                    });
-                    cid
-                }
-                XmlNode::Comment(t) => {
-                    let cid = self.entries.len();
-                    self.entries.push(Entry {
-                        kind: Kind::Comment(t),
-                        parent: Some(id),
-                        children: Vec::new(),
-                        attributes: Vec::new(),
-                        path: Some(cpath),
-                    });
-                    cid
-                }
-            };
-            self.entries[id].children.push(cid);
-        }
-        id
-    }
-
-    fn string_value(&self, id: usize) -> String {
-        match self.entries[id].kind {
-            Kind::Root => self.entries[id].children.iter().map(|&c| self.string_value(c)).collect(),
-            Kind::Element(e) => e.text(),
-            Kind::Text(t) | Kind::Comment(t) => t.to_string(),
-            Kind::Attribute(a) => a.value.clone(),
-        }
-    }
-
-    fn detach(&self, id: usize) -> XPathNode {
-        match self.entries[id].kind {
-            Kind::Root => {
-                let root = self.entries[0]
-                    .children
-                    .first()
-                    .and_then(|&c| match self.entries[c].kind {
-                        Kind::Element(e) => Some(e.clone()),
-                        _ => None,
-                    })
-                    .unwrap_or_default();
-                XPathNode::Root(root)
+            match child {
+                XmlNode::Element(e) => self.push_element(e, id, i),
+                XmlNode::Text(t) | XmlNode::CData(t) => self.push_leaf(Kind::Text(t), id, i),
+                XmlNode::Comment(t) => self.push_leaf(Kind::Comment(t), id, i),
             }
+        }
+        self.entries[id.ix()].end = self.next_id();
+    }
+
+    fn push_leaf(&mut self, kind: Kind<'d>, parent: NodeId, index: usize) {
+        let end = NodeId(self.next_id().0 + 1);
+        self.entries.push(Entry { kind, parent, end, index: index as u32 });
+    }
+
+    /// The virtual root, the context node of an absolute path.
+    pub fn root(&self) -> NodeId {
+        NodeId(0)
+    }
+
+    fn entry(&self, id: NodeId) -> &Entry<'d> {
+        &self.entries[id.ix()]
+    }
+
+    fn kind(&self, id: NodeId) -> Kind<'d> {
+        self.entry(id).kind
+    }
+
+    fn end(&self, id: NodeId) -> NodeId {
+        self.entry(id).end
+    }
+
+    fn parent(&self, id: NodeId) -> Option<NodeId> {
+        Some(self.entry(id).parent).filter(|_| id.0 != 0)
+    }
+
+    /// The first id after `id`'s own attributes: its first child, if it
+    /// has any children.
+    fn first_child(&self, id: NodeId) -> NodeId {
+        match self.kind(id) {
+            Kind::Element(e) => NodeId(id.0 + 1 + e.attributes.len() as u32),
+            _ => NodeId(id.0 + 1),
+        }
+    }
+
+    /// The element at `id`, if it is one.
+    pub fn element(&self, id: NodeId) -> Option<&'d XmlElement> {
+        match self.kind(id) {
+            Kind::Element(e) => Some(e),
+            _ => None,
+        }
+    }
+
+    /// The XPath string-value of a node, borrowed from the tree unless an
+    /// element's text is spread over several children.
+    pub fn string_value(&self, id: NodeId) -> Cow<'d, str> {
+        match self.kind(id) {
+            Kind::Root => self.string_value(NodeId(1)),
+            Kind::Element(e) => match e.children.as_slice() {
+                [] => Cow::Borrowed(""),
+                [XmlNode::Text(t) | XmlNode::CData(t)] => Cow::Borrowed(t),
+                _ => Cow::Owned(e.text()),
+            },
+            Kind::Attribute(a) => Cow::Borrowed(&a.value),
+            Kind::Text(t) | Kind::Comment(t) => Cow::Borrowed(t),
+        }
+    }
+
+    /// Clone a node out of the document.
+    pub fn detach(&self, id: NodeId) -> XPathNode {
+        match self.kind(id) {
+            Kind::Root => XPathNode::Root(self.element(NodeId(1)).cloned().unwrap_or_default()),
             Kind::Element(e) => XPathNode::Element(e.clone()),
-            Kind::Text(t) => XPathNode::Text(t.to_string()),
-            Kind::Comment(t) => XPathNode::Comment(t.to_string()),
+            Kind::Text(t) => XPathNode::Text(t.clone()),
+            Kind::Comment(t) => XPathNode::Comment(t.clone()),
             Kind::Attribute(a) => {
                 XPathNode::Attribute { name: a.name.clone(), value: a.value.clone() }
             }
+        }
+    }
+
+    /// The structural address of a node, from its parent chain. The
+    /// virtual root and the document element both have the empty path.
+    pub fn path(&self, id: NodeId) -> NodePath {
+        let mut path = NodePath::new();
+        let mut node = id;
+        while node.0 > 1 {
+            let entry = self.entry(node);
+            path.push(match entry.kind {
+                Kind::Attribute(_) => PathStep::Attribute(entry.index as usize),
+                _ => PathStep::Child(entry.index as usize),
+            });
+            node = entry.parent;
+        }
+        path.reverse();
+        path
+    }
+
+    /// XPath `string()` of a value computed over this index.
+    pub fn string<'v>(&'v self, value: &'v IndexedValue<'_>) -> Cow<'v, str> {
+        match value {
+            IndexedValue::Nodes(ids) => {
+                ids.first().map(|&id| self.string_value(id)).unwrap_or_default()
+            }
+            IndexedValue::Boolean(b) => Cow::Borrowed(if *b { "true" } else { "false" }),
+            IndexedValue::Number(n) => Cow::Owned(number_to_string(*n)),
+            IndexedValue::String(s) => Cow::Borrowed(s),
+        }
+    }
+
+    /// XPath `number()` of a value computed over this index.
+    pub fn number(&self, value: &IndexedValue<'_>) -> f64 {
+        match value {
+            IndexedValue::Boolean(b) => bool_to_number(*b),
+            IndexedValue::Number(n) => *n,
+            other => str_to_number(&self.string(other)),
+        }
+    }
+
+    /// The detached form of a value computed over this index: each
+    /// selected node is cloned out of the document once.
+    pub fn to_xpath_value(&self, value: IndexedValue<'_>) -> XPathValue {
+        match value {
+            IndexedValue::Nodes(ids) => {
+                XPathValue::NodeSet(ids.into_iter().map(|id| self.detach(id)).collect())
+            }
+            IndexedValue::Boolean(b) => XPathValue::Boolean(b),
+            IndexedValue::Number(n) => XPathValue::Number(n),
+            IndexedValue::String(s) => XPathValue::String(s.into_owned()),
+        }
+    }
+}
+
+/// A value computed over a [`DocumentIndex`]: node-sets are ids into it,
+/// in document order; strings borrow from the expression or the document
+/// where they can.
+#[derive(Debug, Clone, PartialEq)]
+pub enum IndexedValue<'x> {
+    Nodes(Vec<NodeId>),
+    Boolean(bool),
+    Number(f64),
+    String(Cow<'x, str>),
+}
+
+impl IndexedValue<'_> {
+    /// XPath `boolean()` coercion.
+    pub fn to_bool(&self) -> bool {
+        match self {
+            IndexedValue::Nodes(n) => !n.is_empty(),
+            IndexedValue::Boolean(b) => *b,
+            IndexedValue::Number(n) => *n != 0.0 && !n.is_nan(),
+            IndexedValue::String(s) => !s.is_empty(),
+        }
+    }
+
+    /// The value with its string owned, to outlive what it borrowed.
+    pub fn into_owned(self) -> IndexedValue<'static> {
+        match self {
+            IndexedValue::Nodes(ids) => IndexedValue::Nodes(ids),
+            IndexedValue::Boolean(b) => IndexedValue::Boolean(b),
+            IndexedValue::Number(n) => IndexedValue::Number(n),
+            IndexedValue::String(s) => IndexedValue::String(Cow::Owned(s.into_owned())),
         }
     }
 }
@@ -268,143 +389,112 @@ impl<'a> Arena<'a> {
 // Evaluation
 // ---------------------------------------------------------------------------
 
-/// Internal value: node-sets as arena ids.
-#[derive(Debug, Clone)]
-enum V {
-    Nodes(Vec<usize>),
-    Bool(bool),
-    Num(f64),
-    Str(String),
+/// The evaluator's short name for [`IndexedValue`].
+use IndexedValue as V;
+
+/// Evaluate `expr` in `index` with `at` as the context node (position and
+/// size 1). `scope`'s variables shadow the context's scalar ones.
+pub(super) fn evaluate<'x>(
+    expr: &'x Expr,
+    index: &'x DocumentIndex<'_>,
+    at: NodeId,
+    scope: &'x [(&'x str, IndexedValue<'x>)],
+    ctx: &'x XPathContext,
+) -> Result<IndexedValue<'x>, XPathError> {
+    Evaluator { index, ctx, scope }.eval(expr, at, 1, 1)
 }
 
-pub(super) fn evaluate(
-    expr: &Expr,
-    root: &XmlElement,
-    context: &XPathContext,
-) -> Result<XPathValue, XPathError> {
-    evaluate_from(expr, root, context, false)
+struct Evaluator<'x, 'd> {
+    index: &'x DocumentIndex<'d>,
+    ctx: &'x XPathContext,
+    scope: &'x [(&'x str, IndexedValue<'x>)],
 }
 
-/// Evaluate with the document *element* (rather than the virtual root) as
-/// the context node — the mode the XQuery layer uses for `$var/path`
-/// expressions, where the bound element itself is the context.
-pub(super) fn evaluate_element_context(
-    expr: &Expr,
-    root: &XmlElement,
-    context: &XPathContext,
-) -> Result<XPathValue, XPathError> {
-    evaluate_from(expr, root, context, true)
-}
-
-fn evaluate_from(
-    expr: &Expr,
-    root: &XmlElement,
-    context: &XPathContext,
-    element_context: bool,
-) -> Result<XPathValue, XPathError> {
-    let arena = Arena::build(root);
-    let ev = Evaluator { arena: &arena, ctx: context };
-    let start = if element_context { 1 } else { 0 };
-    let v = ev.eval(expr, start, 1, 1)?;
-    Ok(match v {
-        V::Nodes(ids) => XPathValue::NodeSet(ids.iter().map(|&id| arena.detach(id)).collect()),
-        V::Bool(b) => XPathValue::Boolean(b),
-        V::Num(n) => XPathValue::Number(n),
-        V::Str(s) => XPathValue::String(s),
-    })
-}
-
-/// Evaluate a node-set expression to the structural paths of the selected
-/// nodes (document order). Non-node results yield an error; the virtual
-/// root maps to the empty path.
-pub(super) fn evaluate_paths(
-    expr: &Expr,
-    root: &XmlElement,
-    context: &XPathContext,
-) -> Result<Vec<NodePath>, XPathError> {
-    let arena = Arena::build(root);
-    let ev = Evaluator { arena: &arena, ctx: context };
-    match ev.eval(expr, 0, 1, 1)? {
-        V::Nodes(ids) => {
-            Ok(ids.iter().map(|&id| arena.entries[id].path.clone().unwrap_or_default()).collect())
-        }
-        _ => Err(XPathError::new("expression does not select nodes")),
-    }
-}
-
-struct Evaluator<'a, 'c> {
-    arena: &'a Arena<'a>,
-    ctx: &'c XPathContext,
-}
-
-impl<'a, 'c> Evaluator<'a, 'c> {
-    fn eval(&self, expr: &Expr, node: usize, pos: usize, size: usize) -> Result<V, XPathError> {
+impl<'x, 'd: 'x> Evaluator<'x, 'd> {
+    fn eval(
+        &self,
+        expr: &'x Expr,
+        node: NodeId,
+        pos: usize,
+        size: usize,
+    ) -> Result<V<'x>, XPathError> {
         match expr {
-            Expr::Literal(s) => Ok(V::Str(s.clone())),
-            Expr::Number(n) => Ok(V::Num(*n)),
-            Expr::Variable(name) => match self.ctx.variables.get(name) {
-                Some(XPathValue::Boolean(b)) => Ok(V::Bool(*b)),
-                Some(XPathValue::Number(n)) => Ok(V::Num(*n)),
-                Some(XPathValue::String(s)) => Ok(V::Str(s.clone())),
-                Some(XPathValue::NodeSet(_)) => Err(XPathError::new(format!(
-                    "variable ${name} holds a node-set; only scalar variables are supported"
-                ))),
-                None => Err(XPathError::new(format!("undefined variable ${name}"))),
-            },
-            Expr::Path(path) => Ok(V::Nodes(self.eval_path(path, node)?)),
+            Expr::Literal(s) => Ok(V::String(Cow::Borrowed(s))),
+            Expr::Number(n) => Ok(V::Number(*n)),
+            Expr::Variable(name) => self.variable(name),
+            Expr::Path(path) => {
+                let start = if path.absolute { self.index.root() } else { node };
+                let Some((first, rest)) = path.steps.split_first() else {
+                    return Ok(V::Nodes(vec![start]));
+                };
+                let mut selected = Vec::new();
+                self.apply_step(first, start, &mut selected)?;
+                Ok(V::Nodes(self.eval_steps(rest, selected)?))
+            }
             Expr::Filter { primary, predicates, path } => {
-                let base = self.eval(primary, node, pos, size)?;
-                let V::Nodes(mut ids) = base else {
+                let V::Nodes(mut ids) = self.eval(primary, node, pos, size)? else {
                     return Err(XPathError::new("predicates require a node-set operand"));
                 };
                 for pred in predicates {
-                    ids = self.filter(&ids, pred, false)?;
+                    self.filter(&mut ids, 0, pred, false)?;
                 }
                 if let Some(p) = path {
-                    let mut out = Vec::new();
-                    for id in ids {
-                        out.extend(self.eval_path_from(&p.steps, id)?);
-                    }
-                    out.sort_unstable();
-                    out.dedup();
-                    ids = out;
+                    ids = self.eval_steps(&p.steps, ids)?;
                 }
                 Ok(V::Nodes(ids))
             }
             Expr::Negate(inner) => {
                 let v = self.eval(inner, node, pos, size)?;
-                Ok(V::Num(-self.num(v)))
+                Ok(V::Number(-self.index.number(&v)))
             }
             Expr::Binary { op, lhs, rhs } => self.eval_binary(*op, lhs, rhs, node, pos, size),
             Expr::Call { name, args } => self.eval_call(name, args, node, pos, size),
         }
     }
 
+    fn variable(&self, name: &str) -> Result<V<'x>, XPathError> {
+        if let Some((_, value)) = self.scope.iter().rev().find(|(n, _)| *n == name) {
+            return Ok(match value {
+                V::String(s) => V::String(Cow::Borrowed(s)),
+                other => other.clone(),
+            });
+        }
+        match self.ctx.variables.get(name) {
+            Some(XPathValue::Boolean(b)) => Ok(V::Boolean(*b)),
+            Some(XPathValue::Number(n)) => Ok(V::Number(*n)),
+            Some(XPathValue::String(s)) => Ok(V::String(Cow::Borrowed(s))),
+            Some(XPathValue::NodeSet(_)) => Err(XPathError::new(format!(
+                "variable ${name} holds a detached node-set; bind node-sets in an evaluation scope"
+            ))),
+            None => Err(XPathError::new(format!("undefined variable ${name}"))),
+        }
+    }
+
     fn eval_binary(
         &self,
         op: BinOp,
-        lhs: &Expr,
-        rhs: &Expr,
-        node: usize,
+        lhs: &'x Expr,
+        rhs: &'x Expr,
+        node: NodeId,
         pos: usize,
         size: usize,
-    ) -> Result<V, XPathError> {
+    ) -> Result<V<'x>, XPathError> {
         match op {
             BinOp::Or => {
                 let l = self.eval(lhs, node, pos, size)?;
-                if self.boolean(&l) {
-                    return Ok(V::Bool(true));
+                if l.to_bool() {
+                    return Ok(V::Boolean(true));
                 }
                 let r = self.eval(rhs, node, pos, size)?;
-                Ok(V::Bool(self.boolean(&r)))
+                Ok(V::Boolean(r.to_bool()))
             }
             BinOp::And => {
                 let l = self.eval(lhs, node, pos, size)?;
-                if !self.boolean(&l) {
-                    return Ok(V::Bool(false));
+                if !l.to_bool() {
+                    return Ok(V::Boolean(false));
                 }
                 let r = self.eval(rhs, node, pos, size)?;
-                Ok(V::Bool(self.boolean(&r)))
+                Ok(V::Boolean(r.to_bool()))
             }
             BinOp::Union => {
                 let l = self.eval(lhs, node, pos, size)?;
@@ -420,9 +510,9 @@ impl<'a, 'c> Evaluator<'a, 'c> {
                 }
             }
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                let l = self.num(self.eval(lhs, node, pos, size)?);
-                let r = self.num(self.eval(rhs, node, pos, size)?);
-                Ok(V::Num(match op {
+                let l = self.index.number(&self.eval(lhs, node, pos, size)?);
+                let r = self.index.number(&self.eval(rhs, node, pos, size)?);
+                Ok(V::Number(match op {
                     BinOp::Add => l + r,
                     BinOp::Sub => l - r,
                     BinOp::Mul => l * r,
@@ -434,19 +524,19 @@ impl<'a, 'c> Evaluator<'a, 'c> {
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
                 let l = self.eval(lhs, node, pos, size)?;
                 let r = self.eval(rhs, node, pos, size)?;
-                Ok(V::Bool(self.compare(op, &l, &r)))
+                Ok(V::Boolean(self.compare(op, &l, &r)))
             }
         }
     }
 
     /// Comparison with XPath node-set existence semantics.
-    fn compare(&self, op: BinOp, l: &V, r: &V) -> bool {
+    fn compare(&self, op: BinOp, l: &V<'x>, r: &V<'x>) -> bool {
         use BinOp::*;
         match (l, r) {
             (V::Nodes(a), V::Nodes(b)) => a.iter().any(|&x| {
-                let xs = self.arena.string_value(x);
+                let xs = self.index.string_value(x);
                 b.iter().any(|&y| {
-                    let ys = self.arena.string_value(y);
+                    let ys = self.index.string_value(y);
                     match op {
                         Eq => xs == ys,
                         Ne => xs != ys,
@@ -454,32 +544,21 @@ impl<'a, 'c> Evaluator<'a, 'c> {
                     }
                 })
             }),
+            // A node-set meets a boolean as its own boolean().
+            (V::Nodes(a), V::Boolean(_)) => self.compare(op, &V::Boolean(!a.is_empty()), r),
+            (V::Boolean(_), V::Nodes(b)) => self.compare(op, l, &V::Boolean(!b.is_empty())),
             (V::Nodes(a), other) | (other, V::Nodes(a)) => {
                 // Orient so the node-set is on the left for relational ops.
                 let flipped = !matches!(l, V::Nodes(_));
                 a.iter().any(|&x| {
-                    let xs = self.arena.string_value(x);
+                    let xs = self.index.string_value(x);
                     match (op, other) {
-                        (Eq, V::Bool(b)) => a.is_empty() != *b,
-                        (Ne, V::Bool(b)) => a.is_empty() == *b,
-                        (Eq, V::Num(n)) => str_to_number(&xs) == *n,
-                        (Ne, V::Num(n)) => str_to_number(&xs) != *n,
-                        (Eq, V::Str(s)) => &xs == s,
-                        (Ne, V::Str(s)) => &xs != s,
+                        (Eq, V::Number(n)) => str_to_number(&xs) == *n,
+                        (Ne, V::Number(n)) => str_to_number(&xs) != *n,
+                        (Eq, V::String(s)) => xs == *s,
+                        (Ne, V::String(s)) => xs != *s,
                         (_, v) => {
-                            let n = match v {
-                                V::Num(n) => *n,
-                                V::Str(s) => str_to_number(s),
-                                V::Bool(b) => {
-                                    if *b {
-                                        1.0
-                                    } else {
-                                        0.0
-                                    }
-                                }
-                                V::Nodes(_) => unreachable!(),
-                            };
-                            let x = str_to_number(&xs);
+                            let (x, n) = (str_to_number(&xs), self.index.number(v));
                             if flipped {
                                 cmp_num(op, n, x)
                             } else {
@@ -492,11 +571,11 @@ impl<'a, 'c> Evaluator<'a, 'c> {
             _ => match op {
                 Eq | Ne => {
                     let eq = match (l, r) {
-                        (V::Bool(_), _) | (_, V::Bool(_)) => self.boolean(l) == self.boolean(r),
-                        (V::Num(_), _) | (_, V::Num(_)) => {
-                            self.num(l.clone()) == self.num(r.clone())
+                        (V::Boolean(_), _) | (_, V::Boolean(_)) => l.to_bool() == r.to_bool(),
+                        (V::Number(_), _) | (_, V::Number(_)) => {
+                            self.index.number(l) == self.index.number(r)
                         }
-                        _ => self.string(l.clone()) == self.string(r.clone()),
+                        _ => self.index.string(l) == self.index.string(r),
                     };
                     if op == Eq {
                         eq
@@ -504,163 +583,174 @@ impl<'a, 'c> Evaluator<'a, 'c> {
                         !eq
                     }
                 }
-                _ => cmp_num(op, self.num(l.clone()), self.num(r.clone())),
+                _ => cmp_num(op, self.index.number(l), self.index.number(r)),
             },
         }
     }
 
     // -- paths --------------------------------------------------------------
 
-    fn eval_path(&self, path: &Path, context_node: usize) -> Result<Vec<usize>, XPathError> {
-        let start = if path.absolute { 0 } else { context_node };
-        self.eval_path_from(&path.steps, start)
-    }
-
-    fn eval_path_from(&self, steps: &[Step], start: usize) -> Result<Vec<usize>, XPathError> {
-        let mut current = vec![start];
+    /// Apply `steps` to every node of `current`, returning the selected
+    /// nodes in document order.
+    fn eval_steps(
+        &self,
+        steps: &'x [Step],
+        mut current: Vec<NodeId>,
+    ) -> Result<Vec<NodeId>, XPathError> {
+        let mut next = Vec::new();
         for step in steps {
-            let mut next: Vec<usize> = Vec::new();
+            next.clear();
             for &node in &current {
-                let mut candidates = self.axis_nodes(step.axis, node);
-                candidates.retain(|&c| self.matches_test(&step.test, step.axis, c));
-                let reverse = step.axis.is_reverse();
-                let mut selected = candidates;
-                for pred in &step.predicates {
-                    selected = self.filter(&selected, pred, reverse)?;
-                }
-                next.extend(selected);
+                self.apply_step(step, node, &mut next)?;
             }
-            next.sort_unstable();
-            next.dedup();
-            current = next;
+            // One context node yields its candidates once each, in
+            // document order; several may overlap or interleave.
+            if current.len() > 1 {
+                next.sort_unstable();
+                next.dedup();
+            }
+            std::mem::swap(&mut current, &mut next);
         }
         Ok(current)
     }
 
-    /// Apply one predicate to a candidate list (in axis order).
+    /// Push the nodes one step selects from one context node, in
+    /// document order.
+    fn apply_step(
+        &self,
+        step: &'x Step,
+        node: NodeId,
+        out: &mut Vec<NodeId>,
+    ) -> Result<(), XPathError> {
+        let from = out.len();
+        self.push_axis(step, node, out);
+        for pred in &step.predicates {
+            self.filter(out, from, pred, step.axis.is_reverse())?;
+        }
+        Ok(())
+    }
+
+    /// Keep the nodes of `nodes[from..]` (in document order) that satisfy
+    /// one predicate. Positions count in axis order, so from the end on a
+    /// reverse axis.
     fn filter(
         &self,
-        nodes: &[usize],
-        pred: &Expr,
+        nodes: &mut Vec<NodeId>,
+        from: usize,
+        pred: &'x Expr,
         reverse: bool,
-    ) -> Result<Vec<usize>, XPathError> {
-        let size = nodes.len();
-        let mut out = Vec::with_capacity(size);
-        // Axis order for positional predicates: reverse axes count from the end.
-        let order: Vec<usize> = if reverse {
-            let mut v: Vec<usize> = nodes.to_vec();
-            v.sort_unstable_by(|a, b| b.cmp(a));
-            v
-        } else {
-            nodes.to_vec()
-        };
-        for (i, &node) in order.iter().enumerate() {
-            let v = self.eval(pred, node, i + 1, size)?;
-            let keep = match v {
+    ) -> Result<(), XPathError> {
+        let size = nodes.len() - from;
+        let mut kept = from;
+        for i in 0..size {
+            let node = nodes[from + i];
+            let pos = if reverse { size - i } else { i + 1 };
+            let keep = match self.eval(pred, node, pos, size)? {
                 // A numeric predicate selects by position.
-                V::Num(n) => (i + 1) as f64 == n,
-                other => self.boolean(&other),
+                V::Number(n) => pos as f64 == n,
+                other => other.to_bool(),
             };
             if keep {
-                out.push(node);
+                nodes[kept] = node;
+                kept += 1;
             }
         }
-        out.sort_unstable();
-        Ok(out)
+        nodes.truncate(kept);
+        Ok(())
     }
 
-    fn axis_nodes(&self, axis: Axis, node: usize) -> Vec<usize> {
-        let entry = &self.arena.entries[node];
+    /// Push the nodes on `step`'s axis from `node` that pass its node
+    /// test, in document order.
+    fn push_axis(&self, step: &Step, node: NodeId, out: &mut Vec<NodeId>) {
+        let index = self.index;
+        let axis = step.axis;
+        let mut push = |id: NodeId| {
+            if self.matches_test(&step.test, axis, id) {
+                out.push(id);
+            }
+        };
         match axis {
-            Axis::Child => entry.children.clone(),
-            Axis::Attribute => entry.attributes.clone(),
-            Axis::SelfAxis => vec![node],
-            Axis::Parent => entry.parent.into_iter().collect(),
-            Axis::Ancestor => {
-                let mut out = Vec::new();
-                let mut cur = entry.parent;
-                while let Some(p) = cur {
-                    out.push(p);
-                    cur = self.arena.entries[p].parent;
+            Axis::SelfAxis => push(node),
+            Axis::Child => {
+                let mut child = index.first_child(node);
+                while child < index.end(node) {
+                    push(child);
+                    child = index.end(child);
                 }
-                out
             }
-            Axis::AncestorOrSelf => {
-                let mut out = vec![node];
-                out.extend(self.axis_nodes(Axis::Ancestor, node));
-                out
+            Axis::Attribute => {
+                (node.0 + 1..index.first_child(node).0).for_each(|a| push(NodeId(a)))
             }
-            Axis::Descendant => {
-                let mut out = Vec::new();
-                self.collect_descendants(node, &mut out);
-                out
+            Axis::Descendant | Axis::DescendantOrSelf => {
+                if axis == Axis::DescendantOrSelf {
+                    push(node);
+                }
+                for d in index.first_child(node).0..index.end(node).0 {
+                    if !matches!(index.kind(NodeId(d)), Kind::Attribute(_)) {
+                        push(NodeId(d));
+                    }
+                }
             }
-            Axis::DescendantOrSelf => {
-                let mut out = vec![node];
-                self.collect_descendants(node, &mut out);
-                out
+            Axis::Parent => index.parent(node).into_iter().for_each(push),
+            Axis::Ancestor | Axis::AncestorOrSelf => {
+                let from = out.len();
+                let mut cur =
+                    if axis == Axis::AncestorOrSelf { Some(node) } else { index.parent(node) };
+                while let Some(a) = cur {
+                    if self.matches_test(&step.test, axis, a) {
+                        out.push(a);
+                    }
+                    cur = index.parent(a);
+                }
+                out[from..].reverse();
             }
             Axis::FollowingSibling | Axis::PrecedingSibling => {
-                let Some(parent) = entry.parent else { return Vec::new() };
-                let siblings = &self.arena.entries[parent].children;
-                let Some(idx) = siblings.iter().position(|&s| s == node) else {
-                    return Vec::new(); // attributes have no siblings
-                };
-                if axis == Axis::FollowingSibling {
-                    siblings[idx + 1..].to_vec()
+                // Attributes (and the root) have no siblings.
+                let Some(parent) = index.parent(node) else { return };
+                if matches!(index.kind(node), Kind::Attribute(_)) {
+                    return;
+                }
+                let (mut sibling, stop) = if axis == Axis::FollowingSibling {
+                    (index.end(node), index.end(parent))
                 } else {
-                    siblings[..idx].to_vec()
+                    (index.first_child(parent), node)
+                };
+                while sibling < stop {
+                    push(sibling);
+                    sibling = index.end(sibling);
                 }
             }
         }
     }
 
-    fn collect_descendants(&self, node: usize, out: &mut Vec<usize>) {
-        for &c in &self.arena.entries[node].children {
-            out.push(c);
-            self.collect_descendants(c, out);
-        }
-    }
-
-    fn matches_test(&self, test: &NodeTest, axis: Axis, node: usize) -> bool {
-        let kind = self.arena.entries[node].kind;
+    fn matches_test(&self, test: &NodeTest, axis: Axis, node: NodeId) -> bool {
+        let kind = self.index.kind(node);
         let name: Option<&QName> = match kind {
             Kind::Element(e) => Some(&e.name),
             Kind::Attribute(a) => Some(&a.name),
             _ => None,
         };
+        // The principal node type: attributes on the attribute axis,
+        // elements elsewhere.
+        let principal = if axis == Axis::Attribute {
+            matches!(kind, Kind::Attribute(_))
+        } else {
+            matches!(kind, Kind::Element(_))
+        };
         match test {
             NodeTest::AnyNode => true,
             NodeTest::Text => matches!(kind, Kind::Text(_)),
             NodeTest::Comment => matches!(kind, Kind::Comment(_)),
-            NodeTest::AnyName => {
-                // The principal node type: attributes on the attribute
-                // axis, elements elsewhere.
-                if axis == Axis::Attribute {
-                    matches!(kind, Kind::Attribute(_))
-                } else {
-                    matches!(kind, Kind::Element(_))
-                }
-            }
+            NodeTest::AnyName => principal,
             NodeTest::NamespaceWildcard { prefix } => {
                 let Some(name) = name else { return false };
-                let principal_ok = if axis == Axis::Attribute {
-                    matches!(kind, Kind::Attribute(_))
-                } else {
-                    matches!(kind, Kind::Element(_))
-                };
-                principal_ok
+                principal
                     && self.ctx.namespaces.get(prefix).map(String::as_str)
                         == Some(name.namespace.as_str())
             }
             NodeTest::Name { prefix, local } => {
                 let Some(name) = name else { return false };
-                let principal_ok = if axis == Axis::Attribute {
-                    matches!(kind, Kind::Attribute(_))
-                } else {
-                    matches!(kind, Kind::Element(_))
-                };
-                if !principal_ok || &name.local != local {
+                if !principal || &name.local != local {
                     return false;
                 }
                 match prefix {
@@ -679,11 +769,11 @@ impl<'a, 'c> Evaluator<'a, 'c> {
     fn eval_call(
         &self,
         name: &str,
-        args: &[Expr],
-        node: usize,
+        args: &'x [Expr],
+        node: NodeId,
         pos: usize,
         size: usize,
-    ) -> Result<V, XPathError> {
+    ) -> Result<V<'x>, XPathError> {
         let arity = |n: usize| -> Result<(), XPathError> {
             if args.len() == n {
                 Ok(())
@@ -695,20 +785,29 @@ impl<'a, 'c> Evaluator<'a, 'c> {
             }
         };
         let eval_arg = |i: usize| self.eval(&args[i], node, pos, size);
+        // The context node's string-value, or the one argument's string().
+        let string_arg = || -> Result<Cow<'x, str>, XPathError> {
+            if args.is_empty() {
+                Ok(self.index.string_value(node))
+            } else {
+                arity(1)?;
+                Ok(self.string(eval_arg(0)?))
+            }
+        };
 
         match name {
             "last" => {
                 arity(0)?;
-                Ok(V::Num(size as f64))
+                Ok(V::Number(size as f64))
             }
             "position" => {
                 arity(0)?;
-                Ok(V::Num(pos as f64))
+                Ok(V::Number(pos as f64))
             }
             "count" => {
                 arity(1)?;
                 match eval_arg(0)? {
-                    V::Nodes(n) => Ok(V::Num(n.len() as f64)),
+                    V::Nodes(n) => Ok(V::Number(n.len() as f64)),
                     _ => Err(XPathError::new("count() requires a node-set")),
                 }
             }
@@ -722,27 +821,20 @@ impl<'a, 'c> Evaluator<'a, 'c> {
                         _ => return Err(XPathError::new(format!("{name}() requires a node-set"))),
                     }
                 };
-                let qname: Option<QName> = target.and_then(|t| match self.arena.entries[t].kind {
-                    Kind::Element(e) => Some(e.name.clone()),
-                    Kind::Attribute(a) => Some(a.name.clone()),
+                let qname: Option<&QName> = target.and_then(|t| match self.index.kind(t) {
+                    Kind::Element(e) => Some(&e.name),
+                    Kind::Attribute(a) => Some(&a.name),
                     _ => None,
                 });
-                Ok(V::Str(match (name, qname) {
-                    (_, None) => String::new(),
-                    ("name", Some(q)) => q.lexical(),
-                    ("local-name", Some(q)) => q.local.into(),
-                    ("namespace-uri", Some(q)) => q.namespace.into(),
+                Ok(V::String(match (name, qname) {
+                    (_, None) => Cow::Borrowed(""),
+                    ("name", Some(q)) => Cow::Owned(q.lexical()),
+                    ("local-name", Some(q)) => Cow::Owned(q.local.to_string()),
+                    ("namespace-uri", Some(q)) => Cow::Owned(q.namespace.to_string()),
                     _ => unreachable!(),
                 }))
             }
-            "string" => {
-                if args.is_empty() {
-                    Ok(V::Str(self.arena.string_value(node)))
-                } else {
-                    arity(1)?;
-                    Ok(V::Str(self.string(eval_arg(0)?)))
-                }
-            }
+            "string" => Ok(V::String(string_arg()?)),
             "concat" => {
                 if args.len() < 2 {
                     return Err(XPathError::new("concat() expects at least 2 arguments"));
@@ -751,70 +843,63 @@ impl<'a, 'c> Evaluator<'a, 'c> {
                 for i in 0..args.len() {
                     out.push_str(&self.string(eval_arg(i)?));
                 }
-                Ok(V::Str(out))
+                Ok(V::String(Cow::Owned(out)))
             }
             "starts-with" => {
                 arity(2)?;
                 let a = self.string(eval_arg(0)?);
                 let b = self.string(eval_arg(1)?);
-                Ok(V::Bool(a.starts_with(&b)))
+                Ok(V::Boolean(a.starts_with(&*b)))
             }
             "contains" => {
                 arity(2)?;
                 let a = self.string(eval_arg(0)?);
                 let b = self.string(eval_arg(1)?);
-                Ok(V::Bool(a.contains(&b)))
+                Ok(V::Boolean(a.contains(&*b)))
             }
             "substring-before" => {
                 arity(2)?;
                 let a = self.string(eval_arg(0)?);
                 let b = self.string(eval_arg(1)?);
-                Ok(V::Str(a.split_once(&b).map(|(x, _)| x.to_string()).unwrap_or_default()))
+                Ok(V::String(Cow::Owned(
+                    a.split_once(&*b).map(|(x, _)| x.to_string()).unwrap_or_default(),
+                )))
             }
             "substring-after" => {
                 arity(2)?;
                 let a = self.string(eval_arg(0)?);
                 let b = self.string(eval_arg(1)?);
-                Ok(V::Str(a.split_once(&b).map(|(_, y)| y.to_string()).unwrap_or_default()))
+                Ok(V::String(Cow::Owned(
+                    a.split_once(&*b).map(|(_, y)| y.to_string()).unwrap_or_default(),
+                )))
             }
             "substring" => {
                 if args.len() != 2 && args.len() != 3 {
                     return Err(XPathError::new("substring() expects 2 or 3 arguments"));
                 }
-                let s: Vec<char> = self.string(eval_arg(0)?).chars().collect();
-                let start = self.num(eval_arg(1)?);
-                let len = if args.len() == 3 { self.num(eval_arg(2)?) } else { f64::INFINITY };
+                let s = self.string(eval_arg(0)?);
+                let start = self.index.number(&eval_arg(1)?);
+                let len =
+                    if args.len() == 3 { self.index.number(&eval_arg(2)?) } else { f64::INFINITY };
                 // XPath rounds and uses 1-based positions.
                 let begin = round_half_up(start);
                 let end =
                     if len.is_infinite() { f64::INFINITY } else { begin + round_half_up(len) };
-                let mut out = String::new();
-                for (i, c) in s.iter().enumerate() {
-                    let p = (i + 1) as f64;
-                    if p >= begin && p < end {
-                        out.push(*c);
-                    }
-                }
-                Ok(V::Str(out))
+                let out: String = s
+                    .chars()
+                    .enumerate()
+                    .filter(|(i, _)| {
+                        let p = (i + 1) as f64;
+                        p >= begin && p < end
+                    })
+                    .map(|(_, c)| c)
+                    .collect();
+                Ok(V::String(Cow::Owned(out)))
             }
-            "string-length" => {
-                let s = if args.is_empty() {
-                    self.arena.string_value(node)
-                } else {
-                    arity(1)?;
-                    self.string(eval_arg(0)?)
-                };
-                Ok(V::Num(s.chars().count() as f64))
-            }
-            "normalize-space" => {
-                let s = if args.is_empty() {
-                    self.arena.string_value(node)
-                } else {
-                    arity(1)?;
-                    self.string(eval_arg(0)?)
-                };
-                Ok(V::Str(s.split_whitespace().collect::<Vec<_>>().join(" ")))
-            }
+            "string-length" => Ok(V::Number(string_arg()?.chars().count() as f64)),
+            "normalize-space" => Ok(V::String(Cow::Owned(
+                string_arg()?.split_whitespace().collect::<Vec<_>>().join(" "),
+            ))),
             "translate" => {
                 arity(3)?;
                 let s = self.string(eval_arg(0)?);
@@ -831,92 +916,74 @@ impl<'a, 'c> Evaluator<'a, 'c> {
                         None => out.push(c),
                     }
                 }
-                Ok(V::Str(out))
+                Ok(V::String(Cow::Owned(out)))
             }
             "boolean" => {
                 arity(1)?;
-                let v = eval_arg(0)?;
-                Ok(V::Bool(self.boolean(&v)))
+                Ok(V::Boolean(eval_arg(0)?.to_bool()))
             }
             "not" => {
                 arity(1)?;
-                let v = eval_arg(0)?;
-                Ok(V::Bool(!self.boolean(&v)))
+                Ok(V::Boolean(!eval_arg(0)?.to_bool()))
             }
             "true" => {
                 arity(0)?;
-                Ok(V::Bool(true))
+                Ok(V::Boolean(true))
             }
             "false" => {
                 arity(0)?;
-                Ok(V::Bool(false))
+                Ok(V::Boolean(false))
             }
             "number" => {
                 if args.is_empty() {
-                    Ok(V::Num(str_to_number(&self.arena.string_value(node))))
+                    Ok(V::Number(str_to_number(&self.index.string_value(node))))
                 } else {
                     arity(1)?;
-                    Ok(V::Num(self.num(eval_arg(0)?)))
+                    Ok(V::Number(self.index.number(&eval_arg(0)?)))
                 }
             }
             "sum" => {
                 arity(1)?;
                 match eval_arg(0)? {
-                    V::Nodes(n) => Ok(V::Num(
-                        n.iter().map(|&id| str_to_number(&self.arena.string_value(id))).sum(),
+                    V::Nodes(n) => Ok(V::Number(
+                        n.iter().map(|&id| str_to_number(&self.index.string_value(id))).sum(),
                     )),
                     _ => Err(XPathError::new("sum() requires a node-set")),
                 }
             }
             "floor" => {
                 arity(1)?;
-                Ok(V::Num(self.num(eval_arg(0)?).floor()))
+                Ok(V::Number(self.index.number(&eval_arg(0)?).floor()))
             }
             "ceiling" => {
                 arity(1)?;
-                Ok(V::Num(self.num(eval_arg(0)?).ceil()))
+                Ok(V::Number(self.index.number(&eval_arg(0)?).ceil()))
             }
             "round" => {
                 arity(1)?;
-                Ok(V::Num(round_half_up(self.num(eval_arg(0)?))))
+                Ok(V::Number(round_half_up(self.index.number(&eval_arg(0)?))))
             }
             other => Err(XPathError::new(format!("unknown function {other}()"))),
         }
     }
 
-    // -- coercions over internal values --------------------------------------
+    // -- coercions --------------------------------------------------------------
 
-    fn boolean(&self, v: &V) -> bool {
+    /// XPath `string()` of a value, keeping an owned string as it is.
+    fn string(&self, v: V<'x>) -> Cow<'x, str> {
         match v {
-            V::Nodes(n) => !n.is_empty(),
-            V::Bool(b) => *b,
-            V::Num(n) => *n != 0.0 && !n.is_nan(),
-            V::Str(s) => !s.is_empty(),
+            V::String(s) => s,
+            V::Nodes(n) => n.first().map(|&id| self.index.string_value(id)).unwrap_or_default(),
+            other => Cow::Owned(self.index.string(&other).into_owned()),
         }
     }
+}
 
-    fn num(&self, v: V) -> f64 {
-        match v {
-            V::Nodes(_) => str_to_number(&self.string(v)),
-            V::Bool(b) => {
-                if b {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            V::Num(n) => n,
-            V::Str(s) => str_to_number(&s),
-        }
-    }
-
-    fn string(&self, v: V) -> String {
-        match v {
-            V::Nodes(n) => n.first().map(|&id| self.arena.string_value(id)).unwrap_or_default(),
-            V::Bool(b) => b.to_string(),
-            V::Num(n) => number_to_string(n),
-            V::Str(s) => s,
-        }
+fn bool_to_number(b: bool) -> f64 {
+    if b {
+        1.0
+    } else {
+        0.0
     }
 }
 
@@ -1109,6 +1176,12 @@ mod tests {
         assert!(b("//price != 40")); // other prices differ
         assert!(!b("//price = 39"));
         assert!(b("//book/@id = '2'"));
+        // Against a boolean a node-set is its own boolean(), empty or not.
+        assert!(b("//missing = false()"));
+        assert!(b("false() = //missing"));
+        assert!(!b("//missing != false()"));
+        assert!(b("//book = true()"));
+        assert!(b("//book > false()"));
     }
 
     #[test]

@@ -13,8 +13,18 @@
 //!   comparisons with node-set semantics, arithmetic (`+ - * div mod`,
 //!   unary minus), union (`|`), filter expressions and parentheses;
 //! * the core function library;
-//! * scalar variable references (`$name`) — node-set variables are the
-//!   business of the XQuery layer, which re-roots relative paths instead.
+//! * variable references (`$name`): scalars bound in the
+//!   [`XPathContext`], and node-sets bound in the scope of
+//!   [`XPathExpr::evaluate_in`], whose ids name nodes of one
+//!   [`DocumentIndex`] (XQuery binds its `for` variable to a node this
+//!   way, and evaluates every clause in the same index).
+//!
+//! Every evaluation runs over a [`DocumentIndex`], one flat pre-order
+//! `Vec` per document (see `eval.rs`); [`XPathExpr::evaluate`] builds one
+//! for its single call, and a caller walking many documents can reuse one
+//! buffer with [`DocumentIndex::reindex`]. The parser refuses nesting
+//! deeper than [`MAX_EXPRESSION_DEPTH`], so evaluating and dropping a
+//! parsed expression is bounded too.
 //!
 //! Name tests follow the XPath 1.0 rule: an unprefixed name matches names
 //! in *no* namespace; prefixed names are resolved against the
@@ -38,7 +48,10 @@ mod lexer;
 mod parser;
 
 pub use ast::Expr;
-pub use eval::{NodePath, PathStep, XPathContext, XPathNode, XPathValue};
+pub use dais_util::MAX_EXPRESSION_DEPTH;
+pub use eval::{
+    DocumentIndex, IndexedValue, NodeId, NodePath, PathStep, XPathContext, XPathNode, XPathValue,
+};
 
 use std::fmt;
 
@@ -71,7 +84,8 @@ impl std::error::Error for XPathError {}
 
 impl XPathExpr {
     /// Parse an expression. The resulting value can be evaluated any
-    /// number of times against different documents.
+    /// number of times against different documents. Nesting deeper than
+    /// [`MAX_EXPRESSION_DEPTH`] is refused.
     pub fn parse(source: &str) -> Result<Self, XPathError> {
         let tokens = lexer::tokenize(source)?;
         let ast = parser::parse_tokens(&tokens)?;
@@ -96,18 +110,26 @@ impl XPathExpr {
         root: &crate::XmlElement,
         context: &XPathContext,
     ) -> Result<XPathValue, XPathError> {
-        eval::evaluate(&self.ast, root, context)
+        let index = DocumentIndex::new(root);
+        let value = self.evaluate_in(&index, index.root(), &[], context)?;
+        Ok(index.to_xpath_value(value))
     }
 
-    /// Evaluate with the document element itself as the context node
-    /// (instead of the virtual root). `title` then means "child `title`
-    /// of this element" — the mode used for XQuery `$var/path` steps.
-    pub fn evaluate_element_context(
-        &self,
-        element: &crate::XmlElement,
-        context: &XPathContext,
-    ) -> Result<XPathValue, XPathError> {
-        eval::evaluate_element_context(&self.ast, element, context)
+    /// Evaluate in an indexed document, with `at` as the context node.
+    /// `scope` binds variables ahead of `context`'s scalar ones; its
+    /// node-set values are ids in `index`, which is how XQuery binds `$x`
+    /// to a node of the document it is walking. Every other evaluation
+    /// goes through here too. A string result may borrow from the
+    /// expression, the document or the scope
+    /// ([`IndexedValue::into_owned`] frees it).
+    pub fn evaluate_in<'x>(
+        &'x self,
+        index: &'x DocumentIndex<'_>,
+        at: NodeId,
+        scope: &'x [(&'x str, IndexedValue<'x>)],
+        context: &'x XPathContext,
+    ) -> Result<IndexedValue<'x>, XPathError> {
+        eval::evaluate(&self.ast, index, at, scope, context)
     }
 
     /// Evaluate to the structural paths of the selected nodes (document
@@ -118,7 +140,11 @@ impl XPathExpr {
         root: &crate::XmlElement,
         context: &XPathContext,
     ) -> Result<Vec<NodePath>, XPathError> {
-        eval::evaluate_paths(&self.ast, root, context)
+        let index = DocumentIndex::new(root);
+        match self.evaluate_in(&index, index.root(), &[], context)? {
+            IndexedValue::Nodes(ids) => Ok(ids.into_iter().map(|id| index.path(id)).collect()),
+            _ => Err(XPathError::new("expression does not select nodes")),
+        }
     }
 
     /// Convenience: evaluate and return matching elements (ignoring any

@@ -3,13 +3,19 @@
 //! Follows the XPath 1.0 grammar's precedence levels:
 //! `or < and < equality < relational < additive < multiplicative <
 //! unary < union < path`.
+//!
+//! Every level the tree nests — a parenthesis, predicate or argument list
+//! (each re-entering `or_expr`), a unary minus, and each link of a binary
+//! chain — counts against [`MAX_EXPRESSION_DEPTH`]; past it the parse
+//! fails instead of recursing on.
 
 use super::ast::{Axis, BinOp, Expr, NodeTest, Path, Step};
 use super::lexer::Token;
 use super::XPathError;
+use dais_util::MAX_EXPRESSION_DEPTH;
 
 pub fn parse_tokens(tokens: &[Token]) -> Result<Expr, XPathError> {
-    let mut p = P { tokens, pos: 0 };
+    let mut p = P { tokens, pos: 0, depth: 0 };
     let expr = p.or_expr()?;
     if p.pos != tokens.len() {
         return Err(XPathError::new(format!("unexpected trailing tokens at position {}", p.pos)));
@@ -20,6 +26,8 @@ pub fn parse_tokens(tokens: &[Token]) -> Result<Expr, XPathError> {
 struct P<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Levels of the tree open at this point of the parse.
+    depth: usize,
 }
 
 impl<'a> P<'a> {
@@ -56,6 +64,17 @@ impl<'a> P<'a> {
         }
     }
 
+    /// Open one more level of the tree, refusing to pass the budget.
+    fn deeper(&mut self) -> Result<(), XPathError> {
+        self.depth += 1;
+        if self.depth > MAX_EXPRESSION_DEPTH {
+            return Err(XPathError::new(format!(
+                "expression nests deeper than {MAX_EXPRESSION_DEPTH} levels"
+            )));
+        }
+        Ok(())
+    }
+
     /// True when the next token is the keyword `kw` used as an operator —
     /// only valid where a binary operator may appear.
     fn eat_keyword(&mut self, kw: &str) -> bool {
@@ -69,24 +88,32 @@ impl<'a> P<'a> {
     }
 
     fn or_expr(&mut self) -> Result<Expr, XPathError> {
+        let mark = self.depth;
+        self.deeper()?;
         let mut lhs = self.and_expr()?;
         while self.eat_keyword("or") {
+            self.deeper()?;
             let rhs = self.and_expr()?;
             lhs = Expr::Binary { op: BinOp::Or, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<Expr, XPathError> {
+        let mark = self.depth;
         let mut lhs = self.equality_expr()?;
         while self.eat_keyword("and") {
+            self.deeper()?;
             let rhs = self.equality_expr()?;
             lhs = Expr::Binary { op: BinOp::And, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn equality_expr(&mut self) -> Result<Expr, XPathError> {
+        let mark = self.depth;
         let mut lhs = self.relational_expr()?;
         loop {
             let op = match self.peek() {
@@ -95,13 +122,16 @@ impl<'a> P<'a> {
                 _ => break,
             };
             self.pos += 1;
+            self.deeper()?;
             let rhs = self.relational_expr()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn relational_expr(&mut self) -> Result<Expr, XPathError> {
+        let mark = self.depth;
         let mut lhs = self.additive_expr()?;
         loop {
             let op = match self.peek() {
@@ -112,13 +142,16 @@ impl<'a> P<'a> {
                 _ => break,
             };
             self.pos += 1;
+            self.deeper()?;
             let rhs = self.additive_expr()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn additive_expr(&mut self) -> Result<Expr, XPathError> {
+        let mark = self.depth;
         let mut lhs = self.multiplicative_expr()?;
         loop {
             let op = match self.peek() {
@@ -127,13 +160,16 @@ impl<'a> P<'a> {
                 _ => break,
             };
             self.pos += 1;
+            self.deeper()?;
             let rhs = self.multiplicative_expr()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn multiplicative_expr(&mut self) -> Result<Expr, XPathError> {
+        let mark = self.depth;
         let mut lhs = self.unary_expr()?;
         loop {
             let op = if self.peek() == Some(&Token::Star) {
@@ -146,26 +182,34 @@ impl<'a> P<'a> {
             } else {
                 break;
             };
+            self.deeper()?;
             let rhs = self.unary_expr()?;
             lhs = Expr::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, XPathError> {
         if self.eat(&Token::Minus) {
-            Ok(Expr::Negate(Box::new(self.unary_expr()?)))
+            self.deeper()?;
+            let inner = self.unary_expr()?;
+            self.depth -= 1;
+            Ok(Expr::Negate(Box::new(inner)))
         } else {
             self.union_expr()
         }
     }
 
     fn union_expr(&mut self) -> Result<Expr, XPathError> {
+        let mark = self.depth;
         let mut lhs = self.path_expr()?;
         while self.eat(&Token::Pipe) {
+            self.deeper()?;
             let rhs = self.path_expr()?;
             lhs = Expr::Binary { op: BinOp::Union, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
+        self.depth = mark;
         Ok(lhs)
     }
 
