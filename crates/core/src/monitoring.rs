@@ -8,14 +8,17 @@
 //! extension properties in the `urn:dais:obs` namespace. Nothing about
 //! the core protocol changes: monitoring rides the same operations,
 //! resource list, and resolution path as data.
+//!
+//! Rendering is a pure read of state the bus already keeps, as a WS-DAI
+//! property document should be: two renders with no traffic between
+//! them are equal. Rates are one division away — the fault and shed
+//! counters over the endpoint histogram's count.
 
 use crate::name::AbstractName;
 use crate::properties::{CoreProperties, ResourceManagementKind};
 use crate::resource::DataResource;
-use dais_obs::metrics::ENDPOINT_PREFIX;
-use dais_obs::slo::SloReport;
-use dais_obs::{HistogramSnapshot, SloSample};
-use dais_soap::bus::Bus;
+use dais_obs::HistogramSnapshot;
+use dais_soap::bus::{Bus, WeakBus};
 use dais_xml::XmlElement;
 use std::sync::Arc;
 
@@ -27,30 +30,32 @@ fn mon(local: &str) -> XmlElement {
 }
 
 /// A service-managed resource whose property document is the live
-/// monitoring view of one bus endpoint.
+/// monitoring view of one bus endpoint. It holds its bus weakly: the
+/// bus owns the endpoint whose registry owns this resource, so a strong
+/// handle would keep the whole service alive forever.
 pub struct MonitoringResource {
     properties: Arc<CoreProperties>,
-    bus: Bus,
+    bus: WeakBus,
     address: String,
 }
 
 impl MonitoringResource {
-    pub fn new(name: AbstractName, bus: Bus, address: impl Into<String>) -> MonitoringResource {
+    pub fn new(name: AbstractName, bus: &Bus, address: impl Into<String>) -> MonitoringResource {
         let address = address.into();
         let mut properties = CoreProperties::new(name, ResourceManagementKind::ServiceManaged);
         properties.description =
             format!("live observability document for bus endpoint '{address}'");
-        MonitoringResource { properties: Arc::new(properties), bus, address }
+        MonitoringResource { properties: Arc::new(properties), bus: bus.downgrade(), address }
     }
 
     /// The `mon:BusMonitoring` element: endpoint traffic, the whole-bus
     /// injected-fault ledger, and every latency histogram the bus's
     /// metrics registry holds.
-    fn monitoring_element(&self) -> XmlElement {
+    fn monitoring_element(&self, bus: &Bus) -> XmlElement {
         let mut root = mon("BusMonitoring");
         root.push(mon("Endpoint").with_text(&self.address));
 
-        let stats = self.bus.endpoint_stats(&self.address);
+        let stats = bus.endpoint_stats(&self.address);
         let mut traffic = mon("Traffic");
         traffic.set_attr("messages", stats.messages.to_string());
         traffic.set_attr("requestBytes", stats.request_bytes.to_string());
@@ -69,7 +74,7 @@ impl MonitoringResource {
 
         // Admission-control knobs, present only while an executor is
         // installed (queued mode).
-        if let Some(config) = self.bus.executor_config() {
+        if let Some(config) = bus.executor_config() {
             let mut executor = mon("Executor");
             executor.set_attr("workers", config.workers.to_string());
             executor.set_attr("shards", config.shards.to_string());
@@ -79,7 +84,7 @@ impl MonitoringResource {
             root.push(executor);
         }
 
-        let injected = self.bus.stats().fault_injection;
+        let injected = bus.stats().fault_injection;
         let mut ledger = mon("InjectedFaults");
         ledger.set_attr("drops", injected.drops.to_string());
         ledger.set_attr("busy", injected.busy.to_string());
@@ -88,56 +93,11 @@ impl MonitoringResource {
         ledger.set_attr("delays", injected.delays.to_string());
         root.push(ledger);
 
-        let snapshots = self.bus.obs().metrics.snapshot();
-        for (key, snapshot) in &snapshots {
+        for (key, snapshot) in &bus.obs().metrics.snapshot() {
             root.push(histogram_element(key, snapshot));
-        }
-
-        // Service levels: rendering the document IS the sampling tick.
-        // Each metrics key gets one cumulative sample (the SLO engine
-        // turns consecutive samples into per-second delta frames); the
-        // fault and shed counters only exist per endpoint, so only this
-        // resource's endpoint key carries them — action and connection
-        // keys are latency-only.
-        let slo = &self.bus.obs().slo;
-        let endpoint_key = format!("{ENDPOINT_PREFIX}{}", self.address);
-        for (key, snapshot) in &snapshots {
-            let (faults, shed) =
-                if *key == endpoint_key { (stats.faults, stats.shed) } else { (0, 0) };
-            slo.observe(key, SloSample { hist: *snapshot, faults, shed });
-        }
-        for report in slo.reports() {
-            root.push(service_level_element(&report));
         }
         root
     }
-}
-
-/// The `mon:ServiceLevel` element: one per metrics key, carrying the
-/// engine's objective, the multi-window burn-alert verdict, and one
-/// `mon:Window` child per rolling window.
-fn service_level_element(report: &SloReport) -> XmlElement {
-    let mut sl = mon("ServiceLevel");
-    sl.set_attr("key", report.key.clone());
-    sl.set_attr("targetP99Ns", report.objective.target_p99_ns.to_string());
-    sl.set_attr("maxErrorRate", report.objective.max_error_rate.to_string());
-    sl.set_attr("maxShedRate", report.objective.max_shed_rate.to_string());
-    sl.set_attr("burnAlert", report.burn_alert().to_string());
-    for w in &report.windows {
-        let mut win = mon("Window");
-        win.set_attr("seconds", w.window_s.to_string());
-        win.set_attr("completed", w.completed.to_string());
-        win.set_attr("faults", w.faults.to_string());
-        win.set_attr("shed", w.shed.to_string());
-        win.set_attr("p99Ns", w.p99_ns.to_string());
-        win.set_attr("errorRate", format!("{:.6}", w.error_rate));
-        win.set_attr("shedRate", format!("{:.6}", w.shed_rate));
-        win.set_attr("errorBurn", format!("{:.3}", w.error_burn));
-        win.set_attr("shedBurn", format!("{:.3}", w.shed_burn));
-        win.set_attr("p99Breached", w.p99_breached.to_string());
-        sl.push(win);
-    }
-    sl
 }
 
 fn histogram_element(key: &str, snapshot: &HistogramSnapshot) -> XmlElement {
@@ -170,8 +130,11 @@ impl DataResource for MonitoringResource {
     fn property_document(&self) -> XmlElement {
         // The core document plus one extension property, mirroring how
         // realisations extend it with their model-specific properties.
+        // With its bus gone there is nothing live to describe.
         let mut doc = self.properties.to_xml();
-        doc.push(self.monitoring_element());
+        if let Some(bus) = self.bus.upgrade() {
+            doc.push(self.monitoring_element(&bus));
+        }
         doc
     }
 }
@@ -201,7 +164,7 @@ mod tests {
 
     fn make(bus: &Bus) -> MonitoringResource {
         let name = AbstractName::new("urn:dais:t:monitoring:9").unwrap();
-        MonitoringResource::new(name, bus.clone(), "bus://svc")
+        MonitoringResource::new(name, bus, "bus://svc")
     }
 
     #[test]
@@ -253,27 +216,32 @@ mod tests {
     }
 
     #[test]
-    fn document_reports_service_levels() {
+    fn rendering_is_a_pure_read() {
         let bus = traffic_bus();
         let resource = make(&bus);
-        // First render primes the engine (cumulative baseline), the
-        // second render turns the traffic into frames.
-        resource.property_document();
-        let doc = resource.property_document();
-        let monitoring = doc.children_named(MON_NS, "BusMonitoring").next().unwrap();
-        let levels: Vec<_> = monitoring.children_named(MON_NS, "ServiceLevel").collect();
-        assert_eq!(levels.len(), 2, "endpoint + action service levels");
-        for level in levels {
-            assert_eq!(level.attribute("burnAlert"), Some("false"));
-            assert_eq!(level.attribute("targetP99Ns"), Some("50000000"));
-            let windows: Vec<_> = level.children_named(MON_NS, "Window").collect();
-            assert_eq!(windows.len(), 3, "1 s / 10 s / 60 s windows");
-            let w60 = windows.last().unwrap();
-            assert_eq!(w60.attribute("seconds"), Some("60"));
-            assert_eq!(w60.attribute("completed"), Some("3"));
-            assert_eq!(w60.attribute("faults"), Some("0"));
-            assert_eq!(w60.attribute("p99Breached"), Some("false"));
+        // A read changes nothing: with no traffic between them, two
+        // renders are the same document, also a clock second apart.
+        let first = resource.property_document();
+        dais_util::sync::pause(std::time::Duration::from_millis(1_050));
+        assert_eq!(first, resource.property_document());
+        let monitoring = first.children_named(MON_NS, "BusMonitoring").next().unwrap();
+        let endpoint = monitoring
+            .children_named(MON_NS, "LatencyHistogram")
+            .find(|h| h.attribute("key") == Some("endpoint:bus://svc"))
+            .unwrap();
+        for quantile in ["p50Ns", "p95Ns", "p99Ns"] {
+            assert!(endpoint.attribute(quantile).is_some(), "{quantile} is published");
         }
+    }
+
+    #[test]
+    fn document_without_its_bus_is_the_core_document() {
+        let bus = traffic_bus();
+        let resource = make(&bus);
+        drop(bus);
+        let doc = resource.property_document();
+        assert!(doc.children_named(MON_NS, "BusMonitoring").next().is_none());
+        assert_eq!(doc, resource.core_properties().to_xml());
     }
 
     #[test]

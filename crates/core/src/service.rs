@@ -258,7 +258,7 @@ impl ServiceSkeleton {
         let monitoring = names.mint("monitoring");
         ctx.add_resource(Arc::new(MonitoringResource::new(
             monitoring.clone(),
-            bus.clone(),
+            bus,
             ctx.address.as_str(),
         )));
         monitoring

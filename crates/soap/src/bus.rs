@@ -18,7 +18,7 @@ use crate::fault::{DaisFault, Fault};
 use crate::interceptor::{CallInfo, InjectorSnapshot, Intercept, Interceptor};
 use crate::service::SoapService;
 use crate::transport::Transport;
-use dais_obs::names::{event_names, span_names};
+use dais_obs::names::span_names;
 use dais_obs::{Histogram, Obs, SpanHandle, TraceContext};
 use dais_util::pool::PooledBuf;
 use dais_util::sync::RwLock;
@@ -187,8 +187,30 @@ pub struct Bus {
     inner: Arc<BusInner>,
 }
 
+/// A handle that does not keep its bus alive, for anything the bus
+/// itself (transitively) owns: executor workers, transports, servers,
+/// and resources registered behind the bus's own endpoints. Holding a
+/// [`Bus`] there would be a reference cycle that leaks the whole bus.
+#[derive(Clone)]
+pub struct WeakBus(Weak<BusInner>);
+
+impl WeakBus {
+    /// The bus, unless its last [`Bus`] handle has dropped.
+    pub fn upgrade(&self) -> Option<Bus> {
+        self.0.upgrade().map(|inner| Bus { inner })
+    }
+
+    /// Has the last [`Bus`] handle dropped? Unlike a probing upgrade,
+    /// this never makes the caller the one that drops the bus (and runs
+    /// its teardown) — executor workers ask while holding a shard lock
+    /// that the teardown takes.
+    pub(crate) fn is_dropped(&self) -> bool {
+        self.0.strong_count() == 0
+    }
+}
+
 #[derive(Default)]
-pub(crate) struct BusInner {
+struct BusInner {
     endpoints: RwLock<HashMap<String, Endpoint>>,
     per_endpoint: RwLock<HashMap<String, Arc<BusStats>>>,
     /// Copy-on-write chain: `call` takes one `Arc` clone, so an empty
@@ -252,6 +274,20 @@ impl std::fmt::Display for BusError {
 }
 
 impl std::error::Error for BusError {}
+
+impl BusError {
+    /// The variant as a short, stable label (the `error` attribute of a
+    /// `transport-error` span).
+    pub fn kind(&self) -> &'static str {
+        match self {
+            BusError::NoSuchEndpoint(_) => "no-such-endpoint",
+            BusError::MalformedEnvelope(_) => "malformed-envelope",
+            BusError::Timeout(_) => "timeout",
+            BusError::Overloaded { .. } => "overloaded",
+            BusError::ConnectionLost(_) => "connection-lost",
+        }
+    }
+}
 
 impl Bus {
     pub fn new() -> Self {
@@ -434,9 +470,6 @@ impl Bus {
         } else {
             SpanHandle::inert()
         };
-        // Flight recorder: admission in inline mode. One relaxed atomic
-        // load when the journal is off.
-        self.inner.obs.journal.event_ctx(event_names::REQ_ADMIT, call_span.ctx(), 0);
         self.perform(endpoint, chain, to, action, request, &mut call_span)
     }
 
@@ -464,27 +497,20 @@ impl Bus {
         } else {
             SpanHandle::inert()
         };
-        // Flight recorder: admission in queued mode. The executor emits
-        // the matching queue.enqueue / queue.shed event itself.
-        self.inner.obs.journal.event_ctx(event_names::REQ_ADMIT, enqueue_span.ctx(), 1);
-        match exec.submit(self, endpoint, chain, to, action, request, enqueue_span.ctx()) {
-            Ok((pending, depth)) => {
-                enqueue_span.attr("depth", depth);
-                Ok(pending)
-            }
-            Err((endpoint, err)) => {
+        exec.submit(self, endpoint, chain, to, action, request, &mut enqueue_span).map_err(
+            |(endpoint, err)| {
                 endpoint.stats.record_shed();
                 self.inner.total.record_shed();
                 enqueue_span.attr("outcome", "shed");
-                Err(err)
-            }
-        }
+                err
+            },
+        )
     }
 
     /// One timed exchange plus its observability bookkeeping: latency
-    /// histograms, the outcome attribute on the carrying span, and the
-    /// flight recorder's fault record. Both execution modes (inline
-    /// `bus.call`, worker `bus.execute`) funnel through here.
+    /// histograms and the outcome attributes on the carrying span. Both
+    /// execution modes (inline `bus.call`, worker `bus.execute`) funnel
+    /// through here.
     pub(crate) fn perform(
         &self,
         endpoint: &Endpoint,
@@ -502,29 +528,14 @@ impl Bus {
         self.inner.obs.metrics.observe_action(action, nanos);
 
         if span.is_recording() {
-            span.attr(
-                "outcome",
-                match &result {
-                    Ok(Ok(_)) => "ok",
-                    Ok(Err(_)) => "fault",
-                    Err(_) => "transport-error",
-                },
-            );
-        }
-        // Flight recorder: a failed exchange leaves a req.fault record
-        // with its numeric cause, joinable to the trace by id.
-        match &result {
-            Ok(Ok(_)) => {}
-            Ok(Err(_)) => self.inner.obs.journal.event_ctx(
-                event_names::REQ_FAULT,
-                span.ctx(),
-                crate::retry::CAUSE_FAULT,
-            ),
-            Err(e) => self.inner.obs.journal.event_ctx(
-                event_names::REQ_FAULT,
-                span.ctx(),
-                crate::retry::bus_error_code(e),
-            ),
+            match &result {
+                Ok(Ok(_)) => span.attr("outcome", "ok"),
+                Ok(Err(_)) => span.attr("outcome", "fault"),
+                Err(e) => {
+                    span.attr("outcome", "transport-error");
+                    span.attr("error", e.kind());
+                }
+            }
         }
         result
     }
@@ -606,14 +617,9 @@ impl Bus {
                 // routing failure — local parse error, remote error
                 // frame, dead connection — bills the request leg it
                 // consumed, identically on every transport.
-                if let Err(err) = self.route(
-                    endpoint,
-                    to,
-                    action,
-                    &request_bytes,
-                    &mut response_bytes,
-                    call_span.ctx(),
-                ) {
+                if let Err(err) =
+                    self.route(endpoint, to, action, &request_bytes, &mut response_bytes)
+                {
                     record(request_bytes.len() as u64, 0, false);
                     return Err(err);
                 }
@@ -678,7 +684,6 @@ impl Bus {
     /// served from the local registry on the calling thread. This is the
     /// entire per-call cost of the transport seam on the default path:
     /// one `RwLock` read and one `Option<Arc>` clone, no allocation.
-    #[allow(clippy::too_many_arguments)]
     fn route(
         &self,
         endpoint: &Endpoint,
@@ -686,21 +691,10 @@ impl Bus {
         action: &str,
         request: &[u8],
         out: &mut Vec<u8>,
-        ctx: Option<TraceContext>,
     ) -> Result<(), BusError> {
         let transport = self.inner.transport.read().clone();
         match transport {
-            Some(t) if t.routes(to) => {
-                // Flight recorder: the two client-side wire legs, with the
-                // byte counts the transport actually carried.
-                let journal = &self.inner.obs.journal;
-                journal.event_ctx(event_names::WIRE_WRITE, ctx, request.len() as u64);
-                let result = t.call(to, action, request, out);
-                if result.is_ok() {
-                    journal.event_ctx(event_names::WIRE_READ, ctx, out.len() as u64);
-                }
-                result
-            }
+            Some(t) if t.routes(to) => t.call(to, action, request, out),
             _ => self.serve_local(endpoint, action, request, out),
         }
     }
@@ -718,7 +712,6 @@ impl Bus {
         out: &mut Vec<u8>,
     ) -> Result<(), BusError> {
         let tracer = &self.inner.obs.tracer;
-        let journal = &self.inner.obs.journal;
         let parsed_request = match Envelope::from_bytes(request) {
             Ok(env) => env,
             Err(e) => return Err(BusError::MalformedEnvelope(e.to_string())),
@@ -728,27 +721,18 @@ impl Bus {
         // dropped, not tampered beyond recognition) correlates.
         // `child_span` is inert when the header is absent or
         // undecodable, so broken propagation shows up as a
-        // missing dispatch node, never a bogus root. The journal's
-        // req.dispatch record joins the same way, so a server-side
-        // journal slice correlates with the client's trace even
-        // across a wire — but the `RelatesTo` echo stays gated on
-        // tracing alone, keeping journal-only runs byte-identical
-        // on the wire.
+        // missing dispatch node, never a bogus root.
         let mut dispatch_span = SpanHandle::inert();
         let mut relates_to = None;
-        let mut wire_ctx = None;
-        if tracer.enabled() || journal.enabled() {
+        if tracer.enabled() {
             if let Some(id) = parsed_request.header_block(ns::WSA, "MessageID") {
                 let id = id.text().trim().to_string();
-                wire_ctx = TraceContext::decode(&id);
-                if tracer.enabled() {
-                    dispatch_span = tracer.child_span(span_names::BUS_DISPATCH, wire_ctx);
-                    dispatch_span.attr("action", action);
-                    relates_to = Some(id);
-                }
+                dispatch_span =
+                    tracer.child_span(span_names::BUS_DISPATCH, TraceContext::decode(&id));
+                dispatch_span.attr("action", action);
+                relates_to = Some(id);
             }
         }
-        journal.event_ctx(event_names::REQ_DISPATCH, wire_ctx, request.len() as u64);
         // A panicking handler answers with a fault and leaves its worker
         // alive; the engine's statement guard has already undone its writes.
         let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -857,7 +841,7 @@ impl Bus {
     /// Replacing an executor shuts the old one down (queues drained,
     /// workers joined) first.
     pub fn install_executor(&self, config: ExecutorConfig) {
-        let exec = Arc::new(BusExecutor::start(config, Arc::downgrade(&self.inner)));
+        let exec = Arc::new(BusExecutor::start(config, self.downgrade()));
         let previous = self.inner.executor.write().replace(exec);
         if let Some(previous) = previous {
             previous.shutdown();
@@ -913,16 +897,9 @@ impl Bus {
         self.inner.endpoints.read().contains_key(to)
     }
 
-    /// A weak handle to the shared state, for components that must not
-    /// keep the bus alive (executor workers, installed transports).
-    pub(crate) fn downgrade(&self) -> Weak<BusInner> {
-        Arc::downgrade(&self.inner)
-    }
-
-    /// Reconstruct a bus handle from its shared state (executor workers
-    /// hold a `Weak` to avoid a keep-alive cycle).
-    pub(crate) fn from_inner(inner: Arc<BusInner>) -> Bus {
-        Bus { inner }
+    /// A handle that does not keep this bus alive (see [`WeakBus`]).
+    pub fn downgrade(&self) -> WeakBus {
+        WeakBus(Arc::downgrade(&self.inner))
     }
 
     /// The whole-bus counters (the executor bills sheds and queue gauges

@@ -8,7 +8,7 @@ use crate::envelope::Envelope;
 use crate::executor::Pending;
 use crate::fault::Fault;
 use crate::retry::{is_retryable, retry_after_hint, RetryConfig};
-use dais_obs::names::{event_names, span_names};
+use dais_obs::names::span_names;
 use dais_obs::{SpanHandle, TraceContext};
 use dais_util::pool::PooledBuf;
 use dais_util::sync::pause;
@@ -196,11 +196,6 @@ impl ServiceClient {
             config.sleep(pause);
             self.bus.record_retry(&self.epr.address);
             attempt += 1;
-            self.bus.obs().journal.event_ctx(
-                event_names::REQ_RETRY,
-                call_span.ctx(),
-                attempt as u64,
-            );
             // Each retry is a child of the root call, tagged with what
             // drove it and the backoff that preceded it.
             retry_span = tracer.child_span(span_names::CLIENT_RETRY, call_span.ctx());

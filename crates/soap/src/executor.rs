@@ -29,19 +29,19 @@
 //! queueing it could starve a finite pool into deadlock (every worker
 //! blocked waiting for a job only another worker could run).
 
-use crate::bus::{Bus, BusError, BusInner, Endpoint};
+use crate::bus::{Bus, BusError, Endpoint, WeakBus};
 use crate::envelope::Envelope;
 use crate::fault::Fault;
 use crate::interceptor::Interceptor;
-use dais_obs::names::{event_names, span_names};
-use dais_obs::TraceContext;
+use dais_obs::names::span_names;
+use dais_obs::{SpanHandle, TraceContext};
 use dais_util::pool::PooledBuf;
 use dais_util::rng::{mix2, SplitMix64};
 use dais_util::sync::{Condvar, Mutex};
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -270,18 +270,18 @@ impl ExecShared {
     }
 }
 
-/// The worker pool. Owned by the bus it serves; workers hold a `Weak`
-/// back-reference so dropping the last bus handle tears everything
+/// The worker pool. Owned by the bus it serves; workers hold a
+/// [`WeakBus`] back-reference so dropping the last bus handle tears everything
 /// down instead of leaking a keep-alive cycle.
 pub struct BusExecutor {
     shared: Arc<ExecShared>,
-    bus: Weak<BusInner>,
+    bus: WeakBus,
     workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl BusExecutor {
     /// Spawn the worker pool.
-    pub(crate) fn start(config: ExecutorConfig, bus: Weak<BusInner>) -> BusExecutor {
+    pub(crate) fn start(config: ExecutorConfig, bus: WeakBus) -> BusExecutor {
         let config = config.normalised();
         let shards = (0..config.shards).map(|_| Shard::default()).collect();
         let shared = Arc::new(ExecShared { config, shards, shutdown: AtomicBool::new(false) });
@@ -301,8 +301,9 @@ impl BusExecutor {
     }
 
     /// Admit one request to its endpoint's queue. Returns the pending
-    /// handle and the queue depth after admission, or hands the
-    /// endpoint back with the refusal so the caller can bill the shed.
+    /// handle, or hands the endpoint back with the refusal so the caller
+    /// can bill the shed. Either way the queue depth observed lands on
+    /// the `bus.enqueue` span as its `depth` attribute.
     #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     pub(crate) fn submit(
         &self,
@@ -312,8 +313,8 @@ impl BusExecutor {
         to: &str,
         action: &str,
         request: &Envelope,
-        enqueue_ctx: Option<TraceContext>,
-    ) -> Result<(Pending, usize), (Endpoint, BusError)> {
+        enqueue_span: &mut SpanHandle,
+    ) -> Result<Pending, (Endpoint, BusError)> {
         if self.shared.shutdown.load(Ordering::Acquire) {
             let err = BusError::Timeout(format!("executor shut down; request to '{to}' refused"));
             return Err((endpoint, err));
@@ -322,11 +323,7 @@ impl BusExecutor {
         let mut state = shard.state.lock();
         let queue = state.queues.entry(to.to_string()).or_default();
         if queue.jobs.len() >= self.shared.config.queue_capacity {
-            bus.obs().journal.event_ctx(
-                event_names::QUEUE_SHED,
-                enqueue_ctx,
-                queue.jobs.len() as u64,
-            );
+            enqueue_span.attr("depth", queue.jobs.len());
             let err = BusError::Overloaded {
                 endpoint: to.to_string(),
                 retry_after: self.shared.config.retry_after,
@@ -344,14 +341,13 @@ impl BusExecutor {
             to: to.to_string(),
             action: action.to_string(),
             request: request.clone(),
-            enqueue_ctx,
+            enqueue_ctx: enqueue_span.ctx(),
             enqueued_at: Instant::now(),
             slot,
         });
-        let depth = queue.jobs.len();
-        bus.obs().journal.event_ctx(event_names::QUEUE_ENQUEUE, enqueue_ctx, depth as u64);
+        enqueue_span.attr("depth", queue.jobs.len());
         shard.cv.notify_one();
-        Ok((pending, depth))
+        Ok(pending)
     }
 
     /// Stop the pool: signal shutdown, join every worker (except the
@@ -378,8 +374,8 @@ impl BusExecutor {
             for (_, queue) in queues {
                 for job in queue.jobs {
                     job.endpoint.stats().record_dequeued();
-                    if let Some(inner) = &total {
-                        Bus::from_inner(Arc::clone(inner)).total_stats().record_dequeued();
+                    if let Some(bus) = &total {
+                        bus.total_stats().record_dequeued();
                     }
                     job.slot.fulfil(Err(BusError::Timeout(format!(
                         "executor shut down before the request to '{}' was executed",
@@ -431,7 +427,7 @@ pub fn adopt_worker_thread() {
     mark_worker_thread();
 }
 
-fn worker_loop(shared: Arc<ExecShared>, bus: Weak<BusInner>, worker_idx: usize) {
+fn worker_loop(shared: Arc<ExecShared>, bus: WeakBus, worker_idx: usize) {
     ON_WORKER.with(|w| w.set(true));
     let mut rng = SplitMix64::new(mix2(shared.config.seed, worker_idx as u64 + 1));
     let shard = &shared.shards[worker_idx % shared.shards.len()];
@@ -446,15 +442,15 @@ fn worker_loop(shared: Arc<ExecShared>, bus: Weak<BusInner>, worker_idx: usize) 
                     // Leaving the queue: move the depth gauges while
                     // still holding the shard lock.
                     job.endpoint.stats().record_dequeued();
-                    if let Some(inner) = bus.upgrade() {
-                        Bus::from_inner(inner).total_stats().record_dequeued();
+                    if let Some(bus) = bus.upgrade() {
+                        bus.total_stats().record_dequeued();
                     }
                     break job;
                 }
                 // Timed wait doubles as liveness: if every bus handle is
                 // gone the weak upgrade fails and the worker retires.
                 state = shard.cv.wait_timeout(state, Duration::from_millis(50)).0;
-                if bus.strong_count() == 0 {
+                if bus.is_dropped() {
                     return;
                 }
             }
@@ -484,18 +480,14 @@ fn pick_job(state: &mut ShardState, rng: &mut SplitMix64, max_in_flight: usize) 
 
 /// Run one job through the single exchange path, resolve its handle,
 /// and release the endpoint's in-flight budget.
-fn execute(bus: &Weak<BusInner>, shard: &Shard, job: Job) {
+fn execute(bus: &WeakBus, shard: &Shard, job: Job) {
     let outcome = match bus.upgrade() {
-        Some(inner) => {
-            let bus = Bus::from_inner(inner);
-            let tracer = &bus.obs().tracer;
-            let wait_ns = job.enqueued_at.elapsed().as_nanos() as u64;
-            bus.obs().journal.event_ctx(event_names::QUEUE_DEQUEUE, job.enqueue_ctx, wait_ns);
-            let mut span = tracer.child_span(span_names::BUS_EXECUTE, job.enqueue_ctx);
+        Some(bus) => {
+            let mut span = bus.obs().tracer.child_span(span_names::BUS_EXECUTE, job.enqueue_ctx);
             if span.is_recording() {
                 span.attr("to", &job.to);
                 span.attr("action", &job.action);
-                span.attr("queue_wait_ns", wait_ns);
+                span.attr("queue_wait_ns", job.enqueued_at.elapsed().as_nanos());
             }
             bus.perform(&job.endpoint, &job.chain, &job.to, &job.action, &job.request, &mut span)
         }
@@ -601,6 +593,7 @@ mod tests {
             });
         }
         bus.register("bus://slow", Arc::new(d));
+        bus.enable_tracing(1);
         let hint = Duration::from_millis(3);
         bus.install_executor(
             ExecutorConfig::new(1).queue_capacity(2).max_in_flight(1).retry_after(hint).seed(1),
@@ -620,6 +613,15 @@ mod tests {
         let stats = bus.endpoint_stats("bus://slow");
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.queue_peak, 2);
+        // The refusal's span records the depth that caused it.
+        let sink = bus.obs().tracer.sink();
+        let shed: Vec<_> = sink
+            .spans_named("bus.enqueue")
+            .into_iter()
+            .filter(|s| s.attrs.contains(&("outcome", "shed".to_string())))
+            .collect();
+        assert_eq!(shed.len(), 1);
+        assert!(shed[0].attrs.contains(&("depth", "2".to_string())), "{:?}", shed[0].attrs);
         // Release the gate: everything admitted completes.
         *gate.0.lock() = true;
         gate.1.notify_all();

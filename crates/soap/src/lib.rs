@@ -38,7 +38,7 @@ pub mod transport;
 pub use action::{Access, Action};
 pub use addressing::Epr;
 pub use bus::Endpoint;
-pub use bus::{Bus, BusError, BusStats, StatsSnapshot};
+pub use bus::{Bus, BusError, BusStats, StatsSnapshot, WeakBus};
 pub use client::{CallError, PendingReply, ServiceClient};
 pub use envelope::Envelope;
 pub use executor::{BusExecutor, ExchangeOutcome, ExecMode, ExecutorConfig, Pending};

@@ -151,50 +151,6 @@ pub fn is_retryable(error: &CallError) -> bool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Journal cause codes
-// ---------------------------------------------------------------------------
-
-/// A SOAP fault ended the exchange (`req.fault` journal events).
-pub const CAUSE_FAULT: u64 = 1;
-/// [`BusError::Timeout`].
-pub const CAUSE_TIMEOUT: u64 = 2;
-/// [`BusError::MalformedEnvelope`].
-pub const CAUSE_MALFORMED: u64 = 3;
-/// [`BusError::Overloaded`] — bounded admission refused the request.
-pub const CAUSE_OVERLOADED: u64 = 4;
-/// [`BusError::ConnectionLost`].
-pub const CAUSE_CONNECTION_LOST: u64 = 5;
-/// [`BusError::NoSuchEndpoint`].
-pub const CAUSE_NO_SUCH_ENDPOINT: u64 = 6;
-/// The reply parsed but was not the message shape the client expected.
-pub const CAUSE_UNEXPECTED_RESPONSE: u64 = 7;
-
-/// The fixed numeric code the flight-recorder journal carries for a
-/// failed exchange. Journal events hold one `u64` argument — no
-/// strings — so the error taxonomy is numbered here, next to the retry
-/// classification that consumes it. Codes are stable: they appear in
-/// rendered journals pinned by golden tests.
-pub fn bus_error_code(error: &BusError) -> u64 {
-    match error {
-        BusError::Timeout(_) => CAUSE_TIMEOUT,
-        BusError::MalformedEnvelope(_) => CAUSE_MALFORMED,
-        BusError::Overloaded { .. } => CAUSE_OVERLOADED,
-        BusError::ConnectionLost(_) => CAUSE_CONNECTION_LOST,
-        BusError::NoSuchEndpoint(_) => CAUSE_NO_SUCH_ENDPOINT,
-    }
-}
-
-/// [`bus_error_code`] lifted over the client's error type: SOAP faults
-/// map to [`CAUSE_FAULT`], transport errors to their bus code.
-pub fn cause_code(error: &CallError) -> u64 {
-    match error {
-        CallError::Fault(_) => CAUSE_FAULT,
-        CallError::Transport(e) => bus_error_code(e),
-        CallError::UnexpectedResponse(_) => CAUSE_UNEXPECTED_RESPONSE,
-    }
-}
-
 /// The server-supplied pacing hint carried by an error, if any. An
 /// [`Overloaded`](BusError::Overloaded) refusal names the earliest
 /// moment a re-send could be admitted; the retry loop takes the *max*
@@ -296,31 +252,6 @@ mod tests {
         assert!(!is_retryable(&CallError::Fault(Fault::dais(DaisFault::InvalidExpression, "x"))));
         assert!(!is_retryable(&CallError::Fault(Fault::client("c"))));
         assert!(!is_retryable(&CallError::UnexpectedResponse("r".into())));
-    }
-
-    #[test]
-    fn cause_codes_are_distinct_and_stable() {
-        let errors: Vec<(CallError, u64)> = vec![
-            (CallError::Fault(Fault::client("c")), CAUSE_FAULT),
-            (CallError::Transport(BusError::Timeout("t".into())), CAUSE_TIMEOUT),
-            (CallError::Transport(BusError::MalformedEnvelope("m".into())), CAUSE_MALFORMED),
-            (
-                CallError::Transport(BusError::Overloaded {
-                    endpoint: "e".into(),
-                    retry_after: Duration::from_millis(1),
-                }),
-                CAUSE_OVERLOADED,
-            ),
-            (CallError::Transport(BusError::ConnectionLost("c".into())), CAUSE_CONNECTION_LOST),
-            (CallError::Transport(BusError::NoSuchEndpoint("e".into())), CAUSE_NO_SUCH_ENDPOINT),
-            (CallError::UnexpectedResponse("r".into()), CAUSE_UNEXPECTED_RESPONSE),
-        ];
-        let mut seen = std::collections::BTreeSet::new();
-        for (error, expected) in &errors {
-            assert_eq!(cause_code(error), *expected);
-            assert!(seen.insert(*expected), "duplicate cause code {expected}");
-            assert_ne!(*expected, 0, "0 is reserved for 'no cause'");
-        }
     }
 
     #[test]

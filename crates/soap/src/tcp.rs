@@ -35,23 +35,20 @@
 //! Timeout mapping: a write that cannot complete or a reply that never
 //! arrives within the configured window is [`BusError::Timeout`]; a
 //! closed or refused connection is [`BusError::ConnectionLost`]
-//! (retryable — the pool reconnects lazily on the next send); a server
-//! past its in-flight cap answers with an error frame carrying
-//! [`BusError::Overloaded`] and its retry-after hint.
+//! (retryable — the pool reconnects lazily on the next send).
 
 #![expect(clippy::disallowed_types, reason = "the `Transport` seam owns raw sockets")]
 
-use crate::bus::{Bus, BusError, BusInner};
+use crate::bus::{Bus, BusError, WeakBus};
 use crate::executor;
 use crate::transport::Transport;
-use dais_obs::names::event_names;
-use dais_obs::{Journal, Metrics};
+use dais_obs::Metrics;
 use dais_util::sync::{pause, Condvar, Mutex, RwLock};
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -642,14 +639,8 @@ impl Transport for TcpTransport {
 // ---------------------------------------------------------------------------
 
 /// Server-side knobs for [`TcpServer`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TcpServerConfig {
-    /// Server-wide cap on requests being served at once; a request over
-    /// the cap is refused with an [`BusError::Overloaded`] error frame.
-    /// `0` means uncapped.
-    pub max_in_flight: usize,
-    /// The retry-after hint carried by overload refusals.
-    pub retry_after: Duration,
     /// Chaos knob for churn tests: close the connection instead of
     /// writing every Nth response (counted server-wide), *after* the
     /// request was dispatched. `0` disables. This is the worst-case
@@ -657,19 +648,11 @@ pub struct TcpServerConfig {
     pub drop_every: u64,
 }
 
-impl Default for TcpServerConfig {
-    fn default() -> TcpServerConfig {
-        TcpServerConfig { max_in_flight: 0, retry_after: Duration::from_millis(25), drop_every: 0 }
-    }
-}
-
 struct ServerShared {
-    bus: Weak<BusInner>,
+    bus: WeakBus,
     config: TcpServerConfig,
     metrics: Metrics,
-    journal: Journal,
     shutdown: AtomicBool,
-    in_flight: AtomicU64,
     responses: AtomicU64,
     accepted: AtomicU64,
 }
@@ -707,9 +690,7 @@ impl TcpServer {
             bus: bus.downgrade(),
             config,
             metrics: bus.obs().metrics.clone(),
-            journal: bus.obs().journal.clone(),
             shutdown: AtomicBool::new(false),
-            in_flight: AtomicU64::new(0),
             responses: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
         });
@@ -861,45 +842,15 @@ fn serve_one(
     envelope: &[u8],
     id: u64,
 ) -> Option<Frame> {
-    let config = &shared.config;
-    if config.max_in_flight > 0 {
-        let admitted = shared.in_flight.fetch_add(1, Ordering::AcqRel);
-        if admitted >= config.max_in_flight as u64 {
-            shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-            return Some(Frame {
-                id,
-                body: FrameBody::Error(BusError::Overloaded {
-                    endpoint: to.to_string(),
-                    retry_after: config.retry_after,
-                }),
-            });
-        }
-    }
-    let outcome = match shared.bus.upgrade() {
-        Some(inner) => {
-            let bus = Bus::from_inner(inner);
-            let started = Instant::now();
-            let mut out = Vec::new();
-            // Server-side wire legs. The frame codec has not parsed the
-            // envelope at this layer, so no trace ids are available yet;
-            // the dispatch event the bus emits below joins the trace.
-            shared.journal.event(event_names::WIRE_READ, 0, 0, envelope.len() as u64);
-            let result = bus.serve_wire(to, action, envelope, &mut out);
-            shared.metrics.observe_connection(label, started.elapsed().as_nanos() as u64);
-            if result.is_ok() {
-                shared.journal.event(event_names::WIRE_WRITE, 0, 0, out.len() as u64);
-            }
-            Some(match result {
-                Ok(()) => Frame { id, body: FrameBody::Response(out) },
-                Err(err) => Frame { id, body: FrameBody::Error(err) },
-            })
-        }
-        None => None,
-    };
-    if config.max_in_flight > 0 {
-        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-    }
-    outcome
+    let bus = shared.bus.upgrade()?;
+    let started = Instant::now();
+    let mut out = Vec::new();
+    let result = bus.serve_wire(to, action, envelope, &mut out);
+    shared.metrics.observe_connection(label, started.elapsed().as_nanos() as u64);
+    Some(match result {
+        Ok(()) => Frame { id, body: FrameBody::Response(out) },
+        Err(err) => Frame { id, body: FrameBody::Error(err) },
+    })
 }
 
 #[cfg(test)]

@@ -11,8 +11,7 @@
 //! registry on the calling thread; [`TcpTransport`](crate::tcp) frames
 //! them onto a real socket.
 
-use crate::bus::{Bus, BusError, BusInner};
-use std::sync::Weak;
+use crate::bus::{Bus, BusError, WeakBus};
 
 /// One request/response byte exchange below the serialise→route→parse
 /// boundary.
@@ -45,7 +44,7 @@ pub trait Transport: Send + Sync {
 /// cross-transport conformance suite, which must run both transports
 /// under one code path.
 pub struct InProcessTransport {
-    bus: Weak<BusInner>,
+    bus: WeakBus,
 }
 
 impl InProcessTransport {
@@ -57,7 +56,7 @@ impl InProcessTransport {
     }
 
     fn bus(&self) -> Result<Bus, BusError> {
-        self.bus.upgrade().map(Bus::from_inner).ok_or_else(|| {
+        self.bus.upgrade().ok_or_else(|| {
             BusError::ConnectionLost("bus dropped behind the in-process transport".into())
         })
     }
@@ -75,7 +74,7 @@ impl Transport for InProcessTransport {
     }
 
     fn routes(&self, to: &str) -> bool {
-        self.bus.upgrade().map(|inner| Bus::from_inner(inner).has_endpoint(to)).unwrap_or(false)
+        self.bus.upgrade().is_some_and(|bus| bus.has_endpoint(to))
     }
 
     fn name(&self) -> &'static str {

@@ -287,36 +287,6 @@ fn echo_round_trip_allocates_30_percent_less_than_baseline() {
 }
 
 #[test]
-fn disabled_journal_adds_zero_allocations() {
-    let bus = echo_bus();
-    let env = echo_payload();
-
-    // With the flight recorder off (the default), every journal site is
-    // one relaxed atomic load: the round trip must allocate no more than
-    // the pre-observability fast lane.
-    let (disabled, _) = median_echo_allocs(&bus, &env);
-    assert!(
-        disabled <= PRE_OBS_ALLOCS,
-        "disabled journal added allocations: {disabled} > pre-observability {PRE_OBS_ALLOCS}"
-    );
-
-    // A finished recording session leaves no residue: enable, record a
-    // few calls, drain the rings, disable — allocation-identical again.
-    bus.obs().journal.enable();
-    for _ in 0..4 {
-        bus.call("bus://alloc", "urn:echo", &env).unwrap().unwrap();
-    }
-    let recorded = bus.obs().journal.take();
-    assert!(!recorded.is_empty(), "the enabled warm-up should have recorded events");
-    bus.obs().journal.disable();
-    let (after, _) = median_echo_allocs(&bus, &env);
-    assert_eq!(
-        after, disabled,
-        "turning the journal on and off again changed the steady-state allocation count"
-    );
-}
-
-#[test]
 fn disabled_tracing_adds_zero_allocations() {
     let bus = echo_bus();
     let env = echo_payload();

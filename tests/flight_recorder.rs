@@ -1,15 +1,14 @@
-//! The flight recorder end to end: tail-retained traces join their
-//! journal slices by trace id, retention is deterministic per seed on
-//! every transport, and the SLO / per-connection monitoring view
-//! travels the wire.
+//! The flight recorder end to end: tail retention keeps exactly the
+//! slow and failed traces, retention is deterministic per seed on every
+//! transport, the per-connection monitoring view travels the wire, and a
+//! launched service does not outlive its bus.
 
-use dais::obs::names::event_names;
 use dais::obs::TailPolicy;
 use dais::soap::bus::BusError;
 use dais::soap::client::ServiceClient;
 use dais::soap::fault::Fault;
 use dais::soap::interceptor::{CallInfo, Intercept, Interceptor};
-use dais::soap::retry::{RetryConfig, RetryPolicy, SleepFn, CAUSE_FAULT};
+use dais::soap::retry::{RetryConfig, RetryPolicy, SleepFn};
 use dais::soap::tcp::{TcpServer, TcpTransport};
 use dais::soap::{Bus, Envelope, InProcessTransport, SoapDispatcher};
 use dais::xml::XmlElement;
@@ -50,14 +49,13 @@ fn attr<'a>(span: &'a dais::obs::Span, key: &str) -> &'a str {
 }
 
 // ---------------------------------------------------------------------------
-// Trace ↔ journal join
+// Tail retention
 // ---------------------------------------------------------------------------
 
 #[test]
-fn retained_trace_joins_its_journal_slice() {
+fn tail_retention_keeps_slow_and_failed_traces() {
     let bus = flight_bus();
     let client = ServiceClient::new(bus.clone(), ADDR);
-    bus.obs().journal.enable();
     bus.obs().tracer.enable_tailed(
         0xF11,
         TailPolicy {
@@ -72,48 +70,25 @@ fn retained_trace_joins_its_journal_slice() {
     client.request(actions::FAIL, payload()).unwrap_err();
 
     let traces = bus.obs().tracer.take();
-    let journal = bus.obs().journal.take();
 
     // Only the slow and the failed request survive tail retention.
     let kept = traces.trace_ids();
     assert_eq!(kept.len(), 2, "the fast clean request must be dropped, kept {kept:?}");
 
-    // Every retained trace joins a journal slice by trace id, and the
-    // slice tells the request's lifecycle story: admission and service
-    // dispatch at minimum.
+    // Every retained trace tells the request's lifecycle story whole:
+    // the bus leg that admitted it and the dispatch that served it.
     for tid in &kept {
-        let slice = journal.for_trace(*tid);
-        let names: BTreeSet<&str> = slice.iter().map(|e| e.name).collect();
-        assert!(
-            names.contains(event_names::REQ_ADMIT.as_str()),
-            "trace {tid:#x} has no admission event: {names:?}"
-        );
-        assert!(
-            names.contains(event_names::REQ_DISPATCH.as_str()),
-            "trace {tid:#x} has no dispatch event: {names:?}"
-        );
+        let names: BTreeSet<&str> =
+            traces.spans.iter().filter(|s| s.trace_id == *tid).map(|s| s.name).collect();
+        assert!(names.contains("bus.call"), "trace {tid:#x} has no bus leg: {names:?}");
+        assert!(names.contains("bus.dispatch"), "trace {tid:#x} has no dispatch: {names:?}");
     }
 
-    // The failed request's slice carries the fault record with its
-    // numeric cause.
-    let failed = traces
-        .spans_named("bus.call")
-        .into_iter()
-        .find(|s| attr(s, "outcome") == "fault")
-        .expect("the failed bus.call span is retained");
-    let faults: Vec<_> = journal
-        .for_trace(failed.trace_id)
-        .into_iter()
-        .filter(|e| e.name == event_names::REQ_FAULT.as_str())
-        .cloned()
-        .collect();
-    assert_eq!(faults.len(), 1, "exactly one fault event for the failed request");
-    assert_eq!(faults[0].arg, CAUSE_FAULT);
-
-    // And the dropped trace's journal events are still there (the
-    // journal is always-on history, not tail-sampled): three admissions
-    // for three requests.
-    assert_eq!(journal.events_named(event_names::REQ_ADMIT.as_str()).len(), 3);
+    // The failed request's bus leg carries its outcome.
+    let failed: Vec<_> =
+        traces.spans_named("bus.call").into_iter().filter(|s| attr(s, "outcome") != "ok").collect();
+    assert_eq!(failed.len(), 1, "exactly one failed bus leg");
+    assert_eq!(attr(failed[0], "outcome"), "fault");
 }
 
 // ---------------------------------------------------------------------------
@@ -174,13 +149,12 @@ impl Interceptor for ScriptedFaults {
 }
 
 /// One chaos run: ten echo requests through a scripted fault schedule,
-/// with tail-sampled tracing and the journal on. Returns everything the
-/// flight recorder kept.
-fn chaos_flight_run(kind: Kind, seed: u64) -> (BTreeSet<u64>, String, String) {
+/// with tail-sampled tracing on. Returns the retained trace ids and
+/// their render.
+fn chaos_flight_run(kind: Kind, seed: u64) -> (BTreeSet<u64>, String) {
     let bus = flight_bus();
     let client = ServiceClient::new(bus.clone(), ADDR).with_retry(fast_retry(seed));
     let _server = install(&bus, kind);
-    bus.obs().journal.enable();
     bus.obs().tracer.enable_tailed(
         seed,
         TailPolicy {
@@ -201,46 +175,59 @@ fn chaos_flight_run(kind: Kind, seed: u64) -> (BTreeSet<u64>, String, String) {
     }
 
     let traces = bus.obs().tracer.take();
-    let journal = bus.obs().journal.take();
-    (traces.trace_ids(), traces.render_text(), journal.render_text())
+    (traces.trace_ids(), traces.render_text())
 }
 
 #[test]
 fn tail_retention_is_deterministic_per_seed_on_every_transport() {
     for kind in [Kind::InProcess, Kind::Tcp] {
-        let (ids_a, traces_a, journal_a) = chaos_flight_run(kind, 0xDA15);
-        let (ids_b, traces_b, journal_b) = chaos_flight_run(kind, 0xDA15);
+        let (ids_a, traces_a) = chaos_flight_run(kind, 0xDA15);
+        let (ids_b, traces_b) = chaos_flight_run(kind, 0xDA15);
         assert_eq!(ids_a, ids_b, "{kind:?}: retained trace ids differ between identical runs");
         assert_eq!(traces_a, traces_b, "{kind:?}: rendered traces differ between identical runs");
-        assert_eq!(journal_a, journal_b, "{kind:?}: rendered journal differs between runs");
 
         // Retention is real: the two chaos-struck requests are always
         // kept, the clean ones only when the seeded sampler says so.
         assert!(ids_a.len() >= 2, "{kind:?}: the faulted traces must be retained");
         assert!(ids_a.len() < 10, "{kind:?}: tail retention kept everything");
-        assert!(!journal_a.is_empty());
+
+        // Each failed attempt's bus leg names the transport error behind
+        // it, and the retry that followed names its attempt number.
+        for (error, attempt) in [("timeout", 2), ("malformed-envelope", 2)] {
+            assert!(
+                traces_a.contains(&format!("outcome=transport-error error={error}")),
+                "{kind:?}: no {error} leg in\n{traces_a}"
+            );
+            assert!(traces_a.contains(&format!("client.retry attempt={attempt} ")));
+        }
 
         // A different seed retains a different set (sampler salt and
         // trace ids both derive from it).
-        let (ids_c, _, _) = chaos_flight_run(kind, 0x5EED);
+        let (ids_c, _) = chaos_flight_run(kind, 0x5EED);
         assert_ne!(ids_a, ids_c, "{kind:?}: two seeds agreed on every retained id");
     }
 }
 
 // ---------------------------------------------------------------------------
-// SLO + per-connection monitoring over the wire
+// Monitoring over the wire, and a service's lifetime
 // ---------------------------------------------------------------------------
 
+/// A launched relational service over a one-row table.
+fn sql_service(bus: &Bus) -> dais::prelude::RelationalService {
+    use dais::prelude::*;
+    let db = Database::new("flight");
+    db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY)", &[]).unwrap();
+    db.execute("INSERT INTO t VALUES (1)", &[]).unwrap();
+    RelationalService::launch(bus, "bus://flight/sql", db, Default::default())
+}
+
 #[test]
-fn service_levels_and_connection_histograms_travel_the_wire() {
+fn connection_histograms_travel_the_wire() {
     use dais::core::monitoring::MON_NS;
     use dais::prelude::*;
 
     let bus = Bus::new();
-    let db = Database::new("flight");
-    db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY)", &[]).unwrap();
-    db.execute("INSERT INTO t VALUES (1)", &[]).unwrap();
-    let svc = RelationalService::launch(&bus, "bus://flight/sql", db, Default::default());
+    let svc = sql_service(&bus);
     let sql = SqlClient::builder().bus(bus.clone()).address("bus://flight/sql").build();
 
     let server = TcpServer::bind(&bus, "127.0.0.1:0").unwrap();
@@ -265,23 +252,25 @@ fn service_levels_and_connection_histograms_travel_the_wire() {
         .sum();
     assert!(conn_count >= 3, "three SELECTs were served over TCP, saw {conn_count}");
 
-    // The SLO engine published one mon:ServiceLevel per metrics key,
-    // each with the three rolling windows.
-    let levels: Vec<_> = mon.children_named(MON_NS, "ServiceLevel").collect();
-    let endpoint_level = levels
-        .iter()
-        .find(|l| l.attribute("key") == Some("endpoint:bus://flight/sql"))
-        .expect("a service level for the SQL endpoint");
-    assert_eq!(endpoint_level.attribute("burnAlert"), Some("false"));
-    let windows: Vec<_> = endpoint_level.children_named(MON_NS, "Window").collect();
-    assert_eq!(windows.len(), 3, "1 s / 10 s / 60 s windows");
-    let w60 = windows.last().unwrap();
-    assert_eq!(w60.attribute("seconds"), Some("60"));
-    let completed: u64 = w60.attribute("completed").unwrap().parse().unwrap();
-    assert!(completed >= 3, "the 60 s window covers the SELECT traffic, saw {completed}");
-    assert_eq!(w60.attribute("faults"), Some("0"));
-    assert!(
-        levels.iter().any(|l| l.attribute("key").is_some_and(|k| k.starts_with("conn:tcp#"))),
-        "per-connection keys get service levels too"
-    );
+    // The endpoint's rates are one division away: its fault and shed
+    // counters over its histogram's count.
+    let endpoint = mon
+        .children_named(MON_NS, "LatencyHistogram")
+        .find(|h| h.attribute("key") == Some("endpoint:bus://flight/sql"))
+        .expect("a histogram for the SQL endpoint");
+    let completed: u64 = endpoint.attribute("count").unwrap().parse().unwrap();
+    assert!(completed >= 3, "the endpoint histogram covers the SELECT traffic, saw {completed}");
+    assert_eq!(mon.child(MON_NS, "Traffic").unwrap().attribute("faults"), Some("0"));
+    assert_eq!(mon.child(MON_NS, "Queue").unwrap().attribute("shed"), Some("0"));
+}
+
+#[test]
+fn a_service_does_not_outlive_its_bus() {
+    let bus = Bus::new();
+    let svc = sql_service(&bus);
+    let ctx = Arc::downgrade(&svc.ctx);
+    drop(svc);
+    assert!(ctx.upgrade().is_some(), "the bus keeps its registered service alive");
+    drop(bus);
+    assert!(ctx.upgrade().is_none(), "the service's state outlived its last bus handle");
 }

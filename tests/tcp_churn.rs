@@ -3,24 +3,19 @@
 //! worst-case failure for idempotency, because the work happened and
 //! only the acknowledgement is lost).
 //!
-//! Proves three things:
+//! Proves two things:
 //! * a retrying client survives the churn — idempotent reads reconnect
 //!   lazily and complete;
 //! * access-class semantics hold across reconnects — a
 //!   non-idempotent write whose reply is lost surfaces
 //!   [`BusError::ConnectionLost`] *without* a re-send, so the service
-//!   dispatches it exactly once;
-//! * a server past its in-flight cap refuses with the same
-//!   `Overloaded` + retry-after taxonomy the executor uses.
+//!   dispatches it exactly once.
 
 use dais::soap::bus::BusError;
 use dais::soap::retry::{RetryConfig, SleepFn};
 use dais::soap::tcp::{TcpConfig, TcpServer, TcpServerConfig, TcpTransport};
-use dais::soap::{
-    Bus, CallError, Envelope, Fault, RetryPolicy, ServiceClient, SoapDispatcher, Transport,
-};
+use dais::soap::{Bus, CallError, Envelope, RetryPolicy, ServiceClient, SoapDispatcher};
 use dais::xml::XmlElement;
-use dais_util::sync::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -80,12 +75,8 @@ fn payload(n: u64) -> XmlElement {
 #[test]
 fn retrying_reads_survive_the_server_dropping_every_third_connection() {
     let (bus, reads, _) = counting_bus();
-    let server = TcpServer::bind_with(
-        &bus,
-        "127.0.0.1:0",
-        TcpServerConfig { drop_every: 3, ..TcpServerConfig::default() },
-    )
-    .unwrap();
+    let server =
+        TcpServer::bind_with(&bus, "127.0.0.1:0", TcpServerConfig { drop_every: 3 }).unwrap();
     bus.set_transport(serial_transport(&server));
     let client = retry_client(bus.clone());
 
@@ -114,12 +105,8 @@ fn retrying_reads_survive_the_server_dropping_every_third_connection() {
 #[test]
 fn lost_replies_never_double_dispatch_non_idempotent_writes() {
     let (bus, _, writes) = counting_bus();
-    let server = TcpServer::bind_with(
-        &bus,
-        "127.0.0.1:0",
-        TcpServerConfig { drop_every: 3, ..TcpServerConfig::default() },
-    )
-    .unwrap();
+    let server =
+        TcpServer::bind_with(&bus, "127.0.0.1:0", TcpServerConfig { drop_every: 3 }).unwrap();
     bus.set_transport(serial_transport(&server));
     // Only read actions retry: WRITE must never re-send.
     let client = retry_client(bus.clone());
@@ -152,7 +139,7 @@ fn pool_reconnects_lazily_after_total_connection_loss() {
         &bus,
         "127.0.0.1:0",
         // Drop EVERY connection after its first response.
-        TcpServerConfig { drop_every: 1, ..TcpServerConfig::default() },
+        TcpServerConfig { drop_every: 1 },
     )
     .unwrap();
     bus.set_transport(serial_transport(&server));
@@ -163,101 +150,4 @@ fn pool_reconnects_lazily_after_total_connection_loss() {
     assert!(matches!(err, CallError::Transport(BusError::ConnectionLost(_))), "got {err:?}");
     assert_eq!(bus.stats().retries, 9, "budget of 10 attempts = 9 retries");
     assert!(server.connections_accepted() >= 10, "each attempt reconnected");
-}
-
-/// A handler that parks until released, reporting arrivals.
-struct ParkedHandler {
-    arrivals: Mutex<u64>,
-    arrived: Condvar,
-    open: Mutex<bool>,
-    opened: Condvar,
-}
-
-impl ParkedHandler {
-    fn new() -> Arc<ParkedHandler> {
-        Arc::new(ParkedHandler {
-            arrivals: Mutex::new(0),
-            arrived: Condvar::new(),
-            open: Mutex::new(false),
-            opened: Condvar::new(),
-        })
-    }
-
-    fn park(&self) {
-        *self.arrivals.lock() += 1;
-        self.arrived.notify_all();
-        let mut open = self.open.lock();
-        while !*open {
-            open = self.opened.wait(open);
-        }
-    }
-
-    fn wait_arrival(&self) {
-        let mut n = self.arrivals.lock();
-        while *n == 0 {
-            n = self.arrived.wait(n);
-        }
-    }
-
-    fn release(&self) {
-        *self.open.lock() = true;
-        self.opened.notify_all();
-    }
-}
-
-#[test]
-fn server_past_its_in_flight_cap_refuses_with_overloaded() {
-    let bus = Bus::new();
-    let parked = ParkedHandler::new();
-    let handler = Arc::clone(&parked);
-    let mut d = SoapDispatcher::new();
-    d.register(READ, move |req: &Envelope| {
-        handler.park();
-        Ok(req.clone())
-    });
-    bus.register(ADDR, Arc::new(d));
-    let hint = Duration::from_millis(9);
-    let server = TcpServer::bind_with(
-        &bus,
-        "127.0.0.1:0",
-        TcpServerConfig { max_in_flight: 1, retry_after: hint, ..TcpServerConfig::default() },
-    )
-    .unwrap();
-    // Two connections, so the second request is not stuck behind the
-    // first on a serial connection.
-    let transport = Arc::new(TcpTransport::new(TcpConfig { pool_size: 2, ..TcpConfig::default() }));
-    transport.set_default_route(server.local_addr());
-
-    let occupier = {
-        let transport = Arc::clone(&transport);
-        std::thread::spawn(move || {
-            let mut request = Vec::new();
-            Envelope::with_body(payload(1)).to_bytes_into(&mut request);
-            let mut response = Vec::new();
-            transport.call(ADDR, READ.uri(), &request, &mut response)
-        })
-    };
-    parked.wait_arrival();
-
-    // The cap is occupied: the concurrent request is refused with the
-    // executor's own taxonomy, hint included.
-    let mut request = Vec::new();
-    Envelope::with_body(payload(2)).to_bytes_into(&mut request);
-    let mut response = Vec::new();
-    match transport.call(ADDR, READ.uri(), &request, &mut response) {
-        Err(BusError::Overloaded { endpoint, retry_after }) => {
-            assert_eq!(endpoint, ADDR);
-            assert_eq!(retry_after, hint);
-        }
-        other => panic!("expected Overloaded past the cap, got {other:?}"),
-    }
-
-    parked.release();
-    assert!(occupier.join().unwrap().is_ok(), "the occupying request completes normally");
-
-    // With the cap free again, the same request is served.
-    let mut response = Vec::new();
-    transport.call(ADDR, READ.uri(), &request, &mut response).unwrap();
-    let env = Envelope::from_bytes(&response).unwrap();
-    assert!(env.payload().and_then(Fault::from_xml).is_none());
 }
