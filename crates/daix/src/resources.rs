@@ -7,7 +7,7 @@ use dais_core::{
     AbstractName, ConfigurationDocument, ConfigurationMap, CoreProperties, DataResource, DatasetMap,
 };
 use dais_soap::fault::{DaisFault, Fault};
-use dais_xml::{ns, QName, XmlElement};
+use dais_xml::{ns, QName, XPathContext, XmlElement};
 use dais_xmldb::{XQuery, XQueryItem, XmlDatabase, XmlDbError};
 use std::sync::Arc;
 
@@ -80,19 +80,7 @@ impl XmlCollectionResource {
     /// result sequences in document-name order.
     pub fn xquery(&self, expression: &str) -> Result<Vec<XQueryItem>, Fault> {
         let query = XQuery::parse(expression).map_err(xmldb_fault)?;
-        let mut items = Vec::new();
-        let visit = self
-            .db
-            .for_each_document(&self.path, |_name, doc| match query.execute(doc) {
-                Ok(mut i) => {
-                    items.append(&mut i);
-                    Ok(())
-                }
-                Err(e) => Err(e),
-            })
-            .map_err(xmldb_fault)?;
-        visit.map_err(xmldb_fault)?;
-        Ok(items)
+        self.db.xquery_query(&self.path, &query, &XPathContext::default()).map_err(xmldb_fault)
     }
 
     /// Apply an XUpdate modifications document to every document in the
@@ -124,11 +112,11 @@ impl DataResource for XmlCollectionResource {
 
     fn property_document(&self) -> XmlElement {
         let mut doc = self.properties.to_xml();
-        if let Ok(docs) = self.db.list_documents(&self.path) {
-            doc.push(names::NUMBER_OF_DOCUMENTS.element().with_text(docs.len().to_string()));
-        }
-        if let Ok(subs) = self.db.list_collections(&self.path) {
-            doc.push(names::NUMBER_OF_SUBCOLLECTIONS.element().with_text(subs.len().to_string()));
+        if let Ok((documents, subcollections)) = self.db.collection_counts(&self.path) {
+            doc.push(names::NUMBER_OF_DOCUMENTS.element().with_text(documents.to_string()));
+            doc.push(
+                names::NUMBER_OF_SUBCOLLECTIONS.element().with_text(subcollections.to_string()),
+            );
         }
         doc.push(names::COLLECTION_PATH.element().with_text(&self.path));
         doc

@@ -24,7 +24,7 @@ use dais_core::{
 use dais_dair::messages::{self as dair_messages, actions as dair_actions};
 use dais_dair::resources::{relational_properties, rowset_factory_map};
 use dais_daix::messages::{self as daix_messages, actions as daix_actions};
-use dais_soap::bus::Bus;
+use dais_soap::bus::{Bus, WeakBus};
 use dais_soap::envelope::Envelope;
 use dais_soap::fault::{DaisFault, Fault};
 use dais_soap::service::SoapDispatcher;
@@ -100,7 +100,8 @@ fn admission_fault(e: AdmissionError, writes: Fault) -> Fault {
 /// per-endpoint stats and the router's health table.
 pub struct FederatedResource {
     properties: Arc<CoreProperties>,
-    bus: Bus,
+    /// Weak: the resource is registered behind the bus's own endpoint.
+    bus: WeakBus,
     router: Arc<ShardRouter>,
 }
 
@@ -108,26 +109,30 @@ impl FederatedResource {
     /// The `mon:Fleet` extension property: one `mon:Member` per
     /// shard/replica with its routing health and endpoint traffic, so
     /// the SLO tooling that reads `mon:` documents sees the whole fleet
-    /// behind the logical resource.
+    /// behind the logical resource. Once the bus has shut down, members
+    /// render without traffic.
     fn fleet_element(&self) -> XmlElement {
+        let bus = self.bus.upgrade();
         let mut fleet = XmlElement::new(MON_NS, "mon", "Fleet");
         fleet.set_attr("shards", self.router.shards().to_string());
         for s in 0..self.router.shards() {
             for r in 0..self.router.replica_count(s) {
                 let member = self.router.replica(s, r);
                 let address = member.endpoint_address();
-                let stats = self.bus.endpoint_stats(&address);
+                let stats = bus.as_ref().map(|bus| bus.endpoint_stats(&address));
                 let mut el = XmlElement::new(MON_NS, "mon", "Member");
                 el.set_attr("shard", s.to_string());
                 el.set_attr("replica", r.to_string());
                 el.set_attr("endpoint", address);
                 el.set_attr("resource", member.resource().as_str());
                 el.set_attr("healthy", self.router.is_healthy(s, r).to_string());
-                el.set_attr("messages", stats.messages.to_string());
-                el.set_attr("faults", stats.faults.to_string());
-                el.set_attr("retries", stats.retries.to_string());
-                el.set_attr("shed", stats.shed.to_string());
-                el.set_attr("queueDepth", stats.queue_depth.to_string());
+                if let Some(stats) = stats {
+                    el.set_attr("messages", stats.messages.to_string());
+                    el.set_attr("faults", stats.faults.to_string());
+                    el.set_attr("retries", stats.retries.to_string());
+                    el.set_attr("shed", stats.shed.to_string());
+                    el.set_attr("queueDepth", stats.queue_depth.to_string());
+                }
                 fleet.push(el);
             }
         }
@@ -206,13 +211,26 @@ impl DataResource for FederatedRowsetResource {
 /// `Arc` of it, so a leg still running on a helper borrows nothing from
 /// the handler that started it.
 struct Grid {
-    bus: Bus,
+    /// Weak: the grid lives in the dispatcher the bus owns. Each leg
+    /// upgrades it for its own calls (see [`Grid::bus`]).
+    bus: WeakBus,
     router: Arc<ShardRouter>,
     failover: RetryConfig,
     legs: LegPool,
 }
 
 impl Grid {
+    /// The bus, for one leg's calls, or a `ServiceErrorFault` once it has
+    /// shut down. The handle a leg holds can be the last one, so the bus
+    /// may drop on a helper thread; that drops the dispatcher's grid and
+    /// its [`LegPool`], never the [`LegHelpers`] the helper belongs to,
+    /// which only its [`FederationService`] owns.
+    fn bus(&self) -> Result<Bus, CallError> {
+        self.bus.upgrade().ok_or_else(|| {
+            CallError::Fault(Fault::dais(DaisFault::ServiceError, "the service bus has shut down"))
+        })
+    }
+
     /// Send one request to each of `shards` — concurrently, on the leg
     /// helpers, so one slow or backing-off shard does not stall the
     /// gather of its siblings — and collect each leg's own reply buffer
@@ -230,7 +248,7 @@ impl Grid {
         let grid = self.clone();
         self.legs
             .scatter(shards, move |s| {
-                call_shard(&grid.bus, &grid.router, s, &grid.failover, |client, r| {
+                call_shard(&grid.bus()?, &grid.router, s, &grid.failover, |client, r| {
                     let request = request_for(s, r)?;
                     Ok(client.request_bytes(action, &request, action.resendable())?.into_inner())
                 })
@@ -256,12 +274,13 @@ impl Grid {
     ) -> Result<ShardNames, Fault> {
         let grid = self.clone();
         let names = self.legs.scatter(shards.clone(), move |s| {
+            let bus = grid.bus().map_err(shard_fault)?;
             let router = &grid.router;
             let mut names: Vec<Option<AbstractName>> = Vec::with_capacity(router.replica_count(s));
             let mut last_err: Option<CallError> = None;
             for r in 0..router.replica_count(s) {
                 let address = router.replica(s, r).endpoint_address();
-                let minted = call_replica(&grid.bus, &address, &grid.failover, |client| {
+                let minted = call_replica(&bus, &address, &grid.failover, |client| {
                     let reply = client.request(action, request_for(s, r))?;
                     let epr = dais_core::factory::parse_factory_response(&reply)
                         .map_err(CallError::Fault)?;
@@ -353,9 +372,11 @@ fn merged_response(
 ///
 /// It owns the `shards − 1` leg helper threads its scatters run on, and
 /// dropping it stops them. (The endpoint's dispatcher cannot own them:
-/// it lives as long as the bus, which its own resources hold.) A
-/// dispatcher that outlives this handle still answers, with each caller
-/// running every leg itself.
+/// it lives as long as the bus, whose last handle may drop on a helper.)
+/// Nothing behind the endpoint holds the bus strongly, so dropping this
+/// handle and the last `Bus` frees the whole endpoint. A dispatcher that
+/// outlives this handle still answers, with each caller running every
+/// leg itself.
 pub struct FederationService {
     pub ctx: Arc<ServiceContext>,
     pub names: Arc<NameGenerator>,
@@ -396,7 +417,7 @@ impl FederationService {
             bus,
             Arc::new(FederatedResource {
                 properties: Arc::new(properties),
-                bus: bus.clone(),
+                bus: bus.downgrade(),
                 router: router.clone(),
             }),
         );
@@ -425,7 +446,7 @@ impl FederationService {
             bus,
             Arc::new(FederatedResource {
                 properties: Arc::new(props),
-                bus: bus.clone(),
+                bus: bus.downgrade(),
                 router: router.clone(),
             }),
         );
@@ -466,7 +487,7 @@ impl FederationService {
     ) -> (LegHelpers, Arc<Grid>) {
         let helpers = LegHelpers::start(router.shards() - 1);
         let grid = Arc::new(Grid {
-            bus: bus.clone(),
+            bus: bus.downgrade(),
             router: router.clone(),
             failover: options.failover.clone(),
             legs: helpers.pool(),
@@ -694,7 +715,7 @@ fn register_federated_xml_ops(
         // assembles in shard order.
         let g = grid.clone();
         let replies = grid.legs.scatter(0..grid.router.shards(), move |s| {
-            call_shard(&g.bus, &g.router, s, &g.failover, |client, r| {
+            call_shard(&g.bus()?, &g.router, s, &g.failover, |client, r| {
                 let shard_req = daix_messages::query_request(
                     "XPathExecuteRequest",
                     g.router.replica(s, r).resource(),

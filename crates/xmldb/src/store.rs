@@ -1,7 +1,8 @@
 //! The collection tree and the thread-safe database façade.
 
+use crate::xquery::{XQuery, XQueryItem};
 use dais_util::sync::RwLock;
-use dais_xml::xpath::{DocumentIndex, IndexedValue, XPathNode};
+use dais_xml::xpath::{DocumentFilter, DocumentIndex, IndexedValue, XPathNode};
 use dais_xml::{parse, XPathContext, XPathExpr, XmlElement};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -213,6 +214,16 @@ impl XmlDatabase {
         Ok(c.documents.keys().cloned().collect())
     }
 
+    /// How many documents and how many subcollections are directly in
+    /// `collection`, read under one guard.
+    pub fn collection_counts(&self, collection: &str) -> Result<(usize, usize), XmlDbError> {
+        let root = self.root.read();
+        let c = root
+            .resolve(&split_path(collection))
+            .ok_or_else(|| XmlDbError::NoSuchCollection(collection.to_string()))?;
+        Ok((c.documents.len(), c.subcollections.len()))
+    }
+
     /// Total number of documents in the database.
     pub fn document_count(&self) -> usize {
         self.root.read().document_count_recursive()
@@ -229,8 +240,10 @@ impl XmlDatabase {
     }
 
     /// As [`XmlDatabase::xpath_query`] with namespace/variable bindings.
-    /// Every document is indexed in one reused buffer, under one read
-    /// guard, and a selected node is cloned once, into the answer.
+    /// Only the documents the expression's
+    /// [`XPathExpr::document_filter`] admits are indexed, in one reused
+    /// buffer, under one read guard, and a selected node is cloned once,
+    /// into the answer. A scalar result is one `<value>` per document.
     pub fn xpath_query_with(
         &self,
         collection: &str,
@@ -238,20 +251,8 @@ impl XmlDatabase {
         ctx: &XPathContext,
     ) -> Result<Vec<XmlElement>, XmlDbError> {
         let expr = XPathExpr::parse(xpath).map_err(|e| XmlDbError::Query(e.to_string()))?;
-        let root = self.root.read();
-        let c = root
-            .resolve(&split_path(collection))
-            .ok_or_else(|| XmlDbError::NoSuchCollection(collection.to_string()))?;
         let mut out = Vec::new();
-        let mut index: Option<DocumentIndex> = None;
-        for doc in c.documents.values() {
-            let index = match &mut index {
-                Some(index) => {
-                    index.reindex(doc);
-                    index
-                }
-                None => index.insert(DocumentIndex::new(doc)),
-            };
+        self.for_each_indexed(collection, expr.document_filter(), |index| {
             let value = expr
                 .evaluate_in(index, index.root(), &[], ctx)
                 .map_err(|e| XmlDbError::Query(e.to_string()))?;
@@ -259,7 +260,7 @@ impl XmlDatabase {
                 // Scalar results are wrapped so collection queries always
                 // return elements (one per document).
                 out.push(XmlElement::new_local("value").with_text(index.string(&value)));
-                continue;
+                return Ok(());
             };
             for id in ids {
                 match index.detach(id) {
@@ -273,26 +274,58 @@ impl XmlDatabase {
                     XPathNode::Comment(_) => {}
                 }
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
-    /// Visit each document in a collection (name + element).
-    pub fn for_each_document<R>(
+    /// Run an XQuery over every document in a collection (non-recursive),
+    /// concatenating the per-document result sequences in document-name
+    /// order. Documents are filtered and indexed as by
+    /// [`XmlDatabase::xpath_query_with`]; the answer is the one
+    /// [`XQuery::execute_with`] gives document by document.
+    pub fn xquery_query(
         &self,
         collection: &str,
-        mut f: impl FnMut(&str, &XmlElement) -> Result<(), R>,
-    ) -> Result<Result<(), R>, XmlDbError> {
+        query: &XQuery,
+        ctx: &XPathContext,
+    ) -> Result<Vec<XQueryItem>, XmlDbError> {
+        let mut items = Vec::new();
+        self.for_each_indexed(collection, query.document_filter(), |index| {
+            query.execute_in(index, ctx, &mut items)
+        })?;
+        Ok(items)
+    }
+
+    /// Lay out each document of `collection` that `filter` admits (every
+    /// document, without one) in one reused index, in name order and
+    /// under one read guard, and hand it to `visit`. The first error
+    /// ends the walk.
+    fn for_each_indexed(
+        &self,
+        collection: &str,
+        filter: Option<DocumentFilter<'_>>,
+        mut visit: impl FnMut(&DocumentIndex<'_>) -> Result<(), XmlDbError>,
+    ) -> Result<(), XmlDbError> {
         let root = self.root.read();
         let c = root
             .resolve(&split_path(collection))
             .ok_or_else(|| XmlDbError::NoSuchCollection(collection.to_string()))?;
-        for (name, doc) in &c.documents {
-            if let Err(e) = f(name, doc) {
-                return Ok(Err(e));
+        let mut index: Option<DocumentIndex> = None;
+        for doc in c.documents.values() {
+            if filter.is_some_and(|f| !f.admits(doc)) {
+                continue;
             }
+            let index = match &mut index {
+                Some(index) => {
+                    index.reindex(doc);
+                    index
+                }
+                None => index.insert(DocumentIndex::new(doc)),
+            };
+            visit(index)?;
         }
-        Ok(Ok(()))
+        Ok(())
     }
 }
 

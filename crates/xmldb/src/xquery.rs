@@ -23,6 +23,10 @@
 //! literals are never touched. `let` variables hold the value of their
 //! expression, node-sets included, in the same scope.
 //!
+//! Over a collection ([`crate::XmlDatabase::xquery_query`]) one index
+//! buffer serves every document, and a document that fails the query's
+//! [`XQuery::document_filter`] is not indexed at all.
+//!
 //! Element constructors support `{expr}` interpolation in content and
 //! attribute values (`{{`/`}}` escape literal braces); constructors nest
 //! at most [`MAX_EXPRESSION_DEPTH`] deep. A selected node is cloned out of
@@ -34,7 +38,9 @@
 //! system. These go beyond what the DAIS use cases in the paper require.
 
 use crate::store::XmlDbError;
-use dais_xml::xpath::{DocumentIndex, IndexedValue, NodeId, XPathNode, MAX_EXPRESSION_DEPTH};
+use dais_xml::xpath::{
+    DocumentFilter, DocumentIndex, IndexedValue, NodeId, XPathNode, MAX_EXPRESSION_DEPTH,
+};
 use dais_xml::{XPathContext, XPathExpr, XmlElement, XmlNode};
 
 /// One item of a query result sequence.
@@ -145,16 +151,40 @@ impl XQuery {
         doc: &XmlElement,
         ctx: &XPathContext,
     ) -> Result<Vec<XQueryItem>, XmlDbError> {
-        let index = DocumentIndex::new(doc);
         let mut items = Vec::new();
+        self.execute_in(&DocumentIndex::new(doc), ctx, &mut items)?;
+        Ok(items)
+    }
+
+    /// Execute in an indexed document, appending its items to `out`.
+    pub(crate) fn execute_in(
+        &self,
+        index: &DocumentIndex<'_>,
+        ctx: &XPathContext,
+        out: &mut Vec<XQueryItem>,
+    ) -> Result<(), XmlDbError> {
         match &self.kind {
             QueryKind::Bare(expr) => {
-                let v = evaluate(expr, &index, index.root(), &[], ctx)?;
-                for_each_item(&index, v, |item| items.push(item));
+                let v = evaluate(expr, index, index.root(), &[], ctx)?;
+                for_each_item(index, v, |item| out.push(item));
             }
-            QueryKind::Flwor(f) => execute_flwor(f, &index, ctx, &mut items)?,
+            QueryKind::Flwor(f) => execute_flwor(f, index, ctx, out)?,
         }
-        Ok(items)
+        Ok(())
+    }
+
+    /// The test a document's element must pass for the query to yield
+    /// anything from it: a bare expression's
+    /// [`XPathExpr::document_filter`], or the `for` path's
+    /// [`XPathExpr::binding_filter`], narrowed by `where` only when no
+    /// `let` runs before it.
+    pub fn document_filter(&self) -> Option<DocumentFilter<'_>> {
+        match &self.kind {
+            QueryKind::Bare(expr) => expr.document_filter(),
+            QueryKind::Flwor(f) => {
+                f.source.binding_filter(&f.var, f.where_expr.as_ref().filter(|_| f.lets.is_empty()))
+            }
+        }
     }
 }
 

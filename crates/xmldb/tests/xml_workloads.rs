@@ -55,14 +55,8 @@ fn xquery_flwor_workloads() {
          return <hit price=\"{$p}\">{$b/title/text()}</hit>",
     )
     .unwrap();
-    // Run against each document and merge (per-document evaluation).
-    let mut all = Vec::new();
-    db.for_each_document("books", |_n, doc| {
-        all.extend(q.execute(doc).unwrap());
-        Ok::<(), ()>(())
-    })
-    .unwrap()
-    .unwrap();
+    // Per-document result sequences, concatenated in document-name order.
+    let all = db.xquery_query("books", &q, &XPathContext::default()).unwrap();
     assert_eq!(all.len(), 4); // TP 89, DDIA 45, SICP 60, TAPL 70
     for item in &all {
         let e = item.to_element();

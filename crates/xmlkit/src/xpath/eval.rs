@@ -277,11 +277,7 @@ impl<'d> DocumentIndex<'d> {
     pub fn string_value(&self, id: NodeId) -> Cow<'d, str> {
         match self.kind(id) {
             Kind::Root => self.string_value(NodeId(1)),
-            Kind::Element(e) => match e.children.as_slice() {
-                [] => Cow::Borrowed(""),
-                [XmlNode::Text(t) | XmlNode::CData(t)] => Cow::Borrowed(t),
-                _ => Cow::Owned(e.text()),
-            },
+            Kind::Element(e) => element_string_value(e),
             Kind::Attribute(a) => Cow::Borrowed(&a.value),
             Kind::Text(t) | Kind::Comment(t) => Cow::Borrowed(t),
         }
@@ -349,6 +345,16 @@ impl<'d> DocumentIndex<'d> {
             IndexedValue::Number(n) => XPathValue::Number(n),
             IndexedValue::String(s) => XPathValue::String(s.into_owned()),
         }
+    }
+}
+
+/// The XPath string-value of an element: its text, borrowed unless it is
+/// spread over several children.
+pub(super) fn element_string_value(e: &XmlElement) -> Cow<'_, str> {
+    match e.children.as_slice() {
+        [] => Cow::Borrowed(""),
+        [XmlNode::Text(t) | XmlNode::CData(t)] => Cow::Borrowed(t),
+        _ => Cow::Owned(e.text()),
     }
 }
 

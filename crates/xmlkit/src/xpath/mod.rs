@@ -22,9 +22,11 @@
 //! Every evaluation runs over a [`DocumentIndex`], one flat pre-order
 //! `Vec` per document (see `eval.rs`); [`XPathExpr::evaluate`] builds one
 //! for its single call, and a caller walking many documents can reuse one
-//! buffer with [`DocumentIndex::reindex`]. The parser refuses nesting
-//! deeper than [`MAX_EXPRESSION_DEPTH`], so evaluating and dropping a
-//! parsed expression is bounded too.
+//! buffer with [`DocumentIndex::reindex`]. [`XPathExpr::document_filter`]
+//! tells such a caller, from the document element alone, which documents
+//! the expression cannot select anything in, so they need no index at
+//! all. The parser refuses nesting deeper than [`MAX_EXPRESSION_DEPTH`],
+//! so evaluating and dropping a parsed expression is bounded too.
 //!
 //! Name tests follow the XPath 1.0 rule: an unprefixed name matches names
 //! in *no* namespace; prefixed names are resolved against the
@@ -42,11 +44,13 @@
 //! }
 //! ```
 
+mod admit;
 mod ast;
 mod eval;
 mod lexer;
 mod parser;
 
+pub use admit::DocumentFilter;
 pub use ast::Expr;
 pub use dais_util::MAX_EXPRESSION_DEPTH;
 pub use eval::{
@@ -130,6 +134,28 @@ impl XPathExpr {
         context: &'x XPathContext,
     ) -> Result<IndexedValue<'x>, XPathError> {
         eval::evaluate(&self.ast, index, at, scope, context)
+    }
+
+    /// The test a document's element must pass for this expression to
+    /// select anything in it, when its first step gives one (see
+    /// `admit.rs`): `/name`, narrowed by the leftmost `and` leaf of its
+    /// first predicate when that is `child = literal` or `@attr = literal`.
+    /// `None` for every other expression, scalar results included.
+    pub fn document_filter(&self) -> Option<DocumentFilter<'_>> {
+        admit::document_filter(&self.ast)
+    }
+
+    /// The test for an XQuery `for $var in self`, whose `where` clause,
+    /// if given, is the first clause evaluated for each binding. A
+    /// one-step binding path with no predicate is narrowed by the leftmost
+    /// `and` leaf of `where`, `$var/child = literal` or
+    /// `$var/@attr = literal`.
+    pub fn binding_filter<'x>(
+        &'x self,
+        var: &str,
+        where_expr: Option<&'x XPathExpr>,
+    ) -> Option<DocumentFilter<'x>> {
+        admit::binding_filter(&self.ast, var, where_expr.map(|w| &w.ast))
     }
 
     /// Evaluate to the structural paths of the selected nodes (document
